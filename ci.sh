@@ -2,7 +2,8 @@
 # Tier-1 verification plus lint, in one command, fully offline.
 #
 #   ./ci.sh          # build + test + clippy
-#   ./ci.sh bench    # additionally run the three bench harnesses (fast knobs)
+#   ./ci.sh bench    # additionally run the bench harnesses and the
+#                    # perfbench/ benchmark (fast knobs)
 #
 # The workspace has zero external dependencies by design (see README.md), so
 # everything runs with --offline; if any step needs the network, that is a
@@ -89,17 +90,6 @@ if [[ "${1:-}" == "bench" ]]; then
     MBFI_EXPERIMENTS=16 MBFI_BENCH_SAMPLES=3 cargo run --release --offline -q \
         -p mbfi-bench --bin exec_bench -- --out-dir "$MBFI_BENCH_OUT"
 
-    # Whole-grid sweep engine: first the self-verifying mode (every sweep
-    # cell compared byte-for-byte against the serial per-campaign runner on a
-    # 2-workload sub-grid, at sweep thread counts 1 and 4), then a small
-    # timing run that writes BENCH_sweep.json.
-    echo "==> cargo run --release -p mbfi-bench --bin sweep_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin sweep_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin sweep_bench"
-    MBFI_EXPERIMENTS=10 MBFI_WORKLOADS=qsort,histo,CRC32 cargo run --release \
-        --offline -q -p mbfi-bench --bin sweep_bench -- --out-dir "$MBFI_BENCH_OUT"
-
     # Adaptive precision-targeted sampling: first the self-verifying mode
     # (adaptive grid byte-identical at sweep thread counts 1, 4 and 8, and
     # every stopped cell meets the half-width target or spent its whole
@@ -126,30 +116,6 @@ if [[ "${1:-}" == "bench" ]]; then
     MBFI_EXPERIMENTS=20 cargo run --release --offline -q -p mbfi-bench \
         --bin prune_bench -- --out-dir "$MBFI_BENCH_OUT"
 
-    # Copy-on-write snapshot forking: first the self-verifying mode (dirty-
-    # chunk accounting cross-checks, plus CoW campaigns byte-identical to
-    # deep-copy-restore campaigns on all 15 workloads at thread counts 1, 4
-    # and 8), then a small timing run that writes BENCH_snapshot.json with
-    # the late-injection and uniform-grid exp/s ratios.
-    echo "==> cargo run --release -p mbfi-bench --bin snapshot_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin snapshot_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin snapshot_bench"
-    MBFI_EXPERIMENTS=16 cargo run --release --offline -q -p mbfi-bench \
-        --bin snapshot_bench -- --out-dir "$MBFI_BENCH_OUT"
-
-    # Telemetry plane: first the self-verifying mode (telemetered sweeps
-    # byte-identical to telemetry-off at thread counts 1, 4 and 8; hub
-    # snapshot and replayed JSONL monitor totals equal to the SweepReport),
-    # then a small timing run that writes BENCH_telemetry.json with the
-    # off/counters/full overhead comparison.
-    echo "==> cargo run --release -p mbfi-bench --bin telemetry_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin telemetry_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin telemetry_bench"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin telemetry_bench -- --out-dir "$MBFI_BENCH_OUT"
-
     # Campaign service: first the self-verifying mode (two concurrent
     # overlapping clients at engine thread counts 1, 4 and 8: served
     # reports byte-identical to in-process Sweep::run, shared cells
@@ -164,6 +130,24 @@ if [[ "${1:-}" == "bench" ]]; then
     MBFI_EXPERIMENTS=16 MBFI_WORKLOADS=qsort,histo,CRC32,sha cargo run \
         --release --offline -q -p mbfi-bench --bin serve_bench -- \
         --out-dir "$MBFI_BENCH_OUT"
+
+    # The repository benchmark (perfbench/, a package of its own): its
+    # self-tests, then a short run of each workload.  The last line of a run
+    # is a JSON object; it must report no failed operation (on `artifacts`
+    # that includes the rendered run_all artefact matching its recorded
+    # digest, i.e. byte-identical output).
+    echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+    cargo test --offline -q --manifest-path perfbench/Cargo.toml
+    PERF_DIR="$(mktemp -d)"
+    trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR" "$PERF_DIR"' EXIT
+    for workload in artifacts late_injection served; do
+        echo "==> perfbench --workload $workload --seconds 2"
+        cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+            | tee "$PERF_DIR/$workload.txt"
+        tail -n 1 "$PERF_DIR/$workload.txt" | grep -Eq '"failed": ?0[,}]' \
+            || { echo "perfbench $workload reported failed operations"; exit 1; }
+    done
 fi
 
 echo "==> OK"

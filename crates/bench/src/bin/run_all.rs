@@ -4,7 +4,7 @@
 //! Every campaign any figure or table needs is requested on one
 //! [`harness::CampaignGrid`] — shared cells (the single-bit baselines, the
 //! max-MBF = 30 activation row) deduplicate — and executed as **one**
-//! whole-grid sweep on a global work-stealing worker pool; the renderers
+//! whole-grid sweep on one global worker pool; the renderers
 //! then extract their slices from the streamed results.  Artifacts are
 //! byte-identical to the pre-sweep per-campaign walk.
 //!

@@ -8,7 +8,7 @@
 //! 2. **[`CampaignGrid`]** — a request/run/extract pipeline: binaries
 //!    *request* the campaign cells their figures need (duplicates collapse
 //!    onto one cell), `run` submits every cell as **one**
-//!    [`mbfi_core::Sweep`] on a global work-stealing worker pool, and the
+//!    [`mbfi_core::Sweep`] on one global worker pool, and the
 //!    extractors below pull each figure's slice out of the [`GridRun`].
 //! 3. **Renderers** (`fig1`, `fig2`, ..., `table4`) — unchanged: they turn
 //!    extracted results into the paper's tables and figures.
@@ -28,7 +28,7 @@ use mbfi_core::space::{ErrorSpace, REGISTER_BITS};
 use mbfi_core::{
     Campaign, CampaignResult, CampaignSpec, CampaignWarning, FaultModel, GoldenRun, IntervalMethod,
     Metric, Outcome, Precision, Sweep, SweepCampaign, SweepConfig, SweepUnit, Technique,
-    TelemetryHub, TelemetryLevel, TelemetrySink, TelemetrySnapshot, WinSize,
+    TelemetryHub, TelemetryLevel, TelemetrySnapshot, WinSize,
 };
 use mbfi_ir::{CompiledModule, Module};
 use mbfi_workloads::{all_workloads, InputSize, Workload};
@@ -63,7 +63,7 @@ pub struct HarnessConfig {
     pub replay_interval: Option<u64>,
     /// Memory budget for each workload's checkpoint store, in bytes.
     pub replay_budget_bytes: usize,
-    /// Experiments per stealable sweep batch (0 = auto).
+    /// Experiments per sweep batch (0 = auto).
     pub sweep_batch: usize,
     /// Adaptive precision-targeted sampling: `Some` stops every sweep cell
     /// once its SDC and Detection 95 % interval half-widths meet the target
@@ -72,10 +72,6 @@ pub struct HarnessConfig {
     /// byte-reproducible at a known fixed n — runs every cell at
     /// `experiments`.
     pub precision: Option<Precision>,
-    /// Copy-on-write snapshot forking (`true` by default).  Off forces the
-    /// deep-copy restore path; results are byte-identical either way (the CoW
-    /// contract), so the knob exists for A/B benchmarking only.
-    pub cow: bool,
     /// Telemetry recording level for grid sweeps (`Off` by default; results
     /// are byte-identical at every level — telemetry only observes).
     pub telemetry: TelemetryLevel,
@@ -99,7 +95,6 @@ impl Default for HarnessConfig {
             replay_interval: None,
             replay_budget_bytes: CheckpointConfig::default().max_bytes,
             sweep_batch: 0,
-            cow: true,
             precision: None,
             telemetry: TelemetryLevel::Off,
             telemetry_out: "telemetry.jsonl".to_string(),
@@ -124,12 +119,8 @@ impl HarnessConfig {
     ///   interval
     /// * `MBFI_REPLAY_BUDGET_MB` — checkpoint-store memory budget per
     ///   workload in MiB (default 64)
-    /// * `MBFI_SWEEP_BATCH` — experiments per stealable sweep batch
+    /// * `MBFI_SWEEP_BATCH` — experiments per sweep batch
     ///   (default: auto)
-    /// * `MBFI_COW` — `off` to force the deep-copy snapshot restore path,
-    ///   `on` (the default) for copy-on-write forking.  Results are
-    ///   byte-identical either way; the knob is for A/B benchmarking.
-    ///   Applied process-wide via [`mbfi_vm::set_cow_enabled`].
     /// * `MBFI_PRECISION` — `off` (the default: fixed-n sampling with
     ///   `MBFI_EXPERIMENTS` per cell) or
     ///   `<pct>[,<min>[,<max>[,wald|wilson]]]` for adaptive
@@ -212,17 +203,6 @@ impl HarnessConfig {
         let budget_mb = env_parsed("MBFI_REPLAY_BUDGET_MB", cfg.replay_budget_bytes >> 20);
         cfg.replay_budget_bytes = budget_mb << 20;
         cfg.sweep_batch = env_parsed("MBFI_SWEEP_BATCH", cfg.sweep_batch);
-        if let Ok(v) = std::env::var("MBFI_COW") {
-            match v.to_ascii_lowercase().as_str() {
-                "on" | "1" | "true" | "yes" => cfg.cow = true,
-                "off" | "0" | "false" | "no" => cfg.cow = false,
-                _ => eprintln!(
-                    "warning: MBFI_COW={v:?} is not on/off; falling back to {}",
-                    if cfg.cow { "on" } else { "off" }
-                ),
-            }
-        }
-        mbfi_vm::set_cow_enabled(cfg.cow);
         if let Ok(v) = std::env::var("MBFI_PRECISION") {
             match parse_precision(&v) {
                 Some(p) => cfg.precision = p,
@@ -313,8 +293,8 @@ impl HarnessConfig {
     }
 
     /// The spec this configuration gives one campaign cell (shared by the
-    /// grid, `sweep_bench`'s serial baseline and the equivalence tests, so
-    /// the sweep-vs-serial comparisons can never drift).
+    /// grid and the equivalence tests, so the sweep-vs-serial comparisons
+    /// can never drift).
     pub fn campaign_spec(&self, technique: Technique, model: FaultModel) -> CampaignSpec {
         CampaignSpec {
             technique,
@@ -503,7 +483,6 @@ pub struct CampaignGrid<'a> {
     data: Vec<WorkloadData>,
     cells: Vec<SweepCampaign>,
     index: HashMap<(usize, Technique, FaultModel), usize>,
-    requested: u64,
 }
 
 impl<'a> CampaignGrid<'a> {
@@ -519,7 +498,6 @@ impl<'a> CampaignGrid<'a> {
             data,
             cells: Vec::new(),
             index: HashMap::new(),
-            requested: 0,
         }
     }
 
@@ -535,7 +513,6 @@ impl<'a> CampaignGrid<'a> {
 
     /// Request one campaign cell (deduplicating).
     pub fn request(&mut self, workload: usize, technique: Technique, model: FaultModel) {
-        self.requested += 1;
         let key = (workload, technique, model);
         if self.index.contains_key(&key) {
             return;
@@ -615,18 +592,19 @@ impl<'a> CampaignGrid<'a> {
             data,
             cells,
             index,
-            requested,
         } = self;
-        let config = cfg.sweep_config();
         let units: Vec<SweepUnit<'_>> = data.iter().map(WorkloadData::sweep_unit).collect();
-        let (report, telemetry) = if cfg.telemetry > TelemetryLevel::Off {
-            let hub = TelemetryHub::new(cfg.telemetry);
-            let report = Sweep::run_with(&units, &cells, &config, &hub);
-            // Cell-request dedup is the grid's artifact cache: every request
-            // beyond the first for a `(workload, technique, model)` key
-            // reused an executed cell.
-            hub.add(Metric::CacheHits, requested - cells.len() as u64);
-            hub.add(Metric::CacheMisses, cells.len() as u64);
+        let hub = (cfg.telemetry > TelemetryLevel::Off).then(|| TelemetryHub::new(cfg.telemetry));
+        let mut results: Vec<Option<CampaignResult>> = vec![None; cells.len()];
+        let warnings = Sweep::run_streamed(
+            &units,
+            &cells,
+            &cfg.sweep_config(),
+            hub.as_ref(),
+            |index, result| results[index] = Some(result.result),
+        );
+        drop(units);
+        let telemetry = hub.map(|hub| {
             if cfg.telemetry == TelemetryLevel::Full {
                 let jsonl = hub.drain_jsonl();
                 match std::fs::write(&cfg.telemetry_out, &jsonl) {
@@ -642,25 +620,21 @@ impl<'a> CampaignGrid<'a> {
             }
             let snapshot = hub.snapshot();
             eprintln!(
-                "telemetry: {} experiments in {} batches ({} stolen), \
-                 {:.0} exp/s, {} parks, cache {}/{} hit/miss",
+                "telemetry: {} experiments in {} batches, {:.0} exp/s, {} parks",
                 snapshot.counter(Metric::ExperimentsRun),
                 snapshot.counter(Metric::BatchesRun),
-                snapshot.counter(Metric::BatchesStolen),
                 snapshot.exps_per_sec(),
                 snapshot.counter(Metric::WorkerParks),
-                snapshot.counter(Metric::CacheHits),
-                snapshot.counter(Metric::CacheMisses),
             );
-            (report, Some(snapshot))
-        } else {
-            (Sweep::run(&units, &cells, &config), None)
-        };
-        drop(units);
+            snapshot
+        });
         GridRun {
             data,
-            results: report.results.into_iter().map(|r| r.result).collect(),
-            warnings: report.warnings,
+            results: results
+                .into_iter()
+                .map(|r| r.expect("sweep finished without producing every result"))
+                .collect(),
+            warnings,
             index,
             telemetry,
         }
@@ -1340,10 +1314,7 @@ mod tests {
         std::env::set_var("MBFI_PRECISION", "2.5,80,4000,wald");
         std::env::set_var("MBFI_TELEMETRY", "full");
         std::env::set_var("MBFI_TELEMETRY_OUT", "events.jsonl");
-        std::env::set_var("MBFI_COW", "off");
         let cfg = HarnessConfig::from_env();
-        assert!(!cfg.cow);
-        assert!(!mbfi_vm::cow_enabled());
         assert_eq!(cfg.experiments, 7);
         assert_eq!(cfg.telemetry, TelemetryLevel::Full);
         assert_eq!(cfg.telemetry_out, "events.jsonl");
@@ -1375,16 +1346,11 @@ mod tests {
 
         // Malformed values fall back to the defaults (with a stderr warning,
         // not capturable here) instead of being silently dropped mid-parse.
-        // MBFI_COW falling back to `on` here also restores the process-global
-        // CoW switch flipped off above.
         std::env::set_var("MBFI_HANG_FACTOR", "twenty");
         std::env::set_var("MBFI_REPLAY_BUDGET_MB", "-3");
         std::env::set_var("MBFI_PRECISION", "tight");
         std::env::set_var("MBFI_TELEMETRY", "verbose");
-        std::env::set_var("MBFI_COW", "maybe");
         let cfg = HarnessConfig::from_env();
-        assert!(cfg.cow);
-        assert!(mbfi_vm::cow_enabled());
         assert_eq!(cfg.hang_factor, HarnessConfig::default().hang_factor);
         assert_eq!(
             cfg.replay_budget_bytes,
@@ -1397,7 +1363,6 @@ mod tests {
         std::env::remove_var("MBFI_REPLAY_BUDGET_MB");
         std::env::remove_var("MBFI_PRECISION");
         std::env::remove_var("MBFI_TELEMETRY");
-        std::env::remove_var("MBFI_COW");
         assert_eq!(env_parsed("MBFI_NOT_SET_EVER", 42usize), 42);
     }
 

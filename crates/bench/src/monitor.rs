@@ -160,9 +160,9 @@ mod tests {
     const STREAM: &str = r#"{"seq": 0, "t_ns": 10, "kind": "sweep_started", "cells": 2, "threads": 3, "planned": 30}
 {"seq": 1, "t_ns": 20, "kind": "cell_planned", "cell": 0, "unit": 0, "label": "u0 read 1-bit", "planned": 10}
 {"seq": 2, "t_ns": 30, "kind": "cell_planned", "cell": 1, "unit": 1, "label": "u1 write m=3,w=100", "planned": 20}
-{"seq": 3, "t_ns": 500, "kind": "batch_done", "cell": 0, "batch": 0, "experiments": 10, "benign": 6, "hw_exception": 2, "hang": 0, "no_output": 0, "sdc": 2, "wall_ns": 400, "worker": 0, "stolen": false}
+{"seq": 3, "t_ns": 500, "kind": "batch_done", "cell": 0, "batch": 0, "experiments": 10, "benign": 6, "hw_exception": 2, "hang": 0, "no_output": 0, "sdc": 2, "wall_ns": 400, "worker": 0}
 {"seq": 4, "t_ns": 600, "kind": "cell_finished", "cell": 0, "experiments": 10, "benign": 6, "hw_exception": 2, "hang": 0, "no_output": 0, "sdc": 2, "rounds": 0}
-{"seq": 5, "t_ns": 700, "kind": "batch_done", "cell": 1, "batch": 0, "experiments": 5, "benign": 5, "hw_exception": 0, "hang": 0, "no_output": 0, "sdc": 0, "wall_ns": 300, "worker": 1, "stolen": true}
+{"seq": 5, "t_ns": 700, "kind": "batch_done", "cell": 1, "batch": 0, "experiments": 5, "benign": 5, "hw_exception": 0, "hang": 0, "no_output": 0, "sdc": 0, "wall_ns": 300, "worker": 1}
 "#;
 
     #[test]

@@ -16,7 +16,7 @@
 //! below [`Precision::target_half_width_pct`] (never before
 //! [`Precision::min_experiments`], never beyond
 //! [`Precision::max_experiments`]); its remaining worker capacity flows to
-//! unfinished cells through the sweep's work-stealing deques.
+//! unfinished cells through the sweep's batch claiming.
 //!
 //! ## Determinism
 //!
@@ -24,7 +24,7 @@
 //! completed rounds, and a round's membership is a fixed index range of the
 //! campaign's experiment sequence — never a function of which worker ran
 //! what, in which order, or how batches were cut.  Adaptive results are
-//! therefore byte-identical for every thread count, batch size and steal
+//! therefore byte-identical for every thread count, batch size and
 //! schedule, and equal to a fixed-n campaign of exactly the realized length
 //! (`tests/adaptive_equivalence.rs` pins both properties).
 //!

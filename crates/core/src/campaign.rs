@@ -10,7 +10,7 @@ use crate::replay::CheckpointStore;
 use crate::stats::{wald_interval, IntervalMethod, Proportion};
 use crate::sweep::{Sweep, SweepCampaign, SweepConfig, SweepUnit};
 use crate::technique::Technique;
-use crate::telemetry::TelemetrySink;
+use crate::telemetry::TelemetryHub;
 use mbfi_ir::{CompiledModule, Module};
 
 /// Configuration of one campaign.
@@ -338,7 +338,7 @@ impl Campaign {
     ///
     /// Since the sweep refactor this is a single-cell [`Sweep`]: the
     /// campaign's experiments are pre-sampled, cut into batches and drained
-    /// by the sweep's work-stealing worker pool (sized by `spec.threads`).
+    /// by the sweep's worker pool (sized by `spec.threads`).
     /// The result is byte-identical to any other schedule — see the
     /// determinism contract in [`crate::sweep`].
     pub fn run_compiled_with_store(
@@ -347,23 +347,23 @@ impl Campaign {
         spec: &CampaignSpec,
         store: Option<&CheckpointStore>,
     ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, None)
+        crate::sweep::run_single(code, golden, spec, store, None, None)
     }
 
-    /// [`Campaign::run_compiled_with_store`] with a telemetry sink (e.g. a
-    /// [`crate::telemetry::TelemetryHub`]) observing the run: experiment and
-    /// batch counters, checkpoint-replay savings, per-cell outcome tallies
-    /// and — at [`crate::telemetry::TelemetryLevel::Full`] — the structured
-    /// event stream.  Telemetry is strictly an observer: the result is
-    /// byte-identical to the untelemetered run for any sink and level.
-    pub fn run_compiled_telemetry<S: TelemetrySink>(
+    /// [`Campaign::run_compiled_with_store`] with a [`TelemetryHub`]
+    /// observing the run: experiment and batch counters, checkpoint-replay
+    /// savings, per-cell outcome tallies and — at
+    /// [`crate::telemetry::TelemetryLevel::Full`] — the structured event
+    /// stream.  Telemetry is strictly an observer: the result is
+    /// byte-identical to the untelemetered run at every level.
+    pub fn run_compiled_telemetry(
         code: &CompiledModule,
         golden: &GoldenRun,
         spec: &CampaignSpec,
         store: Option<&CheckpointStore>,
-        telemetry: &S,
+        telemetry: &TelemetryHub,
     ) -> CampaignResult {
-        crate::sweep::run_single_with(code, golden, spec, store, None, telemetry)
+        crate::sweep::run_single(code, golden, spec, store, None, Some(telemetry))
     }
 
     /// Run one campaign with adaptive precision-targeted sampling: keep
@@ -383,7 +383,7 @@ impl Campaign {
         store: Option<&CheckpointStore>,
         precision: &Precision,
     ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, Some(*precision))
+        crate::sweep::run_single(code, golden, spec, store, Some(*precision), None)
     }
 
     /// Run a fixed-n campaign with bit-level static pruning: experiments
@@ -401,7 +401,7 @@ impl Campaign {
 
     /// Run one campaign per grid point as a single [`Sweep`].  The module is
     /// lowered once and shared by every campaign, and all points run on one
-    /// work-stealing worker pool instead of one pool per campaign.
+    /// worker pool instead of one pool per campaign.
     pub fn run_points(
         module: &Module,
         golden: &GoldenRun,

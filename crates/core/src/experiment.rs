@@ -7,7 +7,7 @@ use crate::outcome::{classify, Outcome};
 use crate::replay::CheckpointStore;
 use crate::rng::{Rng, SmallRng};
 use crate::technique::Technique;
-use crate::telemetry::{Metric, TelemetryLevel, TelemetrySink};
+use crate::telemetry::{Metric, TelemetryHub};
 use mbfi_ir::{CompiledModule, Module};
 use mbfi_vm::{Vm, WalkerVm};
 
@@ -62,9 +62,10 @@ impl ExperimentSpec {
     ///
     /// Sampling is cheap (a few RNG draws per experiment) and depends only on
     /// `(spec.seed, index)`, which is what lets campaign runners batch,
-    /// reorder and steal experiments without changing any result.  Both the
-    /// per-campaign runner and the whole-grid [`crate::sweep::Sweep`] draw
-    /// their specs through this one function so they cannot drift.
+    /// reorder and spread experiments over workers without changing any
+    /// result.  Both the per-campaign runner and the whole-grid
+    /// [`crate::sweep::Sweep`] draw their specs through this one function so
+    /// they cannot drift.
     pub fn sample_campaign(spec: &crate::CampaignSpec, golden: &GoldenRun) -> Vec<ExperimentSpec> {
         (0..spec.experiments)
             .map(|index| {
@@ -117,6 +118,21 @@ pub(crate) struct ExperimentCost {
     pub cow: mbfi_vm::CowStats,
 }
 
+impl ExperimentCost {
+    /// Publish the cost into a hub: a checkpoint fast-forward and the
+    /// dynamic instructions it skipped as [`Metric::CheckpointRestores`] /
+    /// [`Metric::ReplayInstrsSkipped`], and the run's copy-on-write traffic
+    /// as [`Metric::CowChunksCopied`] / [`Metric::CowRestoreBytesSaved`].
+    pub(crate) fn publish(&self, hub: &TelemetryHub) {
+        if let Some(skipped) = self.restored_dyn {
+            hub.add(Metric::CheckpointRestores, 1);
+            hub.add(Metric::ReplayInstrsSkipped, skipped);
+        }
+        hub.add(Metric::CowChunksCopied, self.cow.cow_chunks_copied);
+        hub.add(Metric::CowRestoreBytesSaved, self.cow.restore_bytes_saved);
+    }
+}
+
 /// Runs single experiments.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Experiment;
@@ -152,14 +168,11 @@ impl Experiment {
     /// Execute one experiment on a pre-lowered module — the hot path every
     /// campaign worker runs.
     ///
-    /// Deliberately **not** generic over a telemetry sink: the VM
-    /// interpreter loop inlines into this function, and duplicating it per
-    /// sink monomorphization measurably de-optimizes the copy the telemetry
-    /// path runs (~35% on small workloads).  Keeping one non-generic body
-    /// means every caller — telemetered or not — executes the same machine
-    /// code, which is also what makes the byte-invariance contract easy to
-    /// trust.  See [`Experiment::run_compiled_with`] for the observing
-    /// wrapper.
+    /// Carries no telemetry: the VM interpreter loop inlines into the one
+    /// non-generic execution body, so every caller — telemetered or not —
+    /// executes the same machine code, which is also what makes the
+    /// byte-invariance contract easy to trust.  The sweep executor publishes
+    /// the run's costs separately when a hub records at the Full level.
     pub fn run_compiled(
         code: &CompiledModule,
         golden: &GoldenRun,
@@ -193,8 +206,8 @@ impl Experiment {
             Some(cp) => {
                 hook.resume_candidates(cp.candidates_for(spec.technique));
                 cost.restored_dyn = Some(cp.snapshot().dyn_count());
-                // Fork straight off the shared checkpoint: with CoW enabled
-                // this copies no memory at all up front.
+                // Fork straight off the shared checkpoint: the
+                // copy-on-write fork copies no memory at all up front.
                 Vm::from_snapshot(code, limits, cp.snapshot())
             }
             None => Vm::new(code, limits),
@@ -202,39 +215,6 @@ impl Experiment {
         let result = vm.run_to_end(&mut hook);
         cost.cow = vm.cow_stats();
         (Self::finish(golden, spec, result, hook), cost)
-    }
-
-    /// [`Experiment::run_compiled`] with a telemetry sink: when the
-    /// experiment fast-forwards from a checkpoint, the restore and the
-    /// dynamic instructions it skipped are published as
-    /// [`Metric::CheckpointRestores`] / [`Metric::ReplayInstrsSkipped`], and
-    /// the run's copy-on-write traffic as [`Metric::CowChunksCopied`] /
-    /// [`Metric::CowRestoreBytesSaved`].  Telemetry never influences the
-    /// result (the sink only observes), the execution body stays the one
-    /// non-generic [`Experiment::run_compiled_inner`] so it is off the
-    /// monomorphization lottery, and the publishing block compiles away for
-    /// `NoopSink`.
-    pub fn run_compiled_with<S: TelemetrySink>(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &ExperimentSpec,
-        store: Option<&CheckpointStore>,
-        telemetry: &S,
-    ) -> ExperimentResult {
-        let (result, cost) = Self::run_compiled_inner(code, golden, spec, store);
-        if S::ENABLED && telemetry.level() > TelemetryLevel::Off {
-            if let Some(skipped) = cost.restored_dyn {
-                telemetry.add(Metric::CheckpointRestores, 1);
-                telemetry.add(Metric::ReplayInstrsSkipped, skipped);
-            }
-            if cost.cow.cow_chunks_copied > 0 {
-                telemetry.add(Metric::CowChunksCopied, cost.cow.cow_chunks_copied);
-            }
-            if cost.cow.restore_bytes_saved > 0 {
-                telemetry.add(Metric::CowRestoreBytesSaved, cost.cow.restore_bytes_saved);
-            }
-        }
-        result
     }
 
     /// Execute one experiment on the legacy tree walker.

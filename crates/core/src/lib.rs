@@ -22,7 +22,7 @@
 //!   each experiment's fault-free prefix by restoring a
 //!   [`mbfi_vm::VmSnapshot`] checkpoint (see [`CheckpointStore`]).
 //! * [`sweep`] — whole-grid campaign matrices on one global, deterministic
-//!   work-stealing executor with per-workload shared artifacts (see
+//!   executor with per-workload shared artifacts (see
 //!   [`Sweep`]).
 //! * [`adaptive`] — precision-targeted sampling: sweep cells stop at a
 //!   target 95 % interval half-width instead of a fixed experiment count
@@ -104,6 +104,6 @@ pub use sweep::{
 };
 pub use technique::Technique;
 pub use telemetry::{
-    CellInfo, EventKind, Metric, MonitorState, NoopSink, TelemetryEvent, TelemetryHub,
-    TelemetryLevel, TelemetrySink, TelemetrySnapshot,
+    CellInfo, EventKind, Metric, MonitorState, TelemetryEvent, TelemetryHub, TelemetryLevel,
+    TelemetrySnapshot,
 };

@@ -36,7 +36,7 @@ use crate::outcome::{classify, Outcome, OutcomeCounts};
 use crate::rng::{Rng, SmallRng};
 use crate::space::{ErrorSpace, REGISTER_BITS};
 use crate::technique::Technique;
-use crate::telemetry::{Metric, NoopSink, TelemetrySink};
+use crate::telemetry::{Metric, TelemetryHub};
 use mbfi_ir::bitflow::{BitFlow, BitSpace};
 use mbfi_ir::{CInstr, CompiledModule, Reg};
 use mbfi_vm::{ExecHook, InstrContext, RunResult, Value, Vm};
@@ -400,20 +400,21 @@ impl BitLevelPruner {
         golden: &GoldenRun,
         spec: &CampaignSpec,
     ) -> PrunedCampaign {
-        self.run_campaign_pruned_with(code, golden, spec, &NoopSink)
+        self.run_campaign_pruned_with(code, golden, spec, None)
     }
 
-    /// [`BitLevelPruner::run_campaign_pruned`] with a telemetry sink: the
-    /// statically-resolved and live experiment splits are published as
-    /// [`Metric::PruneSkippedExperiments`] / [`Metric::PruneExecutedExperiments`]
-    /// once the campaign folds.  The sink only observes — the returned
-    /// [`PrunedCampaign`] is identical for any sink.
-    pub fn run_campaign_pruned_with<S: TelemetrySink>(
+    /// [`BitLevelPruner::run_campaign_pruned`] with an optional telemetry
+    /// hub: the statically-resolved and live experiment splits are published
+    /// as [`Metric::PruneSkippedExperiments`] /
+    /// [`Metric::PruneExecutedExperiments`] once the campaign folds.  The hub
+    /// only observes — the returned [`PrunedCampaign`] is identical with or
+    /// without one.
+    pub fn run_campaign_pruned_with(
         &self,
         code: &CompiledModule,
         golden: &GoldenRun,
         spec: &CampaignSpec,
-        telemetry: &S,
+        telemetry: Option<&TelemetryHub>,
     ) -> PrunedCampaign {
         let (vspec, mut warnings) = spec.validate();
         let budget = vspec.experiments;
@@ -503,7 +504,7 @@ impl BitLevelPruner {
             }
         }
 
-        if S::ENABLED {
+        if let Some(telemetry) = telemetry {
             telemetry.add(Metric::PruneSkippedExperiments, skipped);
             telemetry.add(Metric::PruneExecutedExperiments, live.len() as u64);
         }

@@ -338,7 +338,7 @@ impl CheckpointStore {
     /// ([`Metric::CheckpointStoreBytes`] / checkpoint count).  The sweep
     /// executor calls this once per registered unit at sweep start, so a
     /// snapshot relates replay savings to what the checkpoints cost to hold.
-    pub fn publish_telemetry<S: crate::telemetry::TelemetrySink>(&self, telemetry: &S) {
+    pub fn publish_telemetry(&self, telemetry: &crate::telemetry::TelemetryHub) {
         use crate::telemetry::Metric;
         telemetry.add(Metric::CheckpointStoreBytes, self.stored_bytes() as u64);
         telemetry.add(Metric::CheckpointStoreCheckpoints, self.len() as u64);

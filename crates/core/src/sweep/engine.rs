@@ -1,58 +1,57 @@
 //! The persistent, multi-tenant sweep engine.
 //!
-//! [`Sweep::run`](super::Sweep::run) is run-to-completion: it spawns a scoped
-//! worker pool, drains one grid, and joins.  A [`SweepEngine`] instead owns
-//! its worker pool for the **process lifetime** and accepts jobs at runtime —
-//! the serving architecture behind the `mbfi-serve` daemon:
+//! [`Sweep::run`](super::Sweep::run) runs one grid on a scoped worker pool
+//! and returns.  A [`SweepEngine`] runs the **same executor** (`sweep::plan`:
+//! one worker loop, one claim policy, one batch → round → finalize
+//! protocol) on a worker pool it owns for the **process lifetime**, and
+//! accepts jobs at runtime — the serving architecture behind the
+//! `mbfi-serve` daemon:
 //!
 //! * **Multi-tenant scheduling** — every job belongs to a registered
 //!   [`ClientId`] with a priority; workers claim batches from the
 //!   highest-priority client first, round-robin between equal-priority
-//!   clients (a rotor rotates the scan start per claim), and a per-client
-//!   **fairness quota** bounds how many batches one client may have in
-//!   flight, so a large job cannot starve a small one.
+//!   clients, and a per-client **fairness quota** bounds how many batches
+//!   one client may have in flight, so a large job cannot starve a small
+//!   one.
 //! * **Bounded admission** — at most [`EngineConfig::max_pending`] jobs are
 //!   active at once; [`SweepEngine::submit`] blocks until a slot frees
 //!   (backpressure) while [`SweepEngine::try_submit`] fails fast with
 //!   [`SubmitError::Full`].
 //! * **Streaming** — each job gets a private event channel
-//!   ([`JobHandle::events`]): `BatchDone` / `RoundDone` progress,
-//!   `CellFinished` with the cell's full result as soon as its last batch
-//!   lands, and a final `Finished`.  [`JobHandle::wait`] folds the stream
-//!   into a [`SweepReport`].
+//!   ([`JobHandle::next_event`]): [`JobEvent::Progress`] carrying the
+//!   telemetry `batch_done` / `round_done` events, `CellFinished` with the
+//!   cell's full result as soon as its last batch lands, and a final
+//!   `Finished`.  [`JobHandle::wait`] folds the stream into a
+//!   [`SweepReport`].
 //! * **Graceful shutdown** — [`SweepEngine::shutdown`] (also run on `Drop`)
 //!   stops admission, drains every in-flight job to completion, and joins
 //!   the workers.
 //!
-//! The engine shares the scheduling core (`sweep::plan`) with the scoped
-//! driver, so an engine job's results are **byte-identical** to
-//! [`Sweep::run`] on the same units/campaigns/config: plans are built with
-//! the same auto-batch formula (from the *job's* requested
-//! [`SweepConfig::threads`], not the pool size), batches claim in index
-//! order, rounds gate identically, and the final fold is the same
-//! index-order merge.  The pool size, quotas, priorities and the admission
-//! bound only move work between threads and moments — never what a cell
-//! computes.  Enforced by the unit tests below, `tests/serve_equivalence.rs`
-//! and `serve_bench --check`.
+//! An engine job's results are **byte-identical** to [`Sweep::run`] on the
+//! same units/campaigns/config: both plan through the same `Job::new` (the
+//! auto-batch formula takes the *job's* requested
+//! [`SweepConfig::threads`], not the pool size) and run the same protocol.
+//! The pool size, quotas, priorities and the admission bound only move work
+//! between threads and moments — never what a cell computes.  Enforced by
+//! the unit tests below and `tests/serve_equivalence.rs`.
 //!
 //! Units are **owned** (`Arc`) rather than borrowed: a persistent pool
 //! cannot hold references into a submitter's stack frame, so jobs carry
 //! [`EngineUnit`]s and workers build the borrowed [`SweepUnit`] view on the
 //! fly.
+//!
+//! [`Sweep::run`]: super::Sweep::run
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::campaign::CampaignWarning;
 use crate::golden::GoldenRun;
-use crate::outcome::OutcomeCounts;
 use crate::replay::CheckpointStore;
+use crate::telemetry::EventKind;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{run_span, Plan};
+use super::plan::{resolve_threads, worker_loop, Job, Shared, Units};
 use super::{SweepCampaign, SweepCampaignResult, SweepConfig, SweepReport, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
@@ -79,7 +78,7 @@ impl EngineUnit {
         }
     }
 
-    /// The borrowed view the shared scheduling core works on.
+    /// The borrowed view the executor runs experiments through.
     pub fn view(&self) -> SweepUnit<'_> {
         SweepUnit {
             code: &self.code,
@@ -152,44 +151,18 @@ pub struct JobSpec {
     pub config: SweepConfig,
 }
 
-/// Progress of one job, streamed over [`JobHandle::events`] in the order
+/// Progress of one job, streamed over [`JobHandle::next_event`] in the order
 /// things happen.  Cell indices are submission indices into
 /// [`JobSpec::campaigns`].
 #[derive(Debug)]
 pub enum JobEvent {
-    /// A batch of `cell` completed (mirrors the telemetry `batch_done`
-    /// schema; engine batches are always wall-clock timed).
-    BatchDone {
-        /// Submission index of the campaign.
-        cell: usize,
-        /// Batch index within the cell.
-        batch: usize,
-        /// Experiments in the batch.
-        experiments: u64,
-        /// The batch's own outcome tally.
-        counts: OutcomeCounts,
-        /// Wall-clock time of the batch.
-        wall_ns: u64,
-        /// Engine worker that ran it.
-        worker: usize,
-    },
-    /// An adaptive round boundary was evaluated for `cell`.
-    RoundDone {
-        /// Submission index of the campaign.
-        cell: usize,
-        /// 1-based completed round count.
-        round: u32,
-        /// Merged experiments so far.
-        experiments: u64,
-        /// SDC half-width after this round (percentage points).
-        sdc_half_width_pct: f64,
-        /// Detection half-width after this round (percentage points).
-        detection_half_width_pct: f64,
-        /// Whether the stop rule fired.
-        stopped: bool,
-    },
+    /// A batch or adaptive-round progress event: an
+    /// [`EventKind::BatchDone`] or [`EventKind::RoundDone`], exactly as the
+    /// telemetry stream carries it (`cell` is the submission index; engine
+    /// batches are always wall-clock timed).
+    Progress(EventKind),
     /// `cell`'s last batch landed; `result` is final and byte-identical to
-    /// the scoped driver's result for the same cell.
+    /// [`Sweep::run`](super::Sweep::run)'s result for the same cell.
     CellFinished {
         /// Submission index of the campaign.
         cell: usize,
@@ -268,8 +241,8 @@ impl JobHandle {
         &self.warnings
     }
 
-    /// Blocking: the next event, or `None` after `Finished` (or if the
-    /// engine died).
+    /// Blocking: the next event, or `None` after `Finished` (or if a worker
+    /// died running one of the job's batches).
     pub fn next_event(&self) -> Option<JobEvent> {
         self.events.recv().ok()
     }
@@ -282,70 +255,16 @@ impl JobHandle {
             match event {
                 JobEvent::CellFinished { cell, result } => slots[cell] = Some(*result),
                 JobEvent::Finished => break,
-                _ => {}
+                JobEvent::Progress(_) => {}
             }
         }
-        SweepReport {
-            results: slots
-                .into_iter()
-                .map(|r| r.expect("engine job finished without producing every result"))
-                .collect(),
-            warnings: self.warnings,
-        }
+        SweepReport::from_slots(slots, self.warnings)
     }
 }
 
-/// One admitted job as the scheduler sees it.
-struct Job {
-    id: u64,
-    client: u64,
-    keep_records: bool,
-    plans: Vec<Plan>,
-    units: Vec<EngineUnit>,
-    /// Cells not yet finished; the job leaves the schedule at 0.
-    live: AtomicUsize,
-    events: mpsc::Sender<JobEvent>,
-}
-
-struct ClientState {
-    priority: u8,
-    /// Batches of this client currently being executed by workers.
-    inflight: usize,
-    /// Unregistered while still owning work; reaped when it drains.
-    closed: bool,
-}
-
-/// Everything behind the scheduler mutex.
-struct Sched {
-    /// Active jobs in admission order.
-    jobs: Vec<Arc<Job>>,
-    clients: HashMap<u64, ClientState>,
-    /// Advances once per successful claim; rotates the scan start between
-    /// equal-priority clients so claims round-robin.
-    rotor: usize,
-    shutdown: bool,
-    next_client: u64,
-    next_job: u64,
-}
-
-struct Shared {
-    sched: Mutex<Sched>,
-    /// Workers park here; notified on submit, batch completion and shutdown.
-    work: Condvar,
-    /// Blocked submitters park here; notified when a job leaves the
-    /// schedule and on shutdown.
-    capacity: Condvar,
-    /// Resolved per-client in-flight quota (≥ 1).
-    quota: usize,
-    /// Resolved admission bound (≥ 1).
-    max_pending: usize,
-}
-
-const LOCK_POISONED: &str = "engine scheduler lock poisoned";
-
 /// The persistent campaign engine; see the module docs.
 pub struct SweepEngine {
-    shared: Arc<Shared>,
+    shared: Arc<Shared<'static>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     threads: usize,
 }
@@ -354,14 +273,7 @@ impl SweepEngine {
     /// Spawn the worker pool; it runs until [`SweepEngine::shutdown`] (or
     /// `Drop`).
     pub fn new(config: EngineConfig) -> SweepEngine {
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.threads
-        }
-        .max(1);
+        let threads = resolve_threads(config.threads);
         let quota = if config.quota == 0 {
             threads
         } else {
@@ -372,20 +284,7 @@ impl SweepEngine {
         } else {
             config.max_pending
         };
-        let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched {
-                jobs: Vec::new(),
-                clients: HashMap::new(),
-                rotor: 0,
-                shutdown: false,
-                next_client: 0,
-                next_job: 0,
-            }),
-            work: Condvar::new(),
-            capacity: Condvar::new(),
-            quota,
-            max_pending,
-        });
+        let shared = Arc::new(Shared::new(quota, max_pending, None));
         let workers = (0..threads)
             .map(|t| {
                 let shared = Arc::clone(&shared);
@@ -407,28 +306,13 @@ impl SweepEngine {
     /// Register a tenant.  Higher `priority` wins every claim over lower;
     /// equal priorities round-robin.
     pub fn register_client(&self, priority: u8) -> ClientId {
-        let mut sched = self.shared.sched.lock().expect(LOCK_POISONED);
-        let id = sched.next_client;
-        sched.next_client += 1;
-        sched.clients.insert(
-            id,
-            ClientState {
-                priority,
-                inflight: 0,
-                closed: false,
-            },
-        );
-        ClientId(id)
+        ClientId(self.shared.register_client(priority))
     }
 
     /// Unregister a tenant.  Jobs it still owns drain normally; the client
     /// record is reaped once its last batch lands.
     pub fn unregister_client(&self, client: ClientId) {
-        let mut sched = self.shared.sched.lock().expect(LOCK_POISONED);
-        if let Some(state) = sched.clients.get_mut(&client.0) {
-            state.closed = true;
-        }
-        reap_client(&mut sched, client.0);
+        self.shared.unregister_client(client.0);
     }
 
     /// Submit a job, blocking while the engine is at its admission bound.
@@ -452,114 +336,30 @@ impl SweepEngine {
                 });
             }
         }
-        // Plans are built exactly as `Sweep::run_streamed_with` builds them —
-        // same auto-batch formula from the job's own `config.threads` — so
-        // engine results are byte-identical to the scoped driver's.  Built
-        // outside the scheduler lock: depth-sorting a stored unit samples
-        // the whole campaign.
-        let threads = if spec.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            spec.config.threads
-        };
-        let total_experiments: usize = spec.campaigns.iter().map(|c| c.spec.experiments).sum();
-        let auto_batch = total_experiments.div_ceil(threads.max(1) * 8).clamp(1, 64);
-        let plans: Vec<Plan> = spec
-            .campaigns
-            .iter()
-            .map(|c| {
-                Plan::new(
-                    c,
-                    &spec.units[c.unit].view(),
-                    spec.config.batch_size,
-                    auto_batch,
-                    spec.config.precision,
-                )
-            })
-            .collect();
-        // Deduplicated in submission order, like `SweepReport::warnings`.
-        // The engine does not print them — they are data for the caller.
-        let mut warnings: Vec<CampaignWarning> = Vec::new();
-        for plan in &plans {
-            for w in &plan.warnings {
-                if !warnings.contains(w) {
-                    warnings.push(*w);
-                }
-            }
-        }
-
-        let (tx, rx) = mpsc::channel::<JobEvent>();
-        let cells = plans.len();
-        // Cells without a single batch (0 experiments) cannot be finalized
-        // by a worker; emit their empty results up front, mirroring the
-        // scoped driver.
-        let mut live = 0usize;
-        for (index, plan) in plans.iter().enumerate() {
-            if plan.batches() == 0 {
-                let _ = tx.send(JobEvent::CellFinished {
-                    cell: index,
-                    result: Box::new(plan.empty_result()),
-                });
-            } else {
-                live += 1;
-            }
-        }
-
-        let mut sched = self.shared.sched.lock().expect(LOCK_POISONED);
-        loop {
-            if sched.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            match sched.clients.get(&spec.client.0) {
-                Some(state) if !state.closed => {}
-                _ => return Err(SubmitError::UnknownClient),
-            }
-            if sched.jobs.len() < self.shared.max_pending {
-                break;
-            }
-            if !block {
-                return Err(SubmitError::Full);
-            }
-            sched = self.shared.capacity.wait(sched).expect(LOCK_POISONED);
-        }
-        let id = sched.next_job;
-        sched.next_job += 1;
-        if live == 0 {
-            let _ = tx.send(JobEvent::Finished);
-        } else {
-            sched.jobs.push(Arc::new(Job {
-                id,
-                client: spec.client.0,
-                keep_records: spec.config.keep_records,
-                plans,
-                units: spec.units,
-                live: AtomicUsize::new(live),
-                events: tx,
-            }));
-            drop(sched);
-            self.shared.work.notify_all();
-        }
+        // Planned outside the scheduler lock: depth-sorting a stored unit
+        // samples the whole campaign.  The engine does not print warnings —
+        // they are data for the caller.
+        let (job, events, warnings) = Job::new(
+            spec.client.0,
+            Units::Owned(spec.units),
+            &spec.campaigns,
+            &spec.config,
+        );
+        let id = self.shared.admit(job, block)?;
         Ok(JobHandle {
             id: JobId(id),
-            cells,
+            cells: spec.campaigns.len(),
             warnings,
-            events: rx,
+            events,
         })
     }
 
     /// Stop admission, drain every in-flight job to completion, and join
     /// the workers.  Idempotent; also run by `Drop`.
     pub fn shutdown(&self) {
-        {
-            let mut sched = self.shared.sched.lock().expect(LOCK_POISONED);
-            sched.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.capacity.notify_all();
+        self.shared.shutdown();
         let handles: Vec<JoinHandle<()>> = {
-            let mut workers = self.workers.lock().expect(LOCK_POISONED);
+            let mut workers = self.workers.lock().expect("engine worker list poisoned");
             workers.drain(..).collect()
         };
         for handle in handles {
@@ -571,195 +371,6 @@ impl SweepEngine {
 impl Drop for SweepEngine {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// An engine worker: claim a batch under the scheduler policy, run it
-/// outside the lock, repeat; park on the `work` condvar when nothing is
-/// claimable; exit once shut down **and** drained.
-fn worker_loop(shared: &Shared, worker: usize) {
-    loop {
-        let claimed = {
-            let mut sched = shared.sched.lock().expect(LOCK_POISONED);
-            loop {
-                if let Some(claim) = claim_batch(&mut sched, shared.quota) {
-                    break Some(claim);
-                }
-                if sched.shutdown && sched.jobs.is_empty() {
-                    break None;
-                }
-                sched = shared.work.wait(sched).expect(LOCK_POISONED);
-            }
-        };
-        let Some((job, cell, batch)) = claimed else {
-            return;
-        };
-        run_engine_batch(worker, &job, cell, batch);
-        finish_batch(shared, &job);
-    }
-}
-
-/// The scheduling policy, applied under the lock: highest client priority
-/// first, rotor round-robin between equal priorities, skip clients at their
-/// in-flight quota, then first job / first cell / front-of-deque within the
-/// chosen client.  None of it affects results — only which worker runs
-/// which batch when.
-fn claim_batch(sched: &mut Sched, quota: usize) -> Option<(Arc<Job>, usize, usize)> {
-    // Distinct clients owning active jobs, in admission order, with their
-    // priorities.
-    let mut clients: Vec<(u64, u8)> = Vec::new();
-    for job in &sched.jobs {
-        if !clients.iter().any(|&(c, _)| c == job.client) {
-            let priority = sched.clients.get(&job.client).map_or(0, |s| s.priority);
-            clients.push((job.client, priority));
-        }
-    }
-    if clients.is_empty() {
-        return None;
-    }
-    // Stable sort keeps admission order within a priority; then rotate each
-    // equal-priority run by the rotor so consecutive claims start at
-    // different clients.
-    clients.sort_by_key(|&(_, priority)| std::cmp::Reverse(priority));
-    let mut order: Vec<u64> = Vec::with_capacity(clients.len());
-    let mut i = 0;
-    while i < clients.len() {
-        let mut j = i;
-        while j < clients.len() && clients[j].1 == clients[i].1 {
-            j += 1;
-        }
-        let group = &clients[i..j];
-        let r = sched.rotor % group.len();
-        order.extend(group[r..].iter().chain(&group[..r]).map(|&(c, _)| c));
-        i = j;
-    }
-    for client in order {
-        let at_quota = sched
-            .clients
-            .get(&client)
-            .is_some_and(|s| s.inflight >= quota);
-        if at_quota {
-            continue;
-        }
-        for job in &sched.jobs {
-            if job.client != client {
-                continue;
-            }
-            for (cell, plan) in job.plans.iter().enumerate() {
-                if let Some(batch) = plan.take_batch() {
-                    let job = Arc::clone(job);
-                    if let Some(state) = sched.clients.get_mut(&client) {
-                        state.inflight += 1;
-                    }
-                    sched.rotor = sched.rotor.wrapping_add(1);
-                    return Some((job, cell, batch));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Post-batch bookkeeping: release the quota slot, retire the job once its
-/// last cell finished (emitting `Finished` exactly once and freeing an
-/// admission slot), reap closed clients, and wake the pool — the batch may
-/// have released an adaptive round.
-fn finish_batch(shared: &Shared, job: &Arc<Job>) {
-    let mut sched = shared.sched.lock().expect(LOCK_POISONED);
-    if let Some(state) = sched.clients.get_mut(&job.client) {
-        state.inflight -= 1;
-    }
-    if job.live.load(Ordering::Acquire) == 0 {
-        if let Some(pos) = sched.jobs.iter().position(|j| j.id == job.id) {
-            sched.jobs.remove(pos);
-            let _ = job.events.send(JobEvent::Finished);
-            shared.capacity.notify_all();
-        }
-    }
-    reap_client(&mut sched, job.client);
-    drop(sched);
-    shared.work.notify_all();
-}
-
-/// Drop a closed client's record once nothing of it remains in the engine.
-fn reap_client(sched: &mut Sched, client: u64) {
-    let drained = !sched.jobs.iter().any(|j| j.client == client);
-    let reapable = sched
-        .clients
-        .get(&client)
-        .is_some_and(|s| s.closed && s.inflight == 0 && drained);
-    if reapable {
-        sched.clients.remove(&client);
-    }
-}
-
-/// Run one batch and apply the round/finish protocol — the engine's mirror
-/// of the scoped driver's `run_batch`, with job events in place of
-/// telemetry.  The protocol (completion counting, round-boundary
-/// evaluation, release, finalize) must match `run_batch` exactly; the
-/// byte-identity tests below and `tests/serve_equivalence.rs` pin it.
-fn run_engine_batch(worker: usize, job: &Job, cell: usize, b: usize) {
-    let plan = &job.plans[cell];
-    let unit = job.units[plan.unit].view();
-    let (start, end) = plan.spans[b];
-    let batch_start = Instant::now();
-    let out = run_span(plan, b, &unit, job.keep_records);
-    let wall_ns = batch_start.elapsed().as_nanos() as u64;
-    let batch_counts = out.counts;
-    *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
-    let _ = job.events.send(JobEvent::BatchDone {
-        cell,
-        batch: b,
-        experiments: u64::from(end - start),
-        counts: batch_counts,
-        wall_ns,
-        worker,
-    });
-    // Exactly one worker observes each round boundary: `fetch_add` hands out
-    // unique completion counts, and `released` only moves when the boundary
-    // worker advances it below.
-    let done = plan.completed.fetch_add(1, Ordering::AcqRel) + 1;
-    if done != plan.released.load(Ordering::Acquire) {
-        return;
-    }
-    let round = plan
-        .round_batch_ends
-        .iter()
-        .position(|&e| e == done)
-        .expect("released always equals a round boundary");
-    let last_round = round + 1 == plan.round_batch_ends.len();
-    let merged = (!last_round || plan.precision.is_some()).then(|| plan.merged_counts(done));
-    let finished = last_round
-        || plan
-            .precision
-            .as_ref()
-            .expect("fixed-n campaigns have exactly one round")
-            .satisfied(
-                merged
-                    .as_ref()
-                    .expect("merged counts computed for gated rounds"),
-            );
-    if let (Some(merged), Some(precision)) = (merged.as_ref(), plan.precision.as_ref()) {
-        let (sdc_hw, det_hw) = precision.half_widths(merged);
-        let _ = job.events.send(JobEvent::RoundDone {
-            cell,
-            round: round as u32 + 1,
-            experiments: merged.total(),
-            sdc_half_width_pct: sdc_hw,
-            detection_half_width_pct: det_hw,
-            stopped: finished,
-        });
-    }
-    if finished {
-        let result = plan.finalize(job.keep_records, done, round as u32 + 1);
-        let _ = job.events.send(JobEvent::CellFinished {
-            cell,
-            result: Box::new(result),
-        });
-        job.live.fetch_sub(1, Ordering::AcqRel);
-    } else {
-        plan.released
-            .store(plan.round_batch_ends[round + 1], Ordering::Release);
     }
 }
 
@@ -893,7 +504,7 @@ mod tests {
                     assert_eq!(
                         report,
                         expected,
-                        "engine diverged from scoped sweep (pool={pool}, \
+                        "engine diverged from Sweep::run (pool={pool}, \
                          job_threads={job_threads}, adaptive={})",
                         precision.is_some()
                     );
@@ -902,7 +513,7 @@ mod tests {
         }
     }
 
-    /// Concurrent jobs from two clients both match the scoped driver, and
+    /// Concurrent jobs from two clients both match `Sweep::run`, and
     /// the event stream carries per-cell progress.
     #[test]
     fn concurrent_clients_stream_identical_results() {
@@ -941,13 +552,15 @@ mod tests {
                 (0..handle.cells()).map(|_| None).collect();
             while let Some(event) = handle.next_event() {
                 match event {
-                    JobEvent::BatchDone { experiments, .. } => batch_experiments += experiments,
+                    JobEvent::Progress(EventKind::BatchDone { experiments, .. }) => {
+                        batch_experiments += experiments
+                    }
                     JobEvent::CellFinished { cell, result } => {
                         finished_cells += 1;
                         slots[cell] = Some(*result);
                     }
                     JobEvent::Finished => break,
-                    JobEvent::RoundDone { .. } => {}
+                    JobEvent::Progress(_) => {}
                 }
             }
             assert_eq!(finished_cells, campaigns.len());
@@ -1067,5 +680,37 @@ mod tests {
         let report = handle.wait();
         assert_eq!(report.results[0].result.total(), 0);
         drop(engine);
+    }
+
+    /// A worker that dies mid-batch fails its job instead of hanging it: the
+    /// job leaves the schedule, the remaining workers drain and exit, and
+    /// the owner's stream ends without `Finished`.
+    #[test]
+    fn a_panicking_batch_fails_its_job() {
+        use crate::sweep::plan::{claim_for_test, worker_loop, Job, Shared, Units};
+        let units = vec![unit(48, false)];
+        let shared = Shared::new(usize::MAX, 1, None);
+        let client = shared.register_client(0);
+        let (job, events, _) = Job::new(
+            client,
+            Units::Owned(units),
+            &grid(8),
+            &SweepConfig {
+                batch_size: 2,
+                ..SweepConfig::default()
+            },
+        );
+        shared.admit(job, false).unwrap();
+        shared.shutdown();
+        std::thread::scope(|scope| {
+            let dying =
+                scope.spawn(|| claim_for_test(&shared, || panic!("injected batch failure")));
+            assert!(dying.join().is_err());
+            // Without the failure path this worker would wait forever for
+            // the dead batch's cell.
+            scope.spawn(|| worker_loop(&shared, 1));
+        });
+        let events: Vec<JobEvent> = events.iter().collect();
+        assert!(!events.iter().any(|e| matches!(e, JobEvent::Finished)));
     }
 }

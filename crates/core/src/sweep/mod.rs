@@ -1,23 +1,19 @@
-//! Whole-grid campaign sweeps on one global, deterministic work-stealing
-//! executor.
+//! Whole-grid campaign sweeps on one global, deterministic executor.
 //!
 //! The paper's results all come from *grids* of campaigns — every workload ×
-//! technique × fault model — yet [`crate::Campaign`] alone only knows how to run one
-//! campaign at a time, spawning (and joining) its own worker threads per
-//! campaign.  A [`Sweep`] instead takes the whole grid at once: every
-//! campaign's experiments are cut into fixed-size **batches**
-//! and queued in a per-campaign deque; one pool of workers drains all queues
-//! together, each worker preferring its "home" campaign and **stealing whole
-//! batches** from the other campaigns once its home queue is empty.  The
-//! pool is spawned once for the entire grid instead of once per campaign,
-//! and a long-running campaign at the end of the grid is finished
-//! cooperatively by every worker rather than by one campaign-private pool.
+//! technique × fault model.  A [`Sweep`] takes the whole grid at once: every
+//! campaign's experiments are cut into fixed-size **batches** and one pool
+//! of workers drains all campaigns together, claiming whole batches in
+//! index order from the first campaign with work left.  The pool is spawned
+//! once for the entire grid instead of once per campaign, and a
+//! long-running campaign at the end of the grid is finished cooperatively
+//! by every worker rather than by one campaign-private pool.
 //!
 //! ## Determinism contract
 //!
-//! Results are *byte-identical regardless of thread count and steal
-//! schedule*, and equal to running each cell through
-//! [`crate::Campaign::run_compiled`] serially:
+//! Results are *byte-identical regardless of thread count and schedule*,
+//! and equal to running each cell through [`crate::Campaign::run_compiled`]
+//! serially:
 //!
 //! * every experiment's spec is a pure function of `(campaign seed,
 //!   experiment index)` alone — workers re-sample it when they run the
@@ -32,7 +28,7 @@
 //!
 //! The contract is enforced by `tests/sweep_equivalence.rs` (per-cell
 //! byte-equality against the serial runner over the default grid on all 15
-//! workloads, invariant across thread counts) and by `sweep_bench --check`.
+//! workloads, invariant across thread counts).
 //!
 //! ## Adaptive precision-targeted sampling
 //!
@@ -43,13 +39,12 @@
 //! that completed it merges the counts of *all* completed batches (a pure
 //! index-order fold) and evaluates the stopping rule
 //! ([`Precision::satisfied`]).  Cells that meet the target release no further
-//! batches — their worker capacity drains to unfinished campaigns through the
-//! normal stealing scan — while unfinished cells release their next round.
-//! Because the stop decision sees only merged whole-round state, the realized
-//! experiment count (and therefore every count, histogram and record) is the
-//! same for every thread count, batch size and steal schedule, and equals a
-//! fixed-n campaign of exactly the realized length
-//! (`tests/adaptive_equivalence.rs`).
+//! batches — their worker capacity drains to unfinished campaigns — while
+//! unfinished cells release their next round.  Because the stop decision
+//! sees only merged whole-round state, the realized experiment count (and
+//! therefore every count, histogram and record) is the same for every
+//! thread count, batch size and schedule, and equals a fixed-n campaign of
+//! exactly the realized length (`tests/adaptive_equivalence.rs`).
 //!
 //! ## Shared artifacts
 //!
@@ -60,21 +55,21 @@
 //! input size)` key in its `SweepCache`).
 //!
 //! [`crate::Campaign::run_compiled_with_store`] is itself implemented as a
-//! single-campaign sweep, so there is exactly one execution engine.
+//! single-campaign sweep.
 //!
-//! ## Two drivers, one core
+//! ## One executor, two ways to host it
 //!
-//! The scheduling core — per-campaign plans, batch claiming, round gating
-//! and the index-order result fold — lives in `sweep::plan` and is shared by
-//! **two drivers**: the borrow-friendly scoped driver behind [`Sweep::run`]
-//! (spawns a scoped pool per call), and the persistent multi-tenant
-//! [`SweepEngine`] behind the `mbfi-serve` daemon (owns its worker pool for
-//! the process lifetime, accepts jobs at runtime with per-client priorities,
-//! fairness quotas and bounded admission, and streams results as they land).
-//! Both produce byte-identical results for the same cells because everything
-//! that determines what a cell computes is in the shared core; the drivers
-//! only decide *when* and *by whom* each batch runs, which the determinism
-//! contract makes irrelevant.
+//! The executor lives in `sweep::plan`: per-campaign plans, the job
+//! planner (auto batch size, warning dedupe, zero-experiment cells), one
+//! worker loop, one claim policy and one batch → round → finalize protocol.
+//! [`Sweep::run`] hosts it on a scoped pool spawned per call, over the
+//! caller's borrowed units; the persistent multi-tenant [`SweepEngine`]
+//! behind the `mbfi-serve` daemon hosts it on a pool it owns for the
+//! process lifetime, over `Arc`-owned [`EngineUnit`]s, with per-client
+//! priorities, fairness quotas and bounded admission.  Both stream the same
+//! [`JobEvent`]s, whose progress variants are the telemetry [`EventKind`]s
+//! themselves, so a telemetry hub, a serve client and `Sweep::run` all see
+//! one event type.
 
 mod engine;
 mod plan;
@@ -84,20 +79,17 @@ pub use engine::{
     SweepEngine,
 };
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
 use crate::golden::GoldenRun;
 use crate::injector::InjectionRecord;
-use crate::outcome::OutcomeCounts;
 use crate::replay::CheckpointStore;
-use crate::telemetry::{CellInfo, EventKind, Metric, NoopSink, TelemetryLevel, TelemetrySink};
+use crate::telemetry::{CellInfo, EventKind, Metric, TelemetryHub};
 use mbfi_ir::CompiledModule;
 
-use plan::{run_span, run_span_timed, Plan};
+use plan::{resolve_threads, worker_loop, Job, Plan, Shared, Units};
 
 /// Per-workload artifacts shared by every campaign of a sweep: the module is
 /// lowered once, the golden run captured once, and the checkpoint store (if
@@ -140,7 +132,7 @@ pub struct SweepCampaign {
 pub struct SweepConfig {
     /// Worker threads (0 = all available parallelism).
     pub threads: usize,
-    /// Experiments per stealable batch (0 = auto: total experiments spread
+    /// Experiments per batch (0 = auto: total experiments spread
     /// over 8 batches per worker, clamped to `[1, 64]`; adaptive campaigns
     /// auto-size from the round step instead so the batch cut never depends
     /// on the thread count).
@@ -180,6 +172,16 @@ pub struct SweepReport {
 }
 
 impl SweepCampaignResult {
+    /// The telemetry `cell_finished` event announcing this result as `cell`.
+    pub fn finished_event(&self, cell: usize) -> EventKind {
+        EventKind::CellFinished {
+            cell,
+            experiments: self.result.total(),
+            counts: self.result.counts,
+            rounds: self.result.adaptive.as_ref().map_or(0, |a| a.rounds),
+        }
+    }
+
     /// Wire encoding of one cell's result, exact enough that a result that
     /// crossed the serve wire compares byte-identical to the in-process one.
     pub fn to_json(&self) -> crate::report::json::Json {
@@ -218,6 +220,17 @@ impl SweepCampaignResult {
 }
 
 impl SweepReport {
+    /// Assemble a report from per-cell result slots (submission order).
+    fn from_slots(slots: Vec<Option<SweepCampaignResult>>, warnings: Vec<CampaignWarning>) -> Self {
+        SweepReport {
+            results: slots
+                .into_iter()
+                .map(|r| r.expect("sweep finished without producing every result"))
+                .collect(),
+            warnings,
+        }
+    }
+
     /// Wire encoding of a whole report (the final frame of a serve job).
     pub fn to_json(&self) -> crate::report::json::Json {
         use crate::report::json::Json;
@@ -264,56 +277,30 @@ impl Sweep {
         campaigns: &[SweepCampaign],
         config: &SweepConfig,
     ) -> SweepReport {
-        Self::run_with(units, campaigns, config, &NoopSink)
-    }
-
-    /// [`Sweep::run`] publishing live progress into a telemetry sink.
-    ///
-    /// Telemetry is strictly observational: the report is byte-identical to
-    /// [`Sweep::run`] for any sink, level and thread count
-    /// (`tests/telemetry_equivalence.rs`), and with [`NoopSink`] every
-    /// instrumentation site monomorphizes away.
-    pub fn run_with<S: TelemetrySink>(
-        units: &[SweepUnit<'_>],
-        campaigns: &[SweepCampaign],
-        config: &SweepConfig,
-        telemetry: &S,
-    ) -> SweepReport {
         let mut slots: Vec<Option<SweepCampaignResult>> = vec![None; campaigns.len()];
-        let warnings =
-            Self::run_streamed_with(units, campaigns, config, telemetry, |index, result| {
-                slots[index] = Some(result);
-            });
-        SweepReport {
-            results: slots
-                .into_iter()
-                .map(|r| r.expect("sweep finished without producing every result"))
-                .collect(),
-            warnings,
-        }
+        let warnings = Self::run_streamed(units, campaigns, config, None, |index, result| {
+            slots[index] = Some(result);
+        });
+        SweepReport::from_slots(slots, warnings)
     }
 
     /// Run the grid, handing each campaign's result to `sink` as soon as its
     /// last batch completes (completion order; the `usize` is the campaign's
-    /// submission index).  Returns the deduplicated warnings.
+    /// submission index).  Returns the deduplicated warnings; each distinct
+    /// warning is also printed to stderr once per sweep.
     ///
-    /// Each distinct warning is also printed to stderr once per sweep.
+    /// With a `telemetry` hub, the sweep's events — `sweep_started`,
+    /// `cell_planned`, every `batch_done` / `round_done` / `cell_finished`
+    /// and `sweep_finished` — are recorded into it, along with the workers'
+    /// waits and, at [`crate::TelemetryLevel::Full`], per-experiment
+    /// latencies and replay costs.  Telemetry is strictly observational:
+    /// results are byte-identical with and without a hub, at every level and
+    /// thread count (`tests/telemetry_equivalence.rs`).
     pub fn run_streamed(
         units: &[SweepUnit<'_>],
         campaigns: &[SweepCampaign],
         config: &SweepConfig,
-        sink: impl FnMut(usize, SweepCampaignResult),
-    ) -> Vec<CampaignWarning> {
-        Self::run_streamed_with(units, campaigns, config, &NoopSink, sink)
-    }
-
-    /// [`Sweep::run_streamed`] publishing live progress into a telemetry
-    /// sink (see [`Sweep::run_with`] for the observation-only contract).
-    pub fn run_streamed_with<S: TelemetrySink>(
-        units: &[SweepUnit<'_>],
-        campaigns: &[SweepCampaign],
-        config: &SweepConfig,
-        telemetry: &S,
+        telemetry: Option<&TelemetryHub>,
         mut sink: impl FnMut(usize, SweepCampaignResult),
     ) -> Vec<CampaignWarning> {
         for c in campaigns {
@@ -324,418 +311,109 @@ impl Sweep {
                 units.len()
             );
         }
-
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.threads
-        };
-        // The fixed-n auto batch size spreads the whole grid over 8 batches
-        // per worker.  It may depend on the thread count, which is safe for
-        // fixed-n campaigns (the batch cut never changes results) but NOT for
-        // adaptive ones (rounds are made of whole batches) — adaptive plans
-        // auto-size from the round step instead, inside [`Plan::new`].
-        let total_experiments: usize = campaigns.iter().map(|c| c.spec.experiments).sum();
-        let auto_batch = total_experiments.div_ceil(threads.max(1) * 8).clamp(1, 64);
-
-        let plans: Vec<Plan> = campaigns
-            .iter()
-            .map(|c| {
-                Plan::new(
-                    c,
-                    &units[c.unit],
-                    config.batch_size,
-                    auto_batch,
-                    config.precision,
-                )
-            })
-            .collect();
-
-        // Warnings are known before any experiment runs; print each distinct
-        // one once (submission order) so a whole grid of equally-misconfigured
-        // campaigns does not repeat itself hundreds of times on stderr.
-        let mut warnings: Vec<CampaignWarning> = Vec::new();
-        for plan in &plans {
-            for w in &plan.warnings {
-                if !warnings.contains(w) {
-                    eprintln!("campaign warning: {w} ({w:?})");
-                    warnings.push(*w);
-                }
-            }
+        // One client, one job, no quota: the whole pool serves this grid.
+        let shared = Shared::new(usize::MAX, 1, telemetry);
+        let client = shared.register_client(0);
+        let (job, events, warnings) = Job::new(client, Units::Borrowed(units), campaigns, config);
+        // Print each distinct warning once so a whole grid of equally
+        // misconfigured campaigns does not repeat itself on stderr.
+        for w in &warnings {
+            eprintln!("campaign warning: {w} ({w:?})");
         }
-
-        let total_batches: usize = plans.iter().map(Plan::batches).sum();
-        let threads = threads.clamp(1, total_batches.max(1));
+        let threads = resolve_threads(config.threads).clamp(1, job.batches().max(1));
         let sweep_start = Instant::now();
-
-        // Register cells and announce the sweep before any experiment runs,
-        // so a tailing monitor sees labels and budgets first.
-        if S::ENABLED && telemetry.level() > TelemetryLevel::Off {
-            let infos: Vec<CellInfo> = plans
-                .iter()
-                .map(|p| CellInfo {
-                    unit: p.unit,
-                    label: format!(
-                        "u{} {} {}",
-                        p.unit,
-                        p.spec.technique.short_name(),
-                        p.spec.model.label()
-                    ),
-                    planned: p.spec.experiments as u64,
-                })
-                .collect();
-            telemetry.begin_sweep(&infos, threads);
-            let planned: u64 = infos.iter().map(|c| c.planned).sum();
-            telemetry.emit(EventKind::SweepStarted {
-                cells: infos.len(),
-                threads,
-                planned,
-            });
-            for (cell, info) in infos.into_iter().enumerate() {
-                telemetry.emit(EventKind::CellPlanned { cell, info });
-            }
-            // Per-unit shared artifacts: the fault-free per-opcode profile
-            // and the checkpoint-store footprint.
-            for unit in units {
-                telemetry.profile(&unit.golden.profile);
-                if let Some(store) = unit.store {
-                    store.publish_telemetry(telemetry);
-                }
-            }
+        if let Some(hub) = telemetry {
+            announce(hub, &job.plans, units, threads);
         }
+        shared
+            .admit(job, false)
+            .expect("a fresh executor admits its first job");
+        // Workers exit as soon as the job drains.
+        shared.shutdown();
 
-        // Campaigns without a single batch (0 experiments) cannot be
-        // finalized by a worker; emit their empty results up front.
-        let mut live = 0usize;
-        let mut total_done = 0u64;
-        for (index, plan) in plans.iter().enumerate() {
-            if plan.batches() == 0 {
-                if S::ENABLED {
-                    telemetry.add(Metric::CellsFinished, 1);
-                    telemetry.cell_status(index, 0, f64::NAN, f64::NAN, true);
-                    telemetry.emit(EventKind::CellFinished {
-                        cell: index,
-                        experiments: 0,
-                        counts: OutcomeCounts::default(),
-                        rounds: 0,
-                    });
-                }
-                sink(index, plan.empty_result());
-            } else {
-                live += 1;
+        let mut total = 0u64;
+        std::thread::scope(|scope| {
+            for worker in 0..threads {
+                let shared = &shared;
+                scope.spawn(move || worker_loop(shared, worker));
             }
-        }
-        if live > 0 {
-            let keep_records = config.keep_records;
-            // Campaigns still running.  Adaptive ("gated") workers park on
-            // the sweep condvar rather than exit while this is non-zero,
-            // because an adaptive campaign with every released batch claimed
-            // may release more work when its round completes.  Fixed-n
-            // sweeps release everything up front, so an idle worker exits
-            // immediately as before.
-            let live_plans = AtomicUsize::new(live);
-            let gated = config.precision.is_some();
-            let parking = Parking::new();
-            let (tx, rx) = mpsc::channel::<(usize, SweepCampaignResult)>();
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let tx = tx.clone();
-                    let plans = &plans;
-                    let live_plans = &live_plans;
-                    let parking = &parking;
-                    scope.spawn(move || {
-                        worker(
-                            t,
-                            plans,
-                            units,
-                            keep_records,
-                            gated,
-                            live_plans,
-                            parking,
-                            telemetry,
-                            &tx,
-                        )
-                    });
-                }
-                drop(tx);
-                for _ in 0..live {
-                    let (index, result) = rx
-                        .recv()
-                        .expect("sweep worker pool exited before every campaign finished");
-                    if S::ENABLED {
-                        total_done += result.result.total();
+            loop {
+                let event = events
+                    .recv()
+                    .expect("sweep worker pool exited before every campaign finished");
+                match event {
+                    JobEvent::Progress(kind) => {
+                        if let Some(hub) = telemetry {
+                            hub.record(kind);
+                        }
                     }
-                    sink(index, result);
+                    JobEvent::CellFinished { cell, result } => {
+                        total += result.result.total();
+                        if let Some(hub) = telemetry {
+                            hub.record(result.finished_event(cell));
+                        }
+                        sink(cell, *result);
+                    }
+                    JobEvent::Finished => break,
                 }
-            });
-        }
+            }
+        });
 
-        if S::ENABLED && telemetry.level() > TelemetryLevel::Off {
-            telemetry.emit(EventKind::SweepFinished {
-                cells: plans.len(),
-                experiments: total_done,
+        if let Some(hub) = telemetry {
+            hub.record(EventKind::SweepFinished {
+                cells: campaigns.len(),
+                experiments: total,
                 wall_ns: sweep_start.elapsed().as_nanos() as u64,
-                cow_chunks_copied: telemetry.counter_value(Metric::CowChunksCopied),
-                cow_restore_bytes_saved: telemetry.counter_value(Metric::CowRestoreBytesSaved),
+                cow_chunks_copied: hub.counter(Metric::CowChunksCopied),
+                cow_restore_bytes_saved: hub.counter(Metric::CowRestoreBytesSaved),
             });
         }
         warnings
     }
 }
 
-/// The idle-worker rendezvous of a gated (adaptive) sweep: instead of
-/// spin-yielding while a round is in flight, a worker that finds no released
-/// batch **parks** on this condvar and is woken when any campaign releases a
-/// round or finishes.  The epoch counter closes the classic lost-wakeup race:
-/// a worker reads the epoch *before* its (empty) scan, so a release that
-/// lands between the scan and the park bumps the epoch and the park returns
-/// immediately.  A timeout backstops the protocol — a timed-out worker just
-/// rescans.
-struct Parking {
-    epoch: Mutex<u64>,
-    cond: Condvar,
-}
-
-/// Backstop for the (unexpected) case of a missed notification; also bounds
-/// how long workers linger after the last campaign finishes.
-const PARK_TIMEOUT: Duration = Duration::from_millis(50);
-
-impl Parking {
-    fn new() -> Parking {
-        Parking {
-            epoch: Mutex::new(0),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// The current epoch; read it *before* scanning for work.
-    fn epoch(&self) -> u64 {
-        *self.epoch.lock().expect("sweep parking lock poisoned")
-    }
-
-    /// Wake every parked worker (work may have been released).
-    fn bump(&self) {
-        *self.epoch.lock().expect("sweep parking lock poisoned") += 1;
-        self.cond.notify_all();
-    }
-
-    /// Sleep until the epoch moves past `seen` or the backstop timeout
-    /// elapses.  Returns whether a bump woke us (false = timeout).
-    fn park(&self, seen: u64) -> bool {
-        let guard = self.epoch.lock().expect("sweep parking lock poisoned");
-        if *guard != seen {
-            return true;
-        }
-        let (guard, _) = self
-            .cond
-            .wait_timeout(guard, PARK_TIMEOUT)
-            .expect("sweep parking lock poisoned");
-        *guard != seen
-    }
-}
-
-/// Worker `t`'s loop: drain the home campaign `t % n`, then steal whole
-/// batches from the other campaigns (round-robin scan from home).  In a
-/// gated (adaptive) sweep, a worker that finds nothing to do **parks** on
-/// the sweep condvar while any campaign is still live — an adaptive campaign
-/// whose released batches are all claimed will release its next round (or
-/// finish) when the in-flight ones land, and the boundary worker wakes the
-/// pool.  In a fixed-n sweep every batch is released up front, so an empty
-/// scan means the worker is done.
-#[allow(clippy::too_many_arguments)]
-fn worker<S: TelemetrySink>(
-    t: usize,
-    plans: &[Plan],
-    units: &[SweepUnit<'_>],
-    keep_records: bool,
-    gated: bool,
-    live_plans: &AtomicUsize,
-    parking: &Parking,
-    telemetry: &S,
-    tx: &mpsc::Sender<(usize, SweepCampaignResult)>,
-) {
-    let n = plans.len();
-    if n == 0 {
-        return;
-    }
-    let home = t % n;
-    loop {
-        // Read the epoch *before* scanning: a round released between an
-        // empty scan and the park bumps it, so the park returns immediately.
-        let epoch = parking.epoch();
-        let mut progressed = false;
-        for offset in 0..n {
-            let index = (home + offset) % n;
-            let plan = &plans[index];
-            if let Some(b) = plan.take_batch() {
-                run_batch(
-                    t,
-                    plan,
-                    index,
-                    index != home,
-                    b,
-                    &units[plan.unit],
-                    keep_records,
-                    live_plans,
-                    parking,
-                    telemetry,
-                    tx,
-                );
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            if !gated || live_plans.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            if S::ENABLED {
-                let idle_start = Instant::now();
-                let woken = parking.park(epoch);
-                telemetry.worker_idle(t, idle_start.elapsed().as_nanos() as u64, woken);
-            } else {
-                parking.park(epoch);
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch<S: TelemetrySink>(
-    t: usize,
-    plan: &Plan,
-    index: usize,
-    stolen: bool,
-    b: usize,
-    unit: &SweepUnit<'_>,
-    keep_records: bool,
-    live_plans: &AtomicUsize,
-    parking: &Parking,
-    telemetry: &S,
-    tx: &mpsc::Sender<(usize, SweepCampaignResult)>,
-) {
-    let (start, end) = plan.spans[b];
-    let batch_start = S::ENABLED.then(Instant::now);
-    // Per-experiment instrumentation (latency `Instant` pair, per-experiment
-    // sink calls) only at the Full level.  Everything below Full runs the
-    // shared non-generic hot loop and reports one bulk tally per batch: the
-    // experiment loop inlines the VM, and duplicating it per sink
-    // monomorphization measurably de-optimizes the telemetered copy.
-    let out = if S::ENABLED && telemetry.level() == TelemetryLevel::Full {
-        run_span_timed(plan, index, b, unit, keep_records, telemetry)
-    } else {
-        run_span(plan, b, unit, keep_records)
-    };
-    if S::ENABLED && telemetry.level() != TelemetryLevel::Full {
-        telemetry.experiment_batch(index, &out.counts);
-    }
-    let batch_counts = out.counts;
-    let batch_n = u64::from(end - start);
-    *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
-    if S::ENABLED {
-        let wall_ns = batch_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        telemetry.worker_batch(t, batch_n, wall_ns, stolen);
-        telemetry.emit(EventKind::BatchDone {
-            cell: index,
-            batch: b,
-            experiments: batch_n,
-            counts: batch_counts,
-            wall_ns,
-            worker: t,
-            stolen,
+/// Register a starting sweep with a hub before any experiment runs, so a
+/// tailing monitor sees labels and budgets first; also publish the units'
+/// shared artifacts (fault-free per-opcode profiles, checkpoint-store
+/// footprints).
+fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads: usize) {
+    hub.record(EventKind::SweepStarted {
+        cells: plans.len(),
+        threads,
+        planned: plans.iter().map(|p| p.spec.experiments as u64).sum(),
+    });
+    for (cell, p) in plans.iter().enumerate() {
+        hub.record(EventKind::CellPlanned {
+            cell,
+            info: CellInfo {
+                unit: p.unit,
+                label: format!(
+                    "u{} {} {}",
+                    p.unit,
+                    p.spec.technique.short_name(),
+                    p.spec.model.label()
+                ),
+                planned: p.spec.experiments as u64,
+            },
         });
     }
-    // Exactly one worker observes each round boundary: `fetch_add` hands out
-    // unique completion counts, and `released` only moves when the boundary
-    // worker advances it below.
-    let done = plan.completed.fetch_add(1, Ordering::AcqRel) + 1;
-    if done != plan.released.load(Ordering::Acquire) {
-        return;
-    }
-    let round = plan
-        .round_batch_ends
-        .iter()
-        .position(|&e| e == done)
-        .expect("released always equals a round boundary");
-    let last_round = round + 1 == plan.round_batch_ends.len();
-    // The merged counts feed both the stop rule and the telemetry round
-    // report; compute them once, and only when someone needs them.
-    let merged =
-        (!last_round || (S::ENABLED && plan.precision.is_some())).then(|| plan.merged_counts(done));
-    let finished = last_round
-        || plan
-            .precision
-            .as_ref()
-            .expect("fixed-n campaigns have exactly one round")
-            .satisfied(
-                merged
-                    .as_ref()
-                    .expect("merged counts computed for gated rounds"),
-            );
-    if S::ENABLED && plan.precision.is_some() {
-        if let (Some(merged), Some(precision)) = (merged.as_ref(), plan.precision.as_ref()) {
-            let (sdc_hw, det_hw) = precision.half_widths(merged);
-            telemetry.add(Metric::RoundsCompleted, 1);
-            telemetry.cell_status(index, round as u32 + 1, sdc_hw, det_hw, false);
-            telemetry.emit(EventKind::RoundDone {
-                cell: index,
-                round: round as u32 + 1,
-                experiments: merged.total(),
-                sdc_half_width_pct: sdc_hw,
-                detection_half_width_pct: det_hw,
-                stopped: finished,
-            });
+    for unit in units {
+        hub.profile(&unit.golden.profile);
+        if let Some(store) = unit.store {
+            store.publish_telemetry(hub);
         }
     }
-    if finished {
-        let rounds = if plan.precision.is_some() {
-            round as u32 + 1
-        } else {
-            0
-        };
-        let result = plan.finalize(keep_records, done, round as u32 + 1);
-        if S::ENABLED {
-            telemetry.add(Metric::CellsFinished, 1);
-            telemetry.cell_status(index, rounds, f64::NAN, f64::NAN, true);
-            telemetry.emit(EventKind::CellFinished {
-                cell: index,
-                experiments: result.result.total(),
-                counts: result.result.counts,
-                rounds,
-            });
-        }
-        let _ = tx.send((index, result));
-        live_plans.fetch_sub(1, Ordering::AcqRel);
-    } else {
-        plan.released
-            .store(plan.round_batch_ends[round + 1], Ordering::Release);
-    }
-    // Wake parked workers: either new batches were released or this campaign
-    // finished (and idle workers may now be able to exit).
-    parking.bump();
 }
 
-/// Convenience used by [`Campaign`]: run one campaign as a single-cell sweep.
+/// Convenience used by [`crate::Campaign`]: run one campaign as a
+/// single-cell sweep.
 pub(crate) fn run_single(
     code: &CompiledModule,
     golden: &GoldenRun,
     spec: &CampaignSpec,
     store: Option<&CheckpointStore>,
     precision: Option<Precision>,
-) -> CampaignResult {
-    run_single_with(code, golden, spec, store, precision, &NoopSink)
-}
-
-/// [`run_single`] with a telemetry sink threaded through the executor.
-pub(crate) fn run_single_with<S: TelemetrySink>(
-    code: &CompiledModule,
-    golden: &GoldenRun,
-    spec: &CampaignSpec,
-    store: Option<&CheckpointStore>,
-    precision: Option<Precision>,
-    telemetry: &S,
+    telemetry: Option<&TelemetryHub>,
 ) -> CampaignResult {
     let units = [SweepUnit {
         code,
@@ -752,7 +430,7 @@ pub(crate) fn run_single_with<S: TelemetrySink>(
         ..SweepConfig::default()
     };
     let mut out = None;
-    Sweep::run_streamed_with(&units, &campaigns, &config, telemetry, |_, result| {
+    Sweep::run_streamed(&units, &campaigns, &config, telemetry, |_, result| {
         out = Some(result.result);
     });
     out.expect("single-campaign sweep produced no result")
@@ -1047,7 +725,7 @@ mod tests {
             assert!(status.reached_target || r.result.total() == 60);
             assert_eq!(r.records.len(), r.result.total() as usize);
         }
-        // Scheduling freedom — thread count, batch size, steal schedule —
+        // Scheduling freedom — thread count, batch size, claim order —
         // must not move any stop decision.
         for threads in [2usize, 4, 8] {
             for batch_size in [0usize, 1, 3, 64] {
@@ -1217,10 +895,16 @@ mod tests {
             .map(|spec| SweepCampaign { unit: 0, spec })
             .collect();
         let mut seen = vec![0u32; cells.len()];
-        Sweep::run_streamed(&units, &cells, &SweepConfig::default(), |index, result| {
-            seen[index] += 1;
-            assert_eq!(result.result.total(), 12);
-        });
+        Sweep::run_streamed(
+            &units,
+            &cells,
+            &SweepConfig::default(),
+            None,
+            |index, result| {
+                seen[index] += 1;
+                assert_eq!(result.result.total(), 12);
+            },
+        );
         assert!(seen.iter().all(|&n| n == 1));
     }
 }

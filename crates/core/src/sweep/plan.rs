@@ -1,29 +1,68 @@
-//! The shared scheduling core of both sweep drivers: per-campaign execution
-//! plans, batch partial results and the (deliberately non-generic) hot
-//! experiment loop.
+//! The sweep executor: per-campaign plans, the hot experiment loop and the
+//! one scheduler every sweep runs on.
 //!
-//! A [`Plan`] is driver-agnostic — the scoped driver
-//! ([`Sweep::run_streamed_with`](super::Sweep::run_streamed_with)) and the
-//! persistent [`SweepEngine`](super::SweepEngine) both claim batches through
-//! [`Plan::take_batch`], execute them through [`run_span`] /
-//! [`run_span_timed`], and fold the partials through [`Plan::finalize`].
-//! Everything that makes results byte-identical across thread counts, batch
-//! sizes and steal schedules lives here, so the two drivers cannot diverge on
-//! what a cell computes — only on *when* and *by whom* each batch runs.
+//! * A [`Plan`] cuts one campaign into batches (and, for adaptive campaigns,
+//!   rounds of batches); [`run_span`] executes one batch; [`Plan::finalize`]
+//!   folds the partials in batch-index order.  This is everything that
+//!   decides *what* a cell computes.
+//! * A [`Job`] is a planned grid: its plans, its units and its event
+//!   channel.  [`Job::new`] owns the auto-batch formula, warning dedupe and
+//!   the up-front finish of zero-experiment cells.
+//! * [`Shared`] is the scheduler: admitted jobs, registered clients and the
+//!   condvar idle workers wait on.  [`worker_loop`] claims a batch under the
+//!   scheduler policy, runs it through the batch → round → finalize protocol
+//!   ([`execute_batch`]) and streams [`JobEvent`]s to the job's owner.  This
+//!   is everything that decides *when* and *by whom* each batch runs, which
+//!   the determinism contract makes irrelevant to the results.
+//!
+//! [`Sweep::run`](super::Sweep::run) runs `worker_loop` on scoped threads
+//! over a `Shared<'a>` whose one job borrows the caller's units; the
+//! persistent [`SweepEngine`](super::SweepEngine) runs the same loop on its
+//! process-lifetime pool over a `Shared<'static>` whose jobs own `Arc`
+//! units.  There is one protocol, so their results cannot diverge.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
-use crate::experiment::{Experiment, ExperimentResult, ExperimentSpec};
+use crate::experiment::{Experiment, ExperimentSpec};
 use crate::injector::InjectionRecord;
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::space::{ErrorSpace, REGISTER_BITS};
-use crate::telemetry::TelemetrySink;
+use crate::telemetry::{EventKind, TelemetryHub, TelemetryLevel};
 
-use super::{SweepCampaign, SweepCampaignResult, SweepUnit};
+use super::{
+    EngineUnit, JobEvent, SubmitError, SweepCampaign, SweepCampaignResult, SweepConfig, SweepUnit,
+};
+
+/// The worker count `threads` asks for (0 = all available parallelism).
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
+/// A job's per-workload artifacts: borrowed for the duration of one
+/// [`Sweep::run`](super::Sweep::run), or `Arc`-owned by an engine job that
+/// outlives its submitter's stack frame.
+pub(crate) enum Units<'a> {
+    Borrowed(&'a [SweepUnit<'a>]),
+    Owned(Vec<EngineUnit>),
+}
+
+impl Units<'_> {
+    fn get(&self, index: usize) -> SweepUnit<'_> {
+        match self {
+            Units::Borrowed(units) => units[index],
+            Units::Owned(units) => units[index].view(),
+        }
+    }
+}
 
 /// One campaign's execution plan: the validated spec, the experiment
 /// execution order, the batch deque (an atomic cursor — batches are taken
@@ -279,17 +318,17 @@ impl Plan {
     }
 }
 
-/// The hot experiment loop of one batch, deliberately **not** generic over
-/// the telemetry sink: this function (and [`Experiment::run_compiled`]
-/// under it) compiles exactly once, so a telemetered sweep at `Off` or
-/// `Counters` executes the same machine code as an untelemetered one —
-/// counters are tallied in bulk afterwards via
-/// [`TelemetrySink::experiment_batch`].
+/// The hot experiment loop of one batch.  `timed` is the hub of a
+/// [`TelemetryLevel::Full`] sweep: each experiment is then individually
+/// timed into the latency histogram and its replay / copy-on-write costs
+/// are published.  Below Full the loop carries no instrumentation at all —
+/// the batch's tallies reach the hub in bulk through its `batch_done` event.
 pub(crate) fn run_span(
     plan: &Plan,
     b: usize,
     unit: &SweepUnit<'_>,
     keep_records: bool,
+    timed: Option<&TelemetryHub>,
 ) -> BatchOut {
     let (start, end) = plan.spans[b];
     let mut out = BatchOut {
@@ -311,71 +350,470 @@ pub(crate) fn run_span(
             orig as u64,
             plan.spec.hang_factor,
         );
-        let result = Experiment::run_compiled(unit.code, unit.golden, &spec, unit.store);
-        record_result(plan, &mut out, keep_records, orig, result);
+        let t0 = timed.map(|_| Instant::now());
+        let (result, cost) =
+            Experiment::run_compiled_inner(unit.code, unit.golden, &spec, unit.store);
+        if let (Some(hub), Some(t0)) = (timed, t0) {
+            hub.experiment_latency((t0.elapsed().as_nanos() as u64).max(1));
+            cost.publish(hub);
+        }
+        out.counts.record(result.outcome);
+        let slot = (result.activated as usize).min(plan.max_hist - 1);
+        out.activation[slot] += 1;
+        if result.outcome == Outcome::DetectedHwException {
+            out.crash_activation[slot] += 1;
+        }
+        if keep_records {
+            out.records.push((orig, result.injections));
+        }
     }
     out
 }
 
-/// The Full-level variant of [`run_span`]: each experiment is individually
-/// timed into the latency histogram and reported through
-/// [`TelemetrySink::experiment`], and checkpoint-restore savings are
-/// published per experiment.  This per-experiment cost is exactly what the
-/// Counters level avoids.
-pub(crate) fn run_span_timed<S: TelemetrySink>(
-    plan: &Plan,
-    index: usize,
+/// One planned grid as the scheduler sees it.
+pub(crate) struct Job<'a> {
+    /// Assigned at admission.
+    id: u64,
+    client: u64,
+    keep_records: bool,
+    pub(crate) plans: Vec<Plan>,
+    units: Units<'a>,
+    /// Cells not yet finished; the job leaves the schedule at 0.
+    live: AtomicUsize,
+    events: mpsc::Sender<JobEvent>,
+}
+
+impl<'a> Job<'a> {
+    /// Plan every campaign of a grid for `client`.  Returns the job, its
+    /// event stream and the distinct warnings across its campaigns in
+    /// submission order.  Cells without a single batch (0 experiments)
+    /// cannot be finalized by a worker, so their `CellFinished` is already
+    /// on the stream — followed by `Finished` if no cell has a batch.
+    pub(crate) fn new(
+        client: u64,
+        units: Units<'a>,
+        campaigns: &[SweepCampaign],
+        config: &SweepConfig,
+    ) -> (Job<'a>, mpsc::Receiver<JobEvent>, Vec<CampaignWarning>) {
+        // The fixed-n auto batch size spreads the whole grid over 8 batches
+        // per requested worker.  It may depend on the thread count, which is
+        // safe for fixed-n campaigns (the batch cut never changes results)
+        // but NOT for adaptive ones (rounds are made of whole batches) —
+        // adaptive plans auto-size from the round step instead, inside
+        // [`Plan::new`].  The engine feeds it the job's requested threads,
+        // not its pool size, so engine jobs and `Sweep::run` cut identical
+        // batches.
+        let total_experiments: usize = campaigns.iter().map(|c| c.spec.experiments).sum();
+        let auto_batch = total_experiments
+            .div_ceil(resolve_threads(config.threads) * 8)
+            .clamp(1, 64);
+        let plans: Vec<Plan> = campaigns
+            .iter()
+            .map(|c| {
+                Plan::new(
+                    c,
+                    &units.get(c.unit),
+                    config.batch_size,
+                    auto_batch,
+                    config.precision,
+                )
+            })
+            .collect();
+        let mut warnings: Vec<CampaignWarning> = Vec::new();
+        for w in plans.iter().flat_map(|p| &p.warnings) {
+            if !warnings.contains(w) {
+                warnings.push(*w);
+            }
+        }
+        let (events, stream) = mpsc::channel();
+        let mut live = 0usize;
+        for (cell, plan) in plans.iter().enumerate() {
+            if plan.batches() == 0 {
+                let _ = events.send(JobEvent::CellFinished {
+                    cell,
+                    result: Box::new(plan.empty_result()),
+                });
+            } else {
+                live += 1;
+            }
+        }
+        if live == 0 {
+            let _ = events.send(JobEvent::Finished);
+        }
+        let job = Job {
+            id: 0,
+            client,
+            keep_records: config.keep_records,
+            plans,
+            units,
+            live: AtomicUsize::new(live),
+            events,
+        };
+        (job, stream, warnings)
+    }
+
+    /// Total batches across the job's cells.
+    pub(crate) fn batches(&self) -> usize {
+        self.plans.iter().map(Plan::batches).sum()
+    }
+
+    fn done(&self) -> bool {
+        self.live.load(Ordering::Acquire) == 0
+    }
+}
+
+pub(crate) struct ClientState {
+    priority: u8,
+    /// Batches of this client currently being executed by workers.
+    inflight: usize,
+    /// Unregistered while still owning work; reaped when it drains.
+    closed: bool,
+}
+
+/// Everything behind the scheduler mutex.
+struct Sched<'a> {
+    /// Active jobs in admission order.
+    jobs: Vec<Arc<Job<'a>>>,
+    clients: HashMap<u64, ClientState>,
+    /// Advances once per successful claim; rotates the scan start between
+    /// equal-priority clients so claims round-robin.
+    rotor: usize,
+    shutdown: bool,
+    next_client: u64,
+    next_job: u64,
+}
+
+/// The scheduler shared by a pool of [`worker_loop`]s.
+pub(crate) struct Shared<'a> {
+    sched: Mutex<Sched<'a>>,
+    /// Workers wait here; notified on admission, batch completion and
+    /// shutdown.
+    work: Condvar,
+    /// Blocked submitters wait here; notified when a job leaves the
+    /// schedule and on shutdown.
+    capacity: Condvar,
+    /// Per-client in-flight batch quota (≥ 1).
+    quota: usize,
+    /// Admission bound (≥ 1).
+    max_pending: usize,
+    /// Where workers report batch-level costs and their waits.
+    telemetry: Option<&'a TelemetryHub>,
+}
+
+impl<'a> Shared<'a> {
+    pub(crate) fn new(
+        quota: usize,
+        max_pending: usize,
+        telemetry: Option<&'a TelemetryHub>,
+    ) -> Shared<'a> {
+        Shared {
+            sched: Mutex::new(Sched {
+                jobs: Vec::new(),
+                clients: HashMap::new(),
+                rotor: 0,
+                shutdown: false,
+                next_client: 0,
+                next_job: 0,
+            }),
+            work: Condvar::new(),
+            capacity: Condvar::new(),
+            quota: quota.max(1),
+            max_pending: max_pending.max(1),
+            telemetry,
+        }
+    }
+
+    /// The scheduler state.  No critical section can panic halfway, so a
+    /// poisoned lock (a worker died elsewhere) still guards consistent
+    /// state, and the unwinding worker's guard must be able to take it.
+    fn lock(&self) -> MutexGuard<'_, Sched<'a>> {
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Register a tenant and return its id.
+    pub(crate) fn register_client(&self, priority: u8) -> u64 {
+        let mut sched = self.lock();
+        let id = sched.next_client;
+        sched.next_client += 1;
+        sched.clients.insert(
+            id,
+            ClientState {
+                priority,
+                inflight: 0,
+                closed: false,
+            },
+        );
+        id
+    }
+
+    /// Unregister a tenant; its record is reaped once its last batch lands.
+    pub(crate) fn unregister_client(&self, client: u64) {
+        let mut sched = self.lock();
+        if let Some(state) = sched.clients.get_mut(&client) {
+            state.closed = true;
+        }
+        reap_client(&mut sched, client);
+    }
+
+    /// Admit a job into the schedule (waiting for an admission slot when
+    /// `block`), returning its id.  A job whose cells all finished up front
+    /// never enters the schedule.
+    pub(crate) fn admit(&self, mut job: Job<'a>, block: bool) -> Result<u64, SubmitError> {
+        let mut sched = self.lock();
+        loop {
+            if sched.shutdown {
+                return Err(SubmitError::ShuttingDown);
+            }
+            match sched.clients.get(&job.client) {
+                Some(state) if !state.closed => {}
+                _ => return Err(SubmitError::UnknownClient),
+            }
+            if sched.jobs.len() < self.max_pending {
+                break;
+            }
+            if !block {
+                return Err(SubmitError::Full);
+            }
+            sched = self
+                .capacity
+                .wait(sched)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        job.id = sched.next_job;
+        sched.next_job += 1;
+        let id = job.id;
+        if !job.done() {
+            sched.jobs.push(Arc::new(job));
+            drop(sched);
+            self.work.notify_all();
+        }
+        Ok(id)
+    }
+
+    /// Stop admission; workers exit once every admitted job has drained.
+    pub(crate) fn shutdown(&self) {
+        self.lock().shutdown = true;
+        self.work.notify_all();
+        self.capacity.notify_all();
+    }
+
+    /// Post-batch bookkeeping: release the quota slot, retire the job once
+    /// its last cell finished (emitting `Finished` exactly once and freeing
+    /// an admission slot) or as soon as one of its batches `failed`, reap
+    /// closed clients, and wake the pool — the batch may have released an
+    /// adaptive round.
+    fn finish_batch(&self, job: &Job<'a>, failed: bool) {
+        let mut sched = self.lock();
+        if let Some(state) = sched.clients.get_mut(&job.client) {
+            state.inflight -= 1;
+        }
+        if failed || job.done() {
+            if let Some(pos) = sched.jobs.iter().position(|j| j.id == job.id) {
+                sched.jobs.remove(pos);
+                if !failed {
+                    let _ = job.events.send(JobEvent::Finished);
+                }
+                self.capacity.notify_all();
+            }
+        }
+        reap_client(&mut sched, job.client);
+        drop(sched);
+        self.work.notify_all();
+    }
+}
+
+/// A claimed batch; dropping it hands the batch back to the scheduler.  If
+/// the drop happens while the worker unwinds out of [`execute_batch`], the job
+/// fails: it leaves the schedule, its event channel disconnects once the
+/// batches other workers still run on it land, and its owner sees the stream
+/// end without `Finished` instead of waiting forever.
+struct Claimed<'s, 'a> {
+    shared: &'s Shared<'a>,
+    job: Arc<Job<'a>>,
+}
+
+impl Drop for Claimed<'_, '_> {
+    fn drop(&mut self) {
+        self.shared
+            .finish_batch(&self.job, std::thread::panicking());
+    }
+}
+
+/// An executor worker: claim a batch under the scheduler policy, run it
+/// outside the lock, repeat; wait on the `work` condvar when nothing is
+/// claimable (an adaptive round in flight, or the tail of the schedule);
+/// exit once shut down **and** drained.
+pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
+    loop {
+        let claimed = {
+            let mut sched = shared.lock();
+            loop {
+                if let Some((job, cell, batch)) = claim_batch(&mut sched, shared.quota) {
+                    break Some((job, cell, batch));
+                }
+                if sched.shutdown && sched.jobs.is_empty() {
+                    break None;
+                }
+                let idle = Instant::now();
+                sched = shared
+                    .work
+                    .wait(sched)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if let Some(hub) = shared.telemetry {
+                    hub.worker_idle(worker, idle.elapsed().as_nanos() as u64);
+                }
+            }
+        };
+        let Some((job, cell, batch)) = claimed else {
+            return;
+        };
+        let claimed = Claimed { shared, job };
+        execute_batch(shared.telemetry, worker, &claimed.job, cell, batch);
+    }
+}
+
+/// The scheduling policy, applied under the lock: highest client priority
+/// first, rotor round-robin between equal priorities, skip clients at their
+/// in-flight quota, then first job / first cell / front-of-deque within the
+/// chosen client.  None of it affects results — only which worker runs
+/// which batch when.
+fn claim_batch<'a>(sched: &mut Sched<'a>, quota: usize) -> Option<(Arc<Job<'a>>, usize, usize)> {
+    // Distinct clients owning active jobs, in admission order, with their
+    // priorities.
+    let mut clients: Vec<(u64, u8)> = Vec::new();
+    for job in &sched.jobs {
+        if !clients.iter().any(|&(c, _)| c == job.client) {
+            let priority = sched.clients.get(&job.client).map_or(0, |s| s.priority);
+            clients.push((job.client, priority));
+        }
+    }
+    // Stable sort keeps admission order within a priority; then rotate each
+    // equal-priority run by the rotor so consecutive claims start at
+    // different clients.
+    clients.sort_by_key(|&(_, priority)| std::cmp::Reverse(priority));
+    let mut order: Vec<u64> = Vec::with_capacity(clients.len());
+    let mut i = 0;
+    while i < clients.len() {
+        let mut j = i;
+        while j < clients.len() && clients[j].1 == clients[i].1 {
+            j += 1;
+        }
+        let group = &clients[i..j];
+        let r = sched.rotor % group.len();
+        order.extend(group[r..].iter().chain(&group[..r]).map(|&(c, _)| c));
+        i = j;
+    }
+    for client in order {
+        let at_quota = sched
+            .clients
+            .get(&client)
+            .is_some_and(|s| s.inflight >= quota);
+        if at_quota {
+            continue;
+        }
+        for job in sched.jobs.iter().filter(|j| j.client == client) {
+            for (cell, plan) in job.plans.iter().enumerate() {
+                if let Some(batch) = plan.take_batch() {
+                    let job = Arc::clone(job);
+                    if let Some(state) = sched.clients.get_mut(&client) {
+                        state.inflight += 1;
+                    }
+                    sched.rotor = sched.rotor.wrapping_add(1);
+                    return Some((job, cell, batch));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Drop a closed client's record once nothing of it remains scheduled.
+fn reap_client(sched: &mut Sched<'_>, client: u64) {
+    let drained = !sched.jobs.iter().any(|j| j.client == client);
+    let reapable = sched
+        .clients
+        .get(&client)
+        .is_some_and(|s| s.closed && s.inflight == 0 && drained);
+    if reapable {
+        sched.clients.remove(&client);
+    }
+}
+
+/// Run batch `b` of `cell` and apply the round/finish protocol: store the
+/// partial, count the completion, and — for the unique worker that
+/// completes a round — evaluate the stop rule, then either release the next
+/// round or finalize the cell.
+fn execute_batch(
+    telemetry: Option<&TelemetryHub>,
+    worker: usize,
+    job: &Job<'_>,
+    cell: usize,
     b: usize,
-    unit: &SweepUnit<'_>,
-    keep_records: bool,
-    telemetry: &S,
-) -> BatchOut {
+) {
+    let plan = &job.plans[cell];
     let (start, end) = plan.spans[b];
-    let mut out = BatchOut {
-        counts: OutcomeCounts::default(),
-        activation: vec![0; plan.max_hist],
-        crash_activation: vec![0; plan.max_hist],
-        records: Vec::new(),
-    };
-    for k in start..end {
-        let orig = match &plan.order {
-            Some(order) => order[k as usize],
-            None => k,
-        };
-        let spec = ExperimentSpec::sample(
-            plan.spec.technique,
-            plan.spec.model,
-            unit.golden,
-            plan.spec.seed,
-            orig as u64,
-            plan.spec.hang_factor,
-        );
-        let t0 = Instant::now();
-        let result =
-            Experiment::run_compiled_with(unit.code, unit.golden, &spec, unit.store, telemetry);
-        let latency_ns = t0.elapsed().as_nanos() as u64;
-        telemetry.experiment(index, result.outcome, latency_ns.max(1));
-        record_result(plan, &mut out, keep_records, orig, result);
+    let timed = telemetry.filter(|hub| hub.level() == TelemetryLevel::Full);
+    let batch_start = Instant::now();
+    let out = run_span(plan, b, &job.units.get(plan.unit), job.keep_records, timed);
+    let wall_ns = batch_start.elapsed().as_nanos() as u64;
+    let counts = out.counts;
+    *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
+    let _ = job.events.send(JobEvent::Progress(EventKind::BatchDone {
+        cell,
+        batch: b,
+        experiments: u64::from(end - start),
+        counts,
+        wall_ns,
+        worker,
+    }));
+    // Exactly one worker observes each round boundary: `fetch_add` hands out
+    // unique completion counts, and `released` only moves when the boundary
+    // worker advances it below.
+    let done = plan.completed.fetch_add(1, Ordering::AcqRel) + 1;
+    if done != plan.released.load(Ordering::Acquire) {
+        return;
     }
-    out
+    let round = plan
+        .round_batch_ends
+        .iter()
+        .position(|&e| e == done)
+        .expect("released always equals a round boundary");
+    let last_round = round + 1 == plan.round_batch_ends.len();
+    let finished = match &plan.precision {
+        None => last_round,
+        Some(precision) => {
+            let merged = plan.merged_counts(done);
+            let finished = last_round || precision.satisfied(&merged);
+            let (sdc_hw, det_hw) = precision.half_widths(&merged);
+            let _ = job.events.send(JobEvent::Progress(EventKind::RoundDone {
+                cell,
+                round: round as u32 + 1,
+                experiments: merged.total(),
+                sdc_half_width_pct: sdc_hw,
+                detection_half_width_pct: det_hw,
+                stopped: finished,
+            }));
+            finished
+        }
+    };
+    if finished {
+        let result = plan.finalize(job.keep_records, done, round as u32 + 1);
+        let _ = job.events.send(JobEvent::CellFinished {
+            cell,
+            result: Box::new(result),
+        });
+        job.live.fetch_sub(1, Ordering::AcqRel);
+    } else {
+        plan.released
+            .store(plan.round_batch_ends[round + 1], Ordering::Release);
+    }
 }
 
-/// Fold one experiment's result into a batch partial (shared tail of
-/// [`run_span`] / [`run_span_timed`]).
-fn record_result(
-    plan: &Plan,
-    out: &mut BatchOut,
-    keep_records: bool,
-    orig: u32,
-    result: ExperimentResult,
-) {
-    out.counts.record(result.outcome);
-    let slot = (result.activated as usize).min(plan.max_hist - 1);
-    out.activation[slot] += 1;
-    if result.outcome == Outcome::DetectedHwException {
-        out.crash_activation[slot] += 1;
-    }
-    if keep_records {
-        out.records.push((orig, result.injections));
-    }
+/// Claim one batch and run `body` in its place, as a worker runs a batch:
+/// exercises the failure path of [`Claimed`] without a real failing batch.
+#[cfg(test)]
+pub(crate) fn claim_for_test(shared: &Shared<'_>, body: impl FnOnce()) {
+    let (job, _, _) = claim_batch(&mut shared.lock(), shared.quota).expect("a claimable batch");
+    let _claimed = Claimed { shared, job };
+    body();
 }

@@ -6,17 +6,17 @@
 //! [`crate::SweepReport`].  This module makes a sweep *observable* while it
 //! runs, without ever being allowed to change its results:
 //!
-//! * [`TelemetrySink`] — the publishing trait the sweep executor, campaigns,
-//!   replay, and pruning code write into.  It is **zero-cost when disabled**:
-//!   the executor is generic over `S: TelemetrySink`, every call site is
-//!   guarded by `if S::ENABLED { .. }` on the associated `const`, and the
-//!   default [`NoopSink`] sets `ENABLED = false` — so the disabled
-//!   instrumentation monomorphizes away exactly like `NoopHook` does in the
-//!   compiled VM.
-//! * [`TelemetryHub`] — the live implementation: a lock-free registry of
-//!   atomic [`Metric`] counters, per-cell/per-worker atomic cells, an
-//!   HDR-style power-of-two [`LogHistogram`] of experiment latency, and an
-//!   `mpsc`-backed channel of structured [`TelemetryEvent`]s.
+//! * [`TelemetryHub`] — the recorder the sweep executor, campaigns, replay
+//!   and pruning code publish into, always as an `Option<&TelemetryHub>`
+//!   (`None` = telemetry off, and nothing is recorded).  It holds a
+//!   lock-free registry of atomic [`Metric`] counters, per-cell/per-worker
+//!   atomic cells, an HDR-style power-of-two [`LogHistogram`] of experiment
+//!   latency, and an `mpsc`-backed channel of structured
+//!   [`TelemetryEvent`]s.  Sweep progress enters the hub as the same
+//!   [`EventKind`] values the event stream carries
+//!   ([`TelemetryHub::record`]): the per-cell tallies, batch and round
+//!   counters are folded from those events, so they agree with the stream
+//!   by construction.
 //! * JSON-lines event stream — every event renders to one line of JSON
 //!   (monotonic sequence, elapsed nanos, kind, cell id, payload) through the
 //!   hand-rolled [`crate::report::json`] writer, and parses back through
@@ -35,7 +35,6 @@
 //! classification — the hub only ever aggregates what already happened
 //! (`tests/telemetry_equivalence.rs` pins this).
 
-use crate::adaptive::Precision;
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::report::json::Json;
 use mbfi_vm::ExecutionProfile;
@@ -84,72 +83,62 @@ impl TelemetryLevel {
 /// Every counter in the metrics registry.
 ///
 /// Counters are monotonic `u64` sums, cheap enough to bump from the hot path
-/// (one relaxed `fetch_add`).  The variants cover the whole stack: executor
-/// health (batches, steals, parking), replay savings, artifact-cache and
-/// pruning effectiveness.
+/// (one relaxed `fetch_add`).  The executor metrics are defined by the sweep
+/// event stream itself, and `tests/telemetry_equivalence.rs` pins each
+/// definition: a counter must mean exactly what its doc says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// Experiments executed (all cells).
+    /// Experiments executed: the sum of `batch_done.experiments`.
     ExperimentsRun = 0,
-    /// Batches executed by the sweep executor.
+    /// Batches executed: the number of `batch_done` events.
     BatchesRun = 1,
-    /// Batches a worker claimed from another worker's home campaign.
-    BatchesStolen = 2,
-    /// Adaptive rounds evaluated (stop-rule decisions made).
-    RoundsCompleted = 3,
-    /// Sweep cells finalized.
-    CellsFinished = 4,
-    /// Times an idle worker parked on the executor condvar.
-    WorkerParks = 5,
-    /// Times a parked worker was woken by a release/finish notification.
-    WorkerUnparks = 6,
-    /// Nanoseconds workers spent parked (condvar wait time).
-    IdleNanos = 7,
-    /// Nanoseconds workers spent executing batches.
-    BusyNanos = 8,
-    /// Artifact-cache hits (a requested cell's artefacts already existed).
-    CacheHits = 9,
-    /// Artifact-cache misses (artefacts built fresh).
-    CacheMisses = 10,
+    /// Adaptive rounds evaluated: the number of `round_done` events.
+    RoundsCompleted = 2,
+    /// Sweep cells finalized: the number of `cell_finished` events.
+    CellsFinished = 3,
+    /// Times an executor worker waited on the executor condvar because no
+    /// batch was claimable (round gating, the tail of a sweep).
+    WorkerParks = 4,
+    /// Nanoseconds executor workers spent in those waits.
+    IdleNanos = 5,
+    /// Nanoseconds executor workers spent executing batches: the sum of
+    /// `batch_done.wall_ns`.
+    BusyNanos = 6,
     /// Bytes held by checkpoint stores registered with the sweep.
-    CheckpointStoreBytes = 11,
+    CheckpointStoreBytes = 7,
     /// Checkpoints held by checkpoint stores registered with the sweep.
-    CheckpointStoreCheckpoints = 12,
+    CheckpointStoreCheckpoints = 8,
     /// Experiments that fast-forwarded from a checkpoint instead of
     /// re-executing the fault-free prefix.  Per-experiment, so sweeps
     /// populate it at [`TelemetryLevel::Full`] only (the Counters-level hot
     /// loop deliberately carries no per-experiment instrumentation).
-    CheckpointRestores = 13,
+    CheckpointRestores = 9,
     /// Dynamic instructions skipped by checkpoint fast-forwarding.
-    ReplayInstrsSkipped = 14,
+    ReplayInstrsSkipped = 10,
     /// Experiments skipped by bit-level static pruning (known-benign sites).
-    PruneSkippedExperiments = 15,
+    PruneSkippedExperiments = 11,
     /// Experiments actually executed by a pruned campaign.
-    PruneExecutedExperiments = 16,
+    PruneExecutedExperiments = 12,
     /// 4 KiB chunks cloned because an experiment wrote to a chunk shared
     /// with a snapshot (the dirty-page cost of copy-on-write forking).
     /// Per-experiment, populated at [`TelemetryLevel::Full`] only.
-    CowChunksCopied = 17,
+    CowChunksCopied = 13,
     /// Bytes a deep-copy restore would have moved that copy-on-write
-    /// restores did not (zero when `MBFI_COW=off`).
-    CowRestoreBytesSaved = 18,
+    /// restores did not.
+    CowRestoreBytesSaved = 14,
 }
 
 impl Metric {
     /// All metrics, in registry order (`m as usize` indexes this array).
-    pub const ALL: [Metric; 19] = [
+    pub const ALL: [Metric; 15] = [
         Metric::ExperimentsRun,
         Metric::BatchesRun,
-        Metric::BatchesStolen,
         Metric::RoundsCompleted,
         Metric::CellsFinished,
         Metric::WorkerParks,
-        Metric::WorkerUnparks,
         Metric::IdleNanos,
         Metric::BusyNanos,
-        Metric::CacheHits,
-        Metric::CacheMisses,
         Metric::CheckpointStoreBytes,
         Metric::CheckpointStoreCheckpoints,
         Metric::CheckpointRestores,
@@ -165,15 +154,11 @@ impl Metric {
         match self {
             Metric::ExperimentsRun => "experiments_run",
             Metric::BatchesRun => "batches_run",
-            Metric::BatchesStolen => "batches_stolen",
             Metric::RoundsCompleted => "rounds_completed",
             Metric::CellsFinished => "cells_finished",
             Metric::WorkerParks => "worker_parks",
-            Metric::WorkerUnparks => "worker_unparks",
             Metric::IdleNanos => "idle_ns",
             Metric::BusyNanos => "busy_ns",
-            Metric::CacheHits => "cache_hits",
-            Metric::CacheMisses => "cache_misses",
             Metric::CheckpointStoreBytes => "checkpoint_store_bytes",
             Metric::CheckpointStoreCheckpoints => "checkpoint_store_checkpoints",
             Metric::CheckpointRestores => "checkpoint_restores",
@@ -187,7 +172,7 @@ impl Metric {
 }
 
 /// Static description of one sweep cell, published when a sweep starts.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CellInfo {
     /// Index into the sweep's unit (workload) slice.
     pub unit: usize,
@@ -244,8 +229,6 @@ pub enum EventKind {
         wall_ns: u64,
         /// Worker that executed the batch.
         worker: usize,
-        /// Whether the batch was stolen from another worker's home campaign.
-        stolen: bool,
     },
     /// An adaptive round completed and the stop rule was evaluated.
     RoundDone {
@@ -289,6 +272,22 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// The same event re-addressed to `cell` (per-cell kinds only; sweep-wide
+    /// kinds are returned unchanged).  Used to re-index a job's events into
+    /// a larger stream.
+    pub fn with_cell(mut self, index: usize) -> EventKind {
+        match &mut self {
+            EventKind::CellPlanned { cell, .. }
+            | EventKind::BatchDone { cell, .. }
+            | EventKind::RoundDone { cell, .. }
+            | EventKind::CellFinished { cell, .. } => *cell = index,
+            EventKind::SweepStarted { .. } | EventKind::SweepFinished { .. } => {}
+        }
+        self
+    }
+}
+
 fn counts_into(obj: &mut Json, c: &OutcomeCounts) {
     c.write_json(obj);
 }
@@ -328,7 +327,6 @@ impl TelemetryEvent {
                 counts,
                 wall_ns,
                 worker,
-                stolen,
             } => {
                 obj.set("kind", "batch_done");
                 obj.set("cell", *cell);
@@ -337,7 +335,6 @@ impl TelemetryEvent {
                 counts_into(&mut obj, counts);
                 obj.set("wall_ns", *wall_ns);
                 obj.set("worker", *worker);
-                obj.set("stolen", *stolen);
             }
             EventKind::RoundDone {
                 cell,
@@ -422,7 +419,6 @@ impl TelemetryEvent {
                 counts: counts_from(v)?,
                 wall_ns: v.get("wall_ns")?.as_u64()?,
                 worker: v.get("worker")?.as_u64()? as usize,
-                stolen: v.get("stolen")?.as_bool()?,
             },
             "round_done" => EventKind::RoundDone {
                 cell: cell(v)?,
@@ -450,84 +446,6 @@ impl TelemetryEvent {
         };
         Some(TelemetryEvent { seq, t_ns, kind })
     }
-}
-
-/// The publishing side of the telemetry plane.
-///
-/// The sweep executor and everything below it are generic over this trait.
-/// Call sites that build payloads guard with `if S::ENABLED { .. }` so the
-/// whole block constant-folds away for [`NoopSink`]; implementations
-/// additionally gate on their runtime [`TelemetryLevel`], so a hub at
-/// `Counters` ignores event emission.
-///
-/// All methods default to no-ops: a sink implements only what it records.
-pub trait TelemetrySink: Sync {
-    /// `false` makes every guarded call site compile away (the `NoopHook`
-    /// idiom of the compiled VM, applied to instrumentation).
-    const ENABLED: bool;
-
-    /// The runtime recording level.
-    fn level(&self) -> TelemetryLevel {
-        TelemetryLevel::Off
-    }
-
-    /// Register the cells and worker count of a starting sweep, replacing any
-    /// previous registration.
-    fn begin_sweep(&self, _cells: &[CellInfo], _threads: usize) {}
-
-    /// Bump a registry counter.
-    fn add(&self, _metric: Metric, _delta: u64) {}
-
-    /// Record one finished experiment (outcome tally + latency; pass
-    /// `latency_ns = 0` when the experiment was not individually timed).
-    fn experiment(&self, _cell: usize, _outcome: Outcome, _latency_ns: u64) {}
-
-    /// Record a whole executed batch of experiments against a cell in one
-    /// call — the Counters-level bulk form of [`TelemetrySink::experiment`],
-    /// so the per-experiment hot loop carries no instrumentation at all.
-    fn experiment_batch(&self, _cell: usize, _counts: &OutcomeCounts) {}
-
-    /// Record a finished batch against its executing worker.
-    fn worker_batch(&self, _worker: usize, _experiments: u64, _busy_ns: u64, _stolen: bool) {}
-
-    /// Record a worker's park episode (idle time and whether a notification
-    /// woke it, as opposed to a timeout).
-    fn worker_idle(&self, _worker: usize, _idle_ns: u64, _woken: bool) {}
-
-    /// Update a cell's adaptive gauges (round count, realized half-widths)
-    /// and/or mark it finished.
-    fn cell_status(
-        &self,
-        _cell: usize,
-        _rounds: u32,
-        _sdc_half_width_pct: f64,
-        _detection_half_width_pct: f64,
-        _finished: bool,
-    ) {
-    }
-
-    /// Emit a structured event onto the stream (Full level only).
-    fn emit(&self, _kind: EventKind) {}
-
-    /// Read back a registry counter's current value, for sinks that keep one
-    /// (the hub).  Event payloads that summarize counters at a boundary
-    /// (e.g. the CoW totals on [`EventKind::SweepFinished`]) are built from
-    /// this; sinks without a registry report zero.
-    fn counter_value(&self, _metric: Metric) -> u64 {
-        0
-    }
-
-    /// Merge a fault-free execution profile (per-opcode dynamic-instruction
-    /// histogram) into the sweep-wide profile.
-    fn profile(&self, _profile: &ExecutionProfile) {}
-}
-
-/// The always-disabled sink: every guarded call site monomorphizes away.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {
-    const ENABLED: bool = false;
 }
 
 /// An HDR-style latency histogram: 65 power-of-two buckets (bucket `i > 0`
@@ -655,10 +573,10 @@ struct CellStats {
     finished: AtomicU64,
 }
 
-impl CellStats {
-    fn new(info: CellInfo) -> CellStats {
+impl Default for CellStats {
+    fn default() -> CellStats {
         CellStats {
-            info,
+            info: CellInfo::default(),
             done: AtomicU64::new(0),
             outcomes: Default::default(),
             rounds: AtomicU64::new(0),
@@ -675,8 +593,6 @@ struct WorkerStats {
     busy_ns: AtomicU64,
     idle_ns: AtomicU64,
     parks: AtomicU64,
-    unparks: AtomicU64,
-    steals: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -688,9 +604,10 @@ struct SweepState {
 
 /// The live telemetry aggregation point.
 ///
-/// One hub observes one sweep at a time ([`TelemetrySink::begin_sweep`]
-/// replaces the per-cell registration); registry counters, the latency
-/// histogram and the event stream accumulate across the hub's lifetime.
+/// One hub observes one sweep at a time (a recorded
+/// [`EventKind::SweepStarted`] replaces the per-cell registration); registry
+/// counters, the latency histogram and the event stream accumulate across
+/// the hub's lifetime.
 #[derive(Debug)]
 pub struct TelemetryHub {
     level: TelemetryLevel,
@@ -785,8 +702,6 @@ impl TelemetryHub {
                     busy_ns: w.busy_ns.load(Ordering::Relaxed),
                     idle_ns: w.idle_ns.load(Ordering::Relaxed),
                     parks: w.parks.load(Ordering::Relaxed),
-                    unparks: w.unparks.load(Ordering::Relaxed),
-                    steals: w.steals.load(Ordering::Relaxed),
                 })
                 .collect(),
             threads: state.threads,
@@ -794,148 +709,130 @@ impl TelemetryHub {
             profile: self.profile.lock().unwrap().clone(),
         }
     }
-}
 
-impl TelemetrySink for TelemetryHub {
-    const ENABLED: bool = true;
-
-    fn level(&self) -> TelemetryLevel {
+    /// The recording level.
+    pub fn level(&self) -> TelemetryLevel {
         self.level
     }
 
-    fn begin_sweep(&self, cells: &[CellInfo], threads: usize) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        let mut state = self.state.write().unwrap();
-        *state = SweepState {
-            cells: cells.iter().cloned().map(CellStats::new).collect(),
-            workers: (0..threads).map(|_| WorkerStats::default()).collect(),
-            threads,
-        };
-    }
-
-    fn add(&self, metric: Metric, delta: u64) {
+    /// Bump a registry counter.
+    pub fn add(&self, metric: Metric, delta: u64) {
         if self.level == TelemetryLevel::Off {
             return;
         }
         self.counters[metric as usize].fetch_add(delta, Ordering::Relaxed);
     }
 
-    fn counter_value(&self, metric: Metric) -> u64 {
-        self.counter(metric)
-    }
-
-    fn experiment(&self, cell: usize, outcome: Outcome, latency_ns: u64) {
+    /// Record one sweep event: fold it into the registry, the per-cell and
+    /// the per-worker state, then append it to the event stream (Full level
+    /// only).  `SweepStarted` re-registers the sweep's cells and workers,
+    /// `CellPlanned` labels a cell, `BatchDone` carries the experiment, batch
+    /// and busy-time tallies, `RoundDone` the adaptive gauges and
+    /// `CellFinished` the finished flag.
+    pub fn record(&self, kind: EventKind) {
         if self.level == TelemetryLevel::Off {
             return;
         }
-        self.counters[Metric::ExperimentsRun as usize].fetch_add(1, Ordering::Relaxed);
-        let state = self.state.read().unwrap();
-        if let Some(c) = state.cells.get(cell) {
-            c.done.fetch_add(1, Ordering::Relaxed);
-            c.outcomes[outcome_index(outcome)].fetch_add(1, Ordering::Relaxed);
+        let bump = |metric: Metric, delta: u64| {
+            self.counters[metric as usize].fetch_add(delta, Ordering::Relaxed);
+        };
+        match &kind {
+            EventKind::SweepStarted { cells, threads, .. } => {
+                *self.state.write().unwrap() = SweepState {
+                    cells: (0..*cells).map(|_| CellStats::default()).collect(),
+                    workers: (0..*threads).map(|_| WorkerStats::default()).collect(),
+                    threads: *threads,
+                };
+            }
+            EventKind::CellPlanned { cell, info } => {
+                if let Some(c) = self.state.write().unwrap().cells.get_mut(*cell) {
+                    c.info = info.clone();
+                }
+            }
+            EventKind::BatchDone {
+                cell,
+                experiments,
+                counts,
+                wall_ns,
+                worker,
+                ..
+            } => {
+                bump(Metric::ExperimentsRun, *experiments);
+                bump(Metric::BatchesRun, 1);
+                bump(Metric::BusyNanos, *wall_ns);
+                let state = self.state.read().unwrap();
+                if let Some(c) = state.cells.get(*cell) {
+                    c.done.fetch_add(*experiments, Ordering::Relaxed);
+                    for outcome in Outcome::ALL {
+                        c.outcomes[outcome_index(outcome)]
+                            .fetch_add(counts.get(outcome), Ordering::Relaxed);
+                    }
+                }
+                if let Some(w) = state.workers.get(*worker) {
+                    w.experiments.fetch_add(*experiments, Ordering::Relaxed);
+                    w.busy_ns.fetch_add(*wall_ns, Ordering::Relaxed);
+                }
+            }
+            EventKind::RoundDone {
+                cell,
+                round,
+                sdc_half_width_pct,
+                detection_half_width_pct,
+                ..
+            } => {
+                bump(Metric::RoundsCompleted, 1);
+                if let Some(c) = self.state.read().unwrap().cells.get(*cell) {
+                    c.rounds.store(u64::from(*round), Ordering::Relaxed);
+                    c.sdc_hw_bits
+                        .store(sdc_half_width_pct.to_bits(), Ordering::Relaxed);
+                    c.det_hw_bits
+                        .store(detection_half_width_pct.to_bits(), Ordering::Relaxed);
+                }
+            }
+            EventKind::CellFinished { cell, rounds, .. } => {
+                bump(Metric::CellsFinished, 1);
+                if let Some(c) = self.state.read().unwrap().cells.get(*cell) {
+                    c.rounds.store(u64::from(*rounds), Ordering::Relaxed);
+                    c.finished.store(1, Ordering::Relaxed);
+                }
+            }
+            EventKind::SweepFinished { .. } => {}
         }
-        if latency_ns > 0 {
+        if self.level == TelemetryLevel::Full {
+            let event = TelemetryEvent {
+                seq: self.seq.fetch_add(1, Ordering::Relaxed),
+                t_ns: self.start.elapsed().as_nanos() as u64,
+                kind,
+            };
+            // The receiver lives inside the hub, so the channel cannot be
+            // closed.
+            let _ = self.events_tx.send(event);
+        }
+    }
+
+    /// Record one individually timed experiment's latency (Full level).
+    pub fn experiment_latency(&self, latency_ns: u64) {
+        if self.level == TelemetryLevel::Full {
             self.latency.observe(latency_ns);
         }
     }
 
-    fn experiment_batch(&self, cell: usize, counts: &OutcomeCounts) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        self.counters[Metric::ExperimentsRun as usize].fetch_add(counts.total(), Ordering::Relaxed);
-        let state = self.state.read().unwrap();
-        if let Some(c) = state.cells.get(cell) {
-            c.done.fetch_add(counts.total(), Ordering::Relaxed);
-            for outcome in Outcome::ALL {
-                let n = counts.get(outcome);
-                if n > 0 {
-                    c.outcomes[outcome_index(outcome)].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    fn worker_batch(&self, worker: usize, experiments: u64, busy_ns: u64, stolen: bool) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        self.counters[Metric::BatchesRun as usize].fetch_add(1, Ordering::Relaxed);
-        self.counters[Metric::BusyNanos as usize].fetch_add(busy_ns, Ordering::Relaxed);
-        if stolen {
-            self.counters[Metric::BatchesStolen as usize].fetch_add(1, Ordering::Relaxed);
-        }
-        let state = self.state.read().unwrap();
-        if let Some(w) = state.workers.get(worker) {
-            w.experiments.fetch_add(experiments, Ordering::Relaxed);
-            w.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-            if stolen {
-                w.steals.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn worker_idle(&self, worker: usize, idle_ns: u64, woken: bool) {
+    /// Record one wait of executor worker `worker` on the executor condvar.
+    pub fn worker_idle(&self, worker: usize, idle_ns: u64) {
         if self.level == TelemetryLevel::Off {
             return;
         }
         self.counters[Metric::WorkerParks as usize].fetch_add(1, Ordering::Relaxed);
         self.counters[Metric::IdleNanos as usize].fetch_add(idle_ns, Ordering::Relaxed);
-        if woken {
-            self.counters[Metric::WorkerUnparks as usize].fetch_add(1, Ordering::Relaxed);
-        }
-        let state = self.state.read().unwrap();
-        if let Some(w) = state.workers.get(worker) {
+        if let Some(w) = self.state.read().unwrap().workers.get(worker) {
             w.parks.fetch_add(1, Ordering::Relaxed);
             w.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
-            if woken {
-                w.unparks.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
-    fn cell_status(
-        &self,
-        cell: usize,
-        rounds: u32,
-        sdc_half_width_pct: f64,
-        detection_half_width_pct: f64,
-        finished: bool,
-    ) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        let state = self.state.read().unwrap();
-        if let Some(c) = state.cells.get(cell) {
-            c.rounds.store(rounds as u64, Ordering::Relaxed);
-            if sdc_half_width_pct.is_finite() {
-                c.sdc_hw_bits
-                    .store(sdc_half_width_pct.to_bits(), Ordering::Relaxed);
-                c.det_hw_bits
-                    .store(detection_half_width_pct.to_bits(), Ordering::Relaxed);
-            }
-            if finished {
-                c.finished.store(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn emit(&self, kind: EventKind) {
-        if self.level < TelemetryLevel::Full {
-            return;
-        }
-        let event = TelemetryEvent {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            t_ns: self.start.elapsed().as_nanos() as u64,
-            kind,
-        };
-        // The receiver lives inside the hub, so the channel cannot be closed.
-        let _ = self.events_tx.send(event);
-    }
-
-    fn profile(&self, profile: &ExecutionProfile) {
+    /// Merge a fault-free execution profile (per-opcode dynamic-instruction
+    /// histogram) into the sweep-wide profile.
+    pub fn profile(&self, profile: &ExecutionProfile) {
         if self.level == TelemetryLevel::Off {
             return;
         }
@@ -973,10 +870,6 @@ pub struct WorkerSnapshot {
     pub idle_ns: u64,
     /// Park episodes.
     pub parks: u64,
-    /// Parks ended by a notification (rest timed out).
-    pub unparks: u64,
-    /// Batches stolen from other workers' home campaigns.
-    pub steals: u64,
 }
 
 /// Point-in-time view of a [`TelemetryHub`].
@@ -1018,7 +911,7 @@ impl TelemetrySnapshot {
         self.counter(Metric::ExperimentsRun) as f64 * 1e9 / self.elapsed_ns as f64
     }
 
-    /// Render as a JSON object (the shape `telemetry_bench` embeds).
+    /// Render as a JSON object.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("level", self.level.label());
@@ -1059,8 +952,6 @@ impl TelemetrySnapshot {
                 worker.set("busy_ns", w.busy_ns);
                 worker.set("idle_ns", w.idle_ns);
                 worker.set("parks", w.parks);
-                worker.set("unparks", w.unparks);
-                worker.set("steals", w.steals);
                 items.push(worker);
             }
         }
@@ -1083,12 +974,6 @@ impl TelemetrySnapshot {
         obj.set("per_opcode", opcodes);
         obj
     }
-}
-
-/// Helper for adaptive round reporting: the realized half-widths a
-/// [`EventKind::RoundDone`] event carries, from the merged counts.
-pub fn round_half_widths(precision: &Precision, counts: &OutcomeCounts) -> (f64, f64) {
-    precision.half_widths(counts)
 }
 
 /// Accumulated view of a telemetry event stream — the state model behind
@@ -1439,39 +1324,83 @@ mod tests {
     #[test]
     fn hub_counts_and_snapshots() {
         let hub = TelemetryHub::new(TelemetryLevel::Counters);
-        hub.begin_sweep(
-            &[
-                CellInfo {
-                    unit: 0,
-                    label: "u0 read 1-bit".into(),
-                    planned: 10,
+        hub.record(EventKind::SweepStarted {
+            cells: 2,
+            threads: 4,
+            planned: 30,
+        });
+        for (cell, label, planned) in [(0, "u0 read 1-bit", 10), (1, "u1 write m=3,w=100", 20)] {
+            hub.record(EventKind::CellPlanned {
+                cell,
+                info: CellInfo {
+                    unit: cell,
+                    label: label.into(),
+                    planned,
                 },
-                CellInfo {
-                    unit: 1,
-                    label: "u1 write m=3,w=100".into(),
-                    planned: 20,
-                },
-            ],
-            4,
-        );
-        hub.experiment(0, Outcome::Benign, 0);
-        hub.experiment(0, Outcome::Sdc, 0);
-        hub.experiment(1, Outcome::Hang, 0);
-        hub.experiment(99, Outcome::Benign, 0); // out of range: counted globally only
+            });
+        }
+        let batch = |cell, worker, counts: OutcomeCounts| EventKind::BatchDone {
+            cell,
+            batch: 0,
+            experiments: counts.total(),
+            counts,
+            wall_ns: 1_000,
+            worker,
+        };
+        hub.record(batch(
+            0,
+            2,
+            OutcomeCounts {
+                benign: 1,
+                sdc: 1,
+                ..OutcomeCounts::default()
+            },
+        ));
+        hub.record(batch(
+            1,
+            2,
+            OutcomeCounts {
+                hang: 1,
+                ..OutcomeCounts::default()
+            },
+        ));
+        // Out of range: counted globally only.
+        hub.record(batch(
+            99,
+            99,
+            OutcomeCounts {
+                benign: 1,
+                ..OutcomeCounts::default()
+            },
+        ));
+        hub.record(EventKind::RoundDone {
+            cell: 0,
+            round: 2,
+            experiments: 2,
+            sdc_half_width_pct: 1.5,
+            detection_half_width_pct: 2.5,
+            stopped: true,
+        });
+        hub.record(EventKind::CellFinished {
+            cell: 0,
+            experiments: 2,
+            counts: OutcomeCounts::default(),
+            rounds: 2,
+        });
         hub.add(Metric::CheckpointRestores, 3);
-        hub.worker_batch(2, 3, 1_000, true);
-        hub.worker_idle(1, 500, true);
-        hub.cell_status(0, 2, 1.5, 2.5, true);
+        hub.worker_idle(1, 500);
         let snap = hub.snapshot();
         assert_eq!(snap.counter(Metric::ExperimentsRun), 4);
         assert_eq!(snap.counter(Metric::CheckpointRestores), 3);
-        assert_eq!(snap.counter(Metric::BatchesRun), 1);
-        assert_eq!(snap.counter(Metric::BatchesStolen), 1);
+        assert_eq!(snap.counter(Metric::BatchesRun), 3);
+        assert_eq!(snap.counter(Metric::BusyNanos), 3_000);
+        assert_eq!(snap.counter(Metric::RoundsCompleted), 1);
+        assert_eq!(snap.counter(Metric::CellsFinished), 1);
         assert_eq!(snap.counter(Metric::WorkerParks), 1);
-        assert_eq!(snap.counter(Metric::WorkerUnparks), 1);
         assert_eq!(snap.counter(Metric::IdleNanos), 500);
         assert_eq!(snap.threads, 4);
         assert_eq!(snap.cells.len(), 2);
+        assert_eq!(snap.cells[0].info.label, "u0 read 1-bit");
         assert_eq!(snap.cells[0].done, 2);
         assert_eq!(snap.cells[0].counts.sdc, 1);
         assert_eq!(snap.cells[0].rounds, 2);
@@ -1481,17 +1410,12 @@ mod tests {
         assert!(!snap.cells[1].finished);
         assert_eq!(snap.cells[1].sdc_half_width_pct, None);
         assert_eq!(snap.workers[2].experiments, 3);
-        assert_eq!(snap.workers[2].steals, 1);
+        assert_eq!(snap.workers[2].busy_ns, 2_000);
         assert_eq!(snap.workers[1].idle_ns, 500);
-        // Counters mode records no events.
-        hub.emit(EventKind::SweepFinished {
-            cells: 2,
-            experiments: 4,
-            wall_ns: 1,
-            cow_chunks_copied: 0,
-            cow_restore_bytes_saved: 0,
-        });
+        // Counters mode records no events and no latency.
+        hub.experiment_latency(7);
         assert!(hub.drain_events().is_empty());
+        assert_eq!(hub.snapshot().latency.count, 0);
         // Snapshot renders to JSON without panicking and carries the label.
         let json = snap.to_json().render();
         assert!(json.contains("u1 write m=3,w=100"));
@@ -1501,26 +1425,17 @@ mod tests {
     #[test]
     fn off_hub_records_nothing() {
         let hub = TelemetryHub::new(TelemetryLevel::Off);
-        hub.begin_sweep(
-            &[CellInfo {
-                unit: 0,
-                label: "x".into(),
-                planned: 1,
-            }],
-            2,
-        );
-        hub.experiment(0, Outcome::Benign, 7);
-        hub.add(Metric::CacheHits, 1);
-        hub.emit(EventKind::SweepFinished {
+        hub.record(EventKind::SweepStarted {
             cells: 1,
-            experiments: 1,
-            wall_ns: 1,
-            cow_chunks_copied: 0,
-            cow_restore_bytes_saved: 0,
+            threads: 2,
+            planned: 1,
         });
+        hub.experiment_latency(7);
+        hub.worker_idle(0, 9);
+        hub.add(Metric::CheckpointRestores, 1);
         let snap = hub.snapshot();
-        assert_eq!(snap.counter(Metric::ExperimentsRun), 0);
-        assert_eq!(snap.counter(Metric::CacheHits), 0);
+        assert_eq!(snap.counter(Metric::CheckpointRestores), 0);
+        assert_eq!(snap.counter(Metric::WorkerParks), 0);
         assert!(snap.cells.is_empty());
         assert_eq!(snap.latency.count, 0);
         assert!(hub.drain_events().is_empty());
@@ -1528,12 +1443,12 @@ mod tests {
 
     fn sample_events() -> Vec<TelemetryEvent> {
         let hub = TelemetryHub::new(TelemetryLevel::Full);
-        hub.emit(EventKind::SweepStarted {
+        hub.record(EventKind::SweepStarted {
             cells: 2,
             threads: 3,
             planned: 30,
         });
-        hub.emit(EventKind::CellPlanned {
+        hub.record(EventKind::CellPlanned {
             cell: 0,
             info: CellInfo {
                 unit: 0,
@@ -1541,7 +1456,7 @@ mod tests {
                 planned: 10,
             },
         });
-        hub.emit(EventKind::CellPlanned {
+        hub.record(EventKind::CellPlanned {
             cell: 1,
             info: CellInfo {
                 unit: 1,
@@ -1549,7 +1464,7 @@ mod tests {
                 planned: 20,
             },
         });
-        hub.emit(EventKind::BatchDone {
+        hub.record(EventKind::BatchDone {
             cell: 0,
             batch: 0,
             experiments: 10,
@@ -1562,9 +1477,8 @@ mod tests {
             },
             wall_ns: 12_345,
             worker: 2,
-            stolen: true,
         });
-        hub.emit(EventKind::RoundDone {
+        hub.record(EventKind::RoundDone {
             cell: 1,
             round: 1,
             experiments: 20,
@@ -1572,7 +1486,7 @@ mod tests {
             detection_half_width_pct: 6.5,
             stopped: false,
         });
-        hub.emit(EventKind::BatchDone {
+        hub.record(EventKind::BatchDone {
             cell: 1,
             batch: 0,
             experiments: 20,
@@ -1585,9 +1499,8 @@ mod tests {
             },
             wall_ns: 9_999,
             worker: 0,
-            stolen: false,
         });
-        hub.emit(EventKind::CellFinished {
+        hub.record(EventKind::CellFinished {
             cell: 0,
             experiments: 10,
             counts: OutcomeCounts {
@@ -1599,7 +1512,7 @@ mod tests {
             },
             rounds: 0,
         });
-        hub.emit(EventKind::CellFinished {
+        hub.record(EventKind::CellFinished {
             cell: 1,
             experiments: 20,
             counts: OutcomeCounts {
@@ -1611,7 +1524,7 @@ mod tests {
             },
             rounds: 1,
         });
-        hub.emit(EventKind::SweepFinished {
+        hub.record(EventKind::SweepFinished {
             cells: 2,
             experiments: 30,
             wall_ns: 22_344,
@@ -1752,7 +1665,7 @@ mod tests {
             "{{\"seq\":0,\"t_ns\":1,\"kind\":\"batch_done\",\"cell\":{},\
              \"batch\":0,\"experiments\":5,\"benign\":5,\"hw_exception\":0,\
              \"hang\":0,\"no_output\":0,\"sdc\":0,\"wall_ns\":10,\
-             \"worker\":0,\"stolen\":false}}",
+             \"worker\":0}}",
             u64::MAX / 2
         );
         hostile.apply_line(&line).unwrap();
@@ -1769,25 +1682,5 @@ mod tests {
         );
         hostile.apply_line(&started).unwrap();
         assert!(hostile.cells.len() <= MonitorState::MAX_CELLS);
-    }
-
-    // The whole point of NoopSink: its const gate is false, so every
-    // `if S::ENABLED { .. }` instrumentation block is dead code.
-    const _: () = assert!(!NoopSink::ENABLED);
-    const _: () = assert!(TelemetryHub::ENABLED);
-
-    #[test]
-    fn noop_sink_is_disabled_at_compile_time() {
-        assert_eq!(NoopSink.level(), TelemetryLevel::Off);
-        // And its methods are callable no-ops.
-        NoopSink.add(Metric::ExperimentsRun, 1);
-        NoopSink.experiment(0, Outcome::Sdc, 1);
-        NoopSink.emit(EventKind::SweepFinished {
-            cells: 0,
-            experiments: 0,
-            wall_ns: 0,
-            cow_chunks_copied: 0,
-            cow_restore_bytes_saved: 0,
-        });
     }
 }

@@ -20,7 +20,7 @@
 //! risking divergence.
 
 use crate::protocol::CellRequest;
-use mbfi_core::{IntervalMethod, SweepCampaignResult, Technique, WinSize};
+use mbfi_core::{EventKind, IntervalMethod, SweepCampaignResult, Technique, WinSize};
 use mbfi_workloads::InputSize;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -68,43 +68,12 @@ impl CellKey {
     }
 }
 
-/// One buffered progress event of a cell execution, replayable to any number
-/// of followers in the order the owner observed it.
-#[derive(Debug, Clone)]
-pub enum CellEvent {
-    /// Mirrors [`mbfi_core::JobEvent::BatchDone`].
-    Batch {
-        /// Batch index within the cell.
-        batch: usize,
-        /// Experiments in the batch.
-        experiments: u64,
-        /// The batch's outcome tally.
-        counts: mbfi_core::OutcomeCounts,
-        /// Wall-clock nanoseconds.
-        wall_ns: u64,
-        /// Engine worker that ran it.
-        worker: usize,
-    },
-    /// Mirrors [`mbfi_core::JobEvent::RoundDone`].
-    Round {
-        /// 1-based completed round count.
-        round: u32,
-        /// Merged experiments so far.
-        experiments: u64,
-        /// SDC half-width, percentage points.
-        sdc_half_width_pct: f64,
-        /// Detection half-width, percentage points.
-        detection_half_width_pct: f64,
-        /// Whether the stop rule fired.
-        stopped: bool,
-    },
-}
-
 /// Mutable progress of one cell execution.
 #[derive(Debug, Default)]
 pub struct CellProgress {
-    /// Events observed so far, in order.
-    pub events: Vec<CellEvent>,
+    /// Progress events observed so far, in order (`batch_done` /
+    /// `round_done`, addressed to cell 0 of the single-cell engine job).
+    pub events: Vec<EventKind>,
     /// The final result, once the owner's collector lands it.
     pub result: Option<Arc<SweepCampaignResult>>,
     /// Set when the owning execution died without a result (engine shutdown
@@ -122,7 +91,7 @@ pub struct CellEntry {
 
 impl CellEntry {
     /// Append an event (owner's collector thread).
-    pub fn push_event(&self, event: CellEvent) {
+    pub fn push_event(&self, event: EventKind) {
         let mut p = self.progress.lock().expect(LOCK_POISONED);
         p.events.push(event);
         self.cond.notify_all();
@@ -146,7 +115,7 @@ impl CellEntry {
     /// Stream the entry to `emit`: every buffered event exactly once, in
     /// order, blocking for more until the result (returned) or a failure
     /// (`None`) lands.
-    pub fn tail(&self, mut emit: impl FnMut(&CellEvent)) -> Option<Arc<SweepCampaignResult>> {
+    pub fn tail(&self, mut emit: impl FnMut(&EventKind)) -> Option<Arc<SweepCampaignResult>> {
         let mut next = 0usize;
         let mut p = self.progress.lock().expect(LOCK_POISONED);
         loop {
@@ -310,7 +279,8 @@ mod tests {
         assert_eq!(cache.len(), 1);
 
         // Follower sees buffered events, then blocks until the result lands.
-        owner.push_event(CellEvent::Batch {
+        owner.push_event(EventKind::BatchDone {
+            cell: 0,
             batch: 0,
             experiments: 10,
             counts: OutcomeCounts::default(),

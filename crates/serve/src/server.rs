@@ -16,7 +16,7 @@
 //! in-flight jobs drain to completion, every submit stream receives its
 //! full report, and only then do the threads join.
 
-use crate::cache::{ArtifactCache, CellCache, CellEntry, CellEvent, CellKey, Claim};
+use crate::cache::{ArtifactCache, CellCache, CellEntry, CellKey, Claim};
 use crate::protocol::{self, Request, SubmitRequest, MAX_LINE_BYTES};
 use mbfi_core::{
     CampaignWarning, CellInfo, EngineConfig, EventKind, JobEvent, JobSpec, SweepCampaign,
@@ -568,37 +568,7 @@ fn handle_submit(
             if io.is_err() {
                 return;
             }
-            io = events.emit(match *event {
-                CellEvent::Batch {
-                    batch,
-                    experiments,
-                    counts,
-                    wall_ns,
-                    worker,
-                } => EventKind::BatchDone {
-                    cell: i,
-                    batch,
-                    experiments,
-                    counts,
-                    wall_ns,
-                    worker,
-                    stolen: false,
-                },
-                CellEvent::Round {
-                    round,
-                    experiments,
-                    sdc_half_width_pct,
-                    detection_half_width_pct,
-                    stopped,
-                } => EventKind::RoundDone {
-                    cell: i,
-                    round,
-                    experiments,
-                    sdc_half_width_pct,
-                    detection_half_width_pct,
-                    stopped,
-                },
-            });
+            io = events.emit(event.clone().with_cell(i));
         });
         io?;
         let Some(result) = result else {
@@ -609,17 +579,7 @@ fn handle_submit(
                 )),
             );
         };
-        events.emit(EventKind::CellFinished {
-            cell: i,
-            experiments: result.result.counts.total(),
-            counts: result.result.counts,
-            rounds: result
-                .result
-                .adaptive
-                .as_ref()
-                .map(|a| a.rounds)
-                .unwrap_or(0),
-        })?;
+        events.emit(result.finished_event(i))?;
         results.push(result);
     }
 
@@ -660,70 +620,14 @@ fn collect_cell(
     let mut finished = false;
     while let Some(event) = handle.next_event() {
         match event {
-            JobEvent::BatchDone {
-                batch,
-                experiments,
-                counts,
-                wall_ns,
-                worker,
-                ..
-            } => {
-                entry.push_event(CellEvent::Batch {
-                    batch,
-                    experiments,
-                    counts,
-                    wall_ns,
-                    worker,
-                });
-                inner.watch.push(EventKind::BatchDone {
-                    cell: gcell,
-                    batch,
-                    experiments,
-                    counts,
-                    wall_ns,
-                    worker,
-                    stolen: false,
-                });
-            }
-            JobEvent::RoundDone {
-                round,
-                experiments,
-                sdc_half_width_pct,
-                detection_half_width_pct,
-                stopped,
-                ..
-            } => {
-                entry.push_event(CellEvent::Round {
-                    round,
-                    experiments,
-                    sdc_half_width_pct,
-                    detection_half_width_pct,
-                    stopped,
-                });
-                inner.watch.push(EventKind::RoundDone {
-                    cell: gcell,
-                    round,
-                    experiments,
-                    sdc_half_width_pct,
-                    detection_half_width_pct,
-                    stopped,
-                });
+            JobEvent::Progress(kind) => {
+                inner.watch.push(kind.clone().with_cell(gcell));
+                entry.push_event(kind);
             }
             JobEvent::CellFinished { result, .. } => {
                 let result = Arc::new(*result);
-                let experiments = result.result.counts.total();
-                let rounds = result
-                    .result
-                    .adaptive
-                    .as_ref()
-                    .map(|a| a.rounds)
-                    .unwrap_or(0);
-                inner.watch.push(EventKind::CellFinished {
-                    cell: gcell,
-                    experiments,
-                    counts: result.result.counts,
-                    rounds,
-                });
+                let experiments = result.result.total();
+                inner.watch.push(result.finished_event(gcell));
                 let total = inner
                     .watch_finished
                     .fetch_add(experiments, Ordering::SeqCst)

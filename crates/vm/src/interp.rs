@@ -359,8 +359,8 @@ impl<'c> Vm<'c> {
     /// a replay can run under different (e.g. hang-detection) limits than the
     /// capture run.
     ///
-    /// With CoW enabled (the default) the memory reset is O(dirty chunks):
-    /// only chunks that diverged from the snapshot are re-pointed.  For a
+    /// The memory reset is O(dirty chunks): only chunks that diverged from
+    /// the snapshot are re-pointed.  For a
     /// brand-new VM, [`Vm::from_snapshot`] is cheaper still.
     pub fn resume_from(&mut self, snapshot: &VmSnapshot) {
         self.stack.clone_from(&snapshot.frames);
@@ -371,8 +371,8 @@ impl<'c> Vm<'c> {
     }
 
     /// Create a VM already positioned at `snapshot`, forking the snapshot's
-    /// memory image directly: with CoW enabled this copies no chunk bytes at
-    /// all (every chunk is shared until first write), which is how thousands
+    /// memory image directly: this copies no chunk bytes at all (every
+    /// chunk is shared until first write), which is how thousands
     /// of experiments fork from one shared checkpoint with zero up-front
     /// copy.  The snapshot must come from the **same compiled module**.
     pub fn from_snapshot(
@@ -382,7 +382,7 @@ impl<'c> Vm<'c> {
     ) -> Vm<'c> {
         Vm {
             code,
-            mem: snapshot.mem.fork(),
+            mem: snapshot.mem.fork_cow(),
             limits,
             output: snapshot.output.clone(),
             dyn_count: snapshot.dyn_count,

@@ -42,9 +42,7 @@ pub use hooks::{ExecHook, InstrContext, NoopHook};
 pub use interp::{RunOutcome, RunResult, Vm};
 pub use limits::Limits;
 pub use mbfi_ir::compiled::CompiledModule;
-pub use memory::{
-    cow_enabled, set_cow_enabled, ChunkSet, CowStats, Memory, MemoryLayout, CHUNK_BYTES,
-};
+pub use memory::{ChunkSet, CowStats, Memory, MemoryLayout, CHUNK_BYTES};
 pub use profile::{CountingHook, ExecutionProfile, OpcodeProfile, TraceHook};
 pub use snapshot::VmSnapshot;
 pub use trap::Trap;

@@ -22,14 +22,13 @@
 //!
 //! All-zero growth (heap bumps, stack pushes) maps a single shared zero
 //! chunk, so untouched arena pages are free and shared between every VM in
-//! the process.  The `MBFI_COW` knob (see [`set_cow_enabled`]) can force
-//! restores back onto the deep-copy path; results are byte-identical either
-//! way — only the cost changes.
+//! the process.  The deep-copy [`Memory::fork_full`] /
+//! [`Memory::restore_from_with`]`(.., false)` path survives only as the
+//! oracle the copy-on-write path is tested against.
 
 use crate::trap::Trap;
 use mbfi_ir::{Module, Type};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Size of one memory chunk.  4 KiB mirrors a hardware page: small enough
@@ -47,23 +46,6 @@ fn zero_chunk() -> Arc<Chunk> {
     Arc::clone(ZERO.get_or_init(|| Arc::new([0u8; CHUNK_BYTES])))
 }
 
-/// Process-wide switch between O(dirty-chunk) copy-on-write restores (the
-/// default) and the historical deep-copy restore path.  Flipping it never
-/// changes results — `snapshot_bench --check` enforces byte equivalence —
-/// only the per-experiment cost.  Read once per restore, so toggling while
-/// VMs are mid-run is safe but only affects subsequent restores.
-static COW_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable copy-on-write snapshot restores (the `MBFI_COW` knob).
-pub fn set_cow_enabled(enabled: bool) {
-    COW_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether copy-on-write snapshot restores are enabled.
-pub fn cow_enabled() -> bool {
-    COW_ENABLED.load(Ordering::Relaxed)
-}
-
 /// Copy-on-write cost counters, accumulated per [`Memory`].
 ///
 /// `cow_chunks_copied` counts 4 KiB chunk clones triggered by writes to
@@ -71,8 +53,7 @@ pub fn cow_enabled() -> bool {
 /// `restore_chunks_repointed` counts divergent chunks re-pointed during
 /// restores (the O(dirty) restore work).  `restore_bytes_saved` counts bytes
 /// a full-clone restore would have copied that the CoW restore did not; it
-/// stays zero when CoW is disabled, which is what the accounting cross-checks
-/// in `snapshot_bench --check` pin.
+/// stays zero on the deep-copy oracle path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Chunks cloned because a write hit a shared chunk.
@@ -460,7 +441,7 @@ impl Memory {
     }
 
     /// A deep fork of `self`: every chunk is copied, no sharing.  The
-    /// clone-everything baseline for `MBFI_COW=off`.
+    /// clone-everything oracle the copy-on-write fork is tested against.
     pub fn fork_full(&self) -> Memory {
         let mut fork = self.clone();
         fork.reset_cow_stats();
@@ -472,25 +453,15 @@ impl Memory {
         fork
     }
 
-    /// Fork honouring the process-wide CoW switch.
-    pub fn fork(&self) -> Memory {
-        if cow_enabled() {
-            self.fork_cow()
-        } else {
-            self.fork_full()
-        }
-    }
-
-    /// Reset this memory to the state frozen in `other`, honouring the
-    /// process-wide CoW switch: O(dirty chunks) when enabled, a deep copy
-    /// when not.  Also resets the heap/stack high-water marks, truncating
-    /// chunk tables above the restored tops.
+    /// Reset this memory to the state frozen in `other` in O(dirty chunks):
+    /// only chunks that diverged are re-pointed.  Also resets the heap/stack
+    /// high-water marks, truncating chunk tables above the restored tops.
     pub fn restore_from(&mut self, other: &Memory) {
-        self.restore_from_with(other, cow_enabled());
+        self.restore_from_with(other, true);
     }
 
-    /// [`Memory::restore_from`] with an explicit mode, for tests and benches
-    /// that must not depend on the process-wide switch.
+    /// [`Memory::restore_from`] with an explicit mode: `cow = false` is the
+    /// deep-copy oracle the copy-on-write restore is tested against.
     pub fn restore_from_with(&mut self, other: &Memory, cow: bool) {
         debug_assert_eq!(self.layout, other.layout);
         if cow {

@@ -12,7 +12,7 @@
 //! diverges the comparison.
 
 use mbfi_ir::{Global, Type};
-use mbfi_vm::{Memory, MemoryLayout, Trap, CHUNK_BYTES};
+use mbfi_vm::{ChunkSet, Memory, MemoryLayout, Trap, CHUNK_BYTES};
 
 /// Deterministic xorshift64* so the crate needs no RNG dependency.
 struct Rng(u64);
@@ -253,4 +253,49 @@ fn traps_are_identical_and_do_not_cow() {
         before,
         "trapping stores must not copy chunks"
     );
+}
+
+/// Exact dirty-chunk accounting on a 16-chunk image: a fork that dirties 3
+/// chunks copies exactly those 3 and its restore re-points exactly those 3
+/// while charging the whole image as bytes a deep copy would have moved;
+/// the deep-copy oracle reports no copy-on-write activity at all; and
+/// unique-footprint accounting sees a CoW fork share every chunk while a
+/// deep fork duplicates every one.
+#[test]
+fn dirty_chunk_accounting_is_exact() {
+    const CHUNKS: u64 = 16;
+    let chunk = CHUNK_BYTES as u64;
+    let globals = [Global::zeroed("arena", CHUNKS * chunk)];
+    let mut mem = Memory::for_globals(&globals, MemoryLayout::default());
+    let base = mem.global_addr(0).unwrap();
+    for i in 0..CHUNKS {
+        mem.store(Type::I64, base + i * chunk, i + 1).unwrap();
+    }
+    let image = mem.snapshot_image();
+
+    let mut fork = image.fork_cow();
+    fork.reset_cow_stats();
+    for i in [2u64, 7, 11] {
+        fork.store(Type::I64, base + i * chunk, 0xDEAD).unwrap();
+    }
+    assert_eq!(fork.cow_stats().cow_chunks_copied, 3);
+    fork.restore_from(&image);
+    let restored = fork.cow_stats();
+    assert_eq!(restored.restore_chunks_repointed, 3);
+    assert_eq!(restored.restore_bytes_saved, CHUNKS * chunk);
+    for i in 0..CHUNKS {
+        assert_eq!(fork.load(Type::I64, base + i * chunk).unwrap(), i + 1);
+    }
+
+    let mut deep = image.fork_full();
+    deep.store(Type::I64, base, 0xBEEF).unwrap();
+    deep.restore_from_with(&image, false);
+    let stats = deep.cow_stats();
+    assert_eq!(stats.cow_chunks_copied, 0);
+    assert_eq!(stats.restore_bytes_saved, 0);
+
+    let mut seen = ChunkSet::default();
+    assert!(image.unique_bytes(&mut seen) > CHUNKS as usize * CHUNK_BYTES);
+    assert!(image.fork_cow().unique_bytes(&mut seen) < CHUNK_BYTES);
+    assert!(image.fork_full().unique_bytes(&mut seen) > CHUNKS as usize * CHUNK_BYTES);
 }

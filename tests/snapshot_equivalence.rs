@@ -1,25 +1,21 @@
 //! The copy-on-write determinism contract, as a test suite: for **every**
-//! registry workload, campaign results are byte-identical across the full
-//! grid of replay {off, on} × CoW {on, off} × worker threads {1, 4, 8}.
-//! CoW forking and O(dirty-chunk) restores are pure execution-cost
-//! optimisations — no sampled target, injected value, outcome, or histogram
-//! may move, and the per-experiment results must match field for field.
-//!
-//! Kept as one `#[test]` on purpose: the CoW switch is process-global
-//! (`set_cow_enabled`), so the grid must not run concurrently with itself.
-//! The suite lives in its own integration-test binary, which is its own
-//! process, so toggling here cannot race the rest of the workspace tests.
+//! registry workload, campaign results are byte-identical across replay
+//! {off, on} × worker threads {1, 4, 8}.  With replay on, every experiment
+//! forks a shared checkpoint through copy-on-write chunks and restores in
+//! O(dirty chunks) — a pure execution-cost optimisation, so no sampled
+//! target, injected value, outcome, or histogram may move against the
+//! single-worker full re-execution baseline.  The memory-level deep-copy
+//! oracle lives in `crates/vm/tests/cow_memory.rs`.
 
 use mbfi_core::replay::{CheckpointConfig, CheckpointStore};
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
 use mbfi_ir::CompiledModule;
-use mbfi_vm::set_cow_enabled;
 use mbfi_workloads::{all_workloads, InputSize};
 
 const THREADS: [usize; 3] = [1, 4, 8];
 
 #[test]
-fn cow_campaigns_are_byte_identical_across_replay_cow_and_threads() {
+fn cow_campaigns_are_byte_identical_across_replay_and_threads() {
     for w in all_workloads() {
         let module = w.build_module(InputSize::Tiny);
         let code = CompiledModule::lower(&module);
@@ -40,34 +36,27 @@ fn cow_campaigns_are_byte_identical_across_replay_cow_and_threads() {
             threads: 1,
         };
 
-        // Baseline: deep-copy restores, no checkpoint store, single worker.
-        set_cow_enabled(false);
+        // Baseline: no checkpoint store (no snapshot forks), single worker.
         let baseline = Campaign::run_compiled(&code, &golden, &spec);
 
         for replay in [false, true] {
-            for cow in [false, true] {
-                for threads in THREADS {
-                    spec.threads = threads;
-                    set_cow_enabled(cow);
-                    let mut got = if replay {
-                        Campaign::run_compiled_with_store(&code, &golden, &spec, Some(&store))
-                    } else {
-                        Campaign::run_compiled(&code, &golden, &spec)
-                    };
-                    // The result echoes its spec; the thread count is the one
-                    // knob the grid legitimately varies.
-                    got.spec.threads = baseline.spec.threads;
-                    assert_eq!(
-                        baseline,
-                        got,
-                        "{}: campaign diverged at replay={replay} cow={cow} threads={threads}",
-                        w.name()
-                    );
-                }
+            for threads in THREADS {
+                spec.threads = threads;
+                let mut got = if replay {
+                    Campaign::run_compiled_with_store(&code, &golden, &spec, Some(&store))
+                } else {
+                    Campaign::run_compiled(&code, &golden, &spec)
+                };
+                // The result echoes its spec; the thread count is the one
+                // knob the grid legitimately varies.
+                got.spec.threads = baseline.spec.threads;
+                assert_eq!(
+                    baseline,
+                    got,
+                    "{}: campaign diverged at replay={replay} threads={threads}",
+                    w.name()
+                );
             }
         }
     }
-    // Leave the process-global switch at its default for anything that runs
-    // after this test in the same binary.
-    set_cow_enabled(true);
 }

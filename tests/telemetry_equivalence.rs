@@ -8,8 +8,9 @@
 
 use mbfi_bench::harness::{self, HarnessConfig, WorkloadData};
 use mbfi_core::{
-    BitLevelPruner, Campaign, FaultModel, Metric, MonitorState, Precision, Sweep, SweepCampaign,
-    SweepConfig, SweepReport, SweepUnit, Technique, TelemetryHub, TelemetryLevel, WinSize,
+    BitLevelPruner, Campaign, EventKind, FaultModel, Metric, MonitorState, Precision, Sweep,
+    SweepCampaign, SweepCampaignResult, SweepConfig, SweepReport, SweepUnit, Technique,
+    TelemetryHub, TelemetryLevel, WinSize,
 };
 
 const EXPERIMENTS: usize = 8;
@@ -24,7 +25,7 @@ fn fixture() -> Vec<WorkloadData> {
 }
 
 /// Both techniques, a single-bit and a windowed multi-bit model per
-/// workload — enough cells to exercise batching, stealing and the stream.
+/// workload — enough cells to exercise batching, scheduling and the stream.
 fn cells(units: usize) -> Vec<SweepCampaign> {
     let cfg = HarnessConfig {
         experiments: EXPERIMENTS,
@@ -56,6 +57,21 @@ fn config(threads: usize, precision: Option<Precision>) -> SweepConfig {
     }
 }
 
+/// [`Sweep::run`] recording into `hub`.
+fn run_observed(
+    units: &[SweepUnit<'_>],
+    cells: &[SweepCampaign],
+    config: &SweepConfig,
+    hub: &TelemetryHub,
+) -> SweepReport {
+    let mut slots: Vec<Option<SweepCampaignResult>> = vec![None; cells.len()];
+    let warnings = Sweep::run_streamed(units, cells, config, Some(hub), |i, r| slots[i] = Some(r));
+    SweepReport {
+        results: slots.into_iter().map(Option::unwrap).collect(),
+        warnings,
+    }
+}
+
 fn report_total(report: &SweepReport) -> u64 {
     report.results.iter().map(|r| r.result.total()).sum()
 }
@@ -80,7 +96,7 @@ fn telemetered_sweep_is_byte_identical_across_levels_and_threads() {
             let base = Sweep::run(&units, &cells, &config);
             for level in [TelemetryLevel::Counters, TelemetryLevel::Full] {
                 let hub = TelemetryHub::new(level);
-                let report = Sweep::run_with(&units, &cells, &config, &hub);
+                let report = run_observed(&units, &cells, &config, &hub);
                 assert_eq!(
                     report,
                     base,
@@ -104,7 +120,7 @@ fn hub_snapshot_totals_equal_sweep_report() {
     let config = config(4, None);
     for level in [TelemetryLevel::Counters, TelemetryLevel::Full] {
         let hub = TelemetryHub::new(level);
-        let report = Sweep::run_with(&units, &cells, &config, &hub);
+        let report = run_observed(&units, &cells, &config, &hub);
         let snapshot = hub.snapshot();
         let total = report_total(&report);
         assert_eq!(snapshot.counter(Metric::ExperimentsRun), total);
@@ -139,7 +155,7 @@ fn drained_stream_replays_into_clean_monitor_state() {
     let cells = cells(units.len());
     let config = config(8, None);
     let hub = TelemetryHub::new(TelemetryLevel::Full);
-    let report = Sweep::run_with(&units, &cells, &config, &hub);
+    let report = run_observed(&units, &cells, &config, &hub);
     let jsonl = hub.drain_jsonl();
     assert!(jsonl.ends_with('\n'), "stream is one event per line");
 
@@ -202,7 +218,7 @@ fn campaign_and_pruning_telemetry_observe_without_perturbing() {
     let pruner = BitLevelPruner::analyze(&w.code);
     let plain = pruner.run_campaign_pruned(&w.code, &w.golden, &spec);
     let hub = TelemetryHub::new(TelemetryLevel::Counters);
-    let pruned = pruner.run_campaign_pruned_with(&w.code, &w.golden, &spec, &hub);
+    let pruned = pruner.run_campaign_pruned_with(&w.code, &w.golden, &spec, Some(&hub));
     assert_eq!(pruned.result, plain.result);
     assert_eq!(pruned.skipped, plain.skipped);
     let snapshot = hub.snapshot();
@@ -216,4 +232,68 @@ fn campaign_and_pruning_telemetry_observe_without_perturbing() {
         pruned.result.counts.total(),
         "pruning metrics must account for every experiment"
     );
+}
+
+/// Every executor metric means what its doc says, pinned against the event
+/// stream of the same Full-level sweep: the batch, busy-time, experiment,
+/// round and cell counters are exact folds of the `batch_done` /
+/// `round_done` / `cell_finished` events; park and idle totals are the sums
+/// of the per-worker slices; and a lone worker on a fixed-n sweep never
+/// waits, because every batch is claimable until the job drains.
+#[test]
+fn executor_metrics_equal_their_event_definitions() {
+    let data = fixture();
+    let units: Vec<SweepUnit<'_>> = data.iter().map(WorkloadData::sweep_unit).collect();
+    let cells = cells(units.len());
+    let precision = Precision {
+        target_half_width_pct: 25.0,
+        min_experiments: 4,
+        max_experiments: 12,
+        interval: mbfi_core::IntervalMethod::Wilson,
+    };
+    for (threads, precision) in [(1, None), (4, None), (4, Some(precision))] {
+        let hub = TelemetryHub::new(TelemetryLevel::Full);
+        let report = run_observed(&units, &cells, &config(threads, precision), &hub);
+        let snapshot = hub.snapshot();
+        let (mut batches, mut wall_ns, mut experiments, mut rounds, mut finished) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        for event in hub.drain_events() {
+            match event.kind {
+                EventKind::BatchDone {
+                    experiments: n,
+                    wall_ns: ns,
+                    ..
+                } => {
+                    batches += 1;
+                    wall_ns += ns;
+                    experiments += n;
+                }
+                EventKind::RoundDone { .. } => rounds += 1,
+                EventKind::CellFinished { .. } => finished += 1,
+                _ => {}
+            }
+        }
+        let what = format!("threads={threads} adaptive={}", precision.is_some());
+        assert_eq!(snapshot.counter(Metric::BatchesRun), batches, "{what}");
+        assert_eq!(snapshot.counter(Metric::BusyNanos), wall_ns, "{what}");
+        assert_eq!(
+            snapshot.counter(Metric::ExperimentsRun),
+            experiments,
+            "{what}"
+        );
+        assert_eq!(experiments, report_total(&report), "{what}");
+        assert_eq!(snapshot.counter(Metric::RoundsCompleted), rounds, "{what}");
+        assert_eq!(rounds > 0, precision.is_some(), "{what}");
+        assert_eq!(snapshot.counter(Metric::CellsFinished), finished, "{what}");
+        assert_eq!(finished, cells.len() as u64, "{what}");
+        let parks: u64 = snapshot.workers.iter().map(|w| w.parks).sum();
+        let idle: u64 = snapshot.workers.iter().map(|w| w.idle_ns).sum();
+        let busy: u64 = snapshot.workers.iter().map(|w| w.busy_ns).sum();
+        assert_eq!(snapshot.counter(Metric::WorkerParks), parks, "{what}");
+        assert_eq!(snapshot.counter(Metric::IdleNanos), idle, "{what}");
+        assert_eq!(snapshot.counter(Metric::BusyNanos), busy, "{what}");
+        if threads == 1 && precision.is_none() {
+            assert_eq!(parks, 0, "a lone fixed-n worker never waits");
+        }
+    }
 }
