@@ -63,6 +63,23 @@ cargo run --release --offline -q -p mbfi-serve \
 wait "$SERVE_PID"
 grep -q "drained and stopped" "$SERVE_DIR/daemon.log"
 
+# run_all determinism smoke: every table and figure, Table IV's location
+# pairs included, must be byte-identical on one thread, on three, and on
+# three without checkpoint replay.
+echo "==> run_all determinism smoke: MBFI_THREADS=1 / 3 / 3 with MBFI_REPLAY=off"
+RUN_ALL_DIR="$(mktemp -d)"
+trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR" "$RUN_ALL_DIR"' EXIT
+for variant in "t1:1:on" "t3:3:on" "t3off:3:off"; do
+    IFS=: read -r name threads replay <<< "$variant"
+    mkdir -p "$RUN_ALL_DIR/$name"
+    MBFI_WORKLOADS=qsort,CRC32,stringsearch MBFI_EXPERIMENTS=12 \
+        MBFI_THREADS="$threads" MBFI_REPLAY="$replay" \
+        cargo run --release --offline -q -p mbfi-bench --bin run_all -- \
+        --out-dir "$RUN_ALL_DIR/$name" > /dev/null
+done
+cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3/run_all.txt"
+cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3off/run_all.txt"
+
 if [[ "${1:-}" == "bench" ]]; then
     # Smoke-run the plain-Rust bench harnesses; each writes BENCH_<suite>.json.
     export MBFI_BENCH_SAMPLES="${MBFI_BENCH_SAMPLES:-3}"
@@ -139,7 +156,7 @@ if [[ "${1:-}" == "bench" ]]; then
     echo "==> cargo test --manifest-path perfbench/Cargo.toml"
     cargo test --offline -q --manifest-path perfbench/Cargo.toml
     PERF_DIR="$(mktemp -d)"
-    trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR" "$PERF_DIR"' EXIT
+    trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR" "$RUN_ALL_DIR" "$PERF_DIR"' EXIT
     for workload in artifacts late_injection served; do
         echo "==> perfbench --workload $workload --seconds 2"
         cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \

@@ -19,9 +19,11 @@
 
 use std::collections::HashMap;
 
-use crate::timing::env_parsed;
+use crate::timing::var_parsed;
 use mbfi_core::cluster::{MAX_MBF_VALUES, WIN_SIZE_VALUES};
-use mbfi_core::pruning::{ActivationAnalysis, LocationAnalysis, PessimisticAnalysis};
+use mbfi_core::pruning::{
+    ActivationAnalysis, LocationAnalysis, LocationRequest, PessimisticAnalysis,
+};
 use mbfi_core::replay::{CheckpointConfig, CheckpointStore};
 use mbfi_core::report::{FigureData, Series, TextTable};
 use mbfi_core::space::{ErrorSpace, REGISTER_BITS};
@@ -138,10 +140,16 @@ impl HarnessConfig {
     /// A set-but-malformed value falls back to the default with a one-line
     /// warning on stderr naming the variable and the value kept.
     pub fn from_env() -> HarnessConfig {
+        HarnessConfig::from_vars(|key| std::env::var(key).ok())
+    }
+
+    /// [`HarnessConfig::from_env`] over any variable lookup (`None` =
+    /// unset), e.g. a map in a test instead of the process environment.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> HarnessConfig {
         let mut cfg = HarnessConfig::default();
-        cfg.experiments = env_parsed("MBFI_EXPERIMENTS", cfg.experiments);
-        cfg.seed = env_parsed("MBFI_SEED", cfg.seed);
-        if let Ok(v) = std::env::var("MBFI_SIZE") {
+        cfg.experiments = var_parsed(&var, "MBFI_EXPERIMENTS", cfg.experiments);
+        cfg.seed = var_parsed(&var, "MBFI_SEED", cfg.seed);
+        if let Some(v) = var("MBFI_SIZE") {
             cfg.size = match v.to_ascii_lowercase().as_str() {
                 "small" => InputSize::Small,
                 "tiny" => InputSize::Tiny,
@@ -155,7 +163,7 @@ impl HarnessConfig {
                 }
             };
         }
-        if let Ok(v) = std::env::var("MBFI_WORKLOADS") {
+        if let Some(v) = var("MBFI_WORKLOADS") {
             let names: Vec<String> = v
                 .split(',')
                 .map(|s| s.trim().to_string())
@@ -165,9 +173,9 @@ impl HarnessConfig {
                 cfg.workload_filter = Some(names);
             }
         }
-        cfg.hang_factor = env_parsed("MBFI_HANG_FACTOR", cfg.hang_factor);
-        cfg.threads = env_parsed("MBFI_THREADS", cfg.threads);
-        if let Ok(v) = std::env::var("MBFI_GRID") {
+        cfg.hang_factor = var_parsed(&var, "MBFI_HANG_FACTOR", cfg.hang_factor);
+        cfg.threads = var_parsed(&var, "MBFI_THREADS", cfg.threads);
+        if let Some(v) = var("MBFI_GRID") {
             cfg.full_grid = match v.to_ascii_lowercase().as_str() {
                 "full" => true,
                 "coarse" => false,
@@ -181,7 +189,7 @@ impl HarnessConfig {
                 }
             };
         }
-        if let Ok(v) = std::env::var("MBFI_REPLAY") {
+        if let Some(v) = var("MBFI_REPLAY") {
             match v.to_ascii_lowercase().as_str() {
                 "on" | "auto" | "1" | "true" => cfg.replay = true,
                 "off" | "0" | "false" | "no" => cfg.replay = false,
@@ -200,10 +208,10 @@ impl HarnessConfig {
                 },
             }
         }
-        let budget_mb = env_parsed("MBFI_REPLAY_BUDGET_MB", cfg.replay_budget_bytes >> 20);
+        let budget_mb = var_parsed(&var, "MBFI_REPLAY_BUDGET_MB", cfg.replay_budget_bytes >> 20);
         cfg.replay_budget_bytes = budget_mb << 20;
-        cfg.sweep_batch = env_parsed("MBFI_SWEEP_BATCH", cfg.sweep_batch);
-        if let Ok(v) = std::env::var("MBFI_PRECISION") {
+        cfg.sweep_batch = var_parsed(&var, "MBFI_SWEEP_BATCH", cfg.sweep_batch);
+        if let Some(v) = var("MBFI_PRECISION") {
             match parse_precision(&v) {
                 Some(p) => cfg.precision = p,
                 None => eprintln!(
@@ -212,7 +220,7 @@ impl HarnessConfig {
                 ),
             }
         }
-        if let Ok(v) = std::env::var("MBFI_TELEMETRY") {
+        if let Some(v) = var("MBFI_TELEMETRY") {
             match TelemetryLevel::parse(&v) {
                 Some(level) => cfg.telemetry = level,
                 None => eprintln!(
@@ -222,7 +230,7 @@ impl HarnessConfig {
                 ),
             }
         }
-        if let Ok(v) = std::env::var("MBFI_TELEMETRY_OUT") {
+        if let Some(v) = var("MBFI_TELEMETRY_OUT") {
             if !v.trim().is_empty() {
                 cfg.telemetry_out = v;
             }
@@ -347,7 +355,7 @@ pub struct WorkloadData {
     pub package: String,
     /// One-line description.
     pub description: String,
-    /// The built IR module (kept for analyses that need the tree form).
+    /// The built IR module (kept for callers that need the tree form).
     pub module: Module,
     /// The flat bytecode every campaign executes — lowered once per workload
     /// and shared by all campaigns and worker threads.
@@ -1003,6 +1011,9 @@ pub fn table3(read: &[MultiRegisterSweep], write: &[MultiRegisterSweep]) -> Text
 
 /// Table IV: Transition I (Detection→SDC) and Transition II (Benign→SDC)
 /// likelihoods using each workload's worst-case configuration from Table III.
+/// The location pairs run on the sweep executor with `cfg`'s threads, from
+/// each workload's checkpoint store; the table is byte-identical to running
+/// every pair serially without one.
 pub fn table4(
     cfg: &HarnessConfig,
     data: &[WorkloadData],
@@ -1022,28 +1033,36 @@ pub fn table4(
             "write: prunable",
         ],
     );
-    let mut raw = Vec::new();
-    for ((w, r_sweep), w_sweep) in data.iter().zip(read).zip(write) {
-        let worst_read = analysis.table3_entry(&r_sweep.grid).model;
-        let worst_write = analysis.table3_entry(&w_sweep.grid).model;
-        let read_loc = LocationAnalysis::run(
-            &w.module,
-            &w.golden,
-            Technique::InjectOnRead,
-            worst_read,
-            cfg.experiments,
-            cfg.seed ^ 0xF166,
-            cfg.hang_factor,
-        );
-        let write_loc = LocationAnalysis::run(
-            &w.module,
-            &w.golden,
-            Technique::InjectOnWrite,
-            worst_write,
-            cfg.experiments,
-            cfg.seed ^ 0xF167,
-            cfg.hang_factor,
-        );
+    // Every program's read and write analyses run as one job on the sweep
+    // executor, from each program's checkpoint store; the pairs of each are
+    // sampled serially, so the results do not depend on the schedule.
+    let programs = data.len().min(read.len()).min(write.len());
+    let units: Vec<SweepUnit<'_>> = data[..programs]
+        .iter()
+        .map(WorkloadData::sweep_unit)
+        .collect();
+    let mut requests = Vec::with_capacity(2 * programs);
+    for (unit, (r_sweep, w_sweep)) in read.iter().zip(write).take(programs).enumerate() {
+        for (technique, sweep, salt) in [
+            (Technique::InjectOnRead, r_sweep, 0xF166),
+            (Technique::InjectOnWrite, w_sweep, 0xF167),
+        ] {
+            requests.push(LocationRequest {
+                unit,
+                technique,
+                worst_model: analysis.table3_entry(&sweep.grid).model,
+                pairs: cfg.experiments,
+                seed: cfg.seed ^ salt,
+                hang_factor: cfg.hang_factor,
+            });
+        }
+    }
+    let mut analyses =
+        LocationAnalysis::run_many(&units, &requests, &cfg.sweep_config()).into_iter();
+    let mut raw = Vec::with_capacity(programs);
+    for w in &data[..programs] {
+        let read_loc = analyses.next().expect("one read analysis per program");
+        let write_loc = analyses.next().expect("one write analysis per program");
         table.add_row(vec![
             w.name.clone(),
             format!("{:.1}%", read_loc.transition1() * 100.0),
@@ -1300,21 +1319,28 @@ mod tests {
         );
     }
 
-    /// One combined test so that only a single test in this binary mutates
-    /// the process environment — `set_var` concurrent with `env::var` reads
-    /// from a parallel test thread is undefined behaviour on glibc.
+    /// A lookup over a fixed map, standing in for the process environment.
+    fn vars(pairs: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let map: HashMap<String, String> = pairs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |key| map.get(key).cloned()
+    }
+
     #[test]
     fn env_config_round_trip_and_malformed_fallback() {
-        std::env::set_var("MBFI_EXPERIMENTS", "7");
-        std::env::set_var("MBFI_SIZE", "small");
-        std::env::set_var("MBFI_GRID", "full");
-        std::env::set_var("MBFI_WORKLOADS", "sha, bfs");
-        std::env::set_var("MBFI_REPLAY", "off");
-        std::env::set_var("MBFI_SWEEP_BATCH", "9");
-        std::env::set_var("MBFI_PRECISION", "2.5,80,4000,wald");
-        std::env::set_var("MBFI_TELEMETRY", "full");
-        std::env::set_var("MBFI_TELEMETRY_OUT", "events.jsonl");
-        let cfg = HarnessConfig::from_env();
+        let cfg = HarnessConfig::from_vars(vars(&[
+            ("MBFI_EXPERIMENTS", "7"),
+            ("MBFI_SIZE", "small"),
+            ("MBFI_GRID", "full"),
+            ("MBFI_WORKLOADS", "sha, bfs"),
+            ("MBFI_REPLAY", "off"),
+            ("MBFI_SWEEP_BATCH", "9"),
+            ("MBFI_PRECISION", "2.5,80,4000,wald"),
+            ("MBFI_TELEMETRY", "full"),
+            ("MBFI_TELEMETRY_OUT", "events.jsonl"),
+        ]));
         assert_eq!(cfg.experiments, 7);
         assert_eq!(cfg.telemetry, TelemetryLevel::Full);
         assert_eq!(cfg.telemetry_out, "events.jsonl");
@@ -1334,23 +1360,15 @@ mod tests {
             })
         );
         assert_eq!(cfg.sweep_config().precision, cfg.precision);
-        std::env::remove_var("MBFI_EXPERIMENTS");
-        std::env::remove_var("MBFI_SIZE");
-        std::env::remove_var("MBFI_GRID");
-        std::env::remove_var("MBFI_WORKLOADS");
-        std::env::remove_var("MBFI_REPLAY");
-        std::env::remove_var("MBFI_SWEEP_BATCH");
-        std::env::remove_var("MBFI_PRECISION");
-        std::env::remove_var("MBFI_TELEMETRY");
-        std::env::remove_var("MBFI_TELEMETRY_OUT");
 
         // Malformed values fall back to the defaults (with a stderr warning,
         // not capturable here) instead of being silently dropped mid-parse.
-        std::env::set_var("MBFI_HANG_FACTOR", "twenty");
-        std::env::set_var("MBFI_REPLAY_BUDGET_MB", "-3");
-        std::env::set_var("MBFI_PRECISION", "tight");
-        std::env::set_var("MBFI_TELEMETRY", "verbose");
-        let cfg = HarnessConfig::from_env();
+        let cfg = HarnessConfig::from_vars(vars(&[
+            ("MBFI_HANG_FACTOR", "twenty"),
+            ("MBFI_REPLAY_BUDGET_MB", "-3"),
+            ("MBFI_PRECISION", "tight"),
+            ("MBFI_TELEMETRY", "verbose"),
+        ]));
         assert_eq!(cfg.hang_factor, HarnessConfig::default().hang_factor);
         assert_eq!(
             cfg.replay_budget_bytes,
@@ -1359,11 +1377,8 @@ mod tests {
         assert_eq!(cfg.precision, None);
         assert_eq!(cfg.telemetry, TelemetryLevel::Off);
         assert_eq!(cfg.telemetry_out, "telemetry.jsonl");
-        std::env::remove_var("MBFI_HANG_FACTOR");
-        std::env::remove_var("MBFI_REPLAY_BUDGET_MB");
-        std::env::remove_var("MBFI_PRECISION");
-        std::env::remove_var("MBFI_TELEMETRY");
-        assert_eq!(env_parsed("MBFI_NOT_SET_EVER", 42usize), 42);
+        assert_eq!(var_parsed(vars(&[]), "MBFI_NOT_SET_EVER", 42usize), 42);
+        assert_eq!(var_parsed(vars(&[("K", " 5 ")]), "K", 42usize), 5);
     }
 
     /// `parse_precision` grammar, without touching the process environment.

@@ -205,9 +205,18 @@ pub fn median_wall_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> u64 {
 /// [`BenchSuite`], `HarnessConfig::from_env` and the bench binaries, so
 /// every knob has the same warn-on-garbage behaviour).
 pub fn env_parsed<T: std::str::FromStr + std::fmt::Display>(key: &str, default: T) -> T {
-    match std::env::var(key) {
-        Err(_) => default,
-        Ok(v) => match v.trim().parse::<T>() {
+    var_parsed(|k| std::env::var(k).ok(), key, default)
+}
+
+/// [`env_parsed`] over any variable lookup (`None` = unset).
+pub fn var_parsed<T: std::str::FromStr + std::fmt::Display>(
+    var: impl Fn(&str) -> Option<String>,
+    key: &str,
+    default: T,
+) -> T {
+    match var(key) {
+        None => default,
+        Some(v) => match v.trim().parse::<T>() {
             Ok(n) => n,
             Err(_) => {
                 eprintln!("warning: {key}={v:?} is not a valid value; falling back to {default}");

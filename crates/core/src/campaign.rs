@@ -166,16 +166,20 @@ impl CampaignSpec {
     pub fn validate(&self) -> (CampaignSpec, Vec<CampaignWarning>) {
         let mut spec = *self;
         let mut warnings = Vec::new();
-        if spec.hang_factor < 2 {
+        if spec.hang_factor < MIN_HANG_FACTOR {
             warnings.push(CampaignWarning::HangFactorRaised {
                 requested: spec.hang_factor,
-                used: 2,
+                used: MIN_HANG_FACTOR,
             });
-            spec.hang_factor = 2;
+            spec.hang_factor = MIN_HANG_FACTOR;
         }
         (spec, warnings)
     }
 }
+
+/// The smallest hang factor any experiment runs with: below 2x the golden
+/// length, slowed-down-but-correct runs would read as hangs.
+pub const MIN_HANG_FACTOR: u64 = 2;
 
 /// Aggregated results of one campaign.
 #[derive(Debug, Clone, PartialEq)]

@@ -99,8 +99,9 @@ pub use pruning::{BitLevelPruner, DeadSite, PrunedCampaign};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;
 pub use sweep::{
-    ClientId, EngineConfig, EngineUnit, JobEvent, JobHandle, JobId, JobSpec, SubmitError, Sweep,
-    SweepCampaign, SweepCampaignResult, SweepConfig, SweepEngine, SweepReport, SweepUnit,
+    ClientId, EngineConfig, EngineUnit, JobEvent, JobHandle, JobId, JobSpec, ListedCell,
+    SubmitError, Sweep, SweepCampaign, SweepCampaignResult, SweepConfig, SweepEngine, SweepReport,
+    SweepUnit,
 };
 pub use technique::Technique;
 pub use telemetry::{

@@ -13,14 +13,28 @@
 //! because only those add SDCs beyond the single-bit model.  The paper finds
 //! Transition I to be rare, so locations whose single-bit outcome is a
 //! Detection (or already an SDC) can be excluded from multi-bit campaigns.
+//!
+//! ## Execution
+//!
+//! Pair sampling is serial and separate from execution:
+//! [`LocationAnalysis::pair_specs`] draws every pair from one seeded stream.
+//! The pairs then run as a listed cell on the sweep executor
+//! ([`crate::Sweep::run_listed`]), in parallel and, when the unit carries a
+//! checkpoint store, restored from the deepest golden checkpoint before
+//! their first flip.  Outcomes come back in list order, and replay is
+//! byte-transparent, so the matrix is identical to running every pair
+//! serially from instruction 0, at any thread count.
+//! [`LocationAnalysis::run_many`] submits many analyses (Table IV's 15
+//! programs × 2 techniques) as one job, so they load-balance across workers.
 
-use crate::experiment::{Experiment, ExperimentSpec};
+use crate::campaign::MIN_HANG_FACTOR;
+use crate::experiment::ExperimentSpec;
 use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
 use crate::outcome::Outcome;
 use crate::rng::{Rng, SmallRng};
+use crate::sweep::{ListedCell, Sweep, SweepConfig, SweepUnit};
 use crate::technique::Technique;
-use mbfi_ir::{CompiledModule, Module};
 use std::collections::BTreeMap;
 
 /// Counts of (single-bit outcome → multi-bit outcome) transitions.
@@ -75,11 +89,7 @@ impl TransitionMatrix {
 
     /// Transition I likelihood: single-bit Detection → multi-bit SDC.
     pub fn transition1(&self) -> f64 {
-        let from: u64 = Outcome::ALL
-            .iter()
-            .filter(|o| o.is_detection())
-            .map(|o| self.total_from(*o))
-            .sum();
+        let from = self.total_from_detection();
         if from == 0 {
             return 0.0;
         }
@@ -124,59 +134,130 @@ pub struct LocationAnalysis {
     pub matrix: TransitionMatrix,
 }
 
+/// One analysis of a [`LocationAnalysis::run_many`] job: the arguments of
+/// [`LocationAnalysis::run`], with the unit given as an index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocationRequest {
+    /// Index into the units slice.
+    pub unit: usize,
+    /// Technique of both experiments of every pair.
+    pub technique: Technique,
+    /// Fault model of the multi-bit experiment of every pair.
+    pub worst_model: FaultModel,
+    /// Number of pairs.
+    pub pairs: usize,
+    /// Seed of the pair sampling stream.
+    pub seed: u64,
+    /// Hang threshold multiplier (raised to [`MIN_HANG_FACTOR`]).
+    pub hang_factor: u64,
+}
+
 impl LocationAnalysis {
-    /// Run `pairs` paired experiments on a workload.
+    /// The `(single-bit, multi-bit)` experiment pairs of an analysis, drawn
+    /// serially from one stream seeded by `seed`.
     ///
     /// Each pair shares a first-injection location drawn uniformly from the
-    /// golden run's candidate set; the multi-bit experiment uses `worst_model`.
-    pub fn run(
-        module: &Module,
+    /// golden run's candidate set; the multi-bit experiment uses
+    /// `worst_model` and the seed of pair `i` is the single-bit seed plus
+    /// `i`.
+    pub fn pair_specs(
         golden: &GoldenRun,
         technique: Technique,
         worst_model: FaultModel,
         pairs: usize,
         seed: u64,
         hang_factor: u64,
-    ) -> LocationAnalysis {
-        // Same floor CampaignSpec::validate enforces for campaigns: below 2x
-        // the golden length, slowed-down-but-correct runs read as hangs.
-        let hang_factor = hang_factor.max(2);
-        let code = CompiledModule::lower(module);
+    ) -> Vec<(ExperimentSpec, ExperimentSpec)> {
+        let hang_factor = hang_factor.max(MIN_HANG_FACTOR);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x10CA_7104);
         let candidates = golden.candidates(technique).max(1);
-        let mut matrix = TransitionMatrix::default();
+        (0..pairs)
+            .map(|i| {
+                let first_target = rng.gen_range(0..candidates);
+                let bit_seed = rng.next_u64();
+                let win_value = worst_model.win_size.sample(&mut rng);
+                let single = ExperimentSpec {
+                    technique,
+                    model: FaultModel::single_bit(),
+                    first_target,
+                    win_size_value: 0,
+                    seed: bit_seed,
+                    hang_factor,
+                };
+                let multi = ExperimentSpec {
+                    technique,
+                    model: worst_model,
+                    first_target,
+                    win_size_value: win_value,
+                    seed: bit_seed.wrapping_add(i as u64),
+                    hang_factor,
+                };
+                (single, multi)
+            })
+            .collect()
+    }
 
-        for i in 0..pairs {
-            let first_target = rng.gen_range(0..candidates);
-            let bit_seed = rng.next_u64();
-            let win_value = worst_model.win_size.sample(&mut rng);
-
-            let single_spec = ExperimentSpec {
-                technique,
-                model: FaultModel::single_bit(),
-                first_target,
-                win_size_value: 0,
-                seed: bit_seed,
-                hang_factor,
-            };
-            let multi_spec = ExperimentSpec {
-                technique,
-                model: worst_model,
-                first_target,
-                win_size_value: win_value,
-                seed: bit_seed.wrapping_add(i as u64),
-                hang_factor,
-            };
-            let single = Experiment::run_compiled(&code, golden, &single_spec, None);
-            let multi = Experiment::run_compiled(&code, golden, &multi_spec, None);
-            matrix.record(single.outcome, multi.outcome);
-        }
-
-        LocationAnalysis {
+    /// Run `pairs` paired experiments ([`LocationAnalysis::pair_specs`]) on
+    /// one workload, on the sweep executor with `config`'s threads.
+    pub fn run(
+        unit: SweepUnit<'_>,
+        technique: Technique,
+        worst_model: FaultModel,
+        pairs: usize,
+        seed: u64,
+        hang_factor: u64,
+        config: &SweepConfig,
+    ) -> LocationAnalysis {
+        let request = LocationRequest {
+            unit: 0,
             technique,
             worst_model,
-            matrix,
-        }
+            pairs,
+            seed,
+            hang_factor,
+        };
+        Self::run_many(&[unit], &[request], config).remove(0)
+    }
+
+    /// Run many analyses as one sweep job, one listed cell each; results in
+    /// request order.
+    pub fn run_many(
+        units: &[SweepUnit<'_>],
+        requests: &[LocationRequest],
+        config: &SweepConfig,
+    ) -> Vec<LocationAnalysis> {
+        let cells = requests
+            .iter()
+            .map(|r| ListedCell {
+                unit: r.unit,
+                specs: Self::pair_specs(
+                    units[r.unit].golden,
+                    r.technique,
+                    r.worst_model,
+                    r.pairs,
+                    r.seed,
+                    r.hang_factor,
+                )
+                .into_iter()
+                .flat_map(|(single, multi)| [single, multi])
+                .collect(),
+            })
+            .collect();
+        Sweep::run_listed(units, cells, config)
+            .into_iter()
+            .zip(requests)
+            .map(|(outcomes, r)| {
+                let mut matrix = TransitionMatrix::default();
+                for pair in outcomes.chunks_exact(2) {
+                    matrix.record(pair[0], pair[1]);
+                }
+                LocationAnalysis {
+                    technique: r.technique,
+                    worst_model: r.worst_model,
+                    matrix,
+                }
+            })
+            .collect()
     }
 
     /// Transition I likelihood (Detection → SDC).
@@ -200,7 +281,7 @@ impl LocationAnalysis {
 mod tests {
     use super::*;
     use crate::fault_model::WinSize;
-    use mbfi_ir::{ModuleBuilder, Type};
+    use mbfi_ir::{CompiledModule, Module, ModuleBuilder, Type};
 
     #[test]
     fn matrix_counts_and_probabilities() {
@@ -230,8 +311,7 @@ mod tests {
         assert_eq!(m.probability(Outcome::Hang, Outcome::Sdc), 0.0);
     }
 
-    #[test]
-    fn paired_analysis_runs_on_a_real_workload() {
+    fn workload() -> Module {
         let mut mb = ModuleBuilder::new("w");
         let main = mb.declare("main", &[], None);
         {
@@ -254,22 +334,71 @@ mod tests {
             f.ret_void();
         }
         mb.set_entry(main);
-        let module = mb.finish();
-        let golden = GoldenRun::capture(&module).unwrap();
+        mb.finish()
+    }
 
+    #[test]
+    fn paired_analysis_runs_on_a_real_workload() {
+        let code = CompiledModule::lower(&workload());
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let unit = SweepUnit {
+            code: &code,
+            golden: &golden,
+            store: None,
+        };
         let analysis = LocationAnalysis::run(
-            &module,
-            &golden,
+            unit,
             Technique::InjectOnWrite,
             FaultModel::multi_bit(3, WinSize::Fixed(1)),
             120,
             42,
             10,
+            &SweepConfig::default(),
         );
         assert_eq!(analysis.matrix.total(), 120);
         assert!(analysis.prunable_fraction() >= 0.0 && analysis.prunable_fraction() <= 1.0);
         assert!(analysis.transition1() >= 0.0 && analysis.transition1() <= 1.0);
         assert!(analysis.transition2() >= 0.0 && analysis.transition2() <= 1.0);
+    }
+
+    /// No pairs: an empty cell finishes up front, without a worker.
+    #[test]
+    fn zero_pairs_give_an_empty_matrix() {
+        let code = CompiledModule::lower(&workload());
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let unit = SweepUnit {
+            code: &code,
+            golden: &golden,
+            store: None,
+        };
+        let model = FaultModel::multi_bit(3, WinSize::Fixed(1));
+        assert!(
+            LocationAnalysis::pair_specs(&golden, Technique::InjectOnRead, model, 0, 1, 10)
+                .is_empty()
+        );
+        for threads in [1, 4] {
+            let config = SweepConfig {
+                threads,
+                ..SweepConfig::default()
+            };
+            let analysis =
+                LocationAnalysis::run(unit, Technique::InjectOnRead, model, 0, 1, 10, &config);
+            assert_eq!(analysis.matrix.total(), 0);
+        }
+    }
+
+    /// The hang floor campaigns get applies to pairs too.
+    #[test]
+    fn pair_specs_raise_the_hang_factor_to_the_campaign_floor() {
+        let golden = GoldenRun::capture(&workload()).unwrap();
+        let model = FaultModel::multi_bit(3, WinSize::Fixed(1));
+        for (single, multi) in
+            LocationAnalysis::pair_specs(&golden, Technique::InjectOnRead, model, 4, 1, 0)
+        {
+            assert_eq!(single.hang_factor, MIN_HANG_FACTOR);
+            assert_eq!(multi.hang_factor, MIN_HANG_FACTOR);
+            assert_eq!(single.first_target, multi.first_target);
+        }
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub mod pessimistic;
 
 pub use activation::ActivationAnalysis;
 pub use bitlevel::{BitLevelPruner, DeadSite, PrunedCampaign, SkippedResult};
-pub use location::{LocationAnalysis, TransitionMatrix};
+pub use location::{LocationAnalysis, LocationRequest, TransitionMatrix};
 pub use pessimistic::{ModelComparison, PessimisticAnalysis, PessimisticConfig};

@@ -51,7 +51,7 @@ use crate::replay::CheckpointStore;
 use crate::telemetry::EventKind;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{resolve_threads, worker_loop, Job, Shared, Units};
+use super::plan::{resolve_threads, worker_loop, Cell, Job, Shared, Units};
 use super::{SweepCampaign, SweepCampaignResult, SweepConfig, SweepReport, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
@@ -339,12 +339,9 @@ impl SweepEngine {
         // Planned outside the scheduler lock: depth-sorting a stored unit
         // samples the whole campaign.  The engine does not print warnings —
         // they are data for the caller.
-        let (job, events, warnings) = Job::new(
-            spec.client.0,
-            Units::Owned(spec.units),
-            &spec.campaigns,
-            &spec.config,
-        );
+        let cells = spec.campaigns.iter().map(|c| Cell::Sampled(*c)).collect();
+        let (job, events, warnings) =
+            Job::new(spec.client.0, Units::Owned(spec.units), cells, &spec.config);
         let id = self.shared.admit(job, block)?;
         Ok(JobHandle {
             id: JobId(id),
@@ -684,33 +681,44 @@ mod tests {
 
     /// A worker that dies mid-batch fails its job instead of hanging it: the
     /// job leaves the schedule, the remaining workers drain and exit, and
-    /// the owner's stream ends without `Finished`.
+    /// the owner's stream ends without `Finished`.  Sampled and listed cells
+    /// take the same path.
     #[test]
     fn a_panicking_batch_fails_its_job() {
-        use crate::sweep::plan::{claim_for_test, worker_loop, Job, Shared, Units};
+        use crate::experiment::ExperimentSpec;
+        use crate::sweep::plan::{claim_for_test, worker_loop, Cell, Job, Shared, Units};
+        use crate::sweep::ListedCell;
         let units = vec![unit(48, false)];
-        let shared = Shared::new(usize::MAX, 1, None);
-        let client = shared.register_client(0);
-        let (job, events, _) = Job::new(
-            client,
-            Units::Owned(units),
-            &grid(8),
-            &SweepConfig {
-                batch_size: 2,
-                ..SweepConfig::default()
-            },
-        );
-        shared.admit(job, false).unwrap();
-        shared.shutdown();
-        std::thread::scope(|scope| {
-            let dying =
-                scope.spawn(|| claim_for_test(&shared, || panic!("injected batch failure")));
-            assert!(dying.join().is_err());
-            // Without the failure path this worker would wait forever for
-            // the dead batch's cell.
-            scope.spawn(|| worker_loop(&shared, 1));
+        let (validated, _) = grid(8)[0].spec.validate();
+        let listed = Cell::Listed(ListedCell {
+            unit: 0,
+            specs: ExperimentSpec::sample_campaign(&validated, &units[0].golden),
         });
-        let events: Vec<JobEvent> = events.iter().collect();
-        assert!(!events.iter().any(|e| matches!(e, JobEvent::Finished)));
+        let sampled: Vec<Cell> = grid(8).into_iter().map(Cell::Sampled).collect();
+        for cells in [sampled, vec![listed]] {
+            let shared = Shared::new(usize::MAX, 1, None);
+            let client = shared.register_client(0);
+            let (job, events, _) = Job::new(
+                client,
+                Units::Owned(units.clone()),
+                cells,
+                &SweepConfig {
+                    batch_size: 2,
+                    ..SweepConfig::default()
+                },
+            );
+            shared.admit(job, false).unwrap();
+            shared.shutdown();
+            std::thread::scope(|scope| {
+                let dying =
+                    scope.spawn(|| claim_for_test(&shared, || panic!("injected batch failure")));
+                assert!(dying.join().is_err());
+                // Without the failure path this worker would wait forever for
+                // the dead batch's cell.
+                scope.spawn(|| worker_loop(&shared, 1));
+            });
+            let events: Vec<JobEvent> = events.iter().collect();
+            assert!(!events.iter().any(|e| matches!(e, JobEvent::Finished)));
+        }
     }
 }

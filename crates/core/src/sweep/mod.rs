@@ -57,6 +57,15 @@
 //! [`crate::Campaign::run_compiled_with_store`] is itself implemented as a
 //! single-campaign sweep.
 //!
+//! ## Listed cells
+//!
+//! A [`ListedCell`] runs an explicit, pre-sampled [`ExperimentSpec`] list
+//! instead of sampling a campaign: [`Sweep::run_listed`] plans it like any
+//! other cell (batches, depth order over a checkpoint store) on the same
+//! executor and returns every experiment's [`Outcome`] in list order, so the
+//! result does not depend on the schedule.  Table IV's location pairs
+//! ([`crate::pruning::LocationAnalysis`]) run this way.
+//!
 //! ## One executor, two ways to host it
 //!
 //! The executor lives in `sweep::plan`: per-campaign plans, the job
@@ -79,17 +88,20 @@ pub use engine::{
     SweepEngine,
 };
 
+use std::sync::mpsc;
 use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
+use crate::experiment::ExperimentSpec;
 use crate::golden::GoldenRun;
 use crate::injector::InjectionRecord;
+use crate::outcome::Outcome;
 use crate::replay::CheckpointStore;
 use crate::telemetry::{CellInfo, EventKind, Metric, TelemetryHub};
 use mbfi_ir::CompiledModule;
 
-use plan::{resolve_threads, worker_loop, Job, Plan, Shared, Units};
+use plan::{resolve_threads, worker_loop, Cell, Job, Plan, Shared, Units};
 
 /// Per-workload artifacts shared by every campaign of a sweep: the module is
 /// lowered once, the golden run captured once, and the checkpoint store (if
@@ -120,6 +132,16 @@ pub struct SweepCampaign {
     pub spec: CampaignSpec,
 }
 
+/// A sweep cell that runs an explicit experiment list, verbatim, instead of
+/// sampling a campaign (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ListedCell {
+    /// Index into the sweep's unit slice.
+    pub unit: usize,
+    /// The experiments to run; results come back in this order.
+    pub specs: Vec<ExperimentSpec>,
+}
+
 /// Knobs of the sweep executor.  `threads` and `batch_size` never affect
 /// results — only how the work is spread over threads.  `precision` selects
 /// a different (but still fully deterministic) sampling mode; see the module
@@ -146,6 +168,7 @@ pub struct SweepConfig {
     /// meet the target (each cell's budget is then
     /// [`Precision::max_experiments`]; `CampaignSpec::experiments` is
     /// ignored).  `None` (the default) keeps classic fixed-n sampling.
+    /// Listed cells always run their whole list.
     pub precision: Option<Precision>,
 }
 
@@ -158,6 +181,9 @@ pub struct SweepCampaignResult {
     /// With [`SweepConfig::keep_records`]: the applied flips of experiment
     /// `i` at index `i` (empty otherwise).
     pub records: Vec<Vec<InjectionRecord>>,
+    /// For a [`ListedCell`]: the outcome of list entry `i` at index `i`
+    /// (empty for sampled campaigns, and not part of the wire encoding).
+    pub outcomes: Vec<Outcome>,
 }
 
 /// Everything a sweep produces.
@@ -215,6 +241,7 @@ impl SweepCampaignResult {
                         .collect::<Option<Vec<_>>>()
                 })
                 .collect::<Option<Vec<_>>>()?,
+            outcomes: Vec::new(),
         })
     }
 }
@@ -303,18 +330,12 @@ impl Sweep {
         telemetry: Option<&TelemetryHub>,
         mut sink: impl FnMut(usize, SweepCampaignResult),
     ) -> Vec<CampaignWarning> {
-        for c in campaigns {
-            assert!(
-                c.unit < units.len(),
-                "sweep campaign references unit {} but only {} units were supplied",
-                c.unit,
-                units.len()
-            );
-        }
+        check_units(units, campaigns.iter().map(|c| c.unit));
         // One client, one job, no quota: the whole pool serves this grid.
         let shared = Shared::new(usize::MAX, 1, telemetry);
         let client = shared.register_client(0);
-        let (job, events, warnings) = Job::new(client, Units::Borrowed(units), campaigns, config);
+        let cells = campaigns.iter().map(|c| Cell::Sampled(*c)).collect();
+        let (job, events, warnings) = Job::new(client, Units::Borrowed(units), cells, config);
         // Print each distinct warning once so a whole grid of equally
         // misconfigured campaigns does not repeat itself on stderr.
         for w in &warnings {
@@ -325,38 +346,21 @@ impl Sweep {
         if let Some(hub) = telemetry {
             announce(hub, &job.plans, units, threads);
         }
-        shared
-            .admit(job, false)
-            .expect("a fresh executor admits its first job");
-        // Workers exit as soon as the job drains.
-        shared.shutdown();
-
         let mut total = 0u64;
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let shared = &shared;
-                scope.spawn(move || worker_loop(shared, worker));
-            }
-            loop {
-                let event = events
-                    .recv()
-                    .expect("sweep worker pool exited before every campaign finished");
-                match event {
-                    JobEvent::Progress(kind) => {
-                        if let Some(hub) = telemetry {
-                            hub.record(kind);
-                        }
-                    }
-                    JobEvent::CellFinished { cell, result } => {
-                        total += result.result.total();
-                        if let Some(hub) = telemetry {
-                            hub.record(result.finished_event(cell));
-                        }
-                        sink(cell, *result);
-                    }
-                    JobEvent::Finished => break,
+        host(&shared, job, events, threads, |event| match event {
+            JobEvent::Progress(kind) => {
+                if let Some(hub) = telemetry {
+                    hub.record(kind);
                 }
             }
+            JobEvent::CellFinished { cell, result } => {
+                total += result.result.total();
+                if let Some(hub) = telemetry {
+                    hub.record(result.finished_event(cell));
+                }
+                sink(cell, *result);
+            }
+            JobEvent::Finished => {}
         });
 
         if let Some(hub) = telemetry {
@@ -370,6 +374,72 @@ impl Sweep {
         }
         warnings
     }
+
+    /// Run explicit experiment lists as one job on the sweep executor and
+    /// return each cell's outcomes in list order.  `config.threads` and
+    /// `config.batch_size` only spread the work; `precision` does not apply
+    /// to lists.  A cell's outcomes are the same with or without its unit's
+    /// checkpoint store, and at every thread count.
+    pub fn run_listed(
+        units: &[SweepUnit<'_>],
+        cells: Vec<ListedCell>,
+        config: &SweepConfig,
+    ) -> Vec<Vec<Outcome>> {
+        check_units(units, cells.iter().map(|c| c.unit));
+        let shared = Shared::new(usize::MAX, 1, None);
+        let client = shared.register_client(0);
+        let mut outcomes = vec![Vec::new(); cells.len()];
+        let cells = cells.into_iter().map(Cell::Listed).collect();
+        let (job, events, _) = Job::new(client, Units::Borrowed(units), cells, config);
+        let threads = resolve_threads(config.threads).clamp(1, job.batches().max(1));
+        host(&shared, job, events, threads, |event| {
+            if let JobEvent::CellFinished { cell, result } = event {
+                outcomes[cell] = result.outcomes;
+            }
+        });
+        outcomes
+    }
+}
+
+fn check_units(units: &[SweepUnit<'_>], cell_units: impl Iterator<Item = usize>) {
+    for unit in cell_units {
+        assert!(
+            unit < units.len(),
+            "sweep cell references unit {unit} but only {} units were supplied",
+            units.len()
+        );
+    }
+}
+
+/// Run `job` to completion on `threads` scoped workers of `shared`, handing
+/// each of its events to `on_event` until `Finished`.  Panics (instead of
+/// waiting forever) if a batch of the job panicked.
+fn host<'a>(
+    shared: &Shared<'a>,
+    job: Job<'a>,
+    events: mpsc::Receiver<JobEvent>,
+    threads: usize,
+    mut on_event: impl FnMut(JobEvent),
+) {
+    shared
+        .admit(job, false)
+        .expect("a fresh executor admits its first job");
+    // Workers exit as soon as the job drains.
+    shared.shutdown();
+    std::thread::scope(|scope| {
+        for worker in 0..threads {
+            scope.spawn(move || worker_loop(shared, worker));
+        }
+        loop {
+            let event = events
+                .recv()
+                .expect("sweep worker pool exited before every cell finished");
+            if matches!(event, JobEvent::Finished) {
+                break;
+            }
+            on_event(event);
+        }
+    });
 }
 
 /// Register a starting sweep with a hub before any experiment runs, so a
@@ -880,6 +950,73 @@ mod tests {
         let report = Sweep::run(&units, &cells, &SweepConfig::default());
         assert_eq!(report.results[0].result.total(), 0);
         assert_eq!(report.results[0].result.activation_histogram, vec![0, 0]);
+    }
+
+    /// A listed cell returns each experiment's outcome in list order, equal
+    /// to running the list serially without a store, at any thread count,
+    /// batch size and with a store.
+    #[test]
+    fn listed_cells_match_serial_execution_in_list_order() {
+        let f = fixture(96, true);
+        let spec = CampaignSpec {
+            model: FaultModel::multi_bit(3, WinSize::Fixed(2)),
+            experiments: 40,
+            seed: 0x1157,
+            hang_factor: 8,
+            ..CampaignSpec::default()
+        };
+        let specs = ExperimentSpec::sample_campaign(&spec, &f.golden);
+        let serial: Vec<Outcome> = specs
+            .iter()
+            .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None).outcome)
+            .collect();
+        for store in [None, f.store.as_ref()] {
+            let units = [SweepUnit {
+                code: &f.code,
+                golden: &f.golden,
+                store,
+            }];
+            for (threads, batch_size) in [(1, 0), (4, 3), (4, 0)] {
+                let cells = vec![
+                    ListedCell {
+                        unit: 0,
+                        specs: specs.clone(),
+                    },
+                    ListedCell {
+                        unit: 0,
+                        specs: specs[..7].to_vec(),
+                    },
+                ];
+                let config = SweepConfig {
+                    threads,
+                    batch_size,
+                    ..SweepConfig::default()
+                };
+                let got = Sweep::run_listed(&units, cells, &config);
+                assert_eq!(got, vec![serial.clone(), serial[..7].to_vec()]);
+            }
+        }
+    }
+
+    /// Listed cells with nothing to run finish up front, without a worker.
+    #[test]
+    fn empty_listed_cells_finish_at_once() {
+        let f = fixture(32, false);
+        let units = [SweepUnit {
+            code: &f.code,
+            golden: &f.golden,
+            store: None,
+        }];
+        let empty = ListedCell {
+            unit: 0,
+            specs: Vec::new(),
+        };
+        let config = SweepConfig::default();
+        assert_eq!(
+            Sweep::run_listed(&units, vec![empty.clone(), empty], &config),
+            vec![Vec::<Outcome>::new(); 2]
+        );
+        assert!(Sweep::run_listed(&units, Vec::new(), &config).is_empty());
     }
 
     #[test]

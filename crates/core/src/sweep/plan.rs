@@ -1,10 +1,11 @@
 //! The sweep executor: per-campaign plans, the hot experiment loop and the
 //! one scheduler every sweep runs on.
 //!
-//! * A [`Plan`] cuts one campaign into batches (and, for adaptive campaigns,
+//! * A [`Plan`] cuts one cell into batches (and, for adaptive campaigns,
 //!   rounds of batches); [`run_span`] executes one batch; [`Plan::finalize`]
 //!   folds the partials in batch-index order.  This is everything that
-//!   decides *what* a cell computes.
+//!   decides *what* a cell computes.  A cell is a sampled campaign or an
+//!   explicit experiment list ([`Cell`]); both run the same way.
 //! * A [`Job`] is a planned grid: its plans, its units and its event
 //!   channel.  [`Job::new`] owns the auto-batch formula, warning dedupe and
 //!   the up-front finish of zero-experiment cells.
@@ -35,7 +36,8 @@ use crate::space::{ErrorSpace, REGISTER_BITS};
 use crate::telemetry::{EventKind, TelemetryHub, TelemetryLevel};
 
 use super::{
-    EngineUnit, JobEvent, SubmitError, SweepCampaign, SweepCampaignResult, SweepConfig, SweepUnit,
+    EngineUnit, JobEvent, ListedCell, SubmitError, SweepCampaign, SweepCampaignResult, SweepConfig,
+    SweepUnit,
 };
 
 /// The worker count `threads` asks for (0 = all available parallelism).
@@ -64,21 +66,50 @@ impl Units<'_> {
     }
 }
 
-/// One campaign's execution plan: the validated spec, the experiment
+/// What one cell of a job runs.
+pub(crate) enum Cell {
+    /// A campaign whose experiments are sampled from its spec.
+    Sampled(SweepCampaign),
+    /// An explicit experiment list, run verbatim.
+    Listed(ListedCell),
+}
+
+impl Cell {
+    fn unit(&self) -> usize {
+        match self {
+            Cell::Sampled(c) => c.unit,
+            Cell::Listed(l) => l.unit,
+        }
+    }
+
+    fn experiments(&self) -> usize {
+        match self {
+            Cell::Sampled(c) => c.spec.experiments,
+            Cell::Listed(l) => l.specs.len(),
+        }
+    }
+}
+
+/// One cell's execution plan: the validated spec, the experiment
 /// execution order, the batch deque (an atomic cursor — batches are taken
 /// from the front in index order; which *worker* takes each batch is the
 /// only scheduling freedom, and results do not depend on it) and, for
 /// adaptive campaigns, the round structure gating how many batches are
 /// released.
 ///
-/// Experiment specs are *not* retained: each is a pure function of
-/// `(campaign seed, experiment index)` and is re-sampled (a few RNG draws)
-/// by the worker that runs its batch, so a whole-grid sweep holds O(grid
-/// cells), not O(grid experiments), between batches.
+/// A sampled campaign's experiment specs are *not* retained: each is a pure
+/// function of `(campaign seed, experiment index)` and is re-sampled (a few
+/// RNG draws) by the worker that runs its batch, so a whole-grid sweep
+/// holds O(grid cells), not O(grid experiments), between batches.  A listed
+/// cell keeps its list, and its result carries every outcome in list order.
 pub(crate) struct Plan {
     pub(crate) unit: usize,
+    /// A sampled cell's validated spec; for a listed cell, a summary (list
+    /// length, first technique and hang factor, widest model).
     pub(crate) spec: CampaignSpec,
     pub(crate) warnings: Vec<CampaignWarning>,
+    /// A listed cell's experiments; `None` = sampled from `spec`.
+    list: Option<Vec<ExperimentSpec>>,
     /// Execution order as original experiment indices, sorted by injection
     /// depth when the unit has a checkpoint store so the experiments of one
     /// batch restore neighbouring checkpoints; `None` = identity order.
@@ -108,18 +139,28 @@ pub(crate) struct BatchOut {
     activation: Vec<u64>,
     crash_activation: Vec<u64>,
     records: Vec<(u32, Vec<InjectionRecord>)>,
+    /// Listed cells only: each experiment's outcome by list index.
+    outcomes: Vec<(u32, Outcome)>,
 }
 
 impl Plan {
+    /// Plan one cell.  `precision` applies to sampled campaigns only: a
+    /// listed cell always runs its whole list.
     pub(crate) fn new(
-        campaign: &SweepCampaign,
+        cell: Cell,
         unit: &SweepUnit<'_>,
         batch_size: usize,
         auto_batch: usize,
         precision: Option<Precision>,
     ) -> Plan {
-        let (mut spec, mut warnings) = campaign.spec.validate();
-        let precision = precision.map(|p| p.normalized());
+        let unit_index = cell.unit();
+        let (mut spec, mut warnings, list, precision) = match cell {
+            Cell::Sampled(c) => {
+                let (spec, warnings) = c.spec.validate();
+                (spec, warnings, None, precision.map(|p| p.normalized()))
+            }
+            Cell::Listed(l) => (summary(&l.specs), Vec::new(), Some(l.specs), None),
+        };
         // Round boundaries in experiments.  Fixed-n: one round = the whole
         // budget.  Adaptive: the budget is `max_experiments` and the spec's
         // own experiment count is ignored.
@@ -132,7 +173,7 @@ impl Plan {
         // A budget beyond the single bit-flip error space means sampling with
         // replacement cannot help further — possible for tiny inputs under an
         // adaptive `max_experiments`.  Surface it once per campaign.
-        if spec.model.is_single() {
+        if list.is_none() && spec.model.is_single() {
             let space = ErrorSpace::new(unit.golden.candidates(spec.technique), REGISTER_BITS)
                 .single_bit_size();
             if space > 0 && budget as u128 > space {
@@ -160,10 +201,13 @@ impl Plan {
         // round_ends[r-1])` regardless of the store.
         let order = unit.store.is_some().then(|| {
             // `spec.experiments` already holds the full budget (set above).
-            let keyed: Vec<u64> = ExperimentSpec::sample_campaign(&spec, unit.golden)
-                .into_iter()
-                .map(|s| s.first_target)
-                .collect();
+            let keyed: Vec<u64> = match &list {
+                Some(specs) => specs.iter().map(|s| s.first_target).collect(),
+                None => ExperimentSpec::sample_campaign(&spec, unit.golden)
+                    .into_iter()
+                    .map(|s| s.first_target)
+                    .collect(),
+            };
             let mut order: Vec<u32> = (0..budget as u32).collect();
             let mut start = 0usize;
             for &end in &round_ends {
@@ -192,9 +236,10 @@ impl Plan {
         let mut slots = Vec::with_capacity(batches);
         slots.resize_with(batches, || Mutex::new(None));
         Plan {
-            unit: campaign.unit,
+            unit: unit_index,
             spec,
             warnings,
+            list,
             order,
             spans,
             released: AtomicUsize::new(*round_batch_ends.first().unwrap_or(&0)),
@@ -242,6 +287,7 @@ impl Plan {
                 adaptive: None,
             },
             records: Vec::new(),
+            outcomes: Vec::new(),
         }
     }
 
@@ -281,6 +327,7 @@ impl Plan {
         } else {
             Vec::new()
         };
+        let mut outcomes: Vec<(u32, Outcome)> = Vec::new();
         for slot in &self.slots[..batches] {
             let out = slot
                 .lock()
@@ -297,7 +344,9 @@ impl Plan {
             for (orig, recs) in out.records {
                 records[orig as usize] = recs;
             }
+            outcomes.extend(out.outcomes);
         }
+        outcomes.sort_unstable_by_key(|&(orig, _)| orig);
         // The result's spec records what actually ran: for adaptive
         // campaigns, the realized experiment count.
         let spec = CampaignSpec {
@@ -314,8 +363,27 @@ impl Plan {
                 warnings: self.warnings.clone(),
             },
             records,
+            outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
         }
     }
+}
+
+/// The [`CampaignSpec`] standing for a listed cell in its result and its
+/// telemetry label.  Nothing is sampled from it; the widest model sizes the
+/// activation histograms.
+fn summary(specs: &[ExperimentSpec]) -> CampaignSpec {
+    let mut spec = CampaignSpec {
+        experiments: specs.len(),
+        ..CampaignSpec::default()
+    };
+    if let Some(first) = specs.first() {
+        spec.technique = first.technique;
+        spec.hang_factor = first.hang_factor;
+    }
+    if let Some(widest) = specs.iter().map(|s| s.model).max_by_key(|m| m.max_mbf) {
+        spec.model = widest;
+    }
+    spec
 }
 
 /// The hot experiment loop of one batch.  `timed` is the hub of a
@@ -336,20 +404,24 @@ pub(crate) fn run_span(
         activation: vec![0; plan.max_hist],
         crash_activation: vec![0; plan.max_hist],
         records: Vec::new(),
+        outcomes: Vec::new(),
     };
     for k in start..end {
         let orig = match &plan.order {
             Some(order) => order[k as usize],
             None => k,
         };
-        let spec = ExperimentSpec::sample(
-            plan.spec.technique,
-            plan.spec.model,
-            unit.golden,
-            plan.spec.seed,
-            orig as u64,
-            plan.spec.hang_factor,
-        );
+        let spec = match &plan.list {
+            Some(specs) => specs[orig as usize],
+            None => ExperimentSpec::sample(
+                plan.spec.technique,
+                plan.spec.model,
+                unit.golden,
+                plan.spec.seed,
+                orig as u64,
+                plan.spec.hang_factor,
+            ),
+        };
         let t0 = timed.map(|_| Instant::now());
         let (result, cost) =
             Experiment::run_compiled_inner(unit.code, unit.golden, &spec, unit.store);
@@ -362,6 +434,9 @@ pub(crate) fn run_span(
         out.activation[slot] += 1;
         if result.outcome == Outcome::DetectedHwException {
             out.crash_activation[slot] += 1;
+        }
+        if plan.list.is_some() {
+            out.outcomes.push((orig, result.outcome));
         }
         if keep_records {
             out.records.push((orig, result.injections));
@@ -384,15 +459,15 @@ pub(crate) struct Job<'a> {
 }
 
 impl<'a> Job<'a> {
-    /// Plan every campaign of a grid for `client`.  Returns the job, its
-    /// event stream and the distinct warnings across its campaigns in
+    /// Plan every cell of a grid for `client`.  Returns the job, its
+    /// event stream and the distinct warnings across its cells in
     /// submission order.  Cells without a single batch (0 experiments)
     /// cannot be finalized by a worker, so their `CellFinished` is already
     /// on the stream — followed by `Finished` if no cell has a batch.
     pub(crate) fn new(
         client: u64,
         units: Units<'a>,
-        campaigns: &[SweepCampaign],
+        cells: Vec<Cell>,
         config: &SweepConfig,
     ) -> (Job<'a>, mpsc::Receiver<JobEvent>, Vec<CampaignWarning>) {
         // The fixed-n auto batch size spreads the whole grid over 8 batches
@@ -403,20 +478,15 @@ impl<'a> Job<'a> {
         // [`Plan::new`].  The engine feeds it the job's requested threads,
         // not its pool size, so engine jobs and `Sweep::run` cut identical
         // batches.
-        let total_experiments: usize = campaigns.iter().map(|c| c.spec.experiments).sum();
+        let total_experiments: usize = cells.iter().map(Cell::experiments).sum();
         let auto_batch = total_experiments
             .div_ceil(resolve_threads(config.threads) * 8)
             .clamp(1, 64);
-        let plans: Vec<Plan> = campaigns
-            .iter()
+        let plans: Vec<Plan> = cells
+            .into_iter()
             .map(|c| {
-                Plan::new(
-                    c,
-                    &units.get(c.unit),
-                    config.batch_size,
-                    auto_batch,
-                    config.precision,
-                )
+                let unit = units.get(c.unit());
+                Plan::new(c, &unit, config.batch_size, auto_batch, config.precision)
             })
             .collect();
         let mut warnings: Vec<CampaignWarning> = Vec::new();

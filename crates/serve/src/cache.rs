@@ -302,6 +302,7 @@ mod tests {
                 adaptive: None,
             },
             records: vec![],
+            outcomes: vec![],
         });
         owner.finish(result);
         let (seen, got) = waiter.join().unwrap();

@@ -4,7 +4,8 @@
 //! Run with: `cargo run --release -p mbfi-bench --example pruning_demo`
 
 use mbfi_core::pruning::LocationAnalysis;
-use mbfi_core::{FaultModel, GoldenRun, Outcome, Technique, WinSize};
+use mbfi_core::{FaultModel, GoldenRun, Outcome, SweepConfig, SweepUnit, Technique, WinSize};
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 
 fn main() {
@@ -15,8 +16,13 @@ fn main() {
 
     for name in ["qsort", "stringsearch", "histo"] {
         let workload = workload_by_name(name).expect("registered workload");
-        let module = workload.build_module(InputSize::Tiny);
-        let golden = GoldenRun::capture(&module).expect("golden run");
+        let code = CompiledModule::lower(&workload.build_module(InputSize::Tiny));
+        let golden = GoldenRun::capture_compiled(&code).expect("golden run");
+        let unit = SweepUnit {
+            code: &code,
+            golden: &golden,
+            store: None,
+        };
 
         println!("== {} ==", workload.name());
         for technique in Technique::ALL {
@@ -29,7 +35,15 @@ fn main() {
             } else {
                 FaultModel::multi_bit(2, WinSize::Fixed(100))
             };
-            let analysis = LocationAnalysis::run(&module, &golden, technique, worst, pairs, 9, 20);
+            let analysis = LocationAnalysis::run(
+                unit,
+                technique,
+                worst,
+                pairs,
+                9,
+                20,
+                &SweepConfig::default(),
+            );
 
             println!(
                 "  {technique}: Transition I (Detection→SDC) = {:.1}%, \

@@ -3,8 +3,10 @@
 
 use mbfi_core::pruning::LocationAnalysis;
 use mbfi_core::{
-    Campaign, CampaignSpec, Experiment, ExperimentSpec, FaultModel, GoldenRun, Technique, WinSize,
+    Campaign, CampaignSpec, Experiment, ExperimentSpec, FaultModel, GoldenRun, SweepConfig,
+    SweepUnit, Technique, WinSize,
 };
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 
 #[test]
@@ -101,23 +103,31 @@ fn different_seeds_give_different_campaigns() {
 #[test]
 fn location_analysis_is_reproducible() {
     let w = workload_by_name("histo").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
-    let run = |seed| {
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
+    let unit = SweepUnit {
+        code: &code,
+        golden: &golden,
+        store: None,
+    };
+    let run = |seed, threads| {
         LocationAnalysis::run(
-            &module,
-            &golden,
+            unit,
             Technique::InjectOnWrite,
             FaultModel::multi_bit(3, WinSize::Fixed(1)),
             50,
             seed,
             20,
+            &SweepConfig {
+                threads,
+                ..SweepConfig::default()
+            },
         )
     };
-    let a = run(7);
-    let b = run(7);
+    let a = run(7, 1);
+    let b = run(7, 4);
     assert_eq!(a.matrix, b.matrix);
-    let c = run(8);
+    let c = run(8, 1);
     assert!(a.matrix != c.matrix || a.transition2() == c.transition2());
 }
 

@@ -3,7 +3,10 @@
 //! (RQ2-RQ4) and location sensitivity (RQ5).
 
 use mbfi_core::pruning::{ActivationAnalysis, LocationAnalysis, PessimisticAnalysis};
-use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
+use mbfi_core::{
+    Campaign, CampaignSpec, FaultModel, GoldenRun, SweepConfig, SweepUnit, Technique, WinSize,
+};
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 
 #[test]
@@ -92,17 +95,22 @@ fn pessimistic_analysis_compares_single_and_multi_bit_models() {
 #[test]
 fn location_analysis_finds_prunable_locations_like_rq5() {
     let w = workload_by_name("dijkstra").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
+    let unit = SweepUnit {
+        code: &code,
+        golden: &golden,
+        store: None,
+    };
 
     let analysis = LocationAnalysis::run(
-        &module,
-        &golden,
+        unit,
         Technique::InjectOnRead,
         FaultModel::multi_bit(2, WinSize::Fixed(4)),
         150,
         41,
         20,
+        &SweepConfig::default(),
     );
     assert_eq!(analysis.matrix.total(), 150);
     // Transition probabilities are proper probabilities.
@@ -126,16 +134,21 @@ fn transition1_is_rarer_than_transition2_in_aggregate() {
     let mut t2_sum = 0.0;
     for name in ["qsort", "histo", "stringsearch"] {
         let w = workload_by_name(name).unwrap();
-        let module = w.build_module(InputSize::Tiny);
-        let golden = GoldenRun::capture(&module).unwrap();
+        let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let unit = SweepUnit {
+            code: &code,
+            golden: &golden,
+            store: None,
+        };
         let analysis = LocationAnalysis::run(
-            &module,
-            &golden,
+            unit,
             Technique::InjectOnWrite,
             FaultModel::multi_bit(3, WinSize::Fixed(1)),
             120,
             59,
             20,
+            &SweepConfig::default(),
         );
         t1_sum += analysis.transition1();
         t2_sum += analysis.transition2();

@@ -3,9 +3,11 @@
 //! are byte-identical to running each cell through the serial per-campaign
 //! runner — outcome counts, SDC/detection/benign proportions, warnings and
 //! per-experiment `InjectionRecord`s — and invariant across sweep thread
-//! counts (1, 4, 8) and batch sizes.
+//! counts (1, 4, 8) and batch sizes.  Table IV's location pairs, which run
+//! as listed cells on the same executor, equal serial store-less execution.
 
 use mbfi_bench::harness::{self, CampaignGrid, HarnessConfig};
+use mbfi_core::pruning::{LocationAnalysis, LocationRequest, TransitionMatrix};
 use mbfi_core::{
     Campaign, CampaignResult, Experiment, ExperimentSpec, FaultModel, Outcome, Sweep,
     SweepCampaign, SweepConfig, Technique, WinSize,
@@ -191,4 +193,111 @@ fn sweep_records_match_per_experiment_execution() {
             );
         }
     }
+}
+
+/// Location pairs run on the sweep executor from each program's checkpoint
+/// store give the same transition matrix as running every pair serially,
+/// without a store, for all 15 programs and both techniques, at 1 and 4
+/// threads.
+#[test]
+fn location_pairs_on_the_sweep_match_serial_store_less_execution() {
+    const PAIRS: usize = 10;
+    let cfg = HarnessConfig::default();
+    let data = harness::prepare(&cfg);
+    assert_eq!(data.len(), 15);
+    assert!(
+        data.iter().all(|w| w.store.is_some()),
+        "replay is on by default"
+    );
+    let units: Vec<_> = data.iter().map(|w| w.sweep_unit()).collect();
+    let mut requests = Vec::new();
+    for unit in 0..data.len() {
+        for (technique, worst_model) in [
+            (
+                Technique::InjectOnRead,
+                FaultModel::multi_bit(5, WinSize::Random { lo: 2, hi: 10 }),
+            ),
+            (
+                Technique::InjectOnWrite,
+                FaultModel::multi_bit(3, WinSize::Fixed(1)),
+            ),
+        ] {
+            requests.push(LocationRequest {
+                unit,
+                technique,
+                worst_model,
+                pairs: PAIRS,
+                seed: 0xF166 + unit as u64,
+                hang_factor: cfg.hang_factor,
+            });
+        }
+    }
+    let serial: Vec<TransitionMatrix> = requests
+        .iter()
+        .map(|r| {
+            let w = &data[r.unit];
+            let mut matrix = TransitionMatrix::default();
+            for (single, multi) in LocationAnalysis::pair_specs(
+                &w.golden,
+                r.technique,
+                r.worst_model,
+                r.pairs,
+                r.seed,
+                r.hang_factor,
+            ) {
+                matrix.record(
+                    Experiment::run_compiled(&w.code, &w.golden, &single, None).outcome,
+                    Experiment::run_compiled(&w.code, &w.golden, &multi, None).outcome,
+                );
+            }
+            matrix
+        })
+        .collect();
+    for threads in [1, 4] {
+        let config = SweepConfig {
+            threads,
+            ..SweepConfig::default()
+        };
+        let swept = LocationAnalysis::run_many(&units, &requests, &config);
+        assert_eq!(swept.len(), requests.len());
+        for ((r, a), reference) in requests.iter().zip(&swept).zip(&serial) {
+            assert_eq!(a.matrix.total(), PAIRS as u64);
+            assert_eq!(
+                &a.matrix, reference,
+                "{} {} threads={threads}: matrix differs from serial execution",
+                data[r.unit].name, r.technique
+            );
+        }
+    }
+}
+
+/// `harness::table4` gives the same raw analyses and the same table with
+/// replay off on one thread as at the default knobs.
+#[test]
+fn table4_is_identical_without_replay_on_one_thread() {
+    let cfg = HarnessConfig {
+        experiments: 6,
+        workload_filter: Some(vec!["qsort".into(), "CRC32".into(), "stringsearch".into()]),
+        ..HarnessConfig::default()
+    };
+    let run = {
+        let mut grid = CampaignGrid::new(&cfg);
+        grid.request_artifact_grid();
+        grid.run()
+    };
+    let read = harness::multi_register_results(&cfg, &run, Technique::InjectOnRead);
+    let write = harness::multi_register_results(&cfg, &run, Technique::InjectOnWrite);
+    let (table, raw) = harness::table4(&cfg, &run.data, &read, &write);
+    assert_eq!(raw.len(), 3);
+
+    let serial_cfg = HarnessConfig {
+        replay: false,
+        threads: 1,
+        ..cfg.clone()
+    };
+    let serial_data = harness::prepare(&serial_cfg);
+    assert!(serial_data.iter().all(|w| w.store.is_none()));
+    let (serial_table, serial_raw) = harness::table4(&serial_cfg, &serial_data, &read, &write);
+    assert_eq!(raw, serial_raw);
+    assert_eq!(table.render(), serial_table.render());
 }
