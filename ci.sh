@@ -43,6 +43,9 @@ grep -q "20 experiments" "$TELEM_DIR/monitor.txt"
 # tiny grid with --compare (exits non-zero unless the served report is
 # byte-identical to the in-process Sweep::run of the same cells), then the
 # shutdown verb must drain in-flight work and let the daemon exit cleanly.
+# The grid goes in twice: one-experiment cells run store-less, and the
+# ten-experiment cells make the daemon capture each program's checkpoint
+# store, so the comparison covers both sides of that transition.
 echo "==> serve smoke: mbfi-serve daemon / submit --compare / shutdown"
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR"' EXIT
@@ -53,11 +56,13 @@ SERVE_PID=$!
 for _ in $(seq 100); do [[ -s "$SERVE_DIR/addr" ]] && break; sleep 0.1; done
 [[ -s "$SERVE_DIR/addr" ]] || { echo "daemon never wrote its address"; exit 1; }
 SERVE_ADDR="$(cat "$SERVE_DIR/addr")"
-MBFI_EXPERIMENTS=10 cargo run --release --offline -q -p mbfi-serve \
-    --bin mbfi-serve -- submit --connect "$SERVE_ADDR" \
-    --workloads qsort,CRC32 --experiments 10 --compare --quiet \
-    | tee "$SERVE_DIR/submit.txt"
-grep -q "byte-identical" "$SERVE_DIR/submit.txt"
+for experiments in 1 10; do
+    cargo run --release --offline -q -p mbfi-serve \
+        --bin mbfi-serve -- submit --connect "$SERVE_ADDR" \
+        --workloads qsort,CRC32 --experiments "$experiments" --compare --quiet \
+        | tee "$SERVE_DIR/submit-$experiments.txt"
+    grep -q "byte-identical" "$SERVE_DIR/submit-$experiments.txt"
+done
 cargo run --release --offline -q -p mbfi-serve \
     --bin mbfi-serve -- shutdown --connect "$SERVE_ADDR"
 wait "$SERVE_PID"

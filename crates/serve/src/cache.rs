@@ -7,6 +7,7 @@
 //! * [`ArtifactCache`] — one `(workload, size)` build (module lowering plus
 //!   golden-run capture) per process lifetime, with a per-key build lock so
 //!   two concurrent first-requests for `qsort/tiny` compile it exactly once.
+//!   The same lock guards a lazily captured checkpoint store (below).
 //! * [`CellCache`] — one *execution* per [`CellKey`] (workload, size, and
 //!   the full normalised campaign spec).  The first requester becomes the
 //!   owner and submits the engine job; everyone else tails the owner's
@@ -18,9 +19,30 @@
 //! The cell key deliberately excludes the request's `threads` hint: results
 //! are thread-invariant, so normalising `threads` to 0 widens dedupe without
 //! risking divergence.
+//!
+//! ## The lazy, sparse checkpoint store
+//!
+//! Served experiments restore from golden-run checkpoints
+//! ([`CheckpointStore`]) instead of re-executing from instruction 0.
+//! Replay is byte-transparent, so a served report stays identical to the
+//! store-less in-process `Sweep::run` of the same cells.  The store is
+//! captured on the first request for a unit whose planned budget reaches
+//! [`STORE_BREAK_EVEN`] experiments, under the slot's build lock, so each
+//! `(workload, size)` is captured exactly once and every later job clone
+//! shares it.  A program only ever asked for one-experiment cells is never
+//! captured.  A capture error is reported and not cached: a later request
+//! retries it.
+//!
+//! The store is sparse: [`DAEMON_CHECKPOINTS`] evenly spaced checkpoints
+//! per golden run, under [`CheckpointConfig::default`]'s byte budget.  On
+//! the 15 programs at tiny input the stores take 0.93 MiB in total, 40 to
+//! 104 KiB per unit, against 12.4 MiB at the harness's 128 checkpoints.
 
 use crate::protocol::CellRequest;
-use mbfi_core::{EventKind, IntervalMethod, SweepCampaignResult, Technique, WinSize};
+use mbfi_core::{
+    CheckpointConfig, CheckpointStore, EngineUnit, EventKind, IntervalMethod, SweepCampaignResult,
+    Technique, WinSize,
+};
 use mbfi_workloads::InputSize;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -184,31 +206,55 @@ impl CellCache {
     }
 }
 
+/// Checkpoints per served golden run.
+///
+/// With uniformly drawn first targets, `N` evenly spaced checkpoints let an
+/// experiment skip `(1 - 1/N) / 2` of the golden run on average: 0.44 at
+/// `N = 8`, against 0.50 for the harness's 128.  The daemon keeps every
+/// store for its lifetime, so memory decides: on the 15 programs at tiny
+/// input the stores take 0.93 MiB at `N = 8` and 12.4 MiB at 128.  On the
+/// benchmark's `served` workload (2 vCPUs) 128 checkpoints cut wall time a
+/// further fifth but raised peak RSS from 8.6 to 20.6 MiB, more than twice
+/// the store-less daemon's.
+pub const DAEMON_CHECKPOINTS: u64 = 8;
+
+/// The smallest planned budget for which capturing a store pays.
+///
+/// A capture costs about one golden run (over the 15 tiny programs, both
+/// take 30–60 ms on a 2-vCPU machine), and each experiment saves
+/// `(1 - 1/N) / 2` of one, so the store pays from the smallest `n` with
+/// `n * (1 - 1/N) / 2 > 1`, i.e. `n * (N - 1) > 2 * N`: 3 at `N = 8`.
+pub const STORE_BREAK_EVEN: u64 = 2 * DAEMON_CHECKPOINTS / (DAEMON_CHECKPOINTS - 1) + 1;
+
 /// Per-`(workload, size)` build slot: the inner mutex is the *build lock* —
 /// two concurrent first-requests for the same artefacts serialise here and
-/// the loser finds the winner's build.
+/// the loser finds the winner's build (and store, once captured).
 #[derive(Debug, Default)]
 struct ArtifactSlot {
-    unit: Mutex<Option<mbfi_core::EngineUnit>>,
+    unit: Mutex<Option<EngineUnit>>,
 }
 
 /// The cross-request artifact cache: one module lowering plus golden-run
-/// capture per `(workload, size)` for the daemon's lifetime.  Failed builds
-/// are *not* cached — a later request retries.
+/// capture per `(workload, size)` for the daemon's lifetime, and at most
+/// one checkpoint-store capture.  Failed builds and captures are *not*
+/// cached — a later request retries.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     slots: Mutex<HashMap<(String, InputSize), Arc<ArtifactSlot>>>,
 }
 
 impl ArtifactCache {
-    /// Look up or build the artefacts of `(workload, size)`.  The returned
-    /// [`mbfi_core::EngineUnit`] is cheap to clone (all `Arc`s).  `Err` is
-    /// the error-frame message.
+    /// Look up or build the artefacts of `(workload, size)` for a cell that
+    /// plans `planned_budget` experiments (the fixed count, or the adaptive
+    /// cap).  A budget of at least [`STORE_BREAK_EVEN`] captures the unit's
+    /// checkpoint store if it has none yet.  The returned [`EngineUnit`] is
+    /// cheap to clone (all `Arc`s).  `Err` is the error-frame message.
     pub fn get_or_build(
         &self,
         workload: &str,
         size: InputSize,
-    ) -> Result<mbfi_core::EngineUnit, String> {
+        planned_budget: u64,
+    ) -> Result<EngineUnit, String> {
         let slot = {
             let mut slots = self.slots.lock().expect(LOCK_POISONED);
             Arc::clone(
@@ -217,19 +263,28 @@ impl ArtifactCache {
                     .or_default(),
             )
         };
-        let mut unit = slot.unit.lock().expect(LOCK_POISONED);
-        if let Some(unit) = unit.as_ref() {
-            return Ok(unit.clone());
+        let mut cached = slot.unit.lock().expect(LOCK_POISONED);
+        let unit = match cached.as_mut() {
+            Some(unit) => unit,
+            None => {
+                let spec = mbfi_workloads::workload_by_name(workload)
+                    .ok_or_else(|| format!("unknown workload {workload:?}"))?;
+                let module = spec.build_module(size);
+                let code = mbfi_ir::CompiledModule::lower(&module);
+                let golden = mbfi_core::GoldenRun::capture_compiled(&code)
+                    .map_err(|e| format!("golden run of {workload:?}/{size} failed: {e:?}"))?;
+                cached.insert(EngineUnit::new(code, golden))
+            }
+        };
+        if unit.store.is_none() && planned_budget >= STORE_BREAK_EVEN {
+            let config = CheckpointConfig::with_interval(
+                (unit.golden.dynamic_instrs / DAEMON_CHECKPOINTS).max(1),
+            );
+            let store = CheckpointStore::capture_compiled(&unit.code, &unit.golden, config)
+                .map_err(|e| format!("checkpoint capture of {workload:?}/{size} failed: {e}"))?;
+            unit.store = Some(Arc::new(store));
         }
-        let spec = mbfi_workloads::workload_by_name(workload)
-            .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-        let module = spec.build_module(size);
-        let code = mbfi_ir::CompiledModule::lower(&module);
-        let golden = mbfi_core::GoldenRun::capture_compiled(&code)
-            .map_err(|e| format!("golden run of {workload:?}/{size} failed: {e:?}"))?;
-        let built = mbfi_core::EngineUnit::new(code, golden);
-        *unit = Some(built.clone());
-        Ok(built)
+        Ok(unit.clone())
     }
 }
 
@@ -330,13 +385,94 @@ mod tests {
     #[test]
     fn artifacts_build_once_and_reject_unknown_workloads() {
         let cache = ArtifactCache::default();
-        let first = cache.get_or_build("qsort", InputSize::Tiny).unwrap();
-        let second = cache.get_or_build("QSORT", InputSize::Tiny).unwrap();
+        let first = cache.get_or_build("qsort", InputSize::Tiny, 1).unwrap();
+        let second = cache.get_or_build("QSORT", InputSize::Tiny, 1).unwrap();
         assert!(
             Arc::ptr_eq(&first.code, &second.code),
             "case-insensitive hit shares the build"
         );
-        let err = cache.get_or_build("qsrot", InputSize::Tiny).unwrap_err();
+        let err = cache
+            .get_or_build("qsrot", InputSize::Tiny, STORE_BREAK_EVEN)
+            .unwrap_err();
         assert!(err.contains("unknown workload"), "{err}");
+    }
+
+    #[test]
+    fn break_even_is_the_first_budget_a_capture_pays_for() {
+        // n experiments save n * (1 - 1/N) / 2 golden runs; a capture costs
+        // one.  In integers: n * (N - 1) > 2 * N.
+        let pays = |n: u64| n * (DAEMON_CHECKPOINTS - 1) > 2 * DAEMON_CHECKPOINTS;
+        assert!(pays(STORE_BREAK_EVEN));
+        assert!(!pays(STORE_BREAK_EVEN - 1));
+        assert_eq!(STORE_BREAK_EVEN, 3);
+    }
+
+    #[test]
+    fn budgets_below_break_even_capture_no_store() {
+        let cache = ArtifactCache::default();
+        for budget in [0, 1, STORE_BREAK_EVEN - 1] {
+            let unit = cache
+                .get_or_build("CRC32", InputSize::Tiny, budget)
+                .unwrap();
+            assert!(unit.store.is_none(), "budget {budget} captured a store");
+        }
+    }
+
+    #[test]
+    fn the_first_budget_at_break_even_captures_one_shared_store() {
+        let cache = ArtifactCache::default();
+        let cold = cache.get_or_build("qsort", InputSize::Tiny, 1).unwrap();
+        assert!(cold.store.is_none());
+
+        // Concurrent first requests at break-even capture exactly once.
+        let units: Vec<EngineUnit> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| cache.get_or_build("qsort", InputSize::Tiny, 36)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap().unwrap())
+                .collect()
+        });
+        let store = units[0].store.clone().expect("break-even budget captures");
+        for unit in &units {
+            assert!(Arc::ptr_eq(&store, unit.store.as_ref().unwrap()));
+            assert!(
+                Arc::ptr_eq(&cold.code, &unit.code),
+                "capture keeps the build"
+            );
+        }
+        // Later requests share it, whatever their budget.
+        for budget in [1, STORE_BREAK_EVEN, 1000] {
+            let later = cache
+                .get_or_build("QSort", InputSize::Tiny, budget)
+                .unwrap();
+            assert!(Arc::ptr_eq(&store, later.store.as_ref().unwrap()));
+        }
+
+        let golden = &units[0].golden;
+        assert_eq!(
+            store.interval(),
+            (golden.dynamic_instrs / DAEMON_CHECKPOINTS).max(1)
+        );
+        assert!(!store.is_empty());
+        assert!(store.len() as u64 <= DAEMON_CHECKPOINTS);
+    }
+
+    #[test]
+    fn stores_of_every_tiny_program_fit_in_one_mib() {
+        let cache = ArtifactCache::default();
+        let total: usize = mbfi_workloads::all_workloads()
+            .iter()
+            .map(|w| {
+                let unit = cache
+                    .get_or_build(w.name(), InputSize::Tiny, STORE_BREAK_EVEN)
+                    .unwrap();
+                let store = unit.store.expect("break-even budget captures");
+                assert!(!store.truncated(), "{}: store truncated", w.name());
+                store.stored_bytes()
+            })
+            .sum();
+        assert!(total <= 1 << 20, "stores take {total} bytes");
     }
 }

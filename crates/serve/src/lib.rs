@@ -14,10 +14,11 @@
 //! * [`protocol`] — the hand-rolled JSON-lines wire grammar: `submit` /
 //!   `watch` / `shutdown` requests, ack/error/report frames, and the
 //!   telemetry-schema event stream between them.
-//! * [`cache`] — the cross-request dedupe layer: one artefact build per
-//!   `(workload, size)` and one *execution* per cell spec, no matter how
-//!   many clients ask for it concurrently.  Sound because the executor is
-//!   deterministic: a cell's result is a pure function of its spec.
+//! * [`cache`] — the cross-request dedupe layer: one artefact build (and
+//!   at most one checkpoint-store capture) per `(workload, size)` and one
+//!   *execution* per cell spec, no matter how many clients ask for it
+//!   concurrently.  Sound because the executor is deterministic: a cell's
+//!   result is a pure function of its spec.
 //! * [`client`] — connect/submit/watch/shutdown helpers used by the CLI,
 //!   `mbfi-monitor --connect`, the `serve_bench` harness and the
 //!   equivalence tests.

@@ -206,9 +206,11 @@ struct Inner {
     watch_planned: AtomicU64,
     /// Cumulative finished experiments across all executed cells.
     watch_finished: AtomicU64,
-    /// Detached per-cell collector threads, joined at shutdown.
+    /// Detached per-cell collector threads: finished ones are joined as new
+    /// ones start, the rest at shutdown.
     collectors: Mutex<Vec<JoinHandle<()>>>,
-    /// Per-connection handler threads, joined at shutdown.
+    /// Per-connection handler threads: finished ones are joined as new ones
+    /// start, the rest at shutdown.
     connections: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -291,6 +293,21 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// Join every finished thread of `handles`, then keep `handle`: the list
+/// holds only threads still running (or just finished), not one per
+/// request the daemon ever served.
+fn push_reaped(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
+    let mut handles = handles.lock().expect(LOCK_POISONED);
+    let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *handles)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    for done in finished {
+        let _ = done.join();
+    }
+    *handles = running;
+    handles.push(handle);
+}
+
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     for stream in listener.incoming() {
         if inner.stop.load(Ordering::SeqCst) {
@@ -302,7 +319,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             .name("mbfi-serve-conn".to_string())
             .spawn(move || handle_connection(&conn_inner, stream));
         if let Ok(handle) = handle {
-            inner.connections.lock().expect(LOCK_POISONED).push(handle);
+            push_reaped(&inner.connections, handle);
         }
     }
     drop(listener);
@@ -419,7 +436,10 @@ fn handle_submit(
     // frame without poisoning cache entries another client may be tailing.
     let mut units = Vec::with_capacity(req.cells.len());
     for cell in &req.cells {
-        match inner.artifacts.get_or_build(&cell.workload, cell.size) {
+        match inner
+            .artifacts
+            .get_or_build(&cell.workload, cell.size, planned_budget(cell))
+        {
             Ok(unit) => units.push(unit),
             Err(msg) => return send_line(stream, &protocol::error_line(&msg)),
         }
@@ -511,7 +531,7 @@ fn handle_submit(
                         .name("mbfi-serve-cell".to_string())
                         .spawn(move || collect_cell(&collector_inner, handle, &entry, key, gcell));
                     if let Ok(handle) = collector {
-                        inner.collectors.lock().expect(LOCK_POISONED).push(handle);
+                        push_reaped(&inner.collectors, handle);
                     }
                 }
                 Err(e) => {
@@ -583,6 +603,8 @@ fn handle_submit(
         results.push(result);
     }
 
+    // The CoW tallies stay 0: a telemetry hub counts them, and engine jobs
+    // carry none (experiments still restore from the unit's store).
     events.emit(EventKind::SweepFinished {
         cells: req.cells.len(),
         experiments: results.iter().map(|r| r.result.counts.total()).sum(),
@@ -653,5 +675,51 @@ fn collect_cell(
         // non-graceful teardown); release followers and allow a retry.
         entry.fail();
         inner.cells.evict(&key);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{submit, GridRequest};
+    use crate::protocol::CellRequest;
+    use mbfi_core::{FaultModel, Technique};
+    use mbfi_workloads::InputSize;
+
+    #[test]
+    fn finished_threads_are_reaped_as_requests_arrive() {
+        let server = spawn(ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        for seed in 0..40 {
+            // A fresh seed per submission: every one owns its cell and so
+            // starts a collector as well as a connection handler.
+            let outcome = submit(
+                server.addr(),
+                &GridRequest {
+                    threads: 0,
+                    priority: 0,
+                    cells: vec![CellRequest {
+                        workload: "CRC32".to_string(),
+                        size: InputSize::Tiny,
+                        technique: Technique::InjectOnRead,
+                        model: FaultModel::single_bit(),
+                        experiments: 1,
+                        seed,
+                        hang_factor: 20,
+                        precision: None,
+                    }],
+                },
+            )
+            .expect("submission succeeds");
+            assert_eq!(outcome.deduped, 0);
+        }
+        let live = server.inner.connections.lock().unwrap().len()
+            + server.inner.collectors.lock().unwrap().len();
+        assert!(live <= 4, "{live} thread handles kept after 40 submissions");
+        server.stop();
+        server.join();
     }
 }

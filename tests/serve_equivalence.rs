@@ -220,6 +220,63 @@ fn adaptive_grids_round_trip_through_the_daemon() {
     server.join();
 }
 
+/// The daemon captures a program's checkpoint store on the first cell that
+/// plans enough experiments, so one daemon serves the same programs first
+/// store-less, then across the capture, then from the store.  Replay is
+/// byte-transparent: every report equals the store-less in-process sweep.
+#[test]
+fn reports_match_across_the_checkpoint_store_transition() {
+    let single: Vec<CellRequest> = full_grid()
+        .into_iter()
+        .map(|c| CellRequest {
+            experiments: 1,
+            ..c
+        })
+        .collect();
+    let fixed = full_grid();
+    let precision = Precision {
+        target_half_width_pct: 20.0,
+        min_experiments: 6,
+        max_experiments: 18,
+        interval: IntervalMethod::Wilson,
+    };
+    let adaptive: Vec<CellRequest> = full_grid()
+        .into_iter()
+        .map(|c| CellRequest {
+            technique: Technique::InjectOnWrite,
+            precision: Some(precision),
+            ..c
+        })
+        .collect();
+
+    for threads in [1usize, 4] {
+        let server = spawn_server(threads);
+        for (name, cells, precision) in [
+            ("one-experiment", &single, None),
+            ("fixed-n", &fixed, None),
+            ("adaptive", &adaptive, Some(precision)),
+        ] {
+            let served = mbfi_serve::submit(
+                server.addr(),
+                &GridRequest {
+                    threads: 0,
+                    priority: 0,
+                    cells: cells.clone(),
+                },
+            )
+            .expect("submission succeeds");
+            assert_eq!(served.deduped, 0, "threads={threads} {name}: fresh cells");
+            assert_eq!(
+                served.report.to_json().render(),
+                in_process(cells, threads, precision).to_json().render(),
+                "threads={threads}: {name} grid diverged"
+            );
+        }
+        server.stop();
+        server.join();
+    }
+}
+
 fn raw_request(addr: std::net::SocketAddr, line: &str) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(line.as_bytes()).expect("send");
