@@ -69,21 +69,25 @@ wait "$SERVE_PID"
 grep -q "drained and stopped" "$SERVE_DIR/daemon.log"
 
 # run_all determinism smoke: every table and figure, Table IV's location
-# pairs included, must be byte-identical on one thread, on three, and on
-# three without checkpoint replay.
-echo "==> run_all determinism smoke: MBFI_THREADS=1 / 3 / 3 with MBFI_REPLAY=off"
+# pairs included, must be byte-identical on one thread, on three, on three
+# without checkpoint replay, and on three with a 1 MiB store budget.  That
+# budget truncates the qsort and stringsearch stores, so experiments that
+# rejoin the golden run are checked where the store ends before the run.
+echo "==> run_all determinism smoke: MBFI_THREADS=1 / 3 / 3 with MBFI_REPLAY=off / 3 with MBFI_REPLAY_BUDGET_MB=1"
 RUN_ALL_DIR="$(mktemp -d)"
 trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR" "$RUN_ALL_DIR"' EXIT
-for variant in "t1:1:on" "t3:3:on" "t3off:3:off"; do
-    IFS=: read -r name threads replay <<< "$variant"
+for variant in "t1:1:on:64" "t3:3:on:64" "t3off:3:off:64" "t3trunc:3:on:1"; do
+    IFS=: read -r name threads replay budget <<< "$variant"
     mkdir -p "$RUN_ALL_DIR/$name"
     MBFI_WORKLOADS=qsort,CRC32,stringsearch MBFI_EXPERIMENTS=12 \
         MBFI_THREADS="$threads" MBFI_REPLAY="$replay" \
+        MBFI_REPLAY_BUDGET_MB="$budget" \
         cargo run --release --offline -q -p mbfi-bench --bin run_all -- \
         --out-dir "$RUN_ALL_DIR/$name" > /dev/null
 done
 cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3/run_all.txt"
 cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3off/run_all.txt"
+cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3trunc/run_all.txt"
 
 if [[ "${1:-}" == "bench" ]]; then
     # Smoke-run the plain-Rust bench harnesses; each writes BENCH_<suite>.json.

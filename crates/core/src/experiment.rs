@@ -1,15 +1,41 @@
 //! A single fault-injection experiment.
+//!
+//! An experiment runs the workload once with an [`InjectorHook`] and
+//! classifies the run against the golden run.  Without a checkpoint store
+//! it executes from instruction zero to its end; that run is the oracle.
+//! With a store it takes two shortcuts, and neither changes a result:
+//!
+//! * **Prefix.**  It restores the deepest checkpoint at or before its first
+//!   injection, because the run up to there is the golden run (see
+//!   [`crate::replay`]).
+//! * **Suffix.**  It then runs boundary to boundary over the later
+//!   checkpoints.  Once `InjectorHook::is_spent` holds, no value the run
+//!   sees can be changed any more, so it runs under a [`NoopHook`].  At each
+//!   boundary reached with a spent injector it compares its state with the
+//!   checkpoint's ([`Vm::same_state_as`]).  Equal states execute the same
+//!   instructions, so from there the run *is* the golden run: it would end
+//!   normally with the golden output after exactly
+//!   `golden.dynamic_instrs` instructions.  The experiment stops and
+//!   reports that result: [`Outcome::Benign`], the golden instruction
+//!   count, and the flips the injector applied.
+//!
+//! The suffix shortcut needs the golden suffix to fit the faulty run's
+//! limits.  The store records the limits it was captured under, and
+//! `CheckpointStore::golden_suffix_fits` admits the exit only when the
+//! hang threshold covers the whole golden run and the call-depth and output
+//! limits are no tighter than the capture's.  Otherwise the run continues
+//! and meets its own limit as the oracle does.
 
 use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
 use crate::injector::{InjectionRecord, InjectorHook};
 use crate::outcome::{classify, Outcome};
-use crate::replay::CheckpointStore;
+use crate::replay::{Checkpoint, CheckpointStore};
 use crate::rng::{Rng, SmallRng};
 use crate::technique::Technique;
 use crate::telemetry::{Metric, TelemetryHub};
 use mbfi_ir::{CompiledModule, Module};
-use mbfi_vm::{Vm, WalkerVm};
+use mbfi_vm::{NoopHook, RunResult, Vm, WalkerVm};
 
 /// Everything needed to run (and reproduce) one experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,21 +142,38 @@ pub(crate) struct ExperimentCost {
     pub restored_dyn: Option<u64>,
     /// Copy-on-write chunk traffic of the run.
     pub cow: mbfi_vm::CowStats,
+    /// The checkpoint boundary where the run's state rejoined the golden
+    /// run and the run stopped, with the golden instructions it skipped.
+    pub converged_at: Option<(u64, u64)>,
 }
 
 impl ExperimentCost {
     /// Publish the cost into a hub: a checkpoint fast-forward and the
     /// dynamic instructions it skipped as [`Metric::CheckpointRestores`] /
-    /// [`Metric::ReplayInstrsSkipped`], and the run's copy-on-write traffic
-    /// as [`Metric::CowChunksCopied`] / [`Metric::CowRestoreBytesSaved`].
+    /// [`Metric::ReplayInstrsSkipped`], an exit at a golden checkpoint and
+    /// the instructions it skipped as [`Metric::GoldenConvergences`] /
+    /// [`Metric::ConvergedInstrsSkipped`], and the run's copy-on-write
+    /// traffic as [`Metric::CowChunksCopied`] / [`Metric::CowRestoreBytesSaved`].
     pub(crate) fn publish(&self, hub: &TelemetryHub) {
         if let Some(skipped) = self.restored_dyn {
             hub.add(Metric::CheckpointRestores, 1);
             hub.add(Metric::ReplayInstrsSkipped, skipped);
         }
+        if let Some((_, skipped)) = self.converged_at {
+            hub.add(Metric::GoldenConvergences, 1);
+            hub.add(Metric::ConvergedInstrsSkipped, skipped);
+        }
         hub.add(Metric::CowChunksCopied, self.cow.cow_chunks_copied);
         hub.add(Metric::CowRestoreBytesSaved, self.cow.restore_bytes_saved);
     }
+}
+
+/// How a replayed run ended.
+enum Ended {
+    /// The run ended on its own (completed, trapped or hit its limit).
+    Ran(RunResult),
+    /// The run's state equalled the golden checkpoint at this boundary.
+    Rejoined(u64),
 }
 
 /// Runs single experiments.
@@ -183,10 +226,19 @@ impl Experiment {
     }
 
     /// The shared non-generic execution body: the result plus the run's cost
-    /// accounting (checkpoint restore, copy-on-write chunk traffic).  Costs
-    /// are deliberately *not* part of [`ExperimentResult`] — results must
-    /// stay byte-identical whether replay or CoW is on, and the cost side
-    /// obviously differs between the paths.
+    /// accounting (checkpoint restore, golden convergence, copy-on-write
+    /// chunk traffic).  Costs are deliberately *not* part of
+    /// [`ExperimentResult`] — results must stay byte-identical whether
+    /// replay or CoW is on, and the cost side obviously differs between the
+    /// paths.
+    ///
+    /// Without a store the run executes from instruction zero to its end:
+    /// the oracle every other path must equal.  With a store it restores the
+    /// nearest checkpoint and then runs boundary to boundary over the later
+    /// checkpoints.  Once the injector is spent it runs under a
+    /// [`NoopHook`], and at each boundary it compares its state with the
+    /// checkpoint's; on equality the rest of the run is the golden run's,
+    /// so it stops with the golden result (see the module docs).
     pub(crate) fn run_compiled_inner(
         code: &CompiledModule,
         golden: &GoldenRun,
@@ -202,19 +254,73 @@ impl Experiment {
         );
         let limits = golden.faulty_run_limits(spec.hang_factor);
         let mut cost = ExperimentCost::default();
-        let mut vm = match store.and_then(|s| s.nearest_for(spec.technique, spec.first_target)) {
-            Some(cp) => {
+        let checkpoints = store.map_or(&[][..], CheckpointStore::checkpoints);
+        // A run stops at its instruction limit, so a checkpoint past the
+        // limit (a hang threshold below the golden length) is not on it.
+        let reachable = checkpoints.partition_point(|c| c.dyn_index <= limits.max_dynamic_instrs);
+        let nearest = store
+            .and_then(|s| s.nearest_index_for(spec.technique, spec.first_target))
+            .and_then(|i| reachable.checked_sub(1).map(|last| i.min(last)));
+        let mut vm = match nearest {
+            Some(i) => {
+                let cp = &checkpoints[i];
                 hook.resume_candidates(cp.candidates_for(spec.technique));
-                cost.restored_dyn = Some(cp.snapshot().dyn_count());
+                cost.restored_dyn = Some(cp.dyn_index);
                 // Fork straight off the shared checkpoint: the
                 // copy-on-write fork copies no memory at all up front.
                 Vm::from_snapshot(code, limits, cp.snapshot())
             }
             None => Vm::new(code, limits),
         };
-        let result = vm.run_to_end(&mut hook);
+        let later = &checkpoints[nearest.map_or(0, |i| i + 1)..];
+        let may_exit = store.is_some_and(|s| s.golden_suffix_fits(golden, &limits));
+        let ended = Self::run_until_rejoined(&mut vm, &mut hook, later, may_exit);
         cost.cow = vm.cow_stats();
-        (Self::finish(golden, spec, result, hook), cost)
+        let result = match ended {
+            Ended::Ran(result) => Self::finish(golden, spec, result, hook),
+            Ended::Rejoined(at) => {
+                cost.converged_at = Some((at, golden.dynamic_instrs - at));
+                ExperimentResult {
+                    spec: *spec,
+                    outcome: Outcome::Benign,
+                    activated: hook.activated(),
+                    dynamic_instrs: golden.dynamic_instrs,
+                    injections: hook.into_records(),
+                }
+            }
+        };
+        (result, cost)
+    }
+
+    /// Run `vm` boundary to boundary over the `later` checkpoints, then to
+    /// its end.  It stops early, at [`Ended::Rejoined`], when `may_exit`
+    /// holds and the state at a boundary reached with a spent injector
+    /// equals that checkpoint's.  Once the injector is spent the run
+    /// continues under a [`NoopHook`].
+    fn run_until_rejoined(
+        vm: &mut Vm<'_>,
+        hook: &mut InjectorHook,
+        later: &[Checkpoint],
+        may_exit: bool,
+    ) -> Ended {
+        for cp in later {
+            let ended = if hook.is_spent() {
+                vm.run_until(&mut NoopHook, cp.dyn_index)
+            } else {
+                vm.run_until(hook, cp.dyn_index)
+            };
+            if let Some(result) = ended {
+                return Ended::Ran(result);
+            }
+            if may_exit && hook.is_spent() && vm.same_state_as(cp.snapshot()) {
+                return Ended::Rejoined(cp.dyn_index);
+            }
+        }
+        Ended::Ran(if hook.is_spent() {
+            vm.run_to_end(&mut NoopHook)
+        } else {
+            vm.run_to_end(hook)
+        })
     }
 
     /// Execute one experiment on the legacy tree walker.
@@ -243,7 +349,7 @@ impl Experiment {
     fn finish(
         golden: &GoldenRun,
         spec: &ExperimentSpec,
-        result: mbfi_vm::RunResult,
+        result: RunResult,
         hook: InjectorHook,
     ) -> ExperimentResult {
         let outcome = classify(&result, &golden.output);
@@ -261,7 +367,9 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::fault_model::WinSize;
-    use mbfi_ir::{ModuleBuilder, Type};
+    use crate::replay::CheckpointConfig;
+    use mbfi_ir::{ModuleBuilder, Reg, Type};
+    use mbfi_vm::Limits;
 
     fn workload() -> Module {
         let mut mb = ModuleBuilder::new("w");
@@ -287,6 +395,179 @@ mod tests {
         }
         mb.set_entry(main);
         mb.finish()
+    }
+
+    /// A loop that also computes a value nobody reads: a flip into that
+    /// register is overwritten by the next iteration, after which the run is
+    /// the golden run again.  Returns the module and the dead register.
+    fn dead_write_workload() -> (Module, Reg) {
+        let mut mb = ModuleBuilder::new("dead");
+        let main = mb.declare("main", &[], None);
+        let mut dead = None;
+        {
+            let mut f = mb.define(main);
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, 300i64, |f, i| {
+                dead = Some(f.mul(Type::I64, i, 3i64));
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, i);
+                f.store(Type::I64, next, acc);
+            });
+            let total = f.load(Type::I64, acc);
+            f.print_i64(total);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        (mb.finish(), dead.unwrap())
+    }
+
+    /// Single-bit inject-on-write specs whose flip lands in the dead
+    /// register during the first half of the run (so a later iteration
+    /// overwrites it before the next checkpoint boundary).
+    fn dead_flip_specs(
+        code: &CompiledModule,
+        golden: &GoldenRun,
+        dead: Reg,
+        hang_factor: u64,
+    ) -> Vec<ExperimentSpec> {
+        (0..golden.candidates(Technique::InjectOnWrite))
+            .map(|target| ExperimentSpec {
+                technique: Technique::InjectOnWrite,
+                model: FaultModel::single_bit(),
+                first_target: target,
+                win_size_value: 0,
+                seed: target,
+                hang_factor,
+            })
+            .filter(|spec| {
+                let r = Experiment::run_compiled(code, golden, spec, None);
+                r.injections
+                    .first()
+                    .is_some_and(|rec| rec.reg == dead && rec.dyn_index < golden.dynamic_instrs / 2)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_flip_overwritten_before_use_exits_at_a_golden_checkpoint() {
+        let (m, dead) = dead_write_workload();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store =
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(50))
+                .unwrap();
+        let specs = dead_flip_specs(&code, &golden, dead, 10);
+        assert!(specs.len() > 100, "the loop writes the dead register often");
+        let hub = TelemetryHub::new(crate::TelemetryLevel::Full);
+        let mut skipped = 0;
+        for spec in &specs {
+            let oracle = Experiment::run_compiled(&code, &golden, spec, None);
+            let (replayed, cost) =
+                Experiment::run_compiled_inner(&code, &golden, spec, Some(&store));
+            assert_eq!(replayed, oracle, "target {}", spec.first_target);
+            assert_eq!(replayed.outcome, Outcome::Benign);
+            assert_eq!(replayed.activated, 1);
+            let (at, left) = cost.converged_at.expect("the run rejoins golden");
+            assert_eq!(at + left, golden.dynamic_instrs);
+            assert!(at > replayed.injections[0].dyn_index);
+            skipped += left;
+            cost.publish(&hub);
+        }
+        assert_eq!(hub.counter(Metric::GoldenConvergences), specs.len() as u64);
+        assert_eq!(hub.counter(Metric::ConvergedInstrsSkipped), skipped);
+    }
+
+    #[test]
+    fn a_hang_threshold_below_the_golden_length_stays_a_hang() {
+        let (m, dead) = dead_write_workload();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        // hang_factor 0 puts the limit at the 1,000-instruction floor, well
+        // short of the golden run: the golden suffix does not fit.
+        assert!(golden.dynamic_instrs > 2_000);
+        let store =
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(50))
+                .unwrap();
+        let specs: Vec<_> = dead_flip_specs(&code, &golden, dead, 0)
+            .into_iter()
+            .filter(|spec| {
+                Experiment::run_compiled(&code, &golden, spec, None).injections[0].dyn_index < 900
+            })
+            .collect();
+        assert!(!specs.is_empty());
+        for spec in &specs {
+            let oracle = Experiment::run_compiled(&code, &golden, spec, None);
+            let (replayed, cost) =
+                Experiment::run_compiled_inner(&code, &golden, spec, Some(&store));
+            assert_eq!(replayed, oracle);
+            assert_eq!(replayed.outcome, Outcome::Hang);
+            assert_eq!(cost.converged_at, None);
+        }
+    }
+
+    #[test]
+    fn a_hang_threshold_below_the_golden_length_never_restores_past_it() {
+        let (m, _) = dead_write_workload();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store =
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(50))
+                .unwrap();
+        // Targets past the 1,000-instruction limit of hang_factor 0: the
+        // run hangs at the limit before reaching them, with no flip applied.
+        let candidates = golden.candidates(Technique::InjectOnRead);
+        for first_target in [candidates / 2, candidates - 1] {
+            let spec = ExperimentSpec {
+                technique: Technique::InjectOnRead,
+                model: FaultModel::single_bit(),
+                first_target,
+                win_size_value: 0,
+                seed: first_target,
+                hang_factor: 0,
+            };
+            let oracle = Experiment::run_compiled(&code, &golden, &spec, None);
+            assert_eq!(oracle.outcome, Outcome::Hang);
+            assert_eq!(oracle.dynamic_instrs, 1_000);
+            assert_eq!(
+                Experiment::run_compiled(&code, &golden, &spec, Some(&store)),
+                oracle
+            );
+        }
+    }
+
+    #[test]
+    fn a_store_captured_under_looser_limits_never_exits() {
+        let (m, dead) = dead_write_workload();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let specs = dead_flip_specs(&code, &golden, dead, 10);
+        let defaults = Limits::default();
+        for looser in [
+            Limits {
+                max_call_depth: defaults.max_call_depth * 2,
+                ..defaults
+            },
+            Limits {
+                max_output_bytes: defaults.max_output_bytes * 2,
+                ..defaults
+            },
+        ] {
+            let store = CheckpointStore::capture_compiled_with_limits(
+                &code,
+                &golden,
+                CheckpointConfig::with_interval(50),
+                looser,
+            )
+            .unwrap();
+            for spec in &specs {
+                let oracle = Experiment::run_compiled(&code, &golden, spec, None);
+                let (replayed, cost) =
+                    Experiment::run_compiled_inner(&code, &golden, spec, Some(&store));
+                assert_eq!(replayed, oracle);
+                assert_eq!(cost.converged_at, None, "{looser:?}");
+            }
+        }
     }
 
     #[test]

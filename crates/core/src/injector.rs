@@ -169,6 +169,16 @@ impl InjectorHook {
         self.injections.len() as u32
     }
 
+    /// Whether the injector can no longer flip: at least one flip was
+    /// applied, none is pending and no window threshold is armed for a
+    /// next one.  A spent injector changes no value it sees, so the rest of
+    /// the run may execute without it (see [`crate::Experiment`]).  This
+    /// also holds after a win-size-0 burst that the register's width cut
+    /// short of `max_mbf`.
+    pub(crate) fn is_spent(&self) -> bool {
+        !self.injections.is_empty() && self.pending.is_none() && self.next_dyn_threshold.is_none()
+    }
+
     /// The applied flips, in order.
     pub fn records(&self) -> &[InjectionRecord] {
         &self.injections
@@ -521,6 +531,85 @@ mod tests {
         // The corrupted value must be the call's return value (6 before the flip),
         // not a value computed inside the callee at a later dynamic index.
         assert_eq!(rec.before, 6);
+    }
+
+    #[test]
+    fn a_single_bit_injector_is_spent_after_its_flip() {
+        let m = straight_line_module();
+        let mut hook = InjectorHook::new(Technique::InjectOnWrite, 1, 0, 1, 7);
+        assert!(!hook.is_spent(), "nothing applied yet");
+        let _ = run_with(&m, &mut hook);
+        assert_eq!(hook.activated(), 1);
+        assert!(hook.is_spent());
+    }
+
+    #[test]
+    fn a_burst_cut_short_by_the_register_width_is_spent() {
+        // The i1 module of `flip_count_is_capped_by_register_width`:
+        // win-size 0 with max-MBF 30 applies one flip and can apply no more.
+        let mut mb = ModuleBuilder::new("i1");
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(main);
+            let c = f.icmp(mbfi_ir::IcmpPred::Slt, Type::I64, 3i64, 10i64);
+            let v = f.select(Type::I64, c, 1i64, 0i64);
+            f.print_i64(v);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        let mut hook = InjectorHook::new(Technique::InjectOnWrite, 30, 0, 0, 5);
+        let _ = run_with(&mb.finish(), &mut hook);
+        assert_eq!(hook.activated(), 1);
+        assert!(hook.is_spent());
+    }
+
+    #[test]
+    fn a_windowed_injector_is_spent_only_after_max_mbf_flips() {
+        let mut mb = ModuleBuilder::new("loop");
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(main);
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, 100i64, |f, i| {
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, i);
+                f.store(Type::I64, next, acc);
+            });
+            let total = f.load(Type::I64, acc);
+            f.print_i64(total);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        let code = mbfi_ir::CompiledModule::lower(&mb.finish());
+        // Step one instruction at a time: between instructions no flip is
+        // pending, so the injector is spent exactly when all three applied.
+        // Runs a flip crashes early activate fewer; some seed applies all.
+        let mut saw_full = false;
+        for seed in 0..20u64 {
+            let mut hook = InjectorHook::new(Technique::InjectOnRead, 3, 5, seed, seed);
+            let mut vm = Vm::new(&code, Limits::default());
+            let mut stop = 1;
+            while vm.run_until(&mut hook, stop).is_none() {
+                assert_eq!(
+                    hook.is_spent(),
+                    hook.activated() == 3,
+                    "seed {seed} at {stop}"
+                );
+                stop += 1;
+            }
+            saw_full |= hook.is_spent();
+        }
+        assert!(saw_full, "no experiment activated all three flips");
+    }
+
+    #[test]
+    fn an_injector_whose_target_is_never_reached_is_never_spent() {
+        let m = straight_line_module();
+        let mut hook = InjectorHook::new(Technique::InjectOnWrite, 1, 0, 10_000, 1);
+        let _ = run_with(&m, &mut hook);
+        assert_eq!(hook.activated(), 0);
+        assert!(!hook.is_spent());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   SDC (§III-E).
 //! * [`replay`] — checkpointed golden-run snapshot & replay: campaigns skip
 //!   each experiment's fault-free prefix by restoring a
-//!   [`mbfi_vm::VmSnapshot`] checkpoint (see [`CheckpointStore`]).
+//!   [`mbfi_vm::VmSnapshot`] checkpoint (see [`CheckpointStore`]), and stop
+//!   at the first later checkpoint whose state the run rejoins (see
+//!   [`experiment`]).
 //! * [`sweep`] — whole-grid campaign matrices on one global, deterministic
 //!   executor with per-workload shared artifacts (see
 //!   [`Sweep`]).

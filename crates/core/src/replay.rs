@@ -27,8 +27,11 @@
 //! fault-free, so the injector's RNG has consumed nothing before the first
 //! flip, (b) dynamic-instruction indices continue from the checkpoint's
 //! counter, and (c) the snapshot carries the output prefix, so SDC
-//! classification compares the same bytes.  The contract is enforced by the
-//! `replay_equivalence` integration suite and by `replay_bench --check`.
+//! classification compares the same bytes.  The same holds for an
+//! experiment that stops at a later checkpoint because its state equals the
+//! checkpoint's (see [`crate::experiment`]): from an equal state the run is
+//! the golden run.  The contract is enforced by the `replay_equivalence`
+//! integration suite and by `replay_bench --check`.
 //!
 //! ## Memory budget
 //!
@@ -172,6 +175,9 @@ impl std::error::Error for ReplayCaptureError {}
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     interval: u64,
+    /// Limits of the capture run, under which the golden run is known to
+    /// complete.
+    limits: Limits,
     checkpoints: Vec<Checkpoint>,
     stored_bytes: usize,
     truncated: bool,
@@ -228,6 +234,7 @@ impl CheckpointStore {
         let mut hook = CountingHook::new();
         let mut store = CheckpointStore {
             interval: config.interval,
+            limits,
             checkpoints: Vec::new(),
             stored_bytes: 0,
             truncated: false,
@@ -294,12 +301,34 @@ impl CheckpointStore {
     /// checkpoint that executed at most `first_target` such candidates, so
     /// the target candidate still lies in the replayed tail.
     pub fn nearest_for(&self, technique: Technique, first_target: u64) -> Option<&Checkpoint> {
+        self.nearest_index_for(technique, first_target)
+            .map(|i| &self.checkpoints[i])
+    }
+
+    /// [`CheckpointStore::nearest_for`] as an index into
+    /// [`CheckpointStore::checkpoints`], so a replay can walk the later
+    /// checkpoints without a second search.
+    pub(crate) fn nearest_index_for(
+        &self,
+        technique: Technique,
+        first_target: u64,
+    ) -> Option<usize> {
         // Candidate counts grow monotonically with dyn_index, so binary
         // search for the partition point.
-        let idx = self
-            .checkpoints
-            .partition_point(|c| c.candidates_for(technique) <= first_target);
-        idx.checked_sub(1).map(|i| &self.checkpoints[i])
+        self.checkpoints
+            .partition_point(|c| c.candidates_for(technique) <= first_target)
+            .checked_sub(1)
+    }
+
+    /// Whether the golden run's suffix from any checkpoint also completes
+    /// under `limits`: the instruction limit admits the whole golden run and
+    /// the call-depth and output limits are no tighter than the capture's.
+    /// Only then does a faulty run that rejoins a checkpoint's state end as
+    /// the golden run did.
+    pub(crate) fn golden_suffix_fits(&self, golden: &GoldenRun, limits: &Limits) -> bool {
+        limits.max_dynamic_instrs >= golden.dynamic_instrs
+            && limits.max_call_depth >= self.limits.max_call_depth
+            && limits.max_output_bytes >= self.limits.max_output_bytes
     }
 
     /// Checkpoint interval this store was captured with.

@@ -659,6 +659,41 @@ mod tests {
     }
 
     #[test]
+    fn full_telemetry_counts_every_golden_convergence() {
+        let f = fixture(96, true);
+        let units = [SweepUnit {
+            code: &f.code,
+            golden: &f.golden,
+            store: f.store.as_ref(),
+        }];
+        let campaigns: Vec<SweepCampaign> = grid_specs(40)
+            .into_iter()
+            .map(|spec| SweepCampaign { unit: 0, spec })
+            .collect();
+        let (mut exits, mut skipped) = (0, 0);
+        for cell in &campaigns {
+            let (validated, _) = cell.spec.validate();
+            for spec in ExperimentSpec::sample_campaign(&validated, &f.golden) {
+                let (_, cost) =
+                    Experiment::run_compiled_inner(&f.code, &f.golden, &spec, f.store.as_ref());
+                if let Some((_, left)) = cost.converged_at {
+                    exits += 1;
+                    skipped += left;
+                }
+            }
+        }
+        assert!(exits > 0, "some experiment rejoins the golden run");
+        let hub = TelemetryHub::new(crate::TelemetryLevel::Full);
+        let config = SweepConfig {
+            threads: 2,
+            ..SweepConfig::default()
+        };
+        Sweep::run_streamed(&units, &campaigns, &config, Some(&hub), |_, _| {});
+        assert_eq!(hub.counter(Metric::GoldenConvergences), exits);
+        assert_eq!(hub.counter(Metric::ConvergedInstrsSkipped), skipped);
+    }
+
+    #[test]
     fn records_match_per_experiment_serial_execution() {
         let f = fixture(48, false);
         let units = [SweepUnit {

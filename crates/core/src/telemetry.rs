@@ -127,11 +127,17 @@ pub enum Metric {
     /// Bytes a deep-copy restore would have moved that copy-on-write
     /// restores did not.
     CowRestoreBytesSaved = 14,
+    /// Experiments that stopped at a checkpoint boundary because their state
+    /// rejoined the golden run's.  Per-experiment, populated at
+    /// [`TelemetryLevel::Full`] only.
+    GoldenConvergences = 15,
+    /// Golden-run dynamic instructions those experiments did not execute.
+    ConvergedInstrsSkipped = 16,
 }
 
 impl Metric {
     /// All metrics, in registry order (`m as usize` indexes this array).
-    pub const ALL: [Metric; 15] = [
+    pub const ALL: [Metric; 17] = [
         Metric::ExperimentsRun,
         Metric::BatchesRun,
         Metric::RoundsCompleted,
@@ -147,6 +153,8 @@ impl Metric {
         Metric::PruneExecutedExperiments,
         Metric::CowChunksCopied,
         Metric::CowRestoreBytesSaved,
+        Metric::GoldenConvergences,
+        Metric::ConvergedInstrsSkipped,
     ];
 
     /// Snake-case registry name (stable; used in snapshots and bench JSON).
@@ -167,6 +175,8 @@ impl Metric {
             Metric::PruneExecutedExperiments => "prune_executed_experiments",
             Metric::CowChunksCopied => "cow_chunks_copied",
             Metric::CowRestoreBytesSaved => "cow_restore_bytes_saved",
+            Metric::GoldenConvergences => "golden_convergences",
+            Metric::ConvergedInstrsSkipped => "converged_instrs_skipped",
         }
     }
 }

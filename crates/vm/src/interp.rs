@@ -69,7 +69,7 @@ pub struct RunResult {
 /// Where the tree walker tracked a `(func, block, instr)` triple, a compiled
 /// frame holds the flat `pc` plus the function index (for the register
 /// table) and the predecessor block (for phi resolution).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Frame {
     /// Index of the executing function (register-table / layout lookup).
     func: u32,
@@ -389,6 +389,20 @@ impl<'c> Vm<'c> {
             stack: snapshot.frames.clone(),
             done: false,
         }
+    }
+
+    /// Whether this VM's state equals `snapshot` exactly: the same
+    /// dynamic-instruction count, frames (registers, program counters,
+    /// phi predecessors, stack marks, return routing), output and memory
+    /// (see [`Memory::same_contents`]).  Two equal states run the same
+    /// instructions to the same result under a hook that changes nothing,
+    /// which is what lets a faulty run whose state rejoined a golden
+    /// checkpoint stop there.  Limits are not state and are not compared.
+    pub fn same_state_as(&self, snapshot: &VmSnapshot) -> bool {
+        self.dyn_count == snapshot.dyn_count
+            && self.stack == snapshot.frames
+            && self.output == snapshot.output
+            && self.mem.same_contents(&snapshot.mem)
     }
 
     /// Copy-on-write cost counters accumulated by this VM's memory.

@@ -299,6 +299,28 @@ impl Segment {
         self.len = other.len;
     }
 
+    /// Whether the mapped bytes `[0, len)` equal `other`'s.  Chunks the two
+    /// tables share (`Arc::ptr_eq`) are equal without a byte compare; bytes
+    /// past `len` (stale stack above the top, a trimmed table's missing
+    /// tail) are not part of the state and are ignored.
+    fn same_bytes(&self, other: &Segment) -> bool {
+        if self.base != other.base || self.len != other.len {
+            return false;
+        }
+        let mut off = 0;
+        for (mine, theirs) in self.chunks.iter().zip(&other.chunks) {
+            if off >= self.len {
+                break;
+            }
+            let n = CHUNK_BYTES.min(self.len - off);
+            if !Arc::ptr_eq(mine, theirs) && mine[..n] != theirs[..n] {
+                return false;
+            }
+            off += CHUNK_BYTES;
+        }
+        true
+    }
+
     /// Bytes of chunk storage not yet seen in `seen` (unique footprint).
     fn unique_bytes(&self, seen: &mut ChunkSet) -> usize {
         let mut bytes = self.chunks.len() * std::mem::size_of::<Arc<Chunk>>();
@@ -476,6 +498,19 @@ impl Memory {
         self.heap_top = other.heap_top;
         self.stack_top = other.stack_top;
         self.global_addrs.clone_from(&other.global_addrs);
+    }
+
+    /// Whether `self` and `other` hold the same program-visible state: the
+    /// same heap and stack tops, global addresses and logical segment bytes.
+    /// Cost is one pointer compare per shared chunk plus a byte compare of
+    /// each chunk the two images do not share.
+    pub fn same_contents(&self, other: &Memory) -> bool {
+        self.heap_top == other.heap_top
+            && self.stack_top == other.stack_top
+            && self.global_addrs == other.global_addrs
+            && self.globals.same_bytes(&other.globals)
+            && self.heap.same_bytes(&other.heap)
+            && self.stack.same_bytes(&other.stack)
     }
 
     /// Resolved address of global `index`.
