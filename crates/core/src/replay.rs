@@ -253,12 +253,11 @@ impl CheckpointStore {
                         let bytes = snapshot.unique_bytes(&mut staged);
                         if store.stored_bytes + bytes <= config.max_bytes {
                             seen = staged;
-                            let profile = hook.profile();
                             store.stored_bytes += bytes;
                             store.checkpoints.push(Checkpoint {
                                 dyn_index: snapshot.dyn_count(),
-                                read_candidates: profile.read_candidates,
-                                write_candidates: profile.write_candidates,
+                                read_candidates: hook.read_candidates(),
+                                write_candidates: hook.write_candidates(),
                                 snapshot,
                             });
                         } else {

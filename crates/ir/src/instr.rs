@@ -520,6 +520,30 @@ pub enum Opcode {
     Unreachable,
 }
 
+impl Opcode {
+    /// Every opcode, in discriminant order (`Opcode::ALL[op as usize] == op`),
+    /// so per-opcode counters can live in a fixed array indexed by opcode.
+    pub const ALL: [Opcode; 17] = [
+        Opcode::Binary,
+        Opcode::Icmp,
+        Opcode::Fcmp,
+        Opcode::Cast,
+        Opcode::Select,
+        Opcode::Alloca,
+        Opcode::Load,
+        Opcode::Store,
+        Opcode::Gep,
+        Opcode::Call,
+        Opcode::Intrinsic,
+        Opcode::Phi,
+        Opcode::Br,
+        Opcode::CondBr,
+        Opcode::Switch,
+        Opcode::Ret,
+        Opcode::Unreachable,
+    ];
+}
+
 /// A single IR instruction.
 ///
 /// `Reg` destinations are SSA-ish: the builder assigns a fresh register per
@@ -855,6 +879,41 @@ mod tests {
         assert_eq!(i.read_operands(), vec![r(0), r(1)]);
         assert_eq!(i.opcode(), Opcode::Binary);
         assert!(!i.is_terminator());
+    }
+
+    #[test]
+    fn opcode_all_lists_every_variant_once_in_discriminant_order() {
+        // The successor of each opcode in declaration order.  The match is
+        // exhaustive, so a new variant does not compile until it is chained
+        // in here, and then the walk below disagrees with `Opcode::ALL`
+        // until it is listed there too.
+        fn next(op: Opcode) -> Option<Opcode> {
+            match op {
+                Opcode::Binary => Some(Opcode::Icmp),
+                Opcode::Icmp => Some(Opcode::Fcmp),
+                Opcode::Fcmp => Some(Opcode::Cast),
+                Opcode::Cast => Some(Opcode::Select),
+                Opcode::Select => Some(Opcode::Alloca),
+                Opcode::Alloca => Some(Opcode::Load),
+                Opcode::Load => Some(Opcode::Store),
+                Opcode::Store => Some(Opcode::Gep),
+                Opcode::Gep => Some(Opcode::Call),
+                Opcode::Call => Some(Opcode::Intrinsic),
+                Opcode::Intrinsic => Some(Opcode::Phi),
+                Opcode::Phi => Some(Opcode::Br),
+                Opcode::Br => Some(Opcode::CondBr),
+                Opcode::CondBr => Some(Opcode::Switch),
+                Opcode::Switch => Some(Opcode::Ret),
+                Opcode::Ret => Some(Opcode::Unreachable),
+                Opcode::Unreachable => None,
+            }
+        }
+        let walked: Vec<Opcode> =
+            std::iter::successors(Some(Opcode::Binary), |&op| next(op)).collect();
+        assert_eq!(walked, Opcode::ALL);
+        for (i, &op) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is out of discriminant order");
+        }
     }
 
     #[test]

@@ -86,9 +86,17 @@ impl AddAssign<&ExecutionProfile> for ExecutionProfile {
 }
 
 /// Hook that builds an [`ExecutionProfile`] without perturbing execution.
+///
+/// The hook runs once per dynamic instruction of every golden and checkpoint
+/// capture, so it counts into a fixed array indexed by [`Opcode`] and builds
+/// the opcode-name map of [`ExecutionProfile::per_opcode`] only when the
+/// profile is read.
 #[derive(Debug, Default, Clone)]
 pub struct CountingHook {
-    profile: ExecutionProfile,
+    dynamic_instrs: u64,
+    read_candidates: u64,
+    write_candidates: u64,
+    per_opcode: [OpcodeProfile; Opcode::ALL.len()],
 }
 
 impl CountingHook {
@@ -99,30 +107,47 @@ impl CountingHook {
 
     /// Consume the hook and return the collected profile.
     pub fn into_profile(self) -> ExecutionProfile {
-        self.profile
+        self.profile()
     }
 
-    /// Borrow the profile collected so far.
-    pub fn profile(&self) -> &ExecutionProfile {
-        &self.profile
+    /// The profile collected so far; `per_opcode` holds only the opcodes
+    /// that executed.
+    pub fn profile(&self) -> ExecutionProfile {
+        ExecutionProfile {
+            dynamic_instrs: self.dynamic_instrs,
+            read_candidates: self.read_candidates,
+            write_candidates: self.write_candidates,
+            per_opcode: Opcode::ALL
+                .iter()
+                .zip(&self.per_opcode)
+                .filter(|(_, stats)| stats.count > 0)
+                .map(|(opcode, stats)| (opcode.to_string(), *stats))
+                .collect(),
+        }
+    }
+
+    /// Inject-on-read candidates executed so far.
+    pub fn read_candidates(&self) -> u64 {
+        self.read_candidates
+    }
+
+    /// Inject-on-write candidates executed so far.
+    pub fn write_candidates(&self) -> u64 {
+        self.write_candidates
     }
 }
 
 impl ExecHook for CountingHook {
     fn on_instr(&mut self, ctx: &InstrContext) {
-        self.profile.dynamic_instrs += 1;
         let reads = u64::from(ctx.reg_reads > 0);
         let writes = u64::from(ctx.has_dest);
-        self.profile.read_candidates += reads;
-        self.profile.write_candidates += writes;
-        let entry = self
-            .profile
-            .per_opcode
-            .entry(ctx.opcode.to_string())
-            .or_default();
-        entry.count += 1;
-        entry.read_candidates += reads;
-        entry.write_candidates += writes;
+        self.dynamic_instrs += 1;
+        self.read_candidates += reads;
+        self.write_candidates += writes;
+        let slot = &mut self.per_opcode[ctx.opcode as usize];
+        slot.count += 1;
+        slot.read_candidates += reads;
+        slot.write_candidates += writes;
     }
 }
 
@@ -194,31 +219,68 @@ mod tests {
         let profile = hook.into_profile();
         assert!(result.outcome.is_completed());
         assert_eq!(profile.dynamic_instrs, result.dynamic_instrs);
-        // Every instruction except the initial constant store/alloca reads a register.
-        assert!(profile.read_candidates > 0);
-        assert!(profile.write_candidates > 0);
-        // Stores and branches have no destination, so write candidates are fewer,
-        // matching the shape of Table II.
+
+        // The exact profile, from the shape of `counted_loop` over 10
+        // iterations: the header (load, icmp, condbr) runs 11 times, the
+        // body (load i, then load/add/store of `acc`, br) and the latch
+        // (load, add, store, br) 10 times each.  Outside the loop: two
+        // allocas (`acc` and the counter slot), two initial stores, the
+        // branch into the header, and the final load, print and ret.
+        let op = |count, read_candidates, write_candidates| OpcodeProfile {
+            count,
+            read_candidates,
+            write_candidates,
+        };
+        let expected: BTreeMap<String, OpcodeProfile> = [
+            // Allocas take a constant size: no register read.
+            ("alloca", op(2, 0, 2)),
+            // 2 initial + 10 body + 10 latch; a store reads its address.
+            ("store", op(22, 22, 0)),
+            ("br", op(21, 0, 0)),
+            // 11 header + 10 body counter + 10 `acc` + 10 latch + 1 final.
+            ("load", op(42, 42, 42)),
+            ("icmp", op(11, 11, 11)),
+            ("condbr", op(11, 11, 0)),
+            // 10 body adds + 10 latch increments.
+            ("binary", op(20, 20, 20)),
+            // `print_i64` reads its operand and defines no register.
+            ("intrinsic", op(1, 1, 0)),
+            ("ret", op(1, 0, 0)),
+        ]
+        .into_iter()
+        .map(|(name, stats)| (name.to_string(), stats))
+        .collect();
+        assert_eq!(profile.per_opcode, expected);
+        assert_eq!(profile.dynamic_instrs, 131);
+        assert_eq!(profile.read_candidates, 107);
+        assert_eq!(profile.write_candidates, 75);
+        // Stores and branches have no destination, so write candidates are
+        // fewer, matching the shape of Table II.
         assert!(profile.write_candidates < profile.read_candidates);
-        assert!(profile.per_opcode.contains_key("load"));
-        assert!(profile.per_opcode.contains_key("store"));
-        let opcode_total: u64 = profile.per_opcode.values().map(|s| s.count).sum();
-        assert_eq!(opcode_total, profile.dynamic_instrs);
-        // The per-opcode candidate counts partition the totals the same way.
-        let reads: u64 = profile.per_opcode.values().map(|s| s.read_candidates).sum();
-        let writes: u64 = profile
-            .per_opcode
-            .values()
-            .map(|s| s.write_candidates)
-            .sum();
-        assert_eq!(reads, profile.read_candidates);
-        assert_eq!(writes, profile.write_candidates);
-        // `load` always reads its address register and writes its destination.
-        let load = profile.per_opcode["load"];
-        assert_eq!(load.read_candidates, load.count);
-        assert_eq!(load.write_candidates, load.count);
-        // `store` never writes a destination register.
-        assert_eq!(profile.per_opcode["store"].write_candidates, 0);
+
+        // The running totals read at a `run_until` pause (what checkpoint
+        // capture records) equal the profile of a second run that an
+        // instruction limit stops at the same boundary.
+        for stop in 0..=profile.dynamic_instrs {
+            let mut paused = CountingHook::new();
+            let ended = Vm::new(&code, Limits::default()).run_until(&mut paused, stop);
+            assert_eq!(ended.is_some(), stop == profile.dynamic_instrs);
+            let limits = Limits {
+                max_dynamic_instrs: stop,
+                ..Limits::default()
+            };
+            let mut limited = CountingHook::new();
+            Vm::new(&code, limits).run(&mut limited);
+            let limited = limited.into_profile();
+            assert_eq!(limited.dynamic_instrs, stop);
+            assert_eq!(paused.read_candidates(), limited.read_candidates, "{stop}");
+            assert_eq!(
+                paused.write_candidates(),
+                limited.write_candidates,
+                "{stop}"
+            );
+            assert_eq!(paused.profile(), limited, "{stop}");
+        }
     }
 
     #[test]
