@@ -116,32 +116,6 @@ if [[ "${1:-}" == "bench" ]]; then
     MBFI_EXPERIMENTS=16 MBFI_BENCH_SAMPLES=3 cargo run --release --offline -q \
         -p mbfi-bench --bin exec_bench -- --out-dir "$MBFI_BENCH_OUT"
 
-    # Adaptive precision-targeted sampling: first the self-verifying mode
-    # (adaptive grid byte-identical at sweep thread counts 1, 4 and 8, and
-    # every stopped cell meets the half-width target or spent its whole
-    # budget), then a small timing run that writes BENCH_adaptive.json with
-    # the experiments-saved and wall-clock ratios vs fixed-n at equal
-    # realized precision.
-    echo "==> cargo run --release -p mbfi-bench --bin adaptive_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin adaptive_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin adaptive_bench"
-    MBFI_PRECISION=5,40 MBFI_WORKLOADS=qsort,sad cargo run --release \
-        --offline -q -p mbfi-bench --bin adaptive_bench -- --out-dir "$MBFI_BENCH_OUT"
-
-    # Bit-level static pruning: first the self-verifying mode (every sampled
-    # claimed-dead site across all workloads injected and required to be
-    # byte-identical to golden; pruned campaigns byte-identical to unpruned
-    # at thread counts 1, 4 and 8; independent-seed SDC/Detection within the
-    # 95% intervals), then a small timing run that writes BENCH_prune.json
-    # with the per-workload statically-pruned fractions.
-    echo "==> cargo run --release -p mbfi-bench --bin prune_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin prune_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin prune_bench"
-    MBFI_EXPERIMENTS=20 cargo run --release --offline -q -p mbfi-bench \
-        --bin prune_bench -- --out-dir "$MBFI_BENCH_OUT"
-
     # Campaign service: first the self-verifying mode (two concurrent
     # overlapping clients at engine thread counts 1, 4 and 8: served
     # reports byte-identical to in-process Sweep::run, shared cells

@@ -16,7 +16,6 @@
 //! | `table4` | Table IV — Transition I / II likelihoods (Fig. 6 state machine) |
 //! | `run_all`| Everything above plus the RQ1–RQ5 summary |
 //! | `replay_bench` | Full re-execution vs checkpointed golden-run replay (`BENCH_replay.json`; `--check` verifies byte-equivalence) |
-//! | `adaptive_bench` | Adaptive precision-targeted sampling vs fixed-n at equal realized precision (`BENCH_adaptive.json`; `--check` verifies thread-count invariance and per-cell targets) |
 //! | `mbfi-monitor` | Live dashboard (or `--headless` CI verifier) for the JSONL event stream a `MBFI_TELEMETRY=full` run writes |
 //!
 //! Campaign cells are requested on a [`harness::CampaignGrid`], deduplicated,

@@ -7,7 +7,7 @@ use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::replay::CheckpointStore;
-use crate::stats::{wald_interval, IntervalMethod, Proportion};
+use crate::stats::{wald_interval, Proportion};
 use crate::sweep::{Sweep, SweepCampaign, SweepConfig, SweepUnit};
 use crate::technique::Technique;
 use crate::telemetry::TelemetryHub;
@@ -225,18 +225,6 @@ impl CampaignResult {
         wald_interval(self.counts.get(outcome), self.counts.total())
     }
 
-    /// SDC proportion with the interval method of choice (adaptive stopping
-    /// uses Wilson by default; the paper's error bars are Wald).
-    pub fn sdc_proportion_by(&self, method: IntervalMethod) -> Proportion {
-        method.interval(self.counts.sdc, self.counts.total())
-    }
-
-    /// Detection proportion (hardware exception + hang + no output) with the
-    /// interval method of choice.
-    pub fn detection_proportion_by(&self, method: IntervalMethod) -> Proportion {
-        method.interval(self.counts.detection(), self.counts.total())
-    }
-
     /// Wire encoding of the full result.  Every field round-trips exactly
     /// (floats use the shortest-round-trip writer), so a result that crossed
     /// the serve wire compares byte-identical to the in-process one.
@@ -388,19 +376,6 @@ impl Campaign {
         precision: &Precision,
     ) -> CampaignResult {
         crate::sweep::run_single(code, golden, spec, store, Some(*precision), None)
-    }
-
-    /// Run a fixed-n campaign with bit-level static pruning: experiments
-    /// whose sampled injection point is provably dead (see
-    /// [`crate::pruning::BitLevelPruner`]) are resolved statically instead
-    /// of executed.  The result field is byte-identical to
-    /// [`Campaign::run_compiled`] with the same spec.
-    pub fn run_compiled_pruned(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-    ) -> crate::pruning::PrunedCampaign {
-        crate::pruning::BitLevelPruner::analyze(code).run_campaign_pruned(code, golden, spec)
     }
 
     /// Run one campaign per grid point as a single [`Sweep`].  The module is

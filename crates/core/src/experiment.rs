@@ -106,17 +106,6 @@ impl ExperimentSpec {
             })
             .collect()
     }
-
-    /// Replay the operand-index draw an inject-on-read [`InjectorHook`] with
-    /// this spec's seed will make when it arms at an instruction reading
-    /// `reg_reads` register operands.
-    ///
-    /// The injector's first RNG use is exactly this draw, so the bit-level
-    /// pruner can know *which* operand a sampled experiment would corrupt
-    /// without touching the experiment's RNG stream.
-    pub fn sampled_operand_index(&self, reg_reads: usize) -> usize {
-        SmallRng::seed_from_u64(self.seed).gen_range(0..reg_reads.max(1))
-    }
 }
 
 /// Result of one experiment.

@@ -97,7 +97,6 @@ pub use fault_model::{FaultModel, WinSize};
 pub use golden::GoldenRun;
 pub use injector::{InjectionRecord, InjectorHook};
 pub use outcome::{classify, Outcome, OutcomeCounts};
-pub use pruning::{BitLevelPruner, DeadSite, PrunedCampaign};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;
 pub use sweep::{

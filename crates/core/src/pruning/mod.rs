@@ -1,5 +1,5 @@
 //! The error-space pruning layers: the paper's three empirical layers
-//! (§III-F, §IV) plus a static bit-level layer built on the IR dataflow.
+//! (§III-F, §IV).
 //!
 //! 1. [`activation`] — bound `max-MBF` by measuring how many errors are
 //!    actually activated before the program crashes (RQ1, Fig. 3).
@@ -8,17 +8,11 @@
 //!    single bit-flip model (RQ2–RQ4, Fig. 2/4/5, Table III).
 //! 3. [`location`] — use single bit-flip outcomes to pick the locations worth
 //!    targeting with multi-bit injections (RQ5, Fig. 6, Table IV).
-//! 4. [`bitlevel`] — skip experiments whose (instruction, register, bit)
-//!    fault site is *provably* outcome-preserving under the
-//!    [`mbfi_ir::BitFlow`] liveness/mask analysis (dead ⇒ byte-identical
-//!    outcome to golden), before any experiment runs.
 
 pub mod activation;
-pub mod bitlevel;
 pub mod location;
 pub mod pessimistic;
 
 pub use activation::ActivationAnalysis;
-pub use bitlevel::{BitLevelPruner, DeadSite, PrunedCampaign, SkippedResult};
 pub use location::{LocationAnalysis, LocationRequest, TransitionMatrix};
 pub use pessimistic::{ModelComparison, PessimisticAnalysis, PessimisticConfig};

@@ -6,8 +6,8 @@
 //! [`crate::SweepReport`].  This module makes a sweep *observable* while it
 //! runs, without ever being allowed to change its results:
 //!
-//! * [`TelemetryHub`] — the recorder the sweep executor, campaigns, replay
-//!   and pruning code publish into, always as an `Option<&TelemetryHub>`
+//! * [`TelemetryHub`] — the recorder the sweep executor, campaigns and
+//!   replay code publish into, always as an `Option<&TelemetryHub>`
 //!   (`None` = telemetry off, and nothing is recorded).  It holds a
 //!   lock-free registry of atomic [`Metric`] counters, per-cell/per-worker
 //!   atomic cells, an HDR-style power-of-two [`LogHistogram`] of experiment
@@ -116,28 +116,24 @@ pub enum Metric {
     CheckpointRestores = 9,
     /// Dynamic instructions skipped by checkpoint fast-forwarding.
     ReplayInstrsSkipped = 10,
-    /// Experiments skipped by bit-level static pruning (known-benign sites).
-    PruneSkippedExperiments = 11,
-    /// Experiments actually executed by a pruned campaign.
-    PruneExecutedExperiments = 12,
     /// 4 KiB chunks cloned because an experiment wrote to a chunk shared
     /// with a snapshot (the dirty-page cost of copy-on-write forking).
     /// Per-experiment, populated at [`TelemetryLevel::Full`] only.
-    CowChunksCopied = 13,
+    CowChunksCopied = 11,
     /// Bytes a deep-copy restore would have moved that copy-on-write
     /// restores did not.
-    CowRestoreBytesSaved = 14,
+    CowRestoreBytesSaved = 12,
     /// Experiments that stopped at a checkpoint boundary because their state
     /// rejoined the golden run's.  Per-experiment, populated at
     /// [`TelemetryLevel::Full`] only.
-    GoldenConvergences = 15,
+    GoldenConvergences = 13,
     /// Golden-run dynamic instructions those experiments did not execute.
-    ConvergedInstrsSkipped = 16,
+    ConvergedInstrsSkipped = 14,
 }
 
 impl Metric {
     /// All metrics, in registry order (`m as usize` indexes this array).
-    pub const ALL: [Metric; 17] = [
+    pub const ALL: [Metric; 15] = [
         Metric::ExperimentsRun,
         Metric::BatchesRun,
         Metric::RoundsCompleted,
@@ -149,8 +145,6 @@ impl Metric {
         Metric::CheckpointStoreCheckpoints,
         Metric::CheckpointRestores,
         Metric::ReplayInstrsSkipped,
-        Metric::PruneSkippedExperiments,
-        Metric::PruneExecutedExperiments,
         Metric::CowChunksCopied,
         Metric::CowRestoreBytesSaved,
         Metric::GoldenConvergences,
@@ -171,8 +165,6 @@ impl Metric {
             Metric::CheckpointStoreCheckpoints => "checkpoint_store_checkpoints",
             Metric::CheckpointRestores => "checkpoint_restores",
             Metric::ReplayInstrsSkipped => "replay_instrs_skipped",
-            Metric::PruneSkippedExperiments => "prune_skipped_experiments",
-            Metric::PruneExecutedExperiments => "prune_executed_experiments",
             Metric::CowChunksCopied => "cow_chunks_copied",
             Metric::CowRestoreBytesSaved => "cow_restore_bytes_saved",
             Metric::GoldenConvergences => "golden_convergences",

@@ -30,7 +30,6 @@ use crate::instr::{BinOp, CastOp, FcmpPred, IcmpPred, Instr, Intrinsic, Opcode};
 use crate::module::{Global, Module};
 use crate::types::Type;
 use crate::value::{Operand, Reg};
-use crate::verify::LintWarning;
 
 /// A pre-decoded instruction in the flat program.
 ///
@@ -357,18 +356,6 @@ impl CompiledModule {
         }
     }
 
-    /// Flatten a module with [`LowerOptions`]; returns the bytecode plus any
-    /// lint warnings the options requested (empty when linting is off).
-    pub fn lower_with(module: &Module, opts: LowerOptions) -> (CompiledModule, Vec<LintWarning>) {
-        let code = CompiledModule::lower(module);
-        let warnings = if opts.lint_dead_defs {
-            crate::verify::lint_dead_defs(&code)
-        } else {
-            Vec::new()
-        };
-        (code, warnings)
-    }
-
     /// Number of instructions in the flat program.
     pub fn instr_count(&self) -> usize {
         self.instrs.len()
@@ -381,23 +368,6 @@ impl CompiledModule {
         let write = self.meta.iter().filter(|m| m.is_write_candidate).count();
         (read, write)
     }
-
-    /// Total static (instruction, register, bit) fault-site space
-    /// `(read_bits, write_bits)` under the paper's 64-bit register model —
-    /// the denominator the bit-level pruner ([`crate::bitflow`]) collapses.
-    pub fn static_site_bits(&self) -> (u64, u64) {
-        let reads: u64 = self.meta.iter().map(|m| u64::from(m.reg_reads)).sum();
-        let writes = self.meta.iter().filter(|m| m.has_dest).count() as u64;
-        (reads * 64, writes * 64)
-    }
-}
-
-/// Options for [`CompiledModule::lower_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LowerOptions {
-    /// Run the dead-def lint ([`crate::verify::lint_dead_defs`]) on the
-    /// lowered program and return its structured warnings.
-    pub lint_dead_defs: bool,
 }
 
 fn meta_for(instr: &Instr, func: usize, block: usize, idx: usize) -> InstrMeta {

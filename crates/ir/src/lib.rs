@@ -17,17 +17,13 @@
 //!   the interpreter's hot path executes,
 //! * an ergonomic [`builder`] API used by the benchmark workloads,
 //! * a textual [`printer`] for dumping and inspecting programs,
-//! * a structural [`verify`] pass, and
-//! * a bit-level liveness/mask dataflow ([`bitflow`]) that proves
-//!   (instruction, register, bit) fault sites equivalent to golden for
-//!   static pruning.
+//! * a structural [`verify`] pass.
 //!
 //! The fault models of the paper operate on the *source and destination
 //! registers of dynamic IR instructions*; everything in this crate exists so
 //! that the interpreter in `mbfi-vm` can expose exactly those registers to
 //! the injector in `mbfi-core`.
 
-pub mod bitflow;
 pub mod builder;
 pub mod compiled;
 pub mod function;
@@ -38,13 +34,12 @@ pub mod types;
 pub mod value;
 pub mod verify;
 
-pub use bitflow::{BitFlow, BitSpace, DeadDef, InstrFlow};
 pub use builder::{BlockHandle, FunctionBuilder, ModuleBuilder};
-pub use compiled::{CInstr, CompiledModule, FrameLayout, InstrMeta, LowerOptions};
+pub use compiled::{CInstr, CompiledModule, FrameLayout, InstrMeta};
 pub use function::{Block, BlockId, FuncId, Function, RegInfo};
 pub use instr::{BinOp, CastOp, FcmpPred, IcmpPred, Instr, Intrinsic, Opcode};
 pub use module::{Global, Module};
 pub use printer::print_module;
 pub use types::Type;
 pub use value::{Constant, Operand, Reg};
-pub use verify::{lint_dead_defs, verify_module, LintWarning, VerifyError};
+pub use verify::{verify_module, VerifyError};

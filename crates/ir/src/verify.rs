@@ -1,19 +1,11 @@
-//! Structural verification and linting of IR modules.
+//! Structural verification of IR modules.
 //!
 //! The verifier catches builder mistakes in the workloads before they reach
 //! the interpreter: out-of-range registers and blocks, blocks without
 //! terminators, terminators in the middle of a block, calls to missing
 //! functions, arity mismatches, entry functions with parameters, and globals
 //! whose initialiser is larger than their declared size.
-//!
-//! On top of the hard errors, [`lint_dead_defs`] reuses the bit-level
-//! liveness result of [`crate::bitflow`] to emit *non-fatal* structured
-//! warnings for registers that are defined but never consumed (dead defs) —
-//! wired into lowering behind
-//! [`LowerOptions`](crate::compiled::LowerOptions).
 
-use crate::bitflow::BitFlow;
-use crate::compiled::CompiledModule;
 use crate::function::Function;
 use crate::instr::Instr;
 use crate::module::Module;
@@ -60,60 +52,6 @@ fn err(
         instr,
         message: message.into(),
     }
-}
-
-/// A non-fatal lint finding (same location shape as [`VerifyError`], but
-/// advisory: the module still runs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintWarning {
-    /// Function name the finding is in.
-    pub function: String,
-    /// Block index within the function.
-    pub block: usize,
-    /// Instruction index within the block.
-    pub instr: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for LintWarning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "warning: {}: bb{}[{}]: {}",
-            self.function, self.block, self.instr, self.message
-        )
-    }
-}
-
-/// Lint a lowered module for dead definitions: destination registers no bit
-/// of which is ever consumed (directly dead, overwritten before use, or
-/// masked away), per the bit-level liveness of [`BitFlow::analyze`].
-///
-/// These are exactly the inject-on-write sites the static pruner proves
-/// outcome-equivalent in full — usually a sign of redundant workload code.
-/// The warnings are advisory; execution is unaffected.
-pub fn lint_dead_defs(code: &CompiledModule) -> Vec<LintWarning> {
-    let flow = BitFlow::analyze(code);
-    flow.dead_defs(code)
-        .into_iter()
-        .map(|d| {
-            let meta = &code.meta[d.pc];
-            let fname = code
-                .funcs
-                .get(meta.func as usize)
-                .map_or("?", |f| f.name.as_str());
-            LintWarning {
-                function: fname.to_string(),
-                block: meta.block as usize,
-                instr: meta.instr as usize,
-                message: format!(
-                    "dead definition: no bit of r{} ({}) is ever consumed",
-                    d.reg, meta.opcode
-                ),
-            }
-        })
-        .collect()
 }
 
 /// Verify a whole module, returning all problems found.
@@ -470,46 +408,5 @@ mod tests {
             message: "boom".into(),
         };
         assert_eq!(e.to_string(), "f: bb2[3]: boom");
-    }
-
-    #[test]
-    fn dead_def_lint_flags_unused_definitions() {
-        // `waste` is defined and never consumed; everything else feeds the
-        // printed output.
-        let mut mb = ModuleBuilder::new("lint");
-        let main = mb.declare("main", &[], None);
-        {
-            let mut f = mb.define(main);
-            let used = f.add(Type::I64, 1i64, 2i64);
-            let _waste = f.mul(Type::I64, used, 7i64);
-            f.print_i64(used);
-            f.ret_void();
-        }
-        mb.set_entry(main);
-        let module = mb.finish();
-        assert!(verify_module(&module).is_ok());
-
-        let (code, warnings) = crate::compiled::CompiledModule::lower_with(
-            &module,
-            crate::compiled::LowerOptions {
-                lint_dead_defs: true,
-            },
-        );
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        let w = &warnings[0];
-        assert_eq!(w.function, "main");
-        assert!(w.message.contains("dead definition"), "{w}");
-        assert!(w.to_string().starts_with("warning: main: bb"));
-        // The flag gates the lint: off by default.
-        let (_, none) = crate::compiled::CompiledModule::lower_with(&module, Default::default());
-        assert!(none.is_empty());
-        drop(code);
-    }
-
-    #[test]
-    fn dead_def_lint_is_quiet_on_clean_modules() {
-        let m = valid_module();
-        let code = crate::compiled::CompiledModule::lower(&m);
-        assert!(lint_dead_defs(&code).is_empty());
     }
 }

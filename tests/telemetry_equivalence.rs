@@ -1,16 +1,16 @@
 //! The telemetry plane's observer contract, as a test suite: attaching a
-//! [`TelemetryHub`] at any level to a sweep, a campaign or a pruned campaign
-//! must leave every result byte-identical to the untelemetered run across
-//! sweep thread counts (1, 4, 8); the hub's snapshot totals must exactly
-//! equal the authoritative `SweepReport`; and the drained JSONL event stream
-//! must replay through [`MonitorState`] — the `mbfi-monitor` pipeline — into
-//! a verified, complete picture with the same per-cell tallies.
+//! [`TelemetryHub`] at any level to a sweep or a campaign must leave every
+//! result byte-identical to the untelemetered run across sweep thread counts
+//! (1, 4, 8); the hub's snapshot totals must exactly equal the authoritative
+//! `SweepReport`; and the drained JSONL event stream must replay through
+//! [`MonitorState`] — the `mbfi-monitor` pipeline — into a verified, complete
+//! picture with the same per-cell tallies.
 
 use mbfi_bench::harness::{self, HarnessConfig, WorkloadData};
 use mbfi_core::{
-    BitLevelPruner, Campaign, EventKind, FaultModel, Metric, MonitorState, Precision, Sweep,
-    SweepCampaign, SweepCampaignResult, SweepConfig, SweepReport, SweepUnit, Technique,
-    TelemetryHub, TelemetryLevel, WinSize,
+    Campaign, EventKind, FaultModel, Metric, MonitorState, Precision, Sweep, SweepCampaign,
+    SweepCampaignResult, SweepConfig, SweepReport, SweepUnit, Technique, TelemetryHub,
+    TelemetryLevel, WinSize,
 };
 
 const EXPERIMENTS: usize = 8;
@@ -193,11 +193,11 @@ fn drained_stream_replays_into_clean_monitor_state() {
     assert!(headless.contains(&format!("{total} experiments")));
 }
 
-/// The single-campaign and pruned-campaign telemetry entry points are
-/// observers too: identical results, and the pruning metrics account for
-/// every experiment.
+/// The single-campaign telemetry entry point is an observer too: an
+/// identical result, and the experiment counter accounts for every
+/// experiment.
 #[test]
-fn campaign_and_pruning_telemetry_observe_without_perturbing() {
+fn campaign_telemetry_observes_without_perturbing() {
     let data = fixture();
     let w = &data[0];
     let cfg = HarnessConfig {
@@ -213,24 +213,6 @@ fn campaign_and_pruning_telemetry_observe_without_perturbing() {
     assert_eq!(
         hub.snapshot().counter(Metric::ExperimentsRun),
         base.counts.total()
-    );
-
-    let pruner = BitLevelPruner::analyze(&w.code);
-    let plain = pruner.run_campaign_pruned(&w.code, &w.golden, &spec);
-    let hub = TelemetryHub::new(TelemetryLevel::Counters);
-    let pruned = pruner.run_campaign_pruned_with(&w.code, &w.golden, &spec, Some(&hub));
-    assert_eq!(pruned.result, plain.result);
-    assert_eq!(pruned.skipped, plain.skipped);
-    let snapshot = hub.snapshot();
-    assert_eq!(
-        snapshot.counter(Metric::PruneSkippedExperiments),
-        pruned.skipped
-    );
-    assert_eq!(
-        snapshot.counter(Metric::PruneSkippedExperiments)
-            + snapshot.counter(Metric::PruneExecutedExperiments),
-        pruned.result.counts.total(),
-        "pruning metrics must account for every experiment"
     );
 }
 
