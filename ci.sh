@@ -2,8 +2,8 @@
 # Tier-1 verification plus lint, in one command, fully offline.
 #
 #   ./ci.sh          # build + test + clippy
-#   ./ci.sh bench    # additionally run the bench harnesses and the
-#                    # perfbench/ benchmark (fast knobs)
+#   ./ci.sh bench    # additionally run the perfbench/ benchmark (fast
+#                    # knobs)
 #
 # The workspace has zero external dependencies by design (see README.md), so
 # everything runs with --offline; if any step needs the network, that is a
@@ -90,47 +90,6 @@ cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3off/run_all.txt"
 cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3trunc/run_all.txt"
 
 if [[ "${1:-}" == "bench" ]]; then
-    # Smoke-run the plain-Rust bench harnesses; each writes BENCH_<suite>.json.
-    export MBFI_BENCH_SAMPLES="${MBFI_BENCH_SAMPLES:-3}"
-    export MBFI_BENCH_ITERS="${MBFI_BENCH_ITERS:-1}"
-    export MBFI_BENCH_OUT="${MBFI_BENCH_OUT:-.}"
-    for suite in campaigns injector workloads; do
-        echo "==> cargo bench -p mbfi-bench --bench $suite"
-        cargo bench --offline -p mbfi-bench --bench "$suite"
-    done
-
-    # Snapshot & replay engine: first the self-verifying mode (exits non-zero
-    # if any replayed experiment differs from full re-execution), then a tiny
-    # timing run that writes BENCH_replay.json.
-    echo "==> cargo run --release -p mbfi-bench --bin replay_bench -- --check"
-    MBFI_EXPERIMENTS=8 cargo run --release --offline -q -p mbfi-bench \
-        --bin replay_bench -- --check --out-dir "$MBFI_BENCH_OUT"
-    echo "==> cargo run --release -p mbfi-bench --bin replay_bench"
-    MBFI_EXPERIMENTS=16 MBFI_BENCH_SAMPLES=3 cargo run --release --offline -q \
-        -p mbfi-bench --bin replay_bench -- --out-dir "$MBFI_BENCH_OUT"
-
-    # Compiled pipeline vs legacy walker: golden-run MIPS and campaign
-    # experiments/sec on both paths, written to BENCH_exec.json (the run also
-    # cross-checks that both paths produce identical results).
-    echo "==> cargo run --release -p mbfi-bench --bin exec_bench"
-    MBFI_EXPERIMENTS=16 MBFI_BENCH_SAMPLES=3 cargo run --release --offline -q \
-        -p mbfi-bench --bin exec_bench -- --out-dir "$MBFI_BENCH_OUT"
-
-    # Campaign service: first the self-verifying mode (two concurrent
-    # overlapping clients at engine thread counts 1, 4 and 8: served
-    # reports byte-identical to in-process Sweep::run, shared cells
-    # deduplicated onto exactly one execution, and equal-priority tenants
-    # finish within a bounded latency spread), then a small timing run
-    # that writes BENCH_serve.json with the N-concurrent-clients vs
-    # N-serial-grids and all-cells-shared dedupe comparisons.
-    echo "==> cargo run --release -p mbfi-bench --bin serve_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin serve_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin serve_bench"
-    MBFI_EXPERIMENTS=16 MBFI_WORKLOADS=qsort,histo,CRC32,sha cargo run \
-        --release --offline -q -p mbfi-bench --bin serve_bench -- \
-        --out-dir "$MBFI_BENCH_OUT"
-
     # The repository benchmark (perfbench/, a package of its own): its
     # self-tests, then a short run of each workload.  The last line of a run
     # is a JSON object; it must report no failed operation (on `artifacts`

@@ -1,8 +1,8 @@
-//! Artefact output directory handling shared by all bench binaries.
+//! Artefact output directory handling shared by all harness binaries.
 //!
 //! Every binary accepts `--out-dir <path>` (or `--out-dir=<path>`) and writes
-//! its artefacts — rendered tables/figures, `BENCH_*.json` files — into that
-//! directory instead of the current working directory.  The default stays the
+//! its artefacts — rendered tables and figures — into that directory
+//! instead of the current working directory.  The default stays the
 //! CWD, so existing invocations keep their behaviour.
 
 use std::path::{Path, PathBuf};

@@ -1,25 +1,23 @@
-//! Shared machinery for the per-table / per-figure binaries.
+//! Shared machinery for the per-table / per-figure binaries, in three
+//! layers:
 //!
-//! Since the sweep refactor the harness is split into three layers:
-//!
-//! 1. **[`SweepCache`]** — per-`(workload, input size)` artifacts (built IR
-//!    module, lowered bytecode, golden run, checkpoint store), built once on
-//!    first request and shared by every campaign that touches the workload.
+//! 1. **[`prepare`]** — per-workload artifacts ([`WorkloadData`]: built IR
+//!    module, lowered bytecode, golden run, checkpoint store), built once
+//!    for each workload the configuration selects and shared by every
+//!    campaign that touches it.
 //! 2. **[`CampaignGrid`]** — a request/run/extract pipeline: binaries
 //!    *request* the campaign cells their figures need (duplicates collapse
 //!    onto one cell), `run` submits every cell as **one**
 //!    [`mbfi_core::Sweep`] on one global worker pool, and the
 //!    extractors below pull each figure's slice out of the [`GridRun`].
-//! 3. **Renderers** (`fig1`, `fig2`, ..., `table4`) — unchanged: they turn
-//!    extracted results into the paper's tables and figures.
+//! 3. **Renderers** (`fig1`, `fig2`, ..., `table4`) — they turn extracted
+//!    results into the paper's tables and figures.
 //!
 //! The sweep is deterministic (see `mbfi_core::sweep`), so every artifact is
-//! byte-identical to running each cell through `Campaign::run_compiled`
-//! serially — the pre-refactor behaviour.
+//! byte-identical to running each cell through `Campaign::run` on its own.
 
 use std::collections::HashMap;
 
-use crate::timing::var_parsed;
 use mbfi_core::cluster::{MAX_MBF_VALUES, WIN_SIZE_VALUES};
 use mbfi_core::pruning::{
     ActivationAnalysis, LocationAnalysis, LocationRequest, PessimisticAnalysis,
@@ -28,9 +26,9 @@ use mbfi_core::replay::{CheckpointConfig, CheckpointStore};
 use mbfi_core::report::{FigureData, Series, TextTable};
 use mbfi_core::space::{ErrorSpace, REGISTER_BITS};
 use mbfi_core::{
-    Campaign, CampaignResult, CampaignSpec, CampaignWarning, FaultModel, GoldenRun, IntervalMethod,
-    Metric, Outcome, Precision, Sweep, SweepCampaign, SweepConfig, SweepUnit, Technique,
-    TelemetryHub, TelemetryLevel, TelemetrySnapshot, WinSize,
+    CampaignResult, CampaignSpec, CampaignWarning, FaultModel, GoldenRun, IntervalMethod, Metric,
+    Outcome, Precision, Sweep, SweepCampaign, SweepConfig, SweepUnit, Technique, TelemetryHub,
+    TelemetryLevel, TelemetrySnapshot, WinSize,
 };
 use mbfi_ir::{CompiledModule, Module};
 use mbfi_workloads::{all_workloads, InputSize, Workload};
@@ -315,6 +313,26 @@ impl HarnessConfig {
     }
 }
 
+/// Parse a knob through `var` (`None` = unset), warning on stderr and
+/// falling back to `default` when the variable is set but malformed, so
+/// every numeric knob has the same warn-on-garbage behaviour.
+fn var_parsed<T: std::str::FromStr + std::fmt::Display>(
+    var: impl Fn(&str) -> Option<String>,
+    key: &str,
+    default: T,
+) -> T {
+    match var(key) {
+        None => default,
+        Some(v) => match v.trim().parse::<T>() {
+            Ok(n) => n,
+            Err(_) => {
+                eprintln!("warning: {key}={v:?} is not a valid value; falling back to {default}");
+                default
+            }
+        },
+    }
+}
+
 /// Parse an `MBFI_PRECISION` value: `Some(None)` for `off`,
 /// `Some(Some(precision))` for `<pct>[,<min>[,<max>[,wald|wilson]]]`, and
 /// `None` when the value is malformed (the caller warns and keeps fixed-n).
@@ -367,14 +385,6 @@ pub struct WorkloadData {
 }
 
 impl WorkloadData {
-    /// Run one campaign on this workload through the compiled pipeline, and
-    /// through the checkpoint store when one was captured.  Replay-on and
-    /// replay-off results are byte-identical by contract, so figures and
-    /// tables do not depend on the knob.
-    pub fn campaign(&self, spec: &CampaignSpec) -> CampaignResult {
-        Campaign::run_compiled_with_store(&self.code, &self.golden, spec, self.store.as_ref())
-    }
-
     /// The borrowed artifact bundle a sweep executes this workload through.
     pub fn sweep_unit(&self) -> SweepUnit<'_> {
         SweepUnit {
@@ -385,97 +395,41 @@ impl WorkloadData {
     }
 }
 
-/// Shared per-workload artifacts, keyed by `(workload name, input size)`.
-///
-/// The first request for a key builds the module, lowers it, captures the
-/// golden run and (when [`HarnessConfig::replay`] is on) lazily captures one
-/// checkpoint store; every later request returns the same entry.  One cache
-/// therefore backs a whole grid of campaigns — and several grids in one
-/// process, even at different input sizes — without ever re-deriving an
-/// artifact.
-#[derive(Default)]
-pub struct SweepCache {
-    entries: HashMap<(String, InputSize), usize>,
-    data: Vec<WorkloadData>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SweepCache {
-    /// An empty cache.
-    pub fn new() -> SweepCache {
-        SweepCache::default()
-    }
-
-    /// Index of the artifacts for `(workload, size)`, building them on the
-    /// first request.
-    pub fn get_or_build(
-        &mut self,
-        cfg: &HarnessConfig,
-        workload: &dyn Workload,
-        size: InputSize,
-    ) -> usize {
-        let key = (workload.name().to_string(), size);
-        if let Some(&index) = self.entries.get(&key) {
-            self.hits += 1;
-            return index;
-        }
-        self.misses += 1;
-        let module = workload.build_module(size);
-        let code = CompiledModule::lower(&module);
-        let golden = GoldenRun::capture_compiled(&code)
-            .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", workload.name()));
-        let store = cfg.replay.then(|| {
-            let config = match cfg.replay_interval {
-                Some(interval) => CheckpointConfig {
-                    interval,
-                    max_bytes: cfg.replay_budget_bytes,
-                },
-                None => CheckpointConfig::auto_for(&golden, cfg.replay_budget_bytes),
-            };
-            CheckpointStore::capture_compiled(&code, &golden, config)
-                .unwrap_or_else(|e| panic!("checkpoint capture of {} failed: {e}", workload.name()))
-        });
-        let index = self.data.len();
-        self.data.push(WorkloadData {
-            name: workload.name().to_string(),
-            package: workload.package().to_string(),
-            description: workload.description().to_string(),
-            module,
-            code,
-            golden,
-            store,
-        });
-        self.entries.insert(key, index);
-        index
-    }
-
-    /// The cached artifacts, in build order.
-    pub fn data(&self) -> &[WorkloadData] {
-        &self.data
-    }
-
-    /// `(hits, misses)` of [`SweepCache::get_or_build`] so far: hits are
-    /// requests that reused an already-built `(workload, size)` entry.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Consume the cache, keeping the artifacts.
-    pub fn into_data(self) -> Vec<WorkloadData> {
-        self.data
-    }
-}
-
 /// Build modules, lower them, capture golden runs (and checkpoint stores,
-/// when replay is enabled) for the configured workloads, via a fresh
-/// [`SweepCache`].
+/// when replay is enabled) for the configured workloads, once each and in
+/// registry order.
 pub fn prepare(cfg: &HarnessConfig) -> Vec<WorkloadData> {
-    let mut cache = SweepCache::new();
-    for w in cfg.workloads() {
-        cache.get_or_build(cfg, w.as_ref(), cfg.size);
+    cfg.workloads()
+        .iter()
+        .map(|w| prepare_workload(cfg, w.as_ref()))
+        .collect()
+}
+
+fn prepare_workload(cfg: &HarnessConfig, workload: &dyn Workload) -> WorkloadData {
+    let module = workload.build_module(cfg.size);
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code)
+        .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", workload.name()));
+    let store = cfg.replay.then(|| {
+        let config = match cfg.replay_interval {
+            Some(interval) => CheckpointConfig {
+                interval,
+                max_bytes: cfg.replay_budget_bytes,
+            },
+            None => CheckpointConfig::auto_for(&golden, cfg.replay_budget_bytes),
+        };
+        CheckpointStore::capture_compiled(&code, &golden, config)
+            .unwrap_or_else(|e| panic!("checkpoint capture of {} failed: {e}", workload.name()))
+    });
+    WorkloadData {
+        name: workload.name().to_string(),
+        package: workload.package().to_string(),
+        description: workload.description().to_string(),
+        module,
+        code,
+        golden,
+        store,
     }
-    cache.into_data()
 }
 
 // ---------------------------------------------------------------------------
@@ -1140,6 +1094,7 @@ locations (Detection or SDC outcomes) can be pruned from multi-bit campaigns.\n"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbfi_core::Campaign;
 
     fn tiny_cfg() -> HarnessConfig {
         HarnessConfig {
@@ -1181,32 +1136,31 @@ mod tests {
     }
 
     #[test]
-    fn sweep_cache_shares_artifacts_per_workload_and_size() {
+    fn prepare_builds_each_selected_workload_once_in_registry_order() {
+        // Filter order and repeats do not matter: one entry per selected
+        // workload, in registry order.
         let cfg = HarnessConfig {
             replay: false,
+            workload_filter: Some(vec!["histo".into(), "qsort".into(), "HISTO".into()]),
             ..HarnessConfig::default()
         };
-        let workloads = cfg.workloads();
-        let qsort = workloads.iter().find(|w| w.name() == "qsort").unwrap();
-        let histo = workloads.iter().find(|w| w.name() == "histo").unwrap();
-        let mut cache = SweepCache::new();
-        let a = cache.get_or_build(&cfg, qsort.as_ref(), InputSize::Tiny);
-        let b = cache.get_or_build(&cfg, qsort.as_ref(), InputSize::Tiny);
-        assert_eq!(a, b, "same (workload, size) key must reuse the entry");
-        let c = cache.get_or_build(&cfg, qsort.as_ref(), InputSize::Small);
-        assert_ne!(a, c, "a different input size is a different entry");
-        let d = cache.get_or_build(&cfg, histo.as_ref(), InputSize::Tiny);
-        assert_ne!(a, d);
-        assert_eq!(cache.data().len(), 3);
-        assert_eq!(cache.stats(), (1, 3), "one reuse, three builds");
-        assert!(cache.data()[a].store.is_none(), "replay off: no store");
-
-        let replay_cfg = HarnessConfig::default();
-        let mut cache = SweepCache::new();
-        let e = cache.get_or_build(&replay_cfg, histo.as_ref(), InputSize::Tiny);
+        let data = prepare(&cfg);
+        let names: Vec<&str> = data.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["qsort", "histo"]);
         assert!(
-            cache.data()[e].store.is_some(),
-            "replay on (the default): the store is built lazily on first use"
+            data.iter().all(|d| d.store.is_none()),
+            "replay off: no store"
+        );
+
+        let data = prepare(&HarnessConfig {
+            replay: true,
+            ..cfg
+        });
+        let names: Vec<&str> = data.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["qsort", "histo"]);
+        assert!(
+            data.iter().all(|d| d.store.is_some()),
+            "replay on (the default): one store per workload"
         );
     }
 
@@ -1278,10 +1232,15 @@ mod tests {
         let mut grid = CampaignGrid::new(&cfg);
         grid.request_single_bit();
         let run = grid.run();
+        let data = &run.data[0];
         for technique in Technique::ALL {
             let from_grid = run.get(0, technique, FaultModel::single_bit());
-            let serial =
-                run.data[0].campaign(&cfg.campaign_spec(technique, FaultModel::single_bit()));
+            let serial = Campaign::run(
+                &data.code,
+                &data.golden,
+                &cfg.campaign_spec(technique, FaultModel::single_bit()),
+                data.store.as_ref(),
+            );
             assert_eq!(from_grid, &serial, "{technique}: grid cell diverged");
         }
     }

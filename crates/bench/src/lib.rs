@@ -15,13 +15,15 @@
 //! | `table3` | Table III — configuration with the highest SDC% per program |
 //! | `table4` | Table IV — Transition I / II likelihoods (Fig. 6 state machine) |
 //! | `run_all`| Everything above plus the RQ1–RQ5 summary |
-//! | `replay_bench` | Full re-execution vs checkpointed golden-run replay (`BENCH_replay.json`; `--check` verifies byte-equivalence) |
 //! | `mbfi-monitor` | Live dashboard (or `--headless` CI verifier) for the JSONL event stream a `MBFI_TELEMETRY=full` run writes |
 //!
 //! Campaign cells are requested on a [`harness::CampaignGrid`], deduplicated,
 //! and executed as **one** `mbfi_core::Sweep` per binary; shared per-workload
-//! artifacts (lowered module, golden run, checkpoint store) come from a
-//! [`harness::SweepCache`].
+//! artifacts (lowered module, golden run, checkpoint store) are built once
+//! per workload by [`harness::prepare`].
+//!
+//! The repository benchmark is `perfbench/`, a package of its own (see its
+//! README); this crate holds no benchmark code.
 //!
 //! Every binary also accepts `--out-dir <path>` for its artefact files
 //! (default: the current working directory).
@@ -33,9 +35,7 @@
 pub mod artifacts;
 pub mod harness;
 pub mod monitor;
-pub mod timing;
 
 pub use artifacts::{Artefact, OutDir};
-pub use harness::{CampaignGrid, GridRun, HarnessConfig, SweepCache, WorkloadData};
+pub use harness::{CampaignGrid, GridRun, HarnessConfig, WorkloadData};
 pub use monitor::{render_dashboard, render_headless};
-pub use timing::{median_wall_ns, BenchSuite, Measurement};

@@ -1,7 +1,7 @@
 //! Fault-injection campaigns: many experiments with the same fault model on
 //! the same workload (§III-E of the paper).
 
-use crate::adaptive::{AdaptiveStatus, Precision};
+use crate::adaptive::AdaptiveStatus;
 use crate::cluster::CampaignPoint;
 use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
@@ -10,8 +10,7 @@ use crate::replay::CheckpointStore;
 use crate::stats::{wald_interval, Proportion};
 use crate::sweep::{Sweep, SweepCampaign, SweepConfig, SweepUnit};
 use crate::technique::Technique;
-use crate::telemetry::TelemetryHub;
-use mbfi_ir::{CompiledModule, Module};
+use mbfi_ir::CompiledModule;
 
 /// Configuration of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,10 +158,10 @@ impl CampaignSpec {
     }
 
     /// Validate the spec once, returning the (possibly fixed-up) spec the
-    /// campaign will actually run plus any warnings.  [`Campaign::run`] calls
-    /// this at campaign start and logs the warnings, replacing the old
-    /// behaviour of silently clamping `hang_factor` inside every single
-    /// `Experiment::run`.
+    /// campaign will actually run plus any warnings.  The sweep planner
+    /// calls this once per cell at campaign start, so [`Campaign::run`]
+    /// does too, and the warnings are logged once instead of each
+    /// experiment clamping `hang_factor` silently.
     pub fn validate(&self) -> (CampaignSpec, Vec<CampaignWarning>) {
         let mut spec = *self;
         let mut warnings = Vec::new();
@@ -295,117 +294,40 @@ impl CampaignResult {
 pub struct Campaign;
 
 impl Campaign {
-    /// Run `spec.experiments` experiments, spreading them over worker threads.
+    /// Run `spec.experiments` experiments on a lowered module, spreading
+    /// them over `spec.threads` worker threads (0 = all cores), and through
+    /// `store` when one is given.
     ///
-    /// Lowers the module once and executes every experiment through the
-    /// compiled pipeline; callers that run several campaigns on one workload
-    /// should lower once themselves and use [`Campaign::run_compiled`].
-    pub fn run(module: &Module, golden: &GoldenRun, spec: &CampaignSpec) -> CampaignResult {
-        Self::run_with_store(module, golden, spec, None)
-    }
-
-    /// Like [`Campaign::run`], with an optional golden-run [`CheckpointStore`]
-    /// shared read-only across all worker threads.
-    pub fn run_with_store(
-        module: &Module,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-        store: Option<&CheckpointStore>,
-    ) -> CampaignResult {
-        let code = CompiledModule::lower(module);
-        Self::run_compiled_with_store(&code, golden, spec, store)
-    }
-
-    /// Run a campaign on a pre-lowered module.
-    pub fn run_compiled(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-    ) -> CampaignResult {
-        Self::run_compiled_with_store(code, golden, spec, None)
-    }
-
-    /// Run a campaign on a pre-lowered module, optionally through a
-    /// checkpoint store shared read-only across all worker threads.
-    ///
-    /// Since the sweep refactor this is a single-cell [`Sweep`]: the
-    /// campaign's experiments are pre-sampled, cut into batches and drained
-    /// by the sweep's worker pool (sized by `spec.threads`).
-    /// The result is byte-identical to any other schedule — see the
-    /// determinism contract in [`crate::sweep`].
-    pub fn run_compiled_with_store(
+    /// This is a single-cell [`Sweep`]: the campaign's experiments are
+    /// pre-sampled, cut into batches and drained by the sweep's worker pool.
+    /// The result is byte-identical at every thread count and with or
+    /// without the store — see the determinism contract in [`crate::sweep`].
+    /// Adaptive, telemetered or multi-cell runs call [`Sweep::run`] or
+    /// [`Sweep::run_streamed`] directly.
+    pub fn run(
         code: &CompiledModule,
         golden: &GoldenRun,
         spec: &CampaignSpec,
         store: Option<&CheckpointStore>,
     ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, None, None)
-    }
-
-    /// [`Campaign::run_compiled_with_store`] with a [`TelemetryHub`]
-    /// observing the run: experiment and batch counters, checkpoint-replay
-    /// savings, per-cell outcome tallies and — at
-    /// [`crate::telemetry::TelemetryLevel::Full`] — the structured event
-    /// stream.  Telemetry is strictly an observer: the result is
-    /// byte-identical to the untelemetered run at every level.
-    pub fn run_compiled_telemetry(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-        store: Option<&CheckpointStore>,
-        telemetry: &TelemetryHub,
-    ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, None, Some(telemetry))
-    }
-
-    /// Run one campaign with adaptive precision-targeted sampling: keep
-    /// adding deterministic rounds of experiments until the SDC and Detection
-    /// interval half-widths meet `precision.target_half_width_pct` (or the
-    /// `max_experiments` budget runs out).  `spec.experiments` is ignored;
-    /// the realized count is in the result's `spec.experiments` /
-    /// [`CampaignResult::adaptive`].
-    ///
-    /// Deterministic like the fixed-n path: the result is byte-identical for
-    /// every thread count, and equal to a fixed-n campaign of exactly the
-    /// realized length.
-    pub fn run_adaptive(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-        store: Option<&CheckpointStore>,
-        precision: &Precision,
-    ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, Some(*precision), None)
-    }
-
-    /// Run one campaign per grid point as a single [`Sweep`].  The module is
-    /// lowered once and shared by every campaign, and all points run on one
-    /// worker pool instead of one pool per campaign.
-    pub fn run_points(
-        module: &Module,
-        golden: &GoldenRun,
-        points: &[CampaignPoint],
-        experiments: usize,
-        seed: u64,
-    ) -> Vec<CampaignResult> {
-        let code = CompiledModule::lower(module);
         let units = [SweepUnit {
-            code: &code,
+            code,
             golden,
-            store: None,
+            store,
         }];
-        let campaigns: Vec<SweepCampaign> = points
-            .iter()
-            .map(|p| SweepCampaign {
-                unit: 0,
-                spec: CampaignSpec::from_point(*p, experiments, seed),
-            })
-            .collect();
-        Sweep::run(&units, &campaigns, &SweepConfig::default())
+        let campaigns = [SweepCampaign {
+            unit: 0,
+            spec: *spec,
+        }];
+        let config = SweepConfig {
+            threads: spec.threads,
+            ..SweepConfig::default()
+        };
+        Sweep::run(&units, &campaigns, &config)
             .results
-            .into_iter()
-            .map(|r| r.result)
-            .collect()
+            .pop()
+            .expect("a one-cell sweep returns one result")
+            .result
     }
 }
 
@@ -415,7 +337,7 @@ mod tests {
     use crate::fault_model::WinSize;
     use mbfi_ir::{ModuleBuilder, Type};
 
-    fn workload() -> Module {
+    fn workload() -> CompiledModule {
         let mut mb = ModuleBuilder::new("w");
         let main = mb.declare("main", &[], None);
         {
@@ -438,13 +360,13 @@ mod tests {
             f.ret_void();
         }
         mb.set_entry(main);
-        mb.finish()
+        CompiledModule::lower(&mb.finish())
     }
 
     #[test]
     fn campaign_counts_add_up() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let spec = CampaignSpec {
             technique: Technique::InjectOnRead,
             model: FaultModel::single_bit(),
@@ -453,7 +375,7 @@ mod tests {
             hang_factor: 10,
             threads: 2,
         };
-        let r = Campaign::run(&m, &golden, &spec);
+        let r = Campaign::run(&m, &golden, &spec, None);
         assert_eq!(r.total(), 200);
         let hist_total: u64 = r.activation_histogram.iter().sum();
         assert_eq!(hist_total, 200);
@@ -464,7 +386,7 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_regardless_of_thread_count() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let base = CampaignSpec {
             technique: Technique::InjectOnWrite,
             model: FaultModel::multi_bit(3, WinSize::Fixed(1)),
@@ -473,8 +395,8 @@ mod tests {
             hang_factor: 10,
             threads: 1,
         };
-        let r1 = Campaign::run(&m, &golden, &base);
-        let r2 = Campaign::run(&m, &golden, &CampaignSpec { threads: 4, ..base });
+        let r1 = Campaign::run(&m, &golden, &base, None);
+        let r2 = Campaign::run(&m, &golden, &CampaignSpec { threads: 4, ..base }, None);
         assert_eq!(r1.counts, r2.counts);
         assert_eq!(r1.activation_histogram, r2.activation_histogram);
     }
@@ -482,7 +404,7 @@ mod tests {
     #[test]
     fn multi_bit_campaign_activates_multiple_errors() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let spec = CampaignSpec {
             technique: Technique::InjectOnWrite,
             model: FaultModel::multi_bit(4, WinSize::Fixed(0)),
@@ -491,7 +413,7 @@ mod tests {
             hang_factor: 10,
             threads: 2,
         };
-        let r = Campaign::run(&m, &golden, &spec);
+        let r = Campaign::run(&m, &golden, &spec, None);
         assert_eq!(r.activation_histogram.len(), 5);
         // With win-size = 0 the full burst is applied at one instruction, so
         // many experiments should activate all 4 flips.
@@ -502,7 +424,7 @@ mod tests {
     #[test]
     fn crash_histogram_only_counts_crashes() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let spec = CampaignSpec {
             technique: Technique::InjectOnRead,
             model: FaultModel::single_bit(),
@@ -511,7 +433,7 @@ mod tests {
             hang_factor: 10,
             threads: 2,
         };
-        let r = Campaign::run(&m, &golden, &spec);
+        let r = Campaign::run(&m, &golden, &spec, None);
         let crash_total: u64 = r.crash_activation_histogram.iter().sum();
         assert_eq!(crash_total, r.counts.hw_exception);
     }
@@ -540,7 +462,7 @@ mod tests {
         // A campaign with a too-low hang factor runs with the fixed-up value
         // and records it in the result's spec.
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let r = Campaign::run(
             &m,
             &golden,
@@ -550,6 +472,7 @@ mod tests {
                 threads: 1,
                 ..CampaignSpec::default()
             },
+            None,
         );
         assert_eq!(r.spec.hang_factor, 2);
         assert_eq!(r.total(), 10);
@@ -558,8 +481,8 @@ mod tests {
     #[test]
     fn replayed_campaign_is_byte_identical_to_full_execution() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
-        let store = crate::replay::CheckpointStore::capture(
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
+        let store = crate::replay::CheckpointStore::capture_compiled(
             &m,
             &golden,
             crate::replay::CheckpointConfig::with_interval(25),
@@ -574,8 +497,8 @@ mod tests {
                 hang_factor: 10,
                 threads: 3,
             };
-            let full = Campaign::run(&m, &golden, &spec);
-            let replayed = Campaign::run_with_store(&m, &golden, &spec, Some(&store));
+            let full = Campaign::run(&m, &golden, &spec, None);
+            let replayed = Campaign::run(&m, &golden, &spec, Some(&store));
             assert_eq!(
                 full, replayed,
                 "{technique}: replay changed the campaign result"
@@ -584,10 +507,10 @@ mod tests {
     }
 
     #[test]
-    fn run_points_produces_one_result_per_point() {
+    fn grid_points_run_as_one_sweep_with_one_result_per_point() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
-        let points = vec![
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
+        let points = [
             CampaignPoint {
                 technique: Technique::InjectOnRead,
                 model: FaultModel::single_bit(),
@@ -597,8 +520,23 @@ mod tests {
                 model: FaultModel::multi_bit(2, WinSize::Fixed(1)),
             },
         ];
-        let results = Campaign::run_points(&m, &golden, &points, 50, 9);
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.total() == 50));
+        let units = [SweepUnit {
+            code: &m,
+            golden: &golden,
+            store: None,
+        }];
+        let campaigns: Vec<SweepCampaign> = points
+            .iter()
+            .map(|p| SweepCampaign {
+                unit: 0,
+                spec: CampaignSpec::from_point(*p, 50, 9),
+            })
+            .collect();
+        let report = Sweep::run(&units, &campaigns, &SweepConfig::default());
+        assert_eq!(report.results.len(), 2);
+        for (cell, got) in campaigns.iter().zip(&report.results) {
+            assert_eq!(got.result.total(), 50);
+            assert_eq!(got.result, Campaign::run(&m, &golden, &cell.spec, None));
+        }
     }
 }

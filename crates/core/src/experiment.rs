@@ -170,35 +170,16 @@ enum Ended {
 pub struct Experiment;
 
 impl Experiment {
-    /// Execute one experiment: run the workload with an [`InjectorHook`]
-    /// configured from `spec` and classify the outcome against the golden run.
-    ///
-    /// Lowers the module and executes through the compiled pipeline.  Callers
-    /// that run many experiments on the same workload (campaigns, benches)
-    /// should lower once and use [`Experiment::run_compiled`].
+    /// Execute one experiment: run the lowered workload with an
+    /// [`InjectorHook`] configured from `spec` and classify the outcome
+    /// against the golden run.  When a [`CheckpointStore`] is supplied, the
+    /// run restores the deepest checkpoint at or before its first injection
+    /// and may stop at a golden checkpoint it rejoins; the result is
+    /// byte-identical to the store-less run for any spec (see the module
+    /// docs).  This is the hot path every campaign worker runs.
     ///
     /// `hang_factor` is taken from the spec verbatim; campaigns validate it
     /// once up front (see [`crate::CampaignSpec::validate`]).
-    pub fn run(module: &Module, golden: &GoldenRun, spec: &ExperimentSpec) -> ExperimentResult {
-        Self::run_with_store(module, golden, spec, None)
-    }
-
-    /// Like [`Experiment::run`], but when a [`CheckpointStore`] is supplied,
-    /// restore the deepest checkpoint at or before the first injection point
-    /// and execute only the tail.  The result is byte-identical to the full
-    /// re-execution path for any spec (see the `replay` module docs for why).
-    pub fn run_with_store(
-        module: &Module,
-        golden: &GoldenRun,
-        spec: &ExperimentSpec,
-        store: Option<&CheckpointStore>,
-    ) -> ExperimentResult {
-        let code = CompiledModule::lower(module);
-        Self::run_compiled(&code, golden, spec, store)
-    }
-
-    /// Execute one experiment on a pre-lowered module — the hot path every
-    /// campaign worker runs.
     ///
     /// Carries no telemetry: the VM interpreter loop inlines into the one
     /// non-generic execution body, so every caller — telemetered or not —
@@ -314,10 +295,10 @@ impl Experiment {
 
     /// Execute one experiment on the legacy tree walker.
     ///
-    /// Exists for the pipeline-equivalence suite and the `exec_bench`
-    /// baseline: for any spec the result must equal [`Experiment::run`]
-    /// field for field.  No checkpoint replay — the walker always executes
-    /// from instruction zero.
+    /// The oracle of the pipeline-equivalence suite: for any spec the result
+    /// must equal the store-less [`Experiment::run_compiled`] field for
+    /// field.  No checkpoint replay — the walker always executes from
+    /// instruction zero.
     pub fn run_legacy(
         module: &Module,
         golden: &GoldenRun,
@@ -561,8 +542,8 @@ mod tests {
 
     #[test]
     fn sampled_specs_are_reproducible_and_in_range() {
-        let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let m = CompiledModule::lower(&workload());
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let model = FaultModel::multi_bit(3, WinSize::Random { lo: 2, hi: 10 });
         let a = ExperimentSpec::sample(Technique::InjectOnRead, model, &golden, 42, 7, 10);
         let b = ExperimentSpec::sample(Technique::InjectOnRead, model, &golden, 42, 7, 10);
@@ -575,8 +556,8 @@ mod tests {
 
     #[test]
     fn experiments_are_deterministic() {
-        let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let m = CompiledModule::lower(&workload());
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let spec = ExperimentSpec::sample(
             Technique::InjectOnWrite,
             FaultModel::single_bit(),
@@ -585,16 +566,16 @@ mod tests {
             3,
             10,
         );
-        let r1 = Experiment::run(&m, &golden, &spec);
-        let r2 = Experiment::run(&m, &golden, &spec);
+        let r1 = Experiment::run_compiled(&m, &golden, &spec, None);
+        let r2 = Experiment::run_compiled(&m, &golden, &spec, None);
         assert_eq!(r1, r2);
         assert!(r1.activated <= 1);
     }
 
     #[test]
     fn single_bit_experiments_cover_multiple_outcomes() {
-        let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let m = CompiledModule::lower(&workload());
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..300 {
             let spec = ExperimentSpec::sample(
@@ -605,7 +586,7 @@ mod tests {
                 i,
                 10,
             );
-            let r = Experiment::run(&m, &golden, &spec);
+            let r = Experiment::run_compiled(&m, &golden, &spec, None);
             seen.insert(r.outcome);
             assert!(r.activated <= 1);
             assert!(r.injections.len() == r.activated as usize);
@@ -621,12 +602,12 @@ mod tests {
 
     #[test]
     fn multi_bit_activations_never_exceed_max_mbf() {
-        let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let m = CompiledModule::lower(&workload());
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let model = FaultModel::multi_bit(5, WinSize::Fixed(4));
         for i in 0..100 {
             let spec = ExperimentSpec::sample(Technique::InjectOnWrite, model, &golden, 99, i, 10);
-            let r = Experiment::run(&m, &golden, &spec);
+            let r = Experiment::run_compiled(&m, &golden, &spec, None);
             assert!(r.activated <= 5);
         }
     }

@@ -104,8 +104,8 @@ impl GoldenRun {
     /// The checkpoint interval a replay store defaults to for this run:
     /// 1/128th of the golden run length (at least 1), i.e. at most ~128
     /// checkpoints and an expected replayed prefix of 1/256th of the run.
-    /// Shared by `CheckpointConfig::auto_for` and the bench harness so the
-    /// heuristic lives in one place.
+    /// `CheckpointConfig::auto_for` builds the harness's production store
+    /// config from it.
     pub fn default_checkpoint_interval(&self) -> u64 {
         (self.dynamic_instrs / 128).max(1)
     }

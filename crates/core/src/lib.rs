@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
-//! use mbfi_ir::{ModuleBuilder, Type};
+//! use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
 //!
 //! // Build a tiny program that sums 0..100 and prints the result.
 //! let mut mb = ModuleBuilder::new("sum");
@@ -56,10 +56,10 @@
 //!     f.ret_void();
 //! }
 //! mb.set_entry(main);
-//! let module = mb.finish();
+//! let code = CompiledModule::lower(&mb.finish());
 //!
 //! // Profile the fault-free run, then run a small single bit-flip campaign.
-//! let golden = GoldenRun::capture(&module).unwrap();
+//! let golden = GoldenRun::capture_compiled(&code).unwrap();
 //! let spec = CampaignSpec {
 //!     technique: Technique::InjectOnRead,
 //!     model: FaultModel::single_bit(),
@@ -67,7 +67,7 @@
 //!     seed: 1,
 //!     ..CampaignSpec::default()
 //! };
-//! let result = Campaign::run(&module, &golden, &spec);
+//! let result = Campaign::run(&code, &golden, &spec, None);
 //! assert_eq!(result.total(), 50);
 //! ```
 

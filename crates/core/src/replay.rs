@@ -31,7 +31,8 @@
 //! experiment that stops at a later checkpoint because its state equals the
 //! checkpoint's (see [`crate::experiment`]): from an equal state the run is
 //! the golden run.  The contract is enforced by the `replay_equivalence`
-//! integration suite and by `replay_bench --check`.
+//! integration suite at several intervals, the harness's auto interval
+//! among them.
 //!
 //! ## Memory budget
 //!
@@ -55,7 +56,7 @@ use mbfi_vm::{CountingHook, Limits, RunOutcome, Vm, VmSnapshot};
 
 /// Remap a uniformly drawn candidate ordinal into the **last quartile** of a
 /// candidate space — the late-injection shape where replay saves the most
-/// (used by `replay_bench` and the equivalence suite; kept here so the two
+/// (used by the benchmark and the equivalence suite; kept here so the two
 /// cannot drift).  The result is always a valid ordinal below `candidates`.
 pub fn last_quartile_target(candidates: u64, drawn: u64) -> u64 {
     let candidates = candidates.max(1);
@@ -568,10 +569,11 @@ mod tests {
 
     #[test]
     fn replayed_experiments_equal_full_experiments() {
-        let m = workload(128);
-        let golden = GoldenRun::capture(&m).unwrap();
+        let m = CompiledModule::lower(&workload(128));
+        let golden = GoldenRun::capture_compiled(&m).unwrap();
         let store =
-            CheckpointStore::capture(&m, &golden, CheckpointConfig::with_interval(64)).unwrap();
+            CheckpointStore::capture_compiled(&m, &golden, CheckpointConfig::with_interval(64))
+                .unwrap();
         for technique in Technique::ALL {
             for i in 0..40 {
                 let spec = ExperimentSpec::sample(
@@ -582,8 +584,8 @@ mod tests {
                     i,
                     10,
                 );
-                let full = Experiment::run(&m, &golden, &spec);
-                let replayed = Experiment::run_with_store(&m, &golden, &spec, Some(&store));
+                let full = Experiment::run_compiled(&m, &golden, &spec, None);
+                let replayed = Experiment::run_compiled(&m, &golden, &spec, Some(&store));
                 assert_eq!(
                     full, replayed,
                     "{technique} experiment {i} diverged under replay"

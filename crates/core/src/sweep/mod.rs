@@ -12,8 +12,8 @@
 //! ## Determinism contract
 //!
 //! Results are *byte-identical regardless of thread count and schedule*,
-//! and equal to running each cell through [`crate::Campaign::run_compiled`]
-//! serially:
+//! and equal to running each cell on its own through
+//! [`crate::Campaign::run`]:
 //!
 //! * every experiment's spec is a pure function of `(campaign seed,
 //!   experiment index)` alone — workers re-sample it when they run the
@@ -51,11 +51,11 @@
 //! A [`SweepUnit`] carries *borrowed* per-workload artifacts — the lowered
 //! [`CompiledModule`], the [`GoldenRun`] and optionally a read-only
 //! [`CheckpointStore`] — so one set of artifacts serves every campaign of
-//! the grid (the `mbfi-bench` harness builds them once per `(workload,
-//! input size)` key in its `SweepCache`).
+//! the grid (the `mbfi-bench` harness prepares them once per selected
+//! workload).
 //!
-//! [`crate::Campaign::run_compiled_with_store`] is itself implemented as a
-//! single-campaign sweep.
+//! [`crate::Campaign::run`] is itself implemented as a single-campaign
+//! sweep.
 //!
 //! ## Listed cells
 //!
@@ -176,7 +176,7 @@ pub struct SweepConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCampaignResult {
     /// The aggregated campaign result, byte-identical to
-    /// [`crate::Campaign::run_compiled`] on the same cell.
+    /// [`crate::Campaign::run`] on the same cell.
     pub result: CampaignResult,
     /// With [`SweepConfig::keep_records`]: the applied flips of experiment
     /// `i` at index `i` (empty otherwise).
@@ -475,37 +475,6 @@ fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads
     }
 }
 
-/// Convenience used by [`crate::Campaign`]: run one campaign as a
-/// single-cell sweep.
-pub(crate) fn run_single(
-    code: &CompiledModule,
-    golden: &GoldenRun,
-    spec: &CampaignSpec,
-    store: Option<&CheckpointStore>,
-    precision: Option<Precision>,
-    telemetry: Option<&TelemetryHub>,
-) -> CampaignResult {
-    let units = [SweepUnit {
-        code,
-        golden,
-        store,
-    }];
-    let campaigns = [SweepCampaign {
-        unit: 0,
-        spec: *spec,
-    }];
-    let config = SweepConfig {
-        threads: spec.threads,
-        precision,
-        ..SweepConfig::default()
-    };
-    let mut out = None;
-    Sweep::run_streamed(&units, &campaigns, &config, telemetry, |_, result| {
-        out = Some(result.result);
-    });
-    out.expect("single-campaign sweep produced no result")
-}
-
 #[cfg(test)]
 mod tests {
     use crate::campaign::Campaign;
@@ -608,7 +577,7 @@ mod tests {
         assert_eq!(report.results.len(), campaigns.len());
         for (cell, got) in campaigns.iter().zip(&report.results) {
             let f = &fixtures[cell.unit];
-            let serial = Campaign::run_compiled(&f.code, &f.golden, &cell.spec);
+            let serial = Campaign::run(&f.code, &f.golden, &cell.spec, None);
             assert_eq!(
                 got.result, serial,
                 "sweep cell diverged from the serial campaign runner"
@@ -888,13 +857,14 @@ mod tests {
         );
         let adaptive = &report.results[0].result;
         let realized = adaptive.total() as usize;
-        let fixed = Campaign::run_compiled(
+        let fixed = Campaign::run(
             &f.code,
             &f.golden,
             &CampaignSpec {
                 experiments: realized,
                 ..spec
             },
+            None,
         );
         assert_eq!(adaptive.counts, fixed.counts);
         assert_eq!(adaptive.activation_histogram, fixed.activation_histogram);

@@ -887,3 +887,90 @@ pub(crate) fn claim_for_test(shared: &Shared<'_>, body: impl FnOnce()) {
     let _claimed = Claimed { shared, job };
     body();
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::golden::GoldenRun;
+    use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
+
+    fn unit() -> EngineUnit {
+        let mut mb = ModuleBuilder::new("w");
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(main);
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, 32i64, |f, i| {
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, i);
+                f.store(Type::I64, next, acc);
+            });
+            let total = f.load(Type::I64, acc);
+            f.print_i64(total);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        let code = CompiledModule::lower(&mb.finish());
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        EngineUnit::new(code, golden)
+    }
+
+    /// Register a client at `priority` and admit one job of `batches`
+    /// single-experiment batches for it.
+    fn client_with_job(shared: &Shared<'static>, priority: u8, batches: usize) -> u64 {
+        let client = shared.register_client(priority);
+        let cell = Cell::Sampled(SweepCampaign {
+            unit: 0,
+            spec: CampaignSpec {
+                experiments: batches,
+                hang_factor: 8,
+                threads: 1,
+                ..CampaignSpec::default()
+            },
+        });
+        let config = SweepConfig {
+            batch_size: 1,
+            ..SweepConfig::default()
+        };
+        let (job, _, _) = Job::new(client, Units::Owned(vec![unit()]), vec![cell], &config);
+        shared.admit(job, false).unwrap();
+        client
+    }
+
+    /// The owner of every batch the scheduler hands out, in claim order,
+    /// until it hands out none.  No batch is run or finished, so every claim
+    /// stays in flight against its client's quota.
+    fn claims(shared: &Shared<'_>) -> Vec<u64> {
+        std::iter::from_fn(|| claim_batch(&mut shared.lock(), shared.quota))
+            .map(|(job, _, _)| job.client)
+            .collect()
+    }
+
+    #[test]
+    fn equal_priority_clients_alternate_claims() {
+        let shared = Shared::new(usize::MAX, 8, None);
+        let a = client_with_job(&shared, 0, 4);
+        let b = client_with_job(&shared, 0, 4);
+        assert_eq!(claims(&shared), [a, b, a, b, a, b, a, b]);
+    }
+
+    #[test]
+    fn a_higher_priority_client_is_drained_first() {
+        let shared = Shared::new(usize::MAX, 8, None);
+        let low = client_with_job(&shared, 0, 3);
+        let high = client_with_job(&shared, 5, 3);
+        assert_eq!(claims(&shared), [high, high, high, low, low, low]);
+    }
+
+    #[test]
+    fn a_client_at_its_quota_is_skipped_until_every_client_is() {
+        let shared = Shared::new(2, 8, None);
+        let first = client_with_job(&shared, 1, 4);
+        let second = client_with_job(&shared, 0, 4);
+        // `first` outranks `second` but stops at its two in-flight batches;
+        // once `second` is at its quota too, nothing is claimable.
+        assert_eq!(claims(&shared), [first, first, second, second]);
+        assert!(claim_batch(&mut shared.lock(), shared.quota).is_none());
+    }
+}

@@ -1,6 +1,6 @@
 //! Client side of the campaign service: connect, submit a grid, stream the
 //! events, collect the report.  Used by `mbfi-serve submit`,
-//! `mbfi-monitor --connect` and `serve_bench`.
+//! `mbfi-monitor --connect` and the served-path benchmark.
 
 use crate::protocol::{self, Ack, CellRequest, Request, SubmitRequest};
 use mbfi_core::{SweepReport, TelemetryEvent};

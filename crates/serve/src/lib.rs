@@ -20,11 +20,10 @@
 //!   concurrently.  Sound because the executor is deterministic: a cell's
 //!   result is a pure function of its spec.
 //! * [`client`] — connect/submit/watch/shutdown helpers used by the CLI,
-//!   `mbfi-monitor --connect`, the `serve_bench` harness and the
-//!   equivalence tests.
+//!   `mbfi-monitor --connect`, the benchmark and the equivalence tests.
 //!
-//! The load-bearing invariant, pinned by `tests/serve_equivalence.rs` and
-//! `serve_bench --check`: a report obtained through the daemon is
+//! The load-bearing invariant, pinned by `tests/serve_equivalence.rs`: a
+//! report obtained through the daemon is
 //! **byte-identical** to `Sweep::run` of the same grid in-process, at every
 //! engine thread count, even when the grid was split across concurrent
 //! clients and deduplicated between them.

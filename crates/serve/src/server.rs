@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 const LOCK_POISONED: &str = "serve server lock poisoned";
 
 /// Daemon knobs.  Every field has an `MBFI_SERVE_*` environment spelling
-/// (see [`ServerConfig::from_env`]); unset or unparsable values fall back
-/// to the defaults.
+/// (see [`ServerConfig::from_env`]); unset values keep the defaults, and
+/// malformed ones fall back to them with a warning on stderr.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral, kernel-assigned).
@@ -62,11 +62,21 @@ impl Default for ServerConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+/// Parse knob `key` through `var` (`None` = unset), warning on stderr and
+/// falling back to `default` when it is set but malformed, with the same
+/// wording as the harness knobs.
+fn var_parsed<T: std::str::FromStr + std::fmt::Display>(
+    var: impl Fn(&str) -> Option<String>,
+    key: &str,
+    default: T,
+) -> T {
+    match var(key) {
+        None => default,
+        Some(v) => v.trim().parse().unwrap_or_else(|_| {
+            eprintln!("warning: {key}={v:?} is not a valid value; falling back to {default}");
+            default
+        }),
+    }
 }
 
 impl ServerConfig {
@@ -74,13 +84,19 @@ impl ServerConfig {
     /// `MBFI_SERVE_QUOTA` / `MBFI_SERVE_PENDING` /
     /// `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
     pub fn from_env() -> ServerConfig {
+        ServerConfig::from_vars(|key| std::env::var(key).ok())
+    }
+
+    /// [`ServerConfig::from_env`] over any variable lookup (`None` =
+    /// unset), e.g. a map in a test instead of the process environment.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> ServerConfig {
         let d = ServerConfig::default();
         ServerConfig {
-            port: env_parse("MBFI_SERVE_PORT", d.port),
-            threads: env_parse("MBFI_SERVE_THREADS", d.threads),
-            quota: env_parse("MBFI_SERVE_QUOTA", d.quota),
-            max_pending: env_parse("MBFI_SERVE_PENDING", d.max_pending),
-            read_timeout_ms: env_parse("MBFI_SERVE_READ_TIMEOUT_MS", d.read_timeout_ms),
+            port: var_parsed(&var, "MBFI_SERVE_PORT", d.port),
+            threads: var_parsed(&var, "MBFI_SERVE_THREADS", d.threads),
+            quota: var_parsed(&var, "MBFI_SERVE_QUOTA", d.quota),
+            max_pending: var_parsed(&var, "MBFI_SERVE_PENDING", d.max_pending),
+            read_timeout_ms: var_parsed(&var, "MBFI_SERVE_READ_TIMEOUT_MS", d.read_timeout_ms),
         }
     }
 }
@@ -685,6 +701,52 @@ mod tests {
     use crate::protocol::CellRequest;
     use mbfi_core::{FaultModel, Technique};
     use mbfi_workloads::InputSize;
+    use std::collections::HashMap;
+
+    #[test]
+    fn config_reads_knobs_and_falls_back_on_malformed_values() {
+        let vars = |pairs: &[(&str, &str)]| {
+            let map: HashMap<String, String> = pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            move |key: &str| map.get(key).cloned()
+        };
+        assert_eq!(ServerConfig::from_vars(vars(&[])), ServerConfig::default());
+        let cfg = ServerConfig::from_vars(vars(&[
+            ("MBFI_SERVE_PORT", "7070"),
+            ("MBFI_SERVE_THREADS", " 3 "),
+            ("MBFI_SERVE_QUOTA", "2"),
+            ("MBFI_SERVE_PENDING", "5"),
+            ("MBFI_SERVE_READ_TIMEOUT_MS", "250"),
+        ]));
+        assert_eq!(
+            cfg,
+            ServerConfig {
+                port: 7070,
+                threads: 3,
+                quota: 2,
+                max_pending: 5,
+                read_timeout_ms: 250,
+            }
+        );
+        // Malformed values keep the defaults (with a stderr warning each,
+        // not capturable here); the well-formed knob beside them still reads.
+        let cfg = ServerConfig::from_vars(vars(&[
+            ("MBFI_SERVE_PORT", "70000"),
+            ("MBFI_SERVE_THREADS", "four"),
+            ("MBFI_SERVE_QUOTA", "-1"),
+            ("MBFI_SERVE_PENDING", "9"),
+            ("MBFI_SERVE_READ_TIMEOUT_MS", ""),
+        ]));
+        assert_eq!(
+            cfg,
+            ServerConfig {
+                max_pending: 9,
+                ..ServerConfig::default()
+            }
+        );
+    }
 
     #[test]
     fn finished_threads_are_reaped_as_requests_arrive() {

@@ -19,8 +19,7 @@
 //! [`Vm::resume_from`] is the substrate for checkpointed golden-run replay.
 //!
 //! The legacy tree walker that interprets the [`Module`] structure directly
-//! survives as [`crate::WalkerVm`], kept for differential testing and as the
-//! baseline the `exec_bench` binary measures against.
+//! survives as [`crate::WalkerVm`], kept for differential testing.
 
 use crate::hooks::{ExecHook, InstrContext};
 use crate::limits::Limits;

@@ -7,13 +7,9 @@
 //! through `&mut dyn ExecHook`.
 //!
 //! The production execution path is the compiled-bytecode [`crate::Vm`];
-//! this walker is retained as
-//!
-//! * the **behavioural reference** the pipeline-equivalence suite compares
-//!   the compiled path against (identical outputs, outcomes and injection
-//!   records for every workload and seed), and
-//! * the **baseline** the `exec_bench` binary measures the compiled path's
-//!   speedup over.
+//! this walker is retained as the **behavioural reference** the
+//! pipeline-equivalence suite compares the compiled path against (identical
+//! outputs, outcomes and injection records for every workload and seed).
 //!
 //! It shares all instruction semantics with the compiled interpreter through
 //! [`crate::ops`], so the two paths can only differ in *how* they fetch and

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p mbfi-bench --example custom_workload`
 
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
-use mbfi_ir::{IcmpPred, Module, ModuleBuilder, Type};
+use mbfi_ir::{CompiledModule, IcmpPred, Module, ModuleBuilder, Type};
 use mbfi_workloads::{InputSize, Suite, Workload};
 
 /// A workload computing the Collatz trajectory lengths of 1..=N and printing
@@ -115,8 +115,8 @@ impl Workload for Collatz {
 
 fn main() {
     let workload = Collatz;
-    let module = workload.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).expect("collatz golden run");
+    let code = CompiledModule::lower(&workload.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).expect("collatz golden run");
 
     // Sanity check against the independent oracle, exactly like the built-in
     // workloads are tested.
@@ -139,7 +139,7 @@ fn main() {
         FaultModel::multi_bit(3, WinSize::Fixed(1)),
     ] {
         let result = Campaign::run(
-            &module,
+            &code,
             &golden,
             &CampaignSpec {
                 technique: Technique::InjectOnWrite,
@@ -149,6 +149,7 @@ fn main() {
                 hang_factor: 20,
                 threads: 0,
             },
+            None,
         );
         println!(
             "inject-on-write {:<10} SDC = {:>5.1}%  detection = {:>5.1}%  benign = {:>5.1}%  mean activated = {:.2}",

@@ -6,6 +6,7 @@
 
 use mbfi_core::replay::{CheckpointConfig, CheckpointStore};
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 use std::time::Instant;
 
@@ -13,8 +14,8 @@ fn main() {
     // 1. Prepare a real workload and its golden run, exactly as any campaign
     //    would.
     let workload = workload_by_name("dijkstra").expect("dijkstra is in the registry");
-    let module = workload.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).expect("golden run");
+    let code = CompiledModule::lower(&workload.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).expect("golden run");
     println!("workload             : {}", workload.name());
     println!("golden instructions  : {}", golden.dynamic_instrs);
 
@@ -28,7 +29,7 @@ fn main() {
         max_bytes: 64 << 20,
     };
     let capture_start = Instant::now();
-    let store = CheckpointStore::capture(&module, &golden, config).expect("capture");
+    let store = CheckpointStore::capture_compiled(&code, &golden, config).expect("capture");
     println!(
         "checkpoints          : {} every {} instrs ({:.1} MiB, captured in {:.1} ms)",
         store.len(),
@@ -47,10 +48,10 @@ fn main() {
         threads: 0,
     };
     let t = Instant::now();
-    let full = Campaign::run(&module, &golden, &spec);
+    let full = Campaign::run(&code, &golden, &spec, None);
     let full_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let replayed = Campaign::run_with_store(&module, &golden, &spec, Some(&store));
+    let replayed = Campaign::run(&code, &golden, &spec, Some(&store));
     let replay_secs = t.elapsed().as_secs_f64();
 
     // 4. The determinism contract: identical results, field for field.

@@ -145,7 +145,7 @@ fn adaptive_cells_equal_fixed_n_campaigns_of_realized_length() {
             let adaptive = run.get(w, technique, FaultModel::single_bit());
             let realized = adaptive.total() as usize;
             assert!(realized >= 6);
-            let fixed = Campaign::run_compiled(
+            let fixed = Campaign::run(
                 &data.code,
                 &data.golden,
                 &CampaignSpec {
@@ -156,6 +156,7 @@ fn adaptive_cells_equal_fixed_n_campaigns_of_realized_length() {
                     hang_factor: cfg.hang_factor,
                     threads: 1,
                 },
+                None,
             );
             assert_eq!(
                 adaptive.counts, fixed.counts,

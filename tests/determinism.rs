@@ -12,8 +12,8 @@ use mbfi_workloads::{workload_by_name, InputSize};
 #[test]
 fn experiments_with_the_same_spec_are_identical() {
     let w = workload_by_name("dijkstra").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     for i in 0..10 {
         let spec = ExperimentSpec::sample(
             Technique::InjectOnRead,
@@ -23,8 +23,8 @@ fn experiments_with_the_same_spec_are_identical() {
             i,
             20,
         );
-        let a = Experiment::run(&module, &golden, &spec);
-        let b = Experiment::run(&module, &golden, &spec);
+        let a = Experiment::run_compiled(&code, &golden, &spec, None);
+        let b = Experiment::run_compiled(&code, &golden, &spec, None);
         assert_eq!(a, b, "experiment {i} is not reproducible");
     }
 }
@@ -35,8 +35,8 @@ fn experiments_with_the_same_spec_are_identical() {
 #[test]
 fn same_campaign_seed_gives_identical_results() {
     let w = workload_by_name("qsort").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     for technique in Technique::ALL {
         let spec = CampaignSpec {
             technique,
@@ -46,8 +46,8 @@ fn same_campaign_seed_gives_identical_results() {
             hang_factor: 20,
             threads: 0,
         };
-        let a = Campaign::run(&module, &golden, &spec);
-        let b = Campaign::run(&module, &golden, &spec);
+        let a = Campaign::run(&code, &golden, &spec, None);
+        let b = Campaign::run(&code, &golden, &spec, None);
         assert_eq!(a, b, "{technique}: same seed must give identical campaigns");
     }
 }
@@ -55,8 +55,8 @@ fn same_campaign_seed_gives_identical_results() {
 #[test]
 fn campaigns_are_thread_count_invariant() {
     let w = workload_by_name("bfs").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     let base = CampaignSpec {
         technique: Technique::InjectOnWrite,
         model: FaultModel::multi_bit(2, WinSize::Fixed(4)),
@@ -65,8 +65,8 @@ fn campaigns_are_thread_count_invariant() {
         hang_factor: 20,
         threads: 1,
     };
-    let serial = Campaign::run(&module, &golden, &base);
-    let parallel = Campaign::run(&module, &golden, &CampaignSpec { threads: 4, ..base });
+    let serial = Campaign::run(&code, &golden, &base, None);
+    let parallel = Campaign::run(&code, &golden, &CampaignSpec { threads: 4, ..base }, None);
     assert_eq!(serial.counts, parallel.counts);
     assert_eq!(serial.activation_histogram, parallel.activation_histogram);
     assert_eq!(
@@ -78,8 +78,8 @@ fn campaigns_are_thread_count_invariant() {
 #[test]
 fn different_seeds_give_different_campaigns() {
     let w = workload_by_name("spmv").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     let spec_a = CampaignSpec {
         technique: Technique::InjectOnRead,
         model: FaultModel::single_bit(),
@@ -89,8 +89,8 @@ fn different_seeds_give_different_campaigns() {
         threads: 0,
     };
     let spec_b = CampaignSpec { seed: 2, ..spec_a };
-    let a = Campaign::run(&module, &golden, &spec_a);
-    let b = Campaign::run(&module, &golden, &spec_b);
+    let a = Campaign::run(&code, &golden, &spec_a, None);
+    let b = Campaign::run(&code, &golden, &spec_b, None);
     // With different seeds the campaigns target different locations; it would
     // be extraordinarily unlikely for every single outcome count to coincide
     // *and* the activation histograms to match exactly.

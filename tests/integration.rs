@@ -3,12 +3,22 @@
 //! campaigns on real workloads, and consistency of the derived statistics.
 
 use mbfi_core::{
-    Campaign, CampaignSpec, FaultModel, GoldenRun, Outcome, ParameterGrid, Technique, WinSize,
+    Campaign, CampaignSpec, FaultModel, GoldenRun, Outcome, ParameterGrid, Sweep, SweepCampaign,
+    SweepConfig, SweepUnit, Technique, WinSize,
 };
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{all_workloads, workload_by_name, InputSize};
 
 /// Experiments per campaign in these tests (kept small for CI speed).
 const N: usize = 60;
+
+/// A registry workload at tiny input, lowered, with its golden run.
+fn prepared(name: &str) -> (CompiledModule, GoldenRun) {
+    let w = workload_by_name(name).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
+    (code, golden)
+}
 
 #[test]
 fn golden_runs_exist_for_every_workload() {
@@ -29,9 +39,7 @@ fn golden_runs_exist_for_every_workload() {
 
 #[test]
 fn single_bit_campaign_on_a_real_workload_produces_mixed_outcomes() {
-    let w = workload_by_name("qsort").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let (code, golden) = prepared("qsort");
     let spec = CampaignSpec {
         technique: Technique::InjectOnRead,
         model: FaultModel::single_bit(),
@@ -40,7 +48,7 @@ fn single_bit_campaign_on_a_real_workload_produces_mixed_outcomes() {
         hang_factor: 20,
         threads: 0,
     };
-    let result = Campaign::run(&module, &golden, &spec);
+    let result = Campaign::run(&code, &golden, &spec, None);
     assert_eq!(result.total(), 150);
     // A register-level fault-injection campaign on a pointer-heavy workload
     // must produce benign outcomes, detections and at least a handful of SDCs.
@@ -59,12 +67,10 @@ fn single_bit_campaign_on_a_real_workload_produces_mixed_outcomes() {
 
 #[test]
 fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
-    let w = workload_by_name("histo").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let (code, golden) = prepared("histo");
 
     let single = Campaign::run(
-        &module,
+        &code,
         &golden,
         &CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -74,9 +80,10 @@ fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
             hang_factor: 20,
             threads: 0,
         },
+        None,
     );
     let multi = Campaign::run(
-        &module,
+        &code,
         &golden,
         &CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -86,6 +93,7 @@ fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
             hang_factor: 20,
             threads: 0,
         },
+        None,
     );
     assert!(single.mean_activated() <= 1.0);
     assert!(
@@ -98,12 +106,10 @@ fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
 
 #[test]
 fn outcome_fractions_sum_to_one_for_every_technique() {
-    let w = workload_by_name("stringsearch").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let (code, golden) = prepared("stringsearch");
     for technique in Technique::ALL {
         let result = Campaign::run(
-            &module,
+            &code,
             &golden,
             &CampaignSpec {
                 technique,
@@ -113,6 +119,7 @@ fn outcome_fractions_sum_to_one_for_every_technique() {
                 hang_factor: 20,
                 threads: 0,
             },
+            None,
         );
         let sum: f64 = Outcome::ALL
             .iter()
@@ -137,15 +144,25 @@ fn the_campaign_grid_matches_the_paper_dimensions() {
 
 #[test]
 fn same_register_sweep_runs_end_to_end_on_a_workload() {
-    let w = workload_by_name("CRC32").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
-    let sweep = ParameterGrid::same_register_sweep(Technique::InjectOnWrite);
-    let results = Campaign::run_points(&module, &golden, &sweep[..3], 40, 17);
-    assert_eq!(results.len(), 3);
-    for r in &results {
-        assert_eq!(r.total(), 40);
-        assert!(r.sdc_pct() <= 100.0);
+    let (code, golden) = prepared("CRC32");
+    let units = [SweepUnit {
+        code: &code,
+        golden: &golden,
+        store: None,
+    }];
+    let campaigns: Vec<SweepCampaign> =
+        ParameterGrid::same_register_sweep(Technique::InjectOnWrite)[..3]
+            .iter()
+            .map(|p| SweepCampaign {
+                unit: 0,
+                spec: CampaignSpec::from_point(*p, 40, 17),
+            })
+            .collect();
+    let report = Sweep::run(&units, &campaigns, &SweepConfig::default());
+    assert_eq!(report.results.len(), 3);
+    for r in &report.results {
+        assert_eq!(r.result.total(), 40);
+        assert!(r.result.sdc_pct() <= 100.0);
     }
 }
 
@@ -168,7 +185,7 @@ fn error_space_sizes_reflect_candidate_counts() {
 /// its result reports the realized precision.
 #[test]
 fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
-    use mbfi::ir::{CompiledModule, ModuleBuilder, Type};
+    use mbfi::ir::{ModuleBuilder, Type};
     use mbfi_core::{CampaignWarning, Precision};
 
     // A tiny straight-line module: few candidates, so a modest adaptive
@@ -204,7 +221,21 @@ fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
         max_experiments: space as usize + 40,
         ..Precision::default()
     };
-    let r = Campaign::run_adaptive(&code, &golden, &spec, None, &precision);
+    let units = [SweepUnit {
+        code: &code,
+        golden: &golden,
+        store: None,
+    }];
+    let adaptive = |precision: Precision| {
+        let config = SweepConfig {
+            threads: spec.threads,
+            precision: Some(precision),
+            ..SweepConfig::default()
+        };
+        let mut report = Sweep::run(&units, &[SweepCampaign { unit: 0, spec }], &config);
+        report.results.remove(0).result
+    };
+    let r = adaptive(precision);
     assert_eq!(r.total(), space + 40, "the cell runs its whole budget");
     assert_eq!(
         r.warnings,
@@ -218,15 +249,9 @@ fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
     assert!(status.realized_half_width_pct() > 0.0001);
 
     // The same cell with a budget inside the space carries no warning.
-    let r = Campaign::run_adaptive(
-        &code,
-        &golden,
-        &spec,
-        None,
-        &Precision {
-            max_experiments: space as usize / 2,
-            ..precision
-        },
-    );
+    let r = adaptive(Precision {
+        max_experiments: space as usize / 2,
+        ..precision
+    });
     assert!(r.warnings.is_empty(), "warnings: {:?}", r.warnings);
 }

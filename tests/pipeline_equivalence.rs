@@ -111,7 +111,7 @@ fn campaign_aggregates_match_legacy_per_experiment_outcomes() {
             hang_factor: HANG_FACTOR,
             threads: 2,
         };
-        let campaign = Campaign::run_compiled(&code, &golden, &spec);
+        let campaign = Campaign::run(&code, &golden, &spec, None);
 
         let mut legacy_counts = OutcomeCounts::default();
         for i in 0..EXPERIMENTS_PER_CAMPAIGN {

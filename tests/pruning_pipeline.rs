@@ -14,13 +14,13 @@ fn activation_analysis_bounds_max_mbf_like_rq1() {
     // max-MBF = 30 campaigns activate far fewer errors than 30 because most
     // experiments crash or finish first.
     let w = workload_by_name("qsort").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
 
     let mut campaigns = Vec::new();
     for win in [WinSize::Fixed(1), WinSize::Fixed(10), WinSize::Fixed(100)] {
         campaigns.push(Campaign::run(
-            &module,
+            &code,
             &golden,
             &CampaignSpec {
                 technique: Technique::InjectOnRead,
@@ -30,6 +30,7 @@ fn activation_analysis_bounds_max_mbf_like_rq1() {
                 hang_factor: 20,
                 threads: 0,
             },
+            None,
         ));
     }
     let analysis = ActivationAnalysis::from_campaigns(campaigns.iter());
@@ -50,11 +51,11 @@ fn activation_analysis_bounds_max_mbf_like_rq1() {
 #[test]
 fn pessimistic_analysis_compares_single_and_multi_bit_models() {
     let w = workload_by_name("susan_corners").unwrap();
-    let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&w.build_module(InputSize::Tiny));
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
 
     let single = Campaign::run(
-        &module,
+        &code,
         &golden,
         &CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -64,12 +65,13 @@ fn pessimistic_analysis_compares_single_and_multi_bit_models() {
             hang_factor: 20,
             threads: 0,
         },
+        None,
     );
     let mut multi = Vec::new();
     for max_mbf in [2u32, 3, 5] {
         for win in [WinSize::Fixed(1), WinSize::Fixed(10)] {
             multi.push(Campaign::run(
-                &module,
+                &code,
                 &golden,
                 &CampaignSpec {
                     technique: Technique::InjectOnWrite,
@@ -79,6 +81,7 @@ fn pessimistic_analysis_compares_single_and_multi_bit_models() {
                     hang_factor: 20,
                     threads: 0,
                 },
+                None,
             ));
         }
     }

@@ -108,10 +108,11 @@ fn client(
     })
 }
 
-/// Two concurrent clients with overlapping halves of the 15-workload grid:
-/// every merged report is byte-identical to the in-process sweep, the five
-/// shared cells execute exactly once (deduped onto one client's execution),
-/// and each client's event stream verifies clean through `MonitorState`.
+/// Two concurrent clients with overlapping halves of the 15-workload grid,
+/// at engine thread counts 1, 4 and 8: every merged report is
+/// byte-identical to the in-process sweep, the five shared cells execute
+/// exactly once (deduped onto one client's execution), and each client's
+/// event stream verifies clean through `MonitorState`.
 #[test]
 fn concurrent_clients_match_in_process_sweep_and_dedupe() {
     let grid = full_grid();
@@ -121,7 +122,7 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
     let a_cells: Vec<CellRequest> = grid[..split + overlap].to_vec();
     let b_cells: Vec<CellRequest> = grid[split..].to_vec();
 
-    for threads in [1usize, 4] {
+    for threads in [1usize, 4, 8] {
         let server = spawn_server(threads);
         let addr = server.addr();
         let a = client(addr, a_cells.clone(), 0);

@@ -37,16 +37,12 @@ fn cow_campaigns_are_byte_identical_across_replay_and_threads() {
         };
 
         // Baseline: no checkpoint store (no snapshot forks), single worker.
-        let baseline = Campaign::run_compiled(&code, &golden, &spec);
+        let baseline = Campaign::run(&code, &golden, &spec, None);
 
         for replay in [false, true] {
             for threads in THREADS {
                 spec.threads = threads;
-                let mut got = if replay {
-                    Campaign::run_compiled_with_store(&code, &golden, &spec, Some(&store))
-                } else {
-                    Campaign::run_compiled(&code, &golden, &spec)
-                };
+                let mut got = Campaign::run(&code, &golden, &spec, replay.then_some(&store));
                 // The result echoes its spec; the thread count is the one
                 // knob the grid legitimately varies.
                 got.spec.threads = baseline.spec.threads;

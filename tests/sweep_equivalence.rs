@@ -53,7 +53,7 @@ fn collect(run: &harness::GridRun, cfg: &HarnessConfig) -> Vec<CampaignResult> {
     out
 }
 
-/// Sweep results equal serial `Campaign::run_compiled` per cell, for every
+/// Sweep results equal serial `Campaign::run` per cell, for every
 /// registry workload over the whole coarse grid — including the Wald-interval
 /// proportions derived from the counts.
 #[test]
@@ -79,10 +79,11 @@ fn sweep_grid_matches_serial_campaigns_for_every_workload() {
     let serial_data = harness::prepare(&serial_cfg);
     for (w, data) in serial_data.iter().enumerate() {
         for &(technique, model) in &artifact_cells(&cfg) {
-            let serial = Campaign::run_compiled(
+            let serial = Campaign::run(
                 &data.code,
                 &data.golden,
                 &cfg.campaign_spec(technique, model),
+                None,
             );
             let swept = run.get(w, technique, model);
             assert_eq!(

@@ -193,9 +193,9 @@ fn drained_stream_replays_into_clean_monitor_state() {
     assert!(headless.contains(&format!("{total} experiments")));
 }
 
-/// The single-campaign telemetry entry point is an observer too: an
-/// identical result, and the experiment counter accounts for every
-/// experiment.
+/// A single campaign run under a hub is observed, not perturbed: the
+/// one-cell sweep equals `Campaign::run`, and the experiment counter
+/// accounts for every experiment.
 #[test]
 fn campaign_telemetry_observes_without_perturbing() {
     let data = fixture();
@@ -206,10 +206,23 @@ fn campaign_telemetry_observes_without_perturbing() {
     };
     let spec = cfg.campaign_spec(Technique::InjectOnRead, FaultModel::single_bit());
 
-    let base = Campaign::run_compiled(&w.code, &w.golden, &spec);
+    let base = Campaign::run(&w.code, &w.golden, &spec, None);
     let hub = TelemetryHub::new(TelemetryLevel::Full);
-    let observed = Campaign::run_compiled_telemetry(&w.code, &w.golden, &spec, None, &hub);
-    assert_eq!(observed, base, "campaign telemetry perturbed the result");
+    let unit = SweepUnit {
+        code: &w.code,
+        golden: &w.golden,
+        store: None,
+    };
+    let observed = run_observed(
+        &[unit],
+        &[SweepCampaign { unit: 0, spec }],
+        &config(spec.threads, None),
+        &hub,
+    );
+    assert_eq!(
+        observed.results[0].result, base,
+        "campaign telemetry perturbed the result"
+    );
     assert_eq!(
         hub.snapshot().counter(Metric::ExperimentsRun),
         base.counts.total()
