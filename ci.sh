@@ -45,8 +45,10 @@ grep -q "20 experiments" "$TELEM_DIR/monitor.txt"
 # shutdown verb must drain in-flight work and let the daemon exit cleanly.
 # The grid goes in twice: one-experiment cells run store-less, and the
 # ten-experiment cells make the daemon capture each program's checkpoint
-# store, so the comparison covers both sides of that transition.
-echo "==> serve smoke: mbfi-serve daemon / submit --compare / shutdown"
+# store, so the comparison covers both sides of that transition.  A
+# `mbfi-monitor --headless --connect` watcher follows the daemon's global
+# event log throughout and must verify it clean once the daemon drains.
+echo "==> serve smoke: mbfi-serve daemon / monitor --connect / submit --compare / shutdown"
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR"' EXIT
 MBFI_SERVE_PORT=0 cargo run --release --offline -q -p mbfi-serve \
@@ -56,6 +58,9 @@ SERVE_PID=$!
 for _ in $(seq 100); do [[ -s "$SERVE_DIR/addr" ]] && break; sleep 0.1; done
 [[ -s "$SERVE_DIR/addr" ]] || { echo "daemon never wrote its address"; exit 1; }
 SERVE_ADDR="$(cat "$SERVE_DIR/addr")"
+target/release/mbfi-monitor --headless --connect "$SERVE_ADDR" \
+    > "$SERVE_DIR/monitor.txt" 2>&1 &
+MONITOR_PID=$!
 for experiments in 1 10; do
     cargo run --release --offline -q -p mbfi-serve \
         --bin mbfi-serve -- submit --connect "$SERVE_ADDR" \
@@ -67,6 +72,8 @@ cargo run --release --offline -q -p mbfi-serve \
     --bin mbfi-serve -- shutdown --connect "$SERVE_ADDR"
 wait "$SERVE_PID"
 grep -q "drained and stopped" "$SERVE_DIR/daemon.log"
+wait "$MONITOR_PID" || { cat "$SERVE_DIR/monitor.txt"; exit 1; }
+grep -q "verify: ok" "$SERVE_DIR/monitor.txt"
 
 # run_all determinism smoke: every table and figure, Table IV's location
 # pairs included, must be byte-identical on one thread, on three, on three

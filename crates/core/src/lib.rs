@@ -100,9 +100,8 @@ pub use outcome::{classify, Outcome, OutcomeCounts};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;
 pub use sweep::{
-    ClientId, EngineConfig, EngineUnit, JobEvent, JobHandle, JobId, JobSpec, ListedCell,
-    SubmitError, Sweep, SweepCampaign, SweepCampaignResult, SweepConfig, SweepEngine, SweepReport,
-    SweepUnit,
+    EngineConfig, EngineUnit, JobEvent, JobSpec, ListedCell, SubmitError, Sweep, SweepCampaign,
+    SweepCampaignResult, SweepConfig, SweepEngine, SweepReport, SweepUnit,
 };
 pub use technique::Technique;
 pub use telemetry::{

@@ -70,23 +70,20 @@
 //!
 //! The executor lives in `sweep::plan`: per-campaign plans, the job
 //! planner (auto batch size, warning dedupe, zero-experiment cells), one
-//! worker loop, one claim policy and one batch → round → finalize protocol.
-//! [`Sweep::run`] hosts it on a scoped pool spawned per call, over the
-//! caller's borrowed units; the persistent multi-tenant [`SweepEngine`]
+//! worker loop, one claim order (admission order) and one batch → round →
+//! finalize protocol.  [`Sweep::run`] hosts it on a scoped pool spawned per
+//! call, over the caller's borrowed units; the persistent [`SweepEngine`]
 //! behind the `mbfi-serve` daemon hosts it on a pool it owns for the
-//! process lifetime, over `Arc`-owned [`EngineUnit`]s, with per-client
-//! priorities, fairness quotas and bounded admission.  Both stream the same
-//! [`JobEvent`]s, whose progress variants are the telemetry [`EventKind`]s
+//! process lifetime, over `Arc`-owned [`EngineUnit`]s, with bounded
+//! admission.  Either way a job hands its [`JobEvent`]s to a sink its host
+//! passes in, and their progress variants are the telemetry [`EventKind`]s
 //! themselves, so a telemetry hub, a serve client and `Sweep::run` all see
 //! one event type.
 
 mod engine;
 mod plan;
 
-pub use engine::{
-    ClientId, EngineConfig, EngineUnit, JobEvent, JobHandle, JobId, JobSpec, SubmitError,
-    SweepEngine,
-};
+pub use engine::{EngineConfig, EngineUnit, JobEvent, JobSpec, SubmitError, SweepEngine};
 
 use std::sync::mpsc;
 use std::time::Instant;
@@ -247,15 +244,16 @@ impl SweepCampaignResult {
 }
 
 impl SweepReport {
-    /// Assemble a report from per-cell result slots (submission order).
-    fn from_slots(slots: Vec<Option<SweepCampaignResult>>, warnings: Vec<CampaignWarning>) -> Self {
-        SweepReport {
-            results: slots
-                .into_iter()
-                .map(|r| r.expect("sweep finished without producing every result"))
-                .collect(),
-            warnings,
+    /// Assemble a report from per-cell results in submission order; its
+    /// warnings are the distinct warnings of those results, in order.
+    pub fn from_results(results: Vec<SweepCampaignResult>) -> SweepReport {
+        let mut warnings: Vec<CampaignWarning> = Vec::new();
+        for w in results.iter().flat_map(|r| &r.result.warnings) {
+            if !warnings.contains(w) {
+                warnings.push(*w);
+            }
         }
+        SweepReport { results, warnings }
     }
 
     /// Wire encoding of a whole report (the final frame of a serve job).
@@ -305,10 +303,15 @@ impl Sweep {
         config: &SweepConfig,
     ) -> SweepReport {
         let mut slots: Vec<Option<SweepCampaignResult>> = vec![None; campaigns.len()];
-        let warnings = Self::run_streamed(units, campaigns, config, None, |index, result| {
+        Self::run_streamed(units, campaigns, config, None, |index, result| {
             slots[index] = Some(result);
         });
-        SweepReport::from_slots(slots, warnings)
+        SweepReport::from_results(
+            slots
+                .into_iter()
+                .map(|r| r.expect("sweep finished without producing every result"))
+                .collect(),
+        )
     }
 
     /// Run the grid, handing each campaign's result to `sink` as soon as its
@@ -331,11 +334,10 @@ impl Sweep {
         mut sink: impl FnMut(usize, SweepCampaignResult),
     ) -> Vec<CampaignWarning> {
         check_units(units, campaigns.iter().map(|c| c.unit));
-        // One client, one job, no quota: the whole pool serves this grid.
-        let shared = Shared::new(usize::MAX, 1, telemetry);
-        let client = shared.register_client(0);
+        let shared = Shared::new(1, telemetry);
         let cells = campaigns.iter().map(|c| Cell::Sampled(*c)).collect();
-        let (job, events, warnings) = Job::new(client, Units::Borrowed(units), cells, config);
+        let (job_sink, events) = channel_sink();
+        let (job, warnings) = Job::new(Units::Borrowed(units), cells, config, job_sink);
         // Print each distinct warning once so a whole grid of equally
         // misconfigured campaigns does not repeat itself on stderr.
         for w in &warnings {
@@ -386,11 +388,11 @@ impl Sweep {
         config: &SweepConfig,
     ) -> Vec<Vec<Outcome>> {
         check_units(units, cells.iter().map(|c| c.unit));
-        let shared = Shared::new(usize::MAX, 1, None);
-        let client = shared.register_client(0);
+        let shared = Shared::new(1, None);
         let mut outcomes = vec![Vec::new(); cells.len()];
         let cells = cells.into_iter().map(Cell::Listed).collect();
-        let (job, events, _) = Job::new(client, Units::Borrowed(units), cells, config);
+        let (sink, events) = channel_sink();
+        let (job, _) = Job::new(Units::Borrowed(units), cells, config, sink);
         let threads = resolve_threads(config.threads).clamp(1, job.batches().max(1));
         host(&shared, job, events, threads, |event| {
             if let JobEvent::CellFinished { cell, result } = event {
@@ -411,9 +413,20 @@ fn check_units(units: &[SweepUnit<'_>], cell_units: impl Iterator<Item = usize>)
     }
 }
 
+/// A job sink that forwards every event into a channel, for [`host`] to
+/// drain on the caller's thread.
+fn channel_sink() -> (impl Fn(JobEvent) + Send + Sync, mpsc::Receiver<JobEvent>) {
+    let (tx, events) = mpsc::channel();
+    let sink = move |event| {
+        let _ = tx.send(event);
+    };
+    (sink, events)
+}
+
 /// Run `job` to completion on `threads` scoped workers of `shared`, handing
-/// each of its events to `on_event` until `Finished`.  Panics (instead of
-/// waiting forever) if a batch of the job panicked.
+/// each event its sink forwards through `events` to `on_event` until
+/// `Finished`.  Panics (instead of waiting forever) if a batch of the job
+/// panicked: the failed job drops its sink, which disconnects `events`.
 fn host<'a>(
     shared: &Shared<'a>,
     job: Job<'a>,
@@ -422,7 +435,7 @@ fn host<'a>(
     mut on_event: impl FnMut(JobEvent),
 ) {
     shared
-        .admit(job, false)
+        .admit(job)
         .expect("a fresh executor admits its first job");
     // Workers exit as soon as the job drains.
     shared.shutdown();
@@ -486,7 +499,7 @@ mod tests {
     use crate::technique::Technique;
     use mbfi_ir::{Module, ModuleBuilder, Type};
 
-    fn workload(n: i64) -> Module {
+    pub(super) fn workload(n: i64) -> Module {
         let mut mb = ModuleBuilder::new("w");
         let main = mb.declare("main", &[], None);
         {
@@ -534,7 +547,7 @@ mod tests {
         }
     }
 
-    fn grid_specs(experiments: usize) -> Vec<CampaignSpec> {
+    pub(super) fn grid_specs(experiments: usize) -> Vec<CampaignSpec> {
         let mut out = Vec::new();
         for technique in Technique::ALL {
             for model in [

@@ -6,14 +6,15 @@
 //!   folds the partials in batch-index order.  This is everything that
 //!   decides *what* a cell computes.  A cell is a sampled campaign or an
 //!   explicit experiment list ([`Cell`]); both run the same way.
-//! * A [`Job`] is a planned grid: its plans, its units and its event
-//!   channel.  [`Job::new`] owns the auto-batch formula, warning dedupe and
-//!   the up-front finish of zero-experiment cells.
-//! * [`Shared`] is the scheduler: admitted jobs, registered clients and the
-//!   condvar idle workers wait on.  [`worker_loop`] claims a batch under the
-//!   scheduler policy, runs it through the batch → round → finalize protocol
-//!   ([`execute_batch`]) and streams [`JobEvent`]s to the job's owner.  This
-//!   is everything that decides *when* and *by whom* each batch runs, which
+//! * A [`Job`] is a planned grid: its plans, its units and the sink its
+//!   events go to.  [`Job::new`] owns the auto-batch formula, warning dedupe
+//!   and the up-front finish of zero-experiment cells.
+//! * [`Shared`] is the scheduler: admitted jobs in admission order, the
+//!   admission bound and the condvars idle workers and blocked submitters
+//!   wait on.  [`worker_loop`] claims the next batch in admission order,
+//!   runs it through the batch → round → finalize protocol
+//!   ([`execute_batch`]) and hands [`JobEvent`]s to the job's sink.  This is
+//!   everything that decides *when* and *by whom* each batch runs, which
 //!   the determinism contract makes irrelevant to the results.
 //!
 //! [`Sweep::run`](super::Sweep::run) runs `worker_loop` on scoped threads
@@ -22,9 +23,8 @@
 //! process-lifetime pool over a `Shared<'static>` whose jobs own `Arc`
 //! units.  There is one protocol, so their results cannot diverge.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::adaptive::Precision;
@@ -445,31 +445,34 @@ pub(crate) fn run_span(
     out
 }
 
-/// One planned grid as the scheduler sees it.
+/// One planned grid as the scheduler sees it.  It leaves the schedule, and
+/// drops its sink, when its last cell finishes or one of its batches fails;
+/// a sink dropped without having seen `Finished` is how a host learns of
+/// the failure.
 pub(crate) struct Job<'a> {
-    /// Assigned at admission.
-    id: u64,
-    client: u64,
     keep_records: bool,
     pub(crate) plans: Vec<Plan>,
     units: Units<'a>,
     /// Cells not yet finished; the job leaves the schedule at 0.
     live: AtomicUsize,
-    events: mpsc::Sender<JobEvent>,
+    /// Where the job's events go: called by the workers that run its
+    /// batches, concurrently, and once under the scheduler lock
+    /// (`Finished`), so it must never call back into the scheduler.
+    sink: Box<dyn Fn(JobEvent) + Send + Sync + 'a>,
 }
 
 impl<'a> Job<'a> {
-    /// Plan every cell of a grid for `client`.  Returns the job, its
-    /// event stream and the distinct warnings across its cells in
-    /// submission order.  Cells without a single batch (0 experiments)
-    /// cannot be finalized by a worker, so their `CellFinished` is already
-    /// on the stream — followed by `Finished` if no cell has a batch.
+    /// Plan every cell of a grid whose events go to `sink`.  Returns the
+    /// job and the distinct warnings across its cells in submission order.
+    /// Cells without a single batch (0 experiments) cannot be finalized by
+    /// a worker, so their `CellFinished` goes to the sink here — followed
+    /// by `Finished` if no cell has a batch.
     pub(crate) fn new(
-        client: u64,
         units: Units<'a>,
         cells: Vec<Cell>,
         config: &SweepConfig,
-    ) -> (Job<'a>, mpsc::Receiver<JobEvent>, Vec<CampaignWarning>) {
+        sink: impl Fn(JobEvent) + Send + Sync + 'a,
+    ) -> (Job<'a>, Vec<CampaignWarning>) {
         // The fixed-n auto batch size spreads the whole grid over 8 batches
         // per requested worker.  It may depend on the thread count, which is
         // safe for fixed-n campaigns (the batch cut never changes results)
@@ -495,11 +498,10 @@ impl<'a> Job<'a> {
                 warnings.push(*w);
             }
         }
-        let (events, stream) = mpsc::channel();
         let mut live = 0usize;
         for (cell, plan) in plans.iter().enumerate() {
             if plan.batches() == 0 {
-                let _ = events.send(JobEvent::CellFinished {
+                sink(JobEvent::CellFinished {
                     cell,
                     result: Box::new(plan.empty_result()),
                 });
@@ -508,18 +510,16 @@ impl<'a> Job<'a> {
             }
         }
         if live == 0 {
-            let _ = events.send(JobEvent::Finished);
+            sink(JobEvent::Finished);
         }
         let job = Job {
-            id: 0,
-            client,
             keep_records: config.keep_records,
             plans,
             units,
             live: AtomicUsize::new(live),
-            events,
+            sink: Box::new(sink),
         };
-        (job, stream, warnings)
+        (job, warnings)
     }
 
     /// Total batches across the job's cells.
@@ -532,25 +532,11 @@ impl<'a> Job<'a> {
     }
 }
 
-pub(crate) struct ClientState {
-    priority: u8,
-    /// Batches of this client currently being executed by workers.
-    inflight: usize,
-    /// Unregistered while still owning work; reaped when it drains.
-    closed: bool,
-}
-
 /// Everything behind the scheduler mutex.
 struct Sched<'a> {
     /// Active jobs in admission order.
     jobs: Vec<Arc<Job<'a>>>,
-    clients: HashMap<u64, ClientState>,
-    /// Advances once per successful claim; rotates the scan start between
-    /// equal-priority clients so claims round-robin.
-    rotor: usize,
     shutdown: bool,
-    next_client: u64,
-    next_job: u64,
 }
 
 /// The scheduler shared by a pool of [`worker_loop`]s.
@@ -562,8 +548,6 @@ pub(crate) struct Shared<'a> {
     /// Blocked submitters wait here; notified when a job leaves the
     /// schedule and on shutdown.
     capacity: Condvar,
-    /// Per-client in-flight batch quota (≥ 1).
-    quota: usize,
     /// Admission bound (≥ 1).
     max_pending: usize,
     /// Where workers report batch-level costs and their waits.
@@ -571,23 +555,14 @@ pub(crate) struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    pub(crate) fn new(
-        quota: usize,
-        max_pending: usize,
-        telemetry: Option<&'a TelemetryHub>,
-    ) -> Shared<'a> {
+    pub(crate) fn new(max_pending: usize, telemetry: Option<&'a TelemetryHub>) -> Shared<'a> {
         Shared {
             sched: Mutex::new(Sched {
                 jobs: Vec::new(),
-                clients: HashMap::new(),
-                rotor: 0,
                 shutdown: false,
-                next_client: 0,
-                next_job: 0,
             }),
             work: Condvar::new(),
             capacity: Condvar::new(),
-            quota: quota.max(1),
             max_pending: max_pending.max(1),
             telemetry,
         }
@@ -600,64 +575,28 @@ impl<'a> Shared<'a> {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register a tenant and return its id.
-    pub(crate) fn register_client(&self, priority: u8) -> u64 {
-        let mut sched = self.lock();
-        let id = sched.next_client;
-        sched.next_client += 1;
-        sched.clients.insert(
-            id,
-            ClientState {
-                priority,
-                inflight: 0,
-                closed: false,
-            },
-        );
-        id
-    }
-
-    /// Unregister a tenant; its record is reaped once its last batch lands.
-    pub(crate) fn unregister_client(&self, client: u64) {
-        let mut sched = self.lock();
-        if let Some(state) = sched.clients.get_mut(&client) {
-            state.closed = true;
-        }
-        reap_client(&mut sched, client);
-    }
-
-    /// Admit a job into the schedule (waiting for an admission slot when
-    /// `block`), returning its id.  A job whose cells all finished up front
-    /// never enters the schedule.
-    pub(crate) fn admit(&self, mut job: Job<'a>, block: bool) -> Result<u64, SubmitError> {
+    /// Admit a job into the schedule, waiting for an admission slot.  A job
+    /// whose cells all finished up front never enters the schedule.
+    pub(crate) fn admit(&self, job: Job<'a>) -> Result<(), SubmitError> {
         let mut sched = self.lock();
         loop {
             if sched.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            match sched.clients.get(&job.client) {
-                Some(state) if !state.closed => {}
-                _ => return Err(SubmitError::UnknownClient),
-            }
             if sched.jobs.len() < self.max_pending {
                 break;
-            }
-            if !block {
-                return Err(SubmitError::Full);
             }
             sched = self
                 .capacity
                 .wait(sched)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        job.id = sched.next_job;
-        sched.next_job += 1;
-        let id = job.id;
         if !job.done() {
             sched.jobs.push(Arc::new(job));
             drop(sched);
             self.work.notify_all();
         }
-        Ok(id)
+        Ok(())
     }
 
     /// Stop admission; workers exit once every admitted job has drained.
@@ -667,26 +606,21 @@ impl<'a> Shared<'a> {
         self.capacity.notify_all();
     }
 
-    /// Post-batch bookkeeping: release the quota slot, retire the job once
-    /// its last cell finished (emitting `Finished` exactly once and freeing
-    /// an admission slot) or as soon as one of its batches `failed`, reap
-    /// closed clients, and wake the pool — the batch may have released an
-    /// adaptive round.
-    fn finish_batch(&self, job: &Job<'a>, failed: bool) {
+    /// Post-batch bookkeeping: retire the job once its last cell finished
+    /// (sending `Finished` exactly once, before its admission slot frees) or
+    /// as soon as one of its batches `failed`, and wake the pool — the
+    /// batch may have released an adaptive round.
+    fn finish_batch(&self, job: &Arc<Job<'a>>, failed: bool) {
         let mut sched = self.lock();
-        if let Some(state) = sched.clients.get_mut(&job.client) {
-            state.inflight -= 1;
-        }
         if failed || job.done() {
-            if let Some(pos) = sched.jobs.iter().position(|j| j.id == job.id) {
+            if let Some(pos) = sched.jobs.iter().position(|j| Arc::ptr_eq(j, job)) {
                 sched.jobs.remove(pos);
                 if !failed {
-                    let _ = job.events.send(JobEvent::Finished);
+                    (job.sink)(JobEvent::Finished);
                 }
                 self.capacity.notify_all();
             }
         }
-        reap_client(&mut sched, job.client);
         drop(sched);
         self.work.notify_all();
     }
@@ -694,9 +628,8 @@ impl<'a> Shared<'a> {
 
 /// A claimed batch; dropping it hands the batch back to the scheduler.  If
 /// the drop happens while the worker unwinds out of [`execute_batch`], the job
-/// fails: it leaves the schedule, its event channel disconnects once the
-/// batches other workers still run on it land, and its owner sees the stream
-/// end without `Finished` instead of waiting forever.
+/// fails: it leaves the schedule without `Finished`, and its sink is dropped
+/// once the batches other workers still run on it land.
 struct Claimed<'s, 'a> {
     shared: &'s Shared<'a>,
     job: Arc<Job<'a>>,
@@ -709,16 +642,16 @@ impl Drop for Claimed<'_, '_> {
     }
 }
 
-/// An executor worker: claim a batch under the scheduler policy, run it
-/// outside the lock, repeat; wait on the `work` condvar when nothing is
-/// claimable (an adaptive round in flight, or the tail of the schedule);
-/// exit once shut down **and** drained.
+/// An executor worker: claim a batch, run it outside the lock, repeat; wait
+/// on the `work` condvar when nothing is claimable (an adaptive round in
+/// flight, or the tail of the schedule); exit once shut down **and**
+/// drained.
 pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
     loop {
         let claimed = {
             let mut sched = shared.lock();
             loop {
-                if let Some((job, cell, batch)) = claim_batch(&mut sched, shared.quota) {
+                if let Some((job, cell, batch)) = claim_batch(&sched) {
                     break Some((job, cell, batch));
                 }
                 if sched.shutdown && sched.jobs.is_empty() {
@@ -742,71 +675,17 @@ pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
     }
 }
 
-/// The scheduling policy, applied under the lock: highest client priority
-/// first, rotor round-robin between equal priorities, skip clients at their
-/// in-flight quota, then first job / first cell / front-of-deque within the
-/// chosen client.  None of it affects results — only which worker runs
-/// which batch when.
-fn claim_batch<'a>(sched: &mut Sched<'a>, quota: usize) -> Option<(Arc<Job<'a>>, usize, usize)> {
-    // Distinct clients owning active jobs, in admission order, with their
-    // priorities.
-    let mut clients: Vec<(u64, u8)> = Vec::new();
-    for job in &sched.jobs {
-        if !clients.iter().any(|&(c, _)| c == job.client) {
-            let priority = sched.clients.get(&job.client).map_or(0, |s| s.priority);
-            clients.push((job.client, priority));
-        }
-    }
-    // Stable sort keeps admission order within a priority; then rotate each
-    // equal-priority run by the rotor so consecutive claims start at
-    // different clients.
-    clients.sort_by_key(|&(_, priority)| std::cmp::Reverse(priority));
-    let mut order: Vec<u64> = Vec::with_capacity(clients.len());
-    let mut i = 0;
-    while i < clients.len() {
-        let mut j = i;
-        while j < clients.len() && clients[j].1 == clients[i].1 {
-            j += 1;
-        }
-        let group = &clients[i..j];
-        let r = sched.rotor % group.len();
-        order.extend(group[r..].iter().chain(&group[..r]).map(|&(c, _)| c));
-        i = j;
-    }
-    for client in order {
-        let at_quota = sched
-            .clients
-            .get(&client)
-            .is_some_and(|s| s.inflight >= quota);
-        if at_quota {
-            continue;
-        }
-        for job in sched.jobs.iter().filter(|j| j.client == client) {
-            for (cell, plan) in job.plans.iter().enumerate() {
-                if let Some(batch) = plan.take_batch() {
-                    let job = Arc::clone(job);
-                    if let Some(state) = sched.clients.get_mut(&client) {
-                        state.inflight += 1;
-                    }
-                    sched.rotor = sched.rotor.wrapping_add(1);
-                    return Some((job, cell, batch));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Drop a closed client's record once nothing of it remains scheduled.
-fn reap_client(sched: &mut Sched<'_>, client: u64) {
-    let drained = !sched.jobs.iter().any(|j| j.client == client);
-    let reapable = sched
-        .clients
-        .get(&client)
-        .is_some_and(|s| s.closed && s.inflight == 0 && drained);
-    if reapable {
-        sched.clients.remove(&client);
-    }
+/// The claim order, applied under the lock: the first job in admission
+/// order, its first cell with a released batch, the front of that cell's
+/// batch queue.  It affects only which worker runs which batch when, never
+/// results.
+fn claim_batch<'a>(sched: &Sched<'a>) -> Option<(Arc<Job<'a>>, usize, usize)> {
+    sched.jobs.iter().find_map(|job| {
+        job.plans
+            .iter()
+            .enumerate()
+            .find_map(|(cell, plan)| Some((Arc::clone(job), cell, plan.take_batch()?)))
+    })
 }
 
 /// Run batch `b` of `cell` and apply the round/finish protocol: store the
@@ -828,7 +707,7 @@ fn execute_batch(
     let wall_ns = batch_start.elapsed().as_nanos() as u64;
     let counts = out.counts;
     *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
-    let _ = job.events.send(JobEvent::Progress(EventKind::BatchDone {
+    (job.sink)(JobEvent::Progress(EventKind::BatchDone {
         cell,
         batch: b,
         experiments: u64::from(end - start),
@@ -855,7 +734,7 @@ fn execute_batch(
             let merged = plan.merged_counts(done);
             let finished = last_round || precision.satisfied(&merged);
             let (sdc_hw, det_hw) = precision.half_widths(&merged);
-            let _ = job.events.send(JobEvent::Progress(EventKind::RoundDone {
+            (job.sink)(JobEvent::Progress(EventKind::RoundDone {
                 cell,
                 round: round as u32 + 1,
                 experiments: merged.total(),
@@ -868,7 +747,7 @@ fn execute_batch(
     };
     if finished {
         let result = plan.finalize(job.keep_records, done, round as u32 + 1);
-        let _ = job.events.send(JobEvent::CellFinished {
+        (job.sink)(JobEvent::CellFinished {
             cell,
             result: Box::new(result),
         });
@@ -883,7 +762,7 @@ fn execute_batch(
 /// exercises the failure path of [`Claimed`] without a real failing batch.
 #[cfg(test)]
 pub(crate) fn claim_for_test(shared: &Shared<'_>, body: impl FnOnce()) {
-    let (job, _, _) = claim_batch(&mut shared.lock(), shared.quota).expect("a claimable batch");
+    let (job, _, _) = claim_batch(&shared.lock()).expect("a claimable batch");
     let _claimed = Claimed { shared, job };
     body();
 }
@@ -892,85 +771,49 @@ pub(crate) fn claim_for_test(shared: &Shared<'_>, body: impl FnOnce()) {
 mod tests {
     use super::*;
     use crate::golden::GoldenRun;
-    use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
+    use crate::sweep::tests::workload;
+    use mbfi_ir::CompiledModule;
 
-    fn unit() -> EngineUnit {
-        let mut mb = ModuleBuilder::new("w");
-        let main = mb.declare("main", &[], None);
-        {
-            let mut f = mb.define(main);
-            let acc = f.slot(Type::I64);
-            f.store(Type::I64, 0i64, acc);
-            f.counted_loop(Type::I64, 0i64, 32i64, |f, i| {
-                let cur = f.load(Type::I64, acc);
-                let next = f.add(Type::I64, cur, i);
-                f.store(Type::I64, next, acc);
-            });
-            let total = f.load(Type::I64, acc);
-            f.print_i64(total);
-            f.ret_void();
-        }
-        mb.set_entry(main);
-        let code = CompiledModule::lower(&mb.finish());
+    /// Admit one job of two cells, each of two single-experiment batches.
+    fn admit_job(shared: &Shared<'static>) {
+        let code = CompiledModule::lower(&workload(32));
         let golden = GoldenRun::capture_compiled(&code).unwrap();
-        EngineUnit::new(code, golden)
-    }
-
-    /// Register a client at `priority` and admit one job of `batches`
-    /// single-experiment batches for it.
-    fn client_with_job(shared: &Shared<'static>, priority: u8, batches: usize) -> u64 {
-        let client = shared.register_client(priority);
-        let cell = Cell::Sampled(SweepCampaign {
-            unit: 0,
-            spec: CampaignSpec {
-                experiments: batches,
-                hang_factor: 8,
-                threads: 1,
-                ..CampaignSpec::default()
-            },
-        });
+        let spec = CampaignSpec {
+            experiments: 2,
+            hang_factor: 8,
+            threads: 1,
+            ..CampaignSpec::default()
+        };
+        let cells = (0..2)
+            .map(|_| Cell::Sampled(SweepCampaign { unit: 0, spec }))
+            .collect();
         let config = SweepConfig {
             batch_size: 1,
             ..SweepConfig::default()
         };
-        let (job, _, _) = Job::new(client, Units::Owned(vec![unit()]), vec![cell], &config);
-        shared.admit(job, false).unwrap();
-        client
-    }
-
-    /// The owner of every batch the scheduler hands out, in claim order,
-    /// until it hands out none.  No batch is run or finished, so every claim
-    /// stays in flight against its client's quota.
-    fn claims(shared: &Shared<'_>) -> Vec<u64> {
-        std::iter::from_fn(|| claim_batch(&mut shared.lock(), shared.quota))
-            .map(|(job, _, _)| job.client)
-            .collect()
+        let units = Units::Owned(vec![EngineUnit::new(code, golden)]);
+        let (job, _) = Job::new(units, cells, &config, |_| {});
+        shared.admit(job).unwrap();
     }
 
     #[test]
-    fn equal_priority_clients_alternate_claims() {
-        let shared = Shared::new(usize::MAX, 8, None);
-        let a = client_with_job(&shared, 0, 4);
-        let b = client_with_job(&shared, 0, 4);
-        assert_eq!(claims(&shared), [a, b, a, b, a, b, a, b]);
-    }
-
-    #[test]
-    fn a_higher_priority_client_is_drained_first() {
-        let shared = Shared::new(usize::MAX, 8, None);
-        let low = client_with_job(&shared, 0, 3);
-        let high = client_with_job(&shared, 5, 3);
-        assert_eq!(claims(&shared), [high, high, high, low, low, low]);
-    }
-
-    #[test]
-    fn a_client_at_its_quota_is_skipped_until_every_client_is() {
-        let shared = Shared::new(2, 8, None);
-        let first = client_with_job(&shared, 1, 4);
-        let second = client_with_job(&shared, 0, 4);
-        // `first` outranks `second` but stops at its two in-flight batches;
-        // once `second` is at its quota too, nothing is claimable.
-        assert_eq!(claims(&shared), [first, first, second, second]);
-        assert!(claim_batch(&mut shared.lock(), shared.quota).is_none());
+    fn jobs_are_claimed_in_admission_order() {
+        let shared = Shared::new(8, None);
+        admit_job(&shared);
+        admit_job(&shared);
+        // No batch is run or finished, so both jobs stay scheduled and each
+        // claim is identified by its job's admission position.
+        let claims: Vec<(usize, usize, usize)> = std::iter::from_fn(|| {
+            let sched = shared.lock();
+            let (job, cell, batch) = claim_batch(&sched)?;
+            let position = sched.jobs.iter().position(|j| Arc::ptr_eq(j, &job))?;
+            Some((position, cell, batch))
+        })
+        .collect();
+        // Every batch of the first job, cell by cell, before the second's.
+        let expected: Vec<(usize, usize, usize)> = (0..2)
+            .flat_map(|job| (0..2).flat_map(move |cell| (0..2).map(move |b| (job, cell, b))))
+            .collect();
+        assert_eq!(claims, expected);
     }
 }

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The daemon reads the `MBFI_SERVE_PORT` / `MBFI_SERVE_THREADS` /
-//! `MBFI_SERVE_QUOTA` / `MBFI_SERVE_PENDING` / `MBFI_SERVE_READ_TIMEOUT_MS`
-//! knobs.  `submit --compare` re-runs the same grid in-process through
-//! `Sweep::run` and exits non-zero unless the served report is
-//! byte-identical — the CI smoke test of the service path.
+//! `MBFI_SERVE_PENDING` / `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
+//! `submit --compare` re-runs the same grid in-process through `Sweep::run`
+//! and exits non-zero unless the served report is byte-identical — the CI
+//! smoke test of the service path.
 
 use mbfi_core::{FaultModel, Sweep, SweepCampaign, SweepConfig, Technique};
 use mbfi_serve::{CellRequest, GridRequest, ServerConfig};
@@ -22,7 +22,7 @@ const USAGE: &str = "usage: mbfi-serve [daemon|submit|watch|shutdown] [options]
   daemon    [--addr-file PATH]
   submit    --connect HOST:PORT [--workloads a,b,c] [--size tiny|small]
             [--technique read|write|both] [--experiments N] [--seed N]
-            [--threads N] [--priority N] [--compare] [--quiet]
+            [--threads N] [--compare] [--quiet]
   watch     --connect HOST:PORT
   shutdown  --connect HOST:PORT";
 
@@ -131,7 +131,6 @@ fn parse_grid(args: &mut Vec<String>) -> Result<GridRequest, String> {
     let experiments = parse_flag(args, "--experiments", 100usize)?;
     let seed = parse_flag(args, "--seed", 0xB17F_11B5u64)?;
     let threads = parse_flag(args, "--threads", 0usize)?;
-    let priority = parse_flag(args, "--priority", 0u8)?;
     let mut cells = Vec::new();
     for name in workloads
         .split(',')
@@ -154,11 +153,7 @@ fn parse_grid(args: &mut Vec<String>) -> Result<GridRequest, String> {
     if cells.is_empty() {
         return Err("empty --workloads list".to_string());
     }
-    Ok(GridRequest {
-        threads,
-        priority,
-        cells,
-    })
+    Ok(GridRequest { threads, cells })
 }
 
 fn run_submit(args: &[String]) -> Result<ExitCode, String> {

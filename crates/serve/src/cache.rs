@@ -10,11 +10,12 @@
 //!   The same lock guards a lazily captured checkpoint store (below).
 //! * [`CellCache`] — one *execution* per [`CellKey`] (workload, size, and
 //!   the full normalised campaign spec).  The first requester becomes the
-//!   owner and submits the engine job; everyone else tails the owner's
-//!   [`CellEntry`], replaying its buffered events and blocking on a condvar
-//!   until the result lands.  Because the executor is deterministic — the
-//!   result is a pure function of the spec, never of thread count or batch
-//!   schedule — handing client B client A's bytes *is* running the cell.
+//!   owner and submits the engine job, whose sink feeds the cell's
+//!   [`CellEntry`]; everyone tails that entry, replaying its buffered events
+//!   and blocking on a condvar until the result lands.  Because the
+//!   executor is deterministic — the result is a pure function of the spec,
+//!   never of thread count or batch schedule — handing client B client A's
+//!   bytes *is* running the cell.
 //!
 //! The cell key deliberately excludes the request's `threads` hint: results
 //! are thread-invariant, so normalising `threads` to 0 widens dedupe without
@@ -96,10 +97,12 @@ pub struct CellProgress {
     /// Progress events observed so far, in order (`batch_done` /
     /// `round_done`, addressed to cell 0 of the single-cell engine job).
     pub events: Vec<EventKind>,
-    /// The final result, once the owner's collector lands it.
+    /// The final result, once the engine worker that finishes the cell
+    /// lands it.
     pub result: Option<Arc<SweepCampaignResult>>,
-    /// Set when the owning execution died without a result (engine shutdown
-    /// mid-job); followers report an error instead of blocking forever.
+    /// Set when the owning execution ended without a result (a failed
+    /// batch, or a job the draining engine refused); followers report an
+    /// error instead of blocking forever.
     pub failed: bool,
 }
 
@@ -112,7 +115,7 @@ pub struct CellEntry {
 }
 
 impl CellEntry {
-    /// Append an event (owner's collector thread).
+    /// Append an event (from the engine worker that ran the batch).
     pub fn push_event(&self, event: EventKind) {
         let mut p = self.progress.lock().expect(LOCK_POISONED);
         p.events.push(event);
@@ -136,22 +139,24 @@ impl CellEntry {
 
     /// Stream the entry to `emit`: every buffered event exactly once, in
     /// order, blocking for more until the result (returned) or a failure
-    /// (`None`) lands.
+    /// (`None`) lands.  Events are emitted outside the lock: engine workers
+    /// push into the entry, and a client that stops reading must not stall
+    /// them.
     pub fn tail(&self, mut emit: impl FnMut(&EventKind)) -> Option<Arc<SweepCampaignResult>> {
         let mut next = 0usize;
-        let mut p = self.progress.lock().expect(LOCK_POISONED);
         loop {
-            while next < p.events.len() {
-                emit(&p.events[next]);
-                next += 1;
+            let (pending, result, failed) = {
+                let mut p = self.progress.lock().expect(LOCK_POISONED);
+                while next == p.events.len() && p.result.is_none() && !p.failed {
+                    p = self.cond.wait(p).expect(LOCK_POISONED);
+                }
+                (p.events[next..].to_vec(), p.result.clone(), p.failed)
+            };
+            next += pending.len();
+            pending.iter().for_each(&mut emit);
+            if result.is_some() || failed {
+                return result;
             }
-            if let Some(result) = &p.result {
-                return Some(Arc::clone(result));
-            }
-            if p.failed {
-                return None;
-            }
-            p = self.cond.wait(p).expect(LOCK_POISONED);
         }
     }
 

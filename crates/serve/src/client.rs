@@ -41,8 +41,6 @@ impl From<std::io::Error> for ServeError {
 pub struct GridRequest {
     /// Thread hint for batch sizing (0 = all parallelism).
     pub threads: usize,
-    /// Scheduling priority (higher wins).
-    pub priority: u8,
     /// The cells.
     pub cells: Vec<CellRequest>,
 }
@@ -82,8 +80,8 @@ pub fn submit_with(
     let mut stream = connect(addr)?;
     let line = Request::Submit(SubmitRequest {
         threads: req.threads,
-        priority: req.priority,
         cells: req.cells.clone(),
+        ..SubmitRequest::default()
     })
     .to_line();
     stream.write_all(line.as_bytes())?;

@@ -4,13 +4,13 @@
 //! grid, print the report, exit.  A campaign-scale study is better served
 //! (literally) by a long-lived daemon that keeps the expensive state —
 //! compiled workloads, golden runs, finished cells — warm across requests
-//! and multiplexes many tenants onto one machine-sized worker pool.  This
+//! and runs every client's cells on one machine-sized worker pool.  This
 //! crate is that daemon plus its client library, std-only end to end:
 //!
 //! * [`server`] — a `TcpListener` accept loop over the persistent
-//!   [`mbfi_core::SweepEngine`] (the multi-tenant refactor of the sweep
-//!   executor: runtime job admission, per-client priorities and fairness
-//!   quotas, bounded backpressure, graceful drain).
+//!   [`mbfi_core::SweepEngine`] (the sweep executor on a process-lifetime
+//!   pool: runtime job admission in arrival order, bounded backpressure,
+//!   graceful drain).
 //! * [`protocol`] — the hand-rolled JSON-lines wire grammar: `submit` /
 //!   `watch` / `shutdown` requests, ack/error/report frames, and the
 //!   telemetry-schema event stream between them.

@@ -9,7 +9,7 @@
 //! ## Requests (client → server, exactly one per connection)
 //!
 //! ```json
-//! {"cmd":"submit","threads":4,"priority":0,"cells":[{...}, ...]}
+//! {"cmd":"submit","threads":4,"cells":[{...}, ...]}
 //! {"cmd":"watch"}
 //! {"cmd":"shutdown"}
 //! ```
@@ -51,6 +51,15 @@ use mbfi_workloads::InputSize;
 /// grid spec; a client pushing more than this gets an error frame instead
 /// of an unbounded buffer.
 pub const MAX_LINE_BYTES: usize = 1024 * 1024;
+
+/// Upper bound on the experiments one cell may plan: its `experiments`, or
+/// its adaptive cap (`precision.max_experiments`, raised to
+/// `min_experiments` as the sweep normalises it).  A cell that plans a
+/// store samples its whole campaign up front, on the connection thread, so
+/// an unbounded budget from the wire could ask the allocator for terabytes
+/// and abort the daemon.  One million is 100x the paper's 10,000
+/// experiments per campaign and [`Precision`]'s default cap.
+pub const MAX_CELL_EXPERIMENTS: usize = 1_000_000;
 
 /// One requested sweep cell: a workload plus a campaign on it.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,13 +156,15 @@ pub enum Request {
 }
 
 /// The body of a `submit` request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SubmitRequest {
     /// Thread hint: feeds the job's batch sizing exactly like
     /// [`mbfi_core::SweepConfig::threads`] (0 = all parallelism).  Does not
     /// size any pool — the engine's own workers run the job.
     pub threads: usize,
-    /// Scheduling priority of this client (higher wins; equal round-robin).
+    /// Accepted on the wire (0..=255) and ignored: the engine runs jobs in
+    /// admission order.  The field stays only because the benchmark builds
+    /// this struct literally; it goes with the next benchmark change.
     pub priority: u8,
     /// The cells to run, in submission order.
     pub cells: Vec<CellRequest>,
@@ -215,7 +226,19 @@ impl Request {
                     .iter()
                     .enumerate()
                     .map(|(i, c)| {
-                        CellRequest::from_json(c).ok_or_else(|| format!("malformed cell {i}"))
+                        let cell = CellRequest::from_json(c)
+                            .ok_or_else(|| format!("malformed cell {i}"))?;
+                        let budget = cell
+                            .precision
+                            .map_or(0, |p| p.normalized().max_experiments)
+                            .max(cell.experiments);
+                        if budget > MAX_CELL_EXPERIMENTS {
+                            return Err(format!(
+                                "cell {i} plans {budget} experiments; a cell may plan at most \
+                                 {MAX_CELL_EXPERIMENTS}"
+                            ));
+                        }
+                        Ok(cell)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::Submit(SubmitRequest {
@@ -369,6 +392,42 @@ mod tests {
             "{\"cmd\":\"submit\",\"priority\":999,\"cells\":[]}",
         ] {
             assert!(Request::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn oversized_cell_budgets_are_rejected_by_name() {
+        let parse = |experiments, precision| {
+            let cell = CellRequest {
+                experiments,
+                precision,
+                ..sample_cells()[0].clone()
+            };
+            let cells = vec![sample_cells()[0].clone(), cell];
+            Request::parse(
+                &Request::Submit(SubmitRequest {
+                    cells,
+                    ..SubmitRequest::default()
+                })
+                .to_line(),
+            )
+        };
+        let cap = |min_experiments, max_experiments| {
+            Some(Precision {
+                min_experiments,
+                max_experiments,
+                ..Precision::default()
+            })
+        };
+        let over = MAX_CELL_EXPERIMENTS + 1;
+        assert!(parse(MAX_CELL_EXPERIMENTS, None).is_ok());
+        for parsed in [
+            parse(over, None),
+            parse(1, cap(1, over)),
+            parse(1, cap(over, 10)),
+        ] {
+            let err = parsed.unwrap_err();
+            assert!(err.starts_with("cell 1 plans"), "{err}");
         }
     }
 

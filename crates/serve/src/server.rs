@@ -5,9 +5,10 @@
 //! is handled on its own thread.  Submitted grids are deduplicated through
 //! the [`crate::cache`] layer — the first requester of a cell owns its
 //! engine job; later requesters (same connection or another client) tail
-//! the owner's buffered event stream.  A `watch` connection replays the
-//! daemon's global telemetry log from the beginning and then follows it
-//! live.
+//! the cell's buffered event stream.  The engine's workers feed each owned
+//! cell's entry and the global telemetry log directly, through the job's
+//! sink; the daemon runs no thread per cell.  A `watch` connection replays
+//! the global log from the beginning and then follows it live.
 //!
 //! Failure containment: a malformed request, an unknown workload or a
 //! mid-stream disconnect terminates *that connection only*.  The engine,
@@ -19,8 +20,8 @@
 use crate::cache::{ArtifactCache, CellCache, CellEntry, CellKey, Claim};
 use crate::protocol::{self, Request, SubmitRequest, MAX_LINE_BYTES};
 use mbfi_core::{
-    CampaignWarning, CellInfo, EngineConfig, EventKind, JobEvent, JobSpec, SweepCampaign,
-    SweepCampaignResult, SweepConfig, SweepEngine, SweepReport, TelemetryEvent,
+    CellInfo, EngineConfig, EventKind, JobEvent, JobSpec, SweepCampaign, SweepCampaignResult,
+    SweepConfig, SweepEngine, SweepReport, TelemetryEvent,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,8 +41,6 @@ pub struct ServerConfig {
     pub port: u16,
     /// Engine worker threads (0 = all available parallelism).
     pub threads: usize,
-    /// Per-client concurrent-batch quota (0 = one pool's worth).
-    pub quota: usize,
     /// Admission bound: jobs active at once before submits block (0 = the
     /// engine default).
     pub max_pending: usize,
@@ -55,7 +54,6 @@ impl Default for ServerConfig {
         ServerConfig {
             port: 0,
             threads: 0,
-            quota: 0,
             max_pending: 0,
             read_timeout_ms: 10_000,
         }
@@ -81,8 +79,7 @@ fn var_parsed<T: std::str::FromStr + std::fmt::Display>(
 
 impl ServerConfig {
     /// Read the `MBFI_SERVE_PORT` / `MBFI_SERVE_THREADS` /
-    /// `MBFI_SERVE_QUOTA` / `MBFI_SERVE_PENDING` /
-    /// `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
+    /// `MBFI_SERVE_PENDING` / `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
     pub fn from_env() -> ServerConfig {
         ServerConfig::from_vars(|key| std::env::var(key).ok())
     }
@@ -94,7 +91,6 @@ impl ServerConfig {
         ServerConfig {
             port: var_parsed(&var, "MBFI_SERVE_PORT", d.port),
             threads: var_parsed(&var, "MBFI_SERVE_THREADS", d.threads),
-            quota: var_parsed(&var, "MBFI_SERVE_QUOTA", d.quota),
             max_pending: var_parsed(&var, "MBFI_SERVE_PENDING", d.max_pending),
             read_timeout_ms: var_parsed(&var, "MBFI_SERVE_READ_TIMEOUT_MS", d.read_timeout_ms),
         }
@@ -149,8 +145,15 @@ struct WatchLog {
 
 #[derive(Default)]
 struct WatchState {
-    lines: Vec<String>,
+    /// Rendered lines, shared so a watcher copies pointers, not text.
+    lines: Vec<Arc<str>>,
     closed: bool,
+    /// Cells announced so far; the next one gets this index.
+    cells: usize,
+    /// Experiments planned by every announced cell so far.
+    planned: u64,
+    /// Experiments of every finished cell so far.
+    finished: u64,
 }
 
 impl WatchLog {
@@ -166,6 +169,58 @@ impl WatchLog {
     /// No-op once closed.
     fn push(&self, kind: EventKind) {
         let mut state = self.state.lock().expect(LOCK_POISONED);
+        self.append(&mut state, kind);
+    }
+
+    /// Give `cells` the next cell indices of the log and announce them: a
+    /// cumulative `sweep_started` over every cell so far, then one
+    /// `cell_planned` each.  Returns the first one's index.
+    fn announce(&self, threads: usize, cells: &[&protocol::CellRequest]) -> usize {
+        let mut state = self.state.lock().expect(LOCK_POISONED);
+        let base = state.cells;
+        state.cells += cells.len();
+        state.planned += cells.iter().map(|c| planned_budget(c)).sum::<u64>();
+        let started = EventKind::SweepStarted {
+            cells: state.cells,
+            threads,
+            planned: state.planned,
+        };
+        self.append(&mut state, started);
+        for (j, cell) in cells.iter().enumerate() {
+            let planned = EventKind::CellPlanned {
+                cell: base + j,
+                info: CellInfo {
+                    unit: base + j,
+                    label: cell_label(cell),
+                    planned: planned_budget(cell),
+                },
+            };
+            self.append(&mut state, planned);
+        }
+        base
+    }
+
+    /// Append `cell`'s `cell_finished`, then the cumulative "sweep so far"
+    /// summary.  Each cumulative event takes its totals under the lock that
+    /// orders the log, so they only grow along it even when cells are
+    /// announced and finished concurrently: at quiescence the last summary
+    /// reconciles with every batch a watcher accumulated, and
+    /// `mbfi-monitor --connect` verifies clean.
+    fn push_finished(&self, cell: usize, result: &SweepCampaignResult) {
+        let mut state = self.state.lock().expect(LOCK_POISONED);
+        state.finished += result.result.total();
+        let finished = EventKind::SweepFinished {
+            cells: state.cells,
+            experiments: state.finished,
+            wall_ns: self.start.elapsed().as_nanos() as u64,
+            cow_chunks_copied: 0,
+            cow_restore_bytes_saved: 0,
+        };
+        self.append(&mut state, result.finished_event(cell));
+        self.append(&mut state, finished);
+    }
+
+    fn append(&self, state: &mut WatchState, kind: EventKind) {
         if state.closed {
             return;
         }
@@ -174,7 +229,7 @@ impl WatchLog {
             t_ns: self.start.elapsed().as_nanos() as u64,
             kind,
         };
-        state.lines.push(event.render_line());
+        state.lines.push(event.render_line().into());
         self.cond.notify_all();
     }
 
@@ -187,21 +242,23 @@ impl WatchLog {
     }
 
     /// Replay the log from event 0 and follow it live until the log closes
-    /// or `emit` fails (client went away).
+    /// or `emit` fails (client went away).  Lines are sent outside the
+    /// lock: engine workers append to the log, and a watcher that stops
+    /// reading must not stall them.
     fn tail(&self, mut emit: impl FnMut(&str) -> bool) {
         let mut next = 0usize;
-        let mut state = self.state.lock().expect(LOCK_POISONED);
         loop {
-            while next < state.lines.len() {
-                if !emit(&state.lines[next]) {
-                    return;
+            let (pending, closed) = {
+                let mut state = self.state.lock().expect(LOCK_POISONED);
+                while next == state.lines.len() && !state.closed {
+                    state = self.cond.wait(state).expect(LOCK_POISONED);
                 }
-                next += 1;
-            }
-            if state.closed {
+                (state.lines[next..].to_vec(), state.closed)
+            };
+            next += pending.len();
+            if !pending.iter().all(|line| emit(line)) || closed {
                 return;
             }
-            state = self.cond.wait(state).expect(LOCK_POISONED);
         }
     }
 }
@@ -216,15 +273,6 @@ struct Inner {
     read_timeout: Duration,
     /// Serve-level submission ids (the `job` field of ack frames).
     next_job: AtomicU64,
-    /// Global cell-index allocator for the watch stream.
-    next_cell: AtomicU64,
-    /// Cumulative planned experiments across all executed cells.
-    watch_planned: AtomicU64,
-    /// Cumulative finished experiments across all executed cells.
-    watch_finished: AtomicU64,
-    /// Detached per-cell collector threads: finished ones are joined as new
-    /// ones start, the rest at shutdown.
-    collectors: Mutex<Vec<JoinHandle<()>>>,
     /// Per-connection handler threads: finished ones are joined as new ones
     /// start, the rest at shutdown.
     connections: Mutex<Vec<JoinHandle<()>>>,
@@ -284,7 +332,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         engine: SweepEngine::new(EngineConfig {
             threads: config.threads,
             max_pending: config.max_pending,
-            quota: config.quota,
         }),
         cells: CellCache::default(),
         artifacts: ArtifactCache::default(),
@@ -293,10 +340,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         addr,
         read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
         next_job: AtomicU64::new(0),
-        next_cell: AtomicU64::new(0),
-        watch_planned: AtomicU64::new(0),
-        watch_finished: AtomicU64::new(0),
-        collectors: Mutex::new(Vec::new()),
         connections: Mutex::new(Vec::new()),
     });
     let accept_inner = Arc::clone(&inner);
@@ -307,21 +350,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         inner,
         accept: Some(accept),
     })
-}
-
-/// Join every finished thread of `handles`, then keep `handle`: the list
-/// holds only threads still running (or just finished), not one per
-/// request the daemon ever served.
-fn push_reaped(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
-    let mut handles = handles.lock().expect(LOCK_POISONED);
-    let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *handles)
-        .into_iter()
-        .partition(JoinHandle::is_finished);
-    for done in finished {
-        let _ = done.join();
-    }
-    *handles = running;
-    handles.push(handle);
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
@@ -335,25 +363,24 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             .name("mbfi-serve-conn".to_string())
             .spawn(move || handle_connection(&conn_inner, stream));
         if let Ok(handle) = handle {
-            push_reaped(&inner.connections, handle);
+            // Join the finished handlers as this one starts: the list holds
+            // only threads still running, not one per request ever served.
+            let mut connections = inner.connections.lock().expect(LOCK_POISONED);
+            let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *connections)
+                .into_iter()
+                .partition(JoinHandle::is_finished);
+            for done in finished {
+                let _ = done.join();
+            }
+            *connections = running;
+            connections.push(handle);
         }
     }
     drop(listener);
     // Graceful drain: stop admission and run every in-flight job to
-    // completion (the engine's worker join IS the drain barrier) ...
+    // completion (the engine's worker join IS the drain barrier; the workers
+    // fed every cell entry and the watch log on the way) ...
     inner.engine.shutdown();
-    // ... then collect the per-cell collectors (all of their event channels
-    // are now fully buffered, so these joins are prompt) ...
-    loop {
-        let batch: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *inner.collectors.lock().expect(LOCK_POISONED));
-        if batch.is_empty() {
-            break;
-        }
-        for handle in batch {
-            let _ = handle.join();
-        }
-    }
     // ... then release the watchers and wait out the connection handlers
     // (submit streams have their results by now; watch streams drain and
     // exit on the closed log).
@@ -462,20 +489,19 @@ fn handle_submit(
     }
 
     // Claim every cell: first requester (across ALL connections) owns the
-    // execution, everyone else follows the owner's buffered stream.
+    // execution, everyone else follows the cell's buffered stream.
     let claims: Vec<Claim> = req
         .cells
         .iter()
         .map(|cell| inner.cells.claim(CellKey::of(cell)))
         .collect();
-    let deduped = claims
-        .iter()
-        .filter(|c| matches!(c, Claim::Follower(_)))
-        .count() as u64;
-    let owned: Vec<usize> = claims
+    let owned: Vec<(usize, &Arc<CellEntry>)> = claims
         .iter()
         .enumerate()
-        .filter_map(|(i, c)| matches!(c, Claim::Owner(_)).then_some(i))
+        .filter_map(|(i, c)| match c {
+            Claim::Owner(entry) => Some((i, entry)),
+            Claim::Follower(_) => None,
+        })
         .collect();
 
     let job = inner.next_job.fetch_add(1, Ordering::SeqCst);
@@ -484,90 +510,55 @@ fn handle_submit(
         &protocol::Ack {
             job,
             cells: req.cells.len() as u64,
-            deduped,
+            deduped: (req.cells.len() - owned.len()) as u64,
         }
         .to_line(),
     )?;
 
     // Announce the newly owned cells on the global watch stream.
     if !owned.is_empty() {
-        let base = inner
-            .next_cell
-            .fetch_add(owned.len() as u64, Ordering::SeqCst);
-        let planned_new: u64 = owned.iter().map(|&i| planned_budget(&req.cells[i])).sum();
-        let planned_total =
-            inner.watch_planned.fetch_add(planned_new, Ordering::SeqCst) + planned_new;
-        inner.watch.push(EventKind::SweepStarted {
-            cells: (base + owned.len() as u64) as usize,
-            threads: inner.engine.threads(),
-            planned: planned_total,
-        });
-        for (j, &i) in owned.iter().enumerate() {
-            inner.watch.push(EventKind::CellPlanned {
-                cell: (base + j as u64) as usize,
-                info: CellInfo {
-                    unit: (base + j as u64) as usize,
-                    label: cell_label(&req.cells[i]),
-                    planned: planned_budget(&req.cells[i]),
-                },
-            });
-        }
+        let owned_cells: Vec<&protocol::CellRequest> =
+            owned.iter().map(|&(i, _)| &req.cells[i]).collect();
+        let base = inner.watch.announce(inner.engine.threads(), &owned_cells);
 
-        // Submit one engine job per owned cell and hand each to a detached
-        // collector: execution is decoupled from this connection, so a
-        // mid-stream disconnect never strands a follower on another
-        // connection.
-        let client = inner.engine.register_client(req.priority);
-        for (j, &i) in owned.iter().enumerate() {
-            let Claim::Owner(entry) = &claims[i] else {
-                unreachable!("owned indices come from Owner claims")
-            };
-            let cell = &req.cells[i];
+        // Submit one engine job per owned cell.  Its sink feeds the cell's
+        // entry and the watch log from the engine's workers, so execution is
+        // decoupled from this connection: a mid-stream disconnect never
+        // strands a follower on another connection.
+        let sinks: Vec<(usize, CellSink)> = owned
+            .iter()
+            .enumerate()
+            .map(|(j, &(i, entry))| {
+                let sink = CellSink {
+                    inner: Arc::clone(inner),
+                    entry: Arc::clone(entry),
+                    key: CellKey::of(&req.cells[i]),
+                    gcell: base + j,
+                };
+                (i, sink)
+            })
+            .collect();
+        for (i, sink) in sinks {
             let spec = JobSpec {
-                client,
                 units: vec![units[i].clone()],
                 campaigns: vec![SweepCampaign {
                     unit: 0,
-                    spec: cell.spec(),
+                    spec: req.cells[i].spec(),
                 }],
                 config: SweepConfig {
                     threads: req.threads,
                     batch_size: 0,
                     keep_records: false,
-                    precision: cell.precision,
+                    precision: req.cells[i].precision,
                 },
             };
-            match inner.engine.submit(spec) {
-                Ok(handle) => {
-                    let collector_inner = Arc::clone(inner);
-                    let entry = Arc::clone(entry);
-                    let key = CellKey::of(cell);
-                    let gcell = (base + j as u64) as usize;
-                    let collector = std::thread::Builder::new()
-                        .name("mbfi-serve-cell".to_string())
-                        .spawn(move || collect_cell(&collector_inner, handle, &entry, key, gcell));
-                    if let Ok(handle) = collector {
-                        push_reaped(&inner.collectors, handle);
-                    }
-                }
-                Err(e) => {
-                    // Engine is draining: release this and every remaining
-                    // owned cell so followers fail fast instead of hanging,
-                    // and report the rejection to this client.
-                    for &k in &owned[j..] {
-                        if let Claim::Owner(entry) = &claims[k] {
-                            entry.fail();
-                            inner.cells.evict(&CellKey::of(&req.cells[k]));
-                        }
-                    }
-                    inner.engine.unregister_client(client);
-                    return send_line(stream, &protocol::error_line(&e.to_string()));
-                }
+            if let Err(e) = inner.engine.submit(spec, move |event| sink.on_event(event)) {
+                // The engine is draining.  The rejected job's sink and the
+                // ones not yet submitted drop here and fail their cells, so
+                // followers fail fast instead of hanging.
+                return send_line(stream, &protocol::error_line(&e.to_string()));
             }
         }
-        // Jobs drain on their own; the client record is reaped once the
-        // last one lands.
-        inner.engine.unregister_client(client);
     }
 
     // Stream the job to this client with connection-local indices: the
@@ -631,66 +622,46 @@ fn handle_submit(
 
     // Assemble the final report exactly as `Sweep::run` would: results in
     // submission order, warnings deduplicated in submission order.
-    let mut warnings: Vec<CampaignWarning> = Vec::new();
-    for result in &results {
-        for w in &result.result.warnings {
-            if !warnings.contains(w) {
-                warnings.push(*w);
-            }
-        }
-    }
-    let report = SweepReport {
-        results: results.iter().map(|r| (**r).clone()).collect(),
-        warnings,
-    };
+    let report = SweepReport::from_results(results.iter().map(|r| (**r).clone()).collect());
     send_line(stream, &protocol::report_line(&report))
 }
 
-/// Drain one single-cell engine job into its cache entry (and the global
-/// watch stream).  Runs detached from the submitting connection.
-fn collect_cell(
-    inner: &Arc<Inner>,
-    handle: mbfi_core::JobHandle,
-    entry: &Arc<CellEntry>,
+/// The sink of one owned cell's single-cell engine job: the engine's
+/// workers push its events into the cell's cache entry and the global watch
+/// log.  It is dropped with its job; a cell that never finished then (a
+/// failed batch, or a job the draining engine rejected) is failed, so its
+/// followers stop waiting, and evicted, so a later request can retry it.
+struct CellSink {
+    inner: Arc<Inner>,
+    entry: Arc<CellEntry>,
     key: CellKey,
+    /// The cell's index on the watch log.
     gcell: usize,
-) {
-    let mut finished = false;
-    while let Some(event) = handle.next_event() {
+}
+
+impl CellSink {
+    fn on_event(&self, event: JobEvent) {
         match event {
             JobEvent::Progress(kind) => {
-                inner.watch.push(kind.clone().with_cell(gcell));
-                entry.push_event(kind);
+                self.inner.watch.push(kind.clone().with_cell(self.gcell));
+                self.entry.push_event(kind);
             }
             JobEvent::CellFinished { result, .. } => {
                 let result = Arc::new(*result);
-                let experiments = result.result.total();
-                inner.watch.push(result.finished_event(gcell));
-                let total = inner
-                    .watch_finished
-                    .fetch_add(experiments, Ordering::SeqCst)
-                    + experiments;
-                // Cumulative "sweep so far" summary: at quiescence the last
-                // one reconciles with every batch a watcher accumulated, so
-                // `mbfi-monitor --connect` verifies clean.
-                inner.watch.push(EventKind::SweepFinished {
-                    cells: inner.next_cell.load(Ordering::SeqCst) as usize,
-                    experiments: total,
-                    wall_ns: inner.watch.start.elapsed().as_nanos() as u64,
-                    cow_chunks_copied: 0,
-                    cow_restore_bytes_saved: 0,
-                });
-                entry.finish(result);
-                finished = true;
+                self.inner.watch.push_finished(self.gcell, &result);
+                self.entry.finish(result);
             }
-            JobEvent::Finished => break,
+            JobEvent::Finished => {}
         }
     }
-    if !finished {
-        // The engine died without finalizing the cell (can only happen on a
-        // non-graceful teardown); release followers and allow a retry.
-        entry.fail();
-        inner.cells.evict(&key);
+}
+
+impl Drop for CellSink {
+    fn drop(&mut self) {
+        if self.entry.result().is_none() {
+            self.entry.fail();
+            self.inner.cells.evict(&self.key);
+        }
     }
 }
 
@@ -716,7 +687,6 @@ mod tests {
         let cfg = ServerConfig::from_vars(vars(&[
             ("MBFI_SERVE_PORT", "7070"),
             ("MBFI_SERVE_THREADS", " 3 "),
-            ("MBFI_SERVE_QUOTA", "2"),
             ("MBFI_SERVE_PENDING", "5"),
             ("MBFI_SERVE_READ_TIMEOUT_MS", "250"),
         ]));
@@ -725,7 +695,6 @@ mod tests {
             ServerConfig {
                 port: 7070,
                 threads: 3,
-                quota: 2,
                 max_pending: 5,
                 read_timeout_ms: 250,
             }
@@ -735,7 +704,6 @@ mod tests {
         let cfg = ServerConfig::from_vars(vars(&[
             ("MBFI_SERVE_PORT", "70000"),
             ("MBFI_SERVE_THREADS", "four"),
-            ("MBFI_SERVE_QUOTA", "-1"),
             ("MBFI_SERVE_PENDING", "9"),
             ("MBFI_SERVE_READ_TIMEOUT_MS", ""),
         ]));
@@ -756,13 +724,12 @@ mod tests {
         })
         .expect("bind an ephemeral port");
         for seed in 0..40 {
-            // A fresh seed per submission: every one owns its cell and so
-            // starts a collector as well as a connection handler.
+            // A fresh seed per submission: every one owns its cell and runs
+            // an engine job as well as a connection handler.
             let outcome = submit(
                 server.addr(),
                 &GridRequest {
                     threads: 0,
-                    priority: 0,
                     cells: vec![CellRequest {
                         workload: "CRC32".to_string(),
                         size: InputSize::Tiny,
@@ -778,8 +745,7 @@ mod tests {
             .expect("submission succeeds");
             assert_eq!(outcome.deduped, 0);
         }
-        let live = server.inner.connections.lock().unwrap().len()
-            + server.inner.collectors.lock().unwrap().len();
+        let live = server.inner.connections.lock().unwrap().len();
         assert!(live <= 4, "{live} thread handles kept after 40 submissions");
         server.stop();
         server.join();

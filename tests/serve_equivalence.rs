@@ -74,7 +74,6 @@ fn spawn_server(threads: usize) -> ServerHandle {
     mbfi_serve::spawn(ServerConfig {
         port: 0,
         threads,
-        quota: 0,
         max_pending: 0,
         read_timeout_ms: 10_000,
     })
@@ -86,24 +85,16 @@ fn spawn_server(threads: usize) -> ServerHandle {
 fn client(
     addr: std::net::SocketAddr,
     cells: Vec<CellRequest>,
-    priority: u8,
 ) -> std::thread::JoinHandle<(mbfi_serve::ServeOutcome, MonitorState)> {
     std::thread::spawn(move || {
         let mut monitor = MonitorState::new();
-        let outcome = mbfi_serve::submit_with(
-            addr,
-            &GridRequest {
-                threads: 0,
-                priority,
-                cells,
-            },
-            &mut |event| {
+        let outcome =
+            mbfi_serve::submit_with(addr, &GridRequest { threads: 0, cells }, &mut |event| {
                 monitor
                     .apply_line(&event.render_line())
                     .expect("served events parse");
-            },
-        )
-        .expect("submission succeeds");
+            })
+            .expect("submission succeeds");
         (outcome, monitor)
     })
 }
@@ -125,8 +116,8 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
     for threads in [1usize, 4, 8] {
         let server = spawn_server(threads);
         let addr = server.addr();
-        let a = client(addr, a_cells.clone(), 0);
-        let b = client(addr, b_cells.clone(), 3);
+        let a = client(addr, a_cells.clone());
+        let b = client(addr, b_cells.clone());
         let (a_out, a_monitor) = a.join().expect("client A");
         let (b_out, b_monitor) = b.join().expect("client B");
 
@@ -166,7 +157,6 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
             addr,
             &GridRequest {
                 threads: 2,
-                priority: 0,
                 cells: grid.clone(),
             },
         )
@@ -204,7 +194,7 @@ fn adaptive_grids_round_trip_through_the_daemon() {
         })
         .collect();
     let server = spawn_server(2);
-    let (outcome, monitor) = client(server.addr(), cells.clone(), 0)
+    let (outcome, monitor) = client(server.addr(), cells.clone())
         .join()
         .expect("adaptive client");
     assert!(
@@ -261,7 +251,6 @@ fn reports_match_across_the_checkpoint_store_transition() {
                 server.addr(),
                 &GridRequest {
                     threads: 0,
-                    priority: 0,
                     cells: cells.clone(),
                 },
             )
@@ -276,6 +265,60 @@ fn reports_match_across_the_checkpoint_store_transition() {
         server.stop();
         server.join();
     }
+}
+
+/// A `watch` connection that arrives after two overlapping submissions
+/// replays the daemon's global log from event 0: the lines fold through
+/// `MonitorState` consistently, and the cumulative `sweep_finished` total
+/// counts every executed experiment once, shared cells included.
+#[test]
+fn watch_replays_the_global_log_from_event_zero() {
+    let grid: Vec<CellRequest> = full_grid().into_iter().take(5).collect();
+    let a_cells = grid[..3].to_vec();
+    let b_cells = grid[1..].to_vec();
+    let server = spawn_server(2);
+    let addr = server.addr();
+    let a = client(addr, a_cells);
+    let b = client(addr, b_cells);
+    let (a_out, _) = a.join().expect("client A");
+    let (b_out, _) = b.join().expect("client B");
+    assert_eq!(a_out.deduped + b_out.deduped, 2, "two shared cells");
+    let executed: u64 = a_out.report.results[..1]
+        .iter()
+        .chain(&b_out.report.results)
+        .map(|r| r.result.total())
+        .sum();
+
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
+    let watcher = std::thread::spawn(move || {
+        let mut lines: Vec<String> = Vec::new();
+        mbfi_serve::watch(addr, &mut |line| {
+            if lines.is_empty() {
+                let _ = first_tx.send(());
+            }
+            lines.push(line.to_string());
+        })
+        .expect("watch stream");
+        lines
+    });
+    // The watcher is connected and replaying before the listener closes.
+    first_rx.recv().expect("the watcher sees a first line");
+    mbfi_serve::shutdown(addr).expect("shutdown verb");
+    server.join();
+    let lines = watcher.join().expect("watcher");
+
+    let first = mbfi_core::TelemetryEvent::parse_line(&lines[0]).expect("first line parses");
+    assert_eq!(first.seq, 0, "the replay starts at event 0");
+    let mut monitor = MonitorState::new();
+    for line in &lines {
+        monitor.apply_line(line).expect("watched events parse");
+    }
+    assert!(
+        monitor.verify().is_empty(),
+        "watch stream inconsistent: {:?}",
+        monitor.verify()
+    );
+    assert_eq!(monitor.reported_total, Some(executed));
 }
 
 fn raw_request(addr: std::net::SocketAddr, line: &str) -> Vec<String> {
@@ -298,13 +341,33 @@ fn hostile_clients_are_contained_and_shutdown_drains() {
     let addr = server.addr();
 
     // Malformed requests: error frame, connection closed, daemon alive.
+    // Oversized budgets are refused before any cell is claimed or planned.
+    let oversized = |cell: CellRequest| {
+        mbfi_serve::Request::Submit(mbfi_serve::SubmitRequest {
+            threads: 0,
+            cells: vec![cell],
+            ..Default::default()
+        })
+        .to_line()
+    };
     for bad in [
-        "not json at all",
-        "{\"cmd\":\"explode\"}",
-        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":42}]}",
-        "{\"cmd\":\"submit\",\"cells\":[]}",
+        "not json at all".to_string(),
+        "{\"cmd\":\"explode\"}".to_string(),
+        "{\"cmd\":\"submit\",\"cells\":[{\"workload\":42}]}".to_string(),
+        "{\"cmd\":\"submit\",\"cells\":[]}".to_string(),
+        oversized(CellRequest {
+            experiments: 1 << 60,
+            ..full_grid()[0].clone()
+        }),
+        oversized(CellRequest {
+            precision: Some(Precision {
+                max_experiments: 1_000_000_000_000,
+                ..Precision::default()
+            }),
+            ..full_grid()[0].clone()
+        }),
     ] {
-        let frames = raw_request(addr, bad);
+        let frames = raw_request(addr, &bad);
         assert_eq!(frames.len(), 1, "exactly one error frame for {bad:?}");
         let msg = mbfi_serve::protocol::parse_error(&frames[0])
             .unwrap_or_else(|| panic!("error frame for {bad:?}, got {}", frames[0]));
@@ -315,7 +378,6 @@ fn hostile_clients_are_contained_and_shutdown_drains() {
         addr,
         &GridRequest {
             threads: 0,
-            priority: 0,
             cells: vec![CellRequest {
                 workload: "qsrot".to_string(),
                 ..full_grid()[0].clone()
@@ -326,15 +388,15 @@ fn hostile_clients_are_contained_and_shutdown_drains() {
     assert!(err.to_string().contains("unknown workload"), "got: {err}");
 
     // A client that submits and immediately vanishes: its cells keep
-    // running on the detached collectors, so a second client asking for the
-    // same cells follows those executions to a full, correct report.
+    // running on the engine, so a second client asking for the same cells
+    // follows those executions to a full, correct report.
     let cells: Vec<CellRequest> = full_grid().into_iter().take(2).collect();
     {
         let mut stream = TcpStream::connect(addr).expect("connect");
         let line = mbfi_serve::Request::Submit(mbfi_serve::SubmitRequest {
             threads: 0,
-            priority: 0,
             cells: cells.clone(),
+            ..Default::default()
         })
         .to_line();
         stream.write_all(line.as_bytes()).expect("send");
@@ -348,7 +410,6 @@ fn hostile_clients_are_contained_and_shutdown_drains() {
         addr,
         &GridRequest {
             threads: 0,
-            priority: 0,
             cells: cells.clone(),
         },
     )
