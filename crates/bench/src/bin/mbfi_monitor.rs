@@ -17,8 +17,12 @@
 //! the sequence-number set must be gap-free.  Any violation is printed and
 //! the process exits non-zero — this is the CI assertion that the monitor
 //! agrees with the `SweepReport`.
+//!
+//! A closed stdout (`mbfi-monitor --headless events.jsonl | head`) is not an
+//! error: output stops, and `--headless` still exits non-zero if its checks
+//! fail.
 
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::time::Duration;
 
 use mbfi_bench::monitor::{render_dashboard, render_headless};
@@ -124,6 +128,23 @@ fn load(path: &str) -> MonitorState {
     state
 }
 
+/// Write `text` to stdout and flush it.  Returns `false` once the reader
+/// has gone away (a broken pipe); any other write error is fatal.
+fn emit(text: &str) -> bool {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => true,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("mbfi-monitor: cannot write to stdout: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Tail `path`, redrawing the dashboard whenever new bytes land, until the
 /// stream reports `sweep_finished`.
 fn follow(path: &str) {
@@ -143,8 +164,9 @@ fn follow(path: &str) {
                         let line: String = buffer.drain(..=nl).collect();
                         let _ = state.apply_line(&line);
                     }
-                    print!("{}", render_dashboard(&state));
-                    let _ = std::io::stdout().flush();
+                    if !emit(&render_dashboard(&state)) {
+                        return;
+                    }
                 }
             }
         }
@@ -171,8 +193,9 @@ fn connect(addr: &str, headless: bool) -> MonitorState {
     let result = mbfi_serve::watch(addr, &mut |line| {
         let _ = state.apply_line(line);
         if !headless && last_draw.elapsed() >= Duration::from_millis(200) {
-            print!("{}", render_dashboard(&state));
-            let _ = std::io::stdout().flush();
+            if !emit(&render_dashboard(&state)) {
+                std::process::exit(0);
+            }
             last_draw = std::time::Instant::now();
         }
     });
@@ -197,10 +220,10 @@ fn main() {
         None => load(&opts.path),
     };
     if opts.headless {
-        print!("{}", render_headless(&state));
+        emit(&render_headless(&state));
         let problems = state.verify();
         if problems.is_empty() {
-            println!("verify: ok ({} events)", state.events);
+            emit(&format!("verify: ok ({} events)\n", state.events));
         } else {
             for p in &problems {
                 eprintln!("verify: {p}");
@@ -208,6 +231,6 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        print!("{}", render_dashboard(&state));
+        emit(&render_dashboard(&state));
     }
 }

@@ -206,8 +206,15 @@ impl HarnessConfig {
                 },
             }
         }
-        let budget_mb = var_parsed(&var, "MBFI_REPLAY_BUDGET_MB", cfg.replay_budget_bytes >> 20);
-        cfg.replay_budget_bytes = budget_mb << 20;
+        let default_mb = cfg.replay_budget_bytes >> 20;
+        let budget_mb = var_parsed(&var, "MBFI_REPLAY_BUDGET_MB", default_mb);
+        cfg.replay_budget_bytes = budget_mb.checked_mul(1 << 20).unwrap_or_else(|| {
+            eprintln!(
+                "warning: MBFI_REPLAY_BUDGET_MB={budget_mb} MiB overflows a byte count; \
+                 falling back to {default_mb}"
+            );
+            cfg.replay_budget_bytes
+        });
         cfg.sweep_batch = var_parsed(&var, "MBFI_SWEEP_BATCH", cfg.sweep_batch);
         if let Some(v) = var("MBFI_PRECISION") {
             match parse_precision(&v) {
@@ -1336,6 +1343,13 @@ mod tests {
         assert_eq!(cfg.precision, None);
         assert_eq!(cfg.telemetry, TelemetryLevel::Off);
         assert_eq!(cfg.telemetry_out, "telemetry.jsonl");
+        // 2^44 MiB is 2^64 bytes: it must fall back, not wrap to a 0-byte
+        // budget.
+        let cfg = HarnessConfig::from_vars(vars(&[("MBFI_REPLAY_BUDGET_MB", "17592186044416")]));
+        assert_eq!(
+            cfg.replay_budget_bytes,
+            HarnessConfig::default().replay_budget_bytes
+        );
         assert_eq!(var_parsed(vars(&[]), "MBFI_NOT_SET_EVER", 42usize), 42);
         assert_eq!(var_parsed(vars(&[("K", " 5 ")]), "K", 42usize), 5);
     }

@@ -136,24 +136,49 @@ pub(crate) struct ExperimentCost {
     pub converged_at: Option<(u64, u64)>,
 }
 
-impl ExperimentCost {
-    /// Publish the cost into a hub: a checkpoint fast-forward and the
-    /// dynamic instructions it skipped as [`Metric::CheckpointRestores`] /
-    /// [`Metric::ReplayInstrsSkipped`], an exit at a golden checkpoint and
-    /// the instructions it skipped as [`Metric::GoldenConvergences`] /
-    /// [`Metric::ConvergedInstrsSkipped`], and the run's copy-on-write
-    /// traffic as [`Metric::CowChunksCopied`] / [`Metric::CowRestoreBytesSaved`].
+/// The summed [`ExperimentCost`]s of a batch of runs, published to a hub
+/// in bulk: one [`TelemetryHub::add`] per metric per batch.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CostTally {
+    restores: u64,
+    replay_instrs_skipped: u64,
+    convergences: u64,
+    converged_instrs_skipped: u64,
+    cow_chunks_copied: u64,
+    cow_restore_bytes_saved: u64,
+}
+
+impl CostTally {
+    /// Count one run: a checkpoint fast-forward and the dynamic
+    /// instructions it skipped, an exit at a golden checkpoint and the
+    /// golden instructions it skipped, and the run's copy-on-write traffic.
+    pub(crate) fn add(&mut self, cost: &ExperimentCost) {
+        if let Some(skipped) = cost.restored_dyn {
+            self.restores += 1;
+            self.replay_instrs_skipped += skipped;
+        }
+        if let Some((_, skipped)) = cost.converged_at {
+            self.convergences += 1;
+            self.converged_instrs_skipped += skipped;
+        }
+        self.cow_chunks_copied += cost.cow.cow_chunks_copied;
+        self.cow_restore_bytes_saved += cost.cow.restore_bytes_saved;
+    }
+
+    /// Publish the sums as [`Metric::CheckpointRestores`],
+    /// [`Metric::ReplayInstrsSkipped`], [`Metric::GoldenConvergences`],
+    /// [`Metric::ConvergedInstrsSkipped`], [`Metric::CowChunksCopied`] and
+    /// [`Metric::CowRestoreBytesSaved`].
     pub(crate) fn publish(&self, hub: &TelemetryHub) {
-        if let Some(skipped) = self.restored_dyn {
-            hub.add(Metric::CheckpointRestores, 1);
-            hub.add(Metric::ReplayInstrsSkipped, skipped);
-        }
-        if let Some((_, skipped)) = self.converged_at {
-            hub.add(Metric::GoldenConvergences, 1);
-            hub.add(Metric::ConvergedInstrsSkipped, skipped);
-        }
-        hub.add(Metric::CowChunksCopied, self.cow.cow_chunks_copied);
-        hub.add(Metric::CowRestoreBytesSaved, self.cow.restore_bytes_saved);
+        hub.add(Metric::CheckpointRestores, self.restores);
+        hub.add(Metric::ReplayInstrsSkipped, self.replay_instrs_skipped);
+        hub.add(Metric::GoldenConvergences, self.convergences);
+        hub.add(
+            Metric::ConvergedInstrsSkipped,
+            self.converged_instrs_skipped,
+        );
+        hub.add(Metric::CowChunksCopied, self.cow_chunks_copied);
+        hub.add(Metric::CowRestoreBytesSaved, self.cow_restore_bytes_saved);
     }
 }
 
@@ -184,8 +209,8 @@ impl Experiment {
     /// Carries no telemetry: the VM interpreter loop inlines into the one
     /// non-generic execution body, so every caller — telemetered or not —
     /// executes the same machine code, which is also what makes the
-    /// byte-invariance contract easy to trust.  The sweep executor publishes
-    /// the run's costs separately when a hub records at the Full level.
+    /// byte-invariance contract easy to trust.  The sweep executor sums the
+    /// runs' costs per batch and publishes the sums to its hub, if any.
     pub fn run_compiled(
         code: &CompiledModule,
         golden: &GoldenRun,
@@ -429,8 +454,8 @@ mod tests {
                 .unwrap();
         let specs = dead_flip_specs(&code, &golden, dead, 10);
         assert!(specs.len() > 100, "the loop writes the dead register often");
-        let hub = TelemetryHub::new(crate::TelemetryLevel::Full);
-        let mut skipped = 0;
+        let hub = TelemetryHub::new(crate::TelemetryLevel::Counters);
+        let (mut tally, mut skipped) = (CostTally::default(), 0);
         for spec in &specs {
             let oracle = Experiment::run_compiled(&code, &golden, spec, None);
             let (replayed, cost) =
@@ -442,8 +467,9 @@ mod tests {
             assert_eq!(at + left, golden.dynamic_instrs);
             assert!(at > replayed.injections[0].dyn_index);
             skipped += left;
-            cost.publish(&hub);
+            tally.add(&cost);
         }
+        tally.publish(&hub);
         assert_eq!(hub.counter(Metric::GoldenConvergences), specs.len() as u64);
         assert_eq!(hub.counter(Metric::ConvergedInstrsSkipped), skipped);
     }

@@ -322,8 +322,8 @@ impl Sweep {
     /// With a `telemetry` hub, the sweep's events — `sweep_started`,
     /// `cell_planned`, every `batch_done` / `round_done` / `cell_finished`
     /// and `sweep_finished` — are recorded into it, along with the workers'
-    /// waits and, at [`crate::TelemetryLevel::Full`], per-experiment
-    /// latencies and replay costs.  Telemetry is strictly observational:
+    /// waits and each batch's summed replay and copy-on-write costs, at
+    /// every level above `off`.  Telemetry is strictly observational:
     /// results are byte-identical with and without a hub, at every level and
     /// thread count (`tests/telemetry_equivalence.rs`).
     pub fn run_streamed(
@@ -457,8 +457,7 @@ fn host<'a>(
 
 /// Register a starting sweep with a hub before any experiment runs, so a
 /// tailing monitor sees labels and budgets first; also publish the units'
-/// shared artifacts (fault-free per-opcode profiles, checkpoint-store
-/// footprints).
+/// checkpoint-store footprints.
 fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads: usize) {
     hub.record(EventKind::SweepStarted {
         cells: plans.len(),
@@ -480,11 +479,8 @@ fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads
             },
         });
     }
-    for unit in units {
-        hub.profile(&unit.golden.profile);
-        if let Some(store) = unit.store {
-            store.publish_telemetry(hub);
-        }
+    for store in units.iter().filter_map(|unit| unit.store) {
+        store.publish_telemetry(hub);
     }
 }
 
@@ -497,6 +493,7 @@ mod tests {
     use crate::fault_model::{FaultModel, WinSize};
     use crate::replay::{CheckpointConfig, CheckpointStore};
     use crate::technique::Technique;
+    use crate::telemetry::TelemetryLevel;
     use mbfi_ir::{Module, ModuleBuilder, Type};
 
     pub(super) fn workload(n: i64) -> Module {
@@ -640,8 +637,10 @@ mod tests {
         }
     }
 
+    /// The experiment-cost counters are batch sums of the serial runs'
+    /// costs, and mean the same at `counters` as at `full`.
     #[test]
-    fn full_telemetry_counts_every_golden_convergence() {
+    fn experiment_cost_counters_are_exact_at_every_level() {
         let f = fixture(96, true);
         let units = [SweepUnit {
             code: &f.code,
@@ -652,27 +651,46 @@ mod tests {
             .into_iter()
             .map(|spec| SweepCampaign { unit: 0, spec })
             .collect();
-        let (mut exits, mut skipped) = (0, 0);
+        let costs = [
+            Metric::CheckpointRestores,
+            Metric::ReplayInstrsSkipped,
+            Metric::GoldenConvergences,
+            Metric::ConvergedInstrsSkipped,
+            Metric::CowChunksCopied,
+            Metric::CowRestoreBytesSaved,
+        ];
+        let mut serial = [0u64; 6];
         for cell in &campaigns {
             let (validated, _) = cell.spec.validate();
             for spec in ExperimentSpec::sample_campaign(&validated, &f.golden) {
                 let (_, cost) =
                     Experiment::run_compiled_inner(&f.code, &f.golden, &spec, f.store.as_ref());
-                if let Some((_, left)) = cost.converged_at {
-                    exits += 1;
-                    skipped += left;
+                if let Some(skipped) = cost.restored_dyn {
+                    serial[0] += 1;
+                    serial[1] += skipped;
                 }
+                if let Some((_, skipped)) = cost.converged_at {
+                    serial[2] += 1;
+                    serial[3] += skipped;
+                }
+                serial[4] += cost.cow.cow_chunks_copied;
+                serial[5] += cost.cow.restore_bytes_saved;
             }
         }
-        assert!(exits > 0, "some experiment rejoins the golden run");
-        let hub = TelemetryHub::new(crate::TelemetryLevel::Full);
+        for (metric, sum) in costs.iter().zip(serial) {
+            assert!(sum > 0, "{metric:?} is exercised");
+        }
         let config = SweepConfig {
             threads: 2,
             ..SweepConfig::default()
         };
-        Sweep::run_streamed(&units, &campaigns, &config, Some(&hub), |_, _| {});
-        assert_eq!(hub.counter(Metric::GoldenConvergences), exits);
-        assert_eq!(hub.counter(Metric::ConvergedInstrsSkipped), skipped);
+        for level in [TelemetryLevel::Counters, TelemetryLevel::Full] {
+            let hub = TelemetryHub::new(level);
+            Sweep::run_streamed(&units, &campaigns, &config, Some(&hub), |_, _| {});
+            for (&metric, sum) in costs.iter().zip(serial) {
+                assert_eq!(hub.counter(metric), sum, "{metric:?} at {}", level.label());
+            }
+        }
     }
 
     #[test]

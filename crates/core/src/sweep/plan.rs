@@ -29,11 +29,11 @@ use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
-use crate::experiment::{Experiment, ExperimentSpec};
+use crate::experiment::{CostTally, Experiment, ExperimentSpec};
 use crate::injector::InjectionRecord;
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::space::{ErrorSpace, REGISTER_BITS};
-use crate::telemetry::{EventKind, TelemetryHub, TelemetryLevel};
+use crate::telemetry::{EventKind, Metric, TelemetryHub};
 
 use super::{
     EngineUnit, JobEvent, ListedCell, SubmitError, SweepCampaign, SweepCampaignResult, SweepConfig,
@@ -386,18 +386,16 @@ fn summary(specs: &[ExperimentSpec]) -> CampaignSpec {
     spec
 }
 
-/// The hot experiment loop of one batch.  `timed` is the hub of a
-/// [`TelemetryLevel::Full`] sweep: each experiment is then individually
-/// timed into the latency histogram and its replay / copy-on-write costs
-/// are published.  Below Full the loop carries no instrumentation at all —
-/// the batch's tallies reach the hub in bulk through its `batch_done` event.
+/// The hot experiment loop of one batch.  It carries no instrumentation:
+/// the batch's outcome tallies reach a hub through its `batch_done` event,
+/// and its experiments' costs through the returned [`CostTally`], both once
+/// per batch.
 pub(crate) fn run_span(
     plan: &Plan,
     b: usize,
     unit: &SweepUnit<'_>,
     keep_records: bool,
-    timed: Option<&TelemetryHub>,
-) -> BatchOut {
+) -> (BatchOut, CostTally) {
     let (start, end) = plan.spans[b];
     let mut out = BatchOut {
         counts: OutcomeCounts::default(),
@@ -406,6 +404,7 @@ pub(crate) fn run_span(
         records: Vec::new(),
         outcomes: Vec::new(),
     };
+    let mut tally = CostTally::default();
     for k in start..end {
         let orig = match &plan.order {
             Some(order) => order[k as usize],
@@ -422,13 +421,9 @@ pub(crate) fn run_span(
                 plan.spec.hang_factor,
             ),
         };
-        let t0 = timed.map(|_| Instant::now());
         let (result, cost) =
             Experiment::run_compiled_inner(unit.code, unit.golden, &spec, unit.store);
-        if let (Some(hub), Some(t0)) = (timed, t0) {
-            hub.experiment_latency((t0.elapsed().as_nanos() as u64).max(1));
-            cost.publish(hub);
-        }
+        tally.add(&cost);
         out.counts.record(result.outcome);
         let slot = (result.activated as usize).min(plan.max_hist - 1);
         out.activation[slot] += 1;
@@ -442,7 +437,7 @@ pub(crate) fn run_span(
             out.records.push((orig, result.injections));
         }
     }
-    out
+    (out, tally)
 }
 
 /// One planned grid as the scheduler sees it.  It leaves the schedule, and
@@ -663,7 +658,8 @@ pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
                     .wait(sched)
                     .unwrap_or_else(PoisonError::into_inner);
                 if let Some(hub) = shared.telemetry {
-                    hub.worker_idle(worker, idle.elapsed().as_nanos() as u64);
+                    hub.add(Metric::WorkerParks, 1);
+                    hub.add(Metric::IdleNanos, idle.elapsed().as_nanos() as u64);
                 }
             }
         };
@@ -701,10 +697,12 @@ fn execute_batch(
 ) {
     let plan = &job.plans[cell];
     let (start, end) = plan.spans[b];
-    let timed = telemetry.filter(|hub| hub.level() == TelemetryLevel::Full);
     let batch_start = Instant::now();
-    let out = run_span(plan, b, &job.units.get(plan.unit), job.keep_records, timed);
+    let (out, cost) = run_span(plan, b, &job.units.get(plan.unit), job.keep_records);
     let wall_ns = batch_start.elapsed().as_nanos() as u64;
+    if let Some(hub) = telemetry {
+        cost.publish(hub);
+    }
     let counts = out.counts;
     *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
     (job.sink)(JobEvent::Progress(EventKind::BatchDone {

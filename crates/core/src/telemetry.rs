@@ -1,31 +1,31 @@
-//! The campaign telemetry plane: a structured event bus, a metrics registry,
-//! timing histograms and the state model behind the live sweep monitor.
+//! The campaign telemetry plane: a metrics registry, a structured event
+//! stream and the state model behind the live sweep monitor.
 //!
 //! A campaign-scale study runs millions of experiments across a grid of sweep
 //! cells, yet historically the only window into a running sweep was its final
 //! [`crate::SweepReport`].  This module makes a sweep *observable* while it
 //! runs, without ever being allowed to change its results:
 //!
-//! * [`TelemetryHub`] — the recorder the sweep executor, campaigns and
-//!   replay code publish into, always as an `Option<&TelemetryHub>`
-//!   (`None` = telemetry off, and nothing is recorded).  It holds a
-//!   lock-free registry of atomic [`Metric`] counters, per-cell/per-worker
-//!   atomic cells, an HDR-style power-of-two [`LogHistogram`] of experiment
-//!   latency, and an `mpsc`-backed channel of structured
-//!   [`TelemetryEvent`]s.  Sweep progress enters the hub as the same
-//!   [`EventKind`] values the event stream carries
-//!   ([`TelemetryHub::record`]): the per-cell tallies, batch and round
-//!   counters are folded from those events, so they agree with the stream
-//!   by construction.
+//! * [`TelemetryHub`] — the recorder the sweep executor publishes into,
+//!   always as an `Option<&TelemetryHub>` (`None` = telemetry off, and
+//!   nothing is recorded).  It holds a lock-free registry of atomic
+//!   [`Metric`] counters and, at [`TelemetryLevel::Full`], an `mpsc`-backed
+//!   channel of structured [`TelemetryEvent`]s.  Sweep progress enters the
+//!   hub as the same [`EventKind`] values the stream carries
+//!   ([`TelemetryHub::record`]), and the executor counters are folded from
+//!   those events, so they agree with the stream by construction.  The
+//!   hot loop is never instrumented: each batch sums its experiments' costs
+//!   and publishes them with one [`TelemetryHub::add`] per metric.
 //! * JSON-lines event stream — every event renders to one line of JSON
 //!   (monotonic sequence, elapsed nanos, kind, cell id, payload) through the
 //!   hand-rolled [`crate::report::json`] writer, and parses back through
-//!   [`TelemetryEvent::parse_line`].  This stream is the wire format the
-//!   future `mbfi-serve` daemon and sharded sweeps will speak.
+//!   [`TelemetryEvent::parse_line`].  The `mbfi-serve` daemon speaks the
+//!   same format on its submit and watch streams.
 //! * [`MonitorState`] — a deterministic accumulator that replays an event
 //!   stream into per-cell progress (used by the `mbfi-monitor` bin, whose
 //!   `--headless` mode cross-checks stream-accumulated totals against the
-//!   final per-cell counts and fails CI on any mismatch).
+//!   final per-cell counts and fails CI on any mismatch).  Per-cell progress
+//!   is folded here, from the stream, and nowhere else.
 //!
 //! ## The observation-only contract
 //!
@@ -35,27 +35,26 @@
 //! classification — the hub only ever aggregates what already happened
 //! (`tests/telemetry_equivalence.rs` pins this).
 
-use crate::outcome::{Outcome, OutcomeCounts};
+use crate::outcome::OutcomeCounts;
 use crate::report::json::Json;
-use mbfi_vm::ExecutionProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex, RwLock};
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// How much the telemetry plane records.
 ///
 /// Parsed from the `MBFI_TELEMETRY` knob by the bench harness:
-/// `off` (default) compiles/branches away, `counters` keeps only the atomic
-/// metric and per-cell tallies, `full` additionally times every experiment
-/// and records the structured event stream.
+/// `off` (default) records nothing, `counters` keeps the [`Metric`]
+/// registry, `full` additionally records the structured event stream.  The
+/// counters mean the same at both recording levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TelemetryLevel {
     /// Record nothing.
     #[default]
     Off,
-    /// Atomic counters, per-cell tallies and per-worker stats only.
+    /// The [`Metric`] counters only.
     Counters,
-    /// Counters plus per-experiment latency histogram and the event stream.
+    /// The counters plus the event stream.
     Full,
 }
 
@@ -110,22 +109,19 @@ pub enum Metric {
     /// Checkpoints held by checkpoint stores registered with the sweep.
     CheckpointStoreCheckpoints = 8,
     /// Experiments that fast-forwarded from a checkpoint instead of
-    /// re-executing the fault-free prefix.  Per-experiment, so sweeps
-    /// populate it at [`TelemetryLevel::Full`] only (the Counters-level hot
-    /// loop deliberately carries no per-experiment instrumentation).
+    /// re-executing the fault-free prefix.  Like the other experiment costs
+    /// below, summed per batch and published once the batch ends.
     CheckpointRestores = 9,
     /// Dynamic instructions skipped by checkpoint fast-forwarding.
     ReplayInstrsSkipped = 10,
     /// 4 KiB chunks cloned because an experiment wrote to a chunk shared
     /// with a snapshot (the dirty-page cost of copy-on-write forking).
-    /// Per-experiment, populated at [`TelemetryLevel::Full`] only.
     CowChunksCopied = 11,
     /// Bytes a deep-copy restore would have moved that copy-on-write
     /// restores did not.
     CowRestoreBytesSaved = 12,
     /// Experiments that stopped at a checkpoint boundary because their state
-    /// rejoined the golden run's.  Per-experiment, populated at
-    /// [`TelemetryLevel::Full`] only.
+    /// rejoined the golden run's.
     GoldenConvergences = 13,
     /// Golden-run dynamic instructions those experiments did not execute.
     ConvergedInstrsSkipped = 14,
@@ -266,8 +262,8 @@ pub enum EventKind {
         experiments: u64,
         /// Sweep wall clock, nanoseconds.
         wall_ns: u64,
-        /// Total [`Metric::CowChunksCopied`] at sweep end (0 when the level
-        /// never recorded per-experiment costs).
+        /// Total [`Metric::CowChunksCopied`] at sweep end (0 on `mbfi-serve`
+        /// streams, whose engine jobs record into no hub).
         cow_chunks_copied: u64,
         /// Total [`Metric::CowRestoreBytesSaved`] at sweep end.
         cow_restore_bytes_saved: u64,
@@ -288,14 +284,6 @@ impl EventKind {
         }
         self
     }
-}
-
-fn counts_into(obj: &mut Json, c: &OutcomeCounts) {
-    c.write_json(obj);
-}
-
-fn counts_from(v: &Json) -> Option<OutcomeCounts> {
-    OutcomeCounts::from_json(v)
 }
 
 impl TelemetryEvent {
@@ -334,7 +322,7 @@ impl TelemetryEvent {
                 obj.set("cell", *cell);
                 obj.set("batch", *batch);
                 obj.set("experiments", *experiments);
-                counts_into(&mut obj, counts);
+                counts.write_json(&mut obj);
                 obj.set("wall_ns", *wall_ns);
                 obj.set("worker", *worker);
             }
@@ -363,7 +351,7 @@ impl TelemetryEvent {
                 obj.set("kind", "cell_finished");
                 obj.set("cell", *cell);
                 obj.set("experiments", *experiments);
-                counts_into(&mut obj, counts);
+                counts.write_json(&mut obj);
                 obj.set("rounds", *rounds);
             }
             EventKind::SweepFinished {
@@ -418,7 +406,7 @@ impl TelemetryEvent {
                 cell: cell(v)?,
                 batch: v.get("batch")?.as_u64()? as usize,
                 experiments: v.get("experiments")?.as_u64()?,
-                counts: counts_from(v)?,
+                counts: OutcomeCounts::from_json(v)?,
                 wall_ns: v.get("wall_ns")?.as_u64()?,
                 worker: v.get("worker")?.as_u64()? as usize,
             },
@@ -433,7 +421,7 @@ impl TelemetryEvent {
             "cell_finished" => EventKind::CellFinished {
                 cell: cell(v)?,
                 experiments: v.get("experiments")?.as_u64()?,
-                counts: counts_from(v)?,
+                counts: OutcomeCounts::from_json(v)?,
                 rounds: v.get("rounds")?.as_u64()? as u32,
             },
             "sweep_finished" => EventKind::SweepFinished {
@@ -450,175 +438,15 @@ impl TelemetryEvent {
     }
 }
 
-/// An HDR-style latency histogram: 65 power-of-two buckets (bucket `i > 0`
-/// holds values with bit length `i`, bucket 0 holds zero), each an atomic
-/// counter, so recording is one relaxed `fetch_add` and the histogram is
-/// shared freely across workers.  Quantiles are resolved to the geometric
-/// middle of their bucket (±50 % — exactly what p50/p90/p99 of microsecond
-/// experiment latencies need, at 520 bytes per histogram).
-#[derive(Debug)]
-pub struct LogHistogram {
-    buckets: Vec<AtomicU64>,
-}
-
-const HIST_BUCKETS: usize = 65;
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> LogHistogram {
-        LogHistogram {
-            buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
-    /// Representative value of a bucket (its geometric middle).
-    fn bucket_value(bucket: usize) -> u64 {
-        match bucket {
-            0 => 0,
-            1 => 1,
-            b => {
-                let lo = 1u64 << (b - 1);
-                lo + lo / 2
-            }
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, value: u64) {
-        self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The value at quantile `q` in `[0, 1]` (bucket-resolution; 0 if empty).
-    pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        // Rank of the requested quantile, 1-based, clamped into [1, total].
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_value(i);
-            }
-        }
-        Self::bucket_value(HIST_BUCKETS - 1)
-    }
-
-    /// Snapshot with the standard percentiles.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        LatencySnapshot {
-            count: self.count(),
-            p50_ns: self.quantile(0.50),
-            p90_ns: self.quantile(0.90),
-            p99_ns: self.quantile(0.99),
-            max_ns: self.quantile(1.0),
-        }
-    }
-}
-
-/// Point-in-time percentiles of the experiment latency histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencySnapshot {
-    /// Observations recorded.
-    pub count: u64,
-    /// Median latency (bucket resolution), nanoseconds.
-    pub p50_ns: u64,
-    /// 90th percentile, nanoseconds.
-    pub p90_ns: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: u64,
-    /// Largest observed bucket, nanoseconds.
-    pub max_ns: u64,
-}
-
-fn outcome_index(outcome: Outcome) -> usize {
-    match outcome {
-        Outcome::Benign => 0,
-        Outcome::DetectedHwException => 1,
-        Outcome::Hang => 2,
-        Outcome::NoOutput => 3,
-        Outcome::Sdc => 4,
-    }
-}
-
-#[derive(Debug)]
-struct CellStats {
-    info: CellInfo,
-    done: AtomicU64,
-    outcomes: [AtomicU64; 5],
-    rounds: AtomicU64,
-    // f64::to_bits of the latest realized half-widths; u64::MAX = unset.
-    sdc_hw_bits: AtomicU64,
-    det_hw_bits: AtomicU64,
-    finished: AtomicU64,
-}
-
-impl Default for CellStats {
-    fn default() -> CellStats {
-        CellStats {
-            info: CellInfo::default(),
-            done: AtomicU64::new(0),
-            outcomes: Default::default(),
-            rounds: AtomicU64::new(0),
-            sdc_hw_bits: AtomicU64::new(u64::MAX),
-            det_hw_bits: AtomicU64::new(u64::MAX),
-            finished: AtomicU64::new(0),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct WorkerStats {
-    experiments: AtomicU64,
-    busy_ns: AtomicU64,
-    idle_ns: AtomicU64,
-    parks: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct SweepState {
-    cells: Vec<CellStats>,
-    workers: Vec<WorkerStats>,
-    threads: usize,
-}
-
-/// The live telemetry aggregation point.
-///
-/// One hub observes one sweep at a time (a recorded
-/// [`EventKind::SweepStarted`] replaces the per-cell registration); registry
-/// counters, the latency histogram and the event stream accumulate across
-/// the hub's lifetime.
+/// The live telemetry aggregation point: the [`Metric`] registry and, at
+/// [`TelemetryLevel::Full`], the event stream.  Both accumulate across the
+/// hub's lifetime.
 #[derive(Debug)]
 pub struct TelemetryHub {
     level: TelemetryLevel,
     start: Instant,
     seq: AtomicU64,
     counters: Vec<AtomicU64>,
-    latency: LogHistogram,
-    state: RwLock<SweepState>,
-    profile: Mutex<ExecutionProfile>,
     events_tx: mpsc::Sender<TelemetryEvent>,
     events_rx: Mutex<mpsc::Receiver<TelemetryEvent>>,
 }
@@ -632,9 +460,6 @@ impl TelemetryHub {
             start: Instant::now(),
             seq: AtomicU64::new(0),
             counters: (0..Metric::ALL.len()).map(|_| AtomicU64::new(0)).collect(),
-            latency: LogHistogram::new(),
-            state: RwLock::new(SweepState::default()),
-            profile: Mutex::new(ExecutionProfile::default()),
             events_tx,
             events_rx: Mutex::new(events_rx),
         }
@@ -660,61 +485,15 @@ impl TelemetryHub {
         out
     }
 
-    /// A consistent-enough point-in-time view of everything the hub holds.
-    /// (Counters are read individually with relaxed ordering; totals may be
-    /// mid-update while a sweep runs, and are exact once it returned.)
+    /// The registry at this instant.  Counters are read one by one with
+    /// relaxed ordering: totals may be mid-update while a sweep runs, and
+    /// are exact once it returned.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let state = self.state.read().unwrap();
-        let hw = |bits: u64| (bits != u64::MAX).then(|| f64::from_bits(bits));
         TelemetrySnapshot {
             level: self.level,
             elapsed_ns: self.start.elapsed().as_nanos() as u64,
             counters: Metric::ALL.iter().map(|&m| (m, self.counter(m))).collect(),
-            cells: state
-                .cells
-                .iter()
-                .map(|c| {
-                    let o: Vec<u64> = c
-                        .outcomes
-                        .iter()
-                        .map(|a| a.load(Ordering::Relaxed))
-                        .collect();
-                    CellSnapshot {
-                        info: c.info.clone(),
-                        done: c.done.load(Ordering::Relaxed),
-                        counts: OutcomeCounts {
-                            benign: o[0],
-                            hw_exception: o[1],
-                            hang: o[2],
-                            no_output: o[3],
-                            sdc: o[4],
-                        },
-                        rounds: c.rounds.load(Ordering::Relaxed) as u32,
-                        sdc_half_width_pct: hw(c.sdc_hw_bits.load(Ordering::Relaxed)),
-                        detection_half_width_pct: hw(c.det_hw_bits.load(Ordering::Relaxed)),
-                        finished: c.finished.load(Ordering::Relaxed) != 0,
-                    }
-                })
-                .collect(),
-            workers: state
-                .workers
-                .iter()
-                .map(|w| WorkerSnapshot {
-                    experiments: w.experiments.load(Ordering::Relaxed),
-                    busy_ns: w.busy_ns.load(Ordering::Relaxed),
-                    idle_ns: w.idle_ns.load(Ordering::Relaxed),
-                    parks: w.parks.load(Ordering::Relaxed),
-                })
-                .collect(),
-            threads: state.threads,
-            latency: self.latency.snapshot(),
-            profile: self.profile.lock().unwrap().clone(),
         }
-    }
-
-    /// The recording level.
-    pub fn level(&self) -> TelemetryLevel {
-        self.level
     }
 
     /// Bump a registry counter.
@@ -725,80 +504,29 @@ impl TelemetryHub {
         self.counters[metric as usize].fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Record one sweep event: fold it into the registry, the per-cell and
-    /// the per-worker state, then append it to the event stream (Full level
-    /// only).  `SweepStarted` re-registers the sweep's cells and workers,
-    /// `CellPlanned` labels a cell, `BatchDone` carries the experiment, batch
-    /// and busy-time tallies, `RoundDone` the adaptive gauges and
-    /// `CellFinished` the finished flag.
+    /// Record one sweep event: fold it into the registry, then append it to
+    /// the event stream (Full level only).  `BatchDone` carries the
+    /// experiment, batch and busy-time tallies, `RoundDone` and
+    /// `CellFinished` one count each; the other kinds only reach the stream.
     pub fn record(&self, kind: EventKind) {
         if self.level == TelemetryLevel::Off {
             return;
         }
-        let bump = |metric: Metric, delta: u64| {
-            self.counters[metric as usize].fetch_add(delta, Ordering::Relaxed);
-        };
         match &kind {
-            EventKind::SweepStarted { cells, threads, .. } => {
-                *self.state.write().unwrap() = SweepState {
-                    cells: (0..*cells).map(|_| CellStats::default()).collect(),
-                    workers: (0..*threads).map(|_| WorkerStats::default()).collect(),
-                    threads: *threads,
-                };
-            }
-            EventKind::CellPlanned { cell, info } => {
-                if let Some(c) = self.state.write().unwrap().cells.get_mut(*cell) {
-                    c.info = info.clone();
-                }
-            }
             EventKind::BatchDone {
-                cell,
                 experiments,
-                counts,
                 wall_ns,
-                worker,
                 ..
             } => {
-                bump(Metric::ExperimentsRun, *experiments);
-                bump(Metric::BatchesRun, 1);
-                bump(Metric::BusyNanos, *wall_ns);
-                let state = self.state.read().unwrap();
-                if let Some(c) = state.cells.get(*cell) {
-                    c.done.fetch_add(*experiments, Ordering::Relaxed);
-                    for outcome in Outcome::ALL {
-                        c.outcomes[outcome_index(outcome)]
-                            .fetch_add(counts.get(outcome), Ordering::Relaxed);
-                    }
-                }
-                if let Some(w) = state.workers.get(*worker) {
-                    w.experiments.fetch_add(*experiments, Ordering::Relaxed);
-                    w.busy_ns.fetch_add(*wall_ns, Ordering::Relaxed);
-                }
+                self.add(Metric::ExperimentsRun, *experiments);
+                self.add(Metric::BatchesRun, 1);
+                self.add(Metric::BusyNanos, *wall_ns);
             }
-            EventKind::RoundDone {
-                cell,
-                round,
-                sdc_half_width_pct,
-                detection_half_width_pct,
-                ..
-            } => {
-                bump(Metric::RoundsCompleted, 1);
-                if let Some(c) = self.state.read().unwrap().cells.get(*cell) {
-                    c.rounds.store(u64::from(*round), Ordering::Relaxed);
-                    c.sdc_hw_bits
-                        .store(sdc_half_width_pct.to_bits(), Ordering::Relaxed);
-                    c.det_hw_bits
-                        .store(detection_half_width_pct.to_bits(), Ordering::Relaxed);
-                }
-            }
-            EventKind::CellFinished { cell, rounds, .. } => {
-                bump(Metric::CellsFinished, 1);
-                if let Some(c) = self.state.read().unwrap().cells.get(*cell) {
-                    c.rounds.store(u64::from(*rounds), Ordering::Relaxed);
-                    c.finished.store(1, Ordering::Relaxed);
-                }
-            }
-            EventKind::SweepFinished { .. } => {}
+            EventKind::RoundDone { .. } => self.add(Metric::RoundsCompleted, 1),
+            EventKind::CellFinished { .. } => self.add(Metric::CellsFinished, 1),
+            EventKind::SweepStarted { .. }
+            | EventKind::CellPlanned { .. }
+            | EventKind::SweepFinished { .. } => {}
         }
         if self.level == TelemetryLevel::Full {
             let event = TelemetryEvent {
@@ -811,70 +539,9 @@ impl TelemetryHub {
             let _ = self.events_tx.send(event);
         }
     }
-
-    /// Record one individually timed experiment's latency (Full level).
-    pub fn experiment_latency(&self, latency_ns: u64) {
-        if self.level == TelemetryLevel::Full {
-            self.latency.observe(latency_ns);
-        }
-    }
-
-    /// Record one wait of executor worker `worker` on the executor condvar.
-    pub fn worker_idle(&self, worker: usize, idle_ns: u64) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        self.counters[Metric::WorkerParks as usize].fetch_add(1, Ordering::Relaxed);
-        self.counters[Metric::IdleNanos as usize].fetch_add(idle_ns, Ordering::Relaxed);
-        if let Some(w) = self.state.read().unwrap().workers.get(worker) {
-            w.parks.fetch_add(1, Ordering::Relaxed);
-            w.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
-        }
-    }
-
-    /// Merge a fault-free execution profile (per-opcode dynamic-instruction
-    /// histogram) into the sweep-wide profile.
-    pub fn profile(&self, profile: &ExecutionProfile) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        *self.profile.lock().unwrap() += profile;
-    }
 }
 
-/// Per-cell slice of a [`TelemetrySnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellSnapshot {
-    /// Static cell description.
-    pub info: CellInfo,
-    /// Experiments recorded so far.
-    pub done: u64,
-    /// Outcome tallies so far.
-    pub counts: OutcomeCounts,
-    /// Completed adaptive rounds (0 for fixed-n cells).
-    pub rounds: u32,
-    /// Latest realized SDC half-width, if a round has reported one.
-    pub sdc_half_width_pct: Option<f64>,
-    /// Latest realized Detection half-width, if a round has reported one.
-    pub detection_half_width_pct: Option<f64>,
-    /// Whether the cell has finalized.
-    pub finished: bool,
-}
-
-/// Per-worker slice of a [`TelemetrySnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerSnapshot {
-    /// Experiments this worker executed.
-    pub experiments: u64,
-    /// Nanoseconds spent executing batches.
-    pub busy_ns: u64,
-    /// Nanoseconds spent parked.
-    pub idle_ns: u64,
-    /// Park episodes.
-    pub parks: u64,
-}
-
-/// Point-in-time view of a [`TelemetryHub`].
+/// Point-in-time view of a [`TelemetryHub`]'s registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Recording level of the hub.
@@ -883,16 +550,6 @@ pub struct TelemetrySnapshot {
     pub elapsed_ns: u64,
     /// All registry counters, in [`Metric::ALL`] order.
     pub counters: Vec<(Metric, u64)>,
-    /// Per-cell progress.
-    pub cells: Vec<CellSnapshot>,
-    /// Per-worker execution stats.
-    pub workers: Vec<WorkerSnapshot>,
-    /// Worker threads of the registered sweep.
-    pub threads: usize,
-    /// Experiment latency percentiles (Full level only; empty otherwise).
-    pub latency: LatencySnapshot,
-    /// Merged fault-free per-opcode execution profile.
-    pub profile: ExecutionProfile,
 }
 
 impl TelemetrySnapshot {
@@ -911,70 +568,6 @@ impl TelemetrySnapshot {
             return 0.0;
         }
         self.counter(Metric::ExperimentsRun) as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("level", self.level.label());
-        obj.set("elapsed_ns", self.elapsed_ns);
-        let mut counters = Json::object();
-        for (m, v) in &self.counters {
-            counters.set(m.name(), *v);
-        }
-        obj.set("counters", counters);
-        let mut cells = Json::Arr(Vec::new());
-        if let Json::Arr(items) = &mut cells {
-            for c in &self.cells {
-                let mut cell = Json::object();
-                cell.set("unit", c.info.unit);
-                cell.set("label", c.info.label.clone());
-                cell.set("planned", c.info.planned);
-                cell.set("done", c.done);
-                counts_into(&mut cell, &c.counts);
-                cell.set("rounds", c.rounds);
-                match c.sdc_half_width_pct {
-                    Some(hw) => cell.set("sdc_hw_pct", hw),
-                    None => cell.set("sdc_hw_pct", Json::Null),
-                };
-                match c.detection_half_width_pct {
-                    Some(hw) => cell.set("det_hw_pct", hw),
-                    None => cell.set("det_hw_pct", Json::Null),
-                };
-                cell.set("finished", c.finished);
-                items.push(cell);
-            }
-        }
-        obj.set("cells", cells);
-        let mut workers = Json::Arr(Vec::new());
-        if let Json::Arr(items) = &mut workers {
-            for w in &self.workers {
-                let mut worker = Json::object();
-                worker.set("experiments", w.experiments);
-                worker.set("busy_ns", w.busy_ns);
-                worker.set("idle_ns", w.idle_ns);
-                worker.set("parks", w.parks);
-                items.push(worker);
-            }
-        }
-        obj.set("workers", workers);
-        let mut latency = Json::object();
-        latency.set("count", self.latency.count);
-        latency.set("p50_ns", self.latency.p50_ns);
-        latency.set("p90_ns", self.latency.p90_ns);
-        latency.set("p99_ns", self.latency.p99_ns);
-        latency.set("max_ns", self.latency.max_ns);
-        obj.set("latency", latency);
-        let mut opcodes = Json::object();
-        for (opcode, stats) in &self.profile.per_opcode {
-            let mut s = Json::object();
-            s.set("count", stats.count);
-            s.set("read_candidates", stats.read_candidates);
-            s.set("write_candidates", stats.write_candidates);
-            opcodes.set(opcode.clone(), s);
-        }
-        obj.set("per_opcode", opcodes);
-        obj
     }
 }
 
@@ -1287,43 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_buckets_and_quantiles() {
-        let h = LogHistogram::new();
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
-        // 90 fast observations around 1µs, 10 slow around 1ms.
-        for _ in 0..90 {
-            h.observe(1_000);
-        }
-        for _ in 0..10 {
-            h.observe(1_000_000);
-        }
-        assert_eq!(h.count(), 100);
-        let snap = h.snapshot();
-        // 1_000 has bit length 10 → bucket 10 → value 512 + 256 = 768.
-        assert_eq!(snap.p50_ns, 768);
-        assert_eq!(snap.p90_ns, 768);
-        // 1_000_000 has bit length 20 → bucket 20 → 524288 + 262144.
-        assert_eq!(snap.p99_ns, 786_432);
-        assert_eq!(snap.max_ns, 786_432);
-        // Every bucketed value stays within a factor of two of the original
-        // (the representative is the geometric middle of its bucket).
-        for v in [1u64, 2, 3, 1_000, 1_000_000, u64::MAX] {
-            let h = LogHistogram::new();
-            h.observe(v);
-            let q = h.quantile(0.5);
-            assert!(
-                q <= v.saturating_mul(2),
-                "representative {q} above twice observed {v}"
-            );
-            assert!(q >= v / 2, "representative {q} below half of {v}");
-        }
-        // Zero gets its own bucket.
-        let h = LogHistogram::new();
-        h.observe(0);
-        assert_eq!(h.quantile(1.0), 0);
-    }
-
-    #[test]
     fn hub_counts_and_snapshots() {
         let hub = TelemetryHub::new(TelemetryLevel::Counters);
         hub.record(EventKind::SweepStarted {
@@ -1331,27 +887,16 @@ mod tests {
             threads: 4,
             planned: 30,
         });
-        for (cell, label, planned) in [(0, "u0 read 1-bit", 10), (1, "u1 write m=3,w=100", 20)] {
-            hub.record(EventKind::CellPlanned {
-                cell,
-                info: CellInfo {
-                    unit: cell,
-                    label: label.into(),
-                    planned,
-                },
-            });
-        }
-        let batch = |cell, worker, counts: OutcomeCounts| EventKind::BatchDone {
+        let batch = |cell, counts: OutcomeCounts| EventKind::BatchDone {
             cell,
             batch: 0,
             experiments: counts.total(),
             counts,
             wall_ns: 1_000,
-            worker,
+            worker: 2,
         };
         hub.record(batch(
             0,
-            2,
             OutcomeCounts {
                 benign: 1,
                 sdc: 1,
@@ -1360,18 +905,8 @@ mod tests {
         ));
         hub.record(batch(
             1,
-            2,
             OutcomeCounts {
                 hang: 1,
-                ..OutcomeCounts::default()
-            },
-        ));
-        // Out of range: counted globally only.
-        hub.record(batch(
-            99,
-            99,
-            OutcomeCounts {
-                benign: 1,
                 ..OutcomeCounts::default()
             },
         ));
@@ -1390,56 +925,32 @@ mod tests {
             rounds: 2,
         });
         hub.add(Metric::CheckpointRestores, 3);
-        hub.worker_idle(1, 500);
         let snap = hub.snapshot();
-        assert_eq!(snap.counter(Metric::ExperimentsRun), 4);
+        assert_eq!(snap.level, TelemetryLevel::Counters);
+        assert_eq!(snap.counter(Metric::ExperimentsRun), 3);
         assert_eq!(snap.counter(Metric::CheckpointRestores), 3);
-        assert_eq!(snap.counter(Metric::BatchesRun), 3);
-        assert_eq!(snap.counter(Metric::BusyNanos), 3_000);
+        assert_eq!(snap.counter(Metric::BatchesRun), 2);
+        assert_eq!(snap.counter(Metric::BusyNanos), 2_000);
         assert_eq!(snap.counter(Metric::RoundsCompleted), 1);
         assert_eq!(snap.counter(Metric::CellsFinished), 1);
-        assert_eq!(snap.counter(Metric::WorkerParks), 1);
-        assert_eq!(snap.counter(Metric::IdleNanos), 500);
-        assert_eq!(snap.threads, 4);
-        assert_eq!(snap.cells.len(), 2);
-        assert_eq!(snap.cells[0].info.label, "u0 read 1-bit");
-        assert_eq!(snap.cells[0].done, 2);
-        assert_eq!(snap.cells[0].counts.sdc, 1);
-        assert_eq!(snap.cells[0].rounds, 2);
-        assert_eq!(snap.cells[0].sdc_half_width_pct, Some(1.5));
-        assert!(snap.cells[0].finished);
-        assert_eq!(snap.cells[1].counts.hang, 1);
-        assert!(!snap.cells[1].finished);
-        assert_eq!(snap.cells[1].sdc_half_width_pct, None);
-        assert_eq!(snap.workers[2].experiments, 3);
-        assert_eq!(snap.workers[2].busy_ns, 2_000);
-        assert_eq!(snap.workers[1].idle_ns, 500);
-        // Counters mode records no events and no latency.
-        hub.experiment_latency(7);
+        assert_eq!(snap.counter(Metric::WorkerParks), 0);
+        assert_eq!(snap.counters.len(), Metric::ALL.len());
+        // Counters mode records no events.
         assert!(hub.drain_events().is_empty());
-        assert_eq!(hub.snapshot().latency.count, 0);
-        // Snapshot renders to JSON without panicking and carries the label.
-        let json = snap.to_json().render();
-        assert!(json.contains("u1 write m=3,w=100"));
-        assert!(json.contains("\"experiments_run\":4"));
     }
 
     #[test]
     fn off_hub_records_nothing() {
         let hub = TelemetryHub::new(TelemetryLevel::Off);
-        hub.record(EventKind::SweepStarted {
-            cells: 1,
-            threads: 2,
-            planned: 1,
+        hub.record(EventKind::CellFinished {
+            cell: 0,
+            experiments: 1,
+            counts: OutcomeCounts::default(),
+            rounds: 0,
         });
-        hub.experiment_latency(7);
-        hub.worker_idle(0, 9);
         hub.add(Metric::CheckpointRestores, 1);
         let snap = hub.snapshot();
-        assert_eq!(snap.counter(Metric::CheckpointRestores), 0);
-        assert_eq!(snap.counter(Metric::WorkerParks), 0);
-        assert!(snap.cells.is_empty());
-        assert_eq!(snap.latency.count, 0);
+        assert!(snap.counters.iter().all(|&(_, v)| v == 0));
         assert!(hub.drain_events().is_empty());
     }
 

@@ -44,8 +44,10 @@ pub struct ServerConfig {
     /// Admission bound: jobs active at once before submits block (0 = the
     /// engine default).
     pub max_pending: usize,
-    /// Per-connection read timeout, milliseconds (a client that connects
-    /// and never sends a request is dropped after this long).
+    /// Per-connection I/O timeout, milliseconds: a client that connects and
+    /// never sends a request, or stops reading its stream, is dropped after
+    /// one read or write has waited this long.  It bounds how long a stalled
+    /// client can hold up shutdown.
     pub read_timeout_ms: u64,
 }
 
@@ -270,7 +272,8 @@ struct Inner {
     watch: WatchLog,
     stop: AtomicBool,
     addr: SocketAddr,
-    read_timeout: Duration,
+    /// [`ServerConfig::read_timeout_ms`], applied to every read and write.
+    io_timeout: Duration,
     /// Serve-level submission ids (the `job` field of ack frames).
     next_job: AtomicU64,
     /// Per-connection handler threads: finished ones are joined as new ones
@@ -338,7 +341,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         watch: WatchLog::new(),
         stop: AtomicBool::new(false),
         addr,
-        read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
+        io_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
         next_job: AtomicU64::new(0),
         connections: Mutex::new(Vec::new()),
     });
@@ -398,7 +401,8 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
 }
 
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(inner.read_timeout));
+    let _ = stream.set_read_timeout(Some(inner.io_timeout));
+    let _ = stream.set_write_timeout(Some(inner.io_timeout));
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
@@ -673,6 +677,7 @@ mod tests {
     use mbfi_core::{FaultModel, Technique};
     use mbfi_workloads::InputSize;
     use std::collections::HashMap;
+    use std::sync::mpsc;
 
     #[test]
     fn config_reads_knobs_and_falls_back_on_malformed_values() {
@@ -749,5 +754,64 @@ mod tests {
         assert!(live <= 4, "{live} thread handles kept after 40 submissions");
         server.stop();
         server.join();
+    }
+
+    /// A client that submits and then never reads cannot hold up shutdown:
+    /// its handler's writes give up after the connection's I/O timeout.
+    #[test]
+    fn a_client_that_never_reads_cannot_stall_shutdown() {
+        let server = spawn(ServerConfig {
+            threads: 2,
+            read_timeout_ms: 200,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        // The engine's pool size is fixed by `ServerConfig::threads`; the
+        // request's `threads` only cuts batches, so a huge value gives one
+        // `batch_done` line per experiment: about 10 MiB of stream, more
+        // than the loopback socket buffers hold.  spmv has the shortest
+        // golden run.
+        let cell = CellRequest {
+            workload: "spmv".to_string(),
+            size: InputSize::Tiny,
+            technique: Technique::InjectOnRead,
+            model: FaultModel::single_bit(),
+            experiments: 60_000,
+            seed: 7,
+            hang_factor: 20,
+            precision: None,
+        };
+        let mut stalled = TcpStream::connect(server.addr()).expect("connect");
+        let line = Request::Submit(SubmitRequest {
+            threads: 1_000_000,
+            cells: vec![cell.clone()],
+            ..SubmitRequest::default()
+        })
+        .to_line();
+        stalled.write_all(format!("{line}\n").as_bytes()).unwrap();
+        // A reading client of the same cell returns once the cell has run,
+        // so the engine is idle when the shutdown starts.
+        let outcome = submit(
+            server.addr(),
+            &GridRequest {
+                threads: 0,
+                cells: vec![cell],
+            },
+        )
+        .expect("the reading client gets its report");
+        assert_eq!(outcome.report.results[0].result.total(), 60_000);
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.stop();
+            server.join();
+            let _ = done_tx.send(());
+        });
+        let stopped = done_rx.recv_timeout(Duration::from_secs(20)).is_ok();
+        // Past the deadline, closing the client is what lets the daemon
+        // exit, so the test fails instead of hanging.
+        drop(stalled);
+        stopper.join().unwrap();
+        assert!(stopped, "a client that never reads stalled the shutdown");
     }
 }

@@ -17,8 +17,7 @@
 //! ([`std::ops::AddAssign`]), so per-worker or per-workload profiles collected
 //! independently aggregate into one campaign-wide profile without any shared
 //! state or locks during execution — each worker counts into its own profile
-//! and the results fold together afterwards (the telemetry plane uses this to
-//! surface one per-opcode dynamic-instruction histogram for a whole sweep).
+//! and the results fold together afterwards.
 
 use crate::hooks::{ExecHook, InstrContext};
 use mbfi_ir::Opcode;

@@ -1,7 +1,7 @@
 //! The telemetry plane's observer contract, as a test suite: attaching a
 //! [`TelemetryHub`] at any level to a sweep or a campaign must leave every
 //! result byte-identical to the untelemetered run across sweep thread counts
-//! (1, 4, 8); the hub's snapshot totals must exactly equal the authoritative
+//! (1, 4, 8); the hub's counter totals must exactly equal the authoritative
 //! `SweepReport`; and the drained JSONL event stream must replay through
 //! [`MonitorState`] — the `mbfi-monitor` pipeline — into a verified, complete
 //! picture with the same per-cell tallies.
@@ -109,9 +109,8 @@ fn telemetered_sweep_is_byte_identical_across_levels_and_threads() {
     }
 }
 
-/// The hub's snapshot agrees with the authoritative report: the experiment
-/// counter, per-cell tallies, finished flags, worker accounting and — at
-/// Full — the latency histogram all reconcile.
+/// The hub's snapshot agrees with the authoritative report at both
+/// recording levels: every experiment and every cell is counted once.
 #[test]
 fn hub_snapshot_totals_equal_sweep_report() {
     let data = fixture();
@@ -122,26 +121,13 @@ fn hub_snapshot_totals_equal_sweep_report() {
         let hub = TelemetryHub::new(level);
         let report = run_observed(&units, &cells, &config, &hub);
         let snapshot = hub.snapshot();
-        let total = report_total(&report);
-        assert_eq!(snapshot.counter(Metric::ExperimentsRun), total);
+        assert_eq!(snapshot.level, level);
+        assert_eq!(
+            snapshot.counter(Metric::ExperimentsRun),
+            report_total(&report)
+        );
         assert_eq!(snapshot.counter(Metric::CellsFinished), cells.len() as u64);
         assert!(snapshot.counter(Metric::BatchesRun) > 0);
-        assert_eq!(snapshot.cells.len(), cells.len());
-        for (cell, r) in snapshot.cells.iter().zip(&report.results) {
-            assert_eq!(cell.done, r.result.total());
-            assert_eq!(cell.counts, r.result.counts);
-            assert!(cell.finished);
-        }
-        assert_eq!(snapshot.threads, config.threads);
-        let worker_total: u64 = snapshot.workers.iter().map(|w| w.experiments).sum();
-        assert_eq!(worker_total, total, "per-worker tallies cover every run");
-        // Experiment latency is a Full-level cost; Counters must not pay it.
-        match level {
-            TelemetryLevel::Full => assert_eq!(snapshot.latency.count, total),
-            _ => assert_eq!(snapshot.latency.count, 0),
-        }
-        // The merged fault-free profile is republished from the sweep units.
-        assert!(snapshot.profile.dynamic_instrs > 0);
     }
 }
 
@@ -232,9 +218,9 @@ fn campaign_telemetry_observes_without_perturbing() {
 /// Every executor metric means what its doc says, pinned against the event
 /// stream of the same Full-level sweep: the batch, busy-time, experiment,
 /// round and cell counters are exact folds of the `batch_done` /
-/// `round_done` / `cell_finished` events; park and idle totals are the sums
-/// of the per-worker slices; and a lone worker on a fixed-n sweep never
-/// waits, because every batch is claimable until the job drains.
+/// `round_done` / `cell_finished` events; and a lone worker on a fixed-n
+/// sweep never waits, because every batch is claimable until the job
+/// drains.
 #[test]
 fn executor_metrics_equal_their_event_definitions() {
     let data = fixture();
@@ -281,14 +267,12 @@ fn executor_metrics_equal_their_event_definitions() {
         assert_eq!(rounds > 0, precision.is_some(), "{what}");
         assert_eq!(snapshot.counter(Metric::CellsFinished), finished, "{what}");
         assert_eq!(finished, cells.len() as u64, "{what}");
-        let parks: u64 = snapshot.workers.iter().map(|w| w.parks).sum();
-        let idle: u64 = snapshot.workers.iter().map(|w| w.idle_ns).sum();
-        let busy: u64 = snapshot.workers.iter().map(|w| w.busy_ns).sum();
-        assert_eq!(snapshot.counter(Metric::WorkerParks), parks, "{what}");
-        assert_eq!(snapshot.counter(Metric::IdleNanos), idle, "{what}");
-        assert_eq!(snapshot.counter(Metric::BusyNanos), busy, "{what}");
         if threads == 1 && precision.is_none() {
-            assert_eq!(parks, 0, "a lone fixed-n worker never waits");
+            assert_eq!(
+                snapshot.counter(Metric::WorkerParks),
+                0,
+                "a lone fixed-n worker never waits"
+            );
         }
     }
 }
