@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus lint, in one command, fully offline.
 #
-#   ./ci.sh          # build + test + clippy
+#   ./ci.sh          # build + test + clippy + rustdoc
 #   ./ci.sh bench    # additionally run the perfbench/ benchmark (fast
 #                    # knobs)
 #
@@ -22,6 +22,11 @@ cargo test -q --offline
 
 echo "==> cargo clippy --all-targets --offline -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
+
+# Rustdoc must stay clean, so a deleted or renamed item cannot leave a stale
+# intra-doc link behind.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --offline --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Telemetry smoke: a tiny full-telemetry grid run writes a JSONL event
 # stream, and `mbfi-monitor --headless` replays it — its verify() step

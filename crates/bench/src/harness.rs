@@ -27,8 +27,8 @@ use mbfi_core::report::{FigureData, Series, TextTable};
 use mbfi_core::space::{ErrorSpace, REGISTER_BITS};
 use mbfi_core::{
     CampaignResult, CampaignSpec, CampaignWarning, FaultModel, GoldenRun, IntervalMethod, Metric,
-    Outcome, Precision, Sweep, SweepCampaign, SweepConfig, SweepUnit, Technique, TelemetryHub,
-    TelemetryLevel, TelemetrySnapshot, WinSize,
+    Outcome, Precision, Sweep, SweepCampaign, SweepCell, SweepConfig, SweepUnit, Technique,
+    TelemetryHub, TelemetryLevel, TelemetrySnapshot, WinSize,
 };
 use mbfi_ir::{CompiledModule, Module};
 use mbfi_workloads::{all_workloads, InputSize, Workload};
@@ -567,7 +567,7 @@ impl<'a> CampaignGrid<'a> {
         let mut results: Vec<Option<CampaignResult>> = vec![None; cells.len()];
         let warnings = Sweep::run_streamed(
             &units,
-            &cells,
+            cells.iter().copied().map(SweepCell::Sampled).collect(),
             &cfg.sweep_config(),
             hub.as_ref(),
             |index, result| results[index] = Some(result.result),

@@ -108,11 +108,13 @@ impl ExperimentSpec {
     }
 }
 
-/// Result of one experiment.
+/// Result of one experiment: the per-experiment record
+/// [`Experiment::run_compiled`] returns and, with
+/// [`crate::SweepConfig::keep_records`], every sweep cell hands back.  It
+/// holds what the run computed, never how (restore or rejoin points), so it
+/// compares equal with and without a checkpoint store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
-    /// The specification that produced this result.
-    pub spec: ExperimentSpec,
     /// Outcome category.
     pub outcome: Outcome,
     /// Number of bit-flips actually applied before the run ended
@@ -272,11 +274,10 @@ impl Experiment {
         let ended = Self::run_until_rejoined(&mut vm, &mut hook, later, may_exit);
         cost.cow = vm.cow_stats();
         let result = match ended {
-            Ended::Ran(result) => Self::finish(golden, spec, result, hook),
+            Ended::Ran(result) => Self::finish(golden, result, hook),
             Ended::Rejoined(at) => {
                 cost.converged_at = Some((at, golden.dynamic_instrs - at));
                 ExperimentResult {
-                    spec: *spec,
                     outcome: Outcome::Benign,
                     activated: hook.activated(),
                     dynamic_instrs: golden.dynamic_instrs,
@@ -338,19 +339,12 @@ impl Experiment {
         );
         let limits = golden.faulty_run_limits(spec.hang_factor);
         let result = WalkerVm::new(module, limits).run(&mut hook);
-        Self::finish(golden, spec, result, hook)
+        Self::finish(golden, result, hook)
     }
 
-    fn finish(
-        golden: &GoldenRun,
-        spec: &ExperimentSpec,
-        result: RunResult,
-        hook: InjectorHook,
-    ) -> ExperimentResult {
-        let outcome = classify(&result, &golden.output);
+    fn finish(golden: &GoldenRun, result: RunResult, hook: InjectorHook) -> ExperimentResult {
         ExperimentResult {
-            spec: *spec,
-            outcome,
+            outcome: classify(&result, &golden.output),
             activated: hook.activated(),
             dynamic_instrs: result.dynamic_instrs,
             injections: hook.into_records(),

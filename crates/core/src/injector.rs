@@ -46,43 +46,6 @@ pub struct InjectionRecord {
     pub after: u64,
 }
 
-impl InjectionRecord {
-    /// Wire encoding of one flip.
-    pub fn to_json(&self) -> crate::report::json::Json {
-        let mut obj = crate::report::json::Json::object();
-        obj.set("ordinal", self.ordinal);
-        obj.set("dyn_index", self.dyn_index);
-        obj.set("reg", self.reg.0);
-        obj.set("bit", self.bit);
-        obj.set(
-            "operand_index",
-            match self.operand_index {
-                Some(i) => crate::report::json::Json::UInt(i as u64),
-                None => crate::report::json::Json::Null,
-            },
-        );
-        obj.set("before", self.before);
-        obj.set("after", self.after);
-        obj
-    }
-
-    /// Parse the wire encoding back.
-    pub fn from_json(v: &crate::report::json::Json) -> Option<InjectionRecord> {
-        Some(InjectionRecord {
-            ordinal: u32::try_from(v.get("ordinal")?.as_u64()?).ok()?,
-            dyn_index: v.get("dyn_index")?.as_u64()?,
-            reg: Reg(u32::try_from(v.get("reg")?.as_u64()?).ok()?),
-            bit: u32::try_from(v.get("bit")?.as_u64()?).ok()?,
-            operand_index: match v.get("operand_index")? {
-                crate::report::json::Json::Null => None,
-                idx => Some(usize::try_from(idx.as_u64()?).ok()?),
-            },
-            before: v.get("before")?.as_u64()?,
-            after: v.get("after")?.as_u64()?,
-        })
-    }
-}
-
 /// A pending injection armed by `on_instr`, to be applied by the matching
 /// `on_read` / `on_write` of the same dynamic instruction.
 #[derive(Debug, Clone, Copy)]

@@ -101,7 +101,7 @@ pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureErr
 pub use stats::IntervalMethod;
 pub use sweep::{
     EngineConfig, EngineUnit, JobEvent, JobSpec, ListedCell, SubmitError, Sweep, SweepCampaign,
-    SweepCampaignResult, SweepConfig, SweepEngine, SweepReport, SweepUnit,
+    SweepCampaignResult, SweepCell, SweepConfig, SweepEngine, SweepReport, SweepUnit,
 };
 pub use technique::Technique;
 pub use telemetry::{

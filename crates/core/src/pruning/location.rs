@@ -19,13 +19,15 @@
 //! Pair sampling is serial and separate from execution:
 //! [`LocationAnalysis::pair_specs`] draws every pair from one seeded stream.
 //! The pairs then run as a listed cell on the sweep executor
-//! ([`crate::Sweep::run_listed`]), in parallel and, when the unit carries a
-//! checkpoint store, restored from the deepest golden checkpoint before
-//! their first flip.  Outcomes come back in list order, and replay is
+//! ([`crate::Sweep::run_streamed`] with
+//! [`crate::SweepConfig::keep_records`]), in parallel and, when the unit
+//! carries a checkpoint store, restored from the deepest golden checkpoint
+//! before their first flip.  Records come back in list order, and replay is
 //! byte-transparent, so the matrix is identical to running every pair
 //! serially from instruction 0, at any thread count.
 //! [`LocationAnalysis::run_many`] submits many analyses (Table IV's 15
-//! programs × 2 techniques) as one job, so they load-balance across workers.
+//! programs × 2 techniques) as one job, so they load-balance across workers;
+//! each cell's records fold into its matrix as soon as the cell finishes.
 
 use crate::campaign::MIN_HANG_FACTOR;
 use crate::experiment::ExperimentSpec;
@@ -33,7 +35,7 @@ use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
 use crate::outcome::Outcome;
 use crate::rng::{Rng, SmallRng};
-use crate::sweep::{ListedCell, Sweep, SweepConfig, SweepUnit};
+use crate::sweep::{ListedCell, Sweep, SweepCell, SweepConfig, SweepUnit};
 use crate::technique::Technique;
 use std::collections::BTreeMap;
 
@@ -228,34 +230,40 @@ impl LocationAnalysis {
     ) -> Vec<LocationAnalysis> {
         let cells = requests
             .iter()
-            .map(|r| ListedCell {
-                unit: r.unit,
-                specs: Self::pair_specs(
-                    units[r.unit].golden,
-                    r.technique,
-                    r.worst_model,
-                    r.pairs,
-                    r.seed,
-                    r.hang_factor,
-                )
-                .into_iter()
-                .flat_map(|(single, multi)| [single, multi])
-                .collect(),
+            .map(|r| {
+                SweepCell::Listed(ListedCell {
+                    unit: r.unit,
+                    specs: Self::pair_specs(
+                        units[r.unit].golden,
+                        r.technique,
+                        r.worst_model,
+                        r.pairs,
+                        r.seed,
+                        r.hang_factor,
+                    )
+                    .into_iter()
+                    .flat_map(|(single, multi)| [single, multi])
+                    .collect(),
+                })
             })
             .collect();
-        Sweep::run_listed(units, cells, config)
+        let config = SweepConfig {
+            keep_records: true,
+            ..*config
+        };
+        let mut matrices = vec![TransitionMatrix::default(); requests.len()];
+        Sweep::run_streamed(units, cells, &config, None, |cell, result| {
+            for pair in result.records.chunks_exact(2) {
+                matrices[cell].record(pair[0].outcome, pair[1].outcome);
+            }
+        });
+        matrices
             .into_iter()
             .zip(requests)
-            .map(|(outcomes, r)| {
-                let mut matrix = TransitionMatrix::default();
-                for pair in outcomes.chunks_exact(2) {
-                    matrix.record(pair[0], pair[1]);
-                }
-                LocationAnalysis {
-                    technique: r.technique,
-                    worst_model: r.worst_model,
-                    matrix,
-                }
+            .map(|(matrix, r)| LocationAnalysis {
+                technique: r.technique,
+                worst_model: r.worst_model,
+                matrix,
             })
             .collect()
     }

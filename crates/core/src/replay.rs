@@ -364,7 +364,7 @@ impl CheckpointStore {
     }
 
     /// Publish this store's footprint into the telemetry registry
-    /// ([`Metric::CheckpointStoreBytes`] / checkpoint count).  The sweep
+    /// ([`crate::Metric::CheckpointStoreBytes`] / checkpoint count).  The sweep
     /// executor calls this once per registered unit at sweep start, so a
     /// snapshot relates replay savings to what the checkpoints cost to hold.
     pub fn publish_telemetry(&self, telemetry: &crate::telemetry::TelemetryHub) {

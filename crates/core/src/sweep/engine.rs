@@ -45,8 +45,8 @@ use crate::replay::CheckpointStore;
 use crate::telemetry::EventKind;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{resolve_threads, worker_loop, Cell, Job, Shared, Units};
-use super::{SweepCampaign, SweepCampaignResult, SweepConfig, SweepUnit};
+use super::plan::{resolve_threads, worker_loop, Job, Shared, Units};
+use super::{SweepCampaign, SweepCampaignResult, SweepCell, SweepConfig, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
 /// behind `Arc`s, shareable across jobs and the cross-request cell cache of
@@ -227,7 +227,7 @@ impl SweepEngine {
         // Planned outside the scheduler lock: depth-sorting a stored unit
         // samples the whole campaign.  The engine does not print warnings —
         // every cell's result carries its own.
-        let cells = spec.campaigns.iter().map(|c| Cell::Sampled(*c)).collect();
+        let cells = spec.campaigns.into_iter().map(SweepCell::Sampled).collect();
         let (job, _) = Job::new(Units::Owned(spec.units), cells, &spec.config, sink);
         self.shared.admit(job)
     }
@@ -539,15 +539,15 @@ mod tests {
     #[test]
     fn a_panicking_batch_fails_its_job() {
         use crate::experiment::ExperimentSpec;
-        use crate::sweep::plan::{claim_for_test, worker_loop, Cell, Job, Shared, Units};
+        use crate::sweep::plan::{claim_for_test, worker_loop, Job, Shared, Units};
         use crate::sweep::ListedCell;
         let units = vec![unit(48, false)];
         let (validated, _) = grid(8)[0].spec.validate();
-        let listed = Cell::Listed(ListedCell {
+        let listed = SweepCell::Listed(ListedCell {
             unit: 0,
             specs: ExperimentSpec::sample_campaign(&validated, &units[0].golden),
         });
-        let sampled: Vec<Cell> = grid(8).into_iter().map(Cell::Sampled).collect();
+        let sampled: Vec<SweepCell> = grid(8).into_iter().map(SweepCell::Sampled).collect();
         for cells in [sampled, vec![listed]] {
             let shared = Shared::new(1, None);
             let (sink, events) = channel_sink();

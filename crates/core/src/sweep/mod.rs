@@ -22,9 +22,10 @@
 //!   keyed by `(campaign, batch index)`;
 //! * when a campaign's last batch completes, its partials are folded **in
 //!   batch-index order** into the [`CampaignResult`] (outcome counts and
-//!   histograms are order-independent sums; [`InjectionRecord`]s are keyed
-//!   by experiment index), so Wald intervals and per-experiment records come
-//!   out bit-for-bit the same on 1 thread or 64.
+//!   histograms are order-independent sums; per-experiment
+//!   [`ExperimentResult`]s are keyed by experiment index), so Wald
+//!   intervals and per-experiment records come out bit-for-bit the same on
+//!   1 thread or 64.
 //!
 //! The contract is enforced by `tests/sweep_equivalence.rs` (per-cell
 //! byte-equality against the serial runner over the default grid on all 15
@@ -57,14 +58,16 @@
 //! [`crate::Campaign::run`] is itself implemented as a single-campaign
 //! sweep.
 //!
-//! ## Listed cells
+//! ## Cells and records
 //!
-//! A [`ListedCell`] runs an explicit, pre-sampled [`ExperimentSpec`] list
-//! instead of sampling a campaign: [`Sweep::run_listed`] plans it like any
-//! other cell (batches, depth order over a checkpoint store) on the same
-//! executor and returns every experiment's [`Outcome`] in list order, so the
-//! result does not depend on the schedule.  Table IV's location pairs
-//! ([`crate::pruning::LocationAnalysis`]) run this way.
+//! A [`SweepCell`] is a sampled campaign or a [`ListedCell`]: an explicit,
+//! pre-sampled [`ExperimentSpec`] list run verbatim.  [`Sweep::run_streamed`]
+//! plans both alike (batches, depth order over a checkpoint store) on the
+//! same executor.  With [`SweepConfig::keep_records`], every cell's result
+//! carries each experiment's [`ExperimentResult`] by experiment index (list
+//! index for a listed cell), so the records do not depend on the schedule.
+//! Table IV's location pairs ([`crate::pruning::LocationAnalysis`]) run as
+//! listed cells and pair their records.
 //!
 //! ## One executor, two ways to host it
 //!
@@ -90,15 +93,13 @@ use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
-use crate::experiment::ExperimentSpec;
+use crate::experiment::{ExperimentResult, ExperimentSpec};
 use crate::golden::GoldenRun;
-use crate::injector::InjectionRecord;
-use crate::outcome::Outcome;
 use crate::replay::CheckpointStore;
 use crate::telemetry::{CellInfo, EventKind, Metric, TelemetryHub};
 use mbfi_ir::CompiledModule;
 
-use plan::{resolve_threads, worker_loop, Cell, Job, Plan, Shared, Units};
+use plan::{resolve_threads, worker_loop, Job, Plan, Shared, Units};
 
 /// Per-workload artifacts shared by every campaign of a sweep: the module is
 /// lowered once, the golden run captured once, and the checkpoint store (if
@@ -135,8 +136,35 @@ pub struct SweepCampaign {
 pub struct ListedCell {
     /// Index into the sweep's unit slice.
     pub unit: usize,
-    /// The experiments to run; results come back in this order.
+    /// The experiments to run; records come back in this order.
     pub specs: Vec<ExperimentSpec>,
+}
+
+/// What one cell of a sweep runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SweepCell {
+    /// A campaign whose experiments are sampled from its spec.
+    Sampled(SweepCampaign),
+    /// An explicit experiment list, run verbatim.
+    Listed(ListedCell),
+}
+
+impl SweepCell {
+    /// Index into the sweep's unit slice.
+    pub(crate) fn unit(&self) -> usize {
+        match self {
+            SweepCell::Sampled(c) => c.unit,
+            SweepCell::Listed(l) => l.unit,
+        }
+    }
+
+    /// Experiments the cell plans (a sampled campaign's fixed-n count).
+    pub(crate) fn experiments(&self) -> usize {
+        match self {
+            SweepCell::Sampled(c) => c.spec.experiments,
+            SweepCell::Listed(l) => l.specs.len(),
+        }
+    }
 }
 
 /// Knobs of the sweep executor.  `threads` and `batch_size` never affect
@@ -156,9 +184,10 @@ pub struct SweepConfig {
     /// auto-size from the round step instead so the batch cut never depends
     /// on the thread count).
     pub batch_size: usize,
-    /// Keep every experiment's [`InjectionRecord`]s in the result
+    /// Keep every experiment's [`ExperimentResult`] in its cell's result
     /// ([`SweepCampaignResult::records`]), indexed by experiment.  Off by
-    /// default: a 10k-experiment grid would hold millions of records.
+    /// default: a 10k-experiment grid would hold millions of records, and
+    /// without it a batch keeps only its counts and histograms.
     pub keep_records: bool,
     /// Adaptive precision-targeted sampling: `Some` runs every campaign of
     /// the sweep in rounds until its SDC and Detection interval half-widths
@@ -175,12 +204,10 @@ pub struct SweepCampaignResult {
     /// The aggregated campaign result, byte-identical to
     /// [`crate::Campaign::run`] on the same cell.
     pub result: CampaignResult,
-    /// With [`SweepConfig::keep_records`]: the applied flips of experiment
-    /// `i` at index `i` (empty otherwise).
-    pub records: Vec<Vec<InjectionRecord>>,
-    /// For a [`ListedCell`]: the outcome of list entry `i` at index `i`
-    /// (empty for sampled campaigns, and not part of the wire encoding).
-    pub outcomes: Vec<Outcome>,
+    /// With [`SweepConfig::keep_records`]: the result of experiment `i` (list
+    /// entry `i` of a [`ListedCell`]) at index `i`; empty otherwise, and not
+    /// part of the wire encoding.
+    pub records: Vec<ExperimentResult>,
 }
 
 /// Everything a sweep produces.
@@ -208,18 +235,8 @@ impl SweepCampaignResult {
     /// Wire encoding of one cell's result, exact enough that a result that
     /// crossed the serve wire compares byte-identical to the in-process one.
     pub fn to_json(&self) -> crate::report::json::Json {
-        use crate::report::json::Json;
-        let mut obj = Json::object();
+        let mut obj = crate::report::json::Json::object();
         obj.set("result", self.result.to_json());
-        obj.set(
-            "records",
-            Json::Arr(
-                self.records
-                    .iter()
-                    .map(|exp| Json::Arr(exp.iter().map(|r| r.to_json()).collect()))
-                    .collect(),
-            ),
-        );
         obj
     }
 
@@ -227,18 +244,7 @@ impl SweepCampaignResult {
     pub fn from_json(v: &crate::report::json::Json) -> Option<SweepCampaignResult> {
         Some(SweepCampaignResult {
             result: CampaignResult::from_json(v.get("result")?)?,
-            records: v
-                .get("records")?
-                .as_array()?
-                .iter()
-                .map(|exp| {
-                    exp.as_array()?
-                        .iter()
-                        .map(InjectionRecord::from_json)
-                        .collect::<Option<Vec<_>>>()
-                })
-                .collect::<Option<Vec<_>>>()?,
-            outcomes: Vec::new(),
+            records: Vec::new(),
         })
     }
 }
@@ -303,7 +309,8 @@ impl Sweep {
         config: &SweepConfig,
     ) -> SweepReport {
         let mut slots: Vec<Option<SweepCampaignResult>> = vec![None; campaigns.len()];
-        Self::run_streamed(units, campaigns, config, None, |index, result| {
+        let cells = campaigns.iter().copied().map(SweepCell::Sampled).collect();
+        Self::run_streamed(units, cells, config, None, |index, result| {
             slots[index] = Some(result);
         });
         SweepReport::from_results(
@@ -314,10 +321,12 @@ impl Sweep {
         )
     }
 
-    /// Run the grid, handing each campaign's result to `sink` as soon as its
-    /// last batch completes (completion order; the `usize` is the campaign's
+    /// Run the grid, handing each cell's result to `sink` as soon as its
+    /// last batch completes (completion order; the `usize` is the cell's
     /// submission index).  Returns the deduplicated warnings; each distinct
-    /// warning is also printed to stderr once per sweep.
+    /// warning is also printed to stderr once per sweep.  `precision`
+    /// applies to sampled cells only: a listed cell always runs its whole
+    /// list.
     ///
     /// With a `telemetry` hub, the sweep's events — `sweep_started`,
     /// `cell_planned`, every `batch_done` / `round_done` / `cell_finished`
@@ -328,14 +337,19 @@ impl Sweep {
     /// thread count (`tests/telemetry_equivalence.rs`).
     pub fn run_streamed(
         units: &[SweepUnit<'_>],
-        campaigns: &[SweepCampaign],
+        cells: Vec<SweepCell>,
         config: &SweepConfig,
         telemetry: Option<&TelemetryHub>,
         mut sink: impl FnMut(usize, SweepCampaignResult),
     ) -> Vec<CampaignWarning> {
-        check_units(units, campaigns.iter().map(|c| c.unit));
+        for unit in cells.iter().map(SweepCell::unit) {
+            assert!(
+                unit < units.len(),
+                "sweep cell references unit {unit} but only {} units were supplied",
+                units.len()
+            );
+        }
         let shared = Shared::new(1, telemetry);
-        let cells = campaigns.iter().map(|c| Cell::Sampled(*c)).collect();
         let (job_sink, events) = channel_sink();
         let (job, warnings) = Job::new(Units::Borrowed(units), cells, config, job_sink);
         // Print each distinct warning once so a whole grid of equally
@@ -344,30 +358,49 @@ impl Sweep {
             eprintln!("campaign warning: {w} ({w:?})");
         }
         let threads = resolve_threads(config.threads).clamp(1, job.batches().max(1));
+        let job_cells = job.plans.len();
         let sweep_start = Instant::now();
         if let Some(hub) = telemetry {
             announce(hub, &job.plans, units, threads);
         }
+        shared
+            .admit(job)
+            .expect("a fresh executor admits its first job");
+        // Workers exit as soon as the job drains.
+        shared.shutdown();
         let mut total = 0u64;
-        host(&shared, job, events, threads, |event| match event {
-            JobEvent::Progress(kind) => {
-                if let Some(hub) = telemetry {
-                    hub.record(kind);
+        std::thread::scope(|scope| {
+            let shared = &shared;
+            for worker in 0..threads {
+                scope.spawn(move || worker_loop(shared, worker));
+            }
+            loop {
+                // A failed batch drops the job's sink, which disconnects
+                // `events`: panic instead of waiting forever.
+                let event = events
+                    .recv()
+                    .expect("sweep worker pool exited before every cell finished");
+                match event {
+                    JobEvent::Progress(kind) => {
+                        if let Some(hub) = telemetry {
+                            hub.record(kind);
+                        }
+                    }
+                    JobEvent::CellFinished { cell, result } => {
+                        total += result.result.total();
+                        if let Some(hub) = telemetry {
+                            hub.record(result.finished_event(cell));
+                        }
+                        sink(cell, *result);
+                    }
+                    JobEvent::Finished => break,
                 }
             }
-            JobEvent::CellFinished { cell, result } => {
-                total += result.result.total();
-                if let Some(hub) = telemetry {
-                    hub.record(result.finished_event(cell));
-                }
-                sink(cell, *result);
-            }
-            JobEvent::Finished => {}
         });
 
         if let Some(hub) = telemetry {
             hub.record(EventKind::SweepFinished {
-                cells: campaigns.len(),
+                cells: job_cells,
                 experiments: total,
                 wall_ns: sweep_start.elapsed().as_nanos() as u64,
                 cow_chunks_copied: hub.counter(Metric::CowChunksCopied),
@@ -376,83 +409,16 @@ impl Sweep {
         }
         warnings
     }
-
-    /// Run explicit experiment lists as one job on the sweep executor and
-    /// return each cell's outcomes in list order.  `config.threads` and
-    /// `config.batch_size` only spread the work; `precision` does not apply
-    /// to lists.  A cell's outcomes are the same with or without its unit's
-    /// checkpoint store, and at every thread count.
-    pub fn run_listed(
-        units: &[SweepUnit<'_>],
-        cells: Vec<ListedCell>,
-        config: &SweepConfig,
-    ) -> Vec<Vec<Outcome>> {
-        check_units(units, cells.iter().map(|c| c.unit));
-        let shared = Shared::new(1, None);
-        let mut outcomes = vec![Vec::new(); cells.len()];
-        let cells = cells.into_iter().map(Cell::Listed).collect();
-        let (sink, events) = channel_sink();
-        let (job, _) = Job::new(Units::Borrowed(units), cells, config, sink);
-        let threads = resolve_threads(config.threads).clamp(1, job.batches().max(1));
-        host(&shared, job, events, threads, |event| {
-            if let JobEvent::CellFinished { cell, result } = event {
-                outcomes[cell] = result.outcomes;
-            }
-        });
-        outcomes
-    }
 }
 
-fn check_units(units: &[SweepUnit<'_>], cell_units: impl Iterator<Item = usize>) {
-    for unit in cell_units {
-        assert!(
-            unit < units.len(),
-            "sweep cell references unit {unit} but only {} units were supplied",
-            units.len()
-        );
-    }
-}
-
-/// A job sink that forwards every event into a channel, for [`host`] to
-/// drain on the caller's thread.
+/// A job sink that forwards every event into a channel, for
+/// [`Sweep::run_streamed`] to drain on the caller's thread.
 fn channel_sink() -> (impl Fn(JobEvent) + Send + Sync, mpsc::Receiver<JobEvent>) {
     let (tx, events) = mpsc::channel();
     let sink = move |event| {
         let _ = tx.send(event);
     };
     (sink, events)
-}
-
-/// Run `job` to completion on `threads` scoped workers of `shared`, handing
-/// each event its sink forwards through `events` to `on_event` until
-/// `Finished`.  Panics (instead of waiting forever) if a batch of the job
-/// panicked: the failed job drops its sink, which disconnects `events`.
-fn host<'a>(
-    shared: &Shared<'a>,
-    job: Job<'a>,
-    events: mpsc::Receiver<JobEvent>,
-    threads: usize,
-    mut on_event: impl FnMut(JobEvent),
-) {
-    shared
-        .admit(job)
-        .expect("a fresh executor admits its first job");
-    // Workers exit as soon as the job drains.
-    shared.shutdown();
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            scope.spawn(move || worker_loop(shared, worker));
-        }
-        loop {
-            let event = events
-                .recv()
-                .expect("sweep worker pool exited before every cell finished");
-            if matches!(event, JobEvent::Finished) {
-                break;
-            }
-            on_event(event);
-        }
-    });
 }
 
 /// Register a starting sweep with a hub before any experiment runs, so a
@@ -489,8 +455,9 @@ mod tests {
     use crate::campaign::Campaign;
 
     use super::*;
-    use crate::experiment::{Experiment, ExperimentSpec};
+    use crate::experiment::Experiment;
     use crate::fault_model::{FaultModel, WinSize};
+    use crate::outcome::Outcome;
     use crate::replay::{CheckpointConfig, CheckpointStore};
     use crate::technique::Technique;
     use crate::telemetry::TelemetryLevel;
@@ -686,21 +653,33 @@ mod tests {
         };
         for level in [TelemetryLevel::Counters, TelemetryLevel::Full] {
             let hub = TelemetryHub::new(level);
-            Sweep::run_streamed(&units, &campaigns, &config, Some(&hub), |_, _| {});
+            let cells = campaigns.iter().copied().map(SweepCell::Sampled).collect();
+            Sweep::run_streamed(&units, cells, &config, Some(&hub), |_, _| {});
             for (&metric, sum) in costs.iter().zip(serial) {
                 assert_eq!(hub.counter(metric), sum, "{metric:?} at {}", level.label());
             }
         }
     }
 
+    /// Each cell's records, in submission order.
+    fn run_records(
+        units: &[SweepUnit<'_>],
+        cells: Vec<SweepCell>,
+        config: &SweepConfig,
+    ) -> Vec<Vec<ExperimentResult>> {
+        let mut records = vec![Vec::new(); cells.len()];
+        Sweep::run_streamed(units, cells, config, None, |cell, r| {
+            records[cell] = r.records
+        });
+        records
+    }
+
+    /// With `keep_records`, a sampled and a listed cell return one record per
+    /// experiment, equal to the serial, store-less run, at 1, 3 and 8
+    /// threads and with or without a store; without it, no records.
     #[test]
     fn records_match_per_experiment_serial_execution() {
-        let f = fixture(48, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
+        let f = fixture(96, true);
         let spec = CampaignSpec {
             technique: Technique::InjectOnWrite,
             model: FaultModel::multi_bit(3, WinSize::Fixed(2)),
@@ -709,28 +688,41 @@ mod tests {
             hang_factor: 8,
             threads: 1,
         };
-        let report = Sweep::run(
-            &units,
-            &[SweepCampaign { unit: 0, spec }],
-            &SweepConfig {
-                threads: 4,
-                batch_size: 4,
-                keep_records: true,
-                precision: None,
-            },
-        );
-        let got = &report.results[0];
-        assert_eq!(got.records.len(), spec.experiments);
-        let (validated, _) = spec.validate();
-        for (i, exp_spec) in ExperimentSpec::sample_campaign(&validated, &f.golden)
+        let specs = ExperimentSpec::sample_campaign(&spec, &f.golden);
+        let serial: Vec<ExperimentResult> = specs
             .iter()
-            .enumerate()
-        {
-            let serial = Experiment::run_compiled(&f.code, &f.golden, exp_spec, None);
-            assert_eq!(
-                got.records[i], serial.injections,
-                "records of experiment {i} diverged"
-            );
+            .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None))
+            .collect();
+        let reversed: Vec<ExperimentResult> = serial.iter().rev().cloned().collect();
+        let cells = vec![
+            SweepCell::Sampled(SweepCampaign { unit: 0, spec }),
+            SweepCell::Listed(ListedCell {
+                unit: 0,
+                specs: specs.iter().rev().copied().collect(),
+            }),
+        ];
+        for store in [None, f.store.as_ref()] {
+            let units = [SweepUnit {
+                code: &f.code,
+                golden: &f.golden,
+                store,
+            }];
+            for threads in [1, 3, 8] {
+                for keep_records in [true, false] {
+                    let config = SweepConfig {
+                        threads,
+                        batch_size: 4,
+                        keep_records,
+                        precision: None,
+                    };
+                    let got = run_records(&units, cells.clone(), &config);
+                    if keep_records {
+                        assert_eq!(got, vec![serial.clone(), reversed.clone()]);
+                    } else {
+                        assert_eq!(got, vec![Vec::new(); 2]);
+                    }
+                }
+            }
         }
     }
 
@@ -1002,6 +994,12 @@ mod tests {
             ..CampaignSpec::default()
         };
         let specs = ExperimentSpec::sample_campaign(&spec, &f.golden);
+        let outcomes = |records: Vec<Vec<ExperimentResult>>| -> Vec<Vec<Outcome>> {
+            records
+                .iter()
+                .map(|cell| cell.iter().map(|r| r.outcome).collect())
+                .collect()
+        };
         let serial: Vec<Outcome> = specs
             .iter()
             .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None).outcome)
@@ -1014,21 +1012,22 @@ mod tests {
             }];
             for (threads, batch_size) in [(1, 0), (4, 3), (4, 0)] {
                 let cells = vec![
-                    ListedCell {
+                    SweepCell::Listed(ListedCell {
                         unit: 0,
                         specs: specs.clone(),
-                    },
-                    ListedCell {
+                    }),
+                    SweepCell::Listed(ListedCell {
                         unit: 0,
                         specs: specs[..7].to_vec(),
-                    },
+                    }),
                 ];
                 let config = SweepConfig {
                     threads,
                     batch_size,
+                    keep_records: true,
                     ..SweepConfig::default()
                 };
-                let got = Sweep::run_listed(&units, cells, &config);
+                let got = outcomes(run_records(&units, cells, &config));
                 assert_eq!(got, vec![serial.clone(), serial[..7].to_vec()]);
             }
         }
@@ -1043,16 +1042,19 @@ mod tests {
             golden: &f.golden,
             store: None,
         }];
-        let empty = ListedCell {
+        let empty = SweepCell::Listed(ListedCell {
             unit: 0,
             specs: Vec::new(),
+        });
+        let config = SweepConfig {
+            keep_records: true,
+            ..SweepConfig::default()
         };
-        let config = SweepConfig::default();
         assert_eq!(
-            Sweep::run_listed(&units, vec![empty.clone(), empty], &config),
-            vec![Vec::<Outcome>::new(); 2]
+            run_records(&units, vec![empty.clone(), empty], &config),
+            vec![Vec::new(); 2]
         );
-        assert!(Sweep::run_listed(&units, Vec::new(), &config).is_empty());
+        assert!(run_records(&units, Vec::new(), &config).is_empty());
     }
 
     #[test]
@@ -1063,14 +1065,14 @@ mod tests {
             golden: &f.golden,
             store: None,
         }];
-        let cells: Vec<SweepCampaign> = grid_specs(12)
+        let cells: Vec<SweepCell> = grid_specs(12)
             .into_iter()
-            .map(|spec| SweepCampaign { unit: 0, spec })
+            .map(|spec| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
             .collect();
         let mut seen = vec![0u32; cells.len()];
         Sweep::run_streamed(
             &units,
-            &cells,
+            cells,
             &SweepConfig::default(),
             None,
             |index, result| {

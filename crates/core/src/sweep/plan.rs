@@ -5,7 +5,7 @@
 //!   rounds of batches); [`run_span`] executes one batch; [`Plan::finalize`]
 //!   folds the partials in batch-index order.  This is everything that
 //!   decides *what* a cell computes.  A cell is a sampled campaign or an
-//!   explicit experiment list ([`Cell`]); both run the same way.
+//!   explicit experiment list ([`SweepCell`]); both run the same way.
 //! * A [`Job`] is a planned grid: its plans, its units and the sink its
 //!   events go to.  [`Job::new`] owns the auto-batch formula, warning dedupe
 //!   and the up-front finish of zero-experiment cells.
@@ -29,15 +29,13 @@ use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
-use crate::experiment::{CostTally, Experiment, ExperimentSpec};
-use crate::injector::InjectionRecord;
+use crate::experiment::{CostTally, Experiment, ExperimentResult, ExperimentSpec};
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::space::{ErrorSpace, REGISTER_BITS};
 use crate::telemetry::{EventKind, Metric, TelemetryHub};
 
 use super::{
-    EngineUnit, JobEvent, ListedCell, SubmitError, SweepCampaign, SweepCampaignResult, SweepConfig,
-    SweepUnit,
+    EngineUnit, JobEvent, SubmitError, SweepCampaignResult, SweepCell, SweepConfig, SweepUnit,
 };
 
 /// The worker count `threads` asks for (0 = all available parallelism).
@@ -66,30 +64,6 @@ impl Units<'_> {
     }
 }
 
-/// What one cell of a job runs.
-pub(crate) enum Cell {
-    /// A campaign whose experiments are sampled from its spec.
-    Sampled(SweepCampaign),
-    /// An explicit experiment list, run verbatim.
-    Listed(ListedCell),
-}
-
-impl Cell {
-    fn unit(&self) -> usize {
-        match self {
-            Cell::Sampled(c) => c.unit,
-            Cell::Listed(l) => l.unit,
-        }
-    }
-
-    fn experiments(&self) -> usize {
-        match self {
-            Cell::Sampled(c) => c.spec.experiments,
-            Cell::Listed(l) => l.specs.len(),
-        }
-    }
-}
-
 /// One cell's execution plan: the validated spec, the experiment
 /// execution order, the batch deque (an atomic cursor — batches are taken
 /// from the front in index order; which *worker* takes each batch is the
@@ -101,7 +75,7 @@ impl Cell {
 /// function of `(campaign seed, experiment index)` and is re-sampled (a few
 /// RNG draws) by the worker that runs its batch, so a whole-grid sweep
 /// holds O(grid cells), not O(grid experiments), between batches.  A listed
-/// cell keeps its list, and its result carries every outcome in list order.
+/// cell keeps its list.
 pub(crate) struct Plan {
     pub(crate) unit: usize,
     /// A sampled cell's validated spec; for a listed cell, a summary (list
@@ -138,16 +112,15 @@ pub(crate) struct BatchOut {
     pub(crate) counts: OutcomeCounts,
     activation: Vec<u64>,
     crash_activation: Vec<u64>,
-    records: Vec<(u32, Vec<InjectionRecord>)>,
-    /// Listed cells only: each experiment's outcome by list index.
-    outcomes: Vec<(u32, Outcome)>,
+    /// With `keep_records`: each experiment's result by experiment index.
+    records: Vec<(u32, ExperimentResult)>,
 }
 
 impl Plan {
     /// Plan one cell.  `precision` applies to sampled campaigns only: a
     /// listed cell always runs its whole list.
     pub(crate) fn new(
-        cell: Cell,
+        cell: SweepCell,
         unit: &SweepUnit<'_>,
         batch_size: usize,
         auto_batch: usize,
@@ -155,11 +128,11 @@ impl Plan {
     ) -> Plan {
         let unit_index = cell.unit();
         let (mut spec, mut warnings, list, precision) = match cell {
-            Cell::Sampled(c) => {
+            SweepCell::Sampled(c) => {
                 let (spec, warnings) = c.spec.validate();
                 (spec, warnings, None, precision.map(|p| p.normalized()))
             }
-            Cell::Listed(l) => (summary(&l.specs), Vec::new(), Some(l.specs), None),
+            SweepCell::Listed(l) => (summary(&l.specs), Vec::new(), Some(l.specs), None),
         };
         // Round boundaries in experiments.  Fixed-n: one round = the whole
         // budget.  Adaptive: the budget is `max_experiments` and the spec's
@@ -287,7 +260,6 @@ impl Plan {
                 adaptive: None,
             },
             records: Vec::new(),
-            outcomes: Vec::new(),
         }
     }
 
@@ -309,12 +281,7 @@ impl Plan {
     /// the final result.  Counts and histograms are commutative sums; records
     /// go back to their original experiment index.  `rounds` is the number of
     /// completed rounds (for the adaptive status).
-    pub(crate) fn finalize(
-        &self,
-        keep_records: bool,
-        batches: usize,
-        rounds: u32,
-    ) -> SweepCampaignResult {
+    pub(crate) fn finalize(&self, batches: usize, rounds: u32) -> SweepCampaignResult {
         let realized = batches
             .checked_sub(1)
             .map(|last| self.spans[last].1 as usize)
@@ -322,12 +289,7 @@ impl Plan {
         let mut counts = OutcomeCounts::default();
         let mut activation = vec![0u64; self.max_hist];
         let mut crash_activation = vec![0u64; self.max_hist];
-        let mut records: Vec<Vec<InjectionRecord>> = if keep_records {
-            vec![Vec::new(); realized]
-        } else {
-            Vec::new()
-        };
-        let mut outcomes: Vec<(u32, Outcome)> = Vec::new();
+        let mut records: Vec<(u32, ExperimentResult)> = Vec::new();
         for slot in &self.slots[..batches] {
             let out = slot
                 .lock()
@@ -341,12 +303,9 @@ impl Plan {
             for (i, v) in out.crash_activation.iter().enumerate() {
                 crash_activation[i] += v;
             }
-            for (orig, recs) in out.records {
-                records[orig as usize] = recs;
-            }
-            outcomes.extend(out.outcomes);
+            records.extend(out.records);
         }
-        outcomes.sort_unstable_by_key(|&(orig, _)| orig);
+        records.sort_unstable_by_key(|&(orig, _)| orig);
         // The result's spec records what actually ran: for adaptive
         // campaigns, the realized experiment count.
         let spec = CampaignSpec {
@@ -362,8 +321,7 @@ impl Plan {
                 crash_activation_histogram: crash_activation,
                 warnings: self.warnings.clone(),
             },
-            records,
-            outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
+            records: records.into_iter().map(|(_, r)| r).collect(),
         }
     }
 }
@@ -402,7 +360,6 @@ pub(crate) fn run_span(
         activation: vec![0; plan.max_hist],
         crash_activation: vec![0; plan.max_hist],
         records: Vec::new(),
-        outcomes: Vec::new(),
     };
     let mut tally = CostTally::default();
     for k in start..end {
@@ -430,11 +387,8 @@ pub(crate) fn run_span(
         if result.outcome == Outcome::DetectedHwException {
             out.crash_activation[slot] += 1;
         }
-        if plan.list.is_some() {
-            out.outcomes.push((orig, result.outcome));
-        }
         if keep_records {
-            out.records.push((orig, result.injections));
+            out.records.push((orig, result));
         }
     }
     (out, tally)
@@ -464,7 +418,7 @@ impl<'a> Job<'a> {
     /// by `Finished` if no cell has a batch.
     pub(crate) fn new(
         units: Units<'a>,
-        cells: Vec<Cell>,
+        cells: Vec<SweepCell>,
         config: &SweepConfig,
         sink: impl Fn(JobEvent) + Send + Sync + 'a,
     ) -> (Job<'a>, Vec<CampaignWarning>) {
@@ -476,7 +430,7 @@ impl<'a> Job<'a> {
         // [`Plan::new`].  The engine feeds it the job's requested threads,
         // not its pool size, so engine jobs and `Sweep::run` cut identical
         // batches.
-        let total_experiments: usize = cells.iter().map(Cell::experiments).sum();
+        let total_experiments: usize = cells.iter().map(SweepCell::experiments).sum();
         let auto_batch = total_experiments
             .div_ceil(resolve_threads(config.threads) * 8)
             .clamp(1, 64);
@@ -744,7 +698,7 @@ fn execute_batch(
         }
     };
     if finished {
-        let result = plan.finalize(job.keep_records, done, round as u32 + 1);
+        let result = plan.finalize(done, round as u32 + 1);
         (job.sink)(JobEvent::CellFinished {
             cell,
             result: Box::new(result),
@@ -770,6 +724,7 @@ mod tests {
     use super::*;
     use crate::golden::GoldenRun;
     use crate::sweep::tests::workload;
+    use crate::sweep::SweepCampaign;
     use mbfi_ir::CompiledModule;
 
     /// Admit one job of two cells, each of two single-experiment batches.
@@ -783,7 +738,7 @@ mod tests {
             ..CampaignSpec::default()
         };
         let cells = (0..2)
-            .map(|_| Cell::Sampled(SweepCampaign { unit: 0, spec }))
+            .map(|_| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
             .collect();
         let config = SweepConfig {
             batch_size: 1,

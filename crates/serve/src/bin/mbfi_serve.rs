@@ -14,8 +14,9 @@
 //! smoke test of the service path.
 
 use mbfi_core::{FaultModel, Sweep, SweepCampaign, SweepConfig, Technique};
+use mbfi_serve::cache::ArtifactCache;
 use mbfi_serve::{CellRequest, GridRequest, ServerConfig};
-use mbfi_workloads::{workload_by_name, InputSize};
+use mbfi_workloads::InputSize;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: mbfi-serve [daemon|submit|watch|shutdown] [options]
@@ -208,44 +209,29 @@ fn run_submit(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Run the same grid in-process, exactly as the daemon does: per-cell
-/// normalised specs (`threads = 0`), shared artefact per `(workload, size)`.
+/// Run the same grid in-process, with the daemon's per-cell normalised
+/// specs (`threads = 0`) and units from its artifact cache.  A planned
+/// budget of 0 captures no checkpoint store, so the reference re-executes
+/// every experiment from instruction zero.
 fn run_in_process(grid: &GridRequest) -> Result<mbfi_core::SweepReport, String> {
-    let mut units: Vec<mbfi_core::EngineUnit> = Vec::new();
-    let mut keys: Vec<(String, InputSize)> = Vec::new();
+    let cache = ArtifactCache::default();
+    let mut units = Vec::new();
     let mut campaigns = Vec::new();
-    for cell in &grid.cells {
-        let key = (cell.workload.to_ascii_lowercase(), cell.size);
-        let unit = match keys.iter().position(|k| *k == key) {
-            Some(i) => i,
-            None => {
-                let spec = workload_by_name(&cell.workload)
-                    .ok_or_else(|| format!("unknown workload {:?}", cell.workload))?;
-                let module = spec.build_module(cell.size);
-                let code = mbfi_ir::CompiledModule::lower(&module);
-                let golden = mbfi_core::GoldenRun::capture_compiled(&code)
-                    .map_err(|e| format!("golden run failed: {e:?}"))?;
-                units.push(mbfi_core::EngineUnit::new(code, golden));
-                keys.push(key);
-                units.len() - 1
-            }
-        };
+    for (unit, cell) in grid.cells.iter().enumerate() {
+        units.push(cache.get_or_build(&cell.workload, cell.size, 0)?);
         campaigns.push(SweepCampaign {
             unit,
             spec: cell.spec(),
         });
     }
-    // The daemon runs each cell as its own single-cell job, so the
-    // comparison must also sweep per cell: the report is then assembled
-    // from per-cell results just like `handle_submit` does.  Because the
-    // executor is deterministic, both decompositions yield byte-identical
-    // per-cell results — which is exactly what --compare is checking.
+    // The daemon runs each cell as its own single-cell job and assembles
+    // the report from per-cell results.  The executor is deterministic, so
+    // one sweep of the whole grid yields byte-identical per-cell results —
+    // which is exactly what --compare is checking.
     let views: Vec<mbfi_core::SweepUnit<'_>> = units.iter().map(|u| u.view()).collect();
     let config = SweepConfig {
         threads: grid.threads,
-        batch_size: 0,
-        keep_records: false,
-        precision: None,
+        ..SweepConfig::default()
     };
     Ok(Sweep::run(&views, &campaigns, &config))
 }

@@ -366,7 +366,6 @@ mod tests {
                 adaptive: None,
             },
             records: vec![],
-            outcomes: vec![],
         });
         owner.finish(result);
         let (seen, got) = waiter.join().unwrap();

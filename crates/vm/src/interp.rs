@@ -16,7 +16,7 @@
 //! register read and write through the supplied [`ExecHook`].
 //! [`Vm::run_until`] pauses execution at an exact dynamic-instruction
 //! boundary instead, which combined with [`Vm::snapshot`] /
-//! [`Vm::resume_from`] is the substrate for checkpointed golden-run replay.
+//! [`Vm::from_snapshot`] is the substrate for checkpointed golden-run replay.
 //!
 //! The legacy tree walker that interprets the [`Module`] structure directly
 //! survives as [`crate::WalkerVm`], kept for differential testing.
@@ -352,28 +352,13 @@ impl<'c> Vm<'c> {
         }
     }
 
-    /// Restore interpreter state from a snapshot taken on a VM running the
-    /// **same compiled module**, replacing this VM's frames, memory, output
-    /// and dynamic-instruction counter.  The VM's own [`Limits`] are kept, so
-    /// a replay can run under different (e.g. hang-detection) limits than the
-    /// capture run.
-    ///
-    /// The memory reset is O(dirty chunks): only chunks that diverged from
-    /// the snapshot are re-pointed.  For a
-    /// brand-new VM, [`Vm::from_snapshot`] is cheaper still.
-    pub fn resume_from(&mut self, snapshot: &VmSnapshot) {
-        self.stack.clone_from(&snapshot.frames);
-        self.mem.restore_from(&snapshot.mem);
-        self.output.clone_from(&snapshot.output);
-        self.dyn_count = snapshot.dyn_count;
-        self.done = false;
-    }
-
     /// Create a VM already positioned at `snapshot`, forking the snapshot's
     /// memory image directly: this copies no chunk bytes at all (every
     /// chunk is shared until first write), which is how thousands
     /// of experiments fork from one shared checkpoint with zero up-front
-    /// copy.  The snapshot must come from the **same compiled module**.
+    /// copy.  The snapshot must come from the **same compiled module**.  The
+    /// VM runs under `limits`, not the capture run's, so a replay can use
+    /// its own (e.g. hang-detection) limits.
     pub fn from_snapshot(
         code: &'c CompiledModule,
         limits: Limits,

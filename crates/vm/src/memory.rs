@@ -14,17 +14,16 @@
 //! `Arc`.  Cloning a `Memory` (what a snapshot does) clones the chunk
 //! *tables*, not the bytes, so a snapshot costs O(chunks) pointer bumps.  The
 //! first write to a chunk whose `Arc` is shared clones that one chunk
-//! (`Arc::make_mut` semantics); restoring from a snapshot re-points only the
-//! chunks that diverged (`Arc::ptr_eq` scan), making restore O(dirty chunks)
-//! instead of O(image bytes).  Aligned scalar loads/stores (≤ 8 bytes, with
+//! (`Arc::make_mut` semantics), so restoring a snapshot is a fork
+//! ([`Memory::fork_cow`]) that copies no bytes up front and pays only for
+//! the chunks the run dirties.  Aligned scalar loads/stores (≤ 8 bytes, with
 //! natural alignment) can never straddle a chunk boundary, so the hot
 //! interpreter paths stay single-chunk; bulk operations walk chunks.
 //!
 //! All-zero growth (heap bumps, stack pushes) maps a single shared zero
 //! chunk, so untouched arena pages are free and shared between every VM in
-//! the process.  The deep-copy [`Memory::fork_full`] /
-//! [`Memory::restore_from_with`]`(.., false)` path survives only as the
-//! oracle the copy-on-write path is tested against.
+//! the process.  The deep-copy [`Memory::fork_full`] survives only as the
+//! oracle the copy-on-write fork is tested against.
 
 use crate::trap::Trap;
 use mbfi_ir::{Module, Type};
@@ -50,24 +49,19 @@ fn zero_chunk() -> Arc<Chunk> {
 ///
 /// `cow_chunks_copied` counts 4 KiB chunk clones triggered by writes to
 /// shared chunks (the true dirty-page cost of an experiment).
-/// `restore_chunks_repointed` counts divergent chunks re-pointed during
-/// restores (the O(dirty) restore work).  `restore_bytes_saved` counts bytes
-/// a full-clone restore would have copied that the CoW restore did not; it
-/// stays zero on the deep-copy oracle path.
+/// `restore_bytes_saved` counts bytes a deep-copy fork would have copied
+/// that the CoW fork did not; it stays zero on the deep-copy oracle path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Chunks cloned because a write hit a shared chunk.
     pub cow_chunks_copied: u64,
-    /// Divergent chunks re-pointed to the snapshot's chunk during restores.
-    pub restore_chunks_repointed: u64,
-    /// Bytes a deep-copy restore would have copied that CoW restores skipped.
+    /// Bytes a deep-copy fork would have copied that CoW forks skipped.
     pub restore_bytes_saved: u64,
 }
 
 impl CowStats {
     fn add(&mut self, other: &CowStats) {
         self.cow_chunks_copied += other.cow_chunks_copied;
-        self.restore_chunks_repointed += other.restore_chunks_repointed;
         self.restore_bytes_saved += other.restore_bytes_saved;
     }
 }
@@ -265,38 +259,9 @@ impl Segment {
 
     /// Drop chunks past the logical length (high-water reset).  Used when
     /// building snapshot images so a deep-stack excursion during capture does
-    /// not permanently inflate every later restore.
+    /// not permanently inflate every fork of the snapshot.
     fn trim(&mut self) {
         self.chunks.truncate(self.len.div_ceil(CHUNK_BYTES));
-    }
-
-    /// O(dirty) restore: re-point only the chunks that diverge from `other`.
-    fn restore_cow(&mut self, other: &Segment) {
-        debug_assert_eq!(self.base, other.base);
-        self.chunks.truncate(other.chunks.len());
-        let common = self.chunks.len();
-        for (mine, theirs) in self.chunks.iter_mut().zip(&other.chunks) {
-            if !Arc::ptr_eq(mine, theirs) {
-                *mine = Arc::clone(theirs);
-                self.stats.restore_chunks_repointed += 1;
-            }
-        }
-        for theirs in &other.chunks[common..] {
-            self.chunks.push(Arc::clone(theirs));
-            self.stats.restore_chunks_repointed += 1;
-        }
-        self.stats.restore_bytes_saved += (other.chunks.len() * CHUNK_BYTES) as u64;
-        self.len = other.len;
-    }
-
-    /// Deep-copy restore: the historical clone-everything path, kept as the
-    /// baseline the CoW path is benchmarked and cross-checked against.
-    fn restore_full(&mut self, other: &Segment) {
-        debug_assert_eq!(self.base, other.base);
-        self.chunks.clear();
-        self.chunks
-            .extend(other.chunks.iter().map(|c| Arc::new(**c)));
-        self.len = other.len;
     }
 
     /// Whether the mapped bytes `[0, len)` equal `other`'s.  Chunks the two
@@ -414,7 +379,7 @@ impl Memory {
     }
 
     /// Copy-on-write cost counters accumulated by this memory (summed over
-    /// the three segments) since creation or the last [`Memory::reset_cow_stats`].
+    /// the three segments) since it was created or forked.
     pub fn cow_stats(&self) -> CowStats {
         let mut s = self.globals.stats;
         s.add(&self.heap.stats);
@@ -423,7 +388,7 @@ impl Memory {
     }
 
     /// Zero the copy-on-write cost counters.
-    pub fn reset_cow_stats(&mut self) {
+    fn reset_cow_stats(&mut self) {
         self.globals.stats = CowStats::default();
         self.heap.stats = CowStats::default();
         self.stack.stats = CowStats::default();
@@ -473,31 +438,6 @@ impl Memory {
             }
         }
         fork
-    }
-
-    /// Reset this memory to the state frozen in `other` in O(dirty chunks):
-    /// only chunks that diverged are re-pointed.  Also resets the heap/stack
-    /// high-water marks, truncating chunk tables above the restored tops.
-    pub fn restore_from(&mut self, other: &Memory) {
-        self.restore_from_with(other, true);
-    }
-
-    /// [`Memory::restore_from`] with an explicit mode: `cow = false` is the
-    /// deep-copy oracle the copy-on-write restore is tested against.
-    pub fn restore_from_with(&mut self, other: &Memory, cow: bool) {
-        debug_assert_eq!(self.layout, other.layout);
-        if cow {
-            self.globals.restore_cow(&other.globals);
-            self.heap.restore_cow(&other.heap);
-            self.stack.restore_cow(&other.stack);
-        } else {
-            self.globals.restore_full(&other.globals);
-            self.heap.restore_full(&other.heap);
-            self.stack.restore_full(&other.stack);
-        }
-        self.heap_top = other.heap_top;
-        self.stack_top = other.stack_top;
-        self.global_addrs.clone_from(&other.global_addrs);
     }
 
     /// Whether `self` and `other` hold the same program-visible state: the
@@ -842,59 +782,24 @@ mod tests {
     }
 
     #[test]
-    fn restore_repoints_only_dirty_chunks() {
-        let mut mem = empty_memory();
-        let a = mem.heap_alloc(8 * CHUNK_BYTES as u64).unwrap();
-        mem.fill(a, 0x22, 8 * CHUNK_BYTES as u64).unwrap();
-        let image = mem.snapshot_image();
-
-        let mut vm_mem = image.fork_cow();
-        vm_mem.reset_cow_stats();
-        // Dirty chunks 2 and 5.
-        vm_mem
-            .store(Type::I8, a + 2 * CHUNK_BYTES as u64, 0xff)
-            .unwrap();
-        vm_mem
-            .store(Type::I8, a + 5 * CHUNK_BYTES as u64, 0xff)
-            .unwrap();
-        assert_eq!(vm_mem.cow_stats().cow_chunks_copied, 2);
-
-        vm_mem.reset_cow_stats();
-        vm_mem.restore_from_with(&image, true);
-        let stats = vm_mem.cow_stats();
-        assert_eq!(stats.restore_chunks_repointed, 2);
-        assert!(stats.restore_bytes_saved >= (8 * CHUNK_BYTES) as u64);
-        assert_eq!(
-            vm_mem.load(Type::I8, a + 2 * CHUNK_BYTES as u64).unwrap(),
-            0x22
-        );
-        assert_eq!(
-            vm_mem.load(Type::I8, a + 5 * CHUNK_BYTES as u64).unwrap(),
-            0x22
-        );
-    }
-
-    #[test]
     fn full_clone_restore_matches_cow_restore_and_saves_nothing() {
         let mut mem = memory_with_global(vec![9; 100]);
         let a = mem.heap_alloc(2 * CHUNK_BYTES as u64).unwrap();
         mem.write_bytes(a, &[5; 64]).unwrap();
         let image = mem.snapshot_image();
+        // Writes to the source after the snapshot reach neither fork.
+        mem.store(Type::I64, a, 0xdead).unwrap();
+        mem.stack_push(32).unwrap();
 
-        let mut cow = image.fork_cow();
-        let mut full = image.fork_full();
-        for m in [&mut cow, &mut full] {
-            m.store(Type::I64, a, 0xdead).unwrap();
-            m.stack_push(32).unwrap();
-        }
-        cow.restore_from_with(&image, true);
-        full.restore_from_with(&image, false);
-
+        let cow = image.fork_cow();
+        let full = image.fork_full();
         assert_eq!(
             cow.read_bytes(a, 2 * CHUNK_BYTES as u64).unwrap(),
             full.read_bytes(a, 2 * CHUNK_BYTES as u64).unwrap()
         );
-        assert_eq!(cow.stack_top(), full.stack_top());
+        assert_eq!(cow.read_bytes(a, 64).unwrap(), vec![5; 64]);
+        assert_eq!(cow.stack_top(), 0);
+        assert_eq!(full.stack_top(), 0);
         assert_eq!(full.cow_stats().restore_bytes_saved, 0);
         assert!(cow.cow_stats().restore_bytes_saved > 0);
     }
@@ -902,16 +807,18 @@ mod tests {
     #[test]
     fn restore_truncates_high_water_chunks() {
         let mut mem = empty_memory();
-        let image = mem.snapshot_image();
-        // Deep excursion: push 1 MiB of stack, then restore to the empty image.
-        mem.stack_push(1 << 20).unwrap();
+        // Deep excursion: push 1 MiB of stack, dirty it and pop it again.
+        // The chunk table keeps the popped chunks; a snapshot drops them.
+        let deep = mem.stack_push(1 << 20).unwrap();
+        mem.store(Type::I64, deep, u64::MAX).unwrap();
+        mem.stack_pop_to(0);
         let inflated = mem.resident_bytes();
-        mem.restore_from_with(&image, true);
-        assert_eq!(mem.stack_top(), 0);
-        assert!(mem.resident_bytes() < inflated);
+        let mut fork = mem.snapshot_image().fork_cow();
+        assert_eq!(fork.stack_top(), 0);
+        assert!(fork.resident_bytes() < inflated);
         // Regrowth after the reset still reads as zero.
-        let a = mem.stack_push(64).unwrap();
-        assert_eq!(mem.load(Type::I64, a).unwrap(), 0);
+        let a = fork.stack_push(64).unwrap();
+        assert_eq!(fork.load(Type::I64, a).unwrap(), 0);
     }
 
     #[test]

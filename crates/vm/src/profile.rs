@@ -12,17 +12,10 @@
 //! These are the per-workload "total number of candidate instructions for
 //! fault injection" columns of Table II in the paper.  Injection targets are
 //! then drawn uniformly from the candidate ordinals.
-//!
-//! Profiles are **mergeable**: [`ExecutionProfile`] implements `+=`
-//! ([`std::ops::AddAssign`]), so per-worker or per-workload profiles collected
-//! independently aggregate into one campaign-wide profile without any shared
-//! state or locks during execution — each worker counts into its own profile
-//! and the results fold together afterwards.
 
 use crate::hooks::{ExecHook, InstrContext};
 use mbfi_ir::Opcode;
 use std::collections::BTreeMap;
-use std::ops::AddAssign;
 
 /// Per-opcode slice of an [`ExecutionProfile`]: how many dynamic instructions
 /// of this opcode executed, and how many of them were read/write injection
@@ -37,14 +30,6 @@ pub struct OpcodeProfile {
     /// Of those, instructions writing a destination register
     /// (inject-on-write candidates).
     pub write_candidates: u64,
-}
-
-impl AddAssign for OpcodeProfile {
-    fn add_assign(&mut self, rhs: OpcodeProfile) {
-        self.count += rhs.count;
-        self.read_candidates += rhs.read_candidates;
-        self.write_candidates += rhs.write_candidates;
-    }
 }
 
 /// Summary of a fault-free run.
@@ -67,19 +52,6 @@ impl ExecutionProfile {
             self.write_candidates
         } else {
             self.read_candidates
-        }
-    }
-}
-
-/// Merge another profile into this one (all counts are sums, so merging is
-/// commutative and associative — fold per-worker profiles in any order).
-impl AddAssign<&ExecutionProfile> for ExecutionProfile {
-    fn add_assign(&mut self, rhs: &ExecutionProfile) {
-        self.dynamic_instrs += rhs.dynamic_instrs;
-        self.read_candidates += rhs.read_candidates;
-        self.write_candidates += rhs.write_candidates;
-        for (opcode, stats) in &rhs.per_opcode {
-            *self.per_opcode.entry(opcode.clone()).or_default() += *stats;
         }
     }
 }
@@ -292,47 +264,6 @@ mod tests {
         };
         assert_eq!(p.candidates_for(false), 7);
         assert_eq!(p.candidates_for(true), 4);
-    }
-
-    /// `+=` folds profiles field by field: two single-threaded halves of a run
-    /// merge into exactly the whole-run profile, regardless of fold order.
-    #[test]
-    fn profiles_merge_with_add_assign() {
-        let m = sample_module();
-        let code = CompiledModule::lower(&m);
-        let mut hook = CountingHook::new();
-        Vm::new(&code, Limits::default()).run(&mut hook);
-        let whole = hook.into_profile();
-
-        // Split the per-opcode map into two disjoint "worker" profiles.
-        let mut a = ExecutionProfile::default();
-        let mut b = ExecutionProfile::default();
-        for (i, (opcode, stats)) in whole.per_opcode.iter().enumerate() {
-            let side = if i % 2 == 0 { &mut a } else { &mut b };
-            side.dynamic_instrs += stats.count;
-            side.read_candidates += stats.read_candidates;
-            side.write_candidates += stats.write_candidates;
-            side.per_opcode.insert(opcode.clone(), *stats);
-        }
-        let mut ab = a.clone();
-        ab += &b;
-        let mut ba = b.clone();
-        ba += &a;
-        assert_eq!(ab, whole, "disjoint halves merge back into the whole");
-        assert_eq!(ba, whole, "merging is commutative");
-
-        // Merging a profile into itself doubles every count.
-        let mut doubled = whole.clone();
-        doubled += &whole;
-        assert_eq!(doubled.dynamic_instrs, 2 * whole.dynamic_instrs);
-        assert_eq!(
-            doubled.per_opcode["load"].count,
-            2 * whole.per_opcode["load"].count
-        );
-        // Merging the empty profile is the identity.
-        let mut id = whole.clone();
-        id += &ExecutionProfile::default();
-        assert_eq!(id, whole);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::memory::{ChunkSet, Memory};
 
 /// Frozen interpreter state at a dynamic-instruction boundary.
 ///
-/// Created by [`crate::Vm::snapshot`], consumed by [`crate::Vm::resume_from`].
+/// Created by [`crate::Vm::snapshot`], consumed by [`crate::Vm::from_snapshot`].
 /// The snapshot is independent of the VM that produced it: it owns clones of
 /// the frame stack, memory image and output buffer, so one snapshot can seed
 /// any number of replays (including concurrently — `VmSnapshot` is `Sync`).
@@ -124,9 +124,7 @@ mod tests {
         assert!(snap.depth() >= 1);
         assert!(snap.approx_bytes() > 0);
 
-        let mut resumed = Vm::new(&code, Limits::default());
-        resumed.resume_from(&snap);
-        let tail = resumed.run(&mut hook);
+        let tail = Vm::from_snapshot(&code, Limits::default(), &snap).run(&mut hook);
         assert_eq!(tail.outcome, full.outcome);
         assert_eq!(tail.output, full.output);
         assert_eq!(tail.dynamic_instrs, full.dynamic_instrs);
@@ -143,9 +141,7 @@ mod tests {
         assert!(vm.run_until(&mut hook, 40).is_none());
         let snap = vm.snapshot();
         for _ in 0..3 {
-            let mut r = Vm::new(&code, Limits::default());
-            r.resume_from(&snap);
-            let result = r.run(&mut hook);
+            let result = Vm::from_snapshot(&code, Limits::default(), &snap).run(&mut hook);
             assert_eq!(result.output, full.output);
             assert_eq!(result.dynamic_instrs, full.dynamic_instrs);
         }
@@ -174,9 +170,7 @@ mod tests {
         assert!(vm.run_until(&mut hook, 2).is_none());
         let snap = vm.snapshot();
         assert_eq!(snap.output_len(), b"1\n2\n".len());
-        let mut r = Vm::new(&code, Limits::default());
-        r.resume_from(&snap);
-        let result = r.run(&mut hook);
+        let result = Vm::from_snapshot(&code, Limits::default(), &snap).run(&mut hook);
         assert_eq!(result.output, b"1\n2\n3\n");
     }
 
@@ -192,15 +186,11 @@ mod tests {
         assert!(vm.run_until(&mut hook, 100).is_none());
         let snap = vm.snapshot();
 
-        let mut tight = Vm::new(
-            &code,
-            Limits {
-                max_dynamic_instrs: 150,
-                ..Limits::default()
-            },
-        );
-        tight.resume_from(&snap);
-        let result = tight.run(&mut hook);
+        let tight = Limits {
+            max_dynamic_instrs: 150,
+            ..Limits::default()
+        };
+        let result = Vm::from_snapshot(&code, tight, &snap).run(&mut hook);
         assert_eq!(
             result.outcome,
             crate::interp::RunOutcome::InstrLimitExceeded

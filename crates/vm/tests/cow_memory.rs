@@ -1,15 +1,16 @@
 //! Property test of the chunked copy-on-write memory: a subject `Memory`
-//! whose snapshot/restore traffic runs through the CoW fast path is driven
-//! through long random interleavings of allocation, boundary-straddling
-//! loads/stores, bulk ops, traps, snapshots and restores — in lockstep with
-//! an oracle `Memory` that restores through the deep-copy (`cow = false`)
-//! baseline.  After every step the two must agree byte for byte on every
-//! observable: load results, bulk reads, traps, tops and mapped sizes.
+//! that restores snapshots the way experiments do, by a copy-on-write fork
+//! (`fork_cow`), is driven through long random interleavings of allocation,
+//! boundary-straddling loads/stores, bulk ops, traps, snapshots and
+//! restores — in lockstep with an oracle `Memory` that restores through the
+//! deep-copy fork (`fork_full`).  After every step the two must agree byte
+//! for byte on every observable: load results, bulk reads, traps, tops and
+//! mapped sizes.
 //!
-//! The oracle is honest because the deep-copy path never shares a chunk, so
+//! The oracle is honest because the deep-copy fork never shares a chunk, so
 //! any aliasing bug in the CoW path (a write leaking into a snapshot, a
-//! restore missing a dirty chunk, stale bytes after a stack pop/regrow)
-//! diverges the comparison.
+//! fork missing a chunk, stale bytes after a stack pop/regrow) diverges the
+//! comparison.
 
 use mbfi_ir::{Global, Type};
 use mbfi_vm::{ChunkSet, Memory, MemoryLayout, Trap, CHUNK_BYTES};
@@ -101,10 +102,11 @@ fn assert_observably_equal(rng: &mut Rng, subject: &Memory, oracle: &Memory, ste
 fn random_interleavings_match_a_deep_copy_oracle() {
     let mut rng = Rng(0xC0_57A7E);
     let (mut subject, mut oracle) = fresh_pair();
-    // Parallel snapshot stacks: subject images restore via CoW, oracle
-    // images via deep copies.
+    // Parallel snapshot stacks: subject images restore via CoW forks,
+    // oracle images via deep copies.
     let mut snapshots: Vec<(Memory, Memory)> = Vec::new();
     let mut marks: Vec<u64> = vec![0];
+    let mut forks = 0;
 
     for step in 0..4000 {
         match rng.below(100) {
@@ -189,15 +191,16 @@ fn random_interleavings_match_a_deep_copy_oracle() {
                     snapshots.push((subject.snapshot_image(), oracle.snapshot_image()));
                 }
             }
-            // Restore a random saved pair: CoW on the subject, deep copy on
-            // the oracle.
+            // Restore a random saved pair: a CoW fork for the subject, a
+            // deep copy for the oracle.
             _ => {
                 if let Some(i) =
                     (!snapshots.is_empty()).then(|| rng.below(snapshots.len() as u64) as usize)
                 {
                     let (img_s, img_o) = &snapshots[i];
-                    subject.restore_from_with(img_s, true);
-                    oracle.restore_from_with(img_o, false);
+                    subject = img_s.fork_cow();
+                    oracle = img_o.fork_full();
+                    forks += 1;
                     marks.retain(|&m| m <= subject.stack_top());
                     if marks.is_empty() {
                         marks.push(0);
@@ -220,8 +223,8 @@ fn random_interleavings_match_a_deep_copy_oracle() {
     // The subject must actually have exercised the CoW machinery.
     let stats = subject.cow_stats();
     assert!(
-        stats.restore_bytes_saved > 0 && stats.restore_chunks_repointed > 0,
-        "subject never took a CoW restore: {stats:?}"
+        forks > 0 && stats.restore_bytes_saved > 0,
+        "subject never took a CoW fork: {stats:?}"
     );
 }
 
@@ -229,9 +232,9 @@ fn random_interleavings_match_a_deep_copy_oracle() {
 /// chunks are shared with live snapshots (a trapping access must not CoW).
 #[test]
 fn traps_are_identical_and_do_not_cow() {
-    let (mut subject, mut oracle) = fresh_pair();
+    let (subject, mut oracle) = fresh_pair();
     let image = subject.snapshot_image();
-    subject.restore_from_with(&image, true); // all chunks now shared
+    let mut subject = image.fork_cow(); // all chunks shared with `image`
     let before = subject.cow_stats().cow_chunks_copied;
     let wild = 0xDEAD_BEEF_0000;
     assert_eq!(
@@ -255,12 +258,12 @@ fn traps_are_identical_and_do_not_cow() {
     );
 }
 
-/// Exact dirty-chunk accounting on a 16-chunk image: a fork that dirties 3
-/// chunks copies exactly those 3 and its restore re-points exactly those 3
-/// while charging the whole image as bytes a deep copy would have moved;
-/// the deep-copy oracle reports no copy-on-write activity at all; and
-/// unique-footprint accounting sees a CoW fork share every chunk while a
-/// deep fork duplicates every one.
+/// Exact dirty-chunk accounting on a 16-chunk image: a fork charges the
+/// whole image as bytes a deep copy would have moved, and dirtying 3 chunks
+/// copies exactly those 3 and leaves the image as it was; the deep-copy
+/// oracle reports no copy-on-write activity at all; and unique-footprint
+/// accounting sees a CoW fork share every chunk while a deep fork
+/// duplicates every one.
 #[test]
 fn dirty_chunk_accounting_is_exact() {
     const CHUNKS: u64 = 16;
@@ -274,22 +277,17 @@ fn dirty_chunk_accounting_is_exact() {
     let image = mem.snapshot_image();
 
     let mut fork = image.fork_cow();
-    fork.reset_cow_stats();
+    assert_eq!(fork.cow_stats().restore_bytes_saved, CHUNKS * chunk);
     for i in [2u64, 7, 11] {
         fork.store(Type::I64, base + i * chunk, 0xDEAD).unwrap();
     }
     assert_eq!(fork.cow_stats().cow_chunks_copied, 3);
-    fork.restore_from(&image);
-    let restored = fork.cow_stats();
-    assert_eq!(restored.restore_chunks_repointed, 3);
-    assert_eq!(restored.restore_bytes_saved, CHUNKS * chunk);
     for i in 0..CHUNKS {
-        assert_eq!(fork.load(Type::I64, base + i * chunk).unwrap(), i + 1);
+        assert_eq!(image.load(Type::I64, base + i * chunk).unwrap(), i + 1);
     }
 
     let mut deep = image.fork_full();
     deep.store(Type::I64, base, 0xBEEF).unwrap();
-    deep.restore_from_with(&image, false);
     let stats = deep.cow_stats();
     assert_eq!(stats.cow_chunks_copied, 0);
     assert_eq!(stats.restore_bytes_saved, 0);

@@ -12,7 +12,7 @@
 //! * [`vm`] — the interpreter exposing every register read/write to hooks,
 //! * [`workloads`] — the 15 MiBench / Parboil benchmark programs,
 //! * [`core`] — fault models, injection, campaigns, outcomes and pruning,
-//! * [`bench`] — the harness regenerating the paper's tables and figures.
+//! * [`bench`](mod@bench) — the harness regenerating the paper's tables and figures.
 
 pub use mbfi_bench as bench;
 pub use mbfi_core as core;

@@ -2,15 +2,15 @@
 //! default grid over **all 15** registry workloads, whole-grid sweep results
 //! are byte-identical to running each cell through the serial per-campaign
 //! runner — outcome counts, SDC/detection/benign proportions, warnings and
-//! per-experiment `InjectionRecord`s — and invariant across sweep thread
+//! per-experiment `ExperimentResult`s — and invariant across sweep thread
 //! counts (1, 4, 8) and batch sizes.  Table IV's location pairs, which run
 //! as listed cells on the same executor, equal serial store-less execution.
 
-use mbfi_bench::harness::{self, CampaignGrid, HarnessConfig};
+use mbfi_bench::harness::{self, CampaignGrid, HarnessConfig, WorkloadData};
 use mbfi_core::pruning::{LocationAnalysis, LocationRequest, TransitionMatrix};
 use mbfi_core::{
-    Campaign, CampaignResult, Experiment, ExperimentSpec, FaultModel, Outcome, Sweep,
-    SweepCampaign, SweepConfig, Technique, WinSize,
+    Campaign, CampaignResult, Experiment, ExperimentResult, ExperimentSpec, FaultModel, ListedCell,
+    Outcome, Sweep, SweepCampaign, SweepCell, SweepConfig, SweepUnit, Technique, WinSize,
 };
 
 /// Experiments per cell.  The coarse artifact grid has 62 cells per workload
@@ -136,9 +136,9 @@ fn sweep_grid_is_invariant_across_thread_counts() {
     }
 }
 
-/// Per-experiment injection records from a keep-records sweep equal serial
-/// per-experiment execution, in experiment-index order, for a sample of
-/// cells on real workloads.
+/// Every record of a keep-records sweep equals the serial, store-less run of
+/// its experiment, for sampled cells and a listed cell on real workloads, at
+/// 1, 3 and 8 threads, with and without the checkpoint store.
 #[test]
 fn sweep_records_match_per_experiment_execution() {
     let cfg = HarnessConfig {
@@ -147,15 +147,87 @@ fn sweep_records_match_per_experiment_execution() {
         ..HarnessConfig::default()
     };
     let data = harness::prepare(&cfg);
-    let units: Vec<_> = data.iter().map(|w| w.sweep_unit()).collect();
-    let mut campaigns = Vec::new();
-    for unit in 0..units.len() {
+    assert!(data.iter().all(|w| w.store.is_some()));
+    let mut cells = Vec::new();
+    let mut serial = Vec::new();
+    for (unit, w) in data.iter().enumerate() {
         for technique in Technique::ALL {
             for model in [
                 FaultModel::single_bit(),
                 FaultModel::multi_bit(3, WinSize::Fixed(0)),
                 FaultModel::multi_bit(5, WinSize::Random { lo: 2, hi: 10 }),
             ] {
+                let (spec, _) = cfg.campaign_spec(technique, model).validate();
+                let specs = ExperimentSpec::sample_campaign(&spec, &w.golden);
+                serial.push(run_serially(w, &specs));
+                cells.push(SweepCell::Sampled(SweepCampaign { unit, spec }));
+            }
+        }
+        // A listed cell: the single-bit inject-on-write experiments, reversed.
+        let (spec, _) = cfg
+            .campaign_spec(Technique::InjectOnWrite, FaultModel::single_bit())
+            .validate();
+        let mut specs = ExperimentSpec::sample_campaign(&spec, &w.golden);
+        specs.reverse();
+        serial.push(run_serially(w, &specs));
+        cells.push(SweepCell::Listed(ListedCell { unit, specs }));
+    }
+    for with_store in [true, false] {
+        let units: Vec<_> = data
+            .iter()
+            .map(|w| SweepUnit {
+                store: w.store.as_ref().filter(|_| with_store),
+                ..w.sweep_unit()
+            })
+            .collect();
+        for threads in [1, 3, 8] {
+            let config = SweepConfig {
+                threads,
+                batch_size: 3,
+                keep_records: true,
+                precision: None,
+            };
+            let mut records = vec![Vec::new(); cells.len()];
+            Sweep::run_streamed(&units, cells.clone(), &config, None, |cell, r| {
+                records[cell] = r.records;
+            });
+            for (cell, (got, expected)) in records.iter().zip(&serial).enumerate() {
+                assert_eq!(
+                    got, expected,
+                    "cell {cell} threads={threads} store={with_store}: records diverged"
+                );
+            }
+        }
+    }
+}
+
+fn run_serially(w: &WorkloadData, specs: &[ExperimentSpec]) -> Vec<ExperimentResult> {
+    specs
+        .iter()
+        .map(|spec| Experiment::run_compiled(&w.code, &w.golden, spec, None))
+        .collect()
+}
+
+/// Experiment `i` of a single-bit campaign and of a multi-bit campaign with
+/// the same technique and seed flips first at the same dynamic instruction,
+/// so keep-records sweeps pair single- and multi-bit outcomes per location.
+#[test]
+fn campaigns_sharing_a_seed_pair_their_first_flips() {
+    let cfg = HarnessConfig {
+        experiments: 20,
+        ..HarnessConfig::default()
+    };
+    let data = harness::prepare(&cfg);
+    let units: Vec<_> = data.iter().map(|w| w.sweep_unit()).collect();
+    let multi = [
+        FaultModel::multi_bit(2, WinSize::Fixed(0)),
+        FaultModel::multi_bit(5, WinSize::Fixed(4)),
+        FaultModel::multi_bit(30, WinSize::Random { lo: 2, hi: 10 }),
+    ];
+    let mut campaigns = Vec::new();
+    for unit in 0..units.len() {
+        for technique in Technique::ALL {
+            for model in std::iter::once(FaultModel::single_bit()).chain(multi) {
                 campaigns.push(SweepCampaign {
                     unit,
                     spec: cfg.campaign_spec(technique, model),
@@ -163,34 +235,31 @@ fn sweep_records_match_per_experiment_execution() {
             }
         }
     }
-    let report = Sweep::run(
-        &units,
-        &campaigns,
-        &SweepConfig {
-            threads: 8,
-            batch_size: 3,
-            keep_records: true,
-            precision: None,
-        },
-    );
-    for (cell, swept) in campaigns.iter().zip(&report.results) {
-        let w = &data[cell.unit];
-        assert_eq!(swept.records.len(), cfg.experiments);
-        let (validated, _) = cell.spec.validate();
-        for (i, spec) in ExperimentSpec::sample_campaign(&validated, &w.golden)
+    let config = SweepConfig {
+        keep_records: true,
+        ..SweepConfig::default()
+    };
+    let report = Sweep::run(&units, &campaigns, &config);
+    let first_flips = |cell: usize| -> Vec<Option<u64>> {
+        let records = &report.results[cell].records;
+        assert_eq!(records.len(), cfg.experiments);
+        records
             .iter()
-            .enumerate()
-        {
-            // Serial side runs without the store: replay transparency and
-            // sweep determinism compose down to the injection-record level.
-            let serial = Experiment::run_compiled(&w.code, &w.golden, spec, None);
+            .map(|r| r.injections.first().map(|flip| flip.dyn_index))
+            .collect()
+    };
+    for group in (0..campaigns.len()).step_by(1 + multi.len()) {
+        let single = first_flips(group);
+        assert!(single.iter().all(Option::is_some), "every experiment flips");
+        for (k, model) in multi.iter().enumerate() {
+            let c = &campaigns[group];
             assert_eq!(
-                swept.records[i],
-                serial.injections,
-                "{} {} {}: records of experiment {i} diverged",
-                w.name,
-                cell.spec.technique,
-                cell.spec.model.label()
+                first_flips(group + 1 + k),
+                single,
+                "{} {} {}: first flips differ from the single-bit campaign's",
+                data[c.unit].name,
+                c.spec.technique,
+                model.label()
             );
         }
     }

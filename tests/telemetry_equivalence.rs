@@ -9,7 +9,7 @@
 use mbfi_bench::harness::{self, HarnessConfig, WorkloadData};
 use mbfi_core::{
     Campaign, EventKind, FaultModel, Metric, MonitorState, Precision, Sweep, SweepCampaign,
-    SweepCampaignResult, SweepConfig, SweepReport, SweepUnit, Technique, TelemetryHub,
+    SweepCampaignResult, SweepCell, SweepConfig, SweepReport, SweepUnit, Technique, TelemetryHub,
     TelemetryLevel, WinSize,
 };
 
@@ -65,6 +65,7 @@ fn run_observed(
     hub: &TelemetryHub,
 ) -> SweepReport {
     let mut slots: Vec<Option<SweepCampaignResult>> = vec![None; cells.len()];
+    let cells = cells.iter().copied().map(SweepCell::Sampled).collect();
     let warnings = Sweep::run_streamed(units, cells, config, Some(hub), |i, r| slots[i] = Some(r));
     SweepReport {
         results: slots.into_iter().map(Option::unwrap).collect(),
