@@ -589,11 +589,14 @@ impl<'a> CampaignGrid<'a> {
             }
             let snapshot = hub.snapshot();
             eprintln!(
-                "telemetry: {} experiments in {} batches, {:.0} exp/s, {} parks",
+                "telemetry: {} experiments in {} batches, {:.0} exp/s, {} parks, \
+                 {} golden convergences skipping {} instructions",
                 snapshot.counter(Metric::ExperimentsRun),
                 snapshot.counter(Metric::BatchesRun),
                 snapshot.exps_per_sec(),
                 snapshot.counter(Metric::WorkerParks),
+                snapshot.counter(Metric::GoldenConvergences),
+                snapshot.counter(Metric::ConvergedInstrsSkipped),
             );
             snapshot
         });

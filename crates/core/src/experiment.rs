@@ -8,34 +8,42 @@
 //! * **Prefix.**  It restores the deepest checkpoint at or before its first
 //!   injection, because the run up to there is the golden run (see
 //!   [`crate::replay`]).
-//! * **Suffix.**  It then runs boundary to boundary over the later
-//!   checkpoints.  Once `InjectorHook::is_spent` holds, no value the run
-//!   sees can be changed any more, so it runs under a [`NoopHook`].  At each
-//!   boundary reached with a spent injector it compares its state with the
-//!   checkpoint's ([`Vm::same_state_as`]).  Equal states execute the same
-//!   instructions, so from there the run *is* the golden run: it would end
-//!   normally with the golden output after exactly
-//!   `golden.dynamic_instrs` instructions.  The experiment stops and
-//!   reports that result: [`Outcome::Benign`], the golden instruction
-//!   count, and the flips the injector applied.
+//! * **Suffix.**  It then runs under the injector boundary to boundary over
+//!   the later checkpoints.  Once `InjectorHook::is_spent` holds, no value
+//!   the run sees can be changed any more, so it runs under a [`NoopHook`]
+//!   and looks for a checkpoint `k` it rejoins ([`Vm::rejoins`]): frames,
+//!   registers, output, heap and stack tops and global addresses equal
+//!   `k`'s, and memory equals `k`'s on `k`'s live ranges, the bytes golden
+//!   reads after `k` before writing them.  Then every later read returns
+//!   golden's value, so the rest of the run *is* golden's rest from `k`,
+//!   `δ = now − k.dyn_index` instructions apart: it would end normally with
+//!   the golden output after `golden.dynamic_instrs + δ` instructions.  The
+//!   experiment stops and reports that result: [`Outcome::Benign`], that
+//!   instruction count, and the flips the injector applied.  It looks at
+//!   each boundary, in phase (`δ = 0`), and between two boundaries, where a
+//!   watch on both their checkpoints ([`Vm::run_watched`]) pauses it at
+//!   their program counters when the call depth and a few key registers
+//!   match: a run behind golden reaches the passed checkpoint late, one
+//!   ahead reaches the next early.  A watch on every checkpoint finds about
+//!   8% more exits on the default grid but pauses the run far more often.
 //!
-//! The suffix shortcut needs the golden suffix to fit the faulty run's
-//! limits.  The store records the limits it was captured under, and
-//! `CheckpointStore::golden_suffix_fits` admits the exit only when the
-//! hang threshold covers the whole golden run and the call-depth and output
-//! limits are no tighter than the capture's.  Otherwise the run continues
-//! and meets its own limit as the oracle does.
+//! The suffix shortcut needs the shifted golden rest to fit the faulty
+//! run's limits.  The store records the limits it was captured under, and
+//! `CheckpointStore::golden_suffix_fits` admits the exit only when the hang
+//! threshold covers `golden.dynamic_instrs + δ` instructions and the
+//! call-depth and output limits are no tighter than the capture's.
+//! Otherwise the run continues and meets its own limit as the oracle does.
 
 use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
 use crate::injector::{InjectionRecord, InjectorHook};
 use crate::outcome::{classify, Outcome};
-use crate::replay::{Checkpoint, CheckpointStore};
+use crate::replay::{CheckpointStore, RejoinWatch};
 use crate::rng::{Rng, SmallRng};
 use crate::technique::Technique;
 use crate::telemetry::{Metric, TelemetryHub};
 use mbfi_ir::{CompiledModule, Module};
-use mbfi_vm::{NoopHook, RunResult, Vm, WalkerVm};
+use mbfi_vm::{Limits, NoopHook, RunResult, Vm, WalkerVm};
 
 /// Everything needed to run (and reproduce) one experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,8 +141,9 @@ pub(crate) struct ExperimentCost {
     pub restored_dyn: Option<u64>,
     /// Copy-on-write chunk traffic of the run.
     pub cow: mbfi_vm::CowStats,
-    /// The checkpoint boundary where the run's state rejoined the golden
-    /// run and the run stopped, with the golden instructions it skipped.
+    /// The golden checkpoint whose state the run rejoined, in phase or
+    /// shifted, and the golden instructions from there to golden's end,
+    /// which the run skipped: `(k.dyn_index, golden − k.dyn_index)`.
     pub converged_at: Option<(u64, u64)>,
 }
 
@@ -188,8 +197,9 @@ impl CostTally {
 enum Ended {
     /// The run ended on its own (completed, trapped or hit its limit).
     Ran(RunResult),
-    /// The run's state equalled the golden checkpoint at this boundary.
-    Rejoined(u64),
+    /// The run's state rejoined the golden checkpoint at boundary `at`,
+    /// `delta` instructions after golden reached it (before, if negative).
+    Rejoined { at: u64, delta: i64 },
 }
 
 /// Runs single experiments.
@@ -269,18 +279,25 @@ impl Experiment {
             }
             None => Vm::new(code, limits),
         };
-        let later = &checkpoints[nearest.map_or(0, |i| i + 1)..];
-        let may_exit = store.is_some_and(|s| s.golden_suffix_fits(golden, &limits));
-        let ended = Self::run_until_rejoined(&mut vm, &mut hook, later, may_exit);
+        let ended = match store {
+            Some(store) => {
+                let next = nearest.map_or(0, |i| i + 1);
+                Self::run_until_rejoined(&mut vm, &mut hook, store, next, golden, &limits)
+            }
+            None => Ended::Ran(vm.run_to_end(&mut hook)),
+        };
         cost.cow = vm.cow_stats();
         let result = match ended {
             Ended::Ran(result) => Self::finish(golden, result, hook),
-            Ended::Rejoined(at) => {
+            Ended::Rejoined { at, delta } => {
                 cost.converged_at = Some((at, golden.dynamic_instrs - at));
                 ExperimentResult {
                     outcome: Outcome::Benign,
                     activated: hook.activated(),
-                    dynamic_instrs: golden.dynamic_instrs,
+                    dynamic_instrs: golden
+                        .dynamic_instrs
+                        .checked_add_signed(delta)
+                        .expect("a rejoin is taken only where golden + delta fits"),
                     injections: hook.into_records(),
                 }
             }
@@ -288,35 +305,65 @@ impl Experiment {
         (result, cost)
     }
 
-    /// Run `vm` boundary to boundary over the `later` checkpoints, then to
-    /// its end.  It stops early, at [`Ended::Rejoined`], when `may_exit`
-    /// holds and the state at a boundary reached with a spent injector
-    /// equals that checkpoint's.  Once the injector is spent the run
-    /// continues under a [`NoopHook`].
+    /// Run `vm` under the injector boundary to boundary over the store's
+    /// checkpoints from `next` on until the injector is spent, then
+    /// hook-free to its end.  From then on it stops early, at
+    /// [`Ended::Rejoined`], where it [`Vm::rejoins`] a checkpoint and that
+    /// checkpoint's golden rest, shifted by the distance between the two,
+    /// fits the run's limits: at each boundary in phase with its
+    /// checkpoint, and between two boundaries shifted, wherever a watch on
+    /// both their checkpoints fires.
     fn run_until_rejoined(
         vm: &mut Vm<'_>,
         hook: &mut InjectorHook,
-        later: &[Checkpoint],
-        may_exit: bool,
+        store: &CheckpointStore,
+        mut next: usize,
+        golden: &GoldenRun,
+        limits: &Limits,
     ) -> Ended {
-        for cp in later {
-            let ended = if hook.is_spent() {
-                vm.run_until(&mut NoopHook, cp.dyn_index)
-            } else {
-                vm.run_until(hook, cp.dyn_index)
+        let checkpoints = store.checkpoints();
+        while !hook.is_spent() {
+            let Some(cp) = checkpoints.get(next) else {
+                return Ended::Ran(vm.run_to_end(hook));
             };
-            if let Some(result) = ended {
+            if let Some(result) = vm.run_until(hook, cp.dyn_index) {
                 return Ended::Ran(result);
             }
-            if may_exit && hook.is_spent() && vm.same_state_as(cp.snapshot()) {
-                return Ended::Rejoined(cp.dyn_index);
-            }
+            next += 1;
         }
-        Ended::Ran(if hook.is_spent() {
-            vm.run_to_end(&mut NoopHook)
-        } else {
-            vm.run_to_end(hook)
-        })
+        // An injector is spent only after a flip, so the loop ran at least
+        // once: the run is paused at checkpoint `next - 1`'s boundary.
+        let rejoined = |vm: &Vm<'_>, k: usize| {
+            let cp = &checkpoints[k];
+            let delta = vm.dyn_count() as i64 - cp.dyn_index as i64;
+            (store.golden_suffix_fits(golden, limits, delta)
+                && vm.rejoins(cp.snapshot(), cp.live()))
+            .then_some(Ended::Rejoined {
+                at: cp.dyn_index,
+                delta,
+            })
+        };
+        loop {
+            if let Some(ended) = rejoined(vm, next - 1) {
+                return ended;
+            }
+            // A run behind golden reaches the passed checkpoint late, one
+            // ahead reaches the next early.
+            let mut watch = RejoinWatch::new(store, [next - 1, next]);
+            let stop = checkpoints.get(next).map_or(u64::MAX, |cp| cp.dyn_index);
+            loop {
+                if let Some(result) = vm.run_watched(&mut NoopHook, stop, &mut watch) {
+                    return Ended::Ran(result);
+                }
+                if vm.dyn_count() == stop {
+                    break;
+                }
+                if let Some(ended) = rejoined(vm, watch.hit()) {
+                    return ended;
+                }
+            }
+            next += 1;
+        }
     }
 
     /// Execute one experiment on the legacy tree walker.
@@ -357,8 +404,7 @@ mod tests {
     use super::*;
     use crate::fault_model::WinSize;
     use crate::replay::CheckpointConfig;
-    use mbfi_ir::{ModuleBuilder, Reg, Type};
-    use mbfi_vm::Limits;
+    use mbfi_ir::{ModuleBuilder, Operand, Reg, Type};
 
     fn workload() -> Module {
         let mut mb = ModuleBuilder::new("w");
@@ -556,6 +602,242 @@ mod tests {
                     Experiment::run_compiled_inner(&code, &golden, spec, Some(&store));
                 assert_eq!(replayed, oracle);
                 assert_eq!(cost.converged_at, None, "{looser:?}");
+            }
+        }
+    }
+
+    /// Writes `data[i] = i * i` for 32 elements, then sums and prints only
+    /// the first 16: the last 16 are dead once written.  Returns the module
+    /// and the register holding the stored square.
+    fn half_read_workload() -> (Module, Reg) {
+        let mut mb = ModuleBuilder::new("half-read");
+        let main = mb.declare("main", &[], None);
+        let mut square = None;
+        {
+            let mut f = mb.define(main);
+            let data = f.alloca(Type::I64, 32i64);
+            f.counted_loop(Type::I64, 0i64, 32i64, |f, i| {
+                let sq = f.mul(Type::I64, i, i);
+                square = Some(sq);
+                f.store_elem(Type::I64, data, i, sq);
+            });
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, 16i64, |f, i| {
+                let v = f.load_elem(Type::I64, data, i);
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, v);
+                f.store(Type::I64, next, acc);
+            });
+            let total = f.load(Type::I64, acc);
+            f.print_i64(total);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        (mb.finish(), square.unwrap())
+    }
+
+    #[test]
+    fn a_flip_into_a_dead_array_element_exits_at_the_next_boundary() {
+        let (m, square) = half_read_workload();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store =
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(20))
+                .unwrap();
+        let mut exits = 0;
+        for first_target in 0..golden.candidates(Technique::InjectOnRead) {
+            // The seed picks the operand: find one that flips the value a
+            // store writes, so the register stays golden and the array
+            // element does not.  Only the elements the sum never reads
+            // leave the output golden.
+            let Some((spec, oracle)) = (0..8)
+                .map(|seed| ExperimentSpec {
+                    technique: Technique::InjectOnRead,
+                    model: FaultModel::single_bit(),
+                    first_target,
+                    win_size_value: 0,
+                    seed,
+                    hang_factor: 10,
+                })
+                .map(|spec| (spec, Experiment::run_compiled(&code, &golden, &spec, None)))
+                .find(|(_, r)| {
+                    r.injections[0].reg == square && r.injections[0].operand_index == Some(0)
+                })
+            else {
+                continue;
+            };
+            if oracle.outcome != Outcome::Benign {
+                continue;
+            }
+            let rec = oracle.injections[0];
+            let (replayed, cost) =
+                Experiment::run_compiled_inner(&code, &golden, &spec, Some(&store));
+            assert_eq!(replayed, oracle);
+            let next = store
+                .checkpoints()
+                .iter()
+                .find(|cp| cp.dyn_index > rec.dyn_index)
+                .unwrap();
+            assert_eq!(
+                cost.converged_at,
+                Some((next.dyn_index, golden.dynamic_instrs - next.dyn_index)),
+                "target {first_target}"
+            );
+            // At that boundary the whole state differs from golden's, in
+            // the dead element: only the compare on live bytes rejoins.
+            let mut vm = Vm::new(&code, golden.faulty_run_limits(10));
+            let mut hook =
+                InjectorHook::new(Technique::InjectOnRead, 1, 0, first_target, spec.seed);
+            assert!(vm.run_until(&mut hook, next.dyn_index).is_none());
+            let snap = next.snapshot();
+            assert!(!vm.rejoins(snap, &snap.memory().mapped()));
+            assert!(vm.rejoins(snap, next.live()));
+            exits += 1;
+        }
+        assert_eq!(exits, 16, "one flip into each dead element");
+    }
+
+    /// `spin(n)` runs a loop `n = 24` times whose sum nobody reads; `main`
+    /// loads `n` from a global, calls `spin`, then sums `0..40` and prints
+    /// the sum, and ends with `pad` straight-line adds.  An inject-on-read
+    /// flip of `n` in one bound check makes the loop end early or run once
+    /// more; once `spin` returns, its frame is gone and the run is golden's,
+    /// shifted.
+    fn spin_workload(pad: usize) -> Module {
+        let mut mb = ModuleBuilder::new("spin");
+        let bound = mb.global_i64s("n", &[24]);
+        let spin = mb.declare("spin", &[(Type::I64, "n")], None);
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(spin);
+            let n = f.param(0);
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, n, |f, i| {
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, i);
+                f.store(Type::I64, next, acc);
+            });
+            f.ret_void();
+        }
+        {
+            let mut f = mb.define(main);
+            let n = f.load(Type::I64, bound);
+            f.call(spin, &[Operand::Reg(n)], None);
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, 40i64, |f, i| {
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, i);
+                f.store(Type::I64, next, acc);
+            });
+            let total = f.load(Type::I64, acc);
+            f.print_i64(total);
+            for _ in 0..pad {
+                f.add(Type::I64, 1i64, 2i64);
+            }
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        mb.finish()
+    }
+
+    /// Single-bit inject-on-read specs under `hang_factor` whose store-less
+    /// run ends Benign after `golden + delta` instructions, `delta != 0`.
+    fn shifted_specs(
+        code: &CompiledModule,
+        golden: &GoldenRun,
+        hang_factor: u64,
+    ) -> Vec<(ExperimentSpec, i64)> {
+        (0..golden.candidates(Technique::InjectOnRead))
+            .flat_map(|first_target| {
+                (0..8).map(move |seed| ExperimentSpec {
+                    technique: Technique::InjectOnRead,
+                    model: FaultModel::single_bit(),
+                    first_target,
+                    win_size_value: 0,
+                    seed,
+                    hang_factor,
+                })
+            })
+            .filter_map(|spec| {
+                let r = Experiment::run_compiled(code, golden, &spec, None);
+                let delta = r.dynamic_instrs as i64 - golden.dynamic_instrs as i64;
+                (r.outcome == Outcome::Benign && delta != 0).then_some((spec, delta))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_flip_that_shortens_a_loop_exits_at_golden_plus_a_negative_shift() {
+        let code = CompiledModule::lower(&spin_workload(0));
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store =
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(40))
+                .unwrap();
+        let shortened: Vec<_> = shifted_specs(&code, &golden, 10)
+            .into_iter()
+            .filter(|&(_, delta)| delta < 0)
+            .collect();
+        assert!(!shortened.is_empty());
+        let mut exits = 0;
+        for (spec, delta) in &shortened {
+            let oracle = Experiment::run_compiled(&code, &golden, spec, None);
+            let (replayed, cost) =
+                Experiment::run_compiled_inner(&code, &golden, spec, Some(&store));
+            assert_eq!(replayed, oracle);
+            if let Some((at, skipped)) = cost.converged_at {
+                assert_eq!(
+                    replayed.dynamic_instrs as i64,
+                    golden.dynamic_instrs as i64 + delta
+                );
+                assert_eq!(at + skipped, golden.dynamic_instrs);
+                exits += 1;
+            }
+        }
+        // A loop cut by less than one interval rejoins within the interval.
+        let near = shortened.iter().filter(|&&(_, delta)| -delta < 40).count();
+        assert!(
+            near > 0 && exits >= near,
+            "{exits} exits, {near} shifts under 40"
+        );
+    }
+
+    #[test]
+    fn a_shifted_rejoin_past_the_hang_threshold_stays_a_hang() {
+        // Hang factor 1 puts every limit at the 1,000-instruction floor.
+        let code = CompiledModule::lower(&spin_workload(0));
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let (spec, delta) = shifted_specs(&code, &golden, 1)
+            .into_iter()
+            .find(|&(_, delta)| delta > 0)
+            .expect("an upward flip of the last bound check runs one more iteration");
+        // Pad the program's end so that golden + delta lands on the limit,
+        // then one past it.  The pad follows every candidate of the flip,
+        // so the spec flips the same bit of the same read.
+        let at_limit = 1_000 - golden.dynamic_instrs as usize - delta as usize;
+        for pad in [at_limit, at_limit + 1] {
+            let code = CompiledModule::lower(&spin_workload(pad));
+            let golden = GoldenRun::capture_compiled(&code).unwrap();
+            assert_eq!(golden.faulty_run_limits(1).max_dynamic_instrs, 1_000);
+            let store = CheckpointStore::capture_compiled(
+                &code,
+                &golden,
+                CheckpointConfig::with_interval(20),
+            )
+            .unwrap();
+            let oracle = Experiment::run_compiled(&code, &golden, &spec, None);
+            let (replayed, cost) =
+                Experiment::run_compiled_inner(&code, &golden, &spec, Some(&store));
+            assert_eq!(replayed, oracle);
+            if golden.dynamic_instrs as i64 + delta == 1_000 {
+                assert_eq!(oracle.outcome, Outcome::Benign);
+                assert_eq!(oracle.dynamic_instrs, 1_000);
+                assert!(cost.converged_at.is_some(), "the rest fits exactly");
+            } else {
+                assert_eq!(oracle.outcome, Outcome::Hang);
+                assert_eq!(cost.converged_at, None);
             }
         }
     }

@@ -28,11 +28,30 @@
 //! flip, (b) dynamic-instruction indices continue from the checkpoint's
 //! counter, and (c) the snapshot carries the output prefix, so SDC
 //! classification compares the same bytes.  The same holds for an
-//! experiment that stops at a later checkpoint because its state equals the
-//! checkpoint's (see [`crate::experiment`]): from an equal state the run is
-//! the golden run.  The contract is enforced by the `replay_equivalence`
-//! integration suite at several intervals, the harness's auto interval
-//! among them.
+//! experiment that stops where its state rejoins a checkpoint's on the
+//! checkpoint's live bytes (see below and [`crate::experiment`]): from there
+//! the run is the golden run, shifted.  The contract is enforced by the
+//! `replay_equivalence` integration suite at several intervals, the
+//! harness's auto interval among them.
+//!
+//! ## Live bytes
+//!
+//! Each checkpoint also keeps its *live ranges*: the memory bytes the golden
+//! run reads after the checkpoint before it writes them.  A run whose
+//! frames, output, heap and stack tops equal a checkpoint's, and whose
+//! memory equals it on those bytes, reads golden's value at every later
+//! read, so its rest is golden's rest from there, in phase or shifted (see
+//! [`crate::experiment`]).  The capture run computes them online, with no
+//! per-access trace: its hook keeps, per memory byte, the number of
+//! checkpoints stored before the byte's last access.  A read that finds an
+//! older count makes the byte live at every checkpoint in between, one span
+//! per byte and checkpoint interval at most; one pass over the spans in
+//! address order then gives each checkpoint its merged ranges.  Every read
+//! path counts as a use (loads, `Memcpy` sources, the bytes `PrintBytes`
+//! prints) and every write as a definition (stores, `Memcpy` destinations,
+//! `Memset`, and the zero-fill of a stack push or a heap allocation).  The
+//! store also picks, per function, the key registers a watch for a shifted
+//! rejoin compares first.
 //!
 //! ## Memory budget
 //!
@@ -40,9 +59,12 @@
 //! `mbfi_vm::memory`), so consecutive checkpoints share every chunk the run
 //! did not touch in between.  The budget accounting charges each checkpoint
 //! its *marginal* unique-chunk footprint — a chunk shared with an earlier
-//! checkpoint is free — and the store refuses to grow beyond
-//! [`CheckpointConfig::max_bytes`], simply not adding checkpoints once the
-//! budget is reached ([`CheckpointStore::truncated`] reports this).
+//! checkpoint is free — plus its live ranges, and the store refuses to grow
+//! beyond [`CheckpointConfig::max_bytes`], simply not adding checkpoints
+//! once the budget is reached ([`CheckpointStore::truncated`] reports this).
+//! The live ranges are known only once the run has ended, so the capture
+//! snapshots under the chunk charge alone and then keeps the longest prefix
+//! whose chunks and ranges fit.
 //! Experiments whose first injection lies beyond the last stored checkpoint
 //! fall back to the deepest one available — correctness never depends on the
 //! budget.  The chunk `Arc`s are also the cross-thread sharing mechanism:
@@ -52,7 +74,9 @@
 use crate::golden::GoldenRun;
 use crate::technique::Technique;
 use mbfi_ir::{CompiledModule, Module};
-use mbfi_vm::{CountingHook, Limits, RunOutcome, Vm, VmSnapshot};
+use mbfi_vm::{
+    ExecHook, InstrContext, Limits, MemoryLayout, RunOutcome, Value, Vm, VmSnapshot, Watch,
+};
 
 /// Remap a uniformly drawn candidate ordinal into the **last quartile** of a
 /// candidate space — the late-injection shape where replay saves the most
@@ -107,7 +131,7 @@ impl CheckpointConfig {
 }
 
 /// One stored checkpoint: a VM snapshot plus the profile counters needed to
-/// fast-forward an injector to this point.
+/// fast-forward an injector to this point, and its live ranges.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     snapshot: VmSnapshot,
@@ -117,12 +141,20 @@ pub struct Checkpoint {
     pub read_candidates: u64,
     /// Inject-on-write candidates executed before this point.
     pub write_candidates: u64,
+    live: Vec<(u64, u64)>,
 }
 
 impl Checkpoint {
     /// The frozen VM state.
     pub fn snapshot(&self) -> &VmSnapshot {
         &self.snapshot
+    }
+
+    /// The bytes the golden run reads after this checkpoint before it
+    /// writes them, as sorted, disjoint, non-adjacent half-open
+    /// `[start, end)` address ranges.
+    pub fn live(&self) -> &[(u64, u64)] {
+        &self.live
     }
 
     /// Candidates of the given technique executed before this checkpoint.
@@ -182,6 +214,10 @@ pub struct CheckpointStore {
     checkpoints: Vec<Checkpoint>,
     stored_bytes: usize,
     truncated: bool,
+    /// Per function, its key registers (see [`key_registers`]).
+    keys: Vec<[u32; KEY_REGS]>,
+    /// Per program counter, the function it lies in.
+    func_of: Vec<u32>,
 }
 
 impl CheckpointStore {
@@ -232,14 +268,18 @@ impl CheckpointStore {
     ) -> Result<CheckpointStore, ReplayCaptureError> {
         assert!(config.interval >= 1, "checkpoint interval must be >= 1");
         let mut vm = Vm::new(code, limits);
-        let mut hook = CountingHook::new();
+        let mut hook = CaptureHook::new();
         let mut store = CheckpointStore {
             interval: config.interval,
             limits,
             checkpoints: Vec::new(),
             stored_bytes: 0,
             truncated: false,
+            keys: Vec::new(),
+            func_of: code.meta.iter().map(|meta| meta.func).collect(),
         };
+        // Each stored checkpoint's marginal chunk charge, for the final cut.
+        let mut chunk_bytes = Vec::new();
         let mut next_stop = config.interval;
         // Chunks already charged to the store: a snapshot only pays for
         // chunks no earlier checkpoint holds, so dense checkpointing of a
@@ -250,16 +290,19 @@ impl CheckpointStore {
                 None => {
                     if !store.truncated {
                         let snapshot = vm.snapshot();
-                        let mut staged = seen.clone();
-                        let bytes = snapshot.unique_bytes(&mut staged);
+                        // A snapshot over budget ends the capture's
+                        // snapshots, so `seen` need not forget its chunks.
+                        let bytes = snapshot.unique_bytes(&mut seen);
                         if store.stored_bytes + bytes <= config.max_bytes {
-                            seen = staged;
                             store.stored_bytes += bytes;
+                            chunk_bytes.push(bytes);
+                            hook.taken += 1;
                             store.checkpoints.push(Checkpoint {
                                 dyn_index: snapshot.dyn_count(),
-                                read_candidates: hook.read_candidates(),
-                                write_candidates: hook.write_candidates(),
+                                read_candidates: hook.read_candidates,
+                                write_candidates: hook.write_candidates,
                                 snapshot,
+                                live: Vec::new(),
                             });
                         } else {
                             // Budget exhausted: keep the prefix already
@@ -293,6 +336,21 @@ impl CheckpointStore {
                 outcome: format!("{:?}", result.outcome),
             });
         }
+        hook.distribute_live(&mut store.checkpoints);
+        // Keep the longest prefix whose chunks and live ranges both fit.
+        let mut kept = 0;
+        store.stored_bytes = 0;
+        for (cp, chunks) in store.checkpoints.iter().zip(chunk_bytes) {
+            let bytes = chunks + std::mem::size_of_val(cp.live());
+            if store.stored_bytes + bytes > config.max_bytes {
+                store.truncated = true;
+                break;
+            }
+            store.stored_bytes += bytes;
+            kept += 1;
+        }
+        store.checkpoints.truncate(kept);
+        store.keys = key_registers(code, &store.checkpoints);
         Ok(store)
     }
 
@@ -320,13 +378,21 @@ impl CheckpointStore {
             .checked_sub(1)
     }
 
-    /// Whether the golden run's suffix from any checkpoint also completes
-    /// under `limits`: the instruction limit admits the whole golden run and
-    /// the call-depth and output limits are no tighter than the capture's.
-    /// Only then does a faulty run that rejoins a checkpoint's state end as
-    /// the golden run did.
-    pub(crate) fn golden_suffix_fits(&self, golden: &GoldenRun, limits: &Limits) -> bool {
-        limits.max_dynamic_instrs >= golden.dynamic_instrs
+    /// Whether a run under `limits` that rejoins the golden run `delta`
+    /// instructions later than golden (earlier, for a negative `delta`)
+    /// ends as golden did: the instruction limit admits its
+    /// `golden.dynamic_instrs + delta` instructions, and the call-depth and
+    /// output limits are no tighter than the capture's.
+    pub(crate) fn golden_suffix_fits(
+        &self,
+        golden: &GoldenRun,
+        limits: &Limits,
+        delta: i64,
+    ) -> bool {
+        golden
+            .dynamic_instrs
+            .checked_add_signed(delta)
+            .is_some_and(|end| end <= limits.max_dynamic_instrs)
             && limits.max_call_depth >= self.limits.max_call_depth
             && limits.max_output_bytes >= self.limits.max_output_bytes
     }
@@ -371,6 +437,301 @@ impl CheckpointStore {
         use crate::telemetry::Metric;
         telemetry.add(Metric::CheckpointStoreBytes, self.stored_bytes() as u64);
         telemetry.add(Metric::CheckpointStoreCheckpoints, self.len() as u64);
+    }
+}
+
+/// The capture run's hook: it counts injection candidates, the way the
+/// golden run's [`mbfi_vm::CountingHook`] does without its per-opcode
+/// profile, and collects the live spans of the memory bytes (see the module
+/// docs).
+struct CaptureHook {
+    read_candidates: u64,
+    write_candidates: u64,
+    /// Checkpoints stored so far.
+    taken: u32,
+    layout: MemoryLayout,
+    /// Per segment (globals, heap, stack) and byte offset: the checkpoints
+    /// stored before the byte's last access.  A read finding fewer than
+    /// `taken` makes the byte live at every checkpoint in between, since
+    /// none of them saw another access before this read.
+    seen: [Vec<u32>; 3],
+    spans: Vec<LiveSpan>,
+}
+
+/// Bytes `[start, end)` are live at checkpoints `from..to`.
+#[derive(Debug, Clone, Copy)]
+struct LiveSpan {
+    start: u64,
+    end: u64,
+    from: u32,
+    to: u32,
+}
+
+impl CaptureHook {
+    fn new() -> CaptureHook {
+        CaptureHook {
+            read_candidates: 0,
+            write_candidates: 0,
+            taken: 0,
+            // The layout of `Vm::new`, which the capture runs on.
+            layout: MemoryLayout::default(),
+            seen: Default::default(),
+            spans: Vec::new(),
+        }
+    }
+
+    /// The access states of the `len` bytes at `addr`, grown to cover them.
+    #[inline]
+    fn seen<'s>(
+        seen: &'s mut [Vec<u32>; 3],
+        layout: &MemoryLayout,
+        addr: u64,
+        len: u64,
+    ) -> &'s mut [u32] {
+        let (segment, base) = if addr >= layout.stack_base {
+            (2, layout.stack_base)
+        } else if addr >= layout.heap_base {
+            (1, layout.heap_base)
+        } else {
+            (0, layout.globals_base)
+        };
+        let off = (addr - base) as usize;
+        let end = off + len as usize;
+        let seen = &mut seen[segment];
+        if seen.len() < end {
+            Self::grow(seen, end);
+        }
+        &mut seen[off..end]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(seen: &mut Vec<u32>, len: usize) {
+        seen.resize(len, 0);
+    }
+
+    /// Mark the bytes at `addr` that were not accessed since the last
+    /// checkpoint live back to their last access.
+    #[inline(never)]
+    fn mark_live(&mut self, addr: u64, len: u64) {
+        let taken = self.taken;
+        let seen = Self::seen(&mut self.seen, &self.layout, addr, len);
+        for (at, last) in (addr..).zip(seen) {
+            let from = std::mem::replace(last, taken);
+            if from == taken {
+                continue;
+            }
+            match self.spans.last_mut() {
+                Some(span) if span.end == at && (span.from, span.to) == (from, taken) => {
+                    span.end += 1;
+                }
+                _ => self.spans.push(LiveSpan {
+                    start: at,
+                    end: at + 1,
+                    from,
+                    to: taken,
+                }),
+            }
+        }
+    }
+
+    /// Give each checkpoint its merged live ranges: in address order, each
+    /// span either extends a checkpoint's last range or starts a new one.
+    /// The lists grow side by side, away from the snapshots, then move in.
+    fn distribute_live(self, checkpoints: &mut [Checkpoint]) {
+        let spans = sorted_by_start(self.spans);
+        let mut live: Vec<Vec<(u64, u64)>> = vec![Vec::new(); checkpoints.len()];
+        for span in &spans {
+            for ranges in &mut live[span.from as usize..span.to as usize] {
+                match ranges.last_mut() {
+                    Some(last) if span.start <= last.1 => last.1 = last.1.max(span.end),
+                    _ => ranges.push((span.start, span.end)),
+                }
+            }
+        }
+        for (cp, ranges) in checkpoints.iter_mut().zip(live) {
+            cp.live = ranges;
+        }
+    }
+}
+
+/// `spans` sorted by start address: a least-significant-digit radix sort,
+/// one pass per byte of the address that varies among the spans (four in
+/// the default layout).  A comparison sort of a capture's spans takes
+/// several times as long.
+fn sorted_by_start(mut spans: Vec<LiveSpan>) -> Vec<LiveSpan> {
+    let Some(first) = spans.first().map(|span| span.start) else {
+        return spans;
+    };
+    let varying = spans
+        .iter()
+        .fold(0, |bits, span| bits | (span.start ^ first));
+    let mut other = spans.clone();
+    for shift in (0..64)
+        .step_by(8)
+        .filter(|shift| (varying >> shift) & 0xFF != 0)
+    {
+        let digit = |span: &LiveSpan| (span.start >> shift) as usize & 0xFF;
+        let mut next = [0usize; 256];
+        for span in &spans {
+            next[digit(span)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            at += std::mem::replace(slot, at);
+        }
+        for span in &spans {
+            let slot = &mut next[digit(span)];
+            other[*slot] = *span;
+            *slot += 1;
+        }
+        std::mem::swap(&mut spans, &mut other);
+    }
+    spans
+}
+
+impl ExecHook for CaptureHook {
+    #[inline]
+    fn on_instr(&mut self, ctx: &InstrContext) {
+        self.read_candidates += u64::from(ctx.reg_reads > 0);
+        self.write_candidates += u64::from(ctx.has_dest);
+    }
+
+    #[inline]
+    fn on_mem_read(&mut self, addr: u64, len: u64) {
+        let taken = self.taken;
+        // Most reads find their bytes accessed since the last checkpoint.
+        let seen = Self::seen(&mut self.seen, &self.layout, addr, len);
+        let fresh = match <&[u32; 8]>::try_from(&*seen) {
+            Ok(word) => *word != [taken; 8],
+            Err(_) => seen.iter().any(|&last| last != taken),
+        };
+        if fresh {
+            self.mark_live(addr, len);
+        }
+    }
+
+    #[inline]
+    fn on_mem_write(&mut self, addr: u64, len: u64) {
+        let taken = self.taken;
+        let seen = Self::seen(&mut self.seen, &self.layout, addr, len);
+        match <&mut [u32; 8]>::try_from(&mut *seen) {
+            Ok(word) => *word = [taken; 8],
+            Err(_) => seen.fill(taken),
+        }
+    }
+}
+
+/// Per function, the *key registers* a watch compares first: the
+/// registers of the innermost frame that change most often between the
+/// function's checkpoints, the loop-carried values that tell one iteration
+/// from the next.  `u32::MAX` pads unused slots.
+fn key_registers(code: &CompiledModule, checkpoints: &[Checkpoint]) -> Vec<[u32; KEY_REGS]> {
+    let mut keys = vec![[u32::MAX; KEY_REGS]; code.funcs.len()];
+    for (func, key) in keys.iter_mut().enumerate() {
+        let mut in_func = checkpoints
+            .iter()
+            .map(Checkpoint::snapshot)
+            .filter(|snap| {
+                snap.pc()
+                    .is_some_and(|pc| code.meta[pc].func as usize == func)
+            })
+            .map(VmSnapshot::regs);
+        let Some(first) = in_func.next() else {
+            continue;
+        };
+        let mut changes = vec![0u32; first.len()];
+        let mut prev = first;
+        for regs in in_func {
+            for (n, (a, b)) in changes.iter_mut().zip(prev.iter().zip(regs)) {
+                *n += u32::from(a.bits != b.bits);
+            }
+            prev = regs;
+        }
+        let mut ranked: Vec<u32> = (0..first.len() as u32)
+            .filter(|&r| changes[r as usize] > 0)
+            .collect();
+        ranked.sort_by_key(|&r| std::cmp::Reverse(changes[r as usize]));
+        for (slot, reg) in key.iter_mut().zip(ranked) {
+            *slot = reg;
+        }
+    }
+    keys
+}
+
+/// Key registers per function.
+const KEY_REGS: usize = 4;
+
+/// A [`Watch`] on up to two checkpoints of a store: it fires before an
+/// instruction where a run's program counter, call depth and key registers
+/// equal one checkpoint's.
+pub(crate) struct RejoinWatch<'s> {
+    /// The targets' program counters (`usize::MAX` for none): the one
+    /// compare most instructions make.
+    pcs: [usize; 2],
+    targets: [Option<Target<'s>>; 2],
+    hit: usize,
+}
+
+/// One watched checkpoint.
+struct Target<'s> {
+    depth: usize,
+    keys: &'s [u32; KEY_REGS],
+    regs: &'s [Value],
+    index: usize,
+}
+
+impl<'s> RejoinWatch<'s> {
+    /// Watch checkpoints `indices` of `store` (an index past the end
+    /// watches nothing).
+    pub(crate) fn new(store: &'s CheckpointStore, indices: [usize; 2]) -> RejoinWatch<'s> {
+        let snapshots = indices.map(|index| Some(store.checkpoints.get(index)?.snapshot()));
+        RejoinWatch {
+            pcs: snapshots.map(|snap| snap.and_then(VmSnapshot::pc).unwrap_or(usize::MAX)),
+            targets: [0, 1].map(|i| {
+                let snap = snapshots[i]?;
+                Some(Target {
+                    depth: snap.depth(),
+                    keys: &store.keys[store.func_of[snap.pc()?] as usize],
+                    regs: snap.regs(),
+                    index: indices[i],
+                })
+            }),
+            hit: 0,
+        }
+    }
+
+    /// Index of the checkpoint the last hit matched.
+    pub(crate) fn hit(&self) -> usize {
+        self.hit
+    }
+
+    /// Whether the run at `pc` has target `i`'s depth and key registers.
+    #[inline(never)]
+    fn matches(&mut self, pc: usize, depth: usize, regs: &[Value]) -> bool {
+        for (i, target) in self.targets.iter().enumerate() {
+            let Some(target) = target.as_ref().filter(|_| self.pcs[i] == pc) else {
+                continue;
+            };
+            if target.depth == depth
+                && target
+                    .keys
+                    .iter()
+                    .take_while(|&&r| r != u32::MAX)
+                    .all(|&r| regs[r as usize].bits == target.regs[r as usize].bits)
+            {
+                self.hit = target.index;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+impl Watch for RejoinWatch<'_> {
+    #[inline]
+    fn hit(&mut self, pc: usize, depth: usize, regs: &[Value]) -> bool {
+        (pc == self.pcs[0] || pc == self.pcs[1]) && self.matches(pc, depth, regs)
     }
 }
 

@@ -627,16 +627,21 @@ mod tests {
             Metric::CowRestoreBytesSaved,
         ];
         let mut serial = [0u64; 6];
+        let mut shifted = 0;
         for cell in &campaigns {
             let (validated, _) = cell.spec.validate();
             for spec in ExperimentSpec::sample_campaign(&validated, &f.golden) {
-                let (_, cost) =
+                let (result, cost) =
                     Experiment::run_compiled_inner(&f.code, &f.golden, &spec, f.store.as_ref());
                 if let Some(skipped) = cost.restored_dyn {
                     serial[0] += 1;
                     serial[1] += skipped;
                 }
-                if let Some((_, skipped)) = cost.converged_at {
+                if let Some((at, skipped)) = cost.converged_at {
+                    // In phase or shifted, the exit counts the golden
+                    // instructions from the rejoined checkpoint on.
+                    assert_eq!(at + skipped, f.golden.dynamic_instrs);
+                    shifted += u32::from(result.dynamic_instrs != f.golden.dynamic_instrs);
                     serial[2] += 1;
                     serial[3] += skipped;
                 }
@@ -647,6 +652,7 @@ mod tests {
         for (metric, sum) in costs.iter().zip(serial) {
             assert!(sum > 0, "{metric:?} is exercised");
         }
+        assert!(shifted > 0, "some runs rejoin golden shifted");
         let config = SweepConfig {
             threads: 2,
             ..SweepConfig::default()

@@ -226,13 +226,16 @@ pub const DAEMON_CHECKPOINTS: u64 = 8;
 /// The smallest planned budget for which capturing a store pays.
 ///
 /// The unit is one golden-length run of a store-less served experiment.
-/// A capture costs about one: over the 15 tiny programs on a 2-vCPU
-/// machine, the 8-checkpoint captures take 10.4 ms and golden-length
-/// store-less experiment runs 10.8 ms (medians of 7; the experiments are
-/// 144 seeded single- and multi-bit specs per program, timed per executed
-/// instruction).  Each experiment saves `(1 - 1/N) / 2` of one, so the
-/// store pays from the smallest `n` with `n * (1 - 1/N) / 2 > 1`, i.e.
-/// `n * (N - 1) > 2 * N`: 3 at `N = 8`.
+/// A capture, its live-range pass included, costs about 1.1: over the 15
+/// tiny programs on a 2-vCPU machine, the 8-checkpoint captures take
+/// 9.7 ms and golden-length store-less experiment runs 8.9 ms (medians of
+/// 5 runs; the experiments are 144 seeded single- and multi-bit specs per
+/// program, timed per executed instruction).  Each experiment saves at
+/// least `(1 - 1/N) / 2` of one in its prefix (an exit where it rejoins
+/// golden saves more), so the store pays from the smallest `n` with
+/// `n * (1 - 1/N) / 2 > 1.1`: 3 at `N = 8` (2 saves 0.875, 3 saves 1.31).
+/// That is the `n` a capture cost of one gives too, which the constant
+/// uses: `n * (N - 1) > 2 * N`.
 pub const STORE_BREAK_EVEN: u64 = 2 * DAEMON_CHECKPOINTS / (DAEMON_CHECKPOINTS - 1) + 1;
 
 /// Per-`(workload, size)` build slot: the inner mutex is the *build lock* —

@@ -12,6 +12,13 @@
 //! candidates in LLFI either), and instructions without a destination
 //! register (e.g. `store`, branches) never reach `on_write` — which is why
 //! Table II of the paper lists fewer inject-on-write candidates.
+//!
+//! Memory traffic is announced too, after the access succeeded:
+//! [`ExecHook::on_mem_read`] for every non-empty byte range an instruction
+//! reads and [`ExecHook::on_mem_write`] for every range it defines (a
+//! zero-length access touches no address, which may then be anything).  A checkpoint
+//! capture derives the golden run's live bytes from them; every other hook
+//! keeps the empty defaults, which monomorphize away.
 
 use crate::value::Value;
 use mbfi_ir::{Opcode, Reg};
@@ -60,6 +67,15 @@ pub trait ExecHook {
     fn on_write(&mut self, _ctx: &InstrContext, _reg: Reg, value: Value) -> Value {
         value
     }
+
+    /// Called after an instruction read the `len` bytes at `addr`: a load,
+    /// the source of a `Memcpy`, the bytes a `PrintBytes` prints.
+    fn on_mem_read(&mut self, _addr: u64, _len: u64) {}
+
+    /// Called after an instruction defined the `len` bytes at `addr`: a
+    /// store, the destination of a `Memcpy`, a `Memset`, and the zero-fill
+    /// of a stack push (`alloca`) or a heap allocation (`Malloc`).
+    fn on_mem_write(&mut self, _addr: u64, _len: u64) {}
 }
 
 /// A hook that observes nothing and changes nothing (used for golden runs).

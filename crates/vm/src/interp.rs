@@ -17,6 +17,8 @@
 //! [`Vm::run_until`] pauses execution at an exact dynamic-instruction
 //! boundary instead, which combined with [`Vm::snapshot`] /
 //! [`Vm::from_snapshot`] is the substrate for checkpointed golden-run replay.
+//! [`Vm::run_watched`] pauses wherever a [`Watch`] asks it to, and
+//! [`Vm::rejoins`] tells whether the rest of a run is a snapshot's rest.
 //!
 //! The legacy tree walker that interprets the [`Module`] structure directly
 //! survives as [`crate::WalkerVm`], kept for differential testing.
@@ -68,12 +70,12 @@ pub struct RunResult {
 /// Where the tree walker tracked a `(func, block, instr)` triple, a compiled
 /// frame holds the flat `pc` plus the function index (for the register
 /// table) and the predecessor block (for phi resolution).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Frame {
     /// Index of the executing function (register-table / layout lookup).
     func: u32,
     /// Absolute PC of the next instruction to execute.
-    pc: usize,
+    pub(crate) pc: usize,
     /// Block index the frame most recently jumped *from* (phi resolution).
     prev_block: u32,
     pub(crate) regs: Vec<Value>,
@@ -83,6 +85,40 @@ pub(crate) struct Frame {
     /// Context of the `call` instruction, for routing the return-value write
     /// through the hook.
     call_ctx: Option<InstrContext>,
+}
+
+impl Frame {
+    /// Whether the two frames execute the same instructions on the same
+    /// values: every field but `call_ctx`, whose static half the caller's
+    /// `pc` already fixes and whose dynamic index only feeds the hook.
+    fn same_as(&self, other: &Frame) -> bool {
+        self.pc == other.pc
+            && self.regs == other.regs
+            && self.func == other.func
+            && self.prev_block == other.prev_block
+            && self.stack_mark == other.stack_mark
+            && self.ret_dest == other.ret_dest
+    }
+}
+
+/// Where a watched run ([`Vm::run_watched`]) pauses.  After each
+/// instruction the VM asks whether the next one, at `pc` and call depth
+/// `depth` with the innermost frame's registers `regs`, is a place to stop
+/// and look.
+pub trait Watch {
+    /// Whether to pause before the instruction at `pc`.
+    fn hit(&mut self, pc: usize, depth: usize, regs: &[Value]) -> bool;
+}
+
+/// The watch of every unwatched run: it never fires, and its check compiles
+/// away.
+struct NoWatch;
+
+impl Watch for NoWatch {
+    #[inline(always)]
+    fn hit(&mut self, _pc: usize, _depth: usize, _regs: &[Value]) -> bool {
+        false
+    }
 }
 
 /// The virtual machine executing one program run.
@@ -239,24 +275,52 @@ impl<'c> Vm<'c> {
         hook: &mut H,
         stop_at: u64,
     ) -> Option<RunResult> {
+        self.run_with(hook, stop_at, &mut NoWatch)
+    }
+
+    /// [`Vm::run_until`] that also pauses right before an instruction
+    /// `watch` hits: `None` when paused at `stop_at` or at a hit (the two
+    /// tell apart by [`Vm::dyn_count`]).  Calling it again resumes with that
+    /// instruction, which the watch is not asked about a second time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called again after the run has ended.
+    pub fn run_watched<H: ExecHook + ?Sized, W: Watch>(
+        &mut self,
+        hook: &mut H,
+        stop_at: u64,
+        watch: &mut W,
+    ) -> Option<RunResult> {
+        self.run_with(hook, stop_at, watch)
+    }
+
+    fn run_with<H: ExecHook + ?Sized, W: Watch>(
+        &mut self,
+        hook: &mut H,
+        stop_at: u64,
+        watch: &mut W,
+    ) -> Option<RunResult> {
         assert!(!self.done, "Vm::run_until called after the run ended");
         // Take the stack into a local for the duration of the loop so the
         // active frame can be borrowed mutably alongside `self` without
         // popping/pushing it on every instruction (this is the hottest loop
         // in the codebase).
         let mut stack = std::mem::take(&mut self.stack);
-        let outcome = self.step_loop(hook, stop_at, &mut stack);
+        let outcome = self.step_loop(hook, stop_at, &mut stack, watch);
         self.stack = stack;
         outcome.map(|o| self.finish(o))
     }
 
     /// The interpreter loop proper: `Some(outcome)` when the run ended,
-    /// `None` when paused at the `stop_at` boundary.
-    fn step_loop<H: ExecHook + ?Sized>(
+    /// `None` when paused at the `stop_at` boundary or before an
+    /// instruction `watch` hit.
+    fn step_loop<H: ExecHook + ?Sized, W: Watch>(
         &mut self,
         hook: &mut H,
         stop_at: u64,
         stack: &mut Vec<Frame>,
+        watch: &mut W,
     ) -> Option<RunOutcome> {
         loop {
             if stack.is_empty() {
@@ -328,6 +392,13 @@ impl<'c> Vm<'c> {
                     }
                 }
             }
+
+            // Dead code under `NoWatch`: its `hit` is a constant `false`.
+            if let Some(frame) = stack.last() {
+                if watch.hit(frame.pc, stack.len(), &frame.regs) {
+                    return None;
+                }
+            }
         }
     }
 
@@ -375,18 +446,31 @@ impl<'c> Vm<'c> {
         }
     }
 
-    /// Whether this VM's state equals `snapshot` exactly: the same
-    /// dynamic-instruction count, frames (registers, program counters,
-    /// phi predecessors, stack marks, return routing), output and memory
-    /// (see [`Memory::same_contents`]).  Two equal states run the same
-    /// instructions to the same result under a hook that changes nothing,
-    /// which is what lets a faulty run whose state rejoined a golden
-    /// checkpoint stop there.  Limits are not state and are not compared.
-    pub fn same_state_as(&self, snapshot: &VmSnapshot) -> bool {
-        self.dyn_count == snapshot.dyn_count
-            && self.stack == snapshot.frames
+    /// Whether the rest of this run, under a hook that changes nothing, is
+    /// the rest of the run `snapshot` was taken from: the frames (registers,
+    /// program counters, phi predecessors, stack marks, return routing) and
+    /// the output equal the snapshot's, and so does memory on `live`, the
+    /// bytes that run reads after the snapshot before it writes them (see
+    /// [`Memory::same_on`]).  Then every later read returns that run's
+    /// value, and the two runs execute the same instructions to the same
+    /// result.  The instruction counts may differ: the rest ends after as
+    /// many instructions from here as it took from the snapshot.  Limits
+    /// are not state and are not compared.
+    pub fn rejoins(&self, snapshot: &VmSnapshot, live: &[(u64, u64)]) -> bool {
+        self.stack.len() == snapshot.frames.len()
+            && self
+                .stack
+                .iter()
+                .rev()
+                .zip(snapshot.frames.iter().rev())
+                .all(|(mine, theirs)| mine.same_as(theirs))
             && self.output == snapshot.output
-            && self.mem.same_contents(&snapshot.mem)
+            && self.mem.same_on(&snapshot.mem, live)
+    }
+
+    /// Dynamic instructions executed so far.
+    pub fn dyn_count(&self) -> u64 {
+        self.dyn_count
     }
 
     /// Copy-on-write cost counters accumulated by this VM's memory.
@@ -492,12 +576,18 @@ impl<'c> Vm<'c> {
                 let n = rd!(count);
                 let size = elem_ty.byte_size().saturating_mul(n.as_u64());
                 let addr = self.mem.stack_push(size.max(1))?;
+                // The push zero-fills the frame up to the new top.
+                hook.on_mem_write(
+                    addr,
+                    self.mem.layout().stack_base + self.mem.stack_top() - addr,
+                );
                 Self::write_dest(frame, *dest, Value::ptr(addr), ctx, hook);
                 Ok(Step::Next)
             }
             CInstr::Load { dest, ty, addr } => {
                 let a = rd!(addr);
                 let bits = self.mem.load(*ty, a.as_u64())?;
+                hook.on_mem_read(a.as_u64(), ty.byte_size());
                 Self::write_dest(frame, *dest, Value::new(*ty, bits), ctx, hook);
                 Ok(Step::Next)
             }
@@ -505,6 +595,7 @@ impl<'c> Vm<'c> {
                 let v = rd!(value);
                 let a = rd!(addr);
                 self.mem.store(*ty, a.as_u64(), v.bits)?;
+                hook.on_mem_write(a.as_u64(), ty.byte_size());
                 Ok(Step::Next)
             }
             CInstr::Gep {
@@ -551,6 +642,7 @@ impl<'c> Vm<'c> {
                     &self.limits,
                     *which,
                     &arg_values,
+                    hook,
                 )?;
                 if let (Some(d), Some(v)) = (dest, result) {
                     Self::write_dest(frame, *d, v, ctx, hook);

@@ -39,7 +39,7 @@ pub mod value;
 pub mod walker;
 
 pub use hooks::{ExecHook, InstrContext, NoopHook};
-pub use interp::{RunOutcome, RunResult, Vm};
+pub use interp::{RunOutcome, RunResult, Vm, Watch};
 pub use limits::Limits;
 pub use mbfi_ir::compiled::CompiledModule;
 pub use memory::{ChunkSet, CowStats, Memory, MemoryLayout, CHUNK_BYTES};

@@ -28,6 +28,7 @@
 use crate::trap::Trap;
 use mbfi_ir::{Module, Type};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Size of one memory chunk.  4 KiB mirrors a hardware page: small enough
@@ -70,11 +71,53 @@ impl CowStats {
 /// snapshot footprint across a whole checkpoint store: a chunk shared by ten
 /// snapshots is charged once.
 #[derive(Debug, Default, Clone)]
-pub struct ChunkSet(HashSet<usize>);
+pub struct ChunkSet {
+    seen: HashSet<usize, BuildHasherDefault<AddressHasher>>,
+    /// Per segment, the chunk table of the image added last: consecutive
+    /// snapshots share most chunks slot for slot, and those need no lookup.
+    last: [Vec<usize>; 3],
+}
 
 impl ChunkSet {
-    fn insert(&mut self, chunk: &Arc<Chunk>) -> bool {
-        self.0.insert(Arc::as_ptr(chunk) as usize)
+    /// Bytes of `chunks`, segment `segment` of an image, not yet in the
+    /// set; adds them.
+    fn add_table(&mut self, segment: usize, chunks: &[Arc<Chunk>]) -> usize {
+        let mut last = std::mem::take(&mut self.last[segment]);
+        let mut bytes = 0;
+        for (i, chunk) in chunks.iter().enumerate() {
+            let addr = Arc::as_ptr(chunk) as usize;
+            if last.get(i) != Some(&addr) && self.seen.insert(addr) {
+                bytes += CHUNK_BYTES;
+            }
+        }
+        last.clear();
+        last.extend(chunks.iter().map(|chunk| Arc::as_ptr(chunk) as usize));
+        self.last[segment] = last;
+        bytes
+    }
+}
+
+/// A hasher for allocation addresses: one multiply, where the default
+/// hasher's DoS resistance buys nothing.  A checkpoint capture hashes every
+/// chunk of every snapshot.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = (addr as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
     }
 }
 
@@ -264,37 +307,29 @@ impl Segment {
         self.chunks.truncate(self.len.div_ceil(CHUNK_BYTES));
     }
 
-    /// Whether the mapped bytes `[0, len)` equal `other`'s.  Chunks the two
-    /// tables share (`Arc::ptr_eq`) are equal without a byte compare; bytes
-    /// past `len` (stale stack above the top, a trimmed table's missing
-    /// tail) are not part of the state and are ignored.
-    fn same_bytes(&self, other: &Segment) -> bool {
-        if self.base != other.base || self.len != other.len {
-            return false;
-        }
-        let mut off = 0;
-        for (mine, theirs) in self.chunks.iter().zip(&other.chunks) {
-            if off >= self.len {
-                break;
-            }
-            let n = CHUNK_BYTES.min(self.len - off);
-            if !Arc::ptr_eq(mine, theirs) && mine[..n] != theirs[..n] {
+    /// Whether the `len` mapped bytes at offset `off` equal `other`'s.
+    /// Chunks the two tables share (`Arc::ptr_eq`) are equal without a
+    /// byte compare.
+    fn same_range(&self, other: &Segment, off: usize, len: usize) -> bool {
+        let mut pos = 0;
+        while pos < len {
+            let at = off + pos;
+            let (ci, co) = (at >> CHUNK_SHIFT, at & CHUNK_MASK);
+            let n = (CHUNK_BYTES - co).min(len - pos);
+            let (mine, theirs) = (&self.chunks[ci], &other.chunks[ci]);
+            if !Arc::ptr_eq(mine, theirs) && mine[co..co + n] != theirs[co..co + n] {
                 return false;
             }
-            off += CHUNK_BYTES;
+            pos += n;
         }
         true
     }
 
-    /// Bytes of chunk storage not yet seen in `seen` (unique footprint).
-    fn unique_bytes(&self, seen: &mut ChunkSet) -> usize {
-        let mut bytes = self.chunks.len() * std::mem::size_of::<Arc<Chunk>>();
-        for chunk in &self.chunks {
-            if seen.insert(chunk) {
-                bytes += CHUNK_BYTES;
-            }
-        }
-        bytes
+    /// Bytes of chunk storage not yet seen in `seen` (unique footprint), as
+    /// segment `segment` of an image.
+    fn unique_bytes(&self, segment: usize, seen: &mut ChunkSet) -> usize {
+        self.chunks.len() * std::mem::size_of::<Arc<Chunk>>()
+            + seen.add_table(segment, &self.chunks)
     }
 }
 
@@ -373,9 +408,9 @@ impl Memory {
     /// snapshot of a checkpoint store through one `ChunkSet` yields the
     /// store's true unique footprint.
     pub fn unique_bytes(&self, seen: &mut ChunkSet) -> usize {
-        self.globals.unique_bytes(seen)
-            + self.heap.unique_bytes(seen)
-            + self.stack.unique_bytes(seen)
+        self.globals.unique_bytes(0, seen)
+            + self.heap.unique_bytes(1, seen)
+            + self.stack.unique_bytes(2, seen)
     }
 
     /// Copy-on-write cost counters accumulated by this memory (summed over
@@ -440,17 +475,36 @@ impl Memory {
         fork
     }
 
-    /// Whether `self` and `other` hold the same program-visible state: the
-    /// same heap and stack tops, global addresses and logical segment bytes.
-    /// Cost is one pointer compare per shared chunk plus a byte compare of
-    /// each chunk the two images do not share.
-    pub fn same_contents(&self, other: &Memory) -> bool {
+    /// Whether `self` and `other` agree on everything a run that reads only
+    /// the bytes in `ranges` can observe: the same heap and stack tops and
+    /// global addresses, and the same bytes on `ranges`, a list of
+    /// half-open `[start, end)` address ranges.  A range that is not mapped
+    /// in both is a difference.  Cost is one pointer compare per range
+    /// chunk the two images share plus a byte compare of the others.
+    pub fn same_on(&self, other: &Memory, ranges: &[(u64, u64)]) -> bool {
         self.heap_top == other.heap_top
             && self.stack_top == other.stack_top
             && self.global_addrs == other.global_addrs
-            && self.globals.same_bytes(&other.globals)
-            && self.heap.same_bytes(&other.heap)
-            && self.stack.same_bytes(&other.stack)
+            && ranges.iter().all(|&(start, end)| {
+                let len = end - start;
+                match (self.segment_for(start, len), other.segment_for(start, len)) {
+                    (Ok(mine), Ok(theirs)) if mine.base == theirs.base => {
+                        mine.same_range(theirs, (start - mine.base) as usize, len as usize)
+                    }
+                    _ => false,
+                }
+            })
+    }
+
+    /// Every mapped byte, as the half-open `[start, end)` address range of
+    /// each non-empty segment: comparing on them ([`Memory::same_on`])
+    /// compares all of memory.
+    pub fn mapped(&self) -> Vec<(u64, u64)> {
+        [&self.globals, &self.heap, &self.stack]
+            .into_iter()
+            .filter(|seg| seg.len > 0)
+            .map(|seg| (seg.base, seg.base + seg.len as u64))
+            .collect()
     }
 
     /// Resolved address of global `index`.

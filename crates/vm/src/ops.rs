@@ -5,6 +5,7 @@
 //! tree walker [`crate::WalkerVm`] — evaluate instructions through these
 //! helpers, so the two execution paths cannot drift semantically.
 
+use crate::hooks::ExecHook;
 use crate::limits::Limits;
 use crate::memory::Memory;
 use crate::trap::Trap;
@@ -163,13 +164,15 @@ pub(crate) fn append_output(output: &mut Vec<u8>, limits: &Limits, bytes: &[u8])
     output.extend_from_slice(&bytes[..take]);
 }
 
-/// Execute an intrinsic call against the VM's memory and output buffer.
-pub(crate) fn exec_intrinsic(
+/// Execute an intrinsic call against the VM's memory and output buffer,
+/// announcing the memory it reads and defines to `hook`.
+pub(crate) fn exec_intrinsic<H: ExecHook + ?Sized>(
     mem: &mut Memory,
     output: &mut Vec<u8>,
     limits: &Limits,
     which: Intrinsic,
     args: &[Value],
+    hook: &mut H,
 ) -> Result<Option<Value>, Trap> {
     let arg = |i: usize| args.get(i).copied().unwrap_or(Value::i64(0));
     match which {
@@ -196,12 +199,16 @@ pub(crate) fn exec_intrinsic(
             let addr = arg(0).as_u64();
             let len = arg(1).as_u64().min(limits.max_output_bytes as u64);
             let bytes = mem.read_bytes(addr, len)?;
+            if len > 0 {
+                hook.on_mem_read(addr, len);
+            }
             append_output(output, limits, &bytes);
             Ok(None)
         }
         Intrinsic::Abort => Err(Trap::Abort),
         Intrinsic::Malloc => {
             let addr = mem.heap_alloc(arg(0).as_u64())?;
+            hook.on_mem_write(addr, mem.layout().heap_base + mem.heap_top() - addr);
             Ok(Some(Value::ptr(addr)))
         }
         Intrinsic::Free => {
@@ -209,11 +216,20 @@ pub(crate) fn exec_intrinsic(
             Ok(None)
         }
         Intrinsic::Memcpy => {
-            mem.copy(arg(0).as_u64(), arg(1).as_u64(), arg(2).as_u64())?;
+            let (dst, src, len) = (arg(0).as_u64(), arg(1).as_u64(), arg(2).as_u64());
+            mem.copy(dst, src, len)?;
+            if len > 0 {
+                hook.on_mem_read(src, len);
+                hook.on_mem_write(dst, len);
+            }
             Ok(None)
         }
         Intrinsic::Memset => {
-            mem.fill(arg(0).as_u64(), arg(1).as_u64() as u8, arg(2).as_u64())?;
+            let (dst, len) = (arg(0).as_u64(), arg(2).as_u64());
+            mem.fill(dst, arg(1).as_u64() as u8, len)?;
+            if len > 0 {
+                hook.on_mem_write(dst, len);
+            }
             Ok(None)
         }
         Intrinsic::Sqrt => Ok(Some(Value::f64(arg(0).as_f64().sqrt()))),

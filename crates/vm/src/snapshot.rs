@@ -56,6 +56,29 @@ impl VmSnapshot {
         self.output.len()
     }
 
+    /// Program counter of the innermost frame: the next instruction to run.
+    pub fn pc(&self) -> Option<usize> {
+        self.frames.last().map(|f| f.pc)
+    }
+
+    /// Registers of the innermost frame (empty with no frame).
+    pub fn regs(&self) -> &[crate::Value] {
+        self.frames.last().map_or(&[], |f| &f.regs)
+    }
+
+    /// The frozen memory image.
+    pub fn memory(&self) -> &Memory {
+        &self.mem
+    }
+
+    /// This snapshot with its memory image replaced by `mem`.
+    pub fn with_memory(&self, mem: Memory) -> VmSnapshot {
+        VmSnapshot {
+            mem,
+            ..self.clone()
+        }
+    }
+
     /// Approximate heap footprint of this snapshot in bytes: unique memory
     /// chunks (each counted once even when several table slots share it),
     /// chunk-table overhead, register files and the output buffer.  Used by

@@ -376,6 +376,8 @@ impl<'m> WalkerVm<'m> {
                     &self.limits,
                     *which,
                     &arg_values,
+                    // The walker announces no memory traffic.
+                    &mut crate::hooks::NoopHook,
                 )?;
                 if let (Some(d), Some(v)) = (dest, result) {
                     Self::write_dest(frame, *d, v, ctx, hook);

@@ -1,15 +1,16 @@
-//! The exact state-equality primitive: `Vm::same_state_as` and
-//! `Memory::same_contents`.
+//! The state-equality primitive: `Vm::rejoins` and `Memory::same_on`.
 //!
 //! Equality is what lets a faulty run stop early, so it must be exact in
-//! both directions: any program-visible difference (a memory byte, a
-//! register, a program counter, an output byte) makes two states unequal,
-//! while differences no later instruction can observe (which chunk `Arc` a
-//! byte lives in, stale stack bytes above the top) do not.
+//! both directions: any difference on the compared state (a memory byte in
+//! the compared ranges, a register, a program counter, an output byte)
+//! makes two states unequal, while differences no later instruction can
+//! observe (which chunk `Arc` a byte lives in, stale stack bytes above the
+//! top, bytes outside the compared ranges) do not.
 //!
 //! Each VM case forks a run off a golden snapshot, perturbs it with a hook
 //! that flips bit 0 of one value at one dynamic instruction, and compares
-//! the perturbed run with the golden snapshot at the same boundary.
+//! the perturbed run with the golden snapshot at the same boundary, on all
+//! of the snapshot's mapped memory.
 
 use mbfi_ir::{CompiledModule, Global, IcmpPred, Module, ModuleBuilder, Operand, Reg, Type};
 use mbfi_vm::{
@@ -98,6 +99,16 @@ impl ExecHook for FlipAt {
     }
 }
 
+/// Whether `vm` rejoins `snap` on every mapped byte of `snap`.
+fn same_state(vm: &Vm<'_>, snap: &VmSnapshot) -> bool {
+    vm.rejoins(snap, &snap.memory().mapped())
+}
+
+/// Whether `a` equals `b` on every mapped byte of `b`.
+fn same_memory(a: &Memory, b: &Memory) -> bool {
+    a.same_on(b, &b.mapped())
+}
+
 /// The golden state at boundary `at`.
 fn golden_at(code: &CompiledModule, at: u64) -> VmSnapshot {
     let mut vm = Vm::new(code, Limits::default());
@@ -123,12 +134,15 @@ fn a_fresh_fork_equals_its_snapshot() {
     let code = CompiledModule::lower(&program());
     for at in [0, STORE_BACK, CALLEE_STORE, PRINT_X, COND_BR + 1] {
         let snap = golden_at(&code, at);
-        assert!(Vm::from_snapshot(&code, Limits::default(), &snap).same_state_as(&snap));
+        assert!(same_state(
+            &Vm::from_snapshot(&code, Limits::default(), &snap),
+            &snap
+        ));
         // An independent golden run paused at the same boundary shares no
         // written chunk with `snap`, and still compares equal byte for byte.
         let mut rerun = Vm::new(&code, Limits::default());
         assert!(rerun.run_until(&mut NoopHook, at).is_none());
-        assert!(rerun.same_state_as(&snap), "boundary {at}");
+        assert!(same_state(&rerun, &snap), "boundary {at}");
     }
 }
 
@@ -136,7 +150,7 @@ fn a_fresh_fork_equals_its_snapshot() {
 fn a_different_boundary_is_a_different_state() {
     let code = CompiledModule::lower(&program());
     let vm = Vm::from_snapshot(&code, Limits::default(), &golden_at(&code, ADD_UNUSED));
-    assert!(!vm.same_state_as(&golden_at(&code, PRINT_X)));
+    assert!(!same_state(&vm, &golden_at(&code, PRINT_X)));
 }
 
 #[test]
@@ -152,7 +166,7 @@ fn a_chunk_copied_and_written_back_is_equal() {
     };
     let vm = perturbed(&code, &start, STORE_BACK + 1, hook);
     assert!(vm.cow_stats().cow_chunks_copied >= 1);
-    assert!(vm.same_state_as(&golden_at(&code, STORE_BACK + 1)));
+    assert!(same_state(&vm, &golden_at(&code, STORE_BACK + 1)));
 }
 
 #[test]
@@ -168,7 +182,7 @@ fn one_differing_memory_byte_is_unequal() {
         STORE_FLIPPED + 1,
         hook,
     );
-    assert!(!vm.same_state_as(&golden_at(&code, STORE_FLIPPED + 1)));
+    assert!(!same_state(&vm, &golden_at(&code, STORE_FLIPPED + 1)));
 }
 
 #[test]
@@ -182,9 +196,9 @@ fn stale_stack_bytes_above_the_top_are_ignored() {
         operand: Some(0),
     };
     let inside = perturbed(&code, &start, CALLEE_RET, hook());
-    assert!(!inside.same_state_as(&golden_at(&code, CALLEE_RET)));
+    assert!(!same_state(&inside, &golden_at(&code, CALLEE_RET)));
     let vm = perturbed(&code, &start, CALLEE_RET + 1, hook());
-    assert!(vm.same_state_as(&golden_at(&code, CALLEE_RET + 1)));
+    assert!(same_state(&vm, &golden_at(&code, CALLEE_RET + 1)));
 }
 
 #[test]
@@ -195,7 +209,7 @@ fn one_differing_register_is_unequal() {
         operand: None,
     };
     let vm = perturbed(&code, &golden_at(&code, ADD_UNUSED), ADD_UNUSED + 1, hook);
-    assert!(!vm.same_state_as(&golden_at(&code, ADD_UNUSED + 1)));
+    assert!(!same_state(&vm, &golden_at(&code, ADD_UNUSED + 1)));
 }
 
 #[test]
@@ -206,7 +220,7 @@ fn one_differing_output_byte_is_unequal() {
         operand: Some(0),
     };
     let vm = perturbed(&code, &golden_at(&code, PRINT_X), PRINT_X + 1, hook);
-    assert!(!vm.same_state_as(&golden_at(&code, PRINT_X + 1)));
+    assert!(!same_state(&vm, &golden_at(&code, PRINT_X + 1)));
 }
 
 #[test]
@@ -220,7 +234,7 @@ fn a_differing_pc_is_unequal() {
         operand: Some(0),
     };
     let vm = perturbed(&code, &golden_at(&code, COND_BR), COND_BR + 1, hook);
-    assert!(!vm.same_state_as(&golden_at(&code, COND_BR + 1)));
+    assert!(!same_state(&vm, &golden_at(&code, COND_BR + 1)));
 }
 
 fn memory() -> Memory {
@@ -232,15 +246,15 @@ fn memory_equality_compares_bytes_not_chunk_identity() {
     let base = memory();
     let g = base.global_addr(0).unwrap();
     let mut fork = base.fork_cow();
-    assert!(fork.same_contents(&base));
+    assert!(same_memory(&fork, &base));
 
     fork.store(Type::I32, g + 8, 0xDEAD).unwrap();
     assert_eq!(fork.cow_stats().cow_chunks_copied, 1);
-    assert!(!fork.same_contents(&base), "one differing byte");
+    assert!(!same_memory(&fork, &base), "one differing byte");
 
     fork.store(Type::I32, g + 8, 0).unwrap();
     assert!(
-        fork.same_contents(&base),
+        same_memory(&fork, &base),
         "written back to the original bytes"
     );
 }
@@ -253,22 +267,36 @@ fn memory_equality_ignores_stale_stack_but_not_the_tops() {
     let sb = b.stack_push(32).unwrap();
     a.store(Type::I64, sa + 8, 1).unwrap();
     b.store(Type::I64, sb + 8, 2).unwrap();
-    assert!(!a.same_contents(&b));
+    assert!(!same_memory(&a, &b));
 
     let (mark_a, mark_b) = (a.stack_mark(), b.stack_mark());
     a.stack_pop_to(mark_a - 32);
     b.stack_pop_to(mark_b - 32);
     assert!(
-        a.same_contents(&b),
+        same_memory(&a, &b),
         "stale bytes above the top are not state"
     );
     // A trimmed snapshot image of the same state compares equal too.
-    assert!(a.snapshot_image().same_contents(&b));
+    assert!(same_memory(&a.snapshot_image(), &b));
 
     let mut c = a.fork_cow();
     c.stack_push(16).unwrap();
-    assert!(!c.same_contents(&a), "a different stack top");
+    assert!(!same_memory(&c, &a), "a different stack top");
     let mut d = a.fork_cow();
     d.heap_alloc(8).unwrap();
-    assert!(!d.same_contents(&a), "a different heap top");
+    assert!(!same_memory(&d, &a), "a different heap top");
+}
+
+#[test]
+fn memory_outside_the_compared_ranges_is_not_compared() {
+    let base = memory();
+    let g = base.global_addr(0).unwrap();
+    let mut fork = base.fork_cow();
+    fork.store(Type::I64, g + 8, 0xDEAD).unwrap();
+    assert!(!fork.same_on(&base, &[(g, g + 16)]));
+    assert!(fork.same_on(&base, &[(g, g + 8), (g + 16, g + 64)]));
+    assert!(fork.same_on(&base, &[]), "no range compares no byte");
+    // A range the images do not map is a difference.
+    let top = base.layout().heap_base;
+    assert!(!fork.same_on(&base, &[(top, top + 8)]));
 }

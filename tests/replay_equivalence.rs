@@ -138,3 +138,28 @@ fn late_injections_replay_identically() {
         }
     }
 }
+
+/// `ci.sh` reruns `run_all` on qsort, CRC32 and stringsearch at a 1 MiB
+/// store budget, so that runs rejoining golden are also checked where a
+/// store ends before the run.  At that budget the harness's auto-interval
+/// stores at tiny input (snapshots and live ranges together) truncate for
+/// these programs and no others: qsort and stringsearch among them, CRC32
+/// not.
+#[test]
+fn a_one_mib_budget_truncates_the_expected_tiny_stores() {
+    let truncated: Vec<String> = all_workloads()
+        .iter()
+        .filter(|w| {
+            let (code, golden) = prepared(w.as_ref());
+            let config = CheckpointConfig::auto_for(&golden, 1 << 20);
+            CheckpointStore::capture_compiled(&code, &golden, config)
+                .unwrap()
+                .truncated()
+        })
+        .map(|w| w.name().to_string())
+        .collect();
+    assert_eq!(
+        truncated,
+        ["qsort", "susan_edges", "susan_smoothing", "stringsearch"]
+    );
+}
