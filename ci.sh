@@ -101,6 +101,23 @@ cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3/run_all.txt"
 cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3off/run_all.txt"
 cmp "$RUN_ALL_DIR/t1/run_all.txt" "$RUN_ALL_DIR/t3trunc/run_all.txt"
 
+# Hang-threshold neutrality smoke: on the programs that hang at tiny input,
+# every table and figure must be byte-identical at the two ends of the
+# paper's 10-100x hang threshold, and the counters-level summary must count
+# at least one hang, so the comparison cannot pass without one.
+echo "==> hang-threshold smoke: MBFI_HANG_FACTOR=10 / 100"
+for factor in 10 100; do
+    mkdir -p "$RUN_ALL_DIR/hang$factor"
+    MBFI_WORKLOADS=CRC32,stringsearch,basicmath,FFT,IFFT MBFI_EXPERIMENTS=12 \
+        MBFI_HANG_FACTOR="$factor" MBFI_TELEMETRY=counters \
+        cargo run --release --offline -q -p mbfi-bench --bin run_all -- \
+        --out-dir "$RUN_ALL_DIR/hang$factor" > /dev/null \
+        2> "$RUN_ALL_DIR/hang$factor/stderr.txt"
+    grep -Eq ", [1-9][0-9]* hangs executing" "$RUN_ALL_DIR/hang$factor/stderr.txt" \
+        || { cat "$RUN_ALL_DIR/hang$factor/stderr.txt"; echo "no hang at factor $factor"; exit 1; }
+done
+cmp "$RUN_ALL_DIR/hang10/run_all.txt" "$RUN_ALL_DIR/hang100/run_all.txt"
+
 if [[ "${1:-}" == "bench" ]]; then
     # The repository benchmark (perfbench/, a package of its own): its
     # self-tests, then a short run of each workload.  The last line of a run

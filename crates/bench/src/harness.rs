@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 
+use mbfi_core::campaign::DEFAULT_HANG_FACTOR;
 use mbfi_core::cluster::{MAX_MBF_VALUES, WIN_SIZE_VALUES};
 use mbfi_core::pruning::{
     ActivationAnalysis, LocationAnalysis, LocationRequest, PessimisticAnalysis,
@@ -88,7 +89,7 @@ impl Default for HarnessConfig {
             seed: 0x0B17,
             size: InputSize::Tiny,
             workload_filter: None,
-            hang_factor: 20,
+            hang_factor: DEFAULT_HANG_FACTOR,
             threads: 0,
             full_grid: false,
             replay: true,
@@ -109,7 +110,8 @@ impl HarnessConfig {
     /// * `MBFI_SEED` — base seed (default 0x0B17)
     /// * `MBFI_SIZE` — `tiny` or `small` (default tiny)
     /// * `MBFI_WORKLOADS` — comma-separated names (default: all 15)
-    /// * `MBFI_HANG_FACTOR` — hang threshold multiplier (default 20)
+    /// * `MBFI_HANG_FACTOR` — hang threshold multiplier (default
+    ///   [`DEFAULT_HANG_FACTOR`], 10)
     /// * `MBFI_THREADS` — sweep worker threads (default: all cores)
     /// * `MBFI_GRID` — `full` for the 10 × 9 grid, `coarse` for the sub-grid
     ///   used by default
@@ -590,13 +592,17 @@ impl<'a> CampaignGrid<'a> {
             let snapshot = hub.snapshot();
             eprintln!(
                 "telemetry: {} experiments in {} batches, {:.0} exp/s, {} parks, \
-                 {} golden convergences skipping {} instructions",
+                 {} golden convergences skipping {} instructions, \
+                 {} hangs executing {} instructions, longest ended run {:.3}x golden",
                 snapshot.counter(Metric::ExperimentsRun),
                 snapshot.counter(Metric::BatchesRun),
                 snapshot.exps_per_sec(),
                 snapshot.counter(Metric::WorkerParks),
                 snapshot.counter(Metric::GoldenConvergences),
                 snapshot.counter(Metric::ConvergedInstrsSkipped),
+                snapshot.counter(Metric::Hangs),
+                snapshot.counter(Metric::HangInstrs),
+                snapshot.counter(Metric::LongestEndedPermille) as f64 / 1_000.0,
             );
             snapshot
         });

@@ -145,6 +145,11 @@ pub(crate) struct ExperimentCost {
     /// shifted, and the golden instructions from there to golden's end,
     /// which the run skipped: `(k.dyn_index, golden − k.dyn_index)`.
     pub converged_at: Option<(u64, u64)>,
+    /// The instructions a run that hit its hang threshold executed after
+    /// its restore point (from instruction zero without one).
+    pub hang_instrs: Option<u64>,
+    /// The run's length in permille of the golden length.
+    pub length_permille: u64,
 }
 
 /// The summed [`ExperimentCost`]s of a batch of runs, published to a hub
@@ -155,6 +160,9 @@ pub(crate) struct CostTally {
     replay_instrs_skipped: u64,
     convergences: u64,
     converged_instrs_skipped: u64,
+    hangs: u64,
+    hang_instrs: u64,
+    longest_ended_permille: u64,
     cow_chunks_copied: u64,
     cow_restore_bytes_saved: u64,
 }
@@ -162,7 +170,8 @@ pub(crate) struct CostTally {
 impl CostTally {
     /// Count one run: a checkpoint fast-forward and the dynamic
     /// instructions it skipped, an exit at a golden checkpoint and the
-    /// golden instructions it skipped, and the run's copy-on-write traffic.
+    /// golden instructions it skipped, a hang and the instructions it ran
+    /// or else the run's length, and the run's copy-on-write traffic.
     pub(crate) fn add(&mut self, cost: &ExperimentCost) {
         if let Some(skipped) = cost.restored_dyn {
             self.restores += 1;
@@ -172,14 +181,25 @@ impl CostTally {
             self.convergences += 1;
             self.converged_instrs_skipped += skipped;
         }
+        match cost.hang_instrs {
+            Some(instrs) => {
+                self.hangs += 1;
+                self.hang_instrs += instrs;
+            }
+            None => {
+                self.longest_ended_permille = self.longest_ended_permille.max(cost.length_permille)
+            }
+        }
         self.cow_chunks_copied += cost.cow.cow_chunks_copied;
         self.cow_restore_bytes_saved += cost.cow.restore_bytes_saved;
     }
 
     /// Publish the sums as [`Metric::CheckpointRestores`],
     /// [`Metric::ReplayInstrsSkipped`], [`Metric::GoldenConvergences`],
-    /// [`Metric::ConvergedInstrsSkipped`], [`Metric::CowChunksCopied`] and
-    /// [`Metric::CowRestoreBytesSaved`].
+    /// [`Metric::ConvergedInstrsSkipped`], [`Metric::Hangs`],
+    /// [`Metric::HangInstrs`], [`Metric::CowChunksCopied`] and
+    /// [`Metric::CowRestoreBytesSaved`], and the longest ended run as the
+    /// maximum [`Metric::LongestEndedPermille`].
     pub(crate) fn publish(&self, hub: &TelemetryHub) {
         hub.add(Metric::CheckpointRestores, self.restores);
         hub.add(Metric::ReplayInstrsSkipped, self.replay_instrs_skipped);
@@ -188,6 +208,9 @@ impl CostTally {
             Metric::ConvergedInstrsSkipped,
             self.converged_instrs_skipped,
         );
+        hub.add(Metric::Hangs, self.hangs);
+        hub.add(Metric::HangInstrs, self.hang_instrs);
+        hub.max(Metric::LongestEndedPermille, self.longest_ended_permille);
         hub.add(Metric::CowChunksCopied, self.cow_chunks_copied);
         hub.add(Metric::CowRestoreBytesSaved, self.cow_restore_bytes_saved);
     }
@@ -233,8 +256,8 @@ impl Experiment {
     }
 
     /// The shared non-generic execution body: the result plus the run's cost
-    /// accounting (checkpoint restore, golden convergence, copy-on-write
-    /// chunk traffic).  Costs are deliberately *not* part of
+    /// accounting (checkpoint restore, golden convergence, hang or length,
+    /// copy-on-write chunk traffic).  Costs are deliberately *not* part of
     /// [`ExperimentResult`] — results must stay byte-identical whether
     /// replay or CoW is on, and the cost side obviously differs between the
     /// paths.
@@ -302,6 +325,11 @@ impl Experiment {
                 }
             }
         };
+        if result.outcome == Outcome::Hang {
+            cost.hang_instrs = Some(result.dynamic_instrs - cost.restored_dyn.unwrap_or(0));
+        }
+        cost.length_permille =
+            result.dynamic_instrs.saturating_mul(1_000) / golden.dynamic_instrs.max(1);
         (result, cost)
     }
 
@@ -840,6 +868,69 @@ mod tests {
                 assert_eq!(cost.converged_at, None);
             }
         }
+    }
+
+    /// `main` loads a loop bound of 100 from a global, sums `0..n` and
+    /// prints the sum: a flip of bit 8 of the loaded bound runs the loop 356
+    /// times, and the run ends at about 3.5x the golden length.
+    fn long_loop_workload() -> Module {
+        let mut mb = ModuleBuilder::new("long-loop");
+        let bound = mb.global_i64s("n", &[100]);
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(main);
+            let n = f.load(Type::I64, bound);
+            let acc = f.slot(Type::I64);
+            f.store(Type::I64, 0i64, acc);
+            f.counted_loop(Type::I64, 0i64, n, |f, i| {
+                let cur = f.load(Type::I64, acc);
+                let next = f.add(Type::I64, cur, i);
+                f.store(Type::I64, next, acc);
+            });
+            let total = f.load(Type::I64, acc);
+            f.print_i64(total);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        mb.finish()
+    }
+
+    #[test]
+    fn a_run_slowed_to_three_and_a_half_times_golden_ends_above_the_hang_floor() {
+        let code = CompiledModule::lower(&long_loop_workload());
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let floor = crate::campaign::MIN_HANG_FACTOR;
+        // A flip of the bound as the load writes it; the seed picks the bit.
+        let (spec, slowed) = (0..golden.candidates(Technique::InjectOnWrite).min(4))
+            .flat_map(|first_target| {
+                (0..256).map(move |seed| ExperimentSpec {
+                    technique: Technique::InjectOnWrite,
+                    model: FaultModel::single_bit(),
+                    first_target,
+                    win_size_value: 0,
+                    seed,
+                    hang_factor: floor,
+                })
+            })
+            .map(|spec| (spec, Experiment::run_compiled(&code, &golden, &spec, None)))
+            .find(|(_, r)| {
+                r.outcome != Outcome::Hang && r.dynamic_instrs > 3 * golden.dynamic_instrs
+            })
+            .expect("a flip of bit 8 of the bound runs the loop 356 times");
+        assert_eq!(slowed.outcome, Outcome::Sdc);
+        assert!(
+            3 * golden.dynamic_instrs > 1_000,
+            "the limit is not the floor"
+        );
+        // Below the floor, the same run reads as a hang; a direct spec
+        // bypasses the campaign's validation.
+        let below = ExperimentSpec {
+            hang_factor: 3,
+            ..spec
+        };
+        let hang = Experiment::run_compiled(&code, &golden, &below, None);
+        assert_eq!(hang.outcome, Outcome::Hang);
+        assert_eq!(hang.dynamic_instrs, 3 * golden.dynamic_instrs);
     }
 
     #[test]

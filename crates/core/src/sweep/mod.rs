@@ -452,7 +452,7 @@ fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads
 
 #[cfg(test)]
 mod tests {
-    use crate::campaign::Campaign;
+    use crate::campaign::{Campaign, MIN_HANG_FACTOR};
 
     use super::*;
     use crate::experiment::Experiment;
@@ -605,7 +605,8 @@ mod tests {
     }
 
     /// The experiment-cost counters are batch sums of the serial runs'
-    /// costs, and mean the same at `counters` as at `full`.
+    /// costs, the longest ended run their maximum, and all mean the same at
+    /// `counters` as at `full`.
     #[test]
     fn experiment_cost_counters_are_exact_at_every_level() {
         let f = fixture(96, true);
@@ -614,7 +615,8 @@ mod tests {
             golden: &f.golden,
             store: f.store.as_ref(),
         }];
-        let campaigns: Vec<SweepCampaign> = grid_specs(40)
+        // 100 experiments per cell, so that some runs hang.
+        let campaigns: Vec<SweepCampaign> = grid_specs(100)
             .into_iter()
             .map(|spec| SweepCampaign { unit: 0, spec })
             .collect();
@@ -623,11 +625,13 @@ mod tests {
             Metric::ReplayInstrsSkipped,
             Metric::GoldenConvergences,
             Metric::ConvergedInstrsSkipped,
+            Metric::Hangs,
+            Metric::HangInstrs,
             Metric::CowChunksCopied,
             Metric::CowRestoreBytesSaved,
         ];
-        let mut serial = [0u64; 6];
-        let mut shifted = 0;
+        let mut serial = [0u64; 8];
+        let (mut shifted, mut longest_ended) = (0, 0);
         for cell in &campaigns {
             let (validated, _) = cell.spec.validate();
             for spec in ExperimentSpec::sample_campaign(&validated, &f.golden) {
@@ -645,14 +649,25 @@ mod tests {
                     serial[2] += 1;
                     serial[3] += skipped;
                 }
-                serial[4] += cost.cow.cow_chunks_copied;
-                serial[5] += cost.cow.restore_bytes_saved;
+                if result.outcome == Outcome::Hang {
+                    // A hang runs from its restore point to the threshold.
+                    let limit = f.golden.faulty_run_limits(spec.hang_factor);
+                    assert_eq!(result.dynamic_instrs, limit.max_dynamic_instrs);
+                    serial[4] += 1;
+                    serial[5] += result.dynamic_instrs - cost.restored_dyn.unwrap_or(0);
+                } else {
+                    longest_ended =
+                        longest_ended.max(result.dynamic_instrs * 1_000 / f.golden.dynamic_instrs);
+                }
+                serial[6] += cost.cow.cow_chunks_copied;
+                serial[7] += cost.cow.restore_bytes_saved;
             }
         }
         for (metric, sum) in costs.iter().zip(serial) {
             assert!(sum > 0, "{metric:?} is exercised");
         }
         assert!(shifted > 0, "some runs rejoin golden shifted");
+        assert!(longest_ended > 1_000, "some ended runs outlast golden");
         let config = SweepConfig {
             threads: 2,
             ..SweepConfig::default()
@@ -664,6 +679,12 @@ mod tests {
             for (&metric, sum) in costs.iter().zip(serial) {
                 assert_eq!(hub.counter(metric), sum, "{metric:?} at {}", level.label());
             }
+            assert_eq!(
+                hub.counter(Metric::LongestEndedPermille),
+                longest_ended,
+                "longest ended run at {}",
+                level.label()
+            );
         }
     }
 
@@ -760,13 +781,13 @@ mod tests {
         let report = Sweep::run(&units, &cells, &SweepConfig::default());
         let expected = CampaignWarning::HangFactorRaised {
             requested: 0,
-            used: 2,
+            used: MIN_HANG_FACTOR,
         };
         assert_eq!(report.warnings, vec![expected]);
         assert_eq!(report.results[0].result.warnings, vec![expected]);
         assert!(report.results[1].result.warnings.is_empty());
         assert_eq!(report.results[2].result.warnings, vec![expected]);
-        assert_eq!(report.results[0].result.spec.hang_factor, 2);
+        assert_eq!(report.results[0].result.spec.hang_factor, MIN_HANG_FACTOR);
     }
 
     /// A straight-line register-only workload: no loops (no hangs), no

@@ -82,7 +82,8 @@ impl TelemetryLevel {
 /// Every counter in the metrics registry.
 ///
 /// Counters are monotonic `u64` sums, cheap enough to bump from the hot path
-/// (one relaxed `fetch_add`).  The executor metrics are defined by the sweep
+/// (one relaxed `fetch_add`), except [`Metric::LongestEndedPermille`], a
+/// maximum ([`TelemetryHub::max`]).  The executor metrics are defined by the sweep
 /// event stream itself, and `tests/telemetry_equivalence.rs` pins each
 /// definition: a counter must mean exactly what its doc says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,11 +126,19 @@ pub enum Metric {
     GoldenConvergences = 13,
     /// Golden-run dynamic instructions those experiments did not execute.
     ConvergedInstrsSkipped = 14,
+    /// Experiments that hit their hang threshold.
+    Hangs = 15,
+    /// Dynamic instructions those experiments executed after their restore
+    /// point (from instruction zero without one).
+    HangInstrs = 16,
+    /// The longest run that ended before its hang threshold, in permille of
+    /// its golden length.  A maximum, not a sum.
+    LongestEndedPermille = 17,
 }
 
 impl Metric {
     /// All metrics, in registry order (`m as usize` indexes this array).
-    pub const ALL: [Metric; 15] = [
+    pub const ALL: [Metric; 18] = [
         Metric::ExperimentsRun,
         Metric::BatchesRun,
         Metric::RoundsCompleted,
@@ -145,6 +154,9 @@ impl Metric {
         Metric::CowRestoreBytesSaved,
         Metric::GoldenConvergences,
         Metric::ConvergedInstrsSkipped,
+        Metric::Hangs,
+        Metric::HangInstrs,
+        Metric::LongestEndedPermille,
     ];
 
     /// Snake-case registry name (stable; used in snapshots and bench JSON).
@@ -165,6 +177,9 @@ impl Metric {
             Metric::CowRestoreBytesSaved => "cow_restore_bytes_saved",
             Metric::GoldenConvergences => "golden_convergences",
             Metric::ConvergedInstrsSkipped => "converged_instrs_skipped",
+            Metric::Hangs => "hangs",
+            Metric::HangInstrs => "hang_instrs",
+            Metric::LongestEndedPermille => "longest_ended_permille",
         }
     }
 }
@@ -502,6 +517,14 @@ impl TelemetryHub {
             return;
         }
         self.counters[metric as usize].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Raise a registry maximum to at least `value`.
+    pub fn max(&self, metric: Metric, value: u64) {
+        if self.level == TelemetryLevel::Off {
+            return;
+        }
+        self.counters[metric as usize].fetch_max(value, Ordering::Relaxed);
     }
 
     /// Record one sweep event: fold it into the registry, then append it to
@@ -925,10 +948,13 @@ mod tests {
             rounds: 2,
         });
         hub.add(Metric::CheckpointRestores, 3);
+        hub.max(Metric::LongestEndedPermille, 3_100);
+        hub.max(Metric::LongestEndedPermille, 1_200);
         let snap = hub.snapshot();
         assert_eq!(snap.level, TelemetryLevel::Counters);
         assert_eq!(snap.counter(Metric::ExperimentsRun), 3);
         assert_eq!(snap.counter(Metric::CheckpointRestores), 3);
+        assert_eq!(snap.counter(Metric::LongestEndedPermille), 3_100);
         assert_eq!(snap.counter(Metric::BatchesRun), 2);
         assert_eq!(snap.counter(Metric::BusyNanos), 2_000);
         assert_eq!(snap.counter(Metric::RoundsCompleted), 1);
@@ -949,6 +975,7 @@ mod tests {
             rounds: 0,
         });
         hub.add(Metric::CheckpointRestores, 1);
+        hub.max(Metric::LongestEndedPermille, 1_000);
         let snap = hub.snapshot();
         assert!(snap.counters.iter().all(|&(_, v)| v == 0));
         assert!(hub.drain_events().is_empty());

@@ -13,6 +13,7 @@
 //! and exits non-zero unless the served report is byte-identical — the CI
 //! smoke test of the service path.
 
+use mbfi_core::campaign::DEFAULT_HANG_FACTOR;
 use mbfi_core::{FaultModel, Sweep, SweepCampaign, SweepConfig, Technique};
 use mbfi_serve::cache::ArtifactCache;
 use mbfi_serve::{CellRequest, GridRequest, ServerConfig};
@@ -146,7 +147,7 @@ fn parse_grid(args: &mut Vec<String>) -> Result<GridRequest, String> {
                 model: FaultModel::single_bit(),
                 experiments,
                 seed,
-                hang_factor: 20,
+                hang_factor: DEFAULT_HANG_FACTOR,
                 precision: None,
             });
         }

@@ -19,7 +19,7 @@
 //! ```json
 //! {"workload":"qsort","size":"small","technique":"read",
 //!  "model":{"max_mbf":3,"win_size":{"fixed":0}},
-//!  "experiments":1000,"seed":12345,"hang_factor":20,"precision":null}
+//!  "experiments":1000,"seed":12345,"hang_factor":10,"precision":null}
 //! ```
 //!
 //! ## Responses (server → client)

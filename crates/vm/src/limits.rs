@@ -26,8 +26,11 @@ impl Default for Limits {
 
 impl Limits {
     /// Limits for a faulty run given the golden run's dynamic instruction
-    /// count: the hang threshold is `factor` times the fault-free length
-    /// (the paper uses 10x-100x).
+    /// count: the hang threshold is `factor` times the fault-free length,
+    /// and at least 1,000 instructions.  The paper's §III-E follows LLFI
+    /// and puts it at 10x-100x; campaigns default to 10x and never run
+    /// below 4x (`mbfi_core::campaign`'s `DEFAULT_HANG_FACTOR` and
+    /// `MIN_HANG_FACTOR`).
     pub fn hang_threshold(golden_dynamic_instrs: u64, factor: u64) -> Limits {
         Limits {
             max_dynamic_instrs: golden_dynamic_instrs.saturating_mul(factor).max(1_000),
