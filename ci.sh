@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus lint, in one command, fully offline.
 #
-#   ./ci.sh          # build + test + clippy + rustdoc
+#   ./ci.sh          # build + test + clippy + benchmark type-check + rustdoc
 #   ./ci.sh bench    # additionally run the perfbench/ benchmark (fast
 #                    # knobs)
 #
@@ -22,6 +22,12 @@ cargo test -q --offline
 
 echo "==> cargo clippy --all-targets --offline -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
+
+# The benchmark (perfbench/, a package of its own) builds public types of
+# the workspace as struct literals, so a changed public field breaks it.
+# --locked fails the step instead of rewriting perfbench/Cargo.lock.
+echo "==> cargo check --offline --locked --manifest-path perfbench/Cargo.toml --all-targets"
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml --all-targets
 
 # Rustdoc must stay clean, so a deleted or renamed item cannot leave a stale
 # intra-doc link behind.

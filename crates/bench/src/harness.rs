@@ -59,9 +59,6 @@ pub struct HarnessConfig {
     /// amortizes across the whole sweep (results are byte-identical either
     /// way, by the replay contract).
     pub replay: bool,
-    /// Checkpoint interval in dynamic instructions; `None` picks a
-    /// per-workload interval (1/128th of the golden run length).
-    pub replay_interval: Option<u64>,
     /// Memory budget for each workload's checkpoint store, in bytes.
     pub replay_budget_bytes: usize,
     /// Experiments per sweep batch (0 = auto).
@@ -93,7 +90,6 @@ impl Default for HarnessConfig {
             threads: 0,
             full_grid: false,
             replay: true,
-            replay_interval: None,
             replay_budget_bytes: CheckpointConfig::default().max_bytes,
             sweep_batch: 0,
             precision: None,
@@ -116,9 +112,8 @@ impl HarnessConfig {
     /// * `MBFI_GRID` — `full` for the 10 × 9 grid, `coarse` for the sub-grid
     ///   used by default
     /// * `MBFI_REPLAY` — `off` to re-execute every experiment from
-    ///   instruction 0, `on` (the default) for checkpointed replay with an
-    ///   auto-picked interval, or a number for an explicit checkpoint
-    ///   interval
+    ///   instruction 0, `on` (the default) for checkpointed replay every
+    ///   1/128th of each golden run
     /// * `MBFI_REPLAY_BUDGET_MB` — checkpoint-store memory budget per
     ///   workload in MiB (default 64)
     /// * `MBFI_SWEEP_BATCH` — experiments per sweep batch
@@ -190,23 +185,17 @@ impl HarnessConfig {
             };
         }
         if let Some(v) = var("MBFI_REPLAY") {
-            match v.to_ascii_lowercase().as_str() {
-                "on" | "auto" | "1" | "true" => cfg.replay = true,
-                "off" | "0" | "false" | "no" => cfg.replay = false,
-                other => match other.parse::<u64>() {
-                    Ok(n) => {
-                        cfg.replay = true;
-                        cfg.replay_interval = Some(n);
-                    }
-                    Err(_) => {
-                        eprintln!(
-                            "warning: MBFI_REPLAY={v:?} is not on/off or an interval; \
-                             falling back to {}",
-                            if cfg.replay { "on" } else { "off" }
-                        );
-                    }
-                },
-            }
+            cfg.replay = match v.to_ascii_lowercase().as_str() {
+                "on" | "auto" | "1" | "true" => true,
+                "off" | "0" | "false" | "no" => false,
+                _ => {
+                    eprintln!(
+                        "warning: MBFI_REPLAY={v:?} is not on/off; falling back to {}",
+                        if cfg.replay { "on" } else { "off" }
+                    );
+                    cfg.replay
+                }
+            };
         }
         let default_mb = cfg.replay_budget_bytes >> 20;
         let budget_mb = var_parsed(&var, "MBFI_REPLAY_BUDGET_MB", default_mb);
@@ -420,13 +409,7 @@ fn prepare_workload(cfg: &HarnessConfig, workload: &dyn Workload) -> WorkloadDat
     let golden = GoldenRun::capture_compiled(&code)
         .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", workload.name()));
     let store = cfg.replay.then(|| {
-        let config = match cfg.replay_interval {
-            Some(interval) => CheckpointConfig {
-                interval,
-                max_bytes: cfg.replay_budget_bytes,
-            },
-            None => CheckpointConfig::auto_for(&golden, cfg.replay_budget_bytes),
-        };
+        let config = CheckpointConfig::auto_for(&golden, cfg.replay_budget_bytes);
         CheckpointStore::capture_compiled(&code, &golden, config)
             .unwrap_or_else(|e| panic!("checkpoint capture of {} failed: {e}", workload.name()))
     });
@@ -1340,11 +1323,13 @@ mod tests {
         // not capturable here) instead of being silently dropped mid-parse.
         let cfg = HarnessConfig::from_vars(vars(&[
             ("MBFI_HANG_FACTOR", "twenty"),
+            ("MBFI_REPLAY", "128"),
             ("MBFI_REPLAY_BUDGET_MB", "-3"),
             ("MBFI_PRECISION", "tight"),
             ("MBFI_TELEMETRY", "verbose"),
         ]));
         assert_eq!(cfg.hang_factor, HarnessConfig::default().hang_factor);
+        assert_eq!(cfg.replay, HarnessConfig::default().replay);
         assert_eq!(
             cfg.replay_budget_bytes,
             HarnessConfig::default().replay_budget_bytes

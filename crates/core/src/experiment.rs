@@ -95,11 +95,11 @@ impl ExperimentSpec {
     /// Pre-sample every experiment of a campaign, in experiment-index order.
     ///
     /// Sampling is cheap (a few RNG draws per experiment) and depends only on
-    /// `(spec.seed, index)`, which is what lets campaign runners batch,
-    /// reorder and spread experiments over workers without changing any
-    /// result.  Both the per-campaign runner and the whole-grid
-    /// [`crate::sweep::Sweep`] draw their specs through this one function so
-    /// they cannot drift.
+    /// `(spec.seed, index)`, which is what lets campaign runners batch and
+    /// spread experiments over workers without changing any result: the
+    /// whole-grid [`crate::sweep::Sweep`] re-samples experiment `index` with
+    /// [`ExperimentSpec::sample`] on the worker that runs it, and equals
+    /// entry `index` of this list.
     pub fn sample_campaign(spec: &crate::CampaignSpec, golden: &GoldenRun) -> Vec<ExperimentSpec> {
         (0..spec.experiments)
             .map(|index| {

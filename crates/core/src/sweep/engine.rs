@@ -17,7 +17,8 @@
 //!   carrying the telemetry `batch_done` / `round_done` events,
 //!   `CellFinished` with the cell's full result as soon as its last batch
 //!   lands, and a final `Finished`.  A job that fails (a batch panicked)
-//!   drops its sink without `Finished`.
+//!   drops its sink without `Finished`; the worker that ran the batch goes
+//!   on to the next one.
 //! * **Graceful shutdown** — [`SweepEngine::shutdown`] (also run on `Drop`)
 //!   stops admission, drains every in-flight job to completion, and joins
 //!   the workers.
@@ -37,6 +38,7 @@
 //!
 //! [`Sweep::run`]: super::Sweep::run
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -189,7 +191,12 @@ impl SweepEngine {
         let workers = (0..threads)
             .map(|t| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, t))
+                // A panicking batch fails its job (see `Claimed`), not the
+                // worker: it re-enters the loop, which returns only once
+                // the engine is shut down and drained.
+                std::thread::spawn(move || {
+                    while catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, t))).is_err() {}
+                })
             })
             .collect();
         SweepEngine {
@@ -224,9 +231,8 @@ impl SweepEngine {
                 });
             }
         }
-        // Planned outside the scheduler lock: depth-sorting a stored unit
-        // samples the whole campaign.  The engine does not print warnings —
-        // every cell's result carries its own.
+        // Planned outside the scheduler lock.  The engine does not print
+        // warnings — every cell's result carries its own.
         let cells = spec.campaigns.into_iter().map(SweepCell::Sampled).collect();
         let (job, _) = Job::new(Units::Owned(spec.units), cells, &spec.config, sink);
         self.shared.admit(job)
@@ -532,47 +538,66 @@ mod tests {
         drop(engine);
     }
 
-    /// A worker that dies mid-batch fails its job instead of hanging it: the
-    /// job leaves the schedule, the remaining workers drain and exit, and
-    /// the job drops its sink without `Finished`.  Sampled and listed cells
-    /// take the same path.
+    /// A batch that panics for real, restoring a checkpoint of another
+    /// program, fails its job instead of hanging it: the job leaves the
+    /// schedule and drops its sink without `Finished`, so a scoped sweep
+    /// panics instead of waiting, for sampled and listed cells alike.  It
+    /// costs the engine no worker: a 1-thread engine still runs a job
+    /// submitted after the failure.
     #[test]
     fn a_panicking_batch_fails_its_job() {
         use crate::experiment::ExperimentSpec;
-        use crate::sweep::plan::{claim_for_test, worker_loop, Job, Shared, Units};
         use crate::sweep::ListedCell;
-        let units = vec![unit(48, false)];
+        use mbfi_ir::{ModuleBuilder, Type};
+        use std::time::Duration;
+        let mut mb = ModuleBuilder::new("foreign");
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(main);
+            f.counted_loop(Type::I64, 0i64, 200i64, |_, _| {});
+            f.print_i64(1i64);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        let foreign = CompiledModule::lower(&mb.finish());
+        let golden = GoldenRun::capture_compiled(&foreign).unwrap();
+        let config = CheckpointConfig::with_interval(25);
+        let store = CheckpointStore::capture_compiled(&foreign, &golden, config).unwrap();
+        let broken = EngineUnit {
+            store: Some(Arc::new(store)),
+            ..unit(48, false)
+        };
         let (validated, _) = grid(8)[0].spec.validate();
         let listed = SweepCell::Listed(ListedCell {
             unit: 0,
-            specs: ExperimentSpec::sample_campaign(&validated, &units[0].golden),
+            specs: ExperimentSpec::sample_campaign(&validated, &broken.golden),
         });
         let sampled: Vec<SweepCell> = grid(8).into_iter().map(SweepCell::Sampled).collect();
         for cells in [sampled, vec![listed]] {
-            let shared = Shared::new(1, None);
+            let units = [broken.view()];
+            let config = SweepConfig::default();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                Sweep::run_streamed(&units, cells, &config, None, |_, _| {})
+            }));
+            assert!(run.is_err(), "the foreign store fails the sweep");
+        }
+        let engine = SweepEngine::new(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        });
+        // At the deadline a job that never ran reads as unfinished.
+        let deadline = Duration::from_secs(30);
+        for (unit, finishes) in [(broken, false), (unit(48, false), true)] {
             let (sink, events) = channel_sink();
-            let (job, _) = Job::new(
-                Units::Owned(units.clone()),
-                cells,
-                &SweepConfig {
-                    batch_size: 2,
-                    ..SweepConfig::default()
-                },
-                sink,
-            );
-            shared.admit(job).unwrap();
-            shared.shutdown();
-            std::thread::scope(|scope| {
-                let dying =
-                    scope.spawn(|| claim_for_test(&shared, || panic!("injected batch failure")));
-                assert!(dying.join().is_err());
-                // Without the failure path this worker would wait forever for
-                // the dead batch's cell.
-                scope.spawn(|| worker_loop(&shared, 1));
-            });
-            // The stream ends because the job dropped its sink.
-            let events: Vec<JobEvent> = events.iter().collect();
-            assert!(!events.iter().any(|e| matches!(e, JobEvent::Finished)));
+            let spec = JobSpec {
+                units: vec![unit],
+                campaigns: grid(8),
+                config: SweepConfig::default(),
+            };
+            engine.submit(spec, sink).unwrap();
+            let finished = std::iter::from_fn(|| events.recv_timeout(deadline).ok())
+                .any(|e| matches!(e, JobEvent::Finished));
+            assert_eq!(finished, finishes);
         }
     }
 }

@@ -62,10 +62,11 @@
 //!
 //! A [`SweepCell`] is a sampled campaign or a [`ListedCell`]: an explicit,
 //! pre-sampled [`ExperimentSpec`] list run verbatim.  [`Sweep::run_streamed`]
-//! plans both alike (batches, depth order over a checkpoint store) on the
-//! same executor.  With [`SweepConfig::keep_records`], every cell's result
-//! carries each experiment's [`ExperimentResult`] by experiment index (list
-//! index for a listed cell), so the records do not depend on the schedule.
+//! plans both alike on the same executor: each batch runs its experiments
+//! in index order, with or without a checkpoint store.  With
+//! [`SweepConfig::keep_records`], every cell's result carries each
+//! experiment's [`ExperimentResult`] by experiment index (list index for a
+//! listed cell), so the records do not depend on the schedule.
 //! Table IV's location pairs ([`crate::pruning::LocationAnalysis`]) run as
 //! listed cells and pair their records.
 //!
@@ -701,11 +702,16 @@ mod tests {
         records
     }
 
-    /// With `keep_records`, a sampled and a listed cell return one record per
-    /// experiment, equal to the serial, store-less run, at 1, 3 and 8
-    /// threads and with or without a store; without it, no records.
+    /// With `keep_records`, a sampled cell and two listed cells (one
+    /// reversed, one a prefix) return one record per experiment, in their
+    /// own order, equal to the serial, store-less run, at 1, 3 and 8
+    /// threads, auto batches and batch sizes 1, 4 and 7, with or without a
+    /// store; an adaptive sampled cell returns those of its realized
+    /// prefix; without `keep_records`, no records.
     #[test]
     fn records_match_per_experiment_serial_execution() {
+        use crate::adaptive::Precision;
+        use crate::outcome::OutcomeCounts;
         let f = fixture(96, true);
         let spec = CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -715,17 +721,46 @@ mod tests {
             hang_factor: 8,
             threads: 1,
         };
-        let specs = ExperimentSpec::sample_campaign(&spec, &f.golden);
+        let precision = Precision {
+            target_half_width_pct: 15.0,
+            min_experiments: 10,
+            max_experiments: 80,
+            ..Precision::default()
+        };
+        let budget = CampaignSpec {
+            experiments: precision.max_experiments,
+            ..spec
+        };
+        let specs = ExperimentSpec::sample_campaign(&budget, &f.golden);
         let serial: Vec<ExperimentResult> = specs
             .iter()
             .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None))
             .collect();
-        let reversed: Vec<ExperimentResult> = serial.iter().rev().cloned().collect();
+        // The adaptive cell stops at the first round end whose prefix meets
+        // the target.
+        let realized = precision
+            .round_ends()
+            .into_iter()
+            .find(|&end| {
+                let mut counts = OutcomeCounts::default();
+                serial[..end].iter().for_each(|r| counts.record(r.outcome));
+                precision.satisfied(&counts)
+            })
+            .unwrap_or(precision.max_experiments);
+        assert!(
+            realized > precision.min_experiments && realized < precision.max_experiments,
+            "the cell stops after its first round and before its budget"
+        );
+        let reversed: Vec<ExperimentResult> = serial[..25].iter().rev().cloned().collect();
         let cells = vec![
             SweepCell::Sampled(SweepCampaign { unit: 0, spec }),
             SweepCell::Listed(ListedCell {
                 unit: 0,
-                specs: specs.iter().rev().copied().collect(),
+                specs: specs[..25].iter().rev().copied().collect(),
+            }),
+            SweepCell::Listed(ListedCell {
+                unit: 0,
+                specs: specs[..7].to_vec(),
             }),
         ];
         for store in [None, f.store.as_ref()] {
@@ -734,19 +769,28 @@ mod tests {
                 golden: &f.golden,
                 store,
             }];
-            for threads in [1, 3, 8] {
-                for keep_records in [true, false] {
-                    let config = SweepConfig {
-                        threads,
-                        batch_size: 4,
-                        keep_records,
-                        precision: None,
-                    };
-                    let got = run_records(&units, cells.clone(), &config);
-                    if keep_records {
-                        assert_eq!(got, vec![serial.clone(), reversed.clone()]);
-                    } else {
-                        assert_eq!(got, vec![Vec::new(); 2]);
+            for (precision, sampled) in [(None, 25), (Some(precision), realized)] {
+                for threads in [1, 3, 8] {
+                    for batch_size in [0, 1, 4, 7] {
+                        for keep_records in [true, false] {
+                            let config = SweepConfig {
+                                threads,
+                                batch_size,
+                                keep_records,
+                                precision,
+                            };
+                            let got = run_records(&units, cells.clone(), &config);
+                            let expected = if keep_records {
+                                vec![
+                                    serial[..sampled].to_vec(),
+                                    reversed.clone(),
+                                    serial[..7].to_vec(),
+                                ]
+                            } else {
+                                vec![Vec::new(); 3]
+                            };
+                            assert_eq!(got, expected);
+                        }
                     }
                 }
             }
@@ -1007,9 +1051,9 @@ mod tests {
         assert_eq!(report.results[0].result.activation_histogram, vec![0, 0]);
     }
 
-    /// A listed cell returns each experiment's outcome in list order, equal
-    /// to running the list serially without a store, at any thread count,
-    /// batch size and with a store.
+    /// A listed cell of a multi-bit model returns each experiment's record
+    /// in list order, equal to running the list serially without a store,
+    /// at any thread count, batch size and with a store.
     #[test]
     fn listed_cells_match_serial_execution_in_list_order() {
         let f = fixture(96, true);
@@ -1021,15 +1065,9 @@ mod tests {
             ..CampaignSpec::default()
         };
         let specs = ExperimentSpec::sample_campaign(&spec, &f.golden);
-        let outcomes = |records: Vec<Vec<ExperimentResult>>| -> Vec<Vec<Outcome>> {
-            records
-                .iter()
-                .map(|cell| cell.iter().map(|r| r.outcome).collect())
-                .collect()
-        };
-        let serial: Vec<Outcome> = specs
+        let serial: Vec<ExperimentResult> = specs
             .iter()
-            .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None).outcome)
+            .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None))
             .collect();
         for store in [None, f.store.as_ref()] {
             let units = [SweepUnit {
@@ -1054,7 +1092,7 @@ mod tests {
                     keep_records: true,
                     ..SweepConfig::default()
                 };
-                let got = outcomes(run_records(&units, cells, &config));
+                let got = run_records(&units, cells, &config);
                 assert_eq!(got, vec![serial.clone(), serial[..7].to_vec()]);
             }
         }

@@ -64,12 +64,12 @@ impl Units<'_> {
     }
 }
 
-/// One cell's execution plan: the validated spec, the experiment
-/// execution order, the batch deque (an atomic cursor — batches are taken
-/// from the front in index order; which *worker* takes each batch is the
-/// only scheduling freedom, and results do not depend on it) and, for
-/// adaptive campaigns, the round structure gating how many batches are
-/// released.
+/// One cell's execution plan: the validated spec, the batch deque (an
+/// atomic cursor — batches are taken from the front in index order; which
+/// *worker* takes each batch is the only scheduling freedom, and results do
+/// not depend on it) and, for adaptive campaigns, the round structure
+/// gating how many batches are released.  Batch `b` runs experiments
+/// `spans[b].0..spans[b].1` in index order, with or without a store.
 ///
 /// A sampled campaign's experiment specs are *not* retained: each is a pure
 /// function of `(campaign seed, experiment index)` and is re-sampled (a few
@@ -84,12 +84,6 @@ pub(crate) struct Plan {
     pub(crate) warnings: Vec<CampaignWarning>,
     /// A listed cell's experiments; `None` = sampled from `spec`.
     list: Option<Vec<ExperimentSpec>>,
-    /// Execution order as original experiment indices, sorted by injection
-    /// depth when the unit has a checkpoint store so the experiments of one
-    /// batch restore neighbouring checkpoints; `None` = identity order.
-    /// Adaptive campaigns sort within each round (never across a round
-    /// boundary) so the executed *set* stays a pure index prefix.
-    order: Option<Vec<u32>>,
     /// Per-batch experiment spans `[start, end)`; batches never straddle a
     /// round boundary.
     pub(crate) spans: Vec<(u32, u32)>,
@@ -112,8 +106,8 @@ pub(crate) struct BatchOut {
     pub(crate) counts: OutcomeCounts,
     activation: Vec<u64>,
     crash_activation: Vec<u64>,
-    /// With `keep_records`: each experiment's result by experiment index.
-    records: Vec<(u32, ExperimentResult)>,
+    /// With `keep_records`: each experiment's result, in index order.
+    records: Vec<ExperimentResult>,
 }
 
 impl Plan {
@@ -167,28 +161,6 @@ impl Plan {
                 None => auto_batch,
             }
         };
-        // With a store, order experiments by injection depth (the sampled
-        // specs are transient here — only the ordering survives).  Adaptive
-        // campaigns sort each round's index range separately so that the set
-        // of executed experiments after r rounds is exactly `[0,
-        // round_ends[r-1])` regardless of the store.
-        let order = unit.store.is_some().then(|| {
-            // `spec.experiments` already holds the full budget (set above).
-            let keyed: Vec<u64> = match &list {
-                Some(specs) => specs.iter().map(|s| s.first_target).collect(),
-                None => ExperimentSpec::sample_campaign(&spec, unit.golden)
-                    .into_iter()
-                    .map(|s| s.first_target)
-                    .collect(),
-            };
-            let mut order: Vec<u32> = (0..budget as u32).collect();
-            let mut start = 0usize;
-            for &end in &round_ends {
-                order[start..end].sort_by_key(|&i| keyed[i as usize]);
-                start = end;
-            }
-            order
-        });
         // Cut each round into batches; a batch never straddles a round
         // boundary, so the released prefix is always a whole number of
         // rounds' worth of experiments.
@@ -213,7 +185,6 @@ impl Plan {
             spec,
             warnings,
             list,
-            order,
             spans,
             released: AtomicUsize::new(*round_batch_ends.first().unwrap_or(&0)),
             round_batch_ends,
@@ -278,9 +249,9 @@ impl Plan {
     }
 
     /// Fold the first `batches` completed batches, in batch-index order, into
-    /// the final result.  Counts and histograms are commutative sums; records
-    /// go back to their original experiment index.  `rounds` is the number of
-    /// completed rounds (for the adaptive status).
+    /// the final result.  Counts and histograms are commutative sums; the
+    /// batches' records concatenate into experiment-index order.  `rounds` is
+    /// the number of completed rounds (for the adaptive status).
     pub(crate) fn finalize(&self, batches: usize, rounds: u32) -> SweepCampaignResult {
         let realized = batches
             .checked_sub(1)
@@ -289,7 +260,7 @@ impl Plan {
         let mut counts = OutcomeCounts::default();
         let mut activation = vec![0u64; self.max_hist];
         let mut crash_activation = vec![0u64; self.max_hist];
-        let mut records: Vec<(u32, ExperimentResult)> = Vec::new();
+        let mut records: Vec<ExperimentResult> = Vec::new();
         for slot in &self.slots[..batches] {
             let out = slot
                 .lock()
@@ -305,7 +276,6 @@ impl Plan {
             }
             records.extend(out.records);
         }
-        records.sort_unstable_by_key(|&(orig, _)| orig);
         // The result's spec records what actually ran: for adaptive
         // campaigns, the realized experiment count.
         let spec = CampaignSpec {
@@ -321,7 +291,7 @@ impl Plan {
                 crash_activation_histogram: crash_activation,
                 warnings: self.warnings.clone(),
             },
-            records: records.into_iter().map(|(_, r)| r).collect(),
+            records,
         }
     }
 }
@@ -363,18 +333,14 @@ pub(crate) fn run_span(
     };
     let mut tally = CostTally::default();
     for k in start..end {
-        let orig = match &plan.order {
-            Some(order) => order[k as usize],
-            None => k,
-        };
         let spec = match &plan.list {
-            Some(specs) => specs[orig as usize],
+            Some(specs) => specs[k as usize],
             None => ExperimentSpec::sample(
                 plan.spec.technique,
                 plan.spec.model,
                 unit.golden,
                 plan.spec.seed,
-                orig as u64,
+                u64::from(k),
                 plan.spec.hang_factor,
             ),
         };
@@ -388,7 +354,7 @@ pub(crate) fn run_span(
             out.crash_activation[slot] += 1;
         }
         if keep_records {
-            out.records.push((orig, result));
+            out.records.push(result);
         }
     }
     (out, tally)
@@ -708,15 +674,6 @@ fn execute_batch(
         plan.released
             .store(plan.round_batch_ends[round + 1], Ordering::Release);
     }
-}
-
-/// Claim one batch and run `body` in its place, as a worker runs a batch:
-/// exercises the failure path of [`Claimed`] without a real failing batch.
-#[cfg(test)]
-pub(crate) fn claim_for_test(shared: &Shared<'_>, body: impl FnOnce()) {
-    let (job, _, _) = claim_batch(&shared.lock()).expect("a claimable batch");
-    let _claimed = Claimed { shared, job };
-    body();
 }
 
 #[cfg(test)]

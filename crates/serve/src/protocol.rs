@@ -54,11 +54,12 @@ pub const MAX_LINE_BYTES: usize = 1024 * 1024;
 
 /// Upper bound on the experiments one cell may plan: its `experiments`, or
 /// its adaptive cap (`precision.max_experiments`, raised to
-/// `min_experiments` as the sweep normalises it).  A cell that plans a
-/// store samples its whole campaign up front, on the connection thread, so
-/// an unbounded budget from the wire could ask the allocator for terabytes
-/// and abort the daemon.  One million is 100x the paper's 10,000
-/// experiments per campaign and [`Precision`]'s default cap.
+/// `min_experiments` as the sweep normalises it).  The connection thread
+/// plans each cell with one batch slot per batch, and a large `threads`
+/// hint cuts one-experiment batches, so an unbounded budget from the wire
+/// could ask the allocator for terabytes and abort the daemon.  One million
+/// is 100x the paper's 10,000 experiments per campaign and [`Precision`]'s
+/// default cap.
 pub const MAX_CELL_EXPERIMENTS: usize = 1_000_000;
 
 /// One requested sweep cell: a workload plus a campaign on it.

@@ -606,7 +606,8 @@ fn handle_submit(
             return send_line(
                 stream,
                 &protocol::error_line(&format!(
-                    "cell {i} was abandoned (daemon shut down before it ran)"
+                    "cell {i} ended without a result (one of its batches failed, \
+                     or the daemon shut down before it ran)"
                 )),
             );
         };
