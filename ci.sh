@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus lint, in one command, fully offline.
 #
-#   ./ci.sh          # build + test + clippy + benchmark type-check + rustdoc
+#   ./ci.sh          # build + test + clippy + benchmark type-check + knob
+#                    # docs + rustdoc
 #   ./ci.sh bench    # additionally run the perfbench/ benchmark (fast
 #                    # knobs)
 #
@@ -28,6 +29,19 @@ cargo clippy --all-targets --offline -- -D warnings
 # --locked fails the step instead of rewriting perfbench/Cargo.lock.
 echo "==> cargo check --offline --locked --manifest-path perfbench/Cargo.toml --all-targets"
 cargo check --offline --locked --manifest-path perfbench/Cargo.toml --all-targets
+
+# Knob docs: the MBFI_* variables that the non-test bodies of
+# HarnessConfig::from_vars and ServerConfig::from_vars read must be exactly
+# the ones README.md names, so a deleted knob cannot linger in the docs and
+# a new one cannot go undocumented.
+echo "==> knob docs: MBFI_* read by HarnessConfig/ServerConfig::from_vars == MBFI_* in README.md"
+knobs_read() {
+    awk '/^    pub fn from_vars\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' "$@" \
+        | grep -o '"MBFI_[A-Z0-9_]*"' | tr -d '"' | sort -u
+}
+diff <(knobs_read crates/bench/src/harness.rs crates/serve/src/server.rs) \
+    <(grep -o 'MBFI_[A-Z0-9_]*' README.md | sort -u) \
+    || { echo "knobs read (<) and knobs in README.md (>) differ"; exit 1; }
 
 # Rustdoc must stay clean, so a deleted or renamed item cannot leave a stale
 # intra-doc link behind.

@@ -61,8 +61,6 @@ pub struct HarnessConfig {
     pub replay: bool,
     /// Memory budget for each workload's checkpoint store, in bytes.
     pub replay_budget_bytes: usize,
-    /// Experiments per sweep batch (0 = auto).
-    pub sweep_batch: usize,
     /// Adaptive precision-targeted sampling: `Some` stops every sweep cell
     /// once its SDC and Detection 95 % interval half-widths meet the target
     /// (cell budget = `precision.max_experiments`; `experiments` is
@@ -91,7 +89,6 @@ impl Default for HarnessConfig {
             full_grid: false,
             replay: true,
             replay_budget_bytes: CheckpointConfig::default().max_bytes,
-            sweep_batch: 0,
             precision: None,
             telemetry: TelemetryLevel::Off,
             telemetry_out: "telemetry.jsonl".to_string(),
@@ -116,8 +113,6 @@ impl HarnessConfig {
     ///   1/128th of each golden run
     /// * `MBFI_REPLAY_BUDGET_MB` — checkpoint-store memory budget per
     ///   workload in MiB (default 64)
-    /// * `MBFI_SWEEP_BATCH` — experiments per sweep batch
-    ///   (default: auto)
     /// * `MBFI_PRECISION` — `off` (the default: fixed-n sampling with
     ///   `MBFI_EXPERIMENTS` per cell) or
     ///   `<pct>[,<min>[,<max>[,wald|wilson]]]` for adaptive
@@ -206,7 +201,6 @@ impl HarnessConfig {
             );
             cfg.replay_budget_bytes
         });
-        cfg.sweep_batch = var_parsed(&var, "MBFI_SWEEP_BATCH", cfg.sweep_batch);
         if let Some(v) = var("MBFI_PRECISION") {
             match parse_precision(&v) {
                 Some(p) => cfg.precision = p,
@@ -290,7 +284,6 @@ impl HarnessConfig {
     pub fn sweep_config(&self) -> SweepConfig {
         SweepConfig {
             threads: self.threads,
-            batch_size: self.sweep_batch,
             keep_records: false,
             precision: self.precision,
         }
@@ -1294,7 +1287,6 @@ mod tests {
             ("MBFI_GRID", "full"),
             ("MBFI_WORKLOADS", "sha, bfs"),
             ("MBFI_REPLAY", "off"),
-            ("MBFI_SWEEP_BATCH", "9"),
             ("MBFI_PRECISION", "2.5,80,4000,wald"),
             ("MBFI_TELEMETRY", "full"),
             ("MBFI_TELEMETRY_OUT", "events.jsonl"),
@@ -1306,8 +1298,6 @@ mod tests {
         assert!(cfg.full_grid);
         assert_eq!(cfg.workloads().len(), 2);
         assert!(!cfg.replay);
-        assert_eq!(cfg.sweep_batch, 9);
-        assert_eq!(cfg.sweep_config().batch_size, 9);
         assert_eq!(
             cfg.precision,
             Some(Precision {

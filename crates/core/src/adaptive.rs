@@ -24,8 +24,8 @@
 //! completed rounds, and a round's membership is a fixed index range of the
 //! campaign's experiment sequence — never a function of which worker ran
 //! what, in which order, or how batches were cut.  Adaptive results are
-//! therefore byte-identical for every thread count, batch size and
-//! schedule, and equal to a fixed-n campaign of exactly the realized length
+//! therefore byte-identical for every thread count and schedule, and
+//! equal to a fixed-n campaign of exactly the realized length
 //! (`tests/adaptive_equivalence.rs` pins both properties).
 //!
 //! ## Why Wilson is the default interval

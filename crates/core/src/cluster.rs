@@ -83,24 +83,6 @@ impl ParameterGrid {
         out
     }
 
-    /// Multi-register campaigns (`win-size > 0`) for one technique, i.e. the
-    /// grid behind Fig. 4 (read) and Fig. 5 (write).
-    pub fn multi_register_grid(technique: Technique) -> Vec<CampaignPoint> {
-        let mut out = Vec::new();
-        for &max_mbf in &MAX_MBF_VALUES {
-            for &win_size in &WIN_SIZE_VALUES {
-                if win_size.is_same_register() {
-                    continue;
-                }
-                out.push(CampaignPoint {
-                    technique,
-                    model: FaultModel::multi_bit(max_mbf, win_size),
-                });
-            }
-        }
-        out
-    }
-
     /// Render Table I (parameter values) as text.
     pub fn table1() -> String {
         let mut out = String::from("Table I: max-MBF and win-size values\n");
@@ -153,13 +135,6 @@ mod tests {
         assert!(sweep[1..]
             .iter()
             .all(|c| c.model.win_size.is_same_register()));
-    }
-
-    #[test]
-    fn multi_register_grid_excludes_window_zero() {
-        let grid = ParameterGrid::multi_register_grid(Technique::InjectOnRead);
-        assert_eq!(grid.len(), 10 * 8);
-        assert!(grid.iter().all(|c| !c.model.win_size.is_same_register()));
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl FaultModel {
         self.max_mbf == 1
     }
 
-    /// Whether all flips land in the same register (`win-size = 0`,
-    /// `max-MBF > 1`), the configuration studied in Fig. 2 of the paper.
-    pub fn is_same_register_multi(&self) -> bool {
-        self.max_mbf > 1 && self.win_size.is_same_register()
-    }
-
     /// Short label like `1-bit` or `m=3,w=100`.
     pub fn label(&self) -> String {
         if self.is_single() {
@@ -194,11 +188,9 @@ mod tests {
         assert_eq!(s.label(), "1-bit");
 
         let m = FaultModel::multi_bit(3, WinSize::Fixed(0));
-        assert!(m.is_same_register_multi());
         assert_eq!(m.label(), "m=3,w=0");
 
         let m = FaultModel::multi_bit(5, WinSize::Random { lo: 2, hi: 10 });
-        assert!(!m.is_same_register_multi());
         assert_eq!(m.to_string(), "m=5,w=RND(2-10)");
     }
 

@@ -50,28 +50,14 @@ impl std::error::Error for GoldenError {}
 impl GoldenRun {
     /// Execute the module once without faults and capture its profile.
     pub fn capture(module: &Module) -> Result<GoldenRun, GoldenError> {
-        Self::capture_with_limits(module, Limits::default())
-    }
-
-    /// Capture with explicit execution limits (useful in tests).
-    pub fn capture_with_limits(module: &Module, limits: Limits) -> Result<GoldenRun, GoldenError> {
-        let code = CompiledModule::lower(module);
-        Self::capture_compiled_with_limits(&code, limits)
+        Self::capture_compiled(&CompiledModule::lower(module))
     }
 
     /// Capture from a pre-lowered module (the path campaigns and benches use
     /// so lowering happens once per workload).
     pub fn capture_compiled(code: &CompiledModule) -> Result<GoldenRun, GoldenError> {
-        Self::capture_compiled_with_limits(code, Limits::default())
-    }
-
-    /// Capture from a pre-lowered module with explicit execution limits.
-    pub fn capture_compiled_with_limits(
-        code: &CompiledModule,
-        limits: Limits,
-    ) -> Result<GoldenRun, GoldenError> {
         let mut hook = CountingHook::new();
-        let result = Vm::new(code, limits).run(&mut hook);
+        let result = Vm::new(code, Limits::default()).run(&mut hook);
         match &result.outcome {
             RunOutcome::Completed { .. } => {}
             RunOutcome::Trapped(trap) => return Err(GoldenError::DidNotComplete(trap.to_string())),

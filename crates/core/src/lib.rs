@@ -100,7 +100,7 @@ pub use outcome::{classify, Outcome, OutcomeCounts};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;
 pub use sweep::{
-    EngineConfig, EngineUnit, JobEvent, JobSpec, ListedCell, SubmitError, Sweep, SweepCampaign,
+    EngineConfig, EngineUnit, JobEvent, ListedCell, SubmitError, Sweep, SweepCampaign,
     SweepCampaignResult, SweepCell, SweepConfig, SweepEngine, SweepReport, SweepUnit,
 };
 pub use technique::Technique;

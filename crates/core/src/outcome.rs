@@ -32,12 +32,6 @@ impl Outcome {
         Outcome::Sdc,
     ];
 
-    /// Whether this outcome counts toward error resilience (everything except
-    /// an SDC does: the error was masked or there is an indication of failure).
-    pub fn is_resilient(self) -> bool {
-        !matches!(self, Outcome::Sdc)
-    }
-
     /// Whether this outcome counts as a *Detection* in the paper's figures
     /// (hardware exception, hang or missing output).
     pub fn is_detection(self) -> bool {
@@ -267,9 +261,6 @@ mod tests {
 
     #[test]
     fn resilience_and_detection_flags() {
-        assert!(Outcome::Benign.is_resilient());
-        assert!(Outcome::Hang.is_resilient());
-        assert!(!Outcome::Sdc.is_resilient());
         assert!(Outcome::Hang.is_detection());
         assert!(Outcome::NoOutput.is_detection());
         assert!(!Outcome::Benign.is_detection());

@@ -12,7 +12,7 @@
 //!   points of that maximum (the paper's "at most 3 errors are enough").
 
 use crate::campaign::CampaignResult;
-use crate::fault_model::{FaultModel, WinSize};
+use crate::fault_model::FaultModel;
 
 /// The multi-bit configuration with the highest SDC percentage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,16 +136,11 @@ impl PessimisticAnalysis {
     }
 }
 
-/// Convenience: is a window size "small" in the sense of the paper's
-/// inject-on-write finding (< 5 dynamic instructions)?
-pub fn is_small_window(win: WinSize) -> bool {
-    win.upper_bound() < 5
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::CampaignSpec;
+    use crate::fault_model::WinSize;
     use crate::outcome::OutcomeCounts;
     use crate::technique::Technique;
 
@@ -225,14 +220,6 @@ mod tests {
         let entry = PessimisticAnalysis::default().table3_entry(&multi);
         assert_eq!(entry.model.max_mbf, 3);
         assert!((entry.sdc_pct - 22.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn small_window_predicate() {
-        assert!(is_small_window(WinSize::Fixed(0)));
-        assert!(is_small_window(WinSize::Fixed(4)));
-        assert!(!is_small_window(WinSize::Fixed(10)));
-        assert!(!is_small_window(WinSize::Random { lo: 2, hi: 10 }));
     }
 
     #[test]

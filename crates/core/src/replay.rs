@@ -231,21 +231,7 @@ impl CheckpointStore {
         golden: &GoldenRun,
         config: CheckpointConfig,
     ) -> Result<CheckpointStore, ReplayCaptureError> {
-        Self::capture_with_limits(module, golden, config, Limits::default())
-    }
-
-    /// Like [`CheckpointStore::capture`] with explicit execution limits — use
-    /// the same limits the golden run was captured with (see
-    /// [`GoldenRun::capture_with_limits`]), otherwise a golden run longer
-    /// than the default instruction limit reads as a spurious divergence.
-    pub fn capture_with_limits(
-        module: &Module,
-        golden: &GoldenRun,
-        config: CheckpointConfig,
-        limits: Limits,
-    ) -> Result<CheckpointStore, ReplayCaptureError> {
-        let code = CompiledModule::lower(module);
-        Self::capture_compiled_with_limits(&code, golden, config, limits)
+        Self::capture_compiled(&CompiledModule::lower(module), golden, config)
     }
 
     /// Capture from a pre-lowered module (the snapshots carry compiled-frame

@@ -595,16 +595,6 @@ impl TextTable {
         out
     }
 
-    /// Render as CSV (for plotting outside the harness).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.headers.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
-
     /// Render as a JSON object `{title, headers, rows}`.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::object();
@@ -639,11 +629,6 @@ impl Series {
     /// Append a point.
     pub fn push(&mut self, x: impl Into<String>, y: f64) {
         self.points.push((x.into(), y));
-    }
-
-    /// Maximum y value in the series (NaN-free assumption), 0 when empty.
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|(_, y)| *y).fold(0.0, f64::max)
     }
 
     /// Render as a JSON object `{label, points: [{x, y}]}`.
@@ -726,11 +711,6 @@ impl FigureData {
     }
 }
 
-/// Format a percentage with its ± error bar.
-pub fn pct_with_ci(pct: f64, half_width_pct: f64) -> String {
-    format!("{pct:.2}% ±{half_width_pct:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,9 +724,6 @@ mod tests {
         assert!(out.contains("Demo"));
         assert!(out.contains("program"));
         assert!(out.contains("basicmath  12.50"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("program,sdc%"));
-        assert!(csv.contains("qsort,7.00"));
     }
 
     #[test]
@@ -1005,7 +982,6 @@ mod tests {
         assert!(out.contains("w=1"));
         assert!(out.contains("m=2"));
         assert!(out.contains("11.50"));
-        assert_eq!(fig.series[0].max_y(), 10.0);
     }
 
     #[test]
@@ -1020,11 +996,6 @@ mod tests {
         fig.series.push(b);
         let out = fig.render();
         assert!(out.lines().any(|l| l.contains("x2") && l.contains('-')));
-    }
-
-    #[test]
-    fn pct_formatting() {
-        assert_eq!(pct_with_ci(12.3456, 0.789), "12.35% ±0.79");
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl ErrorSpace {
         log_largest + numerator - denominator
     }
 
-    /// How many orders of magnitude the multi-bit space is larger than the
-    /// single-bit space.
-    pub fn expansion_orders(&self, max_mbf: u32) -> f64 {
-        (self.multi_bit_log10(max_mbf) - self.single_bit_log10()).max(0.0)
-    }
-
     /// Fraction of the single-bit space covered by `experiments` samples,
     /// clamped to 1.0: sampling is with replacement, so more experiments
     /// than space elements (possible for tiny inputs under an adaptive
@@ -100,7 +94,6 @@ mod tests {
         let ten = s.multi_bit_log10(10);
         assert!(double > single * 1.9);
         assert!(ten > double);
-        assert!(s.expansion_orders(10) > 40.0);
     }
 
     #[test]

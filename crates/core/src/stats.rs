@@ -40,11 +40,6 @@ impl Proportion {
         self.half_width() * 100.0
     }
 
-    /// Whether two proportions' confidence intervals overlap.
-    pub fn overlaps(&self, other: &Proportion) -> bool {
-        self.lower <= other.upper && other.lower <= self.upper
-    }
-
     /// Wire encoding (the floats round-trip exactly — the JSON writer emits
     /// shortest-round-trip f64).
     pub fn to_json(&self) -> crate::report::json::Json {
@@ -178,16 +173,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (0 for fewer than two values).
-pub fn stddev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
-    var.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,21 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn overlap_detection() {
-        let a = wald_interval(50, 100);
-        let b = wald_interval(55, 100);
-        let c = wald_interval(90, 100);
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
-    }
-
-    #[test]
     fn mean_and_stddev() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138).abs() < 1e-3);
     }
 
     /// Intervals always contain the point estimate and stay within [0, 1] —

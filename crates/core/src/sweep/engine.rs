@@ -4,17 +4,19 @@
 //! and returns.  A [`SweepEngine`] runs the **same executor** (`sweep::plan`:
 //! one worker loop, one claim order, one batch → round → finalize protocol)
 //! on a worker pool it owns for the **process lifetime**, and accepts jobs
-//! at runtime — the serving architecture behind the `mbfi-serve` daemon:
+//! at runtime — the serving architecture behind the `mbfi-serve` daemon.
+//! An engine job is **one cell**: one [`EngineUnit`], one [`CampaignSpec`]
+//! and the [`SweepConfig`] to run it under, the shape the daemon submits
+//! for every cell it owns.
 //!
 //! * **One queue** — workers claim batches in admission order: the first
-//!   job with a released batch, its first such cell, the front of that
-//!   cell's batch queue.
+//!   job with a released batch, the front of its cell's batch queue.
 //! * **Bounded admission** — at most [`EngineConfig::max_pending`] jobs are
 //!   active at once; [`SweepEngine::submit`] blocks until a slot frees
 //!   (backpressure).
 //! * **Streaming** — each job hands its events to the sink its submitter
 //!   passed in, on the worker that produced them: [`JobEvent::Progress`]
-//!   carrying the telemetry `batch_done` / `round_done` events,
+//!   carrying the telemetry `batch_done` / `round_done` events (cell 0),
 //!   `CellFinished` with the cell's full result as soon as its last batch
 //!   lands, and a final `Finished`.  A job that fails (a batch panicked)
 //!   drops its sink without `Finished`; the worker that ran the batch goes
@@ -23,18 +25,19 @@
 //!   stops admission, drains every in-flight job to completion, and joins
 //!   the workers.
 //!
-//! An engine job's results are **byte-identical** to [`Sweep::run`] on the
-//! same units/campaigns/config: both plan through the same `Job::new` (the
-//! auto-batch formula takes the *job's* requested
-//! [`SweepConfig::threads`], not the pool size) and run the same protocol.
-//! The pool size and the admission bound only move work between threads
-//! and moments — never what a cell computes.  Enforced by the unit tests
+//! An engine job's result is **byte-identical** to that cell's result in
+//! [`Sweep::run`] of any grid holding it: both plan through the same
+//! `Job::new` and run the same protocol.  A fixed-n cell's batches are cut
+//! from the job's requested [`SweepConfig::threads`] (never the pool size)
+//! and an adaptive cell's from its round step, and no cut changes what a
+//! cell computes; nor do the pool size and the admission bound, which only
+//! move work between threads and moments.  Enforced by the unit tests
 //! below and `tests/serve_equivalence.rs`.
 //!
-//! Units are **owned** (`Arc`) rather than borrowed: a persistent pool
-//! cannot hold references into a submitter's stack frame, so jobs carry
-//! [`EngineUnit`]s and workers build the borrowed [`SweepUnit`] view on the
-//! fly.
+//! The unit is **owned** (`Arc`) rather than borrowed: a persistent pool
+//! cannot hold references into a submitter's stack frame, so a job carries
+//! an [`EngineUnit`] and workers build the borrowed [`SweepUnit`] view on
+//! the fly.
 //!
 //! [`Sweep::run`]: super::Sweep::run
 
@@ -42,6 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use crate::campaign::CampaignSpec;
 use crate::golden::GoldenRun;
 use crate::replay::CheckpointStore;
 use crate::telemetry::EventKind;
@@ -98,31 +102,15 @@ pub struct EngineConfig {
 /// Default admission bound when [`EngineConfig::max_pending`] is 0.
 const DEFAULT_MAX_PENDING: usize = 64;
 
-/// One job: the grid to run, and how.
-///
-/// `config.threads` does **not** size any pool here — the engine's own pool
-/// runs the job — but it still seeds the fixed-n auto-batch formula exactly
-/// as it does for [`Sweep::run`](super::Sweep::run), so plans (and therefore
-/// results) are identical to an in-process sweep with the same config.
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    /// Per-workload artifacts, referenced by [`SweepCampaign::unit`].
-    pub units: Vec<EngineUnit>,
-    /// The grid, in submission order.
-    pub campaigns: Vec<SweepCampaign>,
-    /// Sweep knobs (`threads` feeds the auto-batch formula only).
-    pub config: SweepConfig,
-}
-
 /// Progress of one job, handed to its sink in the order things happen
 /// (see [`SweepEngine::submit`]).  Cell indices are submission indices into
-/// [`JobSpec::campaigns`].
+/// the grid; an engine job's one cell is cell 0.
 #[derive(Debug)]
 pub enum JobEvent {
     /// A batch or adaptive-round progress event: an
     /// [`EventKind::BatchDone`] or [`EventKind::RoundDone`], exactly as the
-    /// telemetry stream carries it (`cell` is the submission index; engine
-    /// batches are always wall-clock timed).
+    /// telemetry stream carries it (`cell` is the submission index; batches
+    /// are always wall-clock timed).
     Progress(EventKind),
     /// `cell`'s last batch landed; `result` is final and byte-identical to
     /// [`Sweep::run`](super::Sweep::run)'s result for the same cell.
@@ -141,29 +129,12 @@ pub enum JobEvent {
 pub enum SubmitError {
     /// The engine is draining; no new jobs are accepted.
     ShuttingDown,
-    /// A campaign references a unit index beyond [`JobSpec::units`].
-    BadUnit {
-        /// Submission index of the offending campaign.
-        campaign: usize,
-        /// The out-of-range unit index it referenced.
-        unit: usize,
-        /// How many units the job actually supplied.
-        units: usize,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::ShuttingDown => f.write_str("engine is shutting down"),
-            SubmitError::BadUnit {
-                campaign,
-                unit,
-                units,
-            } => write!(
-                f,
-                "campaign {campaign} references unit {unit} but only {units} units were supplied"
-            ),
         }
     }
 }
@@ -211,30 +182,26 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Submit a job whose events go to `sink`, blocking while the engine
-    /// is at its admission bound.  The engine's workers call `sink`
+    /// Submit a one-cell job — campaign `spec` on `unit` under `config` —
+    /// whose events go to `sink`, blocking while the engine is at its
+    /// admission bound.  `config.threads` sizes no pool (the engine's own
+    /// pool runs the job); it cuts a fixed-n cell's batches exactly as in
+    /// [`Sweep::run`](super::Sweep::run).  The engine's workers call `sink`
     /// concurrently, and call it with `Finished` under the scheduler lock:
     /// it must take only locks of its own and never call back into the
     /// engine.  The job drops `sink` when it leaves the schedule, also when
     /// one of its batches failed (then without `Finished`), and on `Err`.
     pub fn submit(
         &self,
-        spec: JobSpec,
+        unit: EngineUnit,
+        spec: CampaignSpec,
+        config: &SweepConfig,
         sink: impl Fn(JobEvent) + Send + Sync + 'static,
     ) -> Result<(), SubmitError> {
-        for (i, c) in spec.campaigns.iter().enumerate() {
-            if c.unit >= spec.units.len() {
-                return Err(SubmitError::BadUnit {
-                    campaign: i,
-                    unit: c.unit,
-                    units: spec.units.len(),
-                });
-            }
-        }
         // Planned outside the scheduler lock.  The engine does not print
-        // warnings — every cell's result carries its own.
-        let cells = spec.campaigns.into_iter().map(SweepCell::Sampled).collect();
-        let (job, _) = Job::new(Units::Owned(spec.units), cells, &spec.config, sink);
+        // warnings — the cell's result carries its own.
+        let cell = SweepCell::Sampled(SweepCampaign { unit: 0, spec });
+        let (job, _) = Job::new(Units::Owned(unit), vec![cell], config, sink);
         self.shared.admit(job)
     }
 
@@ -262,12 +229,9 @@ impl Drop for SweepEngine {
 mod tests {
     use super::*;
     use crate::adaptive::Precision;
-    use crate::campaign::CampaignSpec;
-    use crate::golden::GoldenRun;
-    use crate::replay::{CheckpointConfig, CheckpointStore};
+    use crate::replay::CheckpointConfig;
     use crate::sweep::tests::{grid_specs, workload};
     use crate::sweep::{channel_sink, Sweep, SweepReport};
-    use std::sync::mpsc;
 
     fn unit(n: i64, with_store: bool) -> EngineUnit {
         let code = CompiledModule::lower(&workload(n));
@@ -296,36 +260,70 @@ mod tests {
             .collect()
     }
 
-    /// Fold a job's events, up to `Finished`, into the report `Sweep::run`
-    /// returns for the same grid.
-    fn fold(cells: usize, events: impl IntoIterator<Item = JobEvent>) -> SweepReport {
-        let mut slots: Vec<Option<SweepCampaignResult>> = vec![None; cells];
+    /// Fold a one-cell job's events, up to `Finished`, into its result and
+    /// the number of batches it ran; its `batch_done` events cover every
+    /// experiment of the result.
+    fn collect(events: impl IntoIterator<Item = JobEvent>) -> (SweepCampaignResult, usize) {
+        let (mut result, mut batches, mut experiments) = (None, 0, 0);
         for event in events {
             match event {
-                JobEvent::CellFinished { cell, result } => slots[cell] = Some(*result),
-                JobEvent::Finished => break,
+                JobEvent::Progress(EventKind::BatchDone { experiments: n, .. }) => {
+                    batches += 1;
+                    experiments += n;
+                }
                 JobEvent::Progress(_) => {}
+                JobEvent::CellFinished { cell, result: r } => {
+                    assert_eq!(cell, 0, "an engine job is one cell");
+                    result = Some(*r);
+                }
+                JobEvent::Finished => break,
             }
         }
-        SweepReport::from_results(
-            slots
-                .into_iter()
-                .map(|r| r.expect("every cell finished"))
-                .collect(),
-        )
+        let result = result.expect("the cell finished");
+        assert_eq!(
+            experiments,
+            result.result.total(),
+            "batch events cover the cell"
+        );
+        (result, batches)
     }
 
-    /// Submit `spec` and wait for its report.
-    fn run_job(engine: &SweepEngine, spec: JobSpec) -> SweepReport {
-        let cells = spec.campaigns.len();
-        let (sink, events) = channel_sink();
-        engine.submit(spec, sink).unwrap();
-        fold(cells, events.iter())
+    /// Submit every campaign as a job of its own, the daemon's shape, before
+    /// waiting on any; returns their results as one report, in submission
+    /// order, and the batches the jobs ran.
+    fn run_jobs(
+        engine: &SweepEngine,
+        units: &[EngineUnit],
+        campaigns: &[SweepCampaign],
+        config: &SweepConfig,
+    ) -> (SweepReport, usize) {
+        let streams: Vec<_> = campaigns
+            .iter()
+            .map(|c| {
+                let (sink, events) = channel_sink();
+                engine
+                    .submit(units[c.unit].clone(), c.spec, config, sink)
+                    .unwrap();
+                events
+            })
+            .collect();
+        let mut batches = 0;
+        let results = streams
+            .into_iter()
+            .map(|events| {
+                let (result, cut) = collect(events.iter());
+                batches += cut;
+                result
+            })
+            .collect();
+        (SweepReport::from_results(results), batches)
     }
 
-    /// An engine job's report is byte-identical to `Sweep::run` on the same
-    /// grid — fixed-n and adaptive, with and without a store, at several
-    /// pool sizes and job thread hints.
+    /// One job per cell returns, cell for cell, what one `Sweep::run` of the
+    /// whole grid returns — fixed-n and adaptive, with and without a store,
+    /// at pool sizes 1 and 4 and job thread hints 1 and 4.  The hint cuts a
+    /// fixed-n cell's batches and the pool never does; an adaptive cell is
+    /// cut by its round step whatever the hint.
     #[test]
     fn engine_report_matches_scoped_sweep() {
         let units = vec![unit(48, false), unit(96, true)];
@@ -334,6 +332,7 @@ mod tests {
             c.unit = 1;
             c
         }));
+        let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
         for precision in [
             None,
             Some(Precision {
@@ -343,28 +342,20 @@ mod tests {
                 ..Precision::default()
             }),
         ] {
+            let mut cuts = Vec::new();
             for job_threads in [1usize, 4] {
                 let config = SweepConfig {
                     threads: job_threads,
                     keep_records: true,
                     precision,
-                    ..SweepConfig::default()
                 };
-                let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
                 let expected = Sweep::run(&views, &campaigns, &config);
                 for pool in [1usize, 4] {
                     let engine = SweepEngine::new(EngineConfig {
                         threads: pool,
                         ..EngineConfig::default()
                     });
-                    let report = run_job(
-                        &engine,
-                        JobSpec {
-                            units: units.clone(),
-                            campaigns: campaigns.clone(),
-                            config,
-                        },
-                    );
+                    let (report, batches) = run_jobs(&engine, &units, &campaigns, &config);
                     assert_eq!(
                         report,
                         expected,
@@ -372,13 +363,24 @@ mod tests {
                          job_threads={job_threads}, adaptive={})",
                         precision.is_some()
                     );
+                    cuts.push(batches);
                 }
+            }
+            if precision.is_none() {
+                // At hint 1: 8 batches of 5 per 40-experiment cell and 7 of
+                // 4 (not dividing 25) per 25-experiment cell; at hint 4: 20
+                // of 2 and 25 of 1; six cells each.
+                assert_eq!(cuts, [90, 90, 270, 270]);
+            } else {
+                // Round step 5, batches of 2: each round but the first ends
+                // on a one-experiment batch.
+                assert!(cuts.iter().all(|&c| c == cuts[0]), "{cuts:?}");
             }
         }
     }
 
-    /// Two concurrent jobs both match `Sweep::run`, and each sink sees
-    /// per-cell progress covering every experiment.
+    /// Two clients submitting the same grid at once both get `Sweep::run`'s
+    /// results.
     #[test]
     fn concurrent_clients_stream_identical_results() {
         let units = vec![unit(48, false)];
@@ -393,41 +395,14 @@ mod tests {
             threads: 4,
             ..EngineConfig::default()
         });
-        let streams: Vec<mpsc::Receiver<JobEvent>> = (0..2)
-            .map(|_| {
-                let (sink, events) = channel_sink();
-                let spec = JobSpec {
-                    units: units.clone(),
-                    campaigns: campaigns.clone(),
-                    config,
-                };
-                engine.submit(spec, sink).unwrap();
-                events
-            })
-            .collect();
-        for events in streams {
-            // The stream ends once the finished job drops its sink.
-            let events: Vec<JobEvent> = events.iter().collect();
-            let finished_cells = events
-                .iter()
-                .filter(|e| matches!(e, JobEvent::CellFinished { .. }))
-                .count();
-            assert_eq!(finished_cells, campaigns.len());
-            let batch_experiments: u64 = events
-                .iter()
-                .map(|e| match e {
-                    JobEvent::Progress(EventKind::BatchDone { experiments, .. }) => *experiments,
-                    _ => 0,
-                })
-                .sum();
-            let report = fold(campaigns.len(), events);
-            assert_eq!(report.results, expected.results);
-            let total: u64 = report.results.iter().map(|r| r.result.total()).sum();
-            assert_eq!(
-                batch_experiments, total,
-                "batch events must cover every cell"
-            );
-        }
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| run_jobs(&engine, &units, &campaigns, &config).0))
+                .collect();
+            for client in clients {
+                assert_eq!(client.join().unwrap(), expected);
+            }
+        });
     }
 
     /// A blocking `submit` at the admission bound returns only once the
@@ -436,28 +411,22 @@ mod tests {
     #[test]
     fn admission_bound_and_graceful_drain() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let units = vec![unit(48, false)];
+        let unit = unit(48, false);
         let engine = SweepEngine::new(EngineConfig {
             threads: 1,
             max_pending: 1,
         });
-        let job = |experiments| JobSpec {
-            units: units.clone(),
-            campaigns: vec![SweepCampaign {
-                unit: 0,
-                spec: CampaignSpec {
-                    experiments,
-                    threads: 1,
-                    hang_factor: 8,
-                    ..CampaignSpec::default()
-                },
-            }],
-            config: SweepConfig::default(),
+        let spec = |experiments| CampaignSpec {
+            experiments,
+            threads: 1,
+            hang_factor: 8,
+            ..CampaignSpec::default()
         };
+        let config = SweepConfig::default();
         let a_finished = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&a_finished);
         engine
-            .submit(job(20_000), move |event| {
+            .submit(unit.clone(), spec(20_000), &config, move |event| {
                 if matches!(event, JobEvent::Finished) {
                     flag.store(true, Ordering::SeqCst);
                 }
@@ -466,7 +435,7 @@ mod tests {
         let (sink, b_events) = channel_sink();
         std::thread::scope(|scope| {
             scope
-                .spawn(|| engine.submit(job(200), sink))
+                .spawn(|| engine.submit(unit.clone(), spec(200), &config, sink))
                 .join()
                 .unwrap()
                 .unwrap();
@@ -475,66 +444,32 @@ mod tests {
             assert!(a_finished.load(Ordering::SeqCst));
         });
         engine.shutdown();
-        assert_eq!(fold(1, b_events.iter()).results[0].result.total(), 200);
+        assert_eq!(collect(b_events.iter()).0.result.total(), 200);
         let (sink, _) = channel_sink();
         assert_eq!(
-            engine.submit(job(0), sink).unwrap_err(),
+            engine.submit(unit, spec(0), &config, sink).unwrap_err(),
             SubmitError::ShuttingDown
         );
     }
 
-    #[test]
-    fn submit_validation_errors() {
-        let engine = SweepEngine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
-        let (sink, _) = channel_sink();
-        let bad = engine.submit(
-            JobSpec {
-                units: vec![unit(48, false)],
-                campaigns: vec![SweepCampaign {
-                    unit: 3,
-                    spec: CampaignSpec::default(),
-                }],
-                config: SweepConfig::default(),
-            },
-            sink,
-        );
-        assert_eq!(
-            bad.unwrap_err(),
-            SubmitError::BadUnit {
-                campaign: 0,
-                unit: 3,
-                units: 1
-            }
-        );
-    }
-
-    /// Zero-experiment cells finish up front; a job of only such cells
-    /// completes without touching a worker, and `Drop` never hangs.
+    /// A zero-experiment cell finishes up front: its job completes without
+    /// touching a worker, and `Drop` never hangs.
     #[test]
     fn empty_jobs_and_drop_shutdown() {
         let engine = SweepEngine::new(EngineConfig {
             threads: 2,
             ..EngineConfig::default()
         });
-        let report = run_job(
-            &engine,
-            JobSpec {
-                units: vec![unit(32, false)],
-                campaigns: vec![SweepCampaign {
-                    unit: 0,
-                    spec: CampaignSpec {
-                        experiments: 0,
-                        threads: 1,
-                        ..CampaignSpec::default()
-                    },
-                }],
-                config: SweepConfig::default(),
-            },
-        );
-        assert_eq!(report.results[0].result.total(), 0);
+        let spec = CampaignSpec {
+            experiments: 0,
+            threads: 1,
+            ..CampaignSpec::default()
+        };
+        let (sink, events) = channel_sink();
+        engine
+            .submit(unit(32, false), spec, &SweepConfig::default(), sink)
+            .unwrap();
+        assert_eq!(collect(events.iter()).0.result.total(), 0);
         drop(engine);
     }
 
@@ -567,7 +502,8 @@ mod tests {
             store: Some(Arc::new(store)),
             ..unit(48, false)
         };
-        let (validated, _) = grid(8)[0].spec.validate();
+        let spec = grid(8)[0].spec;
+        let (validated, _) = spec.validate();
         let listed = SweepCell::Listed(ListedCell {
             unit: 0,
             specs: ExperimentSpec::sample_campaign(&validated, &broken.golden),
@@ -589,12 +525,9 @@ mod tests {
         let deadline = Duration::from_secs(30);
         for (unit, finishes) in [(broken, false), (unit(48, false), true)] {
             let (sink, events) = channel_sink();
-            let spec = JobSpec {
-                units: vec![unit],
-                campaigns: grid(8),
-                config: SweepConfig::default(),
-            };
-            engine.submit(spec, sink).unwrap();
+            engine
+                .submit(unit, spec, &SweepConfig::default(), sink)
+                .unwrap();
             let finished = std::iter::from_fn(|| events.recv_timeout(deadline).ok())
                 .any(|e| matches!(e, JobEvent::Finished));
             assert_eq!(finished, finishes);

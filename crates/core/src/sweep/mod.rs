@@ -2,9 +2,12 @@
 //!
 //! The paper's results all come from *grids* of campaigns — every workload ×
 //! technique × fault model.  A [`Sweep`] takes the whole grid at once: every
-//! campaign's experiments are cut into fixed-size **batches** and one pool
-//! of workers drains all campaigns together, claiming whole batches in
-//! index order from the first campaign with work left.  The pool is spawned
+//! campaign's experiments are cut into **batches** and one pool of workers
+//! drains all campaigns together, claiming whole batches in index order
+//! from the first campaign with work left.  A fixed-n grid is cut into
+//! batches of `total / (8 × threads)` experiments, clamped to `[1, 64]`; an
+//! adaptive campaign into batches of a quarter of its round step (see
+//! [`SweepConfig`]).  The pool is spawned
 //! once for the entire grid instead of once per campaign, and a
 //! long-running campaign at the end of the grid is finished cooperatively
 //! by every worker rather than by one campaign-private pool.
@@ -44,8 +47,8 @@
 //! unfinished cells release their next round.  Because the stop decision
 //! sees only merged whole-round state, the realized experiment count (and
 //! therefore every count, histogram and record) is the same for every
-//! thread count, batch size and schedule, and equals a fixed-n campaign of
-//! exactly the realized length (`tests/adaptive_equivalence.rs`).
+//! thread count and schedule, and equals a fixed-n campaign of exactly the
+//! realized length (`tests/adaptive_equivalence.rs`).
 //!
 //! ## Shared artifacts
 //!
@@ -73,13 +76,13 @@
 //! ## One executor, two ways to host it
 //!
 //! The executor lives in `sweep::plan`: per-campaign plans, the job
-//! planner (auto batch size, warning dedupe, zero-experiment cells), one
-//! worker loop, one claim order (admission order) and one batch → round →
+//! planner (batch cut, warning dedupe, zero-experiment cells), one worker
+//! loop, one claim order (admission order) and one batch → round →
 //! finalize protocol.  [`Sweep::run`] hosts it on a scoped pool spawned per
-//! call, over the caller's borrowed units; the persistent [`SweepEngine`]
-//! behind the `mbfi-serve` daemon hosts it on a pool it owns for the
-//! process lifetime, over `Arc`-owned [`EngineUnit`]s, with bounded
-//! admission.  Either way a job hands its [`JobEvent`]s to a sink its host
+//! call, over the caller's borrowed units, as one job of the whole grid;
+//! the persistent [`SweepEngine`] behind the `mbfi-serve` daemon hosts it
+//! on a pool it owns for the process lifetime, with bounded admission, as
+//! one-cell jobs over an `Arc`-owned [`EngineUnit`] each.  Either way a job hands its [`JobEvent`]s to a sink its host
 //! passes in, and their progress variants are the telemetry [`EventKind`]s
 //! themselves, so a telemetry hub, a serve client and `Sweep::run` all see
 //! one event type.
@@ -87,7 +90,7 @@
 mod engine;
 mod plan;
 
-pub use engine::{EngineConfig, EngineUnit, JobEvent, JobSpec, SubmitError, SweepEngine};
+pub use engine::{EngineConfig, EngineUnit, JobEvent, SubmitError, SweepEngine};
 
 use std::sync::mpsc;
 use std::time::Instant;
@@ -168,23 +171,20 @@ impl SweepCell {
     }
 }
 
-/// Knobs of the sweep executor.  `threads` and `batch_size` never affect
-/// results — only how the work is spread over threads.  `precision` selects
-/// a different (but still fully deterministic) sampling mode; see the module
-/// docs.
+/// Knobs of the sweep executor.  `threads` never affects results — only
+/// how the work is spread over threads.  `precision` selects a different
+/// (but still fully deterministic) sampling mode; see the module docs.
 ///
-/// The default (`threads: 0, batch_size: 0, keep_records: false,
-/// precision: None`) means "all cores, auto-sized batches, aggregate results
-/// only, fixed-n sampling".
+/// The default (`threads: 0, keep_records: false, precision: None`) means
+/// "all cores, aggregate results only, fixed-n sampling".
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepConfig {
-    /// Worker threads (0 = all available parallelism).
+    /// Worker threads (0 = all available parallelism).  It also cuts a
+    /// fixed-n job's batches: the job's total experiments spread over 8
+    /// batches per thread, clamped to `[1, 64]` experiments per batch.  An
+    /// adaptive campaign is cut by its round step instead (a quarter of it,
+    /// clamped likewise), so its cut never depends on the thread count.
     pub threads: usize,
-    /// Experiments per batch (0 = auto: total experiments spread
-    /// over 8 batches per worker, clamped to `[1, 64]`; adaptive campaigns
-    /// auto-size from the round step instead so the batch cut never depends
-    /// on the thread count).
-    pub batch_size: usize,
     /// Keep every experiment's [`ExperimentResult`] in its cell's result
     /// ([`SweepCampaignResult::records`]), indexed by experiment.  Off by
     /// default: a 10k-experiment grid would hold millions of records, and
@@ -563,6 +563,26 @@ mod tests {
         }
     }
 
+    /// Each cell's result, in submission order, and the batches the sweep
+    /// ran, counted from its `batch_done` events.
+    fn run_counted(
+        units: &[SweepUnit<'_>],
+        cells: Vec<SweepCell>,
+        config: &SweepConfig,
+    ) -> (Vec<SweepCampaignResult>, u64) {
+        let hub = TelemetryHub::new(TelemetryLevel::Counters);
+        let mut results = vec![None; cells.len()];
+        Sweep::run_streamed(units, cells, config, Some(&hub), |cell, r| {
+            results[cell] = Some(r)
+        });
+        let results = results.into_iter().map(Option::unwrap).collect();
+        (results, hub.counter(Metric::BatchesRun))
+    }
+
+    /// A fixed-n sweep returns the same results at 1, 2, 4 and 8 threads,
+    /// each of which cuts the six 30-experiment cells differently: 2, 3, 5
+    /// and 10 batches of at most 23, 12 (neither dividing 30), 6 and 3
+    /// experiments.
     #[test]
     fn sweep_is_invariant_across_threads_and_batch_sizes() {
         let f = fixture(64, true);
@@ -571,38 +591,50 @@ mod tests {
             golden: &f.golden,
             store: f.store.as_ref(),
         }];
-        let campaigns: Vec<SweepCampaign> = grid_specs(30)
+        let cells: Vec<SweepCell> = grid_specs(30)
             .into_iter()
-            .map(|spec| SweepCampaign { unit: 0, spec })
+            .map(|spec| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
             .collect();
-        let reference = Sweep::run(
-            &units,
-            &campaigns,
-            &SweepConfig {
-                threads: 1,
-                batch_size: 1,
-                keep_records: true,
-                precision: None,
-            },
-        );
-        for threads in [2, 4, 8] {
-            for batch_size in [0, 3, 64] {
-                let other = Sweep::run(
-                    &units,
-                    &campaigns,
-                    &SweepConfig {
-                        threads,
-                        batch_size,
-                        keep_records: true,
-                        precision: None,
-                    },
-                );
-                assert_eq!(
-                    reference, other,
-                    "sweep changed with threads={threads} batch={batch_size}"
-                );
-            }
+        let config = |threads| SweepConfig {
+            threads,
+            keep_records: true,
+            precision: None,
+        };
+        let (reference, batches) = run_counted(&units, cells.clone(), &config(1));
+        assert_eq!(batches, 12);
+        for (threads, cut) in [(2, 18), (4, 30), (8, 60)] {
+            let (other, batches) = run_counted(&units, cells.clone(), &config(threads));
+            assert_eq!(reference, other, "sweep changed with threads={threads}");
+            assert_eq!(batches, cut, "threads={threads}");
         }
+    }
+
+    /// A thread hint of 2^61 cuts one-experiment batches instead of
+    /// overflowing the batch formula, and returns the one-thread report.
+    /// The scoped pool starts a worker per batch up to the hint, so the
+    /// cells stay tiny: 8 experiments, 8 workers.
+    #[test]
+    fn a_huge_thread_hint_cuts_one_experiment_batches() {
+        let f = fixture(48, false);
+        let units = [SweepUnit {
+            code: &f.code,
+            golden: &f.golden,
+            store: None,
+        }];
+        let cells: Vec<SweepCell> = grid_specs(4)
+            .into_iter()
+            .take(2)
+            .map(|spec| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
+            .collect();
+        let config = |threads| SweepConfig {
+            threads,
+            keep_records: true,
+            precision: None,
+        };
+        let (one, _) = run_counted(&units, cells.clone(), &config(1));
+        let (huge, batches) = run_counted(&units, cells, &config(1 << 61));
+        assert_eq!(huge, one);
+        assert_eq!(batches, 8);
     }
 
     /// The experiment-cost counters are batch sums of the serial runs'
@@ -689,23 +721,10 @@ mod tests {
         }
     }
 
-    /// Each cell's records, in submission order.
-    fn run_records(
-        units: &[SweepUnit<'_>],
-        cells: Vec<SweepCell>,
-        config: &SweepConfig,
-    ) -> Vec<Vec<ExperimentResult>> {
-        let mut records = vec![Vec::new(); cells.len()];
-        Sweep::run_streamed(units, cells, config, None, |cell, r| {
-            records[cell] = r.records
-        });
-        records
-    }
-
     /// With `keep_records`, a sampled cell and two listed cells (one
     /// reversed, one a prefix) return one record per experiment, in their
     /// own order, equal to the serial, store-less run, at 1, 3 and 8
-    /// threads, auto batches and batch sizes 1, 4 and 7, with or without a
+    /// threads (each cutting the cells differently), with or without a
     /// store; an adaptive sampled cell returns those of its realized
     /// prefix; without `keep_records`, no records.
     #[test]
@@ -770,27 +789,41 @@ mod tests {
                 store,
             }];
             for (precision, sampled) in [(None, 25), (Some(precision), realized)] {
-                for threads in [1, 3, 8] {
-                    for batch_size in [0, 1, 4, 7] {
-                        for keep_records in [true, false] {
-                            let config = SweepConfig {
-                                threads,
-                                batch_size,
-                                keep_records,
-                                precision,
-                            };
-                            let got = run_records(&units, cells.clone(), &config);
-                            let expected = if keep_records {
-                                vec![
-                                    serial[..sampled].to_vec(),
-                                    reversed.clone(),
-                                    serial[..7].to_vec(),
-                                ]
-                            } else {
-                                vec![Vec::new(); 3]
-                            };
-                            assert_eq!(got, expected);
-                        }
+                for keep_records in [true, false] {
+                    let mut cuts = Vec::new();
+                    for threads in [1, 3, 8] {
+                        let config = SweepConfig {
+                            threads,
+                            keep_records,
+                            precision,
+                        };
+                        let (results, batches) = run_counted(&units, cells.clone(), &config);
+                        let got: Vec<Vec<ExperimentResult>> =
+                            results.into_iter().map(|r| r.records).collect();
+                        let expected = if keep_records {
+                            vec![
+                                serial[..sampled].to_vec(),
+                                reversed.clone(),
+                                serial[..7].to_vec(),
+                            ]
+                        } else {
+                            vec![Vec::new(); 3]
+                        };
+                        assert_eq!(got, expected);
+                        cuts.push(batches);
+                    }
+                    // 57 experiments planned: batches of at most 8 (not
+                    // dividing 25), 3 and 1 experiments.  The adaptive cell
+                    // is cut by its round step at every thread count: 5
+                    // batches of 2 in its first round, 3 in each round of
+                    // 5 after it.
+                    let sampled_cut = match precision {
+                        None => [4, 9, 25],
+                        Some(_) => [5 + 3 * (realized as u64 - 10) / 5; 3],
+                    };
+                    let listed_cut = [5, 12, 32];
+                    for i in 0..3 {
+                        assert_eq!(cuts[i], sampled_cut[i] + listed_cut[i], "{cuts:?}");
                     }
                 }
             }
@@ -856,6 +889,10 @@ mod tests {
         mb.finish()
     }
 
+    /// An adaptive sweep returns the same results at 1, 2, 4 and 8
+    /// threads.  Its cut is the round step's at every thread count: round
+    /// step 5 in batches of 2, so each round after the first ends on a
+    /// one-experiment batch.
     #[test]
     fn adaptive_sweep_is_invariant_across_threads_and_batch_sizes() {
         use crate::adaptive::Precision;
@@ -875,43 +912,33 @@ mod tests {
             max_experiments: 60,
             ..Precision::default()
         });
-        let reference = Sweep::run(
-            &units,
-            &campaigns,
-            &SweepConfig {
-                threads: 1,
-                batch_size: 1,
-                keep_records: true,
-                precision,
-            },
-        );
-        for r in &reference.results {
+        let cells: Vec<SweepCell> = campaigns.into_iter().map(SweepCell::Sampled).collect();
+        let config = |threads| SweepConfig {
+            threads,
+            keep_records: true,
+            precision,
+        };
+        let (reference, batches) = run_counted(&units, cells.clone(), &config(1));
+        let mut rounds_cut = 0;
+        for r in &reference {
             let status = r.result.adaptive.expect("adaptive sweeps report status");
             assert_eq!(status.experiments(), r.result.total());
             assert_eq!(r.result.spec.experiments as u64, r.result.total());
             assert!(r.result.total() >= 10 && r.result.total() <= 60);
             assert!(status.reached_target || r.result.total() == 60);
             assert_eq!(r.records.len(), r.result.total() as usize);
+            rounds_cut += 5 + 3 * (status.rounds as u64 - 1);
         }
-        // Scheduling freedom — thread count, batch size, claim order —
-        // must not move any stop decision.
+        assert_eq!(batches, rounds_cut);
+        // Scheduling freedom — thread count, claim order — must not move
+        // any stop decision.
         for threads in [2usize, 4, 8] {
-            for batch_size in [0usize, 1, 3, 64] {
-                let other = Sweep::run(
-                    &units,
-                    &campaigns,
-                    &SweepConfig {
-                        threads,
-                        batch_size,
-                        keep_records: true,
-                        precision,
-                    },
-                );
-                assert_eq!(
-                    reference, other,
-                    "adaptive sweep changed with threads={threads} batch={batch_size}"
-                );
-            }
+            let (other, other_batches) = run_counted(&units, cells.clone(), &config(threads));
+            assert_eq!(
+                reference, other,
+                "adaptive sweep changed with threads={threads}"
+            );
+            assert_eq!(batches, other_batches, "threads={threads}");
         }
     }
 
@@ -1053,7 +1080,8 @@ mod tests {
 
     /// A listed cell of a multi-bit model returns each experiment's record
     /// in list order, equal to running the list serially without a store,
-    /// at any thread count, batch size and with a store.
+    /// at 1, 4 and 8 threads (each cutting the cells differently) and with
+    /// a store.
     #[test]
     fn listed_cells_match_serial_execution_in_list_order() {
         let f = fixture(96, true);
@@ -1075,7 +1103,9 @@ mod tests {
                 golden: &f.golden,
                 store,
             }];
-            for (threads, batch_size) in [(1, 0), (4, 3), (4, 0)] {
+            // 47 experiments: batches of at most 6 (not dividing 40), 2
+            // and 1 experiments.
+            for (threads, cut) in [(1, 9), (4, 24), (8, 47)] {
                 let cells = vec![
                     SweepCell::Listed(ListedCell {
                         unit: 0,
@@ -1088,12 +1118,14 @@ mod tests {
                 ];
                 let config = SweepConfig {
                     threads,
-                    batch_size,
                     keep_records: true,
                     ..SweepConfig::default()
                 };
-                let got = run_records(&units, cells, &config);
+                let (results, batches) = run_counted(&units, cells, &config);
+                let got: Vec<Vec<ExperimentResult>> =
+                    results.into_iter().map(|r| r.records).collect();
                 assert_eq!(got, vec![serial.clone(), serial[..7].to_vec()]);
+                assert_eq!(batches, cut, "threads={threads}");
             }
         }
     }
@@ -1115,11 +1147,12 @@ mod tests {
             keep_records: true,
             ..SweepConfig::default()
         };
-        assert_eq!(
-            run_records(&units, vec![empty.clone(), empty], &config),
-            vec![Vec::new(); 2]
-        );
-        assert!(run_records(&units, Vec::new(), &config).is_empty());
+        let (results, batches) = run_counted(&units, vec![empty.clone(), empty], &config);
+        assert_eq!(batches, 0);
+        assert!(results
+            .iter()
+            .all(|r| r.records.is_empty() && r.result.total() == 0));
+        assert!(run_counted(&units, Vec::new(), &config).0.is_empty());
     }
 
     #[test]

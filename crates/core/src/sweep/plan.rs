@@ -6,9 +6,10 @@
 //!   folds the partials in batch-index order.  This is everything that
 //!   decides *what* a cell computes.  A cell is a sampled campaign or an
 //!   explicit experiment list ([`SweepCell`]); both run the same way.
-//! * A [`Job`] is a planned grid: its plans, its units and the sink its
-//!   events go to.  [`Job::new`] owns the auto-batch formula, warning dedupe
-//!   and the up-front finish of zero-experiment cells.
+//! * A [`Job`] is a planned grid (for an engine job, one cell): its plans,
+//!   its units and the sink its events go to.  [`Job::new`] owns the
+//!   fixed-n batch formula, warning dedupe and the up-front finish of
+//!   zero-experiment cells.
 //! * [`Shared`] is the scheduler: admitted jobs in admission order, the
 //!   admission bound and the condvars idle workers and blocked submitters
 //!   wait on.  [`worker_loop`] claims the next batch in admission order,
@@ -48,18 +49,18 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 }
 
 /// A job's per-workload artifacts: borrowed for the duration of one
-/// [`Sweep::run`](super::Sweep::run), or `Arc`-owned by an engine job that
-/// outlives its submitter's stack frame.
+/// [`Sweep::run`](super::Sweep::run), or the one `Arc`-owned unit of an
+/// engine job, which outlives its submitter's stack frame.
 pub(crate) enum Units<'a> {
     Borrowed(&'a [SweepUnit<'a>]),
-    Owned(Vec<EngineUnit>),
+    Owned(EngineUnit),
 }
 
 impl Units<'_> {
     fn get(&self, index: usize) -> SweepUnit<'_> {
         match self {
             Units::Borrowed(units) => units[index],
-            Units::Owned(units) => units[index].view(),
+            Units::Owned(unit) => unit.view(),
         }
     }
 }
@@ -112,11 +113,12 @@ pub(crate) struct BatchOut {
 
 impl Plan {
     /// Plan one cell.  `precision` applies to sampled campaigns only: a
-    /// listed cell always runs its whole list.
+    /// listed cell always runs its whole list.  A fixed-n cell is cut into
+    /// batches of `auto_batch` experiments, an adaptive one by its round
+    /// step.
     pub(crate) fn new(
         cell: SweepCell,
         unit: &SweepUnit<'_>,
-        batch_size: usize,
         auto_batch: usize,
         precision: Option<Precision>,
     ) -> Plan {
@@ -150,16 +152,12 @@ impl Plan {
                 });
             }
         }
-        let batch = if batch_size != 0 {
-            batch_size
-        } else {
-            match &precision {
-                // Independent of the thread count by construction: the batch
-                // cut decides round membership, so it must be a pure function
-                // of the precision spec.
-                Some(p) => p.round_step().div_ceil(4).clamp(1, 64),
-                None => auto_batch,
-            }
+        let batch = match &precision {
+            // Independent of the thread count by construction: the batch cut
+            // decides round membership, so it must be a pure function of the
+            // precision spec.
+            Some(p) => p.round_step().div_ceil(4).clamp(1, 64),
+            None => auto_batch,
         };
         // Cut each round into batches; a batch never straddles a round
         // boundary, so the released prefix is always a whole number of
@@ -388,23 +386,23 @@ impl<'a> Job<'a> {
         config: &SweepConfig,
         sink: impl Fn(JobEvent) + Send + Sync + 'a,
     ) -> (Job<'a>, Vec<CampaignWarning>) {
-        // The fixed-n auto batch size spreads the whole grid over 8 batches
-        // per requested worker.  It may depend on the thread count, which is
-        // safe for fixed-n campaigns (the batch cut never changes results)
-        // but NOT for adaptive ones (rounds are made of whole batches) —
-        // adaptive plans auto-size from the round step instead, inside
-        // [`Plan::new`].  The engine feeds it the job's requested threads,
-        // not its pool size, so engine jobs and `Sweep::run` cut identical
-        // batches.
+        // The fixed-n batch size spreads the whole job over 8 batches per
+        // requested worker, clamped to [1, 64] (saturating, so a huge thread
+        // hint cuts one-experiment batches).  It may depend on the thread
+        // count, which is safe for fixed-n campaigns (the batch cut never
+        // changes results) but NOT for adaptive ones (rounds are made of
+        // whole batches) — adaptive plans cut by the round step instead,
+        // inside [`Plan::new`].  The engine feeds it the job's requested
+        // threads, not its pool size, so the pool never moves a cut.
         let total_experiments: usize = cells.iter().map(SweepCell::experiments).sum();
         let auto_batch = total_experiments
-            .div_ceil(resolve_threads(config.threads) * 8)
+            .div_ceil(resolve_threads(config.threads).saturating_mul(8))
             .clamp(1, 64);
         let plans: Vec<Plan> = cells
             .into_iter()
             .map(|c| {
                 let unit = units.get(c.unit());
-                Plan::new(c, &unit, config.batch_size, auto_batch, config.precision)
+                Plan::new(c, &unit, auto_batch, config.precision)
             })
             .collect();
         let mut warnings: Vec<CampaignWarning> = Vec::new();
@@ -697,11 +695,12 @@ mod tests {
         let cells = (0..2)
             .map(|_| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
             .collect();
+        // Four experiments over 8 batches per worker: one per batch.
         let config = SweepConfig {
-            batch_size: 1,
+            threads: 1,
             ..SweepConfig::default()
         };
-        let units = Units::Owned(vec![EngineUnit::new(code, golden)]);
+        let units = Units::Owned(EngineUnit::new(code, golden));
         let (job, _) = Job::new(units, cells, &config, |_| {});
         shared.admit(job).unwrap();
     }

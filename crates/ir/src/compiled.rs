@@ -360,14 +360,6 @@ impl CompiledModule {
     pub fn instr_count(&self) -> usize {
         self.instrs.len()
     }
-
-    /// Static count of inject-on-read / inject-on-write candidate
-    /// instructions `(read, write)` in the flat program.
-    pub fn static_candidates(&self) -> (usize, usize) {
-        let read = self.meta.iter().filter(|m| m.is_read_candidate).count();
-        let write = self.meta.iter().filter(|m| m.is_write_candidate).count();
-        (read, write)
-    }
 }
 
 fn meta_for(instr: &Instr, func: usize, block: usize, idx: usize) -> InstrMeta {
@@ -618,8 +610,6 @@ mod tests {
             }
         }
         assert_eq!(pc, code.instr_count());
-        let (read, write) = code.static_candidates();
-        assert!(read > 0 && write > 0 && write <= code.instr_count());
     }
 
     #[test]

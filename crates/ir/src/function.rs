@@ -101,14 +101,6 @@ impl Function {
     pub fn entry(&self) -> BlockId {
         BlockId(0)
     }
-
-    /// Iterate over `(BlockId, &Block)` pairs.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (BlockId(i as u32), b))
-    }
 }
 
 #[cfg(test)]
@@ -152,6 +144,5 @@ mod tests {
         assert_eq!(f.instr_count(), 1);
         assert_eq!(f.reg_ty(Reg(1)), Type::I32);
         assert_eq!(f.entry(), BlockId(0));
-        assert_eq!(f.iter_blocks().count(), 1);
     }
 }

@@ -94,53 +94,6 @@ impl BinOp {
             BinOp::FRem => "frem",
         }
     }
-
-    /// Parse a mnemonic back into a `BinOp`.
-    pub fn from_mnemonic(s: &str) -> Option<BinOp> {
-        Some(match s {
-            "add" => BinOp::Add,
-            "sub" => BinOp::Sub,
-            "mul" => BinOp::Mul,
-            "udiv" => BinOp::UDiv,
-            "sdiv" => BinOp::SDiv,
-            "urem" => BinOp::URem,
-            "srem" => BinOp::SRem,
-            "shl" => BinOp::Shl,
-            "lshr" => BinOp::LShr,
-            "ashr" => BinOp::AShr,
-            "and" => BinOp::And,
-            "or" => BinOp::Or,
-            "xor" => BinOp::Xor,
-            "fadd" => BinOp::FAdd,
-            "fsub" => BinOp::FSub,
-            "fmul" => BinOp::FMul,
-            "fdiv" => BinOp::FDiv,
-            "frem" => BinOp::FRem,
-            _ => return None,
-        })
-    }
-
-    /// All binary operators (used by property tests).
-    pub const ALL: [BinOp; 18] = [
-        BinOp::Add,
-        BinOp::Sub,
-        BinOp::Mul,
-        BinOp::UDiv,
-        BinOp::SDiv,
-        BinOp::URem,
-        BinOp::SRem,
-        BinOp::Shl,
-        BinOp::LShr,
-        BinOp::AShr,
-        BinOp::And,
-        BinOp::Or,
-        BinOp::Xor,
-        BinOp::FAdd,
-        BinOp::FSub,
-        BinOp::FMul,
-        BinOp::FDiv,
-        BinOp::FRem,
-    ];
 }
 
 /// Integer comparison predicates.
@@ -184,37 +137,6 @@ impl IcmpPred {
             IcmpPred::Sle => "sle",
         }
     }
-
-    /// Parse a mnemonic back into a predicate.
-    pub fn from_mnemonic(s: &str) -> Option<IcmpPred> {
-        Some(match s {
-            "eq" => IcmpPred::Eq,
-            "ne" => IcmpPred::Ne,
-            "ugt" => IcmpPred::Ugt,
-            "uge" => IcmpPred::Uge,
-            "ult" => IcmpPred::Ult,
-            "ule" => IcmpPred::Ule,
-            "sgt" => IcmpPred::Sgt,
-            "sge" => IcmpPred::Sge,
-            "slt" => IcmpPred::Slt,
-            "sle" => IcmpPred::Sle,
-            _ => return None,
-        })
-    }
-
-    /// All integer predicates.
-    pub const ALL: [IcmpPred; 10] = [
-        IcmpPred::Eq,
-        IcmpPred::Ne,
-        IcmpPred::Ugt,
-        IcmpPred::Uge,
-        IcmpPred::Ult,
-        IcmpPred::Ule,
-        IcmpPred::Sgt,
-        IcmpPred::Sge,
-        IcmpPred::Slt,
-        IcmpPred::Sle,
-    ];
 }
 
 /// Floating-point comparison predicates (ordered comparisons plus
@@ -258,23 +180,6 @@ impl FcmpPred {
             FcmpPred::Ueq => "ueq",
             FcmpPred::Une => "une",
         }
-    }
-
-    /// Parse a mnemonic back into a predicate.
-    pub fn from_mnemonic(s: &str) -> Option<FcmpPred> {
-        Some(match s {
-            "oeq" => FcmpPred::Oeq,
-            "one" => FcmpPred::One,
-            "ogt" => FcmpPred::Ogt,
-            "oge" => FcmpPred::Oge,
-            "olt" => FcmpPred::Olt,
-            "ole" => FcmpPred::Ole,
-            "ord" => FcmpPred::Ord,
-            "uno" => FcmpPred::Uno,
-            "ueq" => FcmpPred::Ueq,
-            "une" => FcmpPred::Une,
-            _ => return None,
-        })
     }
 }
 
@@ -324,25 +229,6 @@ impl CastOp {
             CastOp::IntToPtr => "inttoptr",
             CastOp::Bitcast => "bitcast",
         }
-    }
-
-    /// Parse a mnemonic back into a cast operator.
-    pub fn from_mnemonic(s: &str) -> Option<CastOp> {
-        Some(match s {
-            "trunc" => CastOp::Trunc,
-            "zext" => CastOp::ZExt,
-            "sext" => CastOp::SExt,
-            "fptosi" => CastOp::FpToSi,
-            "fptoui" => CastOp::FpToUi,
-            "sitofp" => CastOp::SiToFp,
-            "uitofp" => CastOp::UiToFp,
-            "fptrunc" => CastOp::FpTrunc,
-            "fpext" => CastOp::FpExt,
-            "ptrtoint" => CastOp::PtrToInt,
-            "inttoptr" => CastOp::IntToPtr,
-            "bitcast" => CastOp::Bitcast,
-            _ => return None,
-        })
     }
 
     /// Every cast operator (for exhaustive transfer-function tests).
@@ -436,33 +322,6 @@ impl Intrinsic {
             Intrinsic::Ceil => "ceil",
             Intrinsic::Cbrt => "cbrt",
         }
-    }
-
-    /// Parse an intrinsic name.
-    pub fn from_name(s: &str) -> Option<Intrinsic> {
-        Some(match s {
-            "print_i64" => Intrinsic::PrintI64,
-            "print_f64" => Intrinsic::PrintF64,
-            "print_char" => Intrinsic::PrintChar,
-            "print_bytes" => Intrinsic::PrintBytes,
-            "abort" => Intrinsic::Abort,
-            "malloc" => Intrinsic::Malloc,
-            "free" => Intrinsic::Free,
-            "memcpy" => Intrinsic::Memcpy,
-            "memset" => Intrinsic::Memset,
-            "sqrt" => Intrinsic::Sqrt,
-            "sin" => Intrinsic::Sin,
-            "cos" => Intrinsic::Cos,
-            "atan" => Intrinsic::Atan,
-            "pow" => Intrinsic::Pow,
-            "exp" => Intrinsic::Exp,
-            "log" => Intrinsic::Log,
-            "fabs" => Intrinsic::Fabs,
-            "floor" => Intrinsic::Floor,
-            "ceil" => Intrinsic::Ceil,
-            "cbrt" => Intrinsic::Cbrt,
-            _ => return None,
-        })
     }
 
     /// Whether the intrinsic produces a result register.
@@ -965,39 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn mnemonic_round_trips() {
-        for op in BinOp::ALL {
-            assert_eq!(BinOp::from_mnemonic(op.mnemonic()), Some(op));
-        }
-        for pred in IcmpPred::ALL {
-            assert_eq!(IcmpPred::from_mnemonic(pred.mnemonic()), Some(pred));
-        }
-        for cast in [
-            CastOp::Trunc,
-            CastOp::ZExt,
-            CastOp::SExt,
-            CastOp::FpToSi,
-            CastOp::SiToFp,
-            CastOp::Bitcast,
-            CastOp::PtrToInt,
-            CastOp::IntToPtr,
-        ] {
-            assert_eq!(CastOp::from_mnemonic(cast.mnemonic()), Some(cast));
-        }
-    }
-
-    #[test]
     fn intrinsic_names_round_trip_and_result_flags() {
-        for which in [
-            Intrinsic::PrintI64,
-            Intrinsic::Malloc,
-            Intrinsic::Sqrt,
-            Intrinsic::Memcpy,
-            Intrinsic::Abort,
-            Intrinsic::Cbrt,
-        ] {
-            assert_eq!(Intrinsic::from_name(which.name()), Some(which));
-        }
         assert!(Intrinsic::Malloc.has_result());
         assert!(Intrinsic::Sqrt.has_result());
         assert!(!Intrinsic::PrintI64.has_result());

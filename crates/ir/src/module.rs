@@ -61,23 +61,6 @@ impl Module {
         }
     }
 
-    /// Look up a function by name.
-    pub fn function_by_name(&self, name: &str) -> Option<(FuncId, &Function)> {
-        self.functions
-            .iter()
-            .enumerate()
-            .find(|(_, f)| f.name == name)
-            .map(|(i, f)| (FuncId(i as u32), f))
-    }
-
-    /// Look up a global by name, returning its index.
-    pub fn global_by_name(&self, name: &str) -> Option<(usize, &Global)> {
-        self.globals
-            .iter()
-            .enumerate()
-            .find(|(_, g)| g.name == name)
-    }
-
     /// The entry function, panicking if none was set.
     pub fn entry_function(&self) -> &Function {
         let id = self.entry.expect("module has no entry function");
@@ -109,9 +92,6 @@ mod tests {
         let mut m = Module::new("test");
         m.globals.push(Global::zeroed("a", 8));
         m.globals.push(Global::zeroed("b", 8));
-        assert_eq!(m.global_by_name("b").unwrap().0, 1);
-        assert!(m.global_by_name("c").is_none());
-        assert!(m.function_by_name("main").is_none());
         assert_eq!(m.static_instr_count(), 0);
     }
 }

@@ -104,21 +104,6 @@ impl Type {
     pub fn is_ptr(self) -> bool {
         matches!(self, Type::Ptr)
     }
-
-    /// Parse a type from its textual form (`i32`, `double`, `ptr`, ...).
-    pub fn from_str_opt(s: &str) -> Option<Type> {
-        Some(match s {
-            "i1" => Type::I1,
-            "i8" => Type::I8,
-            "i16" => Type::I16,
-            "i32" => Type::I32,
-            "i64" => Type::I64,
-            "f32" | "float" => Type::F32,
-            "f64" | "double" => Type::F64,
-            "ptr" => Type::Ptr,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for Type {
@@ -177,15 +162,5 @@ mod tests {
             let classes = [ty.is_int(), ty.is_float(), ty.is_ptr()];
             assert_eq!(classes.iter().filter(|c| **c).count(), 1, "{ty}");
         }
-    }
-
-    #[test]
-    fn display_and_parse_round_trip() {
-        for ty in Type::ALL {
-            let text = ty.to_string();
-            assert_eq!(Type::from_str_opt(&text), Some(ty));
-        }
-        assert_eq!(Type::from_str_opt("double"), Some(Type::F64));
-        assert_eq!(Type::from_str_opt("void"), None);
     }
 }

@@ -257,8 +257,8 @@ pub struct ArtifactCache {
 
 impl ArtifactCache {
     /// Look up or build the artefacts of `(workload, size)` for a cell that
-    /// plans `planned_budget` experiments (the fixed count, or the adaptive
-    /// cap).  A budget of at least [`STORE_BREAK_EVEN`] captures the unit's
+    /// plans `planned_budget` experiments ([`CellRequest::planned_budget`]).
+    /// A budget of at least [`STORE_BREAK_EVEN`] captures the unit's
     /// checkpoint store if it has none yet.  The returned [`EngineUnit`] is
     /// cheap to clone (all `Arc`s).  `Err` is the error-frame message.
     pub fn get_or_build(

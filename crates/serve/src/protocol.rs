@@ -52,9 +52,9 @@ use mbfi_workloads::InputSize;
 /// of an unbounded buffer.
 pub const MAX_LINE_BYTES: usize = 1024 * 1024;
 
-/// Upper bound on the experiments one cell may plan: its `experiments`, or
-/// its adaptive cap (`precision.max_experiments`, raised to
-/// `min_experiments` as the sweep normalises it).  The connection thread
+/// Upper bound on the experiments one cell may plan
+/// ([`CellRequest::planned_budget`]) and on its `experiments` field, which
+/// an adaptive cell ignores.  The connection thread
 /// plans each cell with one batch slot per batch, and a large `threads`
 /// hint cuts one-experiment batches, so an unbounded budget from the wire
 /// could ask the allocator for terabytes and abort the daemon.  One million
@@ -98,6 +98,18 @@ impl CellRequest {
             hang_factor: self.hang_factor,
             threads: 0,
         }
+    }
+
+    /// The experiments this cell plans, as the sweep plans it: its fixed
+    /// `experiments`, or with `precision` the adaptive cap as normalised
+    /// (never below `min_experiments`).  The daemon announces it in
+    /// `sweep_started` and `cell_planned` and decides the unit's checkpoint
+    /// store on it.
+    pub fn planned_budget(&self) -> u64 {
+        let budget = self
+            .precision
+            .map_or(self.experiments, |p| p.normalized().max_experiments);
+        budget as u64
     }
 
     /// Wire encoding.
@@ -229,11 +241,8 @@ impl Request {
                     .map(|(i, c)| {
                         let cell = CellRequest::from_json(c)
                             .ok_or_else(|| format!("malformed cell {i}"))?;
-                        let budget = cell
-                            .precision
-                            .map_or(0, |p| p.normalized().max_experiments)
-                            .max(cell.experiments);
-                        if budget > MAX_CELL_EXPERIMENTS {
+                        let budget = cell.planned_budget().max(cell.experiments as u64);
+                        if budget > MAX_CELL_EXPERIMENTS as u64 {
                             return Err(format!(
                                 "cell {i} plans {budget} experiments; a cell may plan at most \
                                  {MAX_CELL_EXPERIMENTS}"

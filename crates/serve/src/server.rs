@@ -20,8 +20,8 @@
 use crate::cache::{ArtifactCache, CellCache, CellEntry, CellKey, Claim};
 use crate::protocol::{self, Request, SubmitRequest, MAX_LINE_BYTES};
 use mbfi_core::{
-    CellInfo, EngineConfig, EventKind, JobEvent, JobSpec, SweepCampaign, SweepCampaignResult,
-    SweepConfig, SweepEngine, SweepReport, TelemetryEvent,
+    CellInfo, EngineConfig, EventKind, JobEvent, SweepCampaignResult, SweepConfig, SweepEngine,
+    SweepReport, TelemetryEvent,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -181,7 +181,7 @@ impl WatchLog {
         let mut state = self.state.lock().expect(LOCK_POISONED);
         let base = state.cells;
         state.cells += cells.len();
-        state.planned += cells.iter().map(|c| planned_budget(c)).sum::<u64>();
+        state.planned += cells.iter().map(|c| c.planned_budget()).sum::<u64>();
         let started = EventKind::SweepStarted {
             cells: state.cells,
             threads,
@@ -194,7 +194,7 @@ impl WatchLog {
                 info: CellInfo {
                     unit: base + j,
                     label: cell_label(cell),
-                    planned: planned_budget(cell),
+                    planned: cell.planned_budget(),
                 },
             };
             self.append(&mut state, planned);
@@ -454,15 +454,6 @@ impl EventStream<'_> {
     }
 }
 
-/// The experiment budget a cell announces in `cell_planned` (fixed n, or
-/// the adaptive cap).
-fn planned_budget(cell: &protocol::CellRequest) -> u64 {
-    cell.precision
-        .as_ref()
-        .map(|p| p.max_experiments as u64)
-        .unwrap_or(cell.experiments as u64)
-}
-
 fn cell_label(cell: &protocol::CellRequest) -> String {
     format!(
         "{}/{} {} {}",
@@ -485,7 +476,7 @@ fn handle_submit(
     for cell in &req.cells {
         match inner
             .artifacts
-            .get_or_build(&cell.workload, cell.size, planned_budget(cell))
+            .get_or_build(&cell.workload, cell.size, cell.planned_budget())
         {
             Ok(unit) => units.push(unit),
             Err(msg) => return send_line(stream, &protocol::error_line(&msg)),
@@ -543,20 +534,17 @@ fn handle_submit(
             })
             .collect();
         for (i, sink) in sinks {
-            let spec = JobSpec {
-                units: vec![units[i].clone()],
-                campaigns: vec![SweepCampaign {
-                    unit: 0,
-                    spec: req.cells[i].spec(),
-                }],
-                config: SweepConfig {
-                    threads: req.threads,
-                    batch_size: 0,
-                    keep_records: false,
-                    precision: req.cells[i].precision,
-                },
+            let cell = &req.cells[i];
+            let config = SweepConfig {
+                threads: req.threads,
+                keep_records: false,
+                precision: cell.precision,
             };
-            if let Err(e) = inner.engine.submit(spec, move |event| sink.on_event(event)) {
+            let on_event = move |event| sink.on_event(event);
+            if let Err(e) = inner
+                .engine
+                .submit(units[i].clone(), cell.spec(), &config, on_event)
+            {
                 // The engine is draining.  The rejected job's sink and the
                 // ones not yet submitted drop here and fail their cells, so
                 // followers fail fast instead of hanging.
@@ -576,7 +564,7 @@ fn handle_submit(
     events.emit(EventKind::SweepStarted {
         cells: req.cells.len(),
         threads: req.threads,
-        planned: req.cells.iter().map(planned_budget).sum(),
+        planned: req.cells.iter().map(|c| c.planned_budget()).sum(),
     })?;
     for (i, cell) in req.cells.iter().enumerate() {
         events.emit(EventKind::CellPlanned {
@@ -584,7 +572,7 @@ fn handle_submit(
             info: CellInfo {
                 unit: i,
                 label: cell_label(cell),
-                planned: planned_budget(cell),
+                planned: cell.planned_budget(),
             },
         })?;
     }

@@ -172,13 +172,7 @@ impl<'c> Vm<'c> {
     /// and reuse the result.
     pub fn run_golden(module: &Module, limits: Limits) -> RunResult {
         let code = CompiledModule::lower(module);
-        Vm::run_golden_compiled(&code, limits)
-    }
-
-    /// Run a pre-lowered module's entry function with a no-op hook.
-    pub fn run_golden_compiled(code: &CompiledModule, limits: Limits) -> RunResult {
-        let mut hook = crate::hooks::NoopHook;
-        Vm::new(code, limits).run(&mut hook)
+        Vm::new(&code, limits).run(&mut crate::hooks::NoopHook)
     }
 
     /// The compiled module this VM executes.

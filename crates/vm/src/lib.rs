@@ -43,7 +43,7 @@ pub use interp::{RunOutcome, RunResult, Vm, Watch};
 pub use limits::Limits;
 pub use mbfi_ir::compiled::CompiledModule;
 pub use memory::{ChunkSet, CowStats, Memory, MemoryLayout, CHUNK_BYTES};
-pub use profile::{CountingHook, ExecutionProfile, OpcodeProfile, TraceHook};
+pub use profile::{CountingHook, ExecutionProfile, OpcodeProfile};
 pub use snapshot::VmSnapshot;
 pub use trap::Trap;
 pub use value::Value;

@@ -122,38 +122,6 @@ impl ExecHook for CountingHook {
     }
 }
 
-/// Hook that records the opcode of every dynamic instruction (for debugging
-/// small programs and for tests that need full traces).
-#[derive(Debug, Default, Clone)]
-pub struct TraceHook {
-    /// Opcode of each dynamic instruction in execution order.
-    pub trace: Vec<Opcode>,
-    /// Cap on the trace length; further instructions are counted but not stored.
-    pub max_len: usize,
-    /// Total dynamic instructions observed (may exceed `trace.len()`).
-    pub total: u64,
-}
-
-impl TraceHook {
-    /// Create a trace hook storing at most `max_len` opcodes.
-    pub fn with_capacity(max_len: usize) -> TraceHook {
-        TraceHook {
-            trace: Vec::new(),
-            max_len,
-            total: 0,
-        }
-    }
-}
-
-impl ExecHook for TraceHook {
-    fn on_instr(&mut self, ctx: &InstrContext) {
-        self.total += 1;
-        if self.trace.len() < self.max_len {
-            self.trace.push(ctx.opcode);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,15 +232,5 @@ mod tests {
         };
         assert_eq!(p.candidates_for(false), 7);
         assert_eq!(p.candidates_for(true), 4);
-    }
-
-    #[test]
-    fn trace_hook_caps_its_length() {
-        let m = sample_module();
-        let code = CompiledModule::lower(&m);
-        let mut hook = TraceHook::with_capacity(5);
-        let result = Vm::new(&code, Limits::default()).run(&mut hook);
-        assert_eq!(hook.trace.len(), 5);
-        assert_eq!(hook.total, result.dynamic_instrs);
     }
 }

@@ -51,11 +51,6 @@ impl VmSnapshot {
         self.frames.len()
     }
 
-    /// Bytes of output produced before the snapshot point.
-    pub fn output_len(&self) -> usize {
-        self.output.len()
-    }
-
     /// Program counter of the innermost frame: the next instruction to run.
     pub fn pc(&self) -> Option<usize> {
         self.frames.last().map(|f| f.pc)
@@ -192,7 +187,6 @@ mod tests {
         // Run the first two prints, then snapshot.
         assert!(vm.run_until(&mut hook, 2).is_none());
         let snap = vm.snapshot();
-        assert_eq!(snap.output_len(), b"1\n2\n".len());
         let result = Vm::from_snapshot(&code, Limits::default(), &snap).run(&mut hook);
         assert_eq!(result.output, b"1\n2\n3\n");
     }

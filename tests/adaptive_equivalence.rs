@@ -2,13 +2,16 @@
 //! coarse default grid over **all 15** registry workloads, adaptive sweep
 //! results — realized experiment counts, outcome counts, histograms,
 //! warnings and the reported interval status — are byte-identical across
-//! sweep thread counts (1, 4, 8) and batch sizes, every stopped cell either
+//! sweep thread counts (1, 4, 8), every stopped cell either
 //! meets the half-width target or spent its whole `max_experiments` budget,
 //! and an adaptive cell equals a fixed-n campaign of exactly the realized
 //! length.
 
 use mbfi_bench::harness::{CampaignGrid, GridRun, HarnessConfig};
-use mbfi_core::{Campaign, CampaignResult, CampaignSpec, FaultModel, Precision, Technique};
+use mbfi_core::{
+    Campaign, CampaignResult, CampaignSpec, FaultModel, Metric, Precision, Technique,
+    TelemetryLevel,
+};
 
 /// Wide target / tiny bounds so the whole 930-cell grid stays a few
 /// thousand experiments per pass: extreme cells stop at the 4-experiment
@@ -20,11 +23,11 @@ const PRECISION: Precision = Precision {
     interval: mbfi_core::IntervalMethod::Wilson,
 };
 
-fn grid_cfg(threads: usize, sweep_batch: usize) -> HarnessConfig {
+fn grid_cfg(threads: usize) -> HarnessConfig {
     HarnessConfig {
         threads,
-        sweep_batch,
         precision: Some(PRECISION),
+        telemetry: TelemetryLevel::Counters,
         ..HarnessConfig::default()
     }
 }
@@ -52,22 +55,35 @@ fn assert_cells_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
     assert_eq!(a.adaptive, b.adaptive, "{what}: adaptive status");
 }
 
-/// Adaptive sweep counts are byte-identical across thread counts and batch
-/// sizes on all 15 workloads — the stop decision depends only on merged
-/// round state, never on scheduling.
+/// The batches a grid ran and the experiments in them, from its counters.
+fn cut(run: &GridRun) -> (u64, u64) {
+    let snapshot = run.telemetry.as_ref().expect("the grid runs with counters");
+    (
+        snapshot.counter(Metric::BatchesRun),
+        snapshot.counter(Metric::ExperimentsRun),
+    )
+}
+
+/// Adaptive sweep counts are byte-identical across thread counts on all 15
+/// workloads — the stop decision depends only on merged round state, never
+/// on scheduling.  The cut is the round step's at every thread count: a
+/// step of 2 experiments cuts one-experiment batches.
 #[test]
 fn adaptive_grid_is_invariant_across_threads_and_batch_sizes() {
-    let reference = run_grid(&grid_cfg(1, 1));
+    let reference = run_grid(&grid_cfg(1));
     assert_eq!(reference.data.len(), 15, "the grid covers every workload");
-    for (threads, sweep_batch) in [(4usize, 0usize), (8, 0), (4, 7)] {
-        let other = run_grid(&grid_cfg(threads, sweep_batch));
+    let (batches, experiments) = cut(&reference);
+    assert_eq!(batches, experiments);
+    for threads in [4usize, 8] {
+        let other = run_grid(&grid_cfg(threads));
+        assert_eq!(cut(&other), (batches, experiments), "threads={threads}");
         assert_eq!(reference.cell_count(), other.cell_count());
         for (a, b) in reference.results().iter().zip(other.results()) {
             assert_cells_identical(
                 a,
                 b,
                 &format!(
-                    "threads={threads} batch={sweep_batch} {} {}",
+                    "threads={threads} {} {}",
                     a.spec.technique,
                     a.spec.model.label()
                 ),
@@ -82,7 +98,7 @@ fn adaptive_grid_is_invariant_across_threads_and_batch_sizes() {
 /// at the floor, some sample past it).
 #[test]
 fn every_cell_meets_the_target_or_exhausts_its_budget() {
-    let run = run_grid(&grid_cfg(4, 0));
+    let run = run_grid(&grid_cfg(4));
     let mut at_floor = 0usize;
     let mut past_floor = 0usize;
     for r in run.results() {

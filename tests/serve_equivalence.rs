@@ -7,8 +7,9 @@
 //! in-flight work before the process exits.
 
 use mbfi_core::{
-    FaultModel, GoldenRun, IntervalMethod, MonitorState, Precision, Sweep, SweepCampaign,
-    SweepConfig, SweepReport, SweepUnit, Technique,
+    EngineUnit, EventKind, FaultModel, GoldenRun, IntervalMethod, MonitorState, Precision, Sweep,
+    SweepCampaign, SweepCell, SweepConfig, SweepReport, SweepUnit, Technique, TelemetryEvent,
+    TelemetryHub, TelemetryLevel,
 };
 use mbfi_ir::CompiledModule;
 use mbfi_serve::{CellRequest, GridRequest, ServerConfig, ServerHandle};
@@ -36,9 +37,8 @@ fn full_grid() -> Vec<CellRequest> {
         .collect()
 }
 
-/// Run the same cells in-process, the way every pre-daemon user of the
-/// library does: shared units, one grid, one `Sweep::run`.
-fn in_process(cells: &[CellRequest], threads: usize, precision: Option<Precision>) -> SweepReport {
+/// The units of `cells`, one per distinct program, and the grid over them.
+fn in_process_grid(cells: &[CellRequest]) -> (Vec<EngineUnit>, Vec<SweepCampaign>) {
     let mut units = Vec::new();
     let mut keys: Vec<(String, InputSize)> = Vec::new();
     let mut campaigns = Vec::new();
@@ -48,7 +48,7 @@ fn in_process(cells: &[CellRequest], threads: usize, precision: Option<Precision
             let w = workload_by_name(&cell.workload).expect("registered workload");
             let code = CompiledModule::lower(&w.build_module(cell.size));
             let golden = GoldenRun::capture_compiled(&code).expect("golden run");
-            units.push(mbfi_core::EngineUnit::new(code, golden));
+            units.push(EngineUnit::new(code, golden));
             keys.push(key.clone());
             units.len() - 1
         });
@@ -57,17 +57,50 @@ fn in_process(cells: &[CellRequest], threads: usize, precision: Option<Precision
             spec: cell.spec(),
         });
     }
-    let views: Vec<SweepUnit<'_>> = units.iter().map(|u| u.view()).collect();
+    (units, campaigns)
+}
+
+/// Run the same cells in-process, the way every pre-daemon user of the
+/// library does: shared units, one grid, one `Sweep::run`.
+fn in_process(cells: &[CellRequest], threads: usize, precision: Option<Precision>) -> SweepReport {
+    let (units, campaigns) = in_process_grid(cells);
+    let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
     Sweep::run(
         &views,
         &campaigns,
         &SweepConfig {
             threads,
-            batch_size: 0,
             keep_records: false,
             precision,
         },
     )
+}
+
+/// The telemetry events of an in-process sweep of `cells`.
+fn in_process_events(
+    cells: &[CellRequest],
+    threads: usize,
+    precision: Option<Precision>,
+) -> Vec<TelemetryEvent> {
+    let (units, campaigns) = in_process_grid(cells);
+    let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
+    let hub = TelemetryHub::new(TelemetryLevel::Full);
+    let config = SweepConfig {
+        threads,
+        keep_records: false,
+        precision,
+    };
+    let cells = campaigns.into_iter().map(SweepCell::Sampled).collect();
+    Sweep::run_streamed(&views, cells, &config, Some(&hub), |_, _| {});
+    hub.drain_events()
+}
+
+/// How many `batch_done` events a stream carried.
+fn batches(events: &[TelemetryEvent]) -> u64 {
+    events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::BatchDone { .. }))
+        .count() as u64
 }
 
 fn spawn_server(threads: usize) -> ServerHandle {
@@ -84,12 +117,13 @@ fn spawn_server(threads: usize) -> ServerHandle {
 /// `mbfi-monitor` accumulator as it arrives.
 fn client(
     addr: std::net::SocketAddr,
+    threads: usize,
     cells: Vec<CellRequest>,
 ) -> std::thread::JoinHandle<(mbfi_serve::ServeOutcome, MonitorState)> {
     std::thread::spawn(move || {
         let mut monitor = MonitorState::new();
         let outcome =
-            mbfi_serve::submit_with(addr, &GridRequest { threads: 0, cells }, &mut |event| {
+            mbfi_serve::submit_with(addr, &GridRequest { threads, cells }, &mut |event| {
                 monitor
                     .apply_line(&event.render_line())
                     .expect("served events parse");
@@ -100,10 +134,11 @@ fn client(
 }
 
 /// Two concurrent clients with overlapping halves of the 15-workload grid,
-/// at engine thread counts 1, 4 and 8: every merged report is
-/// byte-identical to the in-process sweep, the five shared cells execute
-/// exactly once (deduped onto one client's execution), and each client's
-/// event stream verifies clean through `MonitorState`.
+/// at engine thread counts and thread hints 1, 3 and 8: every merged
+/// report is byte-identical to the in-process sweep, which cuts its batches
+/// differently, the five shared cells execute exactly once (deduped onto
+/// one client's execution), and each client's event stream verifies clean
+/// through `MonitorState`.
 #[test]
 fn concurrent_clients_match_in_process_sweep_and_dedupe() {
     let grid = full_grid();
@@ -113,11 +148,15 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
     let a_cells: Vec<CellRequest> = grid[..split + overlap].to_vec();
     let b_cells: Vec<CellRequest> = grid[split..].to_vec();
 
-    for threads in [1usize, 4, 8] {
+    // A served cell is a job of its own, cut from its 12 experiments; the
+    // in-process grid is cut from A's 120.  At hints 1, 3 and 8 that is
+    // batches of 2, 1 and 1 served against 12 (one per cell), 5 (not
+    // dividing 12) and 2 in-process.
+    for (threads, cuts) in [(1usize, (60, 10)), (3, (120, 30)), (8, (120, 60))] {
         let server = spawn_server(threads);
         let addr = server.addr();
-        let a = client(addr, a_cells.clone());
-        let b = client(addr, b_cells.clone());
+        let a = client(addr, threads, a_cells.clone());
+        let b = client(addr, threads, b_cells.clone());
         let (a_out, a_monitor) = a.join().expect("client A");
         let (b_out, b_monitor) = b.join().expect("client B");
 
@@ -133,6 +172,14 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
             a_out.deduped + b_out.deduped,
             overlap as u64,
             "threads={threads}: each shared cell executes exactly once"
+        );
+        assert_eq!(
+            (
+                batches(&a_out.events),
+                batches(&in_process_events(&a_cells, threads, None))
+            ),
+            cuts,
+            "threads={threads}: batch cuts"
         );
         assert_eq!(
             a_out.report,
@@ -194,7 +241,7 @@ fn adaptive_grids_round_trip_through_the_daemon() {
         })
         .collect();
     let server = spawn_server(2);
-    let (outcome, monitor) = client(server.addr(), cells.clone())
+    let (outcome, monitor) = client(server.addr(), 0, cells.clone())
         .join()
         .expect("adaptive client");
     assert!(
@@ -207,6 +254,81 @@ fn adaptive_grids_round_trip_through_the_daemon() {
         "adaptive cells report their rounds"
     );
     assert_eq!(outcome.report, in_process(&cells, 2, Some(precision)));
+    server.stop();
+    server.join();
+}
+
+/// A thread hint of 2^61 cuts one-experiment batches instead of overflowing
+/// the batch formula, and the served report equals the in-process one.  The
+/// engine's pool stays at its own size, and the cells stay tiny because an
+/// in-process sweep starts a worker per batch up to its hint.
+#[test]
+fn a_huge_thread_hint_is_served() {
+    let cells: Vec<CellRequest> = full_grid()
+        .into_iter()
+        .take(2)
+        .map(|c| CellRequest {
+            experiments: 4,
+            ..c
+        })
+        .collect();
+    let server = spawn_server(2);
+    let served = mbfi_serve::submit(
+        server.addr(),
+        &GridRequest {
+            threads: 1 << 61,
+            cells: cells.clone(),
+        },
+    )
+    .expect("a huge thread hint gets its report");
+    assert_eq!(served.report, in_process(&cells, 1, None));
+    assert_eq!(batches(&served.events), 8);
+    server.stop();
+    server.join();
+}
+
+/// A served adaptive cell announces the experiments the sweep plans for it:
+/// with `min_experiments` 100 above `max_experiments` 10 it runs 100, and
+/// its `sweep_started` and `cell_planned` say 100, as in-process.
+#[test]
+fn served_cells_announce_the_in_process_planned_budget() {
+    let precision = Precision {
+        target_half_width_pct: 20.0,
+        min_experiments: 100,
+        max_experiments: 10,
+        interval: IntervalMethod::Wilson,
+    };
+    let cells = vec![CellRequest {
+        workload: "CRC32".to_string(),
+        precision: Some(precision),
+        ..full_grid()[0].clone()
+    }];
+    let planned = |events: &[TelemetryEvent]| -> Vec<(&'static str, u64)> {
+        events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::SweepStarted { planned, .. } => Some(("sweep_started", *planned)),
+                EventKind::CellPlanned { info, .. } => Some(("cell_planned", info.planned)),
+                _ => None,
+            })
+            .collect()
+    };
+    let server = spawn_server(2);
+    let served = mbfi_serve::submit(
+        server.addr(),
+        &GridRequest {
+            threads: 0,
+            cells: cells.clone(),
+        },
+    )
+    .expect("submission succeeds");
+    let events = in_process_events(&cells, 2, Some(precision));
+    assert_eq!(planned(&served.events), planned(&events));
+    assert_eq!(
+        planned(&events),
+        [("sweep_started", 100), ("cell_planned", 100)]
+    );
+    assert_eq!(served.report.results[0].result.total(), 100);
     server.stop();
     server.join();
 }
@@ -278,8 +400,8 @@ fn watch_replays_the_global_log_from_event_zero() {
     let b_cells = grid[1..].to_vec();
     let server = spawn_server(2);
     let addr = server.addr();
-    let a = client(addr, a_cells);
-    let b = client(addr, b_cells);
+    let a = client(addr, 0, a_cells);
+    let b = client(addr, 0, b_cells);
     let (a_out, _) = a.join().expect("client A");
     let (b_out, _) = b.join().expect("client B");
     assert_eq!(a_out.deduped + b_out.deduped, 2, "two shared cells");

@@ -3,14 +3,15 @@
 //! are byte-identical to running each cell through the serial per-campaign
 //! runner — outcome counts, SDC/detection/benign proportions, warnings and
 //! per-experiment `ExperimentResult`s — and invariant across sweep thread
-//! counts (1, 4, 8) and batch sizes.  Table IV's location pairs, which run
+//! counts (1, 4, 8) and the batch cuts they make.  Table IV's location pairs, which run
 //! as listed cells on the same executor, equal serial store-less execution.
 
 use mbfi_bench::harness::{self, CampaignGrid, HarnessConfig, WorkloadData};
 use mbfi_core::pruning::{LocationAnalysis, LocationRequest, TransitionMatrix};
 use mbfi_core::{
     Campaign, CampaignResult, Experiment, ExperimentResult, ExperimentSpec, FaultModel, ListedCell,
-    Outcome, Sweep, SweepCampaign, SweepCell, SweepConfig, SweepUnit, Technique, WinSize,
+    Metric, Outcome, Sweep, SweepCampaign, SweepCell, SweepConfig, SweepUnit, Technique,
+    TelemetryHub, TelemetryLevel, WinSize,
 };
 
 /// Experiments per cell.  The coarse artifact grid has 62 cells per workload
@@ -138,7 +139,9 @@ fn sweep_grid_is_invariant_across_thread_counts() {
 
 /// Every record of a keep-records sweep equals the serial, store-less run of
 /// its experiment, for sampled cells and a listed cell on real workloads, at
-/// 1, 3 and 8 threads, with and without the checkpoint store.
+/// 1, 3 and 8 threads, with and without the checkpoint store.  The thread
+/// counts cut the 14 ten-experiment cells into batches of at most 18, 6
+/// (not dividing 10) and 3 experiments.
 #[test]
 fn sweep_records_match_per_experiment_execution() {
     let cfg = HarnessConfig {
@@ -180,17 +183,18 @@ fn sweep_records_match_per_experiment_execution() {
                 ..w.sweep_unit()
             })
             .collect();
-        for threads in [1, 3, 8] {
+        for (threads, cut) in [(1, 14), (3, 28), (8, 56)] {
             let config = SweepConfig {
                 threads,
-                batch_size: 3,
                 keep_records: true,
                 precision: None,
             };
+            let hub = TelemetryHub::new(TelemetryLevel::Counters);
             let mut records = vec![Vec::new(); cells.len()];
-            Sweep::run_streamed(&units, cells.clone(), &config, None, |cell, r| {
+            Sweep::run_streamed(&units, cells.clone(), &config, Some(&hub), |cell, r| {
                 records[cell] = r.records;
             });
+            assert_eq!(hub.counter(Metric::BatchesRun), cut, "threads={threads}");
             for (cell, (got, expected)) in records.iter().zip(&serial).enumerate() {
                 assert_eq!(
                     got, expected,

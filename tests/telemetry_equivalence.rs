@@ -1,7 +1,7 @@
 //! The telemetry plane's observer contract, as a test suite: attaching a
 //! [`TelemetryHub`] at any level to a sweep or a campaign must leave every
 //! result byte-identical to the untelemetered run across sweep thread counts
-//! (1, 4, 8); the hub's counter totals must exactly equal the authoritative
+//! (1, 3, 8); the hub's counter totals must exactly equal the authoritative
 //! `SweepReport`; and the drained JSONL event stream must replay through
 //! [`MonitorState`] — the `mbfi-monitor` pipeline — into a verified, complete
 //! picture with the same per-cell tallies.
@@ -51,7 +51,6 @@ fn cells(units: usize) -> Vec<SweepCampaign> {
 fn config(threads: usize, precision: Option<Precision>) -> SweepConfig {
     SweepConfig {
         threads,
-        batch_size: 3,
         keep_records: false,
         precision,
     }
@@ -79,7 +78,10 @@ fn report_total(report: &SweepReport) -> u64 {
 
 /// Telemetry at every level is invisible in the results: fixed-n and
 /// adaptive sweeps return byte-identical reports with and without a hub, at
-/// 1, 4 and 8 worker threads.
+/// 1, 3 and 8 worker threads.  At fixed n the thread counts cut the 64
+/// experiments, 8 per cell, into batches of 8, 3 (not dividing 8) and 1;
+/// an adaptive cell's round step of 2 cuts one-experiment batches at every
+/// thread count.
 #[test]
 fn telemetered_sweep_is_byte_identical_across_levels_and_threads() {
     let data = fixture();
@@ -92,9 +94,13 @@ fn telemetered_sweep_is_byte_identical_across_levels_and_threads() {
         interval: mbfi_core::IntervalMethod::Wilson,
     };
     for precision in [None, Some(precision)] {
-        for threads in [1usize, 4, 8] {
+        for (threads, fixed_cut) in [(1usize, 8), (3, 24), (8, 64)] {
             let config = config(threads, precision);
             let base = Sweep::run(&units, &cells, &config);
+            let cut = match precision {
+                None => fixed_cut,
+                Some(_) => report_total(&base),
+            };
             for level in [TelemetryLevel::Counters, TelemetryLevel::Full] {
                 let hub = TelemetryHub::new(level);
                 let report = run_observed(&units, &cells, &config, &hub);
@@ -105,6 +111,7 @@ fn telemetered_sweep_is_byte_identical_across_levels_and_threads() {
                     level.label(),
                     precision.is_some()
                 );
+                assert_eq!(hub.counter(Metric::BatchesRun), cut, "threads={threads}");
             }
         }
     }
