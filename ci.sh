@@ -43,6 +43,17 @@ diff <(knobs_read crates/bench/src/harness.rs crates/serve/src/server.rs) \
     <(grep -o 'MBFI_[A-Z0-9_]*' README.md | sort -u) \
     || { echo "knobs read (<) and knobs in README.md (>) differ"; exit 1; }
 
+# Knob docs in code: every complete MBFI_* name on a `///` or `//!` doc line
+# under crates/, src/ and examples/ must be a knob those from_vars bodies
+# read, so a deleted knob cannot linger in rustdoc either.  Names ending in
+# `_` are prefixes (MBFI_SERVE_*) and exempt.
+echo "==> knob docs: MBFI_* on doc lines under crates/ src/ examples/ are all read by from_vars"
+stray="$(comm -23 \
+    <(grep -rhE '^[[:space:]]*//[/!]' --include='*.rs' crates src examples \
+        | grep -o 'MBFI_[A-Z0-9_]*' | grep -v '_$' | sort -u) \
+    <(knobs_read crates/bench/src/harness.rs crates/serve/src/server.rs))"
+[[ -z "$stray" ]] || { echo "documented but not read by from_vars: $stray"; exit 1; }
+
 # Rustdoc must stay clean, so a deleted or renamed item cannot leave a stale
 # intra-doc link behind.
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --offline --workspace"

@@ -2,7 +2,6 @@
 //! the same workload (§III-E of the paper).
 
 use crate::adaptive::AdaptiveStatus;
-use crate::cluster::CampaignPoint;
 use crate::fault_model::FaultModel;
 use crate::golden::GoldenRun;
 use crate::outcome::{Outcome, OutcomeCounts};
@@ -123,17 +122,6 @@ impl std::fmt::Display for CampaignWarning {
 }
 
 impl CampaignSpec {
-    /// Build a spec from a grid point, keeping the other defaults.
-    pub fn from_point(point: CampaignPoint, experiments: usize, seed: u64) -> CampaignSpec {
-        CampaignSpec {
-            technique: point.technique,
-            model: point.model,
-            experiments,
-            seed,
-            ..CampaignSpec::default()
-        }
-    }
-
     /// Wire encoding of the spec (the `mbfi-serve` request/report schema).
     pub fn to_json(&self) -> crate::report::json::Json {
         let mut obj = crate::report::json::Json::object();
@@ -518,26 +506,26 @@ mod tests {
     fn grid_points_run_as_one_sweep_with_one_result_per_point() {
         let m = workload();
         let golden = GoldenRun::capture_compiled(&m).unwrap();
-        let points = [
-            CampaignPoint {
-                technique: Technique::InjectOnRead,
-                model: FaultModel::single_bit(),
-            },
-            CampaignPoint {
-                technique: Technique::InjectOnRead,
-                model: FaultModel::multi_bit(2, WinSize::Fixed(1)),
-            },
+        let models = [
+            FaultModel::single_bit(),
+            FaultModel::multi_bit(2, WinSize::Fixed(1)),
         ];
         let units = [SweepUnit {
             code: &m,
             golden: &golden,
             store: None,
         }];
-        let campaigns: Vec<SweepCampaign> = points
-            .iter()
-            .map(|p| SweepCampaign {
+        let campaigns: Vec<SweepCampaign> = models
+            .into_iter()
+            .map(|model| SweepCampaign {
                 unit: 0,
-                spec: CampaignSpec::from_point(*p, 50, 9),
+                spec: CampaignSpec {
+                    technique: Technique::InjectOnRead,
+                    model,
+                    experiments: 50,
+                    seed: 9,
+                    ..CampaignSpec::default()
+                },
             })
             .collect();
         let report = Sweep::run(&units, &campaigns, &SweepConfig::default());

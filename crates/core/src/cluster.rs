@@ -67,22 +67,6 @@ impl ParameterGrid {
         out
     }
 
-    /// Campaigns with `win-size = 0` for one technique (the Fig. 2
-    /// "multiple bits of the same register" sweep), single-bit included.
-    pub fn same_register_sweep(technique: Technique) -> Vec<CampaignPoint> {
-        let mut out = vec![CampaignPoint {
-            technique,
-            model: FaultModel::single_bit(),
-        }];
-        for &max_mbf in &MAX_MBF_VALUES {
-            out.push(CampaignPoint {
-                technique,
-                model: FaultModel::multi_bit(max_mbf, WinSize::Fixed(0)),
-            });
-        }
-        out
-    }
-
     /// Render Table I (parameter values) as text.
     pub fn table1() -> String {
         let mut out = String::from("Table I: max-MBF and win-size values\n");
@@ -124,17 +108,6 @@ mod tests {
         let all = ParameterGrid::all_campaigns();
         let set: std::collections::HashSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
-    }
-
-    #[test]
-    fn same_register_sweep_matches_fig2() {
-        let sweep = ParameterGrid::same_register_sweep(Technique::InjectOnWrite);
-        // 1 single-bit + 10 multi-bit bars per program in Fig. 2.
-        assert_eq!(sweep.len(), 11);
-        assert!(sweep[0].model.is_single());
-        assert!(sweep[1..]
-            .iter()
-            .all(|c| c.model.win_size.is_same_register()));
     }
 
     #[test]

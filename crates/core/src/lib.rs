@@ -100,8 +100,8 @@ pub use outcome::{classify, Outcome, OutcomeCounts};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;
 pub use sweep::{
-    EngineConfig, EngineUnit, JobEvent, ListedCell, SubmitError, Sweep, SweepCampaign,
-    SweepCampaignResult, SweepCell, SweepConfig, SweepEngine, SweepReport, SweepUnit,
+    EngineUnit, JobEvent, ListedCell, SubmitError, Sweep, SweepCampaign, SweepCampaignResult,
+    SweepCell, SweepConfig, SweepEngine, SweepReport, SweepUnit,
 };
 pub use technique::Technique;
 pub use telemetry::{

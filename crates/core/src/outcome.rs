@@ -260,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn resilience_and_detection_flags() {
+    fn detection_flags() {
         assert!(Outcome::Hang.is_detection());
         assert!(Outcome::NoOutput.is_detection());
         assert!(!Outcome::Benign.is_detection());

@@ -210,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_of_samples() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }

@@ -11,9 +11,8 @@
 //!
 //! * **One queue** — workers claim batches in admission order: the first
 //!   job with a released batch, the front of its cell's batch queue.
-//! * **Bounded admission** — at most [`EngineConfig::max_pending`] jobs are
-//!   active at once; [`SweepEngine::submit`] blocks until a slot frees
-//!   (backpressure).
+//! * **Bounded admission** — at most 64 jobs are active at once;
+//!   [`SweepEngine::submit`] blocks until a slot frees (backpressure).
 //! * **Streaming** — each job hands its events to the sink its submitter
 //!   passed in, on the worker that produced them: [`JobEvent::Progress`]
 //!   carrying the telemetry `batch_done` / `round_done` events (cell 0),
@@ -88,19 +87,10 @@ impl EngineUnit {
     }
 }
 
-/// Knobs of the persistent engine.  Like [`SweepConfig`], none of them
-/// affect results — only scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineConfig {
-    /// Worker threads owned by the engine (0 = all available parallelism).
-    pub threads: usize,
-    /// Admission bound: at most this many jobs active at once
-    /// (0 = default 64).  `submit` blocks while full.
-    pub max_pending: usize,
-}
-
-/// Default admission bound when [`EngineConfig::max_pending`] is 0.
-const DEFAULT_MAX_PENDING: usize = 64;
+/// Admission bound: at most this many jobs are active at once, and
+/// [`SweepEngine::submit`] blocks while full.  Like the pool size, it moves
+/// work between threads and moments and never changes a result.
+const MAX_PENDING: usize = 64;
 
 /// Progress of one job, handed to its sink in the order things happen
 /// (see [`SweepEngine::submit`]).  Cell indices are submission indices into
@@ -149,16 +139,11 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// Spawn the worker pool; it runs until [`SweepEngine::shutdown`] (or
-    /// `Drop`).
-    pub fn new(config: EngineConfig) -> SweepEngine {
-        let threads = resolve_threads(config.threads);
-        let max_pending = if config.max_pending == 0 {
-            DEFAULT_MAX_PENDING
-        } else {
-            config.max_pending
-        };
-        let shared = Arc::new(Shared::new(max_pending, None));
+    /// Spawn a pool of `threads` workers (0 = all available parallelism);
+    /// it runs until [`SweepEngine::shutdown`] (or `Drop`).
+    pub fn new(threads: usize) -> SweepEngine {
+        let threads = resolve_threads(threads);
+        let shared = Arc::new(Shared::new(MAX_PENDING, None));
         let workers = (0..threads)
             .map(|t| {
                 let shared = Arc::clone(&shared);
@@ -351,10 +336,7 @@ mod tests {
                 };
                 let expected = Sweep::run(&views, &campaigns, &config);
                 for pool in [1usize, 4] {
-                    let engine = SweepEngine::new(EngineConfig {
-                        threads: pool,
-                        ..EngineConfig::default()
-                    });
+                    let engine = SweepEngine::new(pool);
                     let (report, batches) = run_jobs(&engine, &units, &campaigns, &config);
                     assert_eq!(
                         report,
@@ -391,10 +373,7 @@ mod tests {
         };
         let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
         let expected = Sweep::run(&views, &campaigns, &config);
-        let engine = SweepEngine::new(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
+        let engine = SweepEngine::new(4);
         std::thread::scope(|scope| {
             let clients: Vec<_> = (0..2)
                 .map(|_| scope.spawn(|| run_jobs(&engine, &units, &campaigns, &config).0))
@@ -405,17 +384,14 @@ mod tests {
         });
     }
 
-    /// A blocking `submit` at the admission bound returns only once the
+    /// A blocking `submit` at the admission bound returns only once an
     /// active job has sent `Finished`; shutdown then drains the admitted job
     /// and rejects later submissions.
     #[test]
     fn admission_bound_and_graceful_drain() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let unit = unit(48, false);
-        let engine = SweepEngine::new(EngineConfig {
-            threads: 1,
-            max_pending: 1,
-        });
+        let engine = SweepEngine::new(1);
         let spec = |experiments| CampaignSpec {
             experiments,
             threads: 1,
@@ -423,15 +399,17 @@ mod tests {
             ..CampaignSpec::default()
         };
         let config = SweepConfig::default();
-        let a_finished = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&a_finished);
-        engine
-            .submit(unit.clone(), spec(20_000), &config, move |event| {
-                if matches!(event, JobEvent::Finished) {
-                    flag.store(true, Ordering::SeqCst);
-                }
-            })
-            .unwrap();
+        let finished = Arc::new(AtomicUsize::new(0));
+        for experiments in std::iter::once(20_000).chain([1; MAX_PENDING - 1]) {
+            let finished = Arc::clone(&finished);
+            engine
+                .submit(unit.clone(), spec(experiments), &config, move |event| {
+                    if matches!(event, JobEvent::Finished) {
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .unwrap();
+        }
         let (sink, b_events) = channel_sink();
         std::thread::scope(|scope| {
             scope
@@ -439,11 +417,12 @@ mod tests {
                 .join()
                 .unwrap()
                 .unwrap();
-            // A's `Finished` is sent under the scheduler lock before its
+            // A job's `Finished` is sent under the scheduler lock before its
             // admission slot frees, so B cannot have been admitted earlier.
-            assert!(a_finished.load(Ordering::SeqCst));
+            assert!(finished.load(Ordering::SeqCst) >= 1);
         });
         engine.shutdown();
+        assert_eq!(finished.load(Ordering::SeqCst), MAX_PENDING);
         assert_eq!(collect(b_events.iter()).0.result.total(), 200);
         let (sink, _) = channel_sink();
         assert_eq!(
@@ -456,10 +435,7 @@ mod tests {
     /// touching a worker, and `Drop` never hangs.
     #[test]
     fn empty_jobs_and_drop_shutdown() {
-        let engine = SweepEngine::new(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        });
+        let engine = SweepEngine::new(2);
         let spec = CampaignSpec {
             experiments: 0,
             threads: 1,
@@ -517,10 +493,7 @@ mod tests {
             }));
             assert!(run.is_err(), "the foreign store fails the sweep");
         }
-        let engine = SweepEngine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = SweepEngine::new(1);
         // At the deadline a job that never ran reads as unfinished.
         let deadline = Duration::from_secs(30);
         for (unit, finishes) in [(broken, false), (unit(48, false), true)] {

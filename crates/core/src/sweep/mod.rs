@@ -90,7 +90,7 @@
 mod engine;
 mod plan;
 
-pub use engine::{EngineConfig, EngineUnit, JobEvent, SubmitError, SweepEngine};
+pub use engine::{EngineUnit, JobEvent, SubmitError, SweepEngine};
 
 use std::sync::mpsc;
 use std::time::Instant;
@@ -179,11 +179,13 @@ impl SweepCell {
 /// "all cores, aggregate results only, fixed-n sampling".
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepConfig {
-    /// Worker threads (0 = all available parallelism).  It also cuts a
-    /// fixed-n job's batches: the job's total experiments spread over 8
-    /// batches per thread, clamped to `[1, 64]` experiments per batch.  An
-    /// adaptive campaign is cut by its round step instead (a quarter of it,
-    /// clamped likewise), so its cut never depends on the thread count.
+    /// Worker threads (0 = all available parallelism).  A scoped sweep
+    /// starts no more workers than there are cores or batches.  The value
+    /// also cuts a fixed-n job's batches: the job's total experiments
+    /// spread over 8 batches per thread, clamped to `[1, 64]` experiments
+    /// per batch.  An adaptive campaign is cut by its round step instead (a
+    /// quarter of it, clamped likewise), so its cut never depends on the
+    /// thread count.
     pub threads: usize,
     /// Keep every experiment's [`ExperimentResult`] in its cell's result
     /// ([`SweepCampaignResult::records`]), indexed by experiment.  Off by
@@ -358,7 +360,10 @@ impl Sweep {
         for w in &warnings {
             eprintln!("campaign warning: {w} ({w:?})");
         }
-        let threads = resolve_threads(config.threads).clamp(1, job.batches().max(1));
+        // The hint cuts batches; the pool never outgrows the machine.
+        let threads = resolve_threads(config.threads)
+            .min(resolve_threads(0))
+            .clamp(1, job.batches().max(1));
         let job_cells = job.plans.len();
         let sweep_start = Instant::now();
         if let Some(hub) = telemetry {
@@ -611,8 +616,6 @@ mod tests {
 
     /// A thread hint of 2^61 cuts one-experiment batches instead of
     /// overflowing the batch formula, and returns the one-thread report.
-    /// The scoped pool starts a worker per batch up to the hint, so the
-    /// cells stay tiny: 8 experiments, 8 workers.
     #[test]
     fn a_huge_thread_hint_cuts_one_experiment_batches() {
         let f = fixture(48, false);
@@ -635,6 +638,32 @@ mod tests {
         let (huge, batches) = run_counted(&units, cells, &config(1 << 61));
         assert_eq!(huge, one);
         assert_eq!(batches, 8);
+    }
+
+    /// A thread hint of 1,000,000 still cuts a 64-experiment cell into 64
+    /// batches, but starts no more workers than the machine runs at once.
+    #[test]
+    fn the_scoped_pool_never_outgrows_the_machine() {
+        let f = fixture(48, false);
+        let units = [SweepUnit {
+            code: &f.code,
+            golden: &f.golden,
+            store: None,
+        }];
+        let spec = grid_specs(64)[0];
+        let cells = vec![SweepCell::Sampled(SweepCampaign { unit: 0, spec })];
+        let config = SweepConfig {
+            threads: 1_000_000,
+            ..SweepConfig::default()
+        };
+        let hub = TelemetryHub::new(TelemetryLevel::Full);
+        Sweep::run_streamed(&units, cells, &config, Some(&hub), |_, _| {});
+        let started = hub.drain_events().into_iter().find_map(|e| match e.kind {
+            EventKind::SweepStarted { threads, .. } => Some(threads),
+            _ => None,
+        });
+        assert!(started.unwrap() <= resolve_threads(0), "{started:?}");
+        assert_eq!(hub.counter(Metric::BatchesRun), 64);
     }
 
     /// The experiment-cost counters are batch sums of the serial runs'

@@ -824,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn intrinsic_names_round_trip_and_result_flags() {
+    fn intrinsic_result_flags() {
         assert!(Intrinsic::Malloc.has_result());
         assert!(Intrinsic::Sqrt.has_result());
         assert!(!Intrinsic::PrintI64.has_result());

@@ -88,7 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn module_lookup() {
+    fn globals_add_no_static_instructions() {
         let mut m = Module::new("test");
         m.globals.push(Global::zeroed("a", 8));
         m.globals.push(Global::zeroed("b", 8));

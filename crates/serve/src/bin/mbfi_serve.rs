@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The daemon reads the `MBFI_SERVE_PORT` / `MBFI_SERVE_THREADS` /
-//! `MBFI_SERVE_PENDING` / `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
+//! `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
 //! `submit --compare` re-runs the same grid in-process through `Sweep::run`
 //! and exits non-zero unless the served report is byte-identical — the CI
 //! smoke test of the service path.
@@ -16,7 +16,7 @@
 use mbfi_core::campaign::DEFAULT_HANG_FACTOR;
 use mbfi_core::{FaultModel, Sweep, SweepCampaign, SweepConfig, Technique};
 use mbfi_serve::cache::ArtifactCache;
-use mbfi_serve::{CellRequest, GridRequest, ServerConfig};
+use mbfi_serve::{CellRequest, ServerConfig, SubmitRequest};
 use mbfi_workloads::InputSize;
 use std::process::ExitCode;
 
@@ -116,7 +116,7 @@ fn run_daemon(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn parse_grid(args: &mut Vec<String>) -> Result<GridRequest, String> {
+fn parse_grid(args: &mut Vec<String>) -> Result<SubmitRequest, String> {
     let workloads = take_flag(args, "--workloads")?.unwrap_or_else(|| "qsort".to_string());
     let size = match take_flag(args, "--size")?.as_deref().unwrap_or("tiny") {
         "tiny" => InputSize::Tiny,
@@ -155,7 +155,11 @@ fn parse_grid(args: &mut Vec<String>) -> Result<GridRequest, String> {
     if cells.is_empty() {
         return Err("empty --workloads list".to_string());
     }
-    Ok(GridRequest { threads, cells })
+    Ok(SubmitRequest {
+        threads,
+        cells,
+        ..SubmitRequest::default()
+    })
 }
 
 fn run_submit(args: &[String]) -> Result<ExitCode, String> {
@@ -214,7 +218,7 @@ fn run_submit(args: &[String]) -> Result<ExitCode, String> {
 /// specs (`threads = 0`) and units from its artifact cache.  A planned
 /// budget of 0 captures no checkpoint store, so the reference re-executes
 /// every experiment from instruction zero.
-fn run_in_process(grid: &GridRequest) -> Result<mbfi_core::SweepReport, String> {
+fn run_in_process(grid: &SubmitRequest) -> Result<mbfi_core::SweepReport, String> {
     let cache = ArtifactCache::default();
     let mut units = Vec::new();
     let mut campaigns = Vec::new();

@@ -8,14 +8,16 @@
 //!   golden-run capture) per process lifetime, with a per-key build lock so
 //!   two concurrent first-requests for `qsort/tiny` compile it exactly once.
 //!   The same lock guards a lazily captured checkpoint store (below).
-//! * [`CellCache`] — one *execution* per [`CellKey`] (workload, size, and
-//!   the full normalised campaign spec).  The first requester becomes the
-//!   owner and submits the engine job, whose sink feeds the cell's
-//!   [`CellEntry`]; everyone tails that entry, replaying its buffered events
-//!   and blocking on a condvar until the result lands.  Because the
-//!   executor is deterministic — the result is a pure function of the spec,
-//!   never of thread count or batch schedule — handing client B client A's
-//!   bytes *is* running the cell.
+//! * `CellCache` (crate-private) — one *execution* per `CellKey`
+//!   (workload, size, and the full normalised campaign spec).  The first
+//!   requester becomes the owner and submits the engine job, whose sink
+//!   feeds the cell's `CellEntry`: the daemon's replayable event log of the
+//!   cell plus its result slot.  Everyone tails that entry, replaying its
+//!   events from the first and following them until the log closes: after
+//!   the result lands, or without one when the execution failed.  Because
+//!   the executor is deterministic — the result is a pure function of the
+//!   spec, never of thread count or batch schedule — handing client B
+//!   client A's bytes *is* running the cell.
 //!
 //! The cell key deliberately excludes the request's `threads` hint: results
 //! are thread-invariant, so normalising `threads` to 0 widens dedupe without
@@ -39,6 +41,7 @@
 //! the 15 programs at tiny input the stores take 0.93 MiB in total, 40 to
 //! 104 KiB per unit, against 12.4 MiB at the harness's 128 checkpoints.
 
+use crate::log::EventLog;
 use crate::protocol::CellRequest;
 use mbfi_core::{
     CheckpointConfig, CheckpointStore, EngineUnit, EventKind, IntervalMethod, SweepCampaignResult,
@@ -46,13 +49,13 @@ use mbfi_core::{
 };
 use mbfi_workloads::InputSize;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const LOCK_POISONED: &str = "serve cache lock poisoned";
 
 /// Identity of one deduplicatable cell execution.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CellKey {
+pub(crate) struct CellKey {
     workload: String,
     size: InputSize,
     technique: Technique,
@@ -69,7 +72,7 @@ pub struct CellKey {
 impl CellKey {
     /// Build the key of a request (workload name lower-cased: the registry
     /// lookup is case-insensitive, so `QSort` and `qsort` are one cell).
-    pub fn of(req: &CellRequest) -> CellKey {
+    pub(crate) fn of(req: &CellRequest) -> CellKey {
         CellKey {
             workload: req.workload.to_ascii_lowercase(),
             size: req.size,
@@ -91,89 +94,59 @@ impl CellKey {
     }
 }
 
-/// Mutable progress of one cell execution.
-#[derive(Debug, Default)]
-pub struct CellProgress {
-    /// Progress events observed so far, in order (`batch_done` /
-    /// `round_done`, addressed to cell 0 of the single-cell engine job).
-    pub events: Vec<EventKind>,
-    /// The final result, once the engine worker that finishes the cell
-    /// lands it.
-    pub result: Option<Arc<SweepCampaignResult>>,
-    /// Set when the owning execution ended without a result (a failed
-    /// batch, or a job the draining engine refused); followers report an
-    /// error instead of blocking forever.
-    pub failed: bool,
-}
-
-/// One cell execution: progress guarded by a mutex, completion broadcast on
-/// a condvar.
-#[derive(Debug, Default)]
-pub struct CellEntry {
-    progress: Mutex<CellProgress>,
-    cond: Condvar,
+/// One cell execution: its progress events (`batch_done` / `round_done`,
+/// addressed to cell 0 of the single-cell engine job) and, once the engine
+/// worker that finishes the cell lands it, its result.
+#[derive(Default)]
+pub(crate) struct CellEntry {
+    events: EventLog<EventKind>,
+    result: OnceLock<Arc<SweepCampaignResult>>,
 }
 
 impl CellEntry {
     /// Append an event (from the engine worker that ran the batch).
-    pub fn push_event(&self, event: EventKind) {
-        let mut p = self.progress.lock().expect(LOCK_POISONED);
-        p.events.push(event);
-        self.cond.notify_all();
+    pub(crate) fn push_event(&self, event: EventKind) {
+        self.events.push(event);
     }
 
-    /// Land the final result and wake every follower.
-    pub fn finish(&self, result: Arc<SweepCampaignResult>) {
-        let mut p = self.progress.lock().expect(LOCK_POISONED);
-        p.result = Some(result);
-        self.cond.notify_all();
+    /// Land the final result, then close the event log.
+    pub(crate) fn finish(&self, result: Arc<SweepCampaignResult>) {
+        let _ = self.result.set(result);
+        self.events.close();
     }
 
-    /// Mark the execution failed (no result will ever land) and wake
-    /// followers.
-    pub fn fail(&self) {
-        let mut p = self.progress.lock().expect(LOCK_POISONED);
-        p.failed = true;
-        self.cond.notify_all();
+    /// End the execution without a result (a failed batch, or a job the
+    /// draining engine refused): followers report an error instead of
+    /// blocking forever.
+    pub(crate) fn fail(&self) {
+        self.events.close();
     }
 
-    /// Stream the entry to `emit`: every buffered event exactly once, in
-    /// order, blocking for more until the result (returned) or a failure
-    /// (`None`) lands.  Events are emitted outside the lock: engine workers
-    /// push into the entry, and a client that stops reading must not stall
-    /// them.
-    pub fn tail(&self, mut emit: impl FnMut(&EventKind)) -> Option<Arc<SweepCampaignResult>> {
-        let mut next = 0usize;
-        loop {
-            let (pending, result, failed) = {
-                let mut p = self.progress.lock().expect(LOCK_POISONED);
-                while next == p.events.len() && p.result.is_none() && !p.failed {
-                    p = self.cond.wait(p).expect(LOCK_POISONED);
-                }
-                (p.events[next..].to_vec(), p.result.clone(), p.failed)
-            };
-            next += pending.len();
-            pending.iter().for_each(&mut emit);
-            if result.is_some() || failed {
-                return result;
-            }
-        }
+    /// Stream the entry's events to `emit` (see [`EventLog::tail`]), then
+    /// return the result: `None` if the execution failed, or if `emit`
+    /// returned `false` before the result landed.
+    pub(crate) fn tail(
+        &self,
+        emit: impl FnMut(&EventKind) -> bool,
+    ) -> Option<Arc<SweepCampaignResult>> {
+        self.events.tail(emit);
+        self.result()
     }
 
     /// The result, if already landed (non-blocking).
-    pub fn result(&self) -> Option<Arc<SweepCampaignResult>> {
-        self.progress.lock().expect(LOCK_POISONED).result.clone()
+    pub(crate) fn result(&self) -> Option<Arc<SweepCampaignResult>> {
+        self.result.get().cloned()
     }
 }
 
 /// The cross-request cell cache.
-#[derive(Debug, Default)]
-pub struct CellCache {
+#[derive(Default)]
+pub(crate) struct CellCache {
     entries: Mutex<HashMap<CellKey, Arc<CellEntry>>>,
 }
 
 /// Outcome of a [`CellCache::claim`].
-pub enum Claim {
+pub(crate) enum Claim {
     /// The caller is the first requester: it must execute the cell and feed
     /// the entry (or [`CellEntry::fail`] it).
     Owner(Arc<CellEntry>),
@@ -183,7 +156,7 @@ pub enum Claim {
 
 impl CellCache {
     /// Atomically look up or create the entry of `key`.
-    pub fn claim(&self, key: CellKey) -> Claim {
+    pub(crate) fn claim(&self, key: CellKey) -> Claim {
         let mut entries = self.entries.lock().expect(LOCK_POISONED);
         match entries.get(&key) {
             Some(entry) => Claim::Follower(Arc::clone(entry)),
@@ -196,18 +169,8 @@ impl CellCache {
     }
 
     /// Drop a failed execution so a later request can retry the cell.
-    pub fn evict(&self, key: &CellKey) {
+    pub(crate) fn evict(&self, key: &CellKey) {
         self.entries.lock().expect(LOCK_POISONED).remove(key);
-    }
-
-    /// Number of cached cells (testing / introspection).
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect(LOCK_POISONED).len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -336,27 +299,32 @@ mod tests {
     #[test]
     fn first_claim_owns_second_follows() {
         let cache = CellCache::default();
-        assert!(cache.is_empty());
         let Claim::Owner(owner) = cache.claim(CellKey::of(&req(1))) else {
             panic!("first claim must own");
         };
         let Claim::Follower(follower) = cache.claim(CellKey::of(&req(1))) else {
             panic!("second claim must follow");
         };
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.lock().unwrap().len(), 1);
 
-        // Follower sees buffered events, then blocks until the result lands.
-        owner.push_event(EventKind::BatchDone {
+        let batch = EventKind::BatchDone {
             cell: 0,
             batch: 0,
             experiments: 10,
             counts: OutcomeCounts::default(),
             wall_ns: 1,
             worker: 0,
-        });
+        };
+        owner.push_event(batch.clone());
+        // A reader whose emit fails stops at once, even on an open log.
+        assert!(follower.tail(|_| false).is_none());
+        // Follower sees buffered events, then blocks until the result lands.
         let waiter = std::thread::spawn(move || {
             let mut seen = 0;
-            let result = follower.tail(|_| seen += 1);
+            let result = follower.tail(|_| {
+                seen += 1;
+                true
+            });
             (seen, result.is_some())
         });
         let result = Arc::new(SweepCampaignResult {
@@ -374,6 +342,17 @@ mod tests {
         let (seen, got) = waiter.join().unwrap();
         assert_eq!(seen, 1);
         assert!(got);
+
+        // The log closed with the result: a later push drops, and a late
+        // reader replays from the first event.
+        owner.push_event(batch);
+        let mut replayed = 0;
+        let result = owner.tail(|_| {
+            replayed += 1;
+            true
+        });
+        assert!(result.is_some());
+        assert_eq!(replayed, 1);
     }
 
     #[test]
@@ -386,7 +365,7 @@ mod tests {
         let Claim::Follower(follower) = cache.claim(key.clone()) else {
             panic!("second claim must follow");
         };
-        let waiter = std::thread::spawn(move || follower.tail(|_| {}).is_none());
+        let waiter = std::thread::spawn(move || follower.tail(|_| true).is_none());
         owner.fail();
         assert!(waiter.join().unwrap(), "follower sees the failure");
         cache.evict(&key);

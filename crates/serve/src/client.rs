@@ -2,7 +2,7 @@
 //! events, collect the report.  Used by `mbfi-serve submit`,
 //! `mbfi-monitor --connect` and the served-path benchmark.
 
-use crate::protocol::{self, Ack, CellRequest, Request, SubmitRequest};
+use crate::protocol::{self, Ack, Request, SubmitRequest};
 use mbfi_core::{SweepReport, TelemetryEvent};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -36,15 +36,6 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// A grid to submit: the body of the `submit` verb.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridRequest {
-    /// Thread hint for batch sizing (0 = all parallelism).
-    pub threads: usize,
-    /// The cells.
-    pub cells: Vec<CellRequest>,
-}
-
 /// Everything a completed submission returned.
 #[derive(Debug)]
 pub struct ServeOutcome {
@@ -66,7 +57,7 @@ fn connect(addr: impl ToSocketAddrs) -> Result<TcpStream, ServeError> {
 }
 
 /// Submit a grid and wait for the report, discarding progress events.
-pub fn submit(addr: impl ToSocketAddrs, req: &GridRequest) -> Result<ServeOutcome, ServeError> {
+pub fn submit(addr: impl ToSocketAddrs, req: &SubmitRequest) -> Result<ServeOutcome, ServeError> {
     submit_with(addr, req, &mut |_| {})
 }
 
@@ -74,17 +65,11 @@ pub fn submit(addr: impl ToSocketAddrs, req: &GridRequest) -> Result<ServeOutcom
 /// arrives, and wait for the report.
 pub fn submit_with(
     addr: impl ToSocketAddrs,
-    req: &GridRequest,
+    req: &SubmitRequest,
     on_event: &mut dyn FnMut(&TelemetryEvent),
 ) -> Result<ServeOutcome, ServeError> {
     let mut stream = connect(addr)?;
-    let line = Request::Submit(SubmitRequest {
-        threads: req.threads,
-        cells: req.cells.clone(),
-        ..SubmitRequest::default()
-    })
-    .to_line();
-    stream.write_all(line.as_bytes())?;
+    stream.write_all(req.to_json().render().as_bytes())?;
     stream.write_all(b"\n")?;
 
     let mut reader = BufReader::new(stream.try_clone()?);

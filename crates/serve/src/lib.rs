@@ -9,8 +9,8 @@
 //!
 //! * [`server`] — a `TcpListener` accept loop over the persistent
 //!   [`mbfi_core::SweepEngine`] (the sweep executor on a process-lifetime
-//!   pool: runtime job admission in arrival order, bounded backpressure,
-//!   graceful drain).
+//!   pool: runtime job admission in arrival order, at most 64 jobs active
+//!   before submits block, graceful drain).
 //! * [`protocol`] — the hand-rolled JSON-lines wire grammar: `submit` /
 //!   `watch` / `shutdown` requests, ack/error/report frames, and the
 //!   telemetry-schema event stream between them.
@@ -19,6 +19,9 @@
 //!   *execution* per cell spec, no matter how many clients ask for it
 //!   concurrently.  Sound because the executor is deterministic: a cell's
 //!   result is a pure function of its spec.
+//! * `log` (crate-private) — the one replayable event log behind each
+//!   cell's stream and the global watch stream: readers replay it from the
+//!   first entry, then follow it live until it closes.
 //! * [`client`] — connect/submit/watch/shutdown helpers used by the CLI,
 //!   `mbfi-monitor --connect`, the benchmark and the equivalence tests.
 //!
@@ -30,9 +33,10 @@
 
 pub mod cache;
 pub mod client;
+mod log;
 pub mod protocol;
 pub mod server;
 
-pub use client::{shutdown, submit, submit_with, watch, GridRequest, ServeError, ServeOutcome};
+pub use client::{shutdown, submit, submit_with, watch, ServeError, ServeOutcome};
 pub use protocol::{CellRequest, Request, SubmitRequest};
 pub use server::{spawn, ServerConfig, ServerHandle};

@@ -5,10 +5,12 @@
 //! is handled on its own thread.  Submitted grids are deduplicated through
 //! the [`crate::cache`] layer — the first requester of a cell owns its
 //! engine job; later requesters (same connection or another client) tail
-//! the cell's buffered event stream.  The engine's workers feed each owned
-//! cell's entry and the global telemetry log directly, through the job's
-//! sink; the daemon runs no thread per cell.  A `watch` connection replays
-//! the global log from the beginning and then follows it live.
+//! the cell's event log.  The engine's workers feed each owned cell's
+//! entry and the global watch log directly, through the job's sink; the
+//! daemon runs no thread per cell.  Both logs are the crate's one
+//! replayable `EventLog`: a `watch` connection replays the global log from
+//! event 0, then follows it live, rendering each event to its JSON line as
+//! it sends it.
 //!
 //! Failure containment: a malformed request, an unknown workload or a
 //! mid-stream disconnect terminates *that connection only*.  The engine,
@@ -18,15 +20,16 @@
 //! full report, and only then do the threads join.
 
 use crate::cache::{ArtifactCache, CellCache, CellEntry, CellKey, Claim};
+use crate::log::EventLog;
 use crate::protocol::{self, Request, SubmitRequest, MAX_LINE_BYTES};
 use mbfi_core::{
-    CellInfo, EngineConfig, EventKind, JobEvent, SweepCampaignResult, SweepConfig, SweepEngine,
-    SweepReport, TelemetryEvent,
+    CellInfo, EventKind, JobEvent, SweepCampaignResult, SweepConfig, SweepEngine, SweepReport,
+    TelemetryEvent,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,9 +44,6 @@ pub struct ServerConfig {
     pub port: u16,
     /// Engine worker threads (0 = all available parallelism).
     pub threads: usize,
-    /// Admission bound: jobs active at once before submits block (0 = the
-    /// engine default).
-    pub max_pending: usize,
     /// Per-connection I/O timeout, milliseconds: a client that connects and
     /// never sends a request, or stops reading its stream, is dropped after
     /// one read or write has waited this long.  It bounds how long a stalled
@@ -56,7 +56,6 @@ impl Default for ServerConfig {
         ServerConfig {
             port: 0,
             threads: 0,
-            max_pending: 0,
             read_timeout_ms: 10_000,
         }
     }
@@ -81,7 +80,7 @@ fn var_parsed<T: std::str::FromStr + std::fmt::Display>(
 
 impl ServerConfig {
     /// Read the `MBFI_SERVE_PORT` / `MBFI_SERVE_THREADS` /
-    /// `MBFI_SERVE_PENDING` / `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
+    /// `MBFI_SERVE_READ_TIMEOUT_MS` knobs.
     pub fn from_env() -> ServerConfig {
         ServerConfig::from_vars(|key| std::env::var(key).ok())
     }
@@ -93,7 +92,6 @@ impl ServerConfig {
         ServerConfig {
             port: var_parsed(&var, "MBFI_SERVE_PORT", d.port),
             threads: var_parsed(&var, "MBFI_SERVE_THREADS", d.threads),
-            max_pending: var_parsed(&var, "MBFI_SERVE_PENDING", d.max_pending),
             read_timeout_ms: var_parsed(&var, "MBFI_SERVE_READ_TIMEOUT_MS", d.read_timeout_ms),
         }
     }
@@ -137,19 +135,21 @@ fn send_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
 }
 
 /// The daemon's global telemetry log: every executed cell's events, with
-/// log-assigned gap-free sequence numbers, buffered for replay so a `watch`
-/// connection arriving late still sees the stream from event 0.
+/// log-assigned gap-free sequence numbers, kept for replay so a `watch`
+/// connection arriving late still sees the stream from event 0.  Each line
+/// is rendered when it is sent to a watcher.
 struct WatchLog {
-    state: Mutex<WatchState>,
-    cond: Condvar,
+    log: EventLog<TelemetryEvent>,
+    /// Orders every push: an event's sequence number and the cumulative
+    /// totals it carries are taken under this lock.
+    tallies: Mutex<Tallies>,
     start: Instant,
 }
 
 #[derive(Default)]
-struct WatchState {
-    /// Rendered lines, shared so a watcher copies pointers, not text.
-    lines: Vec<Arc<str>>,
-    closed: bool,
+struct Tallies {
+    /// The next event's sequence number.
+    seq: u64,
     /// Cells announced so far; the next one gets this index.
     cells: usize,
     /// Experiments planned by every announced cell so far.
@@ -161,43 +161,34 @@ struct WatchState {
 impl WatchLog {
     fn new() -> WatchLog {
         WatchLog {
-            state: Mutex::new(WatchState::default()),
-            cond: Condvar::new(),
+            log: EventLog::default(),
+            tallies: Mutex::new(Tallies::default()),
             start: Instant::now(),
         }
     }
 
-    /// Append one event; its sequence number is its index in the log.
-    /// No-op once closed.
+    /// Append one event.  No-op once closed.
     fn push(&self, kind: EventKind) {
-        let mut state = self.state.lock().expect(LOCK_POISONED);
-        self.append(&mut state, kind);
+        let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
+        self.append(&mut tallies, kind);
     }
 
     /// Give `cells` the next cell indices of the log and announce them: a
     /// cumulative `sweep_started` over every cell so far, then one
     /// `cell_planned` each.  Returns the first one's index.
     fn announce(&self, threads: usize, cells: &[&protocol::CellRequest]) -> usize {
-        let mut state = self.state.lock().expect(LOCK_POISONED);
-        let base = state.cells;
-        state.cells += cells.len();
-        state.planned += cells.iter().map(|c| c.planned_budget()).sum::<u64>();
+        let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
+        let base = tallies.cells;
+        tallies.cells += cells.len();
+        tallies.planned += cells.iter().map(|c| c.planned_budget()).sum::<u64>();
         let started = EventKind::SweepStarted {
-            cells: state.cells,
+            cells: tallies.cells,
             threads,
-            planned: state.planned,
+            planned: tallies.planned,
         };
-        self.append(&mut state, started);
+        self.append(&mut tallies, started);
         for (j, cell) in cells.iter().enumerate() {
-            let planned = EventKind::CellPlanned {
-                cell: base + j,
-                info: CellInfo {
-                    unit: base + j,
-                    label: cell_label(cell),
-                    planned: cell.planned_budget(),
-                },
-            };
-            self.append(&mut state, planned);
+            self.append(&mut tallies, cell_planned(base + j, cell));
         }
         base
     }
@@ -209,59 +200,26 @@ impl WatchLog {
     /// reconciles with every batch a watcher accumulated, and
     /// `mbfi-monitor --connect` verifies clean.
     fn push_finished(&self, cell: usize, result: &SweepCampaignResult) {
-        let mut state = self.state.lock().expect(LOCK_POISONED);
-        state.finished += result.result.total();
+        let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
+        tallies.finished += result.result.total();
         let finished = EventKind::SweepFinished {
-            cells: state.cells,
-            experiments: state.finished,
+            cells: tallies.cells,
+            experiments: tallies.finished,
             wall_ns: self.start.elapsed().as_nanos() as u64,
             cow_chunks_copied: 0,
             cow_restore_bytes_saved: 0,
         };
-        self.append(&mut state, result.finished_event(cell));
-        self.append(&mut state, finished);
+        self.append(&mut tallies, result.finished_event(cell));
+        self.append(&mut tallies, finished);
     }
 
-    fn append(&self, state: &mut WatchState, kind: EventKind) {
-        if state.closed {
-            return;
-        }
-        let event = TelemetryEvent {
-            seq: state.lines.len() as u64,
+    fn append(&self, tallies: &mut Tallies, kind: EventKind) {
+        self.log.push(TelemetryEvent {
+            seq: tallies.seq,
             t_ns: self.start.elapsed().as_nanos() as u64,
             kind,
-        };
-        state.lines.push(event.render_line().into());
-        self.cond.notify_all();
-    }
-
-    /// Close the log and wake every watcher; they drain what is buffered
-    /// and disconnect.
-    fn close(&self) {
-        let mut state = self.state.lock().expect(LOCK_POISONED);
-        state.closed = true;
-        self.cond.notify_all();
-    }
-
-    /// Replay the log from event 0 and follow it live until the log closes
-    /// or `emit` fails (client went away).  Lines are sent outside the
-    /// lock: engine workers append to the log, and a watcher that stops
-    /// reading must not stall them.
-    fn tail(&self, mut emit: impl FnMut(&str) -> bool) {
-        let mut next = 0usize;
-        loop {
-            let (pending, closed) = {
-                let mut state = self.state.lock().expect(LOCK_POISONED);
-                while next == state.lines.len() && !state.closed {
-                    state = self.cond.wait(state).expect(LOCK_POISONED);
-                }
-                (state.lines[next..].to_vec(), state.closed)
-            };
-            next += pending.len();
-            if !pending.iter().all(|line| emit(line)) || closed {
-                return;
-            }
-        }
+        });
+        tallies.seq += 1;
     }
 }
 
@@ -332,10 +290,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     let addr = listener.local_addr()?;
     let inner = Arc::new(Inner {
-        engine: SweepEngine::new(EngineConfig {
-            threads: config.threads,
-            max_pending: config.max_pending,
-        }),
+        engine: SweepEngine::new(config.threads),
         cells: CellCache::default(),
         artifacts: ArtifactCache::default(),
         watch: WatchLog::new(),
@@ -387,7 +342,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     // ... then release the watchers and wait out the connection handlers
     // (submit streams have their results by now; watch streams drain and
     // exit on the closed log).
-    inner.watch.close();
+    inner.watch.log.close();
     loop {
         let batch: Vec<JoinHandle<()>> =
             std::mem::take(&mut *inner.connections.lock().expect(LOCK_POISONED));
@@ -421,7 +376,10 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
             let _ = handle_submit(inner, &stream, &req);
         }
         Ok(Request::Watch) => {
-            inner.watch.tail(|line| send_line(&stream, line).is_ok());
+            inner
+                .watch
+                .log
+                .tail(|event| send_line(&stream, &event.render_line()).is_ok());
         }
         Ok(Request::Shutdown) => {
             let _ = send_line(&stream, "{\"ok\":true}");
@@ -454,14 +412,22 @@ impl EventStream<'_> {
     }
 }
 
-fn cell_label(cell: &protocol::CellRequest) -> String {
-    format!(
-        "{}/{} {} {}",
-        cell.workload.to_ascii_lowercase(),
-        cell.size,
-        cell.technique.short_name(),
-        cell.model
-    )
+/// The `cell_planned` event announcing `cell` as cell `index` of a stream.
+fn cell_planned(index: usize, cell: &protocol::CellRequest) -> EventKind {
+    EventKind::CellPlanned {
+        cell: index,
+        info: CellInfo {
+            unit: index,
+            label: format!(
+                "{}/{} {} {}",
+                cell.workload.to_ascii_lowercase(),
+                cell.size,
+                cell.technique.short_name(),
+                cell.model
+            ),
+            planned: cell.planned_budget(),
+        },
+    }
 }
 
 fn handle_submit(
@@ -567,14 +533,7 @@ fn handle_submit(
         planned: req.cells.iter().map(|c| c.planned_budget()).sum(),
     })?;
     for (i, cell) in req.cells.iter().enumerate() {
-        events.emit(EventKind::CellPlanned {
-            cell: i,
-            info: CellInfo {
-                unit: i,
-                label: cell_label(cell),
-                planned: cell.planned_budget(),
-            },
-        })?;
+        events.emit(cell_planned(i, cell))?;
     }
 
     let mut results: Vec<Arc<SweepCampaignResult>> = Vec::with_capacity(req.cells.len());
@@ -584,10 +543,8 @@ fn handle_submit(
         };
         let mut io: std::io::Result<()> = Ok(());
         let result = entry.tail(|event| {
-            if io.is_err() {
-                return;
-            }
             io = events.emit(event.clone().with_cell(i));
+            io.is_ok()
         });
         io?;
         let Some(result) = result else {
@@ -661,7 +618,7 @@ impl Drop for CellSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{submit, GridRequest};
+    use crate::client::submit;
     use crate::protocol::CellRequest;
     use mbfi_core::{FaultModel, Technique};
     use mbfi_workloads::InputSize;
@@ -681,7 +638,6 @@ mod tests {
         let cfg = ServerConfig::from_vars(vars(&[
             ("MBFI_SERVE_PORT", "7070"),
             ("MBFI_SERVE_THREADS", " 3 "),
-            ("MBFI_SERVE_PENDING", "5"),
             ("MBFI_SERVE_READ_TIMEOUT_MS", "250"),
         ]));
         assert_eq!(
@@ -689,7 +645,6 @@ mod tests {
             ServerConfig {
                 port: 7070,
                 threads: 3,
-                max_pending: 5,
                 read_timeout_ms: 250,
             }
         );
@@ -697,14 +652,13 @@ mod tests {
         // not capturable here); the well-formed knob beside them still reads.
         let cfg = ServerConfig::from_vars(vars(&[
             ("MBFI_SERVE_PORT", "70000"),
-            ("MBFI_SERVE_THREADS", "four"),
-            ("MBFI_SERVE_PENDING", "9"),
-            ("MBFI_SERVE_READ_TIMEOUT_MS", ""),
+            ("MBFI_SERVE_THREADS", ""),
+            ("MBFI_SERVE_READ_TIMEOUT_MS", "9"),
         ]));
         assert_eq!(
             cfg,
             ServerConfig {
-                max_pending: 9,
+                read_timeout_ms: 9,
                 ..ServerConfig::default()
             }
         );
@@ -722,8 +676,7 @@ mod tests {
             // an engine job as well as a connection handler.
             let outcome = submit(
                 server.addr(),
-                &GridRequest {
-                    threads: 0,
+                &SubmitRequest {
                     cells: vec![CellRequest {
                         workload: "CRC32".to_string(),
                         size: InputSize::Tiny,
@@ -734,6 +687,7 @@ mod tests {
                         hang_factor: 20,
                         precision: None,
                     }],
+                    ..SubmitRequest::default()
                 },
             )
             .expect("submission succeeds");
@@ -771,23 +725,17 @@ mod tests {
             precision: None,
         };
         let mut stalled = TcpStream::connect(server.addr()).expect("connect");
-        let line = Request::Submit(SubmitRequest {
+        let req = SubmitRequest {
             threads: 1_000_000,
-            cells: vec![cell.clone()],
+            cells: vec![cell],
             ..SubmitRequest::default()
-        })
-        .to_line();
+        };
+        let line = Request::Submit(req.clone()).to_line();
         stalled.write_all(format!("{line}\n").as_bytes()).unwrap();
         // A reading client of the same cell returns once the cell has run,
         // so the engine is idle when the shutdown starts.
-        let outcome = submit(
-            server.addr(),
-            &GridRequest {
-                threads: 0,
-                cells: vec![cell],
-            },
-        )
-        .expect("the reading client gets its report");
+        let outcome = submit(server.addr(), &SubmitRequest { threads: 0, ..req })
+            .expect("the reading client gets its report");
         assert_eq!(outcome.report.results[0].result.total(), 60_000);
 
         let (done_tx, done_rx) = mpsc::channel();

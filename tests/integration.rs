@@ -150,14 +150,25 @@ fn same_register_sweep_runs_end_to_end_on_a_workload() {
         golden: &golden,
         store: None,
     }];
-    let campaigns: Vec<SweepCampaign> =
-        ParameterGrid::same_register_sweep(Technique::InjectOnWrite)[..3]
-            .iter()
-            .map(|p| SweepCampaign {
-                unit: 0,
-                spec: CampaignSpec::from_point(*p, 40, 17),
-            })
-            .collect();
+    // Fig. 2's first three bars: single-bit, then 2 and 3 flips in one
+    // register.
+    let campaigns: Vec<SweepCampaign> = [
+        FaultModel::single_bit(),
+        FaultModel::multi_bit(2, WinSize::Fixed(0)),
+        FaultModel::multi_bit(3, WinSize::Fixed(0)),
+    ]
+    .into_iter()
+    .map(|model| SweepCampaign {
+        unit: 0,
+        spec: CampaignSpec {
+            technique: Technique::InjectOnWrite,
+            model,
+            experiments: 40,
+            seed: 17,
+            ..CampaignSpec::default()
+        },
+    })
+    .collect();
     let report = Sweep::run(&units, &campaigns, &SweepConfig::default());
     assert_eq!(report.results.len(), 3);
     for r in &report.results {

@@ -12,7 +12,7 @@ use mbfi_core::{
     TelemetryHub, TelemetryLevel,
 };
 use mbfi_ir::CompiledModule;
-use mbfi_serve::{CellRequest, GridRequest, ServerConfig, ServerHandle};
+use mbfi_serve::{CellRequest, ServerConfig, ServerHandle, SubmitRequest};
 use mbfi_workloads::{all_workloads, workload_by_name, InputSize};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -107,7 +107,6 @@ fn spawn_server(threads: usize) -> ServerHandle {
     mbfi_serve::spawn(ServerConfig {
         port: 0,
         threads,
-        max_pending: 0,
         read_timeout_ms: 10_000,
     })
     .expect("bind an ephemeral port")
@@ -122,13 +121,20 @@ fn client(
 ) -> std::thread::JoinHandle<(mbfi_serve::ServeOutcome, MonitorState)> {
     std::thread::spawn(move || {
         let mut monitor = MonitorState::new();
-        let outcome =
-            mbfi_serve::submit_with(addr, &GridRequest { threads, cells }, &mut |event| {
+        let outcome = mbfi_serve::submit_with(
+            addr,
+            &SubmitRequest {
+                threads,
+                cells,
+                ..SubmitRequest::default()
+            },
+            &mut |event| {
                 monitor
                     .apply_line(&event.render_line())
                     .expect("served events parse");
-            })
-            .expect("submission succeeds");
+            },
+        )
+        .expect("submission succeeds");
         (outcome, monitor)
     })
 }
@@ -202,9 +208,10 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
         // every single cell and still gets the exact in-process bytes.
         let full = mbfi_serve::submit(
             addr,
-            &GridRequest {
+            &SubmitRequest {
                 threads: 2,
                 cells: grid.clone(),
+                ..SubmitRequest::default()
             },
         )
         .expect("warm-cache submission");
@@ -275,9 +282,10 @@ fn a_huge_thread_hint_is_served() {
     let server = spawn_server(2);
     let served = mbfi_serve::submit(
         server.addr(),
-        &GridRequest {
+        &SubmitRequest {
             threads: 1 << 61,
             cells: cells.clone(),
+            ..SubmitRequest::default()
         },
     )
     .expect("a huge thread hint gets its report");
@@ -316,9 +324,10 @@ fn served_cells_announce_the_in_process_planned_budget() {
     let server = spawn_server(2);
     let served = mbfi_serve::submit(
         server.addr(),
-        &GridRequest {
+        &SubmitRequest {
             threads: 0,
             cells: cells.clone(),
+            ..SubmitRequest::default()
         },
     )
     .expect("submission succeeds");
@@ -371,9 +380,10 @@ fn reports_match_across_the_checkpoint_store_transition() {
         ] {
             let served = mbfi_serve::submit(
                 server.addr(),
-                &GridRequest {
+                &SubmitRequest {
                     threads: 0,
                     cells: cells.clone(),
+                    ..SubmitRequest::default()
                 },
             )
             .expect("submission succeeds");
@@ -498,12 +508,13 @@ fn hostile_clients_are_contained_and_shutdown_drains() {
     // Unknown workloads are rejected before any cell is claimed.
     let err = mbfi_serve::submit(
         addr,
-        &GridRequest {
+        &SubmitRequest {
             threads: 0,
             cells: vec![CellRequest {
                 workload: "qsrot".to_string(),
                 ..full_grid()[0].clone()
             }],
+            ..SubmitRequest::default()
         },
     )
     .expect_err("unknown workload must be rejected");
@@ -530,9 +541,10 @@ fn hostile_clients_are_contained_and_shutdown_drains() {
     }
     let survivor = mbfi_serve::submit(
         addr,
-        &GridRequest {
+        &SubmitRequest {
             threads: 0,
             cells: cells.clone(),
+            ..SubmitRequest::default()
         },
     )
     .expect("second client completes despite the first's disconnect");

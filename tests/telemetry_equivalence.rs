@@ -162,7 +162,9 @@ fn drained_stream_replays_into_clean_monitor_state() {
     let problems = state.verify();
     assert!(problems.is_empty(), "monitor verify failed: {problems:?}");
     assert!(state.finished, "stream must end in sweep_finished");
-    assert_eq!(state.threads, config.threads);
+    // The hint cuts batches; the pool it announces is capped at the cores.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(state.threads, config.threads.min(cores));
     assert_eq!(state.reported_total, Some(report_total(&report)));
     let (total, counts) = state.totals();
     assert_eq!(total, report_total(&report));
