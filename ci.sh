@@ -2,7 +2,7 @@
 # Tier-1 verification plus lint, in one command, fully offline.
 #
 #   ./ci.sh          # build + test + clippy + benchmark type-check + knob
-#                    # docs + rustdoc
+#                    # docs + rustdoc + smokes + artefact digests
 #   ./ci.sh bench    # additionally run the perfbench/ benchmark (fast
 #                    # knobs)
 #
@@ -148,6 +148,32 @@ for factor in 10 100; do
         || { cat "$RUN_ALL_DIR/hang$factor/stderr.txt"; echo "no hang at factor $factor"; exit 1; }
 done
 cmp "$RUN_ALL_DIR/hang10/run_all.txt" "$RUN_ALL_DIR/hang100/run_all.txt"
+
+# Artefact digests: run_all at default knobs must render, for the harness
+# seed (2839) and for seeds 1 and 2, the run_all.txt whose FNV-1a 64 digest
+# perfbench/digests.txt records (read here, never written), so a change
+# that alters a default-knob artefact fails here and not only under
+# `ci.sh bench`.  The reduced runs above only compare with each other.
+echo "==> artefact digests: run_all at default knobs, seeds 2839 / 1 / 2 vs perfbench/digests.txt"
+fnv1a64() {
+    python3 -c 'import sys
+h = 0xCBF29CE484222325
+for b in open(sys.argv[1], "rb").read():
+    h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+print(f"{h:016x}")' "$1"
+}
+for seed in 2839 1 2; do
+    mkdir -p "$RUN_ALL_DIR/seed$seed"
+    (
+        for var in $(compgen -e | grep '^MBFI_' || true); do unset "$var"; done
+        MBFI_SEED="$seed" cargo run --release --offline -q -p mbfi-bench --bin run_all -- \
+            --out-dir "$RUN_ALL_DIR/seed$seed" > /dev/null
+    )
+    want="$(awk -v s="$seed" '$1 == s { print $2 }' perfbench/digests.txt)"
+    got="$(fnv1a64 "$RUN_ALL_DIR/seed$seed/run_all.txt")"
+    [[ -n "$want" && "$got" == "$want" ]] \
+        || { echo "seed $seed: run_all.txt digest $got, perfbench/digests.txt has '${want}'"; exit 1; }
+done
 
 if [[ "${1:-}" == "bench" ]]; then
     # The repository benchmark (perfbench/, a package of its own): its

@@ -50,7 +50,7 @@ use crate::replay::CheckpointStore;
 use crate::telemetry::EventKind;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{resolve_threads, worker_loop, Job, Shared, Units};
+use super::plan::{pool_threads, worker_loop, Job, Shared, Units};
 use super::{SweepCampaign, SweepCampaignResult, SweepCell, SweepConfig, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
@@ -139,10 +139,11 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// Spawn a pool of `threads` workers (0 = all available parallelism);
-    /// it runs until [`SweepEngine::shutdown`] (or `Drop`).
+    /// Spawn a pool of `threads` workers (0 = all available parallelism),
+    /// capped at the available parallelism; it runs until
+    /// [`SweepEngine::shutdown`] (or `Drop`).
     pub fn new(threads: usize) -> SweepEngine {
-        let threads = resolve_threads(threads);
+        let threads = pool_threads(threads);
         let shared = Arc::new(Shared::new(MAX_PENDING, None));
         let workers = (0..threads)
             .map(|t| {
@@ -215,6 +216,7 @@ mod tests {
     use super::*;
     use crate::adaptive::Precision;
     use crate::replay::CheckpointConfig;
+    use crate::sweep::plan::resolve_threads;
     use crate::sweep::tests::{grid_specs, workload};
     use crate::sweep::{channel_sink, Sweep, SweepReport};
 
@@ -359,6 +361,15 @@ mod tests {
                 assert!(cuts.iter().all(|&c| c == cuts[0]), "{cuts:?}");
             }
         }
+    }
+
+    /// A thread hint above the machine's parallelism starts no more
+    /// workers than the machine runs at once.
+    #[test]
+    fn the_pool_never_outgrows_the_machine() {
+        let threads = SweepEngine::new(64).threads();
+        assert!(threads <= resolve_threads(0), "{threads}");
+        assert_eq!(SweepEngine::new(1).threads(), 1);
     }
 
     /// Two clients submitting the same grid at once both get `Sweep::run`'s

@@ -103,7 +103,7 @@ use crate::replay::CheckpointStore;
 use crate::telemetry::{CellInfo, EventKind, Metric, TelemetryHub};
 use mbfi_ir::CompiledModule;
 
-use plan::{resolve_threads, worker_loop, Job, Plan, Shared, Units};
+use plan::{pool_threads, worker_loop, Job, Plan, Shared, Units};
 
 /// Per-workload artifacts shared by every campaign of a sweep: the module is
 /// lowered once, the golden run captured once, and the checkpoint store (if
@@ -361,9 +361,7 @@ impl Sweep {
             eprintln!("campaign warning: {w} ({w:?})");
         }
         // The hint cuts batches; the pool never outgrows the machine.
-        let threads = resolve_threads(config.threads)
-            .min(resolve_threads(0))
-            .clamp(1, job.batches().max(1));
+        let threads = pool_threads(config.threads).clamp(1, job.batches().max(1));
         let job_cells = job.plans.len();
         let sweep_start = Instant::now();
         if let Some(hub) = telemetry {
@@ -460,6 +458,7 @@ fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads
 mod tests {
     use crate::campaign::{Campaign, MIN_HANG_FACTOR};
 
+    use super::plan::resolve_threads;
     use super::*;
     use crate::experiment::Experiment;
     use crate::fault_model::{FaultModel, WinSize};

@@ -48,6 +48,12 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// The workers a pool asked for `threads` starts: never more than the
+/// machine runs at once, whatever the hint (which may still cut batches).
+pub(crate) fn pool_threads(threads: usize) -> usize {
+    resolve_threads(threads).min(resolve_threads(0))
+}
+
 /// A job's per-workload artifacts: borrowed for the duration of one
 /// [`Sweep::run`](super::Sweep::run), or the one `Arc`-owned unit of an
 /// engine job, which outlives its submitter's stack frame.

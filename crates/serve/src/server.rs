@@ -42,7 +42,8 @@ const LOCK_POISONED: &str = "serve server lock poisoned";
 pub struct ServerConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral, kernel-assigned).
     pub port: u16,
-    /// Engine worker threads (0 = all available parallelism).
+    /// Engine worker threads (0 = all available parallelism, which also caps
+    /// it).
     pub threads: usize,
     /// Per-connection I/O timeout, milliseconds: a client that connects and
     /// never sends a request, or stops reading its stream, is dropped after
@@ -466,15 +467,19 @@ fn handle_submit(
         .collect();
 
     let job = inner.next_job.fetch_add(1, Ordering::SeqCst);
-    send_line(
-        stream,
-        &protocol::Ack {
-            job,
-            cells: req.cells.len() as u64,
-            deduped: (req.cells.len() - owned.len()) as u64,
+    let ack = protocol::Ack {
+        job,
+        cells: req.cells.len() as u64,
+        deduped: (req.cells.len() - owned.len()) as u64,
+    };
+    if let Err(e) = send_line(stream, &ack.to_line()) {
+        // Nothing will execute the owned cells: fail them before any is
+        // announced, so their followers on other connections stop waiting.
+        for &(i, entry) in &owned {
+            abandon(inner, entry, &CellKey::of(&req.cells[i]));
         }
-        .to_line(),
-    )?;
+        return Err(e);
+    }
 
     // Announce the newly owned cells on the global watch stream.
     if !owned.is_empty() {
@@ -609,10 +614,16 @@ impl CellSink {
 impl Drop for CellSink {
     fn drop(&mut self) {
         if self.entry.result().is_none() {
-            self.entry.fail();
-            self.inner.cells.evict(&self.key);
+            abandon(&self.inner, &self.entry, &self.key);
         }
     }
+}
+
+/// Fail an owned cell that will never finish, so its followers stop
+/// waiting, and evict it, so a later request can retry it.
+fn abandon(inner: &Inner, entry: &CellEntry, key: &CellKey) {
+    entry.fail();
+    inner.cells.evict(key);
 }
 
 #[cfg(test)]
@@ -695,6 +706,52 @@ mod tests {
         }
         let live = server.inner.connections.lock().unwrap().len();
         assert!(live <= 4, "{live} thread handles kept after 40 submissions");
+        server.stop();
+        server.join();
+    }
+
+    /// A submission whose ack cannot be written fails the cells it owns,
+    /// so a later submission of the same cell runs it instead of waiting
+    /// for an execution that never starts.
+    #[test]
+    fn a_failed_ack_releases_the_owned_cells() {
+        let server = spawn(ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let req = SubmitRequest {
+            cells: vec![CellRequest {
+                workload: "CRC32".to_string(),
+                size: InputSize::Tiny,
+                technique: Technique::InjectOnRead,
+                model: FaultModel::single_bit(),
+                experiments: 3,
+                seed: 5,
+                hang_factor: 20,
+                precision: None,
+            }],
+            ..SubmitRequest::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (closed, _) = listener.accept().expect("accept");
+        closed.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(handle_submit(&server.inner, &closed, &req).is_err());
+
+        let (tx, rx) = mpsc::channel();
+        let addr = server.addr();
+        let retry = req.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(submit(addr, &retry));
+        });
+        let Ok(outcome) = rx.recv_timeout(Duration::from_secs(30)) else {
+            // The follower would keep the daemon's shutdown waiting too.
+            std::mem::forget(server);
+            panic!("the second submission of the cell never got its report");
+        };
+        let outcome = outcome.expect("the second submission succeeds");
+        assert_eq!(outcome.report.results[0].result.total(), 3);
         server.stop();
         server.join();
     }
