@@ -83,7 +83,8 @@ grep -q "20 experiments" "$TELEM_DIR/monitor.txt"
 # ten-experiment cells make the daemon capture each program's checkpoint
 # store, so the comparison covers both sides of that transition.  A
 # `mbfi-monitor --headless --connect` watcher follows the daemon's global
-# event log throughout and must verify it clean once the daemon drains.
+# event log throughout and must verify it clean once the daemon drains;
+# its header must report the copy-on-write traffic of the stored runs.
 echo "==> serve smoke: mbfi-serve daemon / monitor --connect / submit --compare / shutdown"
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TELEM_DIR" "$SERVE_DIR"' EXIT
@@ -110,6 +111,7 @@ wait "$SERVE_PID"
 grep -q "drained and stopped" "$SERVE_DIR/daemon.log"
 wait "$MONITOR_PID" || { cat "$SERVE_DIR/monitor.txt"; exit 1; }
 grep -q "verify: ok" "$SERVE_DIR/monitor.txt"
+grep -q "| cow " "$SERVE_DIR/monitor.txt"
 
 # run_all determinism smoke: every table and figure, Table IV's location
 # pairs included, must be byte-identical on one thread, on three, on three

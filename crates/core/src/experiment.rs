@@ -152,10 +152,12 @@ pub(crate) struct ExperimentCost {
     pub length_permille: u64,
 }
 
-/// The summed [`ExperimentCost`]s of a batch of runs, published to a hub
-/// in bulk: one [`TelemetryHub::add`] per metric per batch.
+/// The summed costs of a batch of runs.  A batch's tally travels in its
+/// [`JobEvent`](crate::JobEvent), and whoever drains the job's events
+/// publishes it to a hub in bulk: one [`TelemetryHub::add`] per metric per
+/// batch.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CostTally {
+pub struct CostTally {
     restores: u64,
     replay_instrs_skipped: u64,
     convergences: u64,
@@ -163,8 +165,11 @@ pub(crate) struct CostTally {
     hangs: u64,
     hang_instrs: u64,
     longest_ended_permille: u64,
-    cow_chunks_copied: u64,
-    cow_restore_bytes_saved: u64,
+    /// Copy-on-write chunks the runs cloned ([`Metric::CowChunksCopied`]).
+    pub cow_chunks_copied: u64,
+    /// Restore bytes copy-on-write forking saved the runs
+    /// ([`Metric::CowRestoreBytesSaved`]).
+    pub cow_restore_bytes_saved: u64,
 }
 
 impl CostTally {
@@ -192,6 +197,21 @@ impl CostTally {
         }
         self.cow_chunks_copied += cost.cow.cow_chunks_copied;
         self.cow_restore_bytes_saved += cost.cow.restore_bytes_saved;
+    }
+
+    /// Count the runs of `other` too.
+    pub fn merge(&mut self, other: &CostTally) {
+        self.restores += other.restores;
+        self.replay_instrs_skipped += other.replay_instrs_skipped;
+        self.convergences += other.convergences;
+        self.converged_instrs_skipped += other.converged_instrs_skipped;
+        self.hangs += other.hangs;
+        self.hang_instrs += other.hang_instrs;
+        self.longest_ended_permille = self
+            .longest_ended_permille
+            .max(other.longest_ended_permille);
+        self.cow_chunks_copied += other.cow_chunks_copied;
+        self.cow_restore_bytes_saved += other.cow_restore_bytes_saved;
     }
 
     /// Publish the sums as [`Metric::CheckpointRestores`],

@@ -92,7 +92,7 @@ pub mod telemetry;
 pub use adaptive::{AdaptiveStatus, Precision};
 pub use campaign::{Campaign, CampaignResult, CampaignSpec, CampaignWarning};
 pub use cluster::{CampaignPoint, ParameterGrid};
-pub use experiment::{Experiment, ExperimentResult, ExperimentSpec};
+pub use experiment::{CostTally, Experiment, ExperimentResult, ExperimentSpec};
 pub use fault_model::{FaultModel, WinSize};
 pub use golden::GoldenRun;
 pub use injector::{InjectionRecord, InjectorHook};

@@ -71,6 +71,8 @@
 //! sweep workers fork experiment VMs straight off the shared store with zero
 //! up-front copy.
 
+use std::sync::Arc;
+
 use crate::golden::GoldenRun;
 use crate::technique::Technique;
 use mbfi_ir::{CompiledModule, Module};
@@ -205,13 +207,14 @@ impl std::error::Error for ReplayCaptureError {}
 ///
 /// Capture once per `(module, golden)` pair, then share by reference across
 /// worker threads (`CheckpointStore` is `Sync`): replay only reads snapshots.
+/// A clone shares the checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     interval: u64,
     /// Limits of the capture run, under which the golden run is known to
     /// complete.
     limits: Limits,
-    checkpoints: Vec<Checkpoint>,
+    checkpoints: Arc<Vec<Checkpoint>>,
     stored_bytes: usize,
     truncated: bool,
     /// Per function, its key registers (see [`key_registers`]).
@@ -258,12 +261,13 @@ impl CheckpointStore {
         let mut store = CheckpointStore {
             interval: config.interval,
             limits,
-            checkpoints: Vec::new(),
+            checkpoints: Arc::default(),
             stored_bytes: 0,
             truncated: false,
             keys: Vec::new(),
             func_of: code.meta.iter().map(|meta| meta.func).collect(),
         };
+        let mut checkpoints = Vec::new();
         // Each stored checkpoint's marginal chunk charge, for the final cut.
         let mut chunk_bytes = Vec::new();
         let mut next_stop = config.interval;
@@ -283,7 +287,7 @@ impl CheckpointStore {
                             store.stored_bytes += bytes;
                             chunk_bytes.push(bytes);
                             hook.taken += 1;
-                            store.checkpoints.push(Checkpoint {
+                            checkpoints.push(Checkpoint {
                                 dyn_index: snapshot.dyn_count(),
                                 read_candidates: hook.read_candidates,
                                 write_candidates: hook.write_candidates,
@@ -322,11 +326,11 @@ impl CheckpointStore {
                 outcome: format!("{:?}", result.outcome),
             });
         }
-        hook.distribute_live(&mut store.checkpoints);
+        hook.distribute_live(&mut checkpoints);
         // Keep the longest prefix whose chunks and live ranges both fit.
         let mut kept = 0;
         store.stored_bytes = 0;
-        for (cp, chunks) in store.checkpoints.iter().zip(chunk_bytes) {
+        for (cp, chunks) in checkpoints.iter().zip(chunk_bytes) {
             let bytes = chunks + std::mem::size_of_val(cp.live());
             if store.stored_bytes + bytes > config.max_bytes {
                 store.truncated = true;
@@ -335,8 +339,9 @@ impl CheckpointStore {
             store.stored_bytes += bytes;
             kept += 1;
         }
-        store.checkpoints.truncate(kept);
-        store.keys = key_registers(code, &store.checkpoints);
+        checkpoints.truncate(kept);
+        store.keys = key_registers(code, &checkpoints);
+        store.checkpoints = Arc::new(checkpoints);
         Ok(store)
     }
 

@@ -1,57 +1,58 @@
-//! The persistent sweep engine.
+//! The sweep engine: the one host of the executor.
 //!
-//! [`Sweep::run`](super::Sweep::run) runs one grid on a scoped worker pool
-//! and returns.  A [`SweepEngine`] runs the **same executor** (`sweep::plan`:
-//! one worker loop, one claim order, one batch → round → finalize protocol)
-//! on a worker pool it owns for the **process lifetime**, and accepts jobs
-//! at runtime — the serving architecture behind the `mbfi-serve` daemon.
-//! An engine job is **one cell**: one [`EngineUnit`], one [`CampaignSpec`]
-//! and the [`SweepConfig`] to run it under, the shape the daemon submits
-//! for every cell it owns.
+//! A [`SweepEngine`] runs `sweep::plan` (one worker loop, one claim order,
+//! one batch → round → finalize protocol) on a worker pool it owns, and
+//! accepts jobs at runtime.  An engine job is a **grid**: its
+//! [`EngineUnit`]s, its [`SweepCell`]s, the [`SweepConfig`] to run them
+//! under and a sink for its events.  [`Sweep::run_streamed`] submits one
+//! job of the whole grid to an engine of its own; the `mbfi-serve` daemon
+//! keeps one engine for the process lifetime and submits one job per cell
+//! it owns.
 //!
 //! * **One queue** — workers claim batches in admission order: the first
-//!   job with a released batch, the front of its cell's batch queue.
+//!   job with a released batch, its first such cell, the front of that
+//!   cell's batch queue.
 //! * **Bounded admission** — at most 64 jobs are active at once;
 //!   [`SweepEngine::submit`] blocks until a slot frees (backpressure).
 //! * **Streaming** — each job hands its events to the sink its submitter
 //!   passed in, on the worker that produced them: [`JobEvent::Progress`]
-//!   carrying the telemetry `batch_done` / `round_done` events (cell 0),
-//!   `CellFinished` with the cell's full result as soon as its last batch
-//!   lands, and a final `Finished`.  A job that fails (a batch panicked)
-//!   drops its sink without `Finished`; the worker that ran the batch goes
-//!   on to the next one.
+//!   carrying the telemetry `batch_done` / `round_done` events and each
+//!   batch's experiment costs, `CellFinished` with a cell's full result as
+//!   soon as its last batch lands, and a final `Finished`.  A job that
+//!   fails (a batch panicked) drops its sink without `Finished`; the worker
+//!   that ran the batch goes on to the next one.  Workers touch no hub:
+//!   whoever drains the events publishes them.
 //! * **Graceful shutdown** — [`SweepEngine::shutdown`] (also run on `Drop`)
 //!   stops admission, drains every in-flight job to completion, and joins
 //!   the workers.
 //!
-//! An engine job's result is **byte-identical** to that cell's result in
-//! [`Sweep::run`] of any grid holding it: both plan through the same
-//! `Job::new` and run the same protocol.  A fixed-n cell's batches are cut
-//! from the job's requested [`SweepConfig::threads`] (never the pool size)
-//! and an adaptive cell's from its round step, and no cut changes what a
-//! cell computes; nor do the pool size and the admission bound, which only
-//! move work between threads and moments.  Enforced by the unit tests
-//! below and `tests/serve_equivalence.rs`.
+//! A cell's result is **byte-identical** in every job that holds it: every
+//! job plans through the same `Job::new` and runs the same protocol.  A
+//! fixed-n job's batches are cut from its requested [`SweepConfig::threads`]
+//! (never the pool size) and an adaptive cell's from its round step, and no
+//! cut changes what a cell computes; nor do the pool size and the admission
+//! bound, which only move work between threads and moments.  Enforced by
+//! the unit tests below and `tests/serve_equivalence.rs`.
 //!
-//! The unit is **owned** (`Arc`) rather than borrowed: a persistent pool
-//! cannot hold references into a submitter's stack frame, so a job carries
-//! an [`EngineUnit`] and workers build the borrowed [`SweepUnit`] view on
-//! the fly.
+//! The units are **owned** (`Arc`) rather than borrowed: a pool that
+//! outlives a call cannot hold references into its submitter's stack
+//! frame, so a job carries [`EngineUnit`]s and workers build the borrowed
+//! [`SweepUnit`] view on the fly.
 //!
-//! [`Sweep::run`]: super::Sweep::run
+//! [`Sweep::run_streamed`]: super::Sweep::run_streamed
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::campaign::CampaignSpec;
+use crate::experiment::CostTally;
 use crate::golden::GoldenRun;
 use crate::replay::CheckpointStore;
 use crate::telemetry::EventKind;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{pool_threads, worker_loop, Job, Shared, Units};
-use super::{SweepCampaign, SweepCampaignResult, SweepCell, SweepConfig, SweepUnit};
+use super::plan::{pool_threads, worker_loop, Job, Shared};
+use super::{SweepCampaignResult, SweepCell, SweepConfig, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
 /// behind `Arc`s, shareable across jobs and the cross-request cell cache of
@@ -87,6 +88,18 @@ impl EngineUnit {
     }
 }
 
+/// Clone borrowed artifacts into owned ones.  A store's clone shares its
+/// checkpoints, so only the module and the golden run are copied.
+impl From<SweepUnit<'_>> for EngineUnit {
+    fn from(unit: SweepUnit<'_>) -> EngineUnit {
+        EngineUnit {
+            code: Arc::new(unit.code.clone()),
+            golden: Arc::new(unit.golden.clone()),
+            store: unit.store.map(|store| Arc::new(store.clone())),
+        }
+    }
+}
+
 /// Admission bound: at most this many jobs are active at once, and
 /// [`SweepEngine::submit`] blocks while full.  Like the pool size, it moves
 /// work between threads and moments and never changes a result.
@@ -94,14 +107,19 @@ const MAX_PENDING: usize = 64;
 
 /// Progress of one job, handed to its sink in the order things happen
 /// (see [`SweepEngine::submit`]).  Cell indices are submission indices into
-/// the grid; an engine job's one cell is cell 0.
+/// the job's cells.
 #[derive(Debug)]
 pub enum JobEvent {
-    /// A batch or adaptive-round progress event: an
-    /// [`EventKind::BatchDone`] or [`EventKind::RoundDone`], exactly as the
-    /// telemetry stream carries it (`cell` is the submission index; batches
-    /// are always wall-clock timed).
-    Progress(EventKind),
+    /// A batch or adaptive-round progress event.
+    Progress {
+        /// An [`EventKind::BatchDone`] or [`EventKind::RoundDone`], exactly
+        /// as the telemetry stream carries it (`cell` is the submission
+        /// index; batches are always wall-clock timed).
+        event: EventKind,
+        /// The summed costs of the batch's experiments; zero for a round,
+        /// which runs none.
+        cost: CostTally,
+    },
     /// `cell`'s last batch landed; `result` is final and byte-identical to
     /// [`Sweep::run`](super::Sweep::run)'s result for the same cell.
     CellFinished {
@@ -133,7 +151,8 @@ impl std::error::Error for SubmitError {}
 
 /// The persistent campaign engine; see the module docs.
 pub struct SweepEngine {
-    shared: Arc<Shared<'static>>,
+    /// The scheduler, which [`Sweep::run_streamed`] also drives directly.
+    pub(super) shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     threads: usize,
 }
@@ -144,7 +163,7 @@ impl SweepEngine {
     /// [`SweepEngine::shutdown`] (or `Drop`).
     pub fn new(threads: usize) -> SweepEngine {
         let threads = pool_threads(threads);
-        let shared = Arc::new(Shared::new(MAX_PENDING, None));
+        let shared = Arc::new(Shared::new(MAX_PENDING));
         let workers = (0..threads)
             .map(|t| {
                 let shared = Arc::clone(&shared);
@@ -168,26 +187,29 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Submit a one-cell job — campaign `spec` on `unit` under `config` —
-    /// whose events go to `sink`, blocking while the engine is at its
-    /// admission bound.  `config.threads` sizes no pool (the engine's own
-    /// pool runs the job); it cuts a fixed-n cell's batches exactly as in
+    /// Submit a job — `cells` over `units` under `config` — whose events go
+    /// to `sink`, blocking while the engine is at its admission bound.
+    /// `config.threads` sizes no pool (the engine's own pool runs the job);
+    /// it cuts a fixed-n job's batches exactly as in
     /// [`Sweep::run`](super::Sweep::run).  The engine's workers call `sink`
     /// concurrently, and call it with `Finished` under the scheduler lock:
     /// it must take only locks of its own and never call back into the
     /// engine.  The job drops `sink` when it leaves the schedule, also when
     /// one of its batches failed (then without `Finished`), and on `Err`.
+    ///
+    /// # Panics
+    ///
+    /// If a cell references a unit outside `units`.
     pub fn submit(
         &self,
-        unit: EngineUnit,
-        spec: CampaignSpec,
+        units: Vec<EngineUnit>,
+        cells: Vec<SweepCell>,
         config: &SweepConfig,
         sink: impl Fn(JobEvent) + Send + Sync + 'static,
     ) -> Result<(), SubmitError> {
         // Planned outside the scheduler lock.  The engine does not print
-        // warnings — the cell's result carries its own.
-        let cell = SweepCell::Sampled(SweepCampaign { unit: 0, spec });
-        let (job, _) = Job::new(Units::Owned(unit), vec![cell], config, sink);
+        // warnings — each cell's result carries its own.
+        let (job, _) = Job::new(units, cells, config, sink);
         self.shared.admit(job)
     }
 
@@ -215,64 +237,61 @@ impl Drop for SweepEngine {
 mod tests {
     use super::*;
     use crate::adaptive::Precision;
+    use crate::campaign::CampaignSpec;
     use crate::replay::CheckpointConfig;
     use crate::sweep::plan::resolve_threads;
-    use crate::sweep::tests::{grid_specs, workload};
-    use crate::sweep::{channel_sink, Sweep, SweepReport};
+    use crate::sweep::tests::{grid, sampled, unit};
+    use crate::sweep::{Sweep, SweepCampaign, SweepReport};
+    use std::sync::mpsc;
 
-    fn unit(n: i64, with_store: bool) -> EngineUnit {
-        let code = CompiledModule::lower(&workload(n));
-        let golden = GoldenRun::capture_compiled(&code).unwrap();
-        let store = with_store.then(|| {
-            Arc::new(
-                CheckpointStore::capture_compiled(
-                    &code,
-                    &golden,
-                    CheckpointConfig::with_interval(25),
-                )
-                .unwrap(),
-            )
-        });
-        EngineUnit {
-            code: Arc::new(code),
-            golden: Arc::new(golden),
-            store,
-        }
+    /// Submit `cells` over `units` as one job; returns its events.
+    fn submit(
+        engine: &SweepEngine,
+        units: Vec<EngineUnit>,
+        cells: Vec<SweepCell>,
+        config: &SweepConfig,
+    ) -> Result<mpsc::Receiver<JobEvent>, SubmitError> {
+        let (tx, events) = mpsc::channel();
+        engine.submit(units, cells, config, move |event| {
+            let _ = tx.send(event);
+        })?;
+        Ok(events)
     }
 
-    fn grid(experiments: usize) -> Vec<SweepCampaign> {
-        grid_specs(experiments)
-            .into_iter()
-            .map(|spec| SweepCampaign { unit: 0, spec })
-            .collect()
+    /// Campaign `spec` on unit 0, alone: the job shape of the daemon.
+    fn cell(spec: CampaignSpec) -> Vec<SweepCell> {
+        vec![SweepCell::Sampled(SweepCampaign { unit: 0, spec })]
     }
 
-    /// Fold a one-cell job's events, up to `Finished`, into its result and
-    /// the number of batches it ran; its `batch_done` events cover every
-    /// experiment of the result.
-    fn collect(events: impl IntoIterator<Item = JobEvent>) -> (SweepCampaignResult, usize) {
-        let (mut result, mut batches, mut experiments) = (None, 0, 0);
+    /// Fold a job's events, up to `Finished`, into its results in cell
+    /// order and the number of batches it ran; its `batch_done` events
+    /// cover every experiment of the results.
+    fn collect(events: impl IntoIterator<Item = JobEvent>) -> (Vec<SweepCampaignResult>, usize) {
+        let (mut results, mut batches, mut experiments) = (Vec::new(), 0, 0);
         for event in events {
             match event {
-                JobEvent::Progress(EventKind::BatchDone { experiments: n, .. }) => {
+                JobEvent::Progress {
+                    event: EventKind::BatchDone { experiments: n, .. },
+                    ..
+                } => {
                     batches += 1;
                     experiments += n;
                 }
-                JobEvent::Progress(_) => {}
-                JobEvent::CellFinished { cell, result: r } => {
-                    assert_eq!(cell, 0, "an engine job is one cell");
-                    result = Some(*r);
+                JobEvent::Progress { .. } => {}
+                JobEvent::CellFinished { cell, result } => {
+                    results.resize(results.len().max(cell + 1), None);
+                    results[cell] = Some(*result);
                 }
                 JobEvent::Finished => break,
             }
         }
-        let result = result.expect("the cell finished");
-        assert_eq!(
-            experiments,
-            result.result.total(),
-            "batch events cover the cell"
-        );
-        (result, batches)
+        let results: Vec<SweepCampaignResult> = results
+            .into_iter()
+            .map(|r| r.expect("every cell finished"))
+            .collect();
+        let total: u64 = results.iter().map(|r| r.result.total()).sum();
+        assert_eq!(experiments, total, "batch events cover the cells");
+        (results, batches)
     }
 
     /// Submit every campaign as a job of its own, the daemon's shape, before
@@ -286,31 +305,26 @@ mod tests {
     ) -> (SweepReport, usize) {
         let streams: Vec<_> = campaigns
             .iter()
-            .map(|c| {
-                let (sink, events) = channel_sink();
-                engine
-                    .submit(units[c.unit].clone(), c.spec, config, sink)
-                    .unwrap();
-                events
-            })
+            .map(|c| submit(engine, vec![units[c.unit].clone()], cell(c.spec), config).unwrap())
             .collect();
         let mut batches = 0;
         let results = streams
             .into_iter()
-            .map(|events| {
-                let (result, cut) = collect(events.iter());
+            .flat_map(|events| {
+                let (results, cut) = collect(events.iter());
                 batches += cut;
-                result
+                results
             })
             .collect();
         (SweepReport::from_results(results), batches)
     }
 
-    /// One job per cell returns, cell for cell, what one `Sweep::run` of the
-    /// whole grid returns — fixed-n and adaptive, with and without a store,
-    /// at pool sizes 1 and 4 and job thread hints 1 and 4.  The hint cuts a
-    /// fixed-n cell's batches and the pool never does; an adaptive cell is
-    /// cut by its round step whatever the hint.
+    /// One job per cell, and one job of the whole grid, return cell for
+    /// cell what one `Sweep::run` of the grid returns — fixed-n and
+    /// adaptive, with and without a store, at pool sizes 1 and 4 and job
+    /// thread hints 1 and 4.  The hint cuts a fixed-n job's batches and the
+    /// pool never does; an adaptive cell is cut by its round step whatever
+    /// the hint.
     #[test]
     fn engine_report_matches_scoped_sweep() {
         let units = vec![unit(48, false), unit(96, true)];
@@ -340,14 +354,20 @@ mod tests {
                 for pool in [1usize, 4] {
                     let engine = SweepEngine::new(pool);
                     let (report, batches) = run_jobs(&engine, &units, &campaigns, &config);
-                    assert_eq!(
-                        report,
-                        expected,
-                        "engine diverged from Sweep::run (pool={pool}, \
-                         job_threads={job_threads}, adaptive={})",
+                    let what = format!(
+                        "pool={pool}, job_threads={job_threads}, adaptive={}",
                         precision.is_some()
                     );
+                    assert_eq!(report, expected, "cell jobs diverged ({what})");
                     cuts.push(batches);
+                    let cells = campaigns.iter().copied().map(SweepCell::Sampled);
+                    let events = submit(&engine, units.clone(), cells.collect(), &config);
+                    let (results, _) = collect(events.unwrap().iter());
+                    assert_eq!(
+                        SweepReport::from_results(results),
+                        expected,
+                        "the grid job diverged ({what})"
+                    );
                 }
             }
             if precision.is_none() {
@@ -413,31 +433,29 @@ mod tests {
         let finished = Arc::new(AtomicUsize::new(0));
         for experiments in std::iter::once(20_000).chain([1; MAX_PENDING - 1]) {
             let finished = Arc::clone(&finished);
+            let units = vec![unit.clone()];
+            let sink = move |event| {
+                if matches!(event, JobEvent::Finished) {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                }
+            };
             engine
-                .submit(unit.clone(), spec(experiments), &config, move |event| {
-                    if matches!(event, JobEvent::Finished) {
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
+                .submit(units, cell(spec(experiments)), &config, sink)
                 .unwrap();
         }
-        let (sink, b_events) = channel_sink();
-        std::thread::scope(|scope| {
-            scope
-                .spawn(|| engine.submit(unit.clone(), spec(200), &config, sink))
-                .join()
-                .unwrap()
-                .unwrap();
+        let b_events = std::thread::scope(|scope| {
+            let b = scope.spawn(|| submit(&engine, vec![unit.clone()], cell(spec(200)), &config));
+            let b_events = b.join().unwrap().unwrap();
             // A job's `Finished` is sent under the scheduler lock before its
             // admission slot frees, so B cannot have been admitted earlier.
             assert!(finished.load(Ordering::SeqCst) >= 1);
+            b_events
         });
         engine.shutdown();
         assert_eq!(finished.load(Ordering::SeqCst), MAX_PENDING);
-        assert_eq!(collect(b_events.iter()).0.result.total(), 200);
-        let (sink, _) = channel_sink();
+        assert_eq!(collect(b_events.iter()).0[0].result.total(), 200);
         assert_eq!(
-            engine.submit(unit, spec(0), &config, sink).unwrap_err(),
+            submit(&engine, vec![unit], cell(spec(0)), &config).unwrap_err(),
             SubmitError::ShuttingDown
         );
     }
@@ -452,17 +470,19 @@ mod tests {
             threads: 1,
             ..CampaignSpec::default()
         };
-        let (sink, events) = channel_sink();
-        engine
-            .submit(unit(32, false), spec, &SweepConfig::default(), sink)
-            .unwrap();
-        assert_eq!(collect(events.iter()).0.result.total(), 0);
+        let events = submit(
+            &engine,
+            vec![unit(32, false)],
+            cell(spec),
+            &SweepConfig::default(),
+        );
+        assert_eq!(collect(events.unwrap().iter()).0[0].result.total(), 0);
         drop(engine);
     }
 
     /// A batch that panics for real, restoring a checkpoint of another
     /// program, fails its job instead of hanging it: the job leaves the
-    /// schedule and drops its sink without `Finished`, so a scoped sweep
+    /// schedule and drops its sink without `Finished`, so `Sweep::run`
     /// panics instead of waiting, for sampled and listed cells alike.  It
     /// costs the engine no worker: a 1-thread engine still runs a job
     /// submitted after the failure.
@@ -495,8 +515,7 @@ mod tests {
             unit: 0,
             specs: ExperimentSpec::sample_campaign(&validated, &broken.golden),
         });
-        let sampled: Vec<SweepCell> = grid(8).into_iter().map(SweepCell::Sampled).collect();
-        for cells in [sampled, vec![listed]] {
+        for cells in [sampled(8), vec![listed]] {
             let units = [broken.view()];
             let config = SweepConfig::default();
             let run = catch_unwind(AssertUnwindSafe(|| {
@@ -508,10 +527,7 @@ mod tests {
         // At the deadline a job that never ran reads as unfinished.
         let deadline = Duration::from_secs(30);
         for (unit, finishes) in [(broken, false), (unit(48, false), true)] {
-            let (sink, events) = channel_sink();
-            engine
-                .submit(unit, spec, &SweepConfig::default(), sink)
-                .unwrap();
+            let events = submit(&engine, vec![unit], cell(spec), &SweepConfig::default()).unwrap();
             let finished = std::iter::from_fn(|| events.recv_timeout(deadline).ok())
                 .any(|e| matches!(e, JobEvent::Finished));
             assert_eq!(finished, finishes);

@@ -50,17 +50,6 @@
 //! thread count and schedule, and equals a fixed-n campaign of exactly the
 //! realized length (`tests/adaptive_equivalence.rs`).
 //!
-//! ## Shared artifacts
-//!
-//! A [`SweepUnit`] carries *borrowed* per-workload artifacts — the lowered
-//! [`CompiledModule`], the [`GoldenRun`] and optionally a read-only
-//! [`CheckpointStore`] — so one set of artifacts serves every campaign of
-//! the grid (the `mbfi-bench` harness prepares them once per selected
-//! workload).
-//!
-//! [`crate::Campaign::run`] is itself implemented as a single-campaign
-//! sweep.
-//!
 //! ## Cells and records
 //!
 //! A [`SweepCell`] is a sampled campaign or a [`ListedCell`]: an explicit,
@@ -73,25 +62,32 @@
 //! Table IV's location pairs ([`crate::pruning::LocationAnalysis`]) run as
 //! listed cells and pair their records.
 //!
-//! ## One executor, two ways to host it
+//! ## Shared artifacts, one executor, one host
+//!
+//! A [`SweepUnit`] borrows one workload's artifacts — the lowered
+//! [`CompiledModule`], the [`GoldenRun`] and optionally a read-only
+//! [`CheckpointStore`] — so one set serves every campaign of the grid.
+//! [`crate::Campaign::run`] is a single-campaign sweep.
 //!
 //! The executor lives in `sweep::plan`: per-campaign plans, the job
 //! planner (batch cut, warning dedupe, zero-experiment cells), one worker
 //! loop, one claim order (admission order) and one batch → round →
-//! finalize protocol.  [`Sweep::run`] hosts it on a scoped pool spawned per
-//! call, over the caller's borrowed units, as one job of the whole grid;
-//! the persistent [`SweepEngine`] behind the `mbfi-serve` daemon hosts it
-//! on a pool it owns for the process lifetime, with bounded admission, as
-//! one-cell jobs over an `Arc`-owned [`EngineUnit`] each.  Either way a job hands its [`JobEvent`]s to a sink its host
-//! passes in, and their progress variants are the telemetry [`EventKind`]s
-//! themselves, so a telemetry hub, a serve client and `Sweep::run` all see
-//! one event type.
+//! finalize protocol.  Its one host is the [`SweepEngine`], a worker pool
+//! over jobs of `Arc`-owned [`EngineUnit`]s.  [`Sweep::run_streamed`]
+//! clones the caller's units into owned ones, starts an engine for the
+//! call, submits the whole grid as one job and drains its events on the
+//! caller's thread; the `mbfi-serve` daemon keeps one engine for the
+//! process lifetime and submits a job per cell it owns.  Either way a
+//! job hands its [`JobEvent`]s to a sink its submitter passes in, and their
+//! progress variants carry the telemetry [`EventKind`]s themselves, so a
+//! telemetry hub, a serve client and `Sweep::run` all see one event type.
 
 mod engine;
 mod plan;
 
 pub use engine::{EngineUnit, JobEvent, SubmitError, SweepEngine};
 
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -103,7 +99,7 @@ use crate::replay::CheckpointStore;
 use crate::telemetry::{CellInfo, EventKind, Metric, TelemetryHub};
 use mbfi_ir::CompiledModule;
 
-use plan::{pool_threads, worker_loop, Job, Plan, Shared, Units};
+use plan::{resolve_threads, Job, Plan};
 
 /// Per-workload artifacts shared by every campaign of a sweep: the module is
 /// lowered once, the golden run captured once, and the checkpoint store (if
@@ -179,8 +175,8 @@ impl SweepCell {
 /// "all cores, aggregate results only, fixed-n sampling".
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepConfig {
-    /// Worker threads (0 = all available parallelism).  A scoped sweep
-    /// starts no more workers than there are cores or batches.  The value
+    /// Worker threads (0 = all available parallelism).  A sweep starts no
+    /// more workers than there are cores or batches.  The value
     /// also cuts a fixed-n job's batches: the job's total experiments
     /// spread over 8 batches per thread, clamped to `[1, 64]` experiments
     /// per batch.  An adaptive campaign is cut by its round step instead (a
@@ -333,11 +329,14 @@ impl Sweep {
     ///
     /// With a `telemetry` hub, the sweep's events — `sweep_started`,
     /// `cell_planned`, every `batch_done` / `round_done` / `cell_finished`
-    /// and `sweep_finished` — are recorded into it, along with the workers'
-    /// waits and each batch's summed replay and copy-on-write costs, at
+    /// and `sweep_finished` — are recorded into it, along with each batch's
+    /// summed replay and copy-on-write costs and the workers' waits, at
     /// every level above `off`.  Telemetry is strictly observational:
     /// results are byte-identical with and without a hub, at every level and
     /// thread count (`tests/telemetry_equivalence.rs`).
+    ///
+    /// The grid runs as one job on a [`SweepEngine`] of its own, over owned
+    /// clones of `units`; this thread drains the job's events.
     pub fn run_streamed(
         units: &[SweepUnit<'_>],
         cells: Vec<SweepCell>,
@@ -345,64 +344,56 @@ impl Sweep {
         telemetry: Option<&TelemetryHub>,
         mut sink: impl FnMut(usize, SweepCampaignResult),
     ) -> Vec<CampaignWarning> {
-        for unit in cells.iter().map(SweepCell::unit) {
-            assert!(
-                unit < units.len(),
-                "sweep cell references unit {unit} but only {} units were supplied",
-                units.len()
-            );
-        }
-        let shared = Shared::new(1, telemetry);
-        let (job_sink, events) = channel_sink();
-        let (job, warnings) = Job::new(Units::Borrowed(units), cells, config, job_sink);
+        let owned = units.iter().copied().map(EngineUnit::from).collect();
+        let (tx, events) = mpsc::channel();
+        let (job, warnings) = Job::new(owned, cells, config, move |event| {
+            let _ = tx.send(event);
+        });
         // Print each distinct warning once so a whole grid of equally
         // misconfigured campaigns does not repeat itself on stderr.
         for w in &warnings {
             eprintln!("campaign warning: {w} ({w:?})");
         }
-        // The hint cuts batches; the pool never outgrows the machine.
-        let threads = pool_threads(config.threads).clamp(1, job.batches().max(1));
+        // The hint cuts batches; the engine caps its pool at the machine.
+        let engine = SweepEngine::new(resolve_threads(config.threads).min(job.batches()).max(1));
         let job_cells = job.plans.len();
         let sweep_start = Instant::now();
         if let Some(hub) = telemetry {
-            announce(hub, &job.plans, units, threads);
+            announce(hub, &job.plans, units, engine.threads());
         }
-        shared
-            .admit(job)
-            .expect("a fresh executor admits its first job");
+        let shared = &engine.shared;
+        shared.admit(job).expect("a fresh engine admits its job");
         // Workers exit as soon as the job drains.
         shared.shutdown();
         let mut total = 0u64;
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            for worker in 0..threads {
-                scope.spawn(move || worker_loop(shared, worker));
-            }
-            loop {
-                // A failed batch drops the job's sink, which disconnects
-                // `events`: panic instead of waiting forever.
-                let event = events
-                    .recv()
-                    .expect("sweep worker pool exited before every cell finished");
-                match event {
-                    JobEvent::Progress(kind) => {
-                        if let Some(hub) = telemetry {
-                            hub.record(kind);
-                        }
+        loop {
+            // A failed batch drops the job's sink, which disconnects
+            // `events`: panic instead of waiting forever.
+            let event = events
+                .recv()
+                .expect("sweep worker pool exited before every cell finished");
+            match event {
+                JobEvent::Progress { event, cost } => {
+                    if let Some(hub) = telemetry {
+                        cost.publish(hub);
+                        hub.record(event);
                     }
-                    JobEvent::CellFinished { cell, result } => {
-                        total += result.result.total();
-                        if let Some(hub) = telemetry {
-                            hub.record(result.finished_event(cell));
-                        }
-                        sink(cell, *result);
-                    }
-                    JobEvent::Finished => break,
                 }
+                JobEvent::CellFinished { cell, result } => {
+                    total += result.result.total();
+                    if let Some(hub) = telemetry {
+                        hub.record(result.finished_event(cell));
+                    }
+                    sink(cell, *result);
+                }
+                JobEvent::Finished => break,
             }
-        });
+        }
+        engine.shutdown();
 
         if let Some(hub) = telemetry {
+            hub.add(Metric::WorkerParks, shared.parks.load(Ordering::Relaxed));
+            hub.add(Metric::IdleNanos, shared.idle_ns.load(Ordering::Relaxed));
             hub.record(EventKind::SweepFinished {
                 cells: job_cells,
                 experiments: total,
@@ -413,16 +404,6 @@ impl Sweep {
         }
         warnings
     }
-}
-
-/// A job sink that forwards every event into a channel, for
-/// [`Sweep::run_streamed`] to drain on the caller's thread.
-fn channel_sink() -> (impl Fn(JobEvent) + Send + Sync, mpsc::Receiver<JobEvent>) {
-    let (tx, events) = mpsc::channel();
-    let sink = move |event| {
-        let _ = tx.send(event);
-    };
-    (sink, events)
 }
 
 /// Register a starting sweep with a hub before any experiment runs, so a
@@ -458,7 +439,6 @@ fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads
 mod tests {
     use crate::campaign::{Campaign, MIN_HANG_FACTOR};
 
-    use super::plan::resolve_threads;
     use super::*;
     use crate::experiment::Experiment;
     use crate::fault_model::{FaultModel, WinSize};
@@ -467,6 +447,7 @@ mod tests {
     use crate::technique::Technique;
     use crate::telemetry::TelemetryLevel;
     use mbfi_ir::{Module, ModuleBuilder, Type};
+    use std::sync::Arc;
 
     pub(super) fn workload(n: i64) -> Module {
         let mut mb = ModuleBuilder::new("w");
@@ -495,28 +476,23 @@ mod tests {
         mb.finish()
     }
 
-    struct Fixture {
-        code: CompiledModule,
-        golden: GoldenRun,
-        store: Option<CheckpointStore>,
-    }
-
-    fn fixture(n: i64, with_store: bool) -> Fixture {
-        let module = workload(n);
-        let code = CompiledModule::lower(&module);
+    /// `workload(n)` lowered, with its golden run and, `with_store`, a
+    /// checkpoint every 25 instructions.
+    pub(super) fn unit(n: i64, with_store: bool) -> EngineUnit {
+        let code = CompiledModule::lower(&workload(n));
         let golden = GoldenRun::capture_compiled(&code).unwrap();
         let store = with_store.then(|| {
-            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(25))
-                .unwrap()
+            let config = CheckpointConfig::with_interval(25);
+            Arc::new(CheckpointStore::capture_compiled(&code, &golden, config).unwrap())
         });
-        Fixture {
-            code,
-            golden,
+        EngineUnit {
             store,
+            ..EngineUnit::new(code, golden)
         }
     }
 
-    pub(super) fn grid_specs(experiments: usize) -> Vec<CampaignSpec> {
+    /// Six campaigns on unit 0: each technique under three fault models.
+    pub(super) fn grid(experiments: usize) -> Vec<SweepCampaign> {
         let mut out = Vec::new();
         for technique in Technique::ALL {
             for model in [
@@ -524,35 +500,37 @@ mod tests {
                 FaultModel::multi_bit(3, WinSize::Fixed(0)),
                 FaultModel::multi_bit(4, WinSize::Random { lo: 1, hi: 12 }),
             ] {
-                out.push(CampaignSpec {
+                let spec = CampaignSpec {
                     technique,
                     model,
                     experiments,
                     seed: 0x5EE9,
                     hang_factor: 8,
                     threads: 1,
-                });
+                };
+                out.push(SweepCampaign { unit: 0, spec });
             }
         }
         out
     }
 
+    /// [`grid`] as sampled cells.
+    pub(super) fn sampled(experiments: usize) -> Vec<SweepCell> {
+        grid(experiments)
+            .into_iter()
+            .map(SweepCell::Sampled)
+            .collect()
+    }
+
     #[test]
     fn sweep_matches_serial_campaigns_per_cell() {
-        let fixtures = [fixture(48, false), fixture(96, true)];
-        let units: Vec<SweepUnit<'_>> = fixtures
-            .iter()
-            .map(|f| SweepUnit {
-                code: &f.code,
-                golden: &f.golden,
-                store: f.store.as_ref(),
-            })
-            .collect();
+        let fixtures = [unit(48, false), unit(96, true)];
+        let units: Vec<SweepUnit<'_>> = fixtures.iter().map(EngineUnit::view).collect();
         let campaigns: Vec<SweepCampaign> = (0..units.len())
             .flat_map(|unit| {
-                grid_specs(40)
+                grid(40)
                     .into_iter()
-                    .map(move |spec| SweepCampaign { unit, spec })
+                    .map(move |c| SweepCampaign { unit, ..c })
             })
             .collect();
         let report = Sweep::run(&units, &campaigns, &SweepConfig::default());
@@ -589,16 +567,9 @@ mod tests {
     /// experiments.
     #[test]
     fn sweep_is_invariant_across_threads_and_batch_sizes() {
-        let f = fixture(64, true);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: f.store.as_ref(),
-        }];
-        let cells: Vec<SweepCell> = grid_specs(30)
-            .into_iter()
-            .map(|spec| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
-            .collect();
+        let f = unit(64, true);
+        let units = [f.view()];
+        let cells = sampled(30);
         let config = |threads| SweepConfig {
             threads,
             keep_records: true,
@@ -617,17 +588,9 @@ mod tests {
     /// overflowing the batch formula, and returns the one-thread report.
     #[test]
     fn a_huge_thread_hint_cuts_one_experiment_batches() {
-        let f = fixture(48, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
-        let cells: Vec<SweepCell> = grid_specs(4)
-            .into_iter()
-            .take(2)
-            .map(|spec| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
-            .collect();
+        let f = unit(48, false);
+        let units = [f.view()];
+        let cells = sampled(4)[..2].to_vec();
         let config = |threads| SweepConfig {
             threads,
             keep_records: true,
@@ -640,23 +603,18 @@ mod tests {
     }
 
     /// A thread hint of 1,000,000 still cuts a 64-experiment cell into 64
-    /// batches, but starts no more workers than the machine runs at once.
+    /// batches, but the pool `Sweep::run_streamed` starts for the call has
+    /// no more workers than the machine runs at once.
     #[test]
     fn the_scoped_pool_never_outgrows_the_machine() {
-        let f = fixture(48, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
-        let spec = grid_specs(64)[0];
-        let cells = vec![SweepCell::Sampled(SweepCampaign { unit: 0, spec })];
+        let f = unit(48, false);
+        let cells = vec![SweepCell::Sampled(grid(64)[0])];
         let config = SweepConfig {
             threads: 1_000_000,
             ..SweepConfig::default()
         };
         let hub = TelemetryHub::new(TelemetryLevel::Full);
-        Sweep::run_streamed(&units, cells, &config, Some(&hub), |_, _| {});
+        Sweep::run_streamed(&[f.view()], cells, &config, Some(&hub), |_, _| {});
         let started = hub.drain_events().into_iter().find_map(|e| match e.kind {
             EventKind::SweepStarted { threads, .. } => Some(threads),
             _ => None,
@@ -670,17 +628,10 @@ mod tests {
     /// `counters` as at `full`.
     #[test]
     fn experiment_cost_counters_are_exact_at_every_level() {
-        let f = fixture(96, true);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: f.store.as_ref(),
-        }];
+        let f = unit(96, true);
+        let units = [f.view()];
         // 100 experiments per cell, so that some runs hang.
-        let campaigns: Vec<SweepCampaign> = grid_specs(100)
-            .into_iter()
-            .map(|spec| SweepCampaign { unit: 0, spec })
-            .collect();
+        let campaigns = grid(100);
         let costs = [
             Metric::CheckpointRestores,
             Metric::ReplayInstrsSkipped,
@@ -697,7 +648,7 @@ mod tests {
             let (validated, _) = cell.spec.validate();
             for spec in ExperimentSpec::sample_campaign(&validated, &f.golden) {
                 let (result, cost) =
-                    Experiment::run_compiled_inner(&f.code, &f.golden, &spec, f.store.as_ref());
+                    Experiment::run_compiled_inner(&f.code, &f.golden, &spec, f.store.as_deref());
                 if let Some(skipped) = cost.restored_dyn {
                     serial[0] += 1;
                     serial[1] += skipped;
@@ -759,7 +710,7 @@ mod tests {
     fn records_match_per_experiment_serial_execution() {
         use crate::adaptive::Precision;
         use crate::outcome::OutcomeCounts;
-        let f = fixture(96, true);
+        let f = unit(96, true);
         let spec = CampaignSpec {
             technique: Technique::InjectOnWrite,
             model: FaultModel::multi_bit(3, WinSize::Fixed(2)),
@@ -810,12 +761,8 @@ mod tests {
                 specs: specs[..7].to_vec(),
             }),
         ];
-        for store in [None, f.store.as_ref()] {
-            let units = [SweepUnit {
-                code: &f.code,
-                golden: &f.golden,
-                store,
-            }];
+        for store in [None, f.store.as_deref()] {
+            let units = [SweepUnit { store, ..f.view() }];
             for (precision, sampled) in [(None, 25), (Some(precision), realized)] {
                 for keep_records in [true, false] {
                     let mut cuts = Vec::new();
@@ -860,12 +807,8 @@ mod tests {
 
     #[test]
     fn warnings_are_carried_per_campaign_and_deduped_per_sweep() {
-        let f = fixture(32, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
+        let f = unit(32, false);
+        let units = [f.view()];
         let bad = CampaignSpec {
             experiments: 4,
             hang_factor: 0,
@@ -924,23 +867,15 @@ mod tests {
     #[test]
     fn adaptive_sweep_is_invariant_across_threads_and_batch_sizes() {
         use crate::adaptive::Precision;
-        let f = fixture(64, true);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: f.store.as_ref(),
-        }];
-        let campaigns: Vec<SweepCampaign> = grid_specs(0)
-            .into_iter()
-            .map(|spec| SweepCampaign { unit: 0, spec })
-            .collect();
+        let f = unit(64, true);
+        let units = [f.view()];
         let precision = Some(Precision {
             target_half_width_pct: 12.0,
             min_experiments: 10,
             max_experiments: 60,
             ..Precision::default()
         });
-        let cells: Vec<SweepCell> = campaigns.into_iter().map(SweepCell::Sampled).collect();
+        let cells = sampled(0);
         let config = |threads| SweepConfig {
             threads,
             keep_records: true,
@@ -976,12 +911,8 @@ mod tests {
     #[test]
     fn adaptive_results_equal_fixed_n_of_realized_length() {
         use crate::adaptive::Precision;
-        let f = fixture(96, true);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: f.store.as_ref(),
-        }];
+        let f = unit(96, true);
+        let units = [f.view()];
         let spec = CampaignSpec {
             technique: Technique::InjectOnRead,
             model: FaultModel::multi_bit(3, WinSize::Fixed(2)),
@@ -1087,12 +1018,8 @@ mod tests {
 
     #[test]
     fn zero_experiment_campaigns_produce_empty_results() {
-        let f = fixture(32, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
+        let f = unit(32, false);
+        let units = [f.view()];
         let cells = [SweepCampaign {
             unit: 0,
             spec: CampaignSpec {
@@ -1112,7 +1039,7 @@ mod tests {
     /// a store.
     #[test]
     fn listed_cells_match_serial_execution_in_list_order() {
-        let f = fixture(96, true);
+        let f = unit(96, true);
         let spec = CampaignSpec {
             model: FaultModel::multi_bit(3, WinSize::Fixed(2)),
             experiments: 40,
@@ -1125,12 +1052,8 @@ mod tests {
             .iter()
             .map(|s| Experiment::run_compiled(&f.code, &f.golden, s, None))
             .collect();
-        for store in [None, f.store.as_ref()] {
-            let units = [SweepUnit {
-                code: &f.code,
-                golden: &f.golden,
-                store,
-            }];
+        for store in [None, f.store.as_deref()] {
+            let units = [SweepUnit { store, ..f.view() }];
             // 47 experiments: batches of at most 6 (not dividing 40), 2
             // and 1 experiments.
             for (threads, cut) in [(1, 9), (4, 24), (8, 47)] {
@@ -1161,12 +1084,8 @@ mod tests {
     /// Listed cells with nothing to run finish up front, without a worker.
     #[test]
     fn empty_listed_cells_finish_at_once() {
-        let f = fixture(32, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
+        let f = unit(32, false);
+        let units = [f.view()];
         let empty = SweepCell::Listed(ListedCell {
             unit: 0,
             specs: Vec::new(),
@@ -1185,16 +1104,9 @@ mod tests {
 
     #[test]
     fn streamed_results_arrive_once_per_campaign() {
-        let f = fixture(48, false);
-        let units = [SweepUnit {
-            code: &f.code,
-            golden: &f.golden,
-            store: None,
-        }];
-        let cells: Vec<SweepCell> = grid_specs(12)
-            .into_iter()
-            .map(|spec| SweepCell::Sampled(SweepCampaign { unit: 0, spec }))
-            .collect();
+        let f = unit(48, false);
+        let units = [f.view()];
+        let cells = sampled(12);
         let mut seen = vec![0u32; cells.len()];
         Sweep::run_streamed(
             &units,

@@ -6,25 +6,24 @@
 //!   folds the partials in batch-index order.  This is everything that
 //!   decides *what* a cell computes.  A cell is a sampled campaign or an
 //!   explicit experiment list ([`SweepCell`]); both run the same way.
-//! * A [`Job`] is a planned grid (for an engine job, one cell): its plans,
-//!   its units and the sink its events go to.  [`Job::new`] owns the
-//!   fixed-n batch formula, warning dedupe and the up-front finish of
-//!   zero-experiment cells.
+//! * A [`Job`] is a planned grid: its plans, its `Arc`-owned units and the
+//!   sink its events go to.  [`Job::new`] owns the fixed-n batch formula,
+//!   warning dedupe and the up-front finish of zero-experiment cells.
 //! * [`Shared`] is the scheduler: admitted jobs in admission order, the
-//!   admission bound and the condvars idle workers and blocked submitters
-//!   wait on.  [`worker_loop`] claims the next batch in admission order,
-//!   runs it through the batch → round → finalize protocol
-//!   ([`execute_batch`]) and hands [`JobEvent`]s to the job's sink.  This is
-//!   everything that decides *when* and *by whom* each batch runs, which
-//!   the determinism contract makes irrelevant to the results.
+//!   admission bound, the condvars idle workers and blocked submitters
+//!   wait on, and the pool's waits.  [`worker_loop`] claims the next batch
+//!   in admission order, runs it through the batch → round → finalize
+//!   protocol ([`execute_batch`]) and hands [`JobEvent`]s to the job's
+//!   sink.  This is everything that decides *when* and *by whom* each batch
+//!   runs, which the determinism contract makes irrelevant to the results.
 //!
-//! [`Sweep::run`](super::Sweep::run) runs `worker_loop` on scoped threads
-//! over a `Shared<'a>` whose one job borrows the caller's units; the
-//! persistent [`SweepEngine`](super::SweepEngine) runs the same loop on its
-//! process-lifetime pool over a `Shared<'static>` whose jobs own `Arc`
-//! units.  There is one protocol, so their results cannot diverge.
+//! The [`SweepEngine`](super::SweepEngine) is the one host: it owns the
+//! pool and the `Shared` its workers loop on.  [`Sweep::run`](super::Sweep::run)
+//! is one job on an engine of its own, the `mbfi-serve` daemon submits its
+//! cells to one engine for the process lifetime.  Workers touch no hub:
+//! whoever drains a job's events publishes what they carry.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -33,7 +32,7 @@ use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
 use crate::experiment::{CostTally, Experiment, ExperimentResult, ExperimentSpec};
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::space::{ErrorSpace, REGISTER_BITS};
-use crate::telemetry::{EventKind, Metric, TelemetryHub};
+use crate::telemetry::EventKind;
 
 use super::{
     EngineUnit, JobEvent, SubmitError, SweepCampaignResult, SweepCell, SweepConfig, SweepUnit,
@@ -52,23 +51,6 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 /// machine runs at once, whatever the hint (which may still cut batches).
 pub(crate) fn pool_threads(threads: usize) -> usize {
     resolve_threads(threads).min(resolve_threads(0))
-}
-
-/// A job's per-workload artifacts: borrowed for the duration of one
-/// [`Sweep::run`](super::Sweep::run), or the one `Arc`-owned unit of an
-/// engine job, which outlives its submitter's stack frame.
-pub(crate) enum Units<'a> {
-    Borrowed(&'a [SweepUnit<'a>]),
-    Owned(EngineUnit),
-}
-
-impl Units<'_> {
-    fn get(&self, index: usize) -> SweepUnit<'_> {
-        match self {
-            Units::Borrowed(units) => units[index],
-            Units::Owned(unit) => unit.view(),
-        }
-    }
 }
 
 /// One cell's execution plan: the validated spec, the batch deque (an
@@ -319,9 +301,8 @@ fn summary(specs: &[ExperimentSpec]) -> CampaignSpec {
 }
 
 /// The hot experiment loop of one batch.  It carries no instrumentation:
-/// the batch's outcome tallies reach a hub through its `batch_done` event,
-/// and its experiments' costs through the returned [`CostTally`], both once
-/// per batch.
+/// the batch's outcome tallies and its experiments' summed costs (the
+/// returned [`CostTally`]) leave it in one event per batch.
 pub(crate) fn run_span(
     plan: &Plan,
     b: usize,
@@ -368,38 +349,45 @@ pub(crate) fn run_span(
 /// drops its sink, when its last cell finishes or one of its batches fails;
 /// a sink dropped without having seen `Finished` is how a host learns of
 /// the failure.
-pub(crate) struct Job<'a> {
+pub(crate) struct Job {
     keep_records: bool,
     pub(crate) plans: Vec<Plan>,
-    units: Units<'a>,
+    units: Vec<EngineUnit>,
     /// Cells not yet finished; the job leaves the schedule at 0.
     live: AtomicUsize,
     /// Where the job's events go: called by the workers that run its
     /// batches, concurrently, and once under the scheduler lock
     /// (`Finished`), so it must never call back into the scheduler.
-    sink: Box<dyn Fn(JobEvent) + Send + Sync + 'a>,
+    sink: Box<dyn Fn(JobEvent) + Send + Sync>,
 }
 
-impl<'a> Job<'a> {
-    /// Plan every cell of a grid whose events go to `sink`.  Returns the
-    /// job and the distinct warnings across its cells in submission order.
-    /// Cells without a single batch (0 experiments) cannot be finalized by
-    /// a worker, so their `CellFinished` goes to the sink here — followed
-    /// by `Finished` if no cell has a batch.
+impl Job {
+    /// Plan every cell of a grid over `units` whose events go to `sink`.
+    /// Returns the job and the distinct warnings across its cells in
+    /// submission order.  Cells without a single batch (0 experiments)
+    /// cannot be finalized by a worker, so their `CellFinished` goes to the
+    /// sink here — followed by `Finished` if no cell has a batch.
     pub(crate) fn new(
-        units: Units<'a>,
+        units: Vec<EngineUnit>,
         cells: Vec<SweepCell>,
         config: &SweepConfig,
-        sink: impl Fn(JobEvent) + Send + Sync + 'a,
-    ) -> (Job<'a>, Vec<CampaignWarning>) {
+        sink: impl Fn(JobEvent) + Send + Sync + 'static,
+    ) -> (Job, Vec<CampaignWarning>) {
+        for unit in cells.iter().map(SweepCell::unit) {
+            assert!(
+                unit < units.len(),
+                "sweep cell references unit {unit} but only {} units were supplied",
+                units.len()
+            );
+        }
         // The fixed-n batch size spreads the whole job over 8 batches per
         // requested worker, clamped to [1, 64] (saturating, so a huge thread
         // hint cuts one-experiment batches).  It may depend on the thread
         // count, which is safe for fixed-n campaigns (the batch cut never
         // changes results) but NOT for adaptive ones (rounds are made of
         // whole batches) — adaptive plans cut by the round step instead,
-        // inside [`Plan::new`].  The engine feeds it the job's requested
-        // threads, not its pool size, so the pool never moves a cut.
+        // inside [`Plan::new`].  It reads the job's requested threads, not
+        // the engine's pool size, so the pool never moves a cut.
         let total_experiments: usize = cells.iter().map(SweepCell::experiments).sum();
         let auto_batch = total_experiments
             .div_ceil(resolve_threads(config.threads).saturating_mul(8))
@@ -407,7 +395,7 @@ impl<'a> Job<'a> {
         let plans: Vec<Plan> = cells
             .into_iter()
             .map(|c| {
-                let unit = units.get(c.unit());
+                let unit = units[c.unit()].view();
                 Plan::new(c, &unit, auto_batch, config.precision)
             })
             .collect();
@@ -452,15 +440,15 @@ impl<'a> Job<'a> {
 }
 
 /// Everything behind the scheduler mutex.
-struct Sched<'a> {
+struct Sched {
     /// Active jobs in admission order.
-    jobs: Vec<Arc<Job<'a>>>,
+    jobs: Vec<Arc<Job>>,
     shutdown: bool,
 }
 
 /// The scheduler shared by a pool of [`worker_loop`]s.
-pub(crate) struct Shared<'a> {
-    sched: Mutex<Sched<'a>>,
+pub(crate) struct Shared {
+    sched: Mutex<Sched>,
     /// Workers wait here; notified on admission, batch completion and
     /// shutdown.
     work: Condvar,
@@ -469,12 +457,15 @@ pub(crate) struct Shared<'a> {
     capacity: Condvar,
     /// Admission bound (≥ 1).
     max_pending: usize,
-    /// Where workers report batch-level costs and their waits.
-    telemetry: Option<&'a TelemetryHub>,
+    /// Times a worker waited while a job was scheduled (an adaptive round
+    /// in flight, or the tail of the schedule), and the nanoseconds those
+    /// waits took.  A wait on an empty schedule is no idle time of a job.
+    pub(crate) parks: AtomicU64,
+    pub(crate) idle_ns: AtomicU64,
 }
 
-impl<'a> Shared<'a> {
-    pub(crate) fn new(max_pending: usize, telemetry: Option<&'a TelemetryHub>) -> Shared<'a> {
+impl Shared {
+    pub(crate) fn new(max_pending: usize) -> Shared {
         Shared {
             sched: Mutex::new(Sched {
                 jobs: Vec::new(),
@@ -483,20 +474,21 @@ impl<'a> Shared<'a> {
             work: Condvar::new(),
             capacity: Condvar::new(),
             max_pending: max_pending.max(1),
-            telemetry,
+            parks: AtomicU64::new(0),
+            idle_ns: AtomicU64::new(0),
         }
     }
 
     /// The scheduler state.  No critical section can panic halfway, so a
     /// poisoned lock (a worker died elsewhere) still guards consistent
     /// state, and the unwinding worker's guard must be able to take it.
-    fn lock(&self) -> MutexGuard<'_, Sched<'a>> {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Admit a job into the schedule, waiting for an admission slot.  A job
     /// whose cells all finished up front never enters the schedule.
-    pub(crate) fn admit(&self, job: Job<'a>) -> Result<(), SubmitError> {
+    pub(crate) fn admit(&self, job: Job) -> Result<(), SubmitError> {
         let mut sched = self.lock();
         loop {
             if sched.shutdown {
@@ -529,7 +521,7 @@ impl<'a> Shared<'a> {
     /// (sending `Finished` exactly once, before its admission slot frees) or
     /// as soon as one of its batches `failed`, and wake the pool — the
     /// batch may have released an adaptive round.
-    fn finish_batch(&self, job: &Arc<Job<'a>>, failed: bool) {
+    fn finish_batch(&self, job: &Arc<Job>, failed: bool) {
         let mut sched = self.lock();
         if failed || job.done() {
             if let Some(pos) = sched.jobs.iter().position(|j| Arc::ptr_eq(j, job)) {
@@ -549,12 +541,12 @@ impl<'a> Shared<'a> {
 /// the drop happens while the worker unwinds out of [`execute_batch`], the job
 /// fails: it leaves the schedule without `Finished`, and its sink is dropped
 /// once the batches other workers still run on it land.
-struct Claimed<'s, 'a> {
-    shared: &'s Shared<'a>,
-    job: Arc<Job<'a>>,
+struct Claimed<'s> {
+    shared: &'s Shared,
+    job: Arc<Job>,
 }
 
-impl Drop for Claimed<'_, '_> {
+impl Drop for Claimed<'_> {
     fn drop(&mut self) {
         self.shared
             .finish_batch(&self.job, std::thread::panicking());
@@ -565,7 +557,7 @@ impl Drop for Claimed<'_, '_> {
 /// on the `work` condvar when nothing is claimable (an adaptive round in
 /// flight, or the tail of the schedule); exit once shut down **and**
 /// drained.
-pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
+pub(crate) fn worker_loop(shared: &Shared, worker: usize) {
     loop {
         let claimed = {
             let mut sched = shared.lock();
@@ -576,14 +568,15 @@ pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
                 if sched.shutdown && sched.jobs.is_empty() {
                     break None;
                 }
-                let idle = Instant::now();
+                let idle = (!sched.jobs.is_empty()).then(Instant::now);
                 sched = shared
                     .work
                     .wait(sched)
                     .unwrap_or_else(PoisonError::into_inner);
-                if let Some(hub) = shared.telemetry {
-                    hub.add(Metric::WorkerParks, 1);
-                    hub.add(Metric::IdleNanos, idle.elapsed().as_nanos() as u64);
+                if let Some(idle) = idle {
+                    shared.parks.fetch_add(1, Ordering::Relaxed);
+                    let waited = idle.elapsed().as_nanos() as u64;
+                    shared.idle_ns.fetch_add(waited, Ordering::Relaxed);
                 }
             }
         };
@@ -591,7 +584,7 @@ pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
             return;
         };
         let claimed = Claimed { shared, job };
-        execute_batch(shared.telemetry, worker, &claimed.job, cell, batch);
+        execute_batch(worker, &claimed.job, cell, batch);
     }
 }
 
@@ -599,7 +592,7 @@ pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize) {
 /// order, its first cell with a released batch, the front of that cell's
 /// batch queue.  It affects only which worker runs which batch when, never
 /// results.
-fn claim_batch<'a>(sched: &Sched<'a>) -> Option<(Arc<Job<'a>>, usize, usize)> {
+fn claim_batch(sched: &Sched) -> Option<(Arc<Job>, usize, usize)> {
     sched.jobs.iter().find_map(|job| {
         job.plans
             .iter()
@@ -612,31 +605,25 @@ fn claim_batch<'a>(sched: &Sched<'a>) -> Option<(Arc<Job<'a>>, usize, usize)> {
 /// partial, count the completion, and — for the unique worker that
 /// completes a round — evaluate the stop rule, then either release the next
 /// round or finalize the cell.
-fn execute_batch(
-    telemetry: Option<&TelemetryHub>,
-    worker: usize,
-    job: &Job<'_>,
-    cell: usize,
-    b: usize,
-) {
+fn execute_batch(worker: usize, job: &Job, cell: usize, b: usize) {
     let plan = &job.plans[cell];
     let (start, end) = plan.spans[b];
     let batch_start = Instant::now();
-    let (out, cost) = run_span(plan, b, &job.units.get(plan.unit), job.keep_records);
+    let (out, cost) = run_span(plan, b, &job.units[plan.unit].view(), job.keep_records);
     let wall_ns = batch_start.elapsed().as_nanos() as u64;
-    if let Some(hub) = telemetry {
-        cost.publish(hub);
-    }
     let counts = out.counts;
     *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
-    (job.sink)(JobEvent::Progress(EventKind::BatchDone {
-        cell,
-        batch: b,
-        experiments: u64::from(end - start),
-        counts,
-        wall_ns,
-        worker,
-    }));
+    (job.sink)(JobEvent::Progress {
+        event: EventKind::BatchDone {
+            cell,
+            batch: b,
+            experiments: u64::from(end - start),
+            counts,
+            wall_ns,
+            worker,
+        },
+        cost,
+    });
     // Exactly one worker observes each round boundary: `fetch_add` hands out
     // unique completion counts, and `released` only moves when the boundary
     // worker advances it below.
@@ -656,14 +643,17 @@ fn execute_batch(
             let merged = plan.merged_counts(done);
             let finished = last_round || precision.satisfied(&merged);
             let (sdc_hw, det_hw) = precision.half_widths(&merged);
-            (job.sink)(JobEvent::Progress(EventKind::RoundDone {
-                cell,
-                round: round as u32 + 1,
-                experiments: merged.total(),
-                sdc_half_width_pct: sdc_hw,
-                detection_half_width_pct: det_hw,
-                stopped: finished,
-            }));
+            (job.sink)(JobEvent::Progress {
+                event: EventKind::RoundDone {
+                    cell,
+                    round: round as u32 + 1,
+                    experiments: merged.total(),
+                    sdc_half_width_pct: sdc_hw,
+                    detection_half_width_pct: det_hw,
+                    stopped: finished,
+                },
+                cost: CostTally::default(),
+            });
             finished
         }
     };
@@ -683,15 +673,11 @@ fn execute_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden::GoldenRun;
-    use crate::sweep::tests::workload;
+    use crate::sweep::tests::unit;
     use crate::sweep::SweepCampaign;
-    use mbfi_ir::CompiledModule;
 
     /// Admit one job of two cells, each of two single-experiment batches.
-    fn admit_job(shared: &Shared<'static>) {
-        let code = CompiledModule::lower(&workload(32));
-        let golden = GoldenRun::capture_compiled(&code).unwrap();
+    fn admit_job(shared: &Shared) {
         let spec = CampaignSpec {
             experiments: 2,
             hang_factor: 8,
@@ -706,14 +692,13 @@ mod tests {
             threads: 1,
             ..SweepConfig::default()
         };
-        let units = Units::Owned(EngineUnit::new(code, golden));
-        let (job, _) = Job::new(units, cells, &config, |_| {});
+        let (job, _) = Job::new(vec![unit(32, false)], cells, &config, |_| {});
         shared.admit(job).unwrap();
     }
 
     #[test]
     fn jobs_are_claimed_in_admission_order() {
-        let shared = Shared::new(8, None);
+        let shared = Shared::new(8);
         admit_job(&shared);
         admit_job(&shared);
         // No batch is run or finished, so both jobs stay scheduled and each

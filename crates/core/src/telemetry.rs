@@ -277,8 +277,8 @@ pub enum EventKind {
         experiments: u64,
         /// Sweep wall clock, nanoseconds.
         wall_ns: u64,
-        /// Total [`Metric::CowChunksCopied`] at sweep end (0 on `mbfi-serve`
-        /// streams, whose engine jobs record into no hub).
+        /// Total [`Metric::CowChunksCopied`] at sweep end (on `mbfi-serve`
+        /// streams, summed over the executions of the stream's cells).
         cow_chunks_copied: u64,
         /// Total [`Metric::CowRestoreBytesSaved`] at sweep end.
         cow_restore_bytes_saved: u64,

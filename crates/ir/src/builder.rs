@@ -152,11 +152,6 @@ impl<'m> FunctionBuilder<'m> {
         self.current = block;
     }
 
-    /// The block currently receiving instructions.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     fn new_reg(&mut self, ty: Type) -> Reg {
         let reg = Reg(self.func.regs.len() as u32);
         self.func.regs.push(RegInfo { ty, name: None });

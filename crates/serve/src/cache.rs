@@ -44,8 +44,8 @@
 use crate::log::EventLog;
 use crate::protocol::CellRequest;
 use mbfi_core::{
-    CheckpointConfig, CheckpointStore, EngineUnit, EventKind, IntervalMethod, SweepCampaignResult,
-    Technique, WinSize,
+    CheckpointConfig, CheckpointStore, CostTally, EngineUnit, EventKind, IntervalMethod,
+    SweepCampaignResult, Technique, WinSize,
 };
 use mbfi_workloads::InputSize;
 use std::collections::HashMap;
@@ -94,13 +94,16 @@ impl CellKey {
     }
 }
 
+/// A finished cell: its result and the summed costs of its experiments.
+pub(crate) type Finished = (Arc<SweepCampaignResult>, CostTally);
+
 /// One cell execution: its progress events (`batch_done` / `round_done`,
 /// addressed to cell 0 of the single-cell engine job) and, once the engine
-/// worker that finishes the cell lands it, its result.
+/// worker that finishes the cell lands it, its result and costs.
 #[derive(Default)]
 pub(crate) struct CellEntry {
     events: EventLog<EventKind>,
-    result: OnceLock<Arc<SweepCampaignResult>>,
+    result: OnceLock<Finished>,
 }
 
 impl CellEntry {
@@ -109,9 +112,9 @@ impl CellEntry {
         self.events.push(event);
     }
 
-    /// Land the final result, then close the event log.
-    pub(crate) fn finish(&self, result: Arc<SweepCampaignResult>) {
-        let _ = self.result.set(result);
+    /// Land the final result and costs, then close the event log.
+    pub(crate) fn finish(&self, result: Arc<SweepCampaignResult>, cost: CostTally) {
+        let _ = self.result.set((result, cost));
         self.events.close();
     }
 
@@ -123,18 +126,15 @@ impl CellEntry {
     }
 
     /// Stream the entry's events to `emit` (see [`EventLog::tail`]), then
-    /// return the result: `None` if the execution failed, or if `emit`
-    /// returned `false` before the result landed.
-    pub(crate) fn tail(
-        &self,
-        emit: impl FnMut(&EventKind) -> bool,
-    ) -> Option<Arc<SweepCampaignResult>> {
+    /// return the result and costs: `None` if the execution failed, or if
+    /// `emit` returned `false` before the result landed.
+    pub(crate) fn tail(&self, emit: impl FnMut(&EventKind) -> bool) -> Option<Finished> {
         self.events.tail(emit);
         self.result()
     }
 
-    /// The result, if already landed (non-blocking).
-    pub(crate) fn result(&self) -> Option<Arc<SweepCampaignResult>> {
+    /// The result and costs, if already landed (non-blocking).
+    pub(crate) fn result(&self) -> Option<Finished> {
         self.result.get().cloned()
     }
 }
@@ -338,7 +338,7 @@ mod tests {
             },
             records: vec![],
         });
-        owner.finish(result);
+        owner.finish(result, CostTally::default());
         let (seen, got) = waiter.join().unwrap();
         assert_eq!(seen, 1);
         assert!(got);

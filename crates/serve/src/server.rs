@@ -6,8 +6,9 @@
 //! the [`crate::cache`] layer — the first requester of a cell owns its
 //! engine job; later requesters (same connection or another client) tail
 //! the cell's event log.  The engine's workers feed each owned cell's
-//! entry and the global watch log directly, through the job's sink; the
-//! daemon runs no thread per cell.  Both logs are the crate's one
+//! entry and the global watch log directly, through the job's sink, which
+//! also sums the costs each batch carries; the daemon runs no thread per
+//! cell.  Both logs are the crate's one
 //! replayable `EventLog`: a `watch` connection replays the global log from
 //! event 0, then follows it live, rendering each event to its JSON line as
 //! it sends it.
@@ -23,8 +24,8 @@ use crate::cache::{ArtifactCache, CellCache, CellEntry, CellKey, Claim};
 use crate::log::EventLog;
 use crate::protocol::{self, Request, SubmitRequest, MAX_LINE_BYTES};
 use mbfi_core::{
-    CellInfo, EventKind, JobEvent, SweepCampaignResult, SweepConfig, SweepEngine, SweepReport,
-    TelemetryEvent,
+    CellInfo, CostTally, EventKind, JobEvent, SweepCampaign, SweepCampaignResult, SweepCell,
+    SweepConfig, SweepEngine, SweepReport, TelemetryEvent,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -157,6 +158,8 @@ struct Tallies {
     planned: u64,
     /// Experiments of every finished cell so far.
     finished: u64,
+    /// Summed costs of every finished cell so far.
+    cost: CostTally,
 }
 
 impl WatchLog {
@@ -195,20 +198,22 @@ impl WatchLog {
     }
 
     /// Append `cell`'s `cell_finished`, then the cumulative "sweep so far"
-    /// summary.  Each cumulative event takes its totals under the lock that
-    /// orders the log, so they only grow along it even when cells are
-    /// announced and finished concurrently: at quiescence the last summary
-    /// reconciles with every batch a watcher accumulated, and
-    /// `mbfi-monitor --connect` verifies clean.
-    fn push_finished(&self, cell: usize, result: &SweepCampaignResult) {
+    /// summary, `cost` being the cell's summed experiment costs.  Each
+    /// cumulative event takes its totals under the lock that orders the
+    /// log, so they only grow along it even when cells are announced and
+    /// finished concurrently: at quiescence the last summary reconciles with
+    /// every batch a watcher accumulated, and `mbfi-monitor --connect`
+    /// verifies clean.
+    fn push_finished(&self, cell: usize, result: &SweepCampaignResult, cost: &CostTally) {
         let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
         tallies.finished += result.result.total();
+        tallies.cost.merge(cost);
         let finished = EventKind::SweepFinished {
             cells: tallies.cells,
             experiments: tallies.finished,
             wall_ns: self.start.elapsed().as_nanos() as u64,
-            cow_chunks_copied: 0,
-            cow_restore_bytes_saved: 0,
+            cow_chunks_copied: tallies.cost.cow_chunks_copied,
+            cow_restore_bytes_saved: tallies.cost.cow_restore_bytes_saved,
         };
         self.append(&mut tallies, result.finished_event(cell));
         self.append(&mut tallies, finished);
@@ -500,6 +505,7 @@ fn handle_submit(
                     entry: Arc::clone(entry),
                     key: CellKey::of(&req.cells[i]),
                     gcell: base + j,
+                    cost: Mutex::default(),
                 };
                 (i, sink)
             })
@@ -511,10 +517,14 @@ fn handle_submit(
                 keep_records: false,
                 precision: cell.precision,
             };
+            let job = vec![SweepCell::Sampled(SweepCampaign {
+                unit: 0,
+                spec: cell.spec(),
+            })];
             let on_event = move |event| sink.on_event(event);
             if let Err(e) = inner
                 .engine
-                .submit(units[i].clone(), cell.spec(), &config, on_event)
+                .submit(vec![units[i].clone()], job, &config, on_event)
             {
                 // The engine is draining.  The rejected job's sink and the
                 // ones not yet submitted drop here and fail their cells, so
@@ -542,6 +552,7 @@ fn handle_submit(
     }
 
     let mut results: Vec<Arc<SweepCampaignResult>> = Vec::with_capacity(req.cells.len());
+    let mut cost = CostTally::default();
     for (i, claim) in claims.iter().enumerate() {
         let entry: &Arc<CellEntry> = match claim {
             Claim::Owner(e) | Claim::Follower(e) => e,
@@ -552,7 +563,7 @@ fn handle_submit(
             io.is_ok()
         });
         io?;
-        let Some(result) = result else {
+        let Some((result, cell_cost)) = result else {
             return send_line(
                 stream,
                 &protocol::error_line(&format!(
@@ -563,16 +574,17 @@ fn handle_submit(
         };
         events.emit(result.finished_event(i))?;
         results.push(result);
+        cost.merge(&cell_cost);
     }
 
-    // The CoW tallies stay 0: a telemetry hub counts them, and engine jobs
-    // carry none (experiments still restore from the unit's store).
+    // The CoW tallies are those of every cell's one execution, followed
+    // cells included, as the experiment total is.
     events.emit(EventKind::SweepFinished {
         cells: req.cells.len(),
         experiments: results.iter().map(|r| r.result.counts.total()).sum(),
         wall_ns: events.start.elapsed().as_nanos() as u64,
-        cow_chunks_copied: 0,
-        cow_restore_bytes_saved: 0,
+        cow_chunks_copied: cost.cow_chunks_copied,
+        cow_restore_bytes_saved: cost.cow_restore_bytes_saved,
     })?;
 
     // Assemble the final report exactly as `Sweep::run` would: results in
@@ -583,28 +595,34 @@ fn handle_submit(
 
 /// The sink of one owned cell's single-cell engine job: the engine's
 /// workers push its events into the cell's cache entry and the global watch
-/// log.  It is dropped with its job; a cell that never finished then (a
-/// failed batch, or a job the draining engine rejected) is failed, so its
-/// followers stop waiting, and evicted, so a later request can retry it.
+/// log, and sum its batches' costs.  It is dropped with its job; a cell
+/// that never finished then (a failed batch, or a job the draining engine
+/// rejected) is failed, so its followers stop waiting, and evicted, so a
+/// later request can retry it.
 struct CellSink {
     inner: Arc<Inner>,
     entry: Arc<CellEntry>,
     key: CellKey,
     /// The cell's index on the watch log.
     gcell: usize,
+    /// The summed costs of the cell's batches so far.
+    cost: Mutex<CostTally>,
 }
 
 impl CellSink {
     fn on_event(&self, event: JobEvent) {
         match event {
-            JobEvent::Progress(kind) => {
-                self.inner.watch.push(kind.clone().with_cell(self.gcell));
-                self.entry.push_event(kind);
+            JobEvent::Progress { event, cost } => {
+                self.cost.lock().expect(LOCK_POISONED).merge(&cost);
+                self.inner.watch.push(event.clone().with_cell(self.gcell));
+                self.entry.push_event(event);
             }
             JobEvent::CellFinished { result, .. } => {
+                // Every batch's progress, and so its cost, came first.
+                let cost = *self.cost.lock().expect(LOCK_POISONED);
                 let result = Arc::new(*result);
-                self.inner.watch.push_finished(self.gcell, &result);
-                self.entry.finish(result);
+                self.inner.watch.push_finished(self.gcell, &result, &cost);
+                self.entry.finish(result, cost);
             }
             JobEvent::Finished => {}
         }

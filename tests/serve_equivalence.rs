@@ -7,13 +7,13 @@
 //! in-flight work before the process exits.
 
 use mbfi_core::{
-    EngineUnit, EventKind, FaultModel, GoldenRun, IntervalMethod, MonitorState, Precision, Sweep,
+    EngineUnit, EventKind, FaultModel, IntervalMethod, MonitorState, Precision, Sweep,
     SweepCampaign, SweepCell, SweepConfig, SweepReport, SweepUnit, Technique, TelemetryEvent,
     TelemetryHub, TelemetryLevel,
 };
-use mbfi_ir::CompiledModule;
+use mbfi_serve::cache::{ArtifactCache, STORE_BREAK_EVEN};
 use mbfi_serve::{CellRequest, ServerConfig, ServerHandle, SubmitRequest};
-use mbfi_workloads::{all_workloads, workload_by_name, InputSize};
+use mbfi_workloads::{all_workloads, InputSize};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -37,33 +37,29 @@ fn full_grid() -> Vec<CellRequest> {
         .collect()
 }
 
-/// The units of `cells`, one per distinct program, and the grid over them.
-fn in_process_grid(cells: &[CellRequest]) -> (Vec<EngineUnit>, Vec<SweepCampaign>) {
-    let mut units = Vec::new();
-    let mut keys: Vec<(String, InputSize)> = Vec::new();
-    let mut campaigns = Vec::new();
-    for cell in cells {
-        let key = (cell.workload.to_ascii_lowercase(), cell.size);
-        let unit = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-            let w = workload_by_name(&cell.workload).expect("registered workload");
-            let code = CompiledModule::lower(&w.build_module(cell.size));
-            let golden = GoldenRun::capture_compiled(&code).expect("golden run");
-            units.push(EngineUnit::new(code, golden));
-            keys.push(key.clone());
-            units.len() - 1
-        });
-        campaigns.push(SweepCampaign {
-            unit,
-            spec: cell.spec(),
-        });
-    }
-    (units, campaigns)
+/// The units of `cells`, built as the daemon builds them for a planned
+/// budget of `budget` experiments (below `STORE_BREAK_EVEN`: no store), and
+/// the grid over them.
+fn in_process_grid(cells: &[CellRequest], budget: u64) -> (Vec<EngineUnit>, Vec<SweepCampaign>) {
+    let artifacts = ArtifactCache::default();
+    cells
+        .iter()
+        .enumerate()
+        .map(|(unit, cell)| {
+            let built = artifacts.get_or_build(&cell.workload, cell.size, budget);
+            let spec = cell.spec();
+            (
+                built.expect("registered workload"),
+                SweepCampaign { unit, spec },
+            )
+        })
+        .unzip()
 }
 
 /// Run the same cells in-process, the way every pre-daemon user of the
 /// library does: shared units, one grid, one `Sweep::run`.
 fn in_process(cells: &[CellRequest], threads: usize, precision: Option<Precision>) -> SweepReport {
-    let (units, campaigns) = in_process_grid(cells);
+    let (units, campaigns) = in_process_grid(cells, 0);
     let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
     Sweep::run(
         &views,
@@ -76,13 +72,15 @@ fn in_process(cells: &[CellRequest], threads: usize, precision: Option<Precision
     )
 }
 
-/// The telemetry events of an in-process sweep of `cells`.
+/// The telemetry events of an in-process sweep of `cells` over the units
+/// the daemon builds for a planned budget of `budget` experiments.
 fn in_process_events(
     cells: &[CellRequest],
     threads: usize,
     precision: Option<Precision>,
+    budget: u64,
 ) -> Vec<TelemetryEvent> {
-    let (units, campaigns) = in_process_grid(cells);
+    let (units, campaigns) = in_process_grid(cells, budget);
     let views: Vec<SweepUnit<'_>> = units.iter().map(EngineUnit::view).collect();
     let hub = TelemetryHub::new(TelemetryLevel::Full);
     let config = SweepConfig {
@@ -182,7 +180,7 @@ fn concurrent_clients_match_in_process_sweep_and_dedupe() {
         assert_eq!(
             (
                 batches(&a_out.events),
-                batches(&in_process_events(&a_cells, threads, None))
+                batches(&in_process_events(&a_cells, threads, None, 0))
             ),
             cuts,
             "threads={threads}: batch cuts"
@@ -331,7 +329,7 @@ fn served_cells_announce_the_in_process_planned_budget() {
         },
     )
     .expect("submission succeeds");
-    let events = in_process_events(&cells, 2, Some(precision));
+    let events = in_process_events(&cells, 2, Some(precision), 0);
     assert_eq!(planned(&served.events), planned(&events));
     assert_eq!(
         planned(&events),
@@ -421,6 +419,17 @@ fn watch_replays_the_global_log_from_event_zero() {
         .map(|r| r.result.total())
         .sum();
 
+    let (lines, monitor) = watch_until_shutdown(server);
+    let first = mbfi_core::TelemetryEvent::parse_line(&lines[0]).expect("first line parses");
+    assert_eq!(first.seq, 0, "the replay starts at event 0");
+    assert_eq!(monitor.reported_total, Some(executed));
+}
+
+/// The daemon's watch log, replayed by a watcher that connects before
+/// `server` shuts down: its lines, and their fold through `MonitorState`,
+/// which verifies clean.
+fn watch_until_shutdown(server: ServerHandle) -> (Vec<String>, MonitorState) {
+    let addr = server.addr();
     let (first_tx, first_rx) = std::sync::mpsc::channel();
     let watcher = std::thread::spawn(move || {
         let mut lines: Vec<String> = Vec::new();
@@ -438,19 +447,58 @@ fn watch_replays_the_global_log_from_event_zero() {
     mbfi_serve::shutdown(addr).expect("shutdown verb");
     server.join();
     let lines = watcher.join().expect("watcher");
-
-    let first = mbfi_core::TelemetryEvent::parse_line(&lines[0]).expect("first line parses");
-    assert_eq!(first.seq, 0, "the replay starts at event 0");
     let mut monitor = MonitorState::new();
     for line in &lines {
         monitor.apply_line(line).expect("watched events parse");
     }
+    let problems = monitor.verify();
     assert!(
-        monitor.verify().is_empty(),
-        "watch stream inconsistent: {:?}",
-        monitor.verify()
+        problems.is_empty(),
+        "watch stream inconsistent: {problems:?}"
     );
-    assert_eq!(monitor.reported_total, Some(executed));
+    (lines, monitor)
+}
+
+/// The `sweep_finished` copy-on-write tallies of a served stream are those
+/// of its cells' executions, equal to an in-process sweep's over the same
+/// units.  A one-experiment grid plans below `STORE_BREAK_EVEN`, so its
+/// programs get no checkpoint store: nothing is restored, so no restore
+/// bytes are saved (writes to shared zero chunks still copy some).  A
+/// ten-experiment grid captures the stores and restores from them.  The
+/// watch log's cumulative totals sum every executed cell.
+#[test]
+fn served_cow_tallies_are_those_of_the_executed_cells() {
+    const _: () = assert!(STORE_BREAK_EVEN > 1 && STORE_BREAK_EVEN <= 10);
+    let grid: Vec<CellRequest> = full_grid().into_iter().take(3).collect();
+    let sized = |experiments| -> Vec<CellRequest> {
+        grid.iter()
+            .map(|c| CellRequest {
+                experiments,
+                ..c.clone()
+            })
+            .collect()
+    };
+    let server = spawn_server(2);
+    let (single, single_monitor) = client(server.addr(), 0, sized(1)).join().unwrap();
+    let (ten, ten_monitor) = client(server.addr(), 0, sized(10)).join().unwrap();
+    assert_eq!(single.deduped + ten.deduped, 0, "every cell executes");
+    let cow = |m: &MonitorState| (m.cow_chunks_copied, m.cow_restore_bytes_saved);
+    let in_process_cow = |experiments| {
+        let mut monitor = MonitorState::new();
+        let cells = sized(experiments);
+        for event in in_process_events(&cells, 0, None, experiments as u64) {
+            monitor.apply(&event);
+        }
+        cow(&monitor)
+    };
+    assert_eq!(cow(&single_monitor), in_process_cow(1));
+    assert_eq!(single_monitor.cow_restore_bytes_saved, 0, "no store");
+    assert_eq!(cow(&ten_monitor), in_process_cow(10));
+    assert!(ten_monitor.cow_chunks_copied > 0 && ten_monitor.cow_restore_bytes_saved > 0);
+    let (_, watched) = watch_until_shutdown(server);
+    let (single, ten) = (cow(&single_monitor), cow(&ten_monitor));
+    let executed = (single.0 + ten.0, single.1 + ten.1);
+    assert_eq!(cow(&watched), executed, "the sum over every executed cell");
 }
 
 fn raw_request(addr: std::net::SocketAddr, line: &str) -> Vec<String> {
