@@ -197,4 +197,9 @@ if [[ "${1:-}" == "bench" ]]; then
     done
 fi
 
+# The ledger's Rust line count (ROADMAP.md): every *.rs file outside
+# target/ and perfbench/.
+echo "==> Rust LOC (ledger)"
+find . -name '*.rs' -not -path '*/target/*' -not -path './perfbench/*' | xargs cat | wc -l
+
 echo "==> OK"

@@ -62,7 +62,7 @@ fn mix(counts: &mbfi_core::OutcomeCounts) -> String {
 fn header_line(state: &MonitorState) -> String {
     let (total, counts) = state.totals();
     format!(
-        "{} | {} cells, {} threads | {} experiments | {:.0} exp/s | SDC {:.2}%{}{}",
+        "{} | {} cells, {} threads | {} experiments | {:.0} exp/s | SDC {:.2}%{}{}{}",
         if state.finished { "done" } else { "running" },
         state.cells.len(),
         state.threads,
@@ -82,6 +82,11 @@ fn header_line(state: &MonitorState) -> String {
             String::new()
         } else {
             format!(" | {} decode errors", state.errors.len())
+        },
+        if state.out_of_order == 0 {
+            String::new()
+        } else {
+            format!(" | {} out of order", state.out_of_order)
         },
     )
 }
@@ -213,6 +218,16 @@ mod tests {
         let state = state_from(&finished);
         let report = render_headless(&state);
         assert!(report.contains("cow 12 chunks, 2.0 MiB saved"), "{report}");
+    }
+
+    #[test]
+    fn out_of_order_events_surface_in_header() {
+        assert!(!header_line(&state_from(STREAM)).contains("out of order"));
+        // Event 3 arrives after event 4.
+        let mut lines: Vec<&str> = STREAM.lines().collect();
+        lines.swap(3, 4);
+        let header = header_line(&state_from(&lines.join("\n")));
+        assert!(header.ends_with(" | 1 out of order"), "{header}");
     }
 
     #[test]

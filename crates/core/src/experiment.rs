@@ -152,25 +152,13 @@ pub(crate) struct ExperimentCost {
     pub length_permille: u64,
 }
 
-/// The summed costs of a batch of runs.  A batch's tally travels in its
-/// [`JobEvent`](crate::JobEvent), and whoever drains the job's events
-/// publishes it to a hub in bulk: one [`TelemetryHub::add`] per metric per
-/// batch.
+/// The summed costs of a batch of runs, one slot per [`Metric`]: the
+/// longest ended run is a maximum, every other slot a sum.  A batch's tally
+/// travels in its [`JobEvent`](crate::JobEvent), and whoever drains the
+/// job's events publishes it to a hub in bulk: one [`TelemetryHub::add`]
+/// per metric per batch.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CostTally {
-    restores: u64,
-    replay_instrs_skipped: u64,
-    convergences: u64,
-    converged_instrs_skipped: u64,
-    hangs: u64,
-    hang_instrs: u64,
-    longest_ended_permille: u64,
-    /// Copy-on-write chunks the runs cloned ([`Metric::CowChunksCopied`]).
-    pub cow_chunks_copied: u64,
-    /// Restore bytes copy-on-write forking saved the runs
-    /// ([`Metric::CowRestoreBytesSaved`]).
-    pub cow_restore_bytes_saved: u64,
-}
+pub struct CostTally([u64; Metric::ALL.len()]);
 
 impl CostTally {
     /// Count one run: a checkpoint fast-forward and the dynamic
@@ -179,60 +167,51 @@ impl CostTally {
     /// or else the run's length, and the run's copy-on-write traffic.
     pub(crate) fn add(&mut self, cost: &ExperimentCost) {
         if let Some(skipped) = cost.restored_dyn {
-            self.restores += 1;
-            self.replay_instrs_skipped += skipped;
+            self.count(Metric::CheckpointRestores, 1);
+            self.count(Metric::ReplayInstrsSkipped, skipped);
         }
         if let Some((_, skipped)) = cost.converged_at {
-            self.convergences += 1;
-            self.converged_instrs_skipped += skipped;
+            self.count(Metric::GoldenConvergences, 1);
+            self.count(Metric::ConvergedInstrsSkipped, skipped);
         }
         match cost.hang_instrs {
             Some(instrs) => {
-                self.hangs += 1;
-                self.hang_instrs += instrs;
+                self.count(Metric::Hangs, 1);
+                self.count(Metric::HangInstrs, instrs);
             }
-            None => {
-                self.longest_ended_permille = self.longest_ended_permille.max(cost.length_permille)
-            }
+            None => self.count(Metric::LongestEndedPermille, cost.length_permille),
         }
-        self.cow_chunks_copied += cost.cow.cow_chunks_copied;
-        self.cow_restore_bytes_saved += cost.cow.restore_bytes_saved;
+        self.count(Metric::CowChunksCopied, cost.cow.cow_chunks_copied);
+        self.count(Metric::CowRestoreBytesSaved, cost.cow.restore_bytes_saved);
+    }
+
+    /// Fold `value` into `metric`'s slot: its maximum for
+    /// [`Metric::LongestEndedPermille`], its sum for the rest.
+    fn count(&mut self, metric: Metric, value: u64) {
+        let slot = &mut self.0[metric as usize];
+        *slot = match metric {
+            Metric::LongestEndedPermille => (*slot).max(value),
+            _ => *slot + value,
+        };
     }
 
     /// Count the runs of `other` too.
     pub fn merge(&mut self, other: &CostTally) {
-        self.restores += other.restores;
-        self.replay_instrs_skipped += other.replay_instrs_skipped;
-        self.convergences += other.convergences;
-        self.converged_instrs_skipped += other.converged_instrs_skipped;
-        self.hangs += other.hangs;
-        self.hang_instrs += other.hang_instrs;
-        self.longest_ended_permille = self
-            .longest_ended_permille
-            .max(other.longest_ended_permille);
-        self.cow_chunks_copied += other.cow_chunks_copied;
-        self.cow_restore_bytes_saved += other.cow_restore_bytes_saved;
+        for metric in Metric::ALL {
+            self.count(metric, other.0[metric as usize]);
+        }
     }
 
-    /// Publish the sums as [`Metric::CheckpointRestores`],
-    /// [`Metric::ReplayInstrsSkipped`], [`Metric::GoldenConvergences`],
-    /// [`Metric::ConvergedInstrsSkipped`], [`Metric::Hangs`],
-    /// [`Metric::HangInstrs`], [`Metric::CowChunksCopied`] and
-    /// [`Metric::CowRestoreBytesSaved`], and the longest ended run as the
-    /// maximum [`Metric::LongestEndedPermille`].
-    pub(crate) fn publish(&self, hub: &TelemetryHub) {
-        hub.add(Metric::CheckpointRestores, self.restores);
-        hub.add(Metric::ReplayInstrsSkipped, self.replay_instrs_skipped);
-        hub.add(Metric::GoldenConvergences, self.convergences);
-        hub.add(
-            Metric::ConvergedInstrsSkipped,
-            self.converged_instrs_skipped,
-        );
-        hub.add(Metric::Hangs, self.hangs);
-        hub.add(Metric::HangInstrs, self.hang_instrs);
-        hub.max(Metric::LongestEndedPermille, self.longest_ended_permille);
-        hub.add(Metric::CowChunksCopied, self.cow_chunks_copied);
-        hub.add(Metric::CowRestoreBytesSaved, self.cow_restore_bytes_saved);
+    /// Publish every slot to `hub`: [`TelemetryHub::max`] for the longest
+    /// ended run, [`TelemetryHub::add`] for the rest.
+    pub fn publish(&self, hub: &TelemetryHub) {
+        for metric in Metric::ALL {
+            let value = self.0[metric as usize];
+            match metric {
+                Metric::LongestEndedPermille => hub.max(metric, value),
+                _ => hub.add(metric, value),
+            }
+        }
     }
 }
 
@@ -530,6 +509,39 @@ mod tests {
                     .is_some_and(|rec| rec.reg == dead && rec.dyn_index < golden.dynamic_instrs / 2)
             })
             .collect()
+    }
+
+    /// Merging tallies keeps the longest ended run and sums every other
+    /// slot, whichever side holds the larger value.
+    #[test]
+    fn merged_tallies_keep_the_longest_run_and_sum_the_rest() {
+        let run = |restored, length_permille, cow_chunks_copied| ExperimentCost {
+            restored_dyn: Some(restored),
+            cow: mbfi_vm::CowStats {
+                cow_chunks_copied,
+                restore_bytes_saved: 4_096,
+            },
+            length_permille,
+            ..ExperimentCost::default()
+        };
+        let (mut long, mut short) = (CostTally::default(), CostTally::default());
+        long.add(&run(10, 1_500, 2));
+        short.add(&run(30, 900, 5));
+        short.add(&ExperimentCost {
+            hang_instrs: Some(70),
+            ..run(1, 9_000, 0)
+        });
+        for (mut into, from) in [(long, short), (short, long)] {
+            into.merge(&from);
+            let slot = |metric: Metric| into.0[metric as usize];
+            assert_eq!(slot(Metric::LongestEndedPermille), 1_500);
+            assert_eq!(slot(Metric::CheckpointRestores), 3);
+            assert_eq!(slot(Metric::ReplayInstrsSkipped), 41);
+            assert_eq!((slot(Metric::Hangs), slot(Metric::HangInstrs)), (1, 70));
+            assert_eq!(slot(Metric::CowChunksCopied), 7);
+            assert_eq!(slot(Metric::CowRestoreBytesSaved), 3 * 4_096);
+            assert_eq!(slot(Metric::ExperimentsRun), 0);
+        }
     }
 
     #[test]

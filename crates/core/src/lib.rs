@@ -78,6 +78,7 @@ pub mod experiment;
 pub mod fault_model;
 pub mod golden;
 pub mod injector;
+pub mod log;
 pub mod outcome;
 pub mod pruning;
 pub mod replay;
@@ -96,6 +97,7 @@ pub use experiment::{CostTally, Experiment, ExperimentResult, ExperimentSpec};
 pub use fault_model::{FaultModel, WinSize};
 pub use golden::GoldenRun;
 pub use injector::{InjectionRecord, InjectorHook};
+pub use log::EventLog;
 pub use outcome::{classify, Outcome, OutcomeCounts};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;

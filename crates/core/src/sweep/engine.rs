@@ -116,9 +116,10 @@ pub enum JobEvent {
         /// as the telemetry stream carries it (`cell` is the submission
         /// index; batches are always wall-clock timed).
         event: EventKind,
-        /// The summed costs of the batch's experiments; zero for a round,
-        /// which runs none.
-        cost: CostTally,
+        /// The summed costs of the batch's experiments, one slot per
+        /// metric (boxed: the tally is most of the event); zero for a
+        /// round, which runs none.
+        cost: Box<CostTally>,
     },
     /// `cell`'s last batch landed; `result` is final and byte-identical to
     /// [`Sweep::run`](super::Sweep::run)'s result for the same cell.

@@ -81,6 +81,9 @@
 //! job hands its [`JobEvent`]s to a sink its submitter passes in, and their
 //! progress variants carry the telemetry [`EventKind`]s themselves, so a
 //! telemetry hub, a serve client and `Sweep::run` all see one event type.
+//! The hub frames the stream too, for a sweep as for the daemon:
+//! [`TelemetryHub::announce`] opens it and [`TelemetryHub::record_summary`]
+//! closes it, with the costs each batch carried published in between.
 
 mod engine;
 mod plan;
@@ -89,7 +92,6 @@ pub use engine::{EngineUnit, JobEvent, SubmitError, SweepEngine};
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
-use std::time::Instant;
 
 use crate::adaptive::Precision;
 use crate::campaign::{CampaignResult, CampaignSpec, CampaignWarning};
@@ -356,16 +358,18 @@ impl Sweep {
         }
         // The hint cuts batches; the engine caps its pool at the machine.
         let engine = SweepEngine::new(resolve_threads(config.threads).min(job.batches()).max(1));
-        let job_cells = job.plans.len();
-        let sweep_start = Instant::now();
         if let Some(hub) = telemetry {
-            announce(hub, &job.plans, units, engine.threads());
+            // Before any experiment runs, so a tailing monitor sees labels
+            // and budgets first.
+            hub.announce(engine.threads(), job.plans.iter().map(cell_info).collect());
+            for store in units.iter().filter_map(|unit| unit.store) {
+                store.publish_telemetry(hub);
+            }
         }
         let shared = &engine.shared;
         shared.admit(job).expect("a fresh engine admits its job");
         // Workers exit as soon as the job drains.
         shared.shutdown();
-        let mut total = 0u64;
         loop {
             // A failed batch drops the job's sink, which disconnects
             // `events`: panic instead of waiting forever.
@@ -380,7 +384,6 @@ impl Sweep {
                     }
                 }
                 JobEvent::CellFinished { cell, result } => {
-                    total += result.result.total();
                     if let Some(hub) = telemetry {
                         hub.record(result.finished_event(cell));
                     }
@@ -394,44 +397,23 @@ impl Sweep {
         if let Some(hub) = telemetry {
             hub.add(Metric::WorkerParks, shared.parks.load(Ordering::Relaxed));
             hub.add(Metric::IdleNanos, shared.idle_ns.load(Ordering::Relaxed));
-            hub.record(EventKind::SweepFinished {
-                cells: job_cells,
-                experiments: total,
-                wall_ns: sweep_start.elapsed().as_nanos() as u64,
-                cow_chunks_copied: hub.counter(Metric::CowChunksCopied),
-                cow_restore_bytes_saved: hub.counter(Metric::CowRestoreBytesSaved),
-            });
+            hub.record_summary();
         }
         warnings
     }
 }
 
-/// Register a starting sweep with a hub before any experiment runs, so a
-/// tailing monitor sees labels and budgets first; also publish the units'
-/// checkpoint-store footprints.
-fn announce(hub: &TelemetryHub, plans: &[Plan], units: &[SweepUnit<'_>], threads: usize) {
-    hub.record(EventKind::SweepStarted {
-        cells: plans.len(),
-        threads,
-        planned: plans.iter().map(|p| p.spec.experiments as u64).sum(),
-    });
-    for (cell, p) in plans.iter().enumerate() {
-        hub.record(EventKind::CellPlanned {
-            cell,
-            info: CellInfo {
-                unit: p.unit,
-                label: format!(
-                    "u{} {} {}",
-                    p.unit,
-                    p.spec.technique.short_name(),
-                    p.spec.model.label()
-                ),
-                planned: p.spec.experiments as u64,
-            },
-        });
-    }
-    for store in units.iter().filter_map(|unit| unit.store) {
-        store.publish_telemetry(hub);
+/// The `cell_planned` description of a planned cell.
+fn cell_info(p: &Plan) -> CellInfo {
+    CellInfo {
+        unit: p.unit,
+        label: format!(
+            "u{} {} {}",
+            p.unit,
+            p.spec.technique.short_name(),
+            p.spec.model.label()
+        ),
+        planned: p.spec.experiments as u64,
     }
 }
 

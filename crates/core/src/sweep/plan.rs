@@ -622,7 +622,7 @@ fn execute_batch(worker: usize, job: &Job, cell: usize, b: usize) {
             wall_ns,
             worker,
         },
-        cost,
+        cost: Box::new(cost),
     });
     // Exactly one worker observes each round boundary: `fetch_add` hands out
     // unique completion counts, and `released` only moves when the boundary
@@ -652,7 +652,7 @@ fn execute_batch(worker: usize, job: &Job, cell: usize, b: usize) {
                     detection_half_width_pct: det_hw,
                     stopped: finished,
                 },
-                cost: CostTally::default(),
+                cost: Box::default(),
             });
             finished
         }

@@ -9,13 +9,19 @@
 //! * [`TelemetryHub`] — the recorder the sweep executor publishes into,
 //!   always as an `Option<&TelemetryHub>` (`None` = telemetry off, and
 //!   nothing is recorded).  It holds a lock-free registry of atomic
-//!   [`Metric`] counters and, at [`TelemetryLevel::Full`], an `mpsc`-backed
-//!   channel of structured [`TelemetryEvent`]s.  Sweep progress enters the
-//!   hub as the same [`EventKind`] values the stream carries
+//!   [`Metric`] counters and, at [`TelemetryLevel::Full`], an
+//!   [`EventLog`] of structured [`TelemetryEvent`]s.  Sweep progress enters
+//!   the hub as the same [`EventKind`] values the stream carries
 //!   ([`TelemetryHub::record`]), and the executor counters are folded from
 //!   those events, so they agree with the stream by construction.  The
 //!   hot loop is never instrumented: each batch sums its experiments' costs
-//!   and publishes them with one [`TelemetryHub::add`] per metric.
+//!   into a [`crate::CostTally`] and publishes it with one
+//!   [`TelemetryHub::add`] per metric.
+//! * The framer — the hub also opens and closes the stream
+//!   ([`TelemetryHub::announce`], [`TelemetryHub::record_summary`]), with
+//!   cumulative totals taken under the log's lock, so an in-process sweep,
+//!   the `mbfi-serve` watch stream and each of its submit streams are framed
+//!   by the same code.
 //! * JSON-lines event stream — every event renders to one line of JSON
 //!   (monotonic sequence, elapsed nanos, kind, cell id, payload) through the
 //!   hand-rolled [`crate::report::json`] writer, and parses back through
@@ -35,10 +41,10 @@
 //! classification — the hub only ever aggregates what already happened
 //! (`tests/telemetry_equivalence.rs` pins this).
 
+use crate::log::EventLog;
 use crate::outcome::OutcomeCounts;
 use crate::report::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// How much the telemetry plane records.
@@ -199,9 +205,8 @@ pub struct CellInfo {
 /// since the hub was created, and the kind-specific payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryEvent {
-    /// Monotonic sequence number (unique per hub; events on the JSONL stream
-    /// may appear slightly out of order across workers, but the set of
-    /// sequence numbers is always gap-free).
+    /// Sequence number: the event's place in its hub's log, assigned under
+    /// the log's lock, so every stream is gap-free and in order from 0.
     pub seq: u64,
     /// Nanoseconds since the hub's creation.
     pub t_ns: u64,
@@ -269,16 +274,17 @@ pub enum EventKind {
         /// Completed rounds (0 for fixed-n cells).
         rounds: u32,
     },
-    /// The whole sweep finished.
+    /// The whole sweep finished (on the daemon's watch stream, after each
+    /// cell: the sweep so far, over every cell announced).
     SweepFinished {
         /// Number of cells.
         cells: usize,
-        /// Total experiments across all cells.
+        /// Total experiments across all finished cells.
         experiments: u64,
-        /// Sweep wall clock, nanoseconds.
+        /// Wall clock since the hub's creation, nanoseconds.
         wall_ns: u64,
         /// Total [`Metric::CowChunksCopied`] at sweep end (on `mbfi-serve`
-        /// streams, summed over the executions of the stream's cells).
+        /// streams, summed over the executions of the finished cells).
         cow_chunks_copied: u64,
         /// Total [`Metric::CowRestoreBytesSaved`] at sweep end.
         cow_restore_bytes_saved: u64,
@@ -454,29 +460,40 @@ impl TelemetryEvent {
 }
 
 /// The live telemetry aggregation point: the [`Metric`] registry and, at
-/// [`TelemetryLevel::Full`], the event stream.  Both accumulate across the
-/// hub's lifetime.
+/// [`TelemetryLevel::Full`], the event stream, an [`EventLog`] whose
+/// sequence numbers and framing totals are taken under its lock.  Both
+/// accumulate across the hub's lifetime.
 #[derive(Debug)]
 pub struct TelemetryHub {
     level: TelemetryLevel,
     start: Instant,
-    seq: AtomicU64,
     counters: Vec<AtomicU64>,
-    events_tx: mpsc::Sender<TelemetryEvent>,
-    events_rx: Mutex<mpsc::Receiver<TelemetryEvent>>,
+    log: EventLog<TelemetryEvent, Frame>,
+}
+
+/// The framer's running totals, kept under the log's lock.
+#[derive(Debug, Default)]
+struct Frame {
+    /// Cells announced so far; the next one gets this index.
+    cells: usize,
+    /// Units announced so far; the next announcement's units start here.
+    units: usize,
+    /// Experiments planned by the announced cells.
+    planned: u64,
+    /// Experiments of every finished cell so far.
+    finished: u64,
+    /// Events handed out by [`TelemetryHub::drain_events`] so far.
+    drained: usize,
 }
 
 impl TelemetryHub {
     /// A hub recording at the given level.
     pub fn new(level: TelemetryLevel) -> TelemetryHub {
-        let (events_tx, events_rx) = mpsc::channel();
         TelemetryHub {
             level,
             start: Instant::now(),
-            seq: AtomicU64::new(0),
             counters: (0..Metric::ALL.len()).map(|_| AtomicU64::new(0)).collect(),
-            events_tx,
-            events_rx: Mutex::new(events_rx),
+            log: EventLog::default(),
         }
     }
 
@@ -485,12 +502,17 @@ impl TelemetryHub {
         self.counters[metric as usize].load(Ordering::Relaxed)
     }
 
-    /// Drain all events queued so far (Full level; empty otherwise).
+    /// The events recorded since the last drain (Full level; empty
+    /// otherwise).
     pub fn drain_events(&self) -> Vec<TelemetryEvent> {
-        self.events_rx.lock().unwrap().try_iter().collect()
+        self.log.read(|frame, events| {
+            let fresh = events[frame.drained..].to_vec();
+            frame.drained = events.len();
+            fresh
+        })
     }
 
-    /// Drain all queued events as JSONL (one event per line).
+    /// Drain the recorded events as JSONL (one event per line).
     pub fn drain_jsonl(&self) -> String {
         let mut out = String::new();
         for event in self.drain_events() {
@@ -500,15 +522,31 @@ impl TelemetryHub {
         out
     }
 
+    /// Hand every event, from the first, to `emit`, then follow the stream
+    /// until [`TelemetryHub::close`] or until `emit` returns `false` (see
+    /// [`EventLog::tail`]).
+    pub fn tail(&self, emit: impl FnMut(&TelemetryEvent) -> bool) {
+        self.log.tail(emit);
+    }
+
+    /// End the event stream: tailing readers drain it and return.
+    pub fn close(&self) {
+        self.log.close();
+    }
+
     /// The registry at this instant.  Counters are read one by one with
     /// relaxed ordering: totals may be mid-update while a sweep runs, and
     /// are exact once it returned.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             level: self.level,
-            elapsed_ns: self.start.elapsed().as_nanos() as u64,
+            elapsed_ns: self.elapsed_ns(),
             counters: Metric::ALL.iter().map(|&m| (m, self.counter(m))).collect(),
         }
+    }
+
+    fn elapsed_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
     }
 
     /// Bump a registry counter.
@@ -532,9 +570,6 @@ impl TelemetryHub {
     /// experiment, batch and busy-time tallies, `RoundDone` and
     /// `CellFinished` one count each; the other kinds only reach the stream.
     pub fn record(&self, kind: EventKind) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
         match &kind {
             EventKind::BatchDone {
                 experiments,
@@ -551,16 +586,75 @@ impl TelemetryHub {
             | EventKind::CellPlanned { .. }
             | EventKind::SweepFinished { .. } => {}
         }
-        if self.level == TelemetryLevel::Full {
-            let event = TelemetryEvent {
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                t_ns: self.start.elapsed().as_nanos() as u64,
-                kind,
+        self.append(|frame| {
+            if let EventKind::CellFinished { experiments, .. } = &kind {
+                frame.finished += experiments;
+            }
+            [kind]
+        });
+    }
+
+    /// Give `cells` the next cell indices of this hub's stream, and their
+    /// units the next unit indices, and announce them: a `sweep_started`
+    /// over every cell announced so far, then one `cell_planned` each.
+    /// Returns the first cell's index (Full level; 0 otherwise).
+    pub fn announce(&self, threads: usize, cells: Vec<CellInfo>) -> usize {
+        let mut first = 0;
+        self.append(|frame| {
+            let (base, units) = (frame.cells, frame.units);
+            first = base;
+            frame.cells += cells.len();
+            frame.units += cells.iter().map(|c| c.unit + 1).max().unwrap_or(0);
+            frame.planned += cells.iter().map(|c| c.planned).sum::<u64>();
+            let started = EventKind::SweepStarted {
+                cells: frame.cells,
+                threads,
+                planned: frame.planned,
             };
-            // The receiver lives inside the hub, so the channel cannot be
-            // closed.
-            let _ = self.events_tx.send(event);
+            let planned = cells.into_iter().enumerate().map(move |(j, info)| {
+                let unit = units + info.unit;
+                EventKind::CellPlanned {
+                    cell: base + j,
+                    info: CellInfo { unit, ..info },
+                }
+            });
+            std::iter::once(started).chain(planned)
+        });
+        first
+    }
+
+    /// Record the cumulative `sweep_finished`: every cell announced so far,
+    /// the experiments of every finished one, the hub's age and its
+    /// copy-on-write counters.
+    pub fn record_summary(&self) {
+        self.append(|frame| {
+            [EventKind::SweepFinished {
+                cells: frame.cells,
+                experiments: frame.finished,
+                wall_ns: self.elapsed_ns(),
+                cow_chunks_copied: self.counter(Metric::CowChunksCopied),
+                cow_restore_bytes_saved: self.counter(Metric::CowRestoreBytesSaved),
+            }]
+        });
+    }
+
+    /// At Full level, update the framer's totals through `frame` and append
+    /// the events it returns, under the log's lock.
+    fn append<I: IntoIterator<Item = EventKind>>(&self, frame: impl FnOnce(&mut Frame) -> I) {
+        if self.level != TelemetryLevel::Full {
+            return;
         }
+        self.log.append(|totals, next| {
+            let t_ns = self.elapsed_ns();
+            frame(totals)
+                .into_iter()
+                .enumerate()
+                .map(move |(i, kind)| TelemetryEvent {
+                    seq: (next + i) as u64,
+                    t_ns,
+                    kind,
+                })
+        });
     }
 }
 
@@ -595,10 +689,9 @@ impl TelemetrySnapshot {
 }
 
 /// Accumulated view of a telemetry event stream — the state model behind
-/// `mbfi-monitor`.  Events may arrive slightly out of sequence across
-/// workers; the accumulator is order-insensitive (all updates are sums or
-/// idempotent stores) and tracks the sequence-number set so a gap or
-/// duplicate is still detectable.
+/// `mbfi-monitor`.  The accumulator is order-insensitive (all updates are
+/// sums or idempotent stores) and tracks the sequence-number set, so a gap
+/// or duplicate is detectable even in a stream that arrives out of order.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorState {
     /// Worker threads announced by `SweepStarted`.
@@ -622,10 +715,9 @@ pub struct MonitorState {
     /// Malformed lines / decode failures encountered.
     pub errors: Vec<String>,
     /// Events whose sequence number did not arrive strictly increasing.
-    /// Expected to be 0 on a single TCP stream; a non-zero count is
-    /// reported but is not by itself a verification failure (the
-    /// accumulator is order-insensitive, and multi-worker emission may
-    /// legitimately interleave).
+    /// Expected to be 0, as every hub numbers its events in order; a
+    /// non-zero count is shown in the `mbfi-monitor` header but is not by
+    /// itself a verification failure (the accumulator is order-insensitive).
     pub out_of_order: u64,
     seq_count: u64,
     seq_min: u64,
@@ -981,40 +1073,39 @@ mod tests {
         assert!(hub.drain_events().is_empty());
     }
 
-    fn sample_events() -> Vec<TelemetryEvent> {
+    /// A full hub that announced two cells, ran and finished them, and
+    /// recorded its summary: nine events.
+    fn sample_hub() -> TelemetryHub {
         let hub = TelemetryHub::new(TelemetryLevel::Full);
-        hub.record(EventKind::SweepStarted {
-            cells: 2,
-            threads: 3,
-            planned: 30,
-        });
-        hub.record(EventKind::CellPlanned {
-            cell: 0,
-            info: CellInfo {
-                unit: 0,
-                label: "qsort read 1-bit".into(),
-                planned: 10,
-            },
-        });
-        hub.record(EventKind::CellPlanned {
-            cell: 1,
-            info: CellInfo {
-                unit: 1,
-                label: "histo write m=3,w=100".into(),
-                planned: 20,
-            },
-        });
+        let info = |unit, label: &str, planned| CellInfo {
+            unit,
+            label: label.into(),
+            planned,
+        };
+        let cells = vec![
+            info(0, "qsort read 1-bit", 10),
+            info(1, "histo write m=3,w=100", 20),
+        ];
+        assert_eq!(hub.announce(3, cells), 0);
+        let counts0 = OutcomeCounts {
+            benign: 6,
+            hw_exception: 2,
+            hang: 0,
+            no_output: 1,
+            sdc: 1,
+        };
+        let counts1 = OutcomeCounts {
+            benign: 15,
+            hw_exception: 3,
+            hang: 1,
+            no_output: 0,
+            sdc: 1,
+        };
         hub.record(EventKind::BatchDone {
             cell: 0,
             batch: 0,
             experiments: 10,
-            counts: OutcomeCounts {
-                benign: 6,
-                hw_exception: 2,
-                hang: 0,
-                no_output: 1,
-                sdc: 1,
-            },
+            counts: counts0,
             wall_ns: 12_345,
             worker: 2,
         });
@@ -1030,48 +1121,100 @@ mod tests {
             cell: 1,
             batch: 0,
             experiments: 20,
-            counts: OutcomeCounts {
-                benign: 15,
-                hw_exception: 3,
-                hang: 1,
-                no_output: 0,
-                sdc: 1,
-            },
+            counts: counts1,
             wall_ns: 9_999,
             worker: 0,
         });
+        for (cell, experiments, counts, rounds) in [(0, 10, counts0, 0), (1, 20, counts1, 1)] {
+            hub.record(EventKind::CellFinished {
+                cell,
+                experiments,
+                counts,
+                rounds,
+            });
+        }
+        hub.add(Metric::CowChunksCopied, 7);
+        hub.add(Metric::CowRestoreBytesSaved, 28_672);
+        hub.record_summary();
+        hub
+    }
+
+    fn sample_events() -> Vec<TelemetryEvent> {
+        sample_hub().drain_events()
+    }
+
+    /// Each drain hands out the events recorded since the last one, once;
+    /// a tail still replays the whole stream from event 0.
+    #[test]
+    fn drains_hand_each_event_out_once_and_tails_replay_from_zero() {
+        let hub = sample_hub();
+        let first = hub.drain_events();
+        assert_eq!(first.len(), 9);
+        assert!(hub.drain_events().is_empty());
+        hub.record_summary();
+        let second = hub.drain_events();
+        assert_eq!(second.iter().map(|e| e.seq).collect::<Vec<_>>(), [9]);
+        hub.close();
+        let mut replayed = Vec::new();
+        hub.tail(|event| {
+            replayed.push(event.clone());
+            true
+        });
+        assert_eq!(replayed, [first, second].concat());
+    }
+
+    /// A second announcement continues the cell and unit numbering and the
+    /// cumulative totals; a summary between the two counts the experiments
+    /// of finished cells only, and the copy-on-write traffic published.
+    #[test]
+    fn announcements_and_summaries_are_cumulative() {
+        let hub = TelemetryHub::new(TelemetryLevel::Full);
+        let info = |unit, planned| CellInfo {
+            unit,
+            label: format!("c{unit}"),
+            planned,
+        };
+        assert_eq!(hub.announce(2, vec![info(0, 5), info(1, 7)]), 0);
+        hub.record(EventKind::BatchDone {
+            cell: 1,
+            batch: 0,
+            experiments: 3,
+            counts: OutcomeCounts::default(),
+            wall_ns: 1,
+            worker: 0,
+        });
+        hub.add(Metric::CowChunksCopied, 4);
         hub.record(EventKind::CellFinished {
             cell: 0,
-            experiments: 10,
-            counts: OutcomeCounts {
-                benign: 6,
-                hw_exception: 2,
-                hang: 0,
-                no_output: 1,
-                sdc: 1,
-            },
+            experiments: 5,
+            counts: OutcomeCounts::default(),
             rounds: 0,
         });
-        hub.record(EventKind::CellFinished {
-            cell: 1,
-            experiments: 20,
-            counts: OutcomeCounts {
-                benign: 15,
-                hw_exception: 3,
-                hang: 1,
-                no_output: 0,
-                sdc: 1,
-            },
-            rounds: 1,
-        });
-        hub.record(EventKind::SweepFinished {
-            cells: 2,
-            experiments: 30,
-            wall_ns: 22_344,
-            cow_chunks_copied: 7,
-            cow_restore_bytes_saved: 28_672,
-        });
-        hub.drain_events()
+        hub.record_summary();
+        assert_eq!(hub.announce(1, vec![info(0, 11)]), 2);
+        let kinds: Vec<EventKind> = hub.drain_events().into_iter().map(|e| e.kind).collect();
+        let started = |cells, threads, planned| EventKind::SweepStarted {
+            cells,
+            threads,
+            planned,
+        };
+        assert_eq!(kinds[0], started(2, 2, 12));
+        assert!(matches!(
+            kinds[5],
+            EventKind::SweepFinished {
+                cells: 2,
+                experiments: 5,
+                cow_chunks_copied: 4,
+                cow_restore_bytes_saved: 0,
+                ..
+            }
+        ));
+        assert_eq!(kinds[6], started(3, 1, 23));
+        let info = CellInfo {
+            unit: 2,
+            ..info(0, 11)
+        };
+        assert_eq!(kinds[7], EventKind::CellPlanned { cell: 2, info });
     }
 
     /// Every event kind round-trips through the JSONL writer and the

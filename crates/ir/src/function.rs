@@ -37,7 +37,7 @@ impl FuncId {
 pub struct RegInfo {
     /// The register's scalar type.
     pub ty: Type,
-    /// Optional debug name (used by the printer).
+    /// Optional debug name, shown in a module's `Debug` output.
     pub name: Option<String>,
 }
 
@@ -45,7 +45,7 @@ pub struct RegInfo {
 /// terminator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
-    /// Optional label used by the printer / parser.
+    /// Optional debug label, shown in a module's `Debug` output.
     pub label: Option<String>,
     /// Instructions in execution order; the last one must be a terminator.
     pub instrs: Vec<Instr>,

@@ -70,30 +70,6 @@ impl BinOp {
     pub fn can_trap(self) -> bool {
         matches!(self, BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem)
     }
-
-    /// Textual mnemonic used by the printer / parser.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::UDiv => "udiv",
-            BinOp::SDiv => "sdiv",
-            BinOp::URem => "urem",
-            BinOp::SRem => "srem",
-            BinOp::Shl => "shl",
-            BinOp::LShr => "lshr",
-            BinOp::AShr => "ashr",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::FAdd => "fadd",
-            BinOp::FSub => "fsub",
-            BinOp::FMul => "fmul",
-            BinOp::FDiv => "fdiv",
-            BinOp::FRem => "frem",
-        }
-    }
 }
 
 /// Integer comparison predicates.
@@ -121,24 +97,6 @@ pub enum IcmpPred {
     Sle,
 }
 
-impl IcmpPred {
-    /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            IcmpPred::Eq => "eq",
-            IcmpPred::Ne => "ne",
-            IcmpPred::Ugt => "ugt",
-            IcmpPred::Uge => "uge",
-            IcmpPred::Ult => "ult",
-            IcmpPred::Ule => "ule",
-            IcmpPred::Sgt => "sgt",
-            IcmpPred::Sge => "sge",
-            IcmpPred::Slt => "slt",
-            IcmpPred::Sle => "sle",
-        }
-    }
-}
-
 /// Floating-point comparison predicates (ordered comparisons plus
 /// ordered/unordered tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,24 +121,6 @@ pub enum FcmpPred {
     Ueq,
     /// Unordered or not equal.
     Une,
-}
-
-impl FcmpPred {
-    /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            FcmpPred::Oeq => "oeq",
-            FcmpPred::One => "one",
-            FcmpPred::Ogt => "ogt",
-            FcmpPred::Oge => "oge",
-            FcmpPred::Olt => "olt",
-            FcmpPred::Ole => "ole",
-            FcmpPred::Ord => "ord",
-            FcmpPred::Uno => "uno",
-            FcmpPred::Ueq => "ueq",
-            FcmpPred::Une => "une",
-        }
-    }
 }
 
 /// Conversion operators between scalar types.
@@ -213,24 +153,6 @@ pub enum CastOp {
 }
 
 impl CastOp {
-    /// Textual mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CastOp::Trunc => "trunc",
-            CastOp::ZExt => "zext",
-            CastOp::SExt => "sext",
-            CastOp::FpToSi => "fptosi",
-            CastOp::FpToUi => "fptoui",
-            CastOp::SiToFp => "sitofp",
-            CastOp::UiToFp => "uitofp",
-            CastOp::FpTrunc => "fptrunc",
-            CastOp::FpExt => "fpext",
-            CastOp::PtrToInt => "ptrtoint",
-            CastOp::IntToPtr => "inttoptr",
-            CastOp::Bitcast => "bitcast",
-        }
-    }
-
     /// Every cast operator (for exhaustive transfer-function tests).
     pub const ALL: [CastOp; 12] = [
         CastOp::Trunc,
@@ -298,32 +220,6 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
-    /// Textual name used by the printer / parser.
-    pub fn name(self) -> &'static str {
-        match self {
-            Intrinsic::PrintI64 => "print_i64",
-            Intrinsic::PrintF64 => "print_f64",
-            Intrinsic::PrintChar => "print_char",
-            Intrinsic::PrintBytes => "print_bytes",
-            Intrinsic::Abort => "abort",
-            Intrinsic::Malloc => "malloc",
-            Intrinsic::Free => "free",
-            Intrinsic::Memcpy => "memcpy",
-            Intrinsic::Memset => "memset",
-            Intrinsic::Sqrt => "sqrt",
-            Intrinsic::Sin => "sin",
-            Intrinsic::Cos => "cos",
-            Intrinsic::Atan => "atan",
-            Intrinsic::Pow => "pow",
-            Intrinsic::Exp => "exp",
-            Intrinsic::Log => "log",
-            Intrinsic::Fabs => "fabs",
-            Intrinsic::Floor => "floor",
-            Intrinsic::Ceil => "ceil",
-            Intrinsic::Cbrt => "cbrt",
-        }
-    }
-
     /// Whether the intrinsic produces a result register.
     pub fn has_result(self) -> bool {
         !matches!(

@@ -16,7 +16,6 @@
 //! * a flat bytecode lowering ([`CompiledModule`]) — the pre-decoded form
 //!   the interpreter's hot path executes,
 //! * an ergonomic [`builder`] API used by the benchmark workloads,
-//! * a textual [`printer`] for dumping and inspecting programs,
 //! * a structural [`verify`] pass.
 //!
 //! The fault models of the paper operate on the *source and destination
@@ -29,7 +28,6 @@ pub mod compiled;
 pub mod function;
 pub mod instr;
 pub mod module;
-pub mod printer;
 pub mod types;
 pub mod value;
 pub mod verify;
@@ -39,7 +37,6 @@ pub use compiled::{CInstr, CompiledModule, FrameLayout, InstrMeta};
 pub use function::{Block, BlockId, FuncId, Function, RegInfo};
 pub use instr::{BinOp, CastOp, FcmpPred, IcmpPred, Instr, Intrinsic, Opcode};
 pub use module::{Global, Module};
-pub use printer::print_module;
 pub use types::Type;
 pub use value::{Constant, Operand, Reg};
 pub use verify::{verify_module, VerifyError};

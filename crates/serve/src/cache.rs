@@ -11,10 +11,13 @@
 //! * `CellCache` (crate-private) — one *execution* per `CellKey`
 //!   (workload, size, and the full normalised campaign spec).  The first
 //!   requester becomes the owner and submits the engine job, whose sink
-//!   feeds the cell's `CellEntry`: the daemon's replayable event log of the
-//!   cell plus its result slot.  Everyone tails that entry, replaying its
-//!   events from the first and following them until the log closes: after
-//!   the result lands, or without one when the execution failed.  Because
+//!   feeds the cell's `CellEntry`: the cell's [`EventLog`] (the one
+//!   replayable log, which also backs every telemetry hub) plus its result
+//!   slot, which holds the cell's summed costs beside its result.  Everyone
+//!   tails that entry, replaying its events from the first and following
+//!   them until the log closes: after the result lands, or without one when
+//!   the execution failed.  Each requester's stream publishes those costs
+//!   into its own hub when the cell finishes.  Because
 //!   the executor is deterministic — the result is a pure function of the
 //!   spec, never of thread count or batch schedule — handing client B
 //!   client A's bytes *is* running the cell.
@@ -41,10 +44,9 @@
 //! the 15 programs at tiny input the stores take 0.93 MiB in total, 40 to
 //! 104 KiB per unit, against 12.4 MiB at the harness's 128 checkpoints.
 
-use crate::log::EventLog;
 use crate::protocol::CellRequest;
 use mbfi_core::{
-    CheckpointConfig, CheckpointStore, CostTally, EngineUnit, EventKind, IntervalMethod,
+    CheckpointConfig, CheckpointStore, CostTally, EngineUnit, EventKind, EventLog, IntervalMethod,
     SweepCampaignResult, Technique, WinSize,
 };
 use mbfi_workloads::InputSize;

@@ -19,9 +19,6 @@
 //!   *execution* per cell spec, no matter how many clients ask for it
 //!   concurrently.  Sound because the executor is deterministic: a cell's
 //!   result is a pure function of its spec.
-//! * `log` (crate-private) — the one replayable event log behind each
-//!   cell's stream and the global watch stream: readers replay it from the
-//!   first entry, then follow it live until it closes.
 //! * [`client`] — connect/submit/watch/shutdown helpers used by the CLI,
 //!   `mbfi-monitor --connect`, the benchmark and the equivalence tests.
 //!
@@ -33,7 +30,6 @@
 
 pub mod cache;
 pub mod client;
-mod log;
 pub mod protocol;
 pub mod server;
 

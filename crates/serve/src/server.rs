@@ -6,12 +6,18 @@
 //! the [`crate::cache`] layer — the first requester of a cell owns its
 //! engine job; later requesters (same connection or another client) tail
 //! the cell's event log.  The engine's workers feed each owned cell's
-//! entry and the global watch log directly, through the job's sink, which
-//! also sums the costs each batch carries; the daemon runs no thread per
-//! cell.  Both logs are the crate's one
-//! replayable `EventLog`: a `watch` connection replays the global log from
-//! event 0, then follows it live, rendering each event to its JSON line as
-//! it sends it.
+//! entry and the global watch stream directly, through the job's sink,
+//! which also sums the costs each batch carries and publishes them when the
+//! cell finishes; the daemon runs no thread per cell.
+//!
+//! Every stream the daemon sends is framed by a [`TelemetryHub`], as an
+//! in-process sweep's is: the global watch stream is one long-lived `full`
+//! hub, which announces each newly owned cell under the next global index
+//! and follows each finished cell with a cumulative `sweep_finished`; a
+//! `watch` connection replays it from event 0, then follows it live,
+//! rendering each event to its JSON line as it sends it.  Each submit
+//! stream is a fresh hub of its own, numbered from 0, that the connection
+//! drains to its socket as the cells' events arrive.
 //!
 //! Failure containment: a malformed request, an unknown workload or a
 //! mid-stream disconnect terminates *that connection only*.  The engine,
@@ -21,18 +27,17 @@
 //! full report, and only then do the threads join.
 
 use crate::cache::{ArtifactCache, CellCache, CellEntry, CellKey, Claim};
-use crate::log::EventLog;
 use crate::protocol::{self, Request, SubmitRequest, MAX_LINE_BYTES};
 use mbfi_core::{
-    CellInfo, CostTally, EventKind, JobEvent, SweepCampaign, SweepCampaignResult, SweepCell,
-    SweepConfig, SweepEngine, SweepReport, TelemetryEvent,
+    CellInfo, CostTally, JobEvent, SweepCampaign, SweepCampaignResult, SweepCell, SweepConfig,
+    SweepEngine, SweepReport, TelemetryHub, TelemetryLevel,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const LOCK_POISONED: &str = "serve server lock poisoned";
 
@@ -136,104 +141,13 @@ fn send_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(b"\n")
 }
 
-/// The daemon's global telemetry log: every executed cell's events, with
-/// log-assigned gap-free sequence numbers, kept for replay so a `watch`
-/// connection arriving late still sees the stream from event 0.  Each line
-/// is rendered when it is sent to a watcher.
-struct WatchLog {
-    log: EventLog<TelemetryEvent>,
-    /// Orders every push: an event's sequence number and the cumulative
-    /// totals it carries are taken under this lock.
-    tallies: Mutex<Tallies>,
-    start: Instant,
-}
-
-#[derive(Default)]
-struct Tallies {
-    /// The next event's sequence number.
-    seq: u64,
-    /// Cells announced so far; the next one gets this index.
-    cells: usize,
-    /// Experiments planned by every announced cell so far.
-    planned: u64,
-    /// Experiments of every finished cell so far.
-    finished: u64,
-    /// Summed costs of every finished cell so far.
-    cost: CostTally,
-}
-
-impl WatchLog {
-    fn new() -> WatchLog {
-        WatchLog {
-            log: EventLog::default(),
-            tallies: Mutex::new(Tallies::default()),
-            start: Instant::now(),
-        }
-    }
-
-    /// Append one event.  No-op once closed.
-    fn push(&self, kind: EventKind) {
-        let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
-        self.append(&mut tallies, kind);
-    }
-
-    /// Give `cells` the next cell indices of the log and announce them: a
-    /// cumulative `sweep_started` over every cell so far, then one
-    /// `cell_planned` each.  Returns the first one's index.
-    fn announce(&self, threads: usize, cells: &[&protocol::CellRequest]) -> usize {
-        let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
-        let base = tallies.cells;
-        tallies.cells += cells.len();
-        tallies.planned += cells.iter().map(|c| c.planned_budget()).sum::<u64>();
-        let started = EventKind::SweepStarted {
-            cells: tallies.cells,
-            threads,
-            planned: tallies.planned,
-        };
-        self.append(&mut tallies, started);
-        for (j, cell) in cells.iter().enumerate() {
-            self.append(&mut tallies, cell_planned(base + j, cell));
-        }
-        base
-    }
-
-    /// Append `cell`'s `cell_finished`, then the cumulative "sweep so far"
-    /// summary, `cost` being the cell's summed experiment costs.  Each
-    /// cumulative event takes its totals under the lock that orders the
-    /// log, so they only grow along it even when cells are announced and
-    /// finished concurrently: at quiescence the last summary reconciles with
-    /// every batch a watcher accumulated, and `mbfi-monitor --connect`
-    /// verifies clean.
-    fn push_finished(&self, cell: usize, result: &SweepCampaignResult, cost: &CostTally) {
-        let mut tallies = self.tallies.lock().expect(LOCK_POISONED);
-        tallies.finished += result.result.total();
-        tallies.cost.merge(cost);
-        let finished = EventKind::SweepFinished {
-            cells: tallies.cells,
-            experiments: tallies.finished,
-            wall_ns: self.start.elapsed().as_nanos() as u64,
-            cow_chunks_copied: tallies.cost.cow_chunks_copied,
-            cow_restore_bytes_saved: tallies.cost.cow_restore_bytes_saved,
-        };
-        self.append(&mut tallies, result.finished_event(cell));
-        self.append(&mut tallies, finished);
-    }
-
-    fn append(&self, tallies: &mut Tallies, kind: EventKind) {
-        self.log.push(TelemetryEvent {
-            seq: tallies.seq,
-            t_ns: self.start.elapsed().as_nanos() as u64,
-            kind,
-        });
-        tallies.seq += 1;
-    }
-}
-
 struct Inner {
     engine: SweepEngine,
     cells: CellCache,
     artifacts: ArtifactCache,
-    watch: WatchLog,
+    /// The global event stream: every executed cell, announced when an
+    /// owner claims it, replayed from event 0 to every `watch`.
+    watch: TelemetryHub,
     stop: AtomicBool,
     addr: SocketAddr,
     /// [`ServerConfig::read_timeout_ms`], applied to every read and write.
@@ -299,7 +213,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         engine: SweepEngine::new(config.threads),
         cells: CellCache::default(),
         artifacts: ArtifactCache::default(),
-        watch: WatchLog::new(),
+        watch: TelemetryHub::new(TelemetryLevel::Full),
         stop: AtomicBool::new(false),
         addr,
         io_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
@@ -348,7 +262,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     // ... then release the watchers and wait out the connection handlers
     // (submit streams have their results by now; watch streams drain and
     // exit on the closed log).
-    inner.watch.log.close();
+    inner.watch.close();
     loop {
         let batch: Vec<JoinHandle<()>> =
             std::mem::take(&mut *inner.connections.lock().expect(LOCK_POISONED));
@@ -384,7 +298,6 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
         Ok(Request::Watch) => {
             inner
                 .watch
-                .log
                 .tail(|event| send_line(&stream, &event.render_line()).is_ok());
         }
         Ok(Request::Shutdown) => {
@@ -397,43 +310,25 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     }
 }
 
-/// Per-connection telemetry emitter: connection-local sequence numbers and
-/// cell indices, so each submit stream is an independently verifiable
-/// JSONL stream (gap-free from 0).
-struct EventStream<'a> {
-    stream: &'a TcpStream,
-    seq: u64,
-    start: Instant,
-}
-
-impl EventStream<'_> {
-    fn emit(&mut self, kind: EventKind) -> std::io::Result<()> {
-        let event = TelemetryEvent {
-            seq: self.seq,
-            t_ns: self.start.elapsed().as_nanos() as u64,
-            kind,
-        };
-        self.seq += 1;
-        send_line(self.stream, &event.render_line())
+/// The `cell_planned` description of `cell`, the `index`-th of its
+/// announcement.
+fn cell_info(index: usize, cell: &protocol::CellRequest) -> CellInfo {
+    CellInfo {
+        unit: index,
+        label: format!(
+            "{}/{} {} {}",
+            cell.workload.to_ascii_lowercase(),
+            cell.size,
+            cell.technique.short_name(),
+            cell.model
+        ),
+        planned: cell.planned_budget(),
     }
 }
 
-/// The `cell_planned` event announcing `cell` as cell `index` of a stream.
-fn cell_planned(index: usize, cell: &protocol::CellRequest) -> EventKind {
-    EventKind::CellPlanned {
-        cell: index,
-        info: CellInfo {
-            unit: index,
-            label: format!(
-                "{}/{} {} {}",
-                cell.workload.to_ascii_lowercase(),
-                cell.size,
-                cell.technique.short_name(),
-                cell.model
-            ),
-            planned: cell.planned_budget(),
-        },
-    }
+/// Write the events `hub` recorded since the last drain to `stream`.
+fn send_drained(mut stream: &TcpStream, hub: &TelemetryHub) -> std::io::Result<()> {
+    stream.write_all(hub.drain_jsonl().as_bytes())
 }
 
 fn handle_submit(
@@ -488,9 +383,13 @@ fn handle_submit(
 
     // Announce the newly owned cells on the global watch stream.
     if !owned.is_empty() {
-        let owned_cells: Vec<&protocol::CellRequest> =
-            owned.iter().map(|&(i, _)| &req.cells[i]).collect();
-        let base = inner.watch.announce(inner.engine.threads(), &owned_cells);
+        let infos = owned
+            .iter()
+            .enumerate()
+            .map(|(j, &(i, _))| cell_info(j, &req.cells[i]));
+        let base = inner
+            .watch
+            .announce(inner.engine.threads(), infos.collect());
 
         // Submit one engine job per owned cell.  Its sink feeds the cell's
         // entry and the watch log from the engine's workers, so execution is
@@ -534,36 +433,29 @@ fn handle_submit(
         }
     }
 
-    // Stream the job to this client with connection-local indices: the
-    // replayed per-cell streams concatenate into exactly the telemetry
-    // schema a single in-process sweep would emit.
-    let mut events = EventStream {
-        stream,
-        seq: 0,
-        start: Instant::now(),
-    };
-    events.emit(EventKind::SweepStarted {
-        cells: req.cells.len(),
-        threads: req.threads,
-        planned: req.cells.iter().map(|c| c.planned_budget()).sum(),
-    })?;
-    for (i, cell) in req.cells.iter().enumerate() {
-        events.emit(cell_planned(i, cell))?;
-    }
+    // Stream the job to this client through a hub of its own, with
+    // connection-local indices: the replayed per-cell streams concatenate
+    // into exactly the telemetry schema a single in-process sweep would
+    // emit.  A cell's costs are published when it finishes, so the summary
+    // counts those of every cell's one execution, followed cells included.
+    let events = TelemetryHub::new(TelemetryLevel::Full);
+    let infos = req.cells.iter().enumerate().map(|(i, c)| cell_info(i, c));
+    events.announce(req.threads, infos.collect());
+    send_drained(stream, &events)?;
 
     let mut results: Vec<Arc<SweepCampaignResult>> = Vec::with_capacity(req.cells.len());
-    let mut cost = CostTally::default();
     for (i, claim) in claims.iter().enumerate() {
         let entry: &Arc<CellEntry> = match claim {
             Claim::Owner(e) | Claim::Follower(e) => e,
         };
         let mut io: std::io::Result<()> = Ok(());
         let result = entry.tail(|event| {
-            io = events.emit(event.clone().with_cell(i));
+            events.record(event.clone().with_cell(i));
+            io = send_drained(stream, &events);
             io.is_ok()
         });
         io?;
-        let Some((result, cell_cost)) = result else {
+        let Some((result, cost)) = result else {
             return send_line(
                 stream,
                 &protocol::error_line(&format!(
@@ -572,20 +464,13 @@ fn handle_submit(
                 )),
             );
         };
-        events.emit(result.finished_event(i))?;
+        cost.publish(&events);
+        events.record(result.finished_event(i));
+        send_drained(stream, &events)?;
         results.push(result);
-        cost.merge(&cell_cost);
     }
-
-    // The CoW tallies are those of every cell's one execution, followed
-    // cells included, as the experiment total is.
-    events.emit(EventKind::SweepFinished {
-        cells: req.cells.len(),
-        experiments: results.iter().map(|r| r.result.counts.total()).sum(),
-        wall_ns: events.start.elapsed().as_nanos() as u64,
-        cow_chunks_copied: cost.cow_chunks_copied,
-        cow_restore_bytes_saved: cost.cow_restore_bytes_saved,
-    })?;
+    events.record_summary();
+    send_drained(stream, &events)?;
 
     // Assemble the final report exactly as `Sweep::run` would: results in
     // submission order, warnings deduplicated in submission order.
@@ -614,14 +499,19 @@ impl CellSink {
         match event {
             JobEvent::Progress { event, cost } => {
                 self.cost.lock().expect(LOCK_POISONED).merge(&cost);
-                self.inner.watch.push(event.clone().with_cell(self.gcell));
+                self.inner.watch.record(event.clone().with_cell(self.gcell));
                 self.entry.push_event(event);
             }
             JobEvent::CellFinished { result, .. } => {
-                // Every batch's progress, and so its cost, came first.
+                // Every batch's progress, and so its cost, came first.  The
+                // cost is published only now, so the watched copy-on-write
+                // totals grow with finished cells, as the experiments do.
                 let cost = *self.cost.lock().expect(LOCK_POISONED);
                 let result = Arc::new(*result);
-                self.inner.watch.push_finished(self.gcell, &result, &cost);
+                let watch = &self.inner.watch;
+                cost.publish(watch);
+                watch.record(result.finished_event(self.gcell));
+                watch.record_summary();
                 self.entry.finish(result, cost);
             }
             JobEvent::Finished => {}
